@@ -8,8 +8,9 @@ confidence.  ``AuditTrail`` is that record.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Deque, Dict, List, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,8 @@ class AuditTrail:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.events: List[AuditEvent] = []
+        #: oldest first; a full trail evicts its oldest event in O(1)
+        self.events: Deque[AuditEvent] = deque(maxlen=capacity)
         self.dropped = 0
 
     def record(
@@ -46,9 +48,8 @@ class AuditTrail:
         data: Optional[Mapping[str, Any]] = None,
     ) -> AuditEvent:
         event = AuditEvent(time, loop, phase, message, dict(data or {}))
-        if len(self.events) >= self.capacity:
-            self.events.pop(0)
-            self.dropped += 1
+        if len(self.events) == self.capacity:
+            self.dropped += 1  # the append below pushes the oldest out
         self.events.append(event)
         return event
 
@@ -65,7 +66,7 @@ class AuditTrail:
         return [e for e in self.events if e.time >= t]
 
     def tail(self, n: int = 10) -> List[AuditEvent]:
-        return self.events[-n:]
+        return list(self.events)[-n:]
 
     def flight_dumps(self) -> List[AuditEvent]:
         """Events that carry a flight-recorder dump reference.

@@ -2,147 +2,80 @@
 
 Production MODA stores (DCDB, LRZ's ODA deployment) keep raw telemetry
 briefly and serve long-range queries from downsampled *rollups*.  This
-module reproduces that design: a :class:`RollupManager` owns a cascade
-of :class:`RollupTier` resolutions (e.g. 10s → 60s → 600s).  Tier 0
-folds complete bins out of the raw ring buffers; each coarser tier folds
-from the tier below it, so raw data is read exactly once per sample no
-matter how many tiers exist.
+module reproduces that design with **one tier store and one fold
+kernel** shared by every execution shape:
+
+* :class:`TierStore` / :class:`DenseTier` — the rows of a cascade of
+  resolutions (e.g. 10s → 60s → 600s) for all series of one store,
+  addressed by dense series id.  Per tier the seven :data:`ROW_COLUMNS`
+  are 2-D ``(series, ring slot)`` views of one dense block beside
+  per-series ``head`` / ``count`` / watermark vectors, so a fold's rows
+  land with one fancy-index scatter per column, a cascade reads its
+  fine rows with one gather, and a query reads one series' window with
+  one slice.  Storage comes from an injected allocator (process heap
+  here, a shared-memory arena in :mod:`repro.shard.parallel`) and grows
+  by appending series chunks — never by copy or zero-fill, so resident
+  pages follow the rows actually written.
+* :class:`CascadeFolder` — the fold itself, one vectorised pass per tier
+  over all series at once.  Tier 0 folds complete bins out of the
+  committed ``(series_id, time, value)`` column stream; each coarser
+  tier folds from the tier below it, so raw data is read exactly once
+  per sample no matter how many tiers exist.
+* :class:`RollupManager` — binds both to a store: registers the ingest
+  listener, keeps the key-addressed :class:`RollupTier` read views, and
+  drives folding from a simulation clock.
 
 Each rollup row stores the *partial statistics* ``(sum, count, min,
 max, last_t, last_v)`` of one time-grid-aligned bin, which is exactly
 what :class:`repro.query.kernels.PartialBins` merges — so a query served
 from a tier (plus the raw tail past the tier's watermark) is
 bit-for-bit identical to a raw scan for every partial-servable
-aggregator.
+aggregator.  The batched kernel keeps the per-bin arithmetic of
+``PartialBins`` (left-to-right ``bincount`` sums, ``reduceat`` extrema,
+latest-sample tail), so its rows are byte-equal to a per-series fold —
+``tests/query/rollup_oracle.py`` keeps that per-series fold as the
+oracle.
 
-Tier 0 is fed **directly from committed batches**: the manager registers
-an ingest listener on the store and buffers the columnar ``(series_id,
-time, value)`` stream; ``fold`` consumes that buffer, so a fold's cost
-is proportional to *new* data, and raw rings are scanned only once per
-series (the first fold, to bootstrap data committed before the manager
-existed).  Folding should still outpace raw ring wraparound for that
-bootstrap case (``fold_period_s`` well under ``capacity ×
-sample_period``); samples that wrap away before the first fold are lost
-to the rollups, same as in any real collector.
+A series folds purely from buffered columns once its *listener floor* —
+the earliest sample time the listener ever saw for it — lies strictly
+below its watermark; until that hand-off (data committed before the
+manager existed, or a series first seen mid-fold) its region is folded
+with a raw-ring scan, once per series.  Folding should still outpace raw
+ring wraparound for that bootstrap case (``fold_period_s`` well under
+``capacity × sample_period``); samples that wrap away before the first
+fold are lost to the rollups, same as in any real collector.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+import mmap
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.query.kernels import PARTIAL_AGGS, PartialBins
 from repro.telemetry.batch import sort_series_columns
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import (
-    TimeSeriesStore,
-    ring_extend,
-    ring_gather,
-    ring_window_ranges,
-)
+from repro.telemetry.tsdb import TimeSeriesStore, ring_window_ranges
 
 #: Column names of one rollup row, in storage order.
 ROW_COLUMNS = ("time", "sum", "count", "min", "max", "last_t", "last_v")
 
-
-class _StatRing:
-    """Fixed-capacity ring of rollup rows (column-oriented NumPy arrays).
-
-    Wraparound writes and windowed reads are the shared ring helpers
-    from :mod:`repro.telemetry.tsdb`, applied across the row columns in
-    parallel — the wrap invariants live in one place for both raw
-    sample buffers and rollup rows.
-    """
-
-    __slots__ = ("capacity", "_cols", "_head", "_count")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
-        self._cols = {name: np.empty(self.capacity, dtype=np.float64) for name in ROW_COLUMNS}
-        self._head = 0
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def append_rows(self, cols: Dict[str, np.ndarray]) -> None:
-        """Bulk-append time-ordered rows (caller guarantees ordering)."""
-        self._head, self._count = ring_extend(
-            (self._cols[name] for name in ROW_COLUMNS),
-            self._head,
-            self._count,
-            (cols[name] for name in ROW_COLUMNS),
-        )
-
-    def ordered(self) -> Dict[str, np.ndarray]:
-        """All rows in time order (copies)."""
-        return self.window(-np.inf, np.inf)
-
-    def window(self, t0: float, t1: float) -> Dict[str, np.ndarray]:
-        """Rows whose bin start lies in the half-open range ``[t0, t1)``,
-        copying only the selected rows."""
-        ranges = ring_window_ranges(
-            self._cols["time"], self._head, self._count, t0, t1, right_inclusive=False
-        )
-        return {name: ring_gather(arr, ranges) for name, arr in self._cols.items()}
+#: ``alloc(count) -> (float64 array, descriptor)``: where tier blocks
+#: live.  The descriptor is whatever lets another process map the same
+#: storage (``None`` on the heap).
+Allocator = Callable[[int], Tuple[np.ndarray, object]]
 
 
-class RollupTier:
-    """All series of one resolution, plus per-series fold watermarks."""
-
-    def __init__(self, resolution_s: float, capacity: int = 4096) -> None:
-        if resolution_s <= 0:
-            raise ValueError("resolution_s must be positive")
-        self.resolution_s = float(resolution_s)
-        self.capacity = int(capacity)
-        self._rings: Dict[SeriesKey, _StatRing] = {}
-        #: end of the last complete bin folded, per series
-        self._watermark: Dict[SeriesKey, float] = {}
-        self.rows_written = 0
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self._rings.values())
-
-    def watermark(self, key: SeriesKey) -> Optional[float]:
-        return self._watermark.get(key)
-
-    def window(self, key: SeriesKey, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
-        ring = self._rings.get(key)
-        if ring is None or len(ring) == 0:
-            return None
-        return ring.window(t0, t1)
-
-    def _append(self, key: SeriesKey, cols: Dict[str, np.ndarray], new_watermark: float) -> None:
-        ring = self._rings.get(key)
-        if ring is None:
-            ring = self._rings[key] = _StatRing(self.capacity)
-        ring.append_rows(cols)
-        self._watermark[key] = new_watermark
-        self.rows_written += int(cols["time"].size)
-
-
-def _partial_to_rows(partial: PartialBins, grid_t0: float, resolution: float) -> Dict[str, np.ndarray]:
-    nz = partial.nonempty()
-    return {
-        "time": grid_t0 + nz * resolution,
-        "sum": partial.sum[nz],
-        "count": partial.count[nz],
-        "min": partial.vmin[nz],
-        "max": partial.vmax[nz],
-        "last_t": partial.last_t[nz],
-        "last_v": partial.last_v[nz],
-    }
-
-
-# --------------------------------------------------------------------------
-# Fold primitives.  The bin arithmetic of every fold shape lives in these
-# free functions so the key-based RollupManager below and the sid-based
-# worker-side folder (repro.shard.parallel) produce bit-identical tier
-# rows from the same inputs — the parallel tier's exactness oracle.
+def heap_alloc(count: int) -> Tuple[np.ndarray, None]:
+    """Process-private tier storage: an anonymous mapping, resident only
+    where rows have landed.  (``np.empty`` asks for transparent huge
+    pages at this size; each series' ring is a small-page-sized stride
+    apart, so a single row per series would make a whole block
+    resident.)"""
+    return np.frombuffer(mmap.mmap(-1, int(count) * 8), dtype=np.float64), None
 
 
 def select_tier_index(
@@ -162,33 +95,257 @@ def select_tier_index(
     return best
 
 
-def fold_segment_rows(
-    times: np.ndarray, values: np.ndarray, wm: float, resolution: float
-) -> Tuple[Optional[Dict[str, np.ndarray]], int]:
-    """Rows from one series' buffered columns (time-sorted, all below the
-    fold boundary); returns ``(rows, late_samples_dropped)``.
+# --------------------------------------------------------------------------
+# Dense tier storage.
 
-    Samples older than the watermark ``wm`` are late — their bin already
-    folded — and are dropped, same as any real collector.
+
+class _TierChunk:
+    """Tier storage of one contiguous series-id range ``[sid0, sid0+n)``."""
+
+    __slots__ = ("sid0", "rows", "cols", "head", "count", "wm")
+
+    def __init__(self, sid0: int, block: np.ndarray, n: int, capacity: int) -> None:
+        self.sid0 = sid0
+        cells = n * len(ROW_COLUMNS) * capacity
+        #: ``(series, column, ring slot)``: a series' seven rings are
+        #: adjacent, so one series' window is a single 2-D slice
+        self.rows = block[:cells].reshape(n, len(ROW_COLUMNS), capacity)
+        #: the same cells as one ``(series, ring slot)`` view per column
+        self.cols = [self.rows[:, k, :] for k in range(len(ROW_COLUMNS))]
+        tail = block[cells:]
+        self.head = tail[:n].view(np.int64)  # next ring slot, per series
+        self.count = tail[n:2 * n].view(np.int64)  # valid rows, per series
+        self.wm = tail[2 * n:3 * n]  # end of the last folded bin; NaN = unset
+
+
+class DenseTier:
+    """All series of one resolution, addressed by dense series id.
+
+    Each series owns a fixed-capacity ring of rows (overwrite-oldest,
+    the last ``capacity`` rows are retained) plus a fold watermark.
+    The scalar reads (:meth:`watermark`, :meth:`window`) are the query
+    engines' surface; the vector operations serve :class:`CascadeFolder`
+    and take series ids **sorted ascending**.
     """
-    if times[-1] < wm:
-        return None, int(times.size)
-    dropped = 0
-    if times[0] < wm:
-        cut = int(np.searchsorted(times, wm, side="left"))
-        dropped = cut
-        times, values = times[cut:], values[cut:]
-    bin_idx = np.floor(times / resolution).astype(np.int64)
-    base = int(bin_idx[0])
-    partial = PartialBins(int(bin_idx[-1]) - base + 1)
-    partial.add_samples(bin_idx - base, times, values)
-    return _partial_to_rows(partial, base * resolution, resolution), dropped
+
+    def __init__(self, resolution_s: float, capacity: int = 4096) -> None:
+        if resolution_s <= 0:
+            raise ValueError("resolution_s must be positive")
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.resolution_s = float(resolution_s)
+        self.capacity = int(capacity)
+        self._chunks: List[_TierChunk] = []
+        #: exclusive end id of each chunk, ascending
+        self._ends: List[int] = []
+        #: series ids ``[0, n_sids)`` have storage
+        self.n_sids = 0
+
+    def block_size(self, n: int) -> int:
+        """Float64 slots one chunk of ``n`` series needs."""
+        return n * (len(ROW_COLUMNS) * self.capacity + 3)
+
+    def add_chunk(self, block: np.ndarray, n: int, *, fresh: bool) -> None:
+        """Back the next ``n`` series ids with ``block``.
+
+        ``fresh`` initialises the per-series vectors (the creating side);
+        a process attaching storage another one created must not.
+        """
+        chunk = _TierChunk(self.n_sids, block, n, self.capacity)
+        if fresh:
+            chunk.head[:] = 0
+            chunk.count[:] = 0
+            chunk.wm[:] = np.nan
+        self._chunks.append(chunk)
+        self.n_sids += n
+        self._ends.append(self.n_sids)
+
+    def __len__(self) -> int:
+        return sum(int(chunk.count.sum()) for chunk in self._chunks)
+
+    # ---------------------------------------------------------- scalar reads
+    def _locate(self, sid: int) -> Optional[Tuple[_TierChunk, int]]:
+        if not 0 <= sid < self.n_sids:
+            return None
+        chunk = self._chunks[bisect_right(self._ends, sid)]
+        return chunk, sid - chunk.sid0
+
+    def watermark(self, sid: int) -> Optional[float]:
+        """End of the last complete bin folded for ``sid``."""
+        loc = self._locate(sid)
+        if loc is None:
+            return None
+        w = loc[0].wm.item(loc[1])
+        return None if w != w else w
+
+    def window(self, sid: int, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
+        """Rows whose bin start lies in the half-open range ``[t0, t1)``,
+        copying only the selected rows; ``None`` when ``sid`` has none."""
+        loc = self._locate(sid)
+        if loc is None:
+            return None
+        chunk, i = loc
+        count = chunk.count.item(i)
+        if count == 0:
+            return None
+        rings = chunk.rows[i]
+        ranges = ring_window_ranges(
+            rings[0], chunk.head.item(i), count, t0, t1, right_inclusive=False
+        )
+        parts = [rings[:, lo:hi] for lo, hi in ranges if hi > lo]
+        if len(parts) == 1:
+            out = parts[0].copy()
+        elif parts:
+            out = np.concatenate(parts, axis=1)
+        else:
+            out = np.empty((len(ROW_COLUMNS), 0))
+        return dict(zip(ROW_COLUMNS, out))
+
+    # ------------------------------------------------------ vector operations
+    def _split(self, sids: np.ndarray):
+        """``(chunk, lo, hi)`` for every chunk the sorted ``sids`` touch."""
+        if len(self._chunks) == 1:
+            if sids.size:
+                yield self._chunks[0], 0, sids.size
+            return
+        lo = 0
+        for chunk, hi in zip(self._chunks, np.searchsorted(sids, self._ends).tolist()):
+            if hi > lo:
+                yield chunk, lo, hi
+            lo = hi
+
+    def take(self, name: str, sids: np.ndarray) -> np.ndarray:
+        """Per-series vector ``name`` (``head``/``count``/``wm``) at ``sids``."""
+        out = np.empty(sids.size, dtype=np.float64 if name == "wm" else np.int64)
+        for chunk, lo, hi in self._split(sids):
+            out[lo:hi] = getattr(chunk, name)[sids[lo:hi] - chunk.sid0]
+        return out
+
+    def put(self, name: str, sids: np.ndarray, values) -> None:
+        """Store ``values`` (array or scalar) into vector ``name`` at ``sids``."""
+        per_sid = np.ndim(values) > 0
+        for chunk, lo, hi in self._split(sids):
+            getattr(chunk, name)[sids[lo:hi] - chunk.sid0] = values[lo:hi] if per_sid else values
+
+    def gather(
+        self, sids: np.ndarray, slots: np.ndarray, columns: Sequence[int]
+    ) -> List[np.ndarray]:
+        """Row cells ``(sids[i], slots[i])`` of the selected columns."""
+        out = [np.empty(sids.size, dtype=np.float64) for _ in columns]
+        for chunk, lo, hi in self._split(sids):
+            local = sids[lo:hi] - chunk.sid0
+            for dst, k in zip(out, columns):
+                dst[lo:hi] = chunk.cols[k][local, slots[lo:hi]]
+        return out
+
+    def oldest_time(self, sids: np.ndarray) -> np.ndarray:
+        """Bin start of the oldest retained row of each (non-empty) series."""
+        slots = (self.take("head", sids) - self.take("count", sids)) % self.capacity
+        return self.gather(sids, slots, (0,))[0]
+
+    def append_rows(self, sids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray]) -> None:
+        """Append ``counts[i]`` time-ordered rows to series ``sids[i]``.
+
+        ``cols`` holds the rows of all series back to back, one array
+        per :data:`ROW_COLUMNS` entry.  Ring semantics per series: rows
+        continue at ``head`` and wrap; a series receiving ``capacity``
+        or more rows keeps only the last ``capacity``, laid out from
+        slot 0.  Cells are written before ``head``/``count`` publish
+        them.
+        """
+        cap = self.capacity
+        seg = np.repeat(np.arange(sids.size), counts)
+        rank = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        head = self.take("head", sids)
+        whole = counts >= cap
+        slots = np.where(whole, cap - counts, head)[seg] + rank
+        if whole.any():
+            keep = slots >= 0  # leading rows of a whole-ring write fall off
+            seg, slots = seg[keep], slots[keep]
+            cols = [col[keep] for col in cols]
+        slots %= cap
+        row_sids = sids[seg]
+        for chunk, lo, hi in self._split(row_sids):
+            local = row_sids[lo:hi] - chunk.sid0
+            for dst, src in zip(chunk.cols, cols):
+                dst[local, slots[lo:hi]] = src[lo:hi]
+        self.put("head", sids, np.where(whole, 0, (head + counts) % cap))
+        self.put("count", sids, np.minimum(self.take("count", sids) + counts, cap))
+
+
+class TierStore:
+    """The tiers of one cascade over one allocator.
+
+    Validates the resolution lattice (ascending, each a multiple of the
+    previous) and grows all tiers together by whole series chunks.
+    """
+
+    def __init__(
+        self,
+        resolutions: Sequence[float],
+        capacity: int = 4096,
+        alloc: Optional[Allocator] = heap_alloc,
+    ) -> None:
+        if not resolutions:
+            raise ValueError("need at least one rollup resolution")
+        res = sorted(float(r) for r in resolutions)
+        if len(set(res)) != len(res):
+            raise ValueError("duplicate rollup resolutions")
+        for fine, coarse in zip(res, res[1:]):
+            if coarse % fine != 0.0:
+                raise ValueError(
+                    f"each tier must be a multiple of the previous: {coarse} % {fine} != 0"
+                )
+        self.tiers: List[DenseTier] = [DenseTier(r, capacity) for r in res]
+        self._alloc = alloc
+
+    @property
+    def n_sids(self) -> int:
+        return self.tiers[0].n_sids
+
+    def grow(self, n_sids: int) -> Optional[Tuple[int, int, List[object]]]:
+        """Cover series ids ``[0, n_sids)``: append one chunk per tier.
+
+        Returns ``(first series id, series count, per-tier block
+        descriptors)`` of the appended chunk for the owner to announce
+        (the arguments of :meth:`attach`), ``None`` when already
+        covered.  Chunks at least double the store, so a store holds
+        O(log n) of them.
+        """
+        have = self.n_sids
+        if n_sids <= have:
+            return None
+        n = max(64, have, n_sids - have)
+        descs = []
+        for tier in self.tiers:
+            block, desc = self._alloc(tier.block_size(n))
+            tier.add_chunk(block, n, fresh=True)
+            descs.append(desc)
+        return have, n, descs
+
+    def attach(self, sid0: int, n: int, blocks: Sequence[np.ndarray]) -> None:
+        """Map a chunk another process created (one block per tier).
+
+        Idempotent: a chunk starting below :attr:`n_sids` is already
+        mapped and is skipped, so an announcement may be delivered more
+        than once; chunks must otherwise arrive in order.
+        """
+        if sid0 < self.n_sids:
+            return
+        if sid0 > self.n_sids:
+            raise ValueError(f"tier chunk at {sid0} leaves a gap after {self.n_sids}")
+        for tier, block in zip(self.tiers, blocks):
+            tier.add_chunk(block, n, fresh=False)
+
+
+# --------------------------------------------------------------------------
+# The fold.
 
 
 def fold_rawscan_rows(
     times: np.ndarray, values: np.ndarray, start: float, boundary: float, resolution: float
 ) -> Optional[Dict[str, np.ndarray]]:
-    """Rows from a raw-ring window scan of ``[start, boundary)``.
+    """Rows of one series from a raw-ring window scan of ``[start, boundary)``.
 
     ``times``/``values`` come from an inclusive window query over
     ``[start, boundary]``; the boundary sample (start of the still-open
@@ -202,26 +359,306 @@ def fold_rawscan_rows(
     bin_idx = np.floor((times - start) / resolution).astype(np.int64)
     partial = PartialBins(n_bins)
     partial.add_samples(bin_idx, times, values)
-    return _partial_to_rows(partial, start, resolution)
+    nz = partial.nonempty()
+    return {
+        "time": start + nz * resolution,
+        "sum": partial.sum[nz],
+        "count": partial.count[nz],
+        "min": partial.vmin[nz],
+        "max": partial.vmax[nz],
+        "last_t": partial.last_t[nz],
+        "last_v": partial.last_v[nz],
+    }
 
 
-def fold_cascade_rows(
-    rows: Dict[str, np.ndarray], start: float, boundary: float, resolution: float
-) -> Dict[str, np.ndarray]:
-    """Coarse rows folded from fine-tier rows of ``[start, boundary)``."""
-    n_bins = int(round((boundary - start) / resolution))
-    bin_idx = np.floor((rows["time"] - start) / resolution).astype(np.int64)
-    partial = PartialBins(n_bins)
-    partial.add_rows(
-        bin_idx,
-        rows["sum"],
-        rows["count"],
-        rows["min"],
-        rows["max"],
-        rows["last_t"],
-        rows["last_v"],
-    )
-    return _partial_to_rows(partial, start, resolution)
+class _Runs:
+    """Contiguous ``(series, bin)`` groups of columns sorted that way."""
+
+    __slots__ = ("starts", "ends", "gid", "seg", "bin", "first", "rows")
+
+    def __init__(self, seg: np.ndarray, bins: np.ndarray) -> None:
+        new = np.empty(seg.size, dtype=bool)
+        new[0] = True
+        np.logical_or(seg[1:] != seg[:-1], bins[1:] != bins[:-1], out=new[1:])
+        self.starts = np.flatnonzero(new)  # first input row of each group
+        self.ends = np.append(self.starts[1:], seg.size)
+        self.gid = np.cumsum(new) - 1  # dense group id per input row
+        self.seg = seg[self.starts]  # series position per group
+        self.bin = bins[self.starts]
+        #: first group of every series present, and its group count
+        self.first = np.flatnonzero(np.append(True, self.seg[1:] != self.seg[:-1]))
+        self.rows = np.diff(np.append(self.first, self.starts.size))
+
+
+class CascadeFolder:
+    """Batched rollup fold of one store's series over a tier cascade.
+
+    One pass per tier: buffered ingest columns are sorted once, every
+    ``(series, bin)`` group gets a dense id, and all partial rows fall
+    out of one ``bincount`` per additive statistic, one ``reduceat`` per
+    extremum and the group tails for ``last``.  ``raw`` is the
+    series-id-addressed raw reader (``len(raw)``, ``earliest_time(sid)``,
+    ``window(sid, t0, t1)``) the once-per-series bootstrap scan uses.
+    Series ids beyond the tiers' current storage are deferred to a later
+    fold (the owner grows the store between folds).
+    """
+
+    def __init__(self, tiers: Sequence[DenseTier], raw, *, buffer_cap: int = 1 << 18) -> None:
+        self.tiers = list(tiers)
+        self._raw = raw
+        self._buffer_cap = int(buffer_cap)
+        #: committed-but-unfolded columns, newest last: ``(ids, times, values)``
+        self._buffered: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.buffered_rows = 0
+        #: earliest sample time this folder ever saw, per series (NaN = none)
+        self._floors = np.empty(0, dtype=np.float64)
+        self.late_dropped = 0
+
+    def on_columns(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
+        """Queue committed columns for the next fold.
+
+        If folding falls far behind ingest the buffer is drained early
+        (complete bins folded, open-bin tail kept), bounding memory
+        without ever rescanning raw rings.
+        """
+        self._buffered.append((ids, times, values))
+        self.buffered_rows += int(ids.size)
+        if self.buffered_rows > self._buffer_cap:
+            res = self.tiers[0].resolution_s
+            # chunks are sorted by (series, time), so the true max is a
+            # per-chunk .max(), not the last element
+            max_t = max(float(c[1].max()) for c in self._buffered if c[1].size)
+            self._fold_tier0(math.floor(max_t / res) * res)
+
+    def fold(self, boundary: float) -> int:
+        """Fold complete tier-0 bins up to ``boundary`` and cascade;
+        returns the rows written.  Idempotent per bin."""
+        written = self._fold_tier0(boundary)
+        for fine, coarse in zip(self.tiers, self.tiers[1:]):
+            written += self._fold_cascade(fine, coarse)
+        return written
+
+    # ---------------------------------------------------------------- tier 0
+    def _floors_upto(self, n: int) -> np.ndarray:
+        """The listener floors of series ``[0, n)`` (a view)."""
+        if n > self._floors.size:
+            grown = np.full(max(n, 2 * self._floors.size), np.nan)
+            grown[: self._floors.size] = self._floors
+            self._floors = grown
+        return self._floors[:n]
+
+    def _fold_tier0(self, boundary: float) -> int:
+        tier = self.tiers[0]
+        written = 0
+        if self._buffered:
+            chunks, self._buffered = self._buffered, []
+            self.buffered_rows = 0
+            if len(chunks) == 1:
+                ids, times, values = chunks[0]
+            else:
+                ids = np.concatenate([c[0] for c in chunks])
+                times = np.concatenate([c[1] for c in chunks])
+                values = np.concatenate([c[2] for c in chunks])
+            complete = times < boundary
+            if not complete.all():
+                keep = ~complete
+                self._buffered.append((ids[keep], times[keep], values[keep]))
+                self.buffered_rows = int(keep.sum())
+                ids, times, values = ids[complete], times[complete], values[complete]
+            if ids.size:
+                written += self._fold_columns(ids, times, values, boundary)
+        n = min(len(self._raw), tier.n_sids)
+        if n == 0:
+            return written
+        sids = np.arange(n)
+        wm = tier.take("wm", sids)
+        stale = ~(wm >= boundary)  # unset (NaN) or behind the boundary
+        covered = stale & (self._floors_upto(n) < wm)  # the buffer held everything
+        tier.put("wm", sids[covered], boundary)
+        boot = np.flatnonzero(stale & ~covered)
+        if boot.size:
+            written += self._fold_rawscan(boot, wm[boot], boundary)
+        return written
+
+    def _fold_columns(
+        self, ids: np.ndarray, times: np.ndarray, values: np.ndarray, boundary: float
+    ) -> int:
+        """Tier-0 rows of every handed-off series from complete columns."""
+        tier = self.tiers[0]
+        res = tier.resolution_s
+        ids, times, values, starts, ends = sort_series_columns(ids, times, values)
+        seg_sids = ids[starts]
+        all_floors = self._floors_upto(int(seg_sids[-1]) + 1)
+        floors = all_floors[seg_sids]
+        unseen = np.isnan(floors)
+        if unseen.any():
+            floors[unseen] = times[starts[unseen]]
+            all_floors[seg_sids] = floors
+        wm = np.full(seg_sids.size, np.nan)
+        stored = seg_sids < tier.n_sids  # the rest waits for the store to grow
+        wm[stored] = tier.take("wm", seg_sids[stored])
+        handed = floors < wm  # false while the watermark is unset
+        if not handed.any():
+            return 0
+        seg = np.repeat(np.arange(seg_sids.size), ends - starts)
+        live = handed[seg]
+        # samples behind the watermark are late: their bin already
+        # folded, so they are dropped, same as any real collector
+        fresh = live & (times >= wm[seg])
+        self.late_dropped += int(live.sum()) - int(fresh.sum())
+        if not fresh.any():
+            return 0
+        if not fresh.all():
+            seg, times, values = seg[fresh], times[fresh], values[fresh]
+        runs = _Runs(seg, np.floor(times / res).astype(np.int64))
+        base = np.repeat(runs.bin[runs.first], runs.rows)  # first bin per series
+        n_rows = runs.starts.size
+        out_sids = seg_sids[runs.seg[runs.first]]
+        tier.append_rows(out_sids, runs.rows, [
+            base * res + (runs.bin - base) * res,
+            np.bincount(runs.gid, weights=values, minlength=n_rows),
+            (runs.ends - runs.starts).astype(np.float64),
+            np.minimum.reduceat(values, runs.starts),
+            np.maximum.reduceat(values, runs.starts),
+            # columns are time-sorted per series: a group's tail is its
+            # latest sample (ties resolve to the later one)
+            times[runs.ends - 1],
+            values[runs.ends - 1],
+        ])
+        tier.put("wm", out_sids, boundary)
+        return n_rows
+
+    def _fold_rawscan(self, sids: np.ndarray, wms: np.ndarray, boundary: float) -> int:
+        """Raw-ring scan fold of not-yet-handed-off series (per series:
+        it runs once for each, at bootstrap)."""
+        tier = self.tiers[0]
+        res = tier.resolution_s
+        marked: List[int] = []
+        with_rows: List[int] = []
+        parts: List[Dict[str, np.ndarray]] = []
+        for sid, start in zip(sids.tolist(), wms.tolist()):
+            if start != start:  # NaN: never folded
+                first = self._raw.earliest_time(sid)
+                if first is None:
+                    continue
+                start = math.floor(first / res) * res
+            if boundary <= start:
+                continue
+            rows = fold_rawscan_rows(*self._raw.window(sid, start, boundary), start, boundary, res)
+            marked.append(sid)
+            if rows is not None:
+                with_rows.append(sid)
+                parts.append(rows)
+        if not marked:
+            return 0
+        written = 0
+        if parts:
+            counts = np.array([p["time"].size for p in parts], dtype=np.int64)
+            tier.append_rows(
+                np.array(with_rows, dtype=np.int64),
+                counts,
+                [np.concatenate([p[name] for p in parts]) for name in ROW_COLUMNS],
+            )
+            written = int(counts.sum())
+        tier.put("wm", np.array(marked, dtype=np.int64), boundary)
+        return written
+
+    # --------------------------------------------------------------- cascade
+    def _fold_cascade(self, fine: DenseTier, coarse: DenseTier) -> int:
+        """Coarse rows of every series from the fine rows the fine
+        watermark has completed since the coarse one."""
+        n = min(len(self._raw), fine.n_sids)
+        if n == 0:
+            return 0
+        res = coarse.resolution_s
+        sids = np.arange(n)
+        fine_wm = fine.take("wm", sids)
+        start = coarse.take("wm", sids)
+        boundary = np.floor(fine_wm / res) * res
+        unset = np.flatnonzero(np.isnan(start) & ~np.isnan(fine_wm))
+        if unset.size:  # first cascade of a series: begin at its oldest fine row
+            unset = unset[fine.take("count", unset) > 0]
+            start[unset] = np.floor(fine.oldest_time(unset) / res) * res
+        go = np.flatnonzero(boundary > start)
+        if go.size == 0:
+            return 0
+        start, boundary = start[go], boundary[go]
+        # fine rows at or after ``start`` are the newest rows of the
+        # ring, one per fine bin at most: bound the tail, then mask
+        tail = np.floor((fine_wm[go] - start) / fine.resolution_s).astype(np.int64) + 2
+        tail = np.minimum(tail, fine.take("count", go))
+        seg = np.repeat(np.arange(go.size), tail)
+        rank = np.arange(seg.size) - np.repeat(np.cumsum(tail) - tail, tail)
+        slots = ((fine.take("head", go) - tail)[seg] + rank) % fine.capacity
+        row_sids = go[seg]
+        row_t = fine.gather(row_sids, slots, (0,))[0]
+        inside = (row_t >= start[seg]) & (row_t < boundary[seg])
+        written = 0
+        if inside.any():
+            seg, row_t = seg[inside], row_t[inside]
+            sums, counts, mins, maxs, last_t, last_v = fine.gather(
+                row_sids[inside], slots[inside], range(1, len(ROW_COLUMNS))
+            )
+            runs = _Runs(seg, np.floor((row_t - start[seg]) / res).astype(np.int64))
+            written = runs.starts.size
+            # the latest underlying sample of a group: stable sort by
+            # last_t inside each group, ties to the later row
+            newest = np.lexsort((last_t, runs.gid))[runs.ends - 1]
+            coarse.append_rows(go[runs.seg[runs.first]], runs.rows, [
+                start[runs.seg] + runs.bin * res,
+                np.bincount(runs.gid, weights=sums, minlength=written),
+                np.bincount(runs.gid, weights=counts, minlength=written),
+                np.minimum.reduceat(mins, runs.starts),
+                np.maximum.reduceat(maxs, runs.starts),
+                last_t[newest],
+                last_v[newest],
+            ])
+        coarse.put("wm", go, boundary)
+        return written
+
+
+# --------------------------------------------------------------------------
+# Store binding.
+
+
+class _KeyedRaw:
+    """Series-id raw reader over a key-addressed store."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store) -> None:
+        self._store = store
+
+    def __len__(self) -> int:
+        return len(self._store.registry)
+
+    def earliest_time(self, sid: int) -> Optional[float]:
+        return self._store.earliest_time(self._store.registry.key_for(sid))
+
+    def window(self, sid: int, t0: float, t1: float):
+        return self._store.query(self._store.registry.key_for(sid), t0, t1)
+
+
+class RollupTier:
+    """Key-addressed read view of one :class:`DenseTier`."""
+
+    __slots__ = ("_registry", "_dense", "resolution_s")
+
+    def __init__(self, registry, dense: DenseTier) -> None:
+        self._registry = registry
+        self._dense = dense
+        self.resolution_s = dense.resolution_s
+
+    def __len__(self) -> int:
+        return len(self._dense)
+
+    def watermark(self, key: SeriesKey) -> Optional[float]:
+        sid = self._registry.get(key)
+        return None if sid is None else self._dense.watermark(sid)
+
+    def window(self, key: SeriesKey, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
+        sid = self._registry.get(key)
+        return None if sid is None else self._dense.window(sid, t0, t1)
 
 
 class RollupManager:
@@ -235,45 +672,42 @@ class RollupManager:
         capacity: int = 4096,
         ingest_buffer_cap: int = 1 << 18,
     ) -> None:
-        if not resolutions:
-            raise ValueError("need at least one rollup resolution")
-        res = sorted(float(r) for r in resolutions)
-        if len(set(res)) != len(res):
-            raise ValueError("duplicate rollup resolutions")
-        for fine, coarse in zip(res, res[1:]):
-            if coarse % fine != 0.0:
-                raise ValueError(
-                    f"each tier must be a multiple of the previous: {coarse} % {fine} != 0"
-                )
         self.store = store
-        self.tiers: List[RollupTier] = [RollupTier(r, capacity) for r in res]
+        # tiers are addressed by series id; series written before any
+        # listener existed were never interned
+        for key in store.series_keys():
+            store.registry.id_for(key)
+        self._dense = self._make_tier_store(resolutions, capacity)
+        self.tiers: List[RollupTier] = [RollupTier(store.registry, t) for t in self._dense.tiers]
+        self._folder = CascadeFolder(
+            self._dense.tiers, _KeyedRaw(store), buffer_cap=ingest_buffer_cap
+        )
         self.folds = 0
-        self.late_samples_dropped = 0
         self._task = None
-        #: committed-but-unfolded columns, newest last: ``(ids, times, values)``
-        self._buffered: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._buffered_rows = 0
-        #: earliest sample time the listener ever saw, per series
-        self._listener_floor: Dict[SeriesKey, float] = {}
-        self._buffer_cap = int(ingest_buffer_cap)
         store.add_ingest_listener(self._on_ingest)
+
+    def _make_tier_store(self, resolutions: Sequence[float], capacity: int) -> TierStore:
+        """Where the tiers live; subclasses relocate them (shared memory)."""
+        return TierStore(resolutions, capacity)
+
+    def ensure_sids(self) -> None:
+        """Give every interned series tier storage."""
+        self._dense.grow(len(self.store.registry))
+
+    @property
+    def late_samples_dropped(self) -> int:
+        """Samples that arrived behind their series' watermark."""
+        return self._folder.late_dropped
+
+    @property
+    def _buffered_rows(self) -> int:
+        return self._folder.buffered_rows
 
     # -------------------------------------------------------------- ingest
     def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
-        """Store listener: queue committed columns for the next fold.
-
-        If folding falls far behind ingest the buffer is drained early
-        (complete bins folded, open-bin tail kept), bounding memory
-        without ever rescanning raw rings.
-        """
-        self._buffered.append((ids, times, values))
-        self._buffered_rows += int(ids.size)
-        if self._buffered_rows > self._buffer_cap:
-            res = self.tiers[0].resolution_s
-            # chunks are sorted by (series, time), so the true max is a
-            # per-chunk .max(), not the last element
-            max_t = max(float(chunk[1].max()) for chunk in self._buffered if chunk[1].size)
-            self._fold_tier0_all(math.floor(max_t / res) * res)
+        """Store listener: queue committed columns for the next fold."""
+        self.ensure_sids()
+        self._folder.on_columns(ids, times, values)
 
     # ------------------------------------------------------------- folding
     def fold(self, now: float) -> int:
@@ -282,127 +716,24 @@ class RollupManager:
         Returns the number of rollup rows written.  Idempotent per bin:
         re-folding the same ``now`` writes nothing new.
         """
+        self.ensure_sids()
         res = self.tiers[0].resolution_s
-        written = self._fold_tier0_all(math.floor(now / res) * res)
-        for fine, coarse in zip(self.tiers, self.tiers[1:]):
-            for key in self.store.series_keys():
-                written += self._fold_cascade(key, fine, coarse)
+        written = self._folder.fold(math.floor(now / res) * res)
         self.folds += 1
         return written
 
-    def _fold_tier0_all(self, boundary: float) -> int:
-        """Advance tier 0 to ``boundary`` from the ingest buffer.
-
-        A series folds purely from buffered columns once its *listener
-        floor* — the earliest sample time the listener ever saw for it —
-        lies strictly below its watermark: from then on, every unfolded
-        sample is guaranteed to be in the buffer (per-series timestamps
-        are monotone, so pre-listener data is all older than the floor).
-        Until that handoff point (data committed before this manager
-        existed, or a series first seen mid-fold) the region is folded
-        with a raw-ring scan, exactly like the pre-columnar manager, and
-        that series' buffered rows are discarded for the fold — the raw
-        scan already covers them, since the listener fires post-commit.
-        """
-        tier = self.tiers[0]
-        written = 0
-        if self._buffered:
-            chunks, self._buffered = self._buffered, []
-            self._buffered_rows = 0
-            if len(chunks) == 1:
-                ids, times, values = chunks[0]
-            else:
-                ids = np.concatenate([c[0] for c in chunks])
-                times = np.concatenate([c[1] for c in chunks])
-                values = np.concatenate([c[2] for c in chunks])
-            complete = times < boundary
-            if not complete.all():
-                keep = ~complete
-                self._buffered.append((ids[keep], times[keep], values[keep]))
-                self._buffered_rows = int(keep.sum())
-                ids, times, values = ids[complete], times[complete], values[complete]
-            if ids.size:
-                ids, times, values, starts, ends = sort_series_columns(ids, times, values)
-                registry = self.store.registry
-                for lo, hi in zip(starts.tolist(), ends.tolist()):
-                    key = registry.key_for(int(ids[lo]))
-                    floor_t = self._listener_floor.get(key)
-                    if floor_t is None:
-                        floor_t = float(times[lo])
-                        self._listener_floor[key] = floor_t
-                    wm = tier.watermark(key)
-                    if wm is not None and floor_t < wm:
-                        written += self._fold_tier0_segment(
-                            key, times[lo:hi], values[lo:hi], boundary
-                        )
-        for key in self.store.series_keys():
-            wm = tier.watermark(key)
-            if wm is not None and wm >= boundary:
-                continue
-            floor_t = self._listener_floor.get(key)
-            if wm is not None and floor_t is not None and floor_t < wm:
-                tier._watermark[key] = boundary  # buffer path covered it
-            else:
-                written += self._fold_tier0_rawscan(key, boundary)
-        return written
-
-    def _fold_tier0_segment(
-        self, key: SeriesKey, times: np.ndarray, values: np.ndarray, boundary: float
-    ) -> int:
-        """Fold one series' buffered columns (time-sorted, all < boundary)."""
-        tier = self.tiers[0]
-        rows, dropped = fold_segment_rows(times, values, tier.watermark(key), tier.resolution_s)
-        self.late_samples_dropped += dropped
-        if rows is None:
-            return 0
-        tier._append(key, rows, boundary)
-        return int(rows["time"].size)
-
-    def _fold_tier0_rawscan(self, key: SeriesKey, boundary: float) -> int:
-        """Raw-ring scan fold: pre-listener data (the bootstrap path)."""
-        tier = self.tiers[0]
-        res = tier.resolution_s
-        start = tier.watermark(key)
-        if start is None:
-            first = self.store.earliest_time(key)
-            if first is None:
-                return 0
-            start = math.floor(first / res) * res
-        if boundary <= start:
-            return 0
-        times, values = self.store.query(key, start, boundary)
-        rows = fold_rawscan_rows(times, values, start, boundary, res)
-        if rows is None:
-            tier._watermark[key] = boundary
-            return 0
-        tier._append(key, rows, boundary)
-        return int(rows["time"].size)
-
-    def _fold_cascade(self, key: SeriesKey, fine: RollupTier, coarse: RollupTier) -> int:
-        fine_wm = fine.watermark(key)
-        if fine_wm is None:
-            return 0
-        res = coarse.resolution_s
-        boundary = math.floor(fine_wm / res) * res
-        start = coarse.watermark(key)
-        if start is None:
-            rows = fine.window(key, -np.inf, np.inf)
-            if rows is None or rows["time"].size == 0:
-                return 0
-            start = math.floor(rows["time"][0] / res) * res
-        if boundary <= start:
-            return 0
-        rows = fine.window(key, start, boundary)
-        if rows is None or rows["time"].size == 0:
-            coarse._watermark[key] = boundary
-            return 0
-        out = fold_cascade_rows(rows, start, boundary, res)
-        coarse._append(key, out, boundary)
-        return int(out["time"].size)
-
     # ---------------------------------------------------------- scheduling
     def attach(self, engine, period_s: Optional[float] = None, *, start_at=None) -> None:
-        """Drive folding from a simulation engine on a fixed cadence."""
+        """Drive folding from a simulation engine on a fixed cadence.
+
+        A fold at time ``T`` closes every bin ending at or before ``T``;
+        a sample stamped before ``T`` that commits after the fold is
+        *late* — counted in :attr:`late_samples_dropped`, never folded,
+        so the tier then disagrees with the raw ring.  Behind a
+        collection pipeline, ``start_at`` must therefore be at least the
+        pipeline's sample→commit latency (hops plus ingest), so that
+        folds trail each bin boundary by it.
+        """
         if self._task is not None and not self._task.stopped:
             raise RuntimeError("rollup manager already attached")
         period = period_s if period_s is not None else self.tiers[0].resolution_s

@@ -569,7 +569,13 @@ class FederatedQueryEngine(QueryEngine):
         return sum(m.fold(now) for m in self.shard_rollups or ())
 
     def attach_rollups(self, engine, period_s: Optional[float] = None, *, start_at=None) -> None:
-        """Drive per-shard folding from a simulation engine, one task."""
+        """Drive per-shard folding from a simulation engine, one task.
+
+        Behind a collection pipeline ``start_at`` must be at least its
+        sample→commit latency, or samples stamped just before a bin
+        boundary commit after the fold that closed their bin and are
+        dropped as late (see :meth:`RollupManager.attach`).
+        """
         if not self.shard_rollups:
             return
         if self._fold_task is not None and not self._fold_task.stopped:

@@ -3,29 +3,33 @@
 This module is the parallel tier of the shard stack: shard ring buffers
 and rollup tiers are relocated into ``multiprocessing.shared_memory``
 blocks, and a persistent pool of worker processes executes per-shard
-work — scatter passes for federated queries, segment appends plus tier-0
-rollup folds for ingest, and full tier cascades — directly against those
-columns.  Only task metadata and per-shard *partial results* cross the
-process boundary; the sample columns themselves never move.
+work — scatter passes for federated queries, segment appends and the
+rollup fold for ingest — directly against those columns.  Only task
+metadata and per-shard *partial results* cross the process boundary;
+the sample columns themselves never move.
 
 Layering (parent process owns everything above the pipe):
 
 * :class:`SharedArena` / :class:`_BlockCache` — bump-pointer allocation
   of NumPy arrays inside shared-memory blocks, addressed by portable
   descriptors ``(block, offset, count, dtype)`` that any process can
-  attach on demand.
-* :class:`SharedRingBuffer` / :class:`SharedStatRing` — the existing
-  ring structures with storage relocated into an arena and their mutable
-  ints (head/count/written) mirrored in a tiny shared meta array, synced
-  at mutation boundaries so either side sees the other's writes.
+  attach on demand.  The parent allocates every long-lived block;
+  workers only ever create per-batch result scratch.
+* :class:`SharedRingBuffer` — the raw ring with storage relocated into
+  an arena and its mutable ints (head/count/written) mirrored in a tiny
+  shared meta array, synced at mutation boundaries so either side sees
+  the other's writes.
 * :class:`SharedTimeSeriesStore` — a per-shard
   :class:`~repro.telemetry.tsdb.TimeSeriesStore` whose rings live in the
   arena; ring creation is announced to the worker through a per-shard
   **event log** so the worker's sid-addressed mirror stays consistent.
-* :class:`TierFolder` — sid-addressed rollup folding built on the fold
-  primitives of :mod:`repro.query.rollup`; runs inside workers (and in
-  the parent when degraded) and produces bit-identical tier rows to
-  :class:`~repro.query.rollup.RollupManager` on the same inputs.
+* :class:`SharedTierSet` — a shard's
+  :class:`~repro.query.rollup.RollupManager` with its dense tier store
+  allocated from the arena and announced through the same event log.
+  There is one fold kernel (:class:`~repro.query.rollup.CascadeFolder`)
+  and one tier store layout: the worker runs that kernel over its
+  mapping of the parent's tier blocks, and the parent runs the very
+  same kernel over the very same blocks when the pool is down.
 * :class:`ShardWorkerPool` — worker lifecycle, the per-shard event logs,
   batched task dispatch with crash detection, and shared-memory result
   transport.
@@ -37,9 +41,9 @@ Layering (parent process owns everything above the pipe):
 
 Determinism: workers compute exactly the per-shard passes the serial
 engine runs (same :data:`~repro.shard.federated.SCATTER_FNS` functions,
-sid-addressed readers), and the parent's gather is the canonical
-partition-invariant merge — so parallel results are **bit-identical** to
-serial execution for every worker count.
+same fold kernel, sid-addressed readers), and the parent's gather is the
+canonical partition-invariant merge — so parallel results are
+**bit-identical** to serial execution for every worker count.
 """
 
 from __future__ import annotations
@@ -48,19 +52,13 @@ import math
 import os
 import traceback
 from multiprocessing import get_context, resource_tracker, shared_memory
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.trace import TRACER
 from repro.query.engine import instant_tier_partials, instant_tier_rate
-from repro.query.rollup import (
-    ROW_COLUMNS,
-    _StatRing,
-    fold_cascade_rows,
-    fold_rawscan_rows,
-    fold_segment_rows,
-)
+from repro.query.rollup import CascadeFolder, RollupManager, TierStore
 from repro.query.standing import StandingGrid, concat_entries
 from repro.shard.federated import SCATTER_FNS, FederatedQueryEngine, ShardWork
 from repro.shard.store import ShardedTimeSeriesStore
@@ -150,17 +148,11 @@ class SharedArena:
         self._cur_name = ""
         self._off = 0
         self._seq = 0
-        #: names of blocks created since the last :meth:`drain_new_names`
-        self._new_names: List[str] = []
         self._untrack = untrack
 
     @property
     def block_names(self) -> List[str]:
         return [name for name, _ in self._blocks]
-
-    def drain_new_names(self) -> List[str]:
-        names, self._new_names = self._new_names, []
-        return names
 
     def alloc(self, count: int, dtype=np.float64) -> Tuple[np.ndarray, Tuple[str, int, int, str]]:
         dt = np.dtype(dtype)
@@ -174,7 +166,6 @@ class SharedArena:
             if self._untrack:
                 _unregister_shm(shm, name)
             self._blocks.append((name, shm))
-            self._new_names.append(name)
             self._cur, self._cur_name, self._off = shm, name, 0
         arr = np.ndarray((int(count),), dtype=dt, buffer=self._cur.buf, offset=self._off)
         desc = (self._cur_name, self._off, int(count), dt.str)
@@ -359,62 +350,6 @@ class SharedRingBuffer(RingBuffer):
         return super().window(t0, t1)
 
 
-class SharedStatRing(_StatRing):
-    """A rollup row ring with columns and ``(head, count)`` in shm.
-
-    Rollup rings are touched once per fold, not per sample, so every
-    operation unconditionally syncs — no lazy mode needed.
-    """
-
-    __slots__ = ("_meta", "descs")
-
-    def __init__(self, capacity: int, cols: Dict[str, np.ndarray], meta: np.ndarray,
-                 descs: Tuple = ()) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
-        self._cols = cols
-        self._meta = meta
-        self.descs = descs
-        self._head = int(meta[0])
-        self._count = int(meta[1])
-
-    @classmethod
-    def create(cls, arena: SharedArena, capacity: int) -> "SharedStatRing":
-        cols = {}
-        descs = []
-        for name in ROW_COLUMNS:
-            arr, desc = arena.alloc(capacity)
-            cols[name] = arr
-            descs.append(desc)
-        m_arr, m_desc = arena.alloc(2, dtype=np.int64)
-        descs.append(m_desc)
-        return cls(capacity, cols, m_arr, descs=tuple(descs))
-
-    @classmethod
-    def attach(cls, cache: _BlockCache, capacity: int, descs: Tuple) -> "SharedStatRing":
-        cols = {name: cache.view(d) for name, d in zip(ROW_COLUMNS, descs)}
-        return cls(capacity, cols, cache.view(descs[-1]), descs=tuple(descs))
-
-    def _sync_in(self) -> None:
-        self._head = int(self._meta[0])
-        self._count = int(self._meta[1])
-
-    def append_rows(self, cols: Dict[str, np.ndarray]) -> None:
-        self._sync_in()
-        super().append_rows(cols)
-        self._meta[0] = self._head
-        self._meta[1] = self._count
-
-    def __len__(self) -> int:
-        self._sync_in()
-        return self._count
-
-    def window(self, t0: float, t1: float) -> Dict[str, np.ndarray]:
-        self._sync_in()
-        return super().window(t0, t1)
-
-
 class SharedTimeSeriesStore(TimeSeriesStore):
     """Per-shard store whose ring buffers live in a shared arena.
 
@@ -481,179 +416,6 @@ class SharedTimeSeriesStore(TimeSeriesStore):
 
 
 # --------------------------------------------------------------------------
-# Sid-addressed rollup folding (worker-side, and parent-side when degraded).
-
-
-class TierFolder:
-    """Rollup folding over sid-addressed shared tier storage.
-
-    A structural twin of :class:`~repro.query.rollup.RollupManager`'s
-    fold paths with every ``SeriesKey`` replaced by a shard-local series
-    id: buffered ingest columns fold through the segment path once a
-    series' listener floor lies below its watermark, everything else
-    bootstraps with a raw-ring scan, and coarser tiers cascade from the
-    tier below.  All bin arithmetic is the shared fold primitives, so
-    rows are bit-identical to the key-based manager on the same inputs.
-
-    Storage access is injected: ``ring_of(sid)`` / ``known_sids()`` for
-    raw rings, ``wm_of(tier_idx)`` for the shared watermark table
-    (``NaN`` = unset; parent-allocated, so sids beyond the current table
-    are simply deferred to a later fold), and ``tier_ring`` /
-    ``make_tier_ring`` for rollup row rings.
-    """
-
-    def __init__(
-        self,
-        resolutions: Sequence[float],
-        *,
-        ring_of: Callable[[int], Optional[RingBuffer]],
-        known_sids: Callable[[], Iterable[int]],
-        wm_of: Callable[[int], np.ndarray],
-        tier_ring: Callable[[int, int], Optional[SharedStatRing]],
-        make_tier_ring: Callable[[int, int], SharedStatRing],
-        buffer_cap: int = 1 << 18,
-    ) -> None:
-        self.resolutions = [float(r) for r in resolutions]
-        self._ring_of = ring_of
-        self._known_sids = known_sids
-        self._wm_of = wm_of
-        self._tier_ring = tier_ring
-        self._make_tier_ring = make_tier_ring
-        self._buffer_cap = int(buffer_cap)
-        self._buffered: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._buffered_rows = 0
-        self._floors: Dict[int, float] = {}
-        self.late_dropped = 0
-        self.rows_written = 0
-
-    def on_columns(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
-        self._buffered.append((ids, times, values))
-        self._buffered_rows += int(ids.size)
-        if self._buffered_rows > self._buffer_cap:
-            res = self.resolutions[0]
-            max_t = max(float(c[1].max()) for c in self._buffered if c[1].size)
-            self._fold_tier0(math.floor(max_t / res) * res)
-
-    def fold(self, boundary: float) -> int:
-        """Fold complete tier-0 bins up to ``boundary`` and cascade."""
-        written = self._fold_tier0(boundary)
-        for ti in range(len(self.resolutions) - 1):
-            wm_f = self._wm_of(ti)
-            wm_c = self._wm_of(ti + 1)
-            for sid in self._known_sids():
-                written += self._fold_cascade(ti, sid, wm_f, wm_c)
-        self.rows_written += written
-        return written
-
-    def _append_rows(self, tier_idx: int, sid: int, rows: Dict[str, np.ndarray]) -> int:
-        ring = self._tier_ring(tier_idx, sid)
-        if ring is None:
-            ring = self._make_tier_ring(tier_idx, sid)
-        ring.append_rows(rows)
-        return int(rows["time"].size)
-
-    def _fold_tier0(self, boundary: float) -> int:
-        res = self.resolutions[0]
-        wm0 = self._wm_of(0)
-        written = 0
-        if self._buffered:
-            chunks, self._buffered = self._buffered, []
-            self._buffered_rows = 0
-            if len(chunks) == 1:
-                ids, times, values = chunks[0]
-            else:
-                ids = np.concatenate([c[0] for c in chunks])
-                times = np.concatenate([c[1] for c in chunks])
-                values = np.concatenate([c[2] for c in chunks])
-            complete = times < boundary
-            if not complete.all():
-                keep = ~complete
-                self._buffered.append((ids[keep], times[keep], values[keep]))
-                self._buffered_rows = int(keep.sum())
-                ids, times, values = ids[complete], times[complete], values[complete]
-            if ids.size:
-                ids, times, values, starts, ends = sort_series_columns(ids, times, values)
-                for lo, hi in zip(starts.tolist(), ends.tolist()):
-                    sid = int(ids[lo])
-                    floor_t = self._floors.get(sid)
-                    if floor_t is None:
-                        floor_t = float(times[lo])
-                        self._floors[sid] = floor_t
-                    if sid >= wm0.size:
-                        continue  # table not grown yet; rawscan later
-                    wm = float(wm0[sid])
-                    if wm == wm and floor_t < wm:
-                        rows, dropped = fold_segment_rows(
-                            times[lo:hi], values[lo:hi], wm, res
-                        )
-                        self.late_dropped += dropped
-                        if rows is not None:
-                            written += self._append_rows(0, sid, rows)
-                            wm0[sid] = boundary
-        for sid in self._known_sids():
-            if sid >= wm0.size:
-                continue
-            wm = float(wm0[sid])
-            if wm == wm and wm >= boundary:
-                continue
-            floor_t = self._floors.get(sid)
-            if wm == wm and floor_t is not None and floor_t < wm:
-                wm0[sid] = boundary  # buffer path covered it
-            else:
-                written += self._fold_tier0_rawscan(sid, wm, boundary, wm0)
-        return written
-
-    def _fold_tier0_rawscan(
-        self, sid: int, wm: float, boundary: float, wm0: np.ndarray
-    ) -> int:
-        res = self.resolutions[0]
-        ring = self._ring_of(sid)
-        start = wm
-        if start != start:  # NaN: never folded
-            if ring is None or len(ring) == 0:
-                return 0
-            start = math.floor(ring.first_time() / res) * res
-        if boundary <= start or ring is None:
-            return 0
-        times, values = ring.window(start, boundary)
-        rows = fold_rawscan_rows(times, values, start, boundary, res)
-        if rows is None:
-            wm0[sid] = boundary
-            return 0
-        written = self._append_rows(0, sid, rows)
-        wm0[sid] = boundary
-        return written
-
-    def _fold_cascade(self, ti: int, sid: int, wm_f: np.ndarray, wm_c: np.ndarray) -> int:
-        if sid >= wm_f.size or sid >= wm_c.size:
-            return 0
-        fine_wm = float(wm_f[sid])
-        if fine_wm != fine_wm:
-            return 0
-        res = self.resolutions[ti + 1]
-        boundary = math.floor(fine_wm / res) * res
-        start = float(wm_c[sid])
-        fine_ring = self._tier_ring(ti, sid)
-        if start != start:  # NaN: find the first fine row
-            if fine_ring is None or len(fine_ring) == 0:
-                return 0
-            rows = fine_ring.window(-np.inf, np.inf)
-            if rows["time"].size == 0:
-                return 0
-            start = math.floor(rows["time"][0] / res) * res
-        if boundary <= start:
-            return 0
-        rows = fine_ring.window(start, boundary) if fine_ring is not None else None
-        if rows is None or rows["time"].size == 0:
-            wm_c[sid] = boundary
-            return 0
-        out = fold_cascade_rows(rows, start, boundary, res)
-        written = self._append_rows(ti + 1, sid, out)
-        wm_c[sid] = boundary
-        return written
-
-
-# --------------------------------------------------------------------------
 # Result transport: nested structures with large arrays relocated into a
 # per-batch shared-memory arena, everything else pickled inline.
 
@@ -693,29 +455,18 @@ def _unpack(enc, view: Callable[[Tuple], np.ndarray]):
 # Worker process.
 
 
-class _SidTierView:
-    """Worker-side tier view addressed by shard-local series id."""
-
-    __slots__ = ("rings", "resolution_s")
-
-    def __init__(self, rings: Dict[int, SharedStatRing], resolution_s: float) -> None:
-        self.rings = rings
-        self.resolution_s = resolution_s
-
-    def window(self, sid: int, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
-        ring = self.rings.get(sid)
-        if ring is None or len(ring) == 0:
-            return None
-        return ring.window(t0, t1)
-
-
 class _SidStoreView:
-    """Worker-side raw-store view for the instant-query tier fallbacks."""
+    """Worker-side raw-ring view addressed by shard-local series id —
+    the raw reader of the scatter passes, the instant-query tier
+    fallbacks and the rollup fold's bootstrap scan."""
 
     __slots__ = ("rings",)
 
     def __init__(self, rings: List[Optional[SharedRingBuffer]]) -> None:
         self.rings = rings
+
+    def __len__(self) -> int:
+        return len(self.rings)
 
     def earliest_time(self, sid: int) -> Optional[float]:
         ring = self.rings[sid] if sid < len(self.rings) else None
@@ -723,12 +474,11 @@ class _SidStoreView:
             return None
         return ring.first_time()
 
-
-class _SidTiers:
-    __slots__ = ("tiers",)
-
-    def __init__(self, tiers: List[_SidTierView]) -> None:
-        self.tiers = tiers
+    def window(self, sid: int, lo: float, hi: float):
+        ring = self.rings[sid] if sid < len(self.rings) else None
+        if ring is None:
+            return np.empty(0), np.empty(0)
+        return ring.window(lo, hi)
 
 
 class SidShardReader:
@@ -740,61 +490,47 @@ class SidShardReader:
     key.
     """
 
-    __slots__ = ("_shard", "tier", "_tier_idx", "_store_view", "_tiers_view")
+    __slots__ = ("tier", "_raw", "_tiers")
 
     def __init__(self, shard: "_WorkerShard", tier_idx: Optional[int]) -> None:
-        self._shard = shard
-        self._tier_idx = tier_idx
-        self.tier = shard.tier_views[tier_idx] if tier_idx is not None else None
-        self._store_view = _SidStoreView(shard.rings)
-        self._tiers_view = _SidTiers(shard.tier_views) if shard.tier_views else None
+        self._raw = shard.raw
+        self._tiers = shard.tiers
+        self.tier = shard.tiers.tiers[tier_idx] if tier_idx is not None else None
 
     def window(self, sid: int, lo: float, hi: float):
-        ring = self._shard.rings[sid] if sid < len(self._shard.rings) else None
-        if ring is None:
-            return np.empty(0), np.empty(0)
-        return ring.window(lo, hi)
+        return self._raw.window(sid, lo, hi)
 
     def watermark(self, sid: int) -> Optional[float]:
-        wm = self._shard.wm[self._tier_idx]
-        if wm is None or sid >= wm.size:
-            return None
-        w = float(wm[sid])
-        return None if w != w else w
+        return self.tier.watermark(sid)
 
     def rows(self, sid: int, lo: float, hi: float):
         return self.tier.window(sid, lo, hi)
 
     def instant_partials(self, sid: int, t0: float, t1: float):
-        if self._tiers_view is None:
+        if self._tiers is None:
             return None
-        return instant_tier_partials(self._store_view, self._tiers_view, sid, t0, t1)
+        return instant_tier_partials(self._raw, self._tiers, sid, t0, t1)
 
     def instant_rate(self, sid: int, t0: float, t1: float):
-        if self._tiers_view is None:
+        if self._tiers is None:
             return None
-        return instant_tier_rate(self._store_view, self._tiers_view, sid, t0, t1)
+        return instant_tier_rate(self._raw, self._tiers, sid, t0, t1)
 
 
 class _WorkerShard:
     """One shard's sid-addressed mirror inside a worker process."""
 
-    def __init__(self, cache: _BlockCache, arena: SharedArena) -> None:
+    def __init__(self, cache: _BlockCache) -> None:
         self._cache = cache
-        self._arena = arena
         self.rings: List[Optional[SharedRingBuffer]] = []
-        self.wm: List[Optional[np.ndarray]] = []
-        self.tier_rings: List[Dict[int, SharedStatRing]] = []
-        self.tier_views: List[_SidTierView] = []
-        self.tier_capacity = 0
-        self.folder: Optional[TierFolder] = None
+        self.raw = _SidStoreView(self.rings)
+        #: the shard's rollup tiers, mapped from parent-announced blocks
+        self.tiers: Optional[TierStore] = None
+        self.folder: Optional[CascadeFolder] = None
         #: standing-query grids by step, fed from this shard's column
         #: stream; worker grids track every sid (no registry here, and
         #: reads only request the sids the parent planned)
         self.standing: Dict[float, StandingGrid] = {}
-        #: tier rings created since the last reply: ``(tier_idx, sid,
-        #: capacity, descs)`` for the parent to attach
-        self.pending_trings: List[Tuple] = []
 
     # ------------------------------------------------------------- events
     def apply_event(self, ev: Tuple) -> None:
@@ -806,37 +542,17 @@ class _WorkerShard:
             self.rings[sid] = SharedRingBuffer.attach(
                 self._cache, capacity, t_desc, v_desc, m_desc
             )
-        elif kind == "wm":
-            _, tier_idx, desc = ev
-            while len(self.wm) <= tier_idx:
-                self.wm.append(None)
-            self.wm[tier_idx] = self._cache.view(desc)
         elif kind == "tiers":
-            _, resolutions, tier_capacity, buffer_cap = ev
-            self.tier_capacity = tier_capacity
-            self.tier_rings = [dict() for _ in resolutions]
-            self.tier_views = [
-                _SidTierView(rings, res) for rings, res in zip(self.tier_rings, resolutions)
-            ]
-            self.folder = TierFolder(
-                resolutions,
-                ring_of=lambda sid: self.rings[sid] if sid < len(self.rings) else None,
-                known_sids=lambda: [
-                    sid for sid, r in enumerate(self.rings) if r is not None
-                ],
-                wm_of=lambda ti: self.wm[ti],
-                tier_ring=lambda ti, sid: self.tier_rings[ti].get(sid),
-                make_tier_ring=self._make_tier_ring,
-                buffer_cap=buffer_cap,
-            )
-        elif kind == "tring":
-            # crash-respawn replay: attach a tier ring a previous worker
-            # incarnation created, instead of recreating it (the parent
-            # still reads the original storage)
-            _, tier_idx, sid, capacity, descs = ev
-            self.tier_rings[tier_idx][sid] = SharedStatRing.attach(
-                self._cache, capacity, descs
-            )
+            # one layout per store: a re-delivered announcement must not
+            # replace the mirror (and its mapped blocks) built so far
+            if self.tiers is None:
+                _, resolutions, tier_capacity, buffer_cap = ev
+                self.tiers = TierStore(resolutions, tier_capacity, alloc=None)
+                self.folder = CascadeFolder(self.tiers.tiers, self.raw, buffer_cap=buffer_cap)
+        elif kind == "tblock":
+            _, sid0, n, descs = ev
+            # a re-delivered block (already mapped) is skipped by attach
+            self.tiers.attach(sid0, n, [self._cache.view(desc) for desc in descs])
         elif kind == "streg":
             _, step, n_slots, want_rate = ev
             self._register_standing(step, n_slots, want_rate)
@@ -879,16 +595,6 @@ class _WorkerShard:
                 floor=float(times[-1]) if times.size else None,
             )
 
-    def _make_tier_ring(self, tier_idx: int, sid: int) -> SharedStatRing:
-        ring = SharedStatRing.create(self._arena, self.tier_capacity)
-        self.tier_rings[tier_idx][sid] = ring
-        self.pending_trings.append((tier_idx, sid, self.tier_capacity, ring.descs))
-        return ring
-
-    def take_trings(self) -> List[Tuple]:
-        out, self.pending_trings = self.pending_trings, []
-        return out
-
     # -------------------------------------------------------------- tasks
     def run(self, kind: str, payload: Dict):
         if kind == "scatter":
@@ -930,10 +636,10 @@ class _WorkerShard:
             rows["rank"] = np.asarray(payload["ranks"], dtype=np.int64)[spos]
             return {"ok": True, "rows": rows, "stats": grid.stats()}
         if kind == "fold":
-            if self.folder is None:
-                return {"written": 0, "late": 0}
             written = self.folder.fold(payload["boundary"])
-            return {"written": written, "late": self.folder.late_dropped}
+            # late samples since the last report: the parent keeps the total
+            late, self.folder.late_dropped = self.folder.late_dropped, 0
+            return {"written": written, "late": late}
         raise ValueError(f"unknown task kind {kind!r}")
 
 
@@ -952,11 +658,11 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
 
     One message per dispatch batch: ``(trace_parent,
     [(shard, events, kind, payload), ...])`` in,
-    ``("ok", scratch_blocks, persist_blocks, replies, spans)`` out.
-    Large reply arrays travel through a per-batch scratch arena whose
-    blocks the parent unlinks after copying; tier rings live in this
-    worker's persistent arena, whose block names ride along in replies
-    so the parent can unlink them at pool close.
+    ``("ok", scratch_blocks, replies, spans)`` out.  Large reply arrays
+    travel through a per-batch scratch arena whose blocks the parent
+    unlinks after copying — the only shared memory a worker ever
+    creates; rings and rollup tiers are parent-allocated and mapped here
+    from the descriptors in the shard's event log.
 
     ``trace_parent`` is the dispatching side's innermost open span id
     (or ``None`` when tracing is off): the worker adopts it as the
@@ -972,7 +678,6 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
     TRACER.enabled = False
     TRACER.reset()
     cache = _BlockCache()
-    arena = SharedArena(f"{prefix}.w{worker_idx}", untrack=True)
     shards: Dict[int, _WorkerShard] = {}
     old_scratch: List[shared_memory.SharedMemory] = []
     conn.send(("hello", worker_idx))
@@ -1014,7 +719,7 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
             for shard_idx, events, kind, payload in batch:
                 state = shards.get(shard_idx)
                 if state is None:
-                    state = shards[shard_idx] = _WorkerShard(cache, arena)
+                    state = shards[shard_idx] = _WorkerShard(cache)
                 for ev in events:
                     state.apply_event(ev)
                 if TRACER.enabled:
@@ -1024,12 +729,12 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
                         data = state.run(kind, payload)
                 else:
                     data = state.run(kind, payload)
-                replies.append(_pack({"trings": state.take_trings(), "data": data}, alloc))
+                replies.append(_pack(data, alloc))
             scratch_names = scratch[0].block_names if scratch else []
             if scratch:
                 old_scratch = [shm for _, shm in scratch[0]._blocks]
             spans = TRACER.drain() if TRACER.enabled else []
-            conn.send(("ok", scratch_names, arena.drain_new_names(), replies, spans))
+            conn.send(("ok", scratch_names, replies, spans))
         except Exception:
             conn.send(("err", traceback.format_exc()))
     try:
@@ -1082,8 +787,6 @@ class ShardWorkerPool:
         #: mirror from parent-authoritative shared state; required for
         #: respawn (without it a crash still breaks the pool)
         self.replay_provider: Optional[Callable[[int], List[Tuple]]] = None
-        #: worker-owned persistent blocks to unlink at close
-        self._worker_blocks: List[str] = []
 
     def worker_of(self, shard: int) -> int:
         return shard % self.n_workers
@@ -1197,8 +900,7 @@ class ShardWorkerPool:
             if status == "err":
                 self.broken = True
                 raise RuntimeError(f"shard worker {w} task failed:\n{reply[1]}")
-            _, scratch_names, persist_names, replies, spans = reply
-            self._worker_blocks.extend(persist_names)
+            _, scratch_names, replies, spans = reply
             if spans:
                 TRACER.ingest(spans)
             scratch = _BlockCache()
@@ -1217,12 +919,19 @@ class ShardWorkerPool:
         The batch's tasks stay :data:`WORKER_DIED` either way (callers
         re-apply or recompute against parent-authoritative shared state).
         With a replay provider the worker is respawned and every shard it
-        owns gets a fresh mirror: the replay events (tier config, shared
-        watermark tables, ring and tier-ring attaches, standing
-        registrations) are queued first, then the events the dead worker
-        may never have applied — watermarks, ring authority, and standing
-        backfill floors make re-delivery idempotent.  Without a provider
-        the pool turns broken, exactly the pre-respawn behavior.
+        owns gets a fresh mirror: the replay events (``tiers`` layout,
+        every ``tblock`` announced so far, ``ring`` attaches, ``streg``
+        standing registrations) are queued first, then the events the
+        dead worker may never have applied — the fatal batch's and the
+        ones still pending.  The replay already covers any
+        ``tiers``/``tblock``/``ring``/``streg`` among those, so each is
+        delivered twice and must be safe to re-apply: ``tiers`` is
+        ignored once a mirror exists, a ``tblock`` carries its first
+        series id and is skipped when already mapped, a ``ring``
+        re-attaches the same parent-owned buffers, an ``streg`` returns
+        early on an equal grid, and re-delivered ``cols`` are absorbed by
+        the tier watermarks and the standing backfill floors.  Without a
+        provider the pool turns broken, exactly the pre-respawn behavior.
         """
         if not self.respawn or self.replay_provider is None or not self._respawn(w):
             self.broken = True
@@ -1288,18 +997,13 @@ class ShardWorkerPool:
         self._procs = []
         self._conns = []
         self.started = False
-        for name in self._worker_blocks:
-            _unlink_block(name)
-        self._worker_blocks = []
-        # backstop: unlink worker-owned blocks (persist + scratch arenas)
-        # a crashed worker left behind — those are untracked, so nothing
-        # else will ever reclaim them.  Parent-owned blocks are excluded;
-        # their arena closes (and unlinks) through its own handles.
+        # backstop: unlink scratch blocks a crashed worker left behind —
+        # those are untracked, so nothing else will ever reclaim them.
+        # Parent-owned blocks are excluded; their arena closes (and
+        # unlinks) through its own handles.
         try:
             for entry in os.listdir("/dev/shm"):
-                if entry.startswith(f"{self.prefix}.w") or entry.startswith(
-                    f"{self.prefix}.s"
-                ):
+                if entry.startswith(f"{self.prefix}.s"):
                     _unlink_block(entry)
         except OSError:
             pass
@@ -1318,184 +1022,80 @@ class ShardWorkerPool:
 # Parent-side shared rollup tiers.
 
 
-class _SharedTierViewKeyed:
-    """Key-addressed view of one shared tier (parent-side engine surface).
-
-    Duck-types :class:`~repro.query.rollup.RollupTier`'s read methods so
-    the inherited serial scatter path and the instant-query tier
-    fallbacks work unchanged against worker-folded tiers.
-    """
-
-    __slots__ = ("_tierset", "_idx", "resolution_s")
-
-    def __init__(self, tierset: "SharedTierSet", idx: int, resolution_s: float) -> None:
-        self._tierset = tierset
-        self._idx = idx
-        self.resolution_s = resolution_s
-
-    def _sid(self, key: SeriesKey) -> Optional[int]:
-        return self._tierset.store.registry.get(key)
-
-    def watermark(self, key: SeriesKey) -> Optional[float]:
-        sid = self._sid(key)
-        if sid is None:
-            return None
-        wm = self._tierset.wm[self._idx]
-        if sid >= wm.size:
-            return None
-        w = float(wm[sid])
-        return None if w != w else w
-
-    def window(self, key: SeriesKey, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
-        sid = self._sid(key)
-        if sid is None:
-            return None
-        ring = self._tierset.tier_rings[self._idx].get(sid)
-        if ring is None or len(ring) == 0:
-            return None
-        return ring.window(t0, t1)
-
-    def __len__(self) -> int:
-        return sum(len(r) for r in self._tierset.tier_rings[self._idx].values())
-
-
-class SharedTierSet:
+class SharedTierSet(RollupManager):
     """One shard's rollup cascade over shared storage (parent side).
 
-    Presents the :class:`~repro.query.rollup.RollupManager` read surface
-    (``tiers`` / ``folds`` / ``fold`` / ``stats``) while the folding
-    itself normally runs inside the owning worker: the parent allocates
-    the shared per-tier watermark tables (``NaN`` = unset) and announces
-    them through the shard's event log; workers create tier row rings on
-    demand and report them back for the parent to attach.  When the pool
-    degrades, :meth:`fold` builds a parent-side :class:`TierFolder` over
-    the same storage and folding continues in-process — watermarks make
-    every fold idempotent, so a half-finished worker fold re-folds
-    safely.
+    A :class:`~repro.query.rollup.RollupManager` whose tier blocks come
+    from the parent's :class:`SharedArena` and are announced through the
+    shard's event log (``("tblock", sid0, n, descriptors)``, kept in
+    :attr:`events` for crash-respawn replay), so the owning worker maps
+    the very storage the parent reads.  While the pool is live the fold
+    runs inside that worker — committed columns are forwarded to it and
+    each fold reply adds its late-sample count to this cascade's one
+    counter (:meth:`note_worker_fold`); when the pool is down, the inherited in-process fold continues over the same
+    blocks.  A tier pass publishes its watermarks last, so a fold cut
+    short between tier passes re-folds safely: finished passes are
+    skipped by their watermarks, the rest run again.
     """
 
     def __init__(
         self,
         store: SharedTimeSeriesStore,
-        shard_idx: int,
         resolutions: Sequence[float],
         tier_capacity: int,
         arena: SharedArena,
-        cache: _BlockCache,
         log_event: Callable[[Tuple], None],
         pool_active: Callable[[], bool],
         buffer_cap: int = 1 << 18,
     ) -> None:
-        res = sorted(float(r) for r in resolutions)
-        if len(set(res)) != len(res) or not res:
-            raise ValueError("need distinct rollup resolutions")
-        for fine, coarse in zip(res, res[1:]):
-            if coarse % fine != 0.0:
-                raise ValueError(
-                    f"each tier must be a multiple of the previous: {coarse} % {fine} != 0"
-                )
-        self.store = store
-        self.shard_idx = shard_idx
-        self.resolutions = res
-        self.tier_capacity = int(tier_capacity)
         self._arena = arena
-        self._cache = cache
         self._log_event = log_event
         self._pool_active = pool_active
         self._buffer_cap = int(buffer_cap)
-        self.folds = 0
-        self.late_dropped = 0
-        self.wm: List[np.ndarray] = []
-        #: latest per-tier watermark-table descriptor (crash-respawn replay)
-        self.wm_descs: List[Tuple] = []
-        self.tier_rings: List[Dict[int, SharedStatRing]] = [dict() for _ in res]
-        self.tiers = [_SharedTierViewKeyed(self, i, r) for i, r in enumerate(res)]
-        self._folder: Optional[TierFolder] = None
-        log_event(("tiers", tuple(res), self.tier_capacity, self._buffer_cap))
-        for ti in range(len(res)):
-            self._grow_wm(ti, 64)
-        store.add_ingest_listener(self._on_shard_columns)
+        #: the layout and every tier block announced so far, in order —
+        #: what rebuilds a respawned worker's mirror of this cascade
+        self.events: List[Tuple] = []
+        super().__init__(
+            store, resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
+        )
 
-    # -------------------------------------------------------------- plumbing
-    def _grow_wm(self, tier_idx: int, n: int) -> None:
-        arr, desc = self._arena.alloc(n)
-        arr.fill(np.nan)
-        if tier_idx < len(self.wm):
-            old = self.wm[tier_idx]
-            arr[: old.size] = old
-            self.wm[tier_idx] = arr
-            self.wm_descs[tier_idx] = desc
-        else:
-            self.wm.append(arr)
-            self.wm_descs.append(desc)
-        self._log_event(("wm", tier_idx, desc))
+    def _announce(self, event: Tuple) -> None:
+        self.events.append(event)
+        self._log_event(event)
 
-    def ensure_wm(self, n: int) -> None:
-        """Grow every watermark table to cover ``n`` sids (parent-only,
-        called between dispatches so no worker holds the old view)."""
-        for ti, arr in enumerate(self.wm):
-            if n > arr.size:
-                self._grow_wm(ti, max(64, 2 * arr.size, n))
+    def _make_tier_store(self, resolutions: Sequence[float], capacity: int) -> TierStore:
+        tiers = TierStore(resolutions, capacity, alloc=self._arena.alloc)
+        self._announce(
+            ("tiers", tuple(t.resolution_s for t in tiers.tiers), capacity, self._buffer_cap)
+        )
+        return tiers
 
-    def _on_shard_columns(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
+    def ensure_sids(self) -> None:
+        """Grow the tiers to cover every interned series (parent-only,
+        called between dispatches) and announce the new blocks."""
+        grown = self._dense.grow(len(self.store.registry))
+        if grown is not None:
+            self._announce(("tblock",) + grown)
+
+    def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
         """Shard ingest listener: serial-path commits (scalar inserts,
         degraded appends) feed the owning worker's folder through the
         event log — or the parent folder once degraded."""
         if self._pool_active():
             self._log_event(("cols", ids, times, values))
         else:
-            self._parent_folder().on_columns(ids, times, values)
+            super()._on_ingest(ids, times, values)
 
-    def attach_tring(self, tier_idx: int, sid: int, capacity: int, descs: Tuple) -> None:
-        """Attach a worker-created tier ring reported in a task reply."""
-        self.tier_rings[tier_idx][sid] = SharedStatRing.attach(self._cache, capacity, descs)
-
-    # ------------------------------------------------------- degraded folding
-    def _known_sids(self) -> List[int]:
-        registry = self.store.registry
-        out = []
-        for sid in range(len(registry)):
-            if self.store._series.get(registry.key_for(sid)) is not None:
-                out.append(sid)
-        return out
-
-    def _raw_ring(self, sid: int) -> Optional[RingBuffer]:
-        return self.store._series.get(self.store.registry.key_for(sid))
-
-    def _make_tier_ring(self, tier_idx: int, sid: int) -> SharedStatRing:
-        ring = SharedStatRing.create(self._arena, self.tier_capacity)
-        self.tier_rings[tier_idx][sid] = ring
-        return ring
-
-    def _parent_folder(self) -> TierFolder:
-        if self._folder is None:
-            self._folder = TierFolder(
-                self.resolutions,
-                ring_of=self._raw_ring,
-                known_sids=self._known_sids,
-                wm_of=lambda ti: self.wm[ti],
-                tier_ring=lambda ti, sid: self.tier_rings[ti].get(sid),
-                make_tier_ring=self._make_tier_ring,
-                buffer_cap=self._buffer_cap,
-            )
-        return self._folder
-
-    def fold(self, now: float) -> int:
-        """Parent-side fold (pool down or never started): same cadence
-        contract as :meth:`RollupManager.fold`."""
-        self.ensure_wm(len(self.store.registry))
-        res = self.resolutions[0]
-        folder = self._parent_folder()
-        written = folder.fold(math.floor(now / res) * res)
-        self.late_dropped = folder.late_dropped
+    def note_worker_fold(self, late: int) -> None:
+        """Account one fold the owning worker ran; ``late`` is what it
+        dropped since its last report, added to the one late-sample
+        counter (so a respawned worker's fresh count loses nothing)."""
+        self._folder.late_dropped += late
         self.folds += 1
-        return written
 
-    def stats(self) -> Dict[str, float]:
-        out: Dict[str, float] = {"folds": float(self.folds)}
-        for view in self.tiers:
-            out[f"tier_{int(view.resolution_s)}s_rows"] = float(len(view))
-        return out
+    #: ``late_samples_dropped`` under the name ``bench/`` reads; goes
+    #: when that read can next change
+    late_dropped = RollupManager.late_samples_dropped
 
 
 # --------------------------------------------------------------------------
@@ -1528,7 +1128,6 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         )
         self.pool.replay_provider = self._replay_events
         self.arena = SharedArena(f"{self.pool.prefix}.p")
-        self.attach_cache = _BlockCache()
         self.tiersets: Optional[List[SharedTierSet]] = None
         #: standing registrations ``(metric, step, n_slots, want_rate)``,
         #: kept for crash-respawn replay
@@ -1572,11 +1171,9 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         self.tiersets = [
             SharedTierSet(
                 self.shards[s],
-                s,
                 resolutions,
                 tier_capacity,
                 self.arena,
-                self.attach_cache,
                 log_event=lambda ev, s=s: self.pool.log_event(s, ev),
                 pool_active=lambda: self.pool.active,
                 buffer_cap=ingest_buffer_cap,
@@ -1601,7 +1198,6 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         self._closed = True
         if self.pool.started:
             self.pool.close()
-        self.attach_cache.close()
         self.arena.close(unlink=True)
 
     def __enter__(self) -> "ParallelShardedStore":
@@ -1615,47 +1211,29 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         """Full event list rebuilding shard ``s``'s worker mirror.
 
         Everything is reconstructed from parent-authoritative shared
-        state: tier layout and watermark tables first, then ring
-        attaches, then tier-ring attaches (the respawned worker must
-        reuse the rings the parent already reads, not recreate them),
-        then standing registrations — whose worker-side backfill reads
-        the shm rings at apply time, so it also covers any columns the
-        dead worker half-applied.
+        state: tier layout and tier blocks first (the parent allocated
+        them, so the respawned worker maps the storage the parent
+        already reads), then ring attaches, then standing registrations
+        — whose worker-side backfill reads the shm rings at apply time,
+        so it also covers any columns the dead worker half-applied.
         """
         shard = self.shards[s]
         events: List[Tuple] = []
-        ts = self.tiersets[s] if self.tiersets is not None else None
-        if ts is not None:
-            events.append(
-                ("tiers", tuple(ts.resolutions), ts.tier_capacity, ts._buffer_cap)
-            )
-            for ti, desc in enumerate(ts.wm_descs):
-                events.append(("wm", ti, desc))
+        if self.tiersets is not None:
+            events.extend(self.tiersets[s].events)
         registry = shard.registry
         for key, buf in shard._series.items():
             events.append(("ring", registry.id_for(key), buf.capacity) + buf.descs)
-        if ts is not None:
-            for ti, rings in enumerate(ts.tier_rings):
-                for sid, ring in rings.items():
-                    events.append(("tring", ti, sid, ring.capacity, ring.descs))
         for _metric, step, n_slots, want_rate in self.standing_regs:
             events.append(("streg", step, n_slots, want_rate))
         return events
 
-    def ensure_wm_capacity(self) -> None:
-        if self.tiersets is None:
-            return
-        for s, ts in enumerate(self.tiersets):
-            ts.ensure_wm(len(self.shards[s].registry))
-
-    def apply_envelope(self, shard: int, reply):
-        """Unwrap one task reply: attach reported tier rings, return data."""
-        if reply is WORKER_DIED:
-            return WORKER_DIED
-        if self.tiersets is not None:
-            for tier_idx, sid, capacity, descs in reply["trings"]:
-                self.tiersets[shard].attach_tring(tier_idx, sid, capacity, descs)
-        return reply["data"]
+    def ensure_tier_sids(self) -> None:
+        """Tier storage for every routed series, announced before the
+        next dispatch (no worker holds a view that would go stale: tier
+        blocks are appended, never moved)."""
+        for ts in self.tiersets or ():
+            ts.ensure_sids()
 
     # -------------------------------------------------------------- writing
     def append_batch(self, series_ids, times, values) -> None:
@@ -1709,13 +1287,12 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
             )
             shard_slices.append((s, sel))
             tasks.append((s, "append", {"ids": ids_c, "times": t_c, "values": v_c}))
-        self.ensure_wm_capacity()
+        self.ensure_tier_sids()
         results = self.pool.dispatch(tasks)
         self.parallel_appends += 1
         failed: List[Tuple[int, np.ndarray]] = []
         for (s, sel), res in zip(shard_slices, results):
-            data = self.apply_envelope(s, res)
-            if data is WORKER_DIED:
+            if res is WORKER_DIED:
                 failed.append((s, sel))
                 continue
             self._commit_bookkeeping(s, seg_locals[sel], starts[sel], ends[sel],
@@ -1860,8 +1437,7 @@ class ParallelFederatedQueryEngine(FederatedQueryEngine):
             return [None] * len(work)
         results = pool.dispatch(tasks)
         out: List = [None] * len(work)
-        for s, res in zip(task_shards, results):
-            data = self.store.apply_envelope(s, res)
+        for s, data in zip(task_shards, results):
             if data is WORKER_DIED:
                 # pool is broken now; recompute the whole pass serially —
                 # reads are idempotent and parent state is authoritative
@@ -1878,22 +1454,20 @@ class ParallelFederatedQueryEngine(FederatedQueryEngine):
         pool = self.store.pool
         if not pool.active:
             return sum(ts.fold(now) for ts in tiersets)
-        res0 = tiersets[0].resolutions[0]
+        res0 = self._tier_resolutions[0]
         boundary = math.floor(now / res0) * res0
-        self.store.ensure_wm_capacity()
+        self.store.ensure_tier_sids()
         tasks = [(s, "fold", {"boundary": boundary}) for s in range(self.store.n_shards)]
         results = pool.dispatch(tasks)
         total = 0
-        for s, res in enumerate(results):
-            data = self.store.apply_envelope(s, res)
+        for s, data in enumerate(results):
             if data is WORKER_DIED:
-                # re-fold this shard in-process: watermarks make the
-                # half-finished worker fold idempotent
+                # re-fold this shard in-process: the watermarks of the
+                # tier passes the worker finished make them no-ops
                 total += tiersets[s].fold(now)
                 continue
             total += data["written"]
-            tiersets[s].late_dropped = data["late"]
-            tiersets[s].folds += 1
+            tiersets[s].note_worker_fold(data["late"])
         self.parallel_folds += 1
         return total
 
@@ -1991,8 +1565,7 @@ class ParallelStandingProvider:
             return concat_entries([])
         results = pool.dispatch(tasks)
         chunks: List[Dict[str, np.ndarray]] = []
-        for s, res in zip(task_shards, results):
-            data = self.store.apply_envelope(s, res)
+        for s, data in zip(task_shards, results):
             if data is WORKER_DIED or not data["ok"]:
                 return None
             self._grid_stats[s] = data["stats"]
@@ -2063,10 +1636,8 @@ __all__ = [
     "WORKER_DIED",
     "SharedArena",
     "SharedRingBuffer",
-    "SharedStatRing",
     "SharedTimeSeriesStore",
     "SharedTierSet",
-    "TierFolder",
     "ShardWorkerPool",
     "SidShardReader",
     "ParallelShardedStore",

@@ -158,6 +158,23 @@ class TestAuditTrail:
         assert audit.dropped == 2
         assert audit.events[0].message == "m2"
 
+    def test_views_after_filling_far_past_capacity(self):
+        """Eviction keeps ``dropped`` exact and every view a plain list of
+        the surviving events, oldest first."""
+        audit = AuditTrail(capacity=4)
+        for i in range(1000):
+            audit.record(float(i), "even" if i % 2 == 0 else "odd", "plan", f"m{i}")
+        assert len(audit) == 4
+        assert audit.dropped == 996
+        assert audit.stats() == {"events": 4.0, "dropped": 996.0}
+        assert [e.message for e in audit.events] == ["m996", "m997", "m998", "m999"]
+        assert [e.message for e in audit.tail(2)] == ["m998", "m999"]
+        assert [e.message for e in audit.tail(10)] == ["m996", "m997", "m998", "m999"]
+        assert isinstance(audit.tail(2), list)
+        assert [e.message for e in audit.by_loop("odd")] == ["m997", "m999"]
+        assert [e.message for e in audit.since(998.0)] == ["m998", "m999"]
+        assert audit.by_phase("execute") == []
+
     def test_filters(self):
         audit = AuditTrail()
         audit.record(1.0, "a", "plan", "x")

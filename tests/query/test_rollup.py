@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.query.cache import QueryCache
-from repro.query.rollup import RollupManager, _StatRing
+from repro.query.rollup import ROW_COLUMNS, RollupManager, TierStore
 from repro.sim import Engine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -140,26 +140,71 @@ class TestAttach:
         roll.detach()
 
 
-class TestStatRing:
+class TestDenseTierRing:
+    """Per-series ring semantics of the dense tier store."""
+
+    @staticmethod
+    def tier(capacity, n_sids=3):
+        store = TierStore((10.0,), capacity)
+        store.grow(n_sids)
+        return store.tiers[0]
+
+    @staticmethod
+    def append(tier, rows_by_sid):
+        sids = np.array(sorted(rows_by_sid), dtype=np.int64)
+        counts = np.array([len(rows_by_sid[s]) for s in sids.tolist()], dtype=np.int64)
+        flat = np.concatenate([np.asarray(rows_by_sid[s], dtype=float) for s in sids.tolist()])
+        tier.append_rows(sids, counts, [flat + k for k in range(len(ROW_COLUMNS))])
+
     def test_append_larger_than_capacity(self):
-        ring = _StatRing(4)
-        cols = {
-            name: np.arange(10.0)
-            for name in ("time", "sum", "count", "min", "max", "last_t", "last_v")
-        }
-        ring.append_rows(cols)
-        np.testing.assert_array_equal(ring.ordered()["time"], [6.0, 7.0, 8.0, 9.0])
+        tier = self.tier(4)
+        self.append(tier, {1: np.arange(10.0)})
+        rows = tier.window(1, -np.inf, np.inf)
+        np.testing.assert_array_equal(rows["time"], [6.0, 7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(rows["last_v"], [12.0, 13.0, 14.0, 15.0])
+        assert tier.window(0, -np.inf, np.inf) is None  # neighbours untouched
+        assert len(tier) == 4
 
     def test_wraparound_split_write(self):
-        ring = _StatRing(5)
-        def mk(a):
-            return {
-                name: np.asarray(a, dtype=float)
-                for name in ("time", "sum", "count", "min", "max", "last_t", "last_v")
-            }
-        ring.append_rows(mk([0.0, 1.0, 2.0]))
-        ring.append_rows(mk([3.0, 4.0, 5.0, 6.0]))
-        np.testing.assert_array_equal(ring.ordered()["time"], [2.0, 3.0, 4.0, 5.0, 6.0])
+        tier = self.tier(5)
+        self.append(tier, {0: [0.0, 1.0, 2.0], 2: [100.0]})
+        self.append(tier, {0: [3.0, 4.0, 5.0, 6.0], 2: [101.0, 102.0]})
+        np.testing.assert_array_equal(
+            tier.window(0, -np.inf, np.inf)["time"], [2.0, 3.0, 4.0, 5.0, 6.0]
+        )
+        np.testing.assert_array_equal(
+            tier.window(2, -np.inf, np.inf)["time"], [100.0, 101.0, 102.0]
+        )
+        np.testing.assert_array_equal(tier.window(0, 3.0, 5.0)["sum"], [4.0, 5.0])
+
+    def test_mixed_whole_ring_and_partial_appends_in_one_call(self):
+        tier = self.tier(4)
+        self.append(tier, {0: [0.0, 1.0, 2.0], 1: [50.0]})
+        self.append(tier, {0: [3.0, 4.0], 1: np.arange(60.0, 69.0), 2: [7.0]})
+        np.testing.assert_array_equal(
+            tier.window(0, -np.inf, np.inf)["time"], [1.0, 2.0, 3.0, 4.0]
+        )
+        np.testing.assert_array_equal(
+            tier.window(1, -np.inf, np.inf)["time"], [65.0, 66.0, 67.0, 68.0]
+        )
+        np.testing.assert_array_equal(tier.window(2, -np.inf, np.inf)["time"], [7.0])
+
+    def test_growth_appends_chunks_without_moving_rows(self):
+        store = TierStore((10.0,), 4)
+        store.grow(2)
+        tier = store.tiers[0]
+        self.append(tier, {1: [1.0, 2.0]})
+        tier.put("wm", np.array([1]), 20.0)
+        first_chunk = tier._chunks[0].cols[0]
+        store.grow(tier.n_sids + 5)  # a second chunk
+        assert tier._chunks[0].cols[0] is first_chunk
+        far = tier.n_sids - 1
+        self.append(tier, {1: [3.0], far: [9.0]})
+        np.testing.assert_array_equal(tier.window(1, -np.inf, np.inf)["time"], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(tier.window(far, -np.inf, np.inf)["time"], [9.0])
+        assert tier.watermark(1) == 20.0
+        assert tier.watermark(far) is None
+        assert tier.watermark(tier.n_sids) is None  # beyond storage
 
 
 class TestIngestFedFolding:

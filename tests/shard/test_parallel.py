@@ -11,10 +11,14 @@ that to the serial engine and the single-shard oracle, plus the
 wiring.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from repro.query import MetricQuery
+from repro.query.rollup import ROW_COLUMNS, CascadeFolder
 from repro.shard import (
     FederatedQueryEngine,
     ParallelFederatedQueryEngine,
@@ -250,6 +254,131 @@ def test_worker_respawn_restores_parallel_execution():
         assert par.parallel_scatters > scatters_before
         assert par.serial_fallbacks == 0
         assert store.shard_stats()["pool_respawns_total"] == 1.0
+
+
+def assert_tiers_byte_equal(par, ser, store):
+    """Every tier row and watermark of every series, parallel vs serial."""
+    compared = 0
+    for s, shard in enumerate(store.shards):
+        for ti, (ptier, stier) in enumerate(
+            zip(par.shard_rollups[s].tiers, ser.shard_rollups[s].tiers)
+        ):
+            for key in shard.series_keys():
+                assert ptier.watermark(key) == stier.watermark(key), (s, ti, key)
+                got = ptier.window(key, -np.inf, np.inf)
+                want = stier.window(key, -np.inf, np.inf)
+                assert (got is None) == (want is None), (s, ti, key)
+                if got is not None:
+                    compared += got["time"].size
+                    for name in ROW_COLUMNS:
+                        assert got[name].tobytes() == want[name].tobytes(), (s, ti, key, name)
+    assert compared > 0
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the in-fold kill switch is inherited through fork",
+)
+@pytest.mark.parametrize("grow", [False, True])
+@pytest.mark.parametrize("respawn", [True, False])
+def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, tmp_path, monkeypatch):
+    """Worker 0 dies *inside* a fold — tier 0 written, the cascade not —
+    and the shards it owned are (a) re-folded by the parent, then folded
+    by a respawned worker that maps every tier block purely from the
+    parent-announced descriptors, or (b) folded by the parent from then
+    on.  Either way the tiers end byte-equal to the serial engine's, and
+    no shared-memory block outlives ``close()``.
+
+    ``grow`` puts a tier-block announcement *into the fatal batch*
+    (parent-side inserts of new series just before the fold) and grows
+    the store again afterwards: the respawned worker is handed that
+    block twice — by the replay and by the requeued batch — and must
+    still address every later block where the parent does."""
+    flag = tmp_path / "die-in-next-fold"
+    parent_pid = os.getpid()
+    cascade = CascadeFolder._fold_cascade
+
+    def dying_cascade(self, fine, coarse):
+        if (
+            os.getpid() != parent_pid
+            and multiprocessing.current_process().name.endswith("-0")
+            and flag.exists()
+        ):
+            flag.unlink()
+            os._exit(1)
+        return cascade(self, fine, coarse)
+
+    monkeypatch.setattr(CascadeFolder, "_fold_cascade", dying_cascade)
+    data = series_data(61, n_series=14, max_points=90)
+    cuts = [(t.size // 3, 2 * t.size // 3) for _, t, _ in data]
+    parts = [
+        [(k, t[:a], v[:a]) for (k, t, v), (a, b) in zip(data, cuts)],
+        [(k, t[a:b], v[a:b]) for (k, t, v), (a, b) in zip(data, cuts)],
+        [(k, t[b:], v[b:]) for (k, t, v), (a, b) in zip(data, cuts)],
+    ]
+    # new series, enough per shard to outgrow a 64-series tier chunk twice
+    rng = np.random.default_rng(62)
+    extra = [
+        [
+            (
+                SeriesKey.of("m", node=f"n{i % 4}", shard=f"x{i}"),
+                np.sort(rng.uniform(lo, HORIZON, size=3)),
+                rng.normal(50.0, 20.0, size=3),
+            )
+            for i in ids
+        ]
+        for ids, lo in ((range(400), HORIZON * 0.3), (range(400, 1000), HORIZON * 0.6))
+    ]
+    serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
+    ser = FederatedQueryEngine.with_rollups(
+        serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
+    )
+    store = parallel_store(parts[0], 4, 2, resolutions=(10.0, 50.0), respawn=respawn)
+    prefix = store.pool.prefix
+    with store:
+        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        fill_serial(serial_sharded, parts[0])
+        assert par.fold_rollups(HORIZON * 0.3) == ser.fold_rollups(HORIZON * 0.3)
+        fill_through_pool(store, parts[1])
+        fill_serial(serial_sharded, parts[1])
+        if grow:  # serial-path commits: ring, column and tier-block events stay queued
+            blocks_before = [len(ts.events) for ts in store.tiersets]
+            fill_serial(store, extra[0])
+            fill_serial(serial_sharded, extra[0])
+        flag.touch()
+        # the rows the worker wrote before it died were never reported:
+        # the parent's re-fold finds their watermarks and writes the rest
+        assert par.fold_rollups(HORIZON * 0.6) < ser.fold_rollups(HORIZON * 0.6)
+        assert not flag.exists()  # the worker did die inside the fold
+        if respawn:
+            assert store.pool.respawns_total == 1 and not store.pool.broken
+        else:
+            assert store.pool.broken
+        assert_tiers_byte_equal(par, ser, store)
+        fill_through_pool(store, parts[2] + (extra[1] if grow else []))
+        fill_serial(serial_sharded, parts[2] + (extra[1] if grow else []))
+        if grow:  # one block went out with the fatal batch, one after it
+            assert all(
+                len(ts.events) >= before + 2
+                for ts, before in zip(store.tiersets, blocks_before)
+            )
+        folds_before = par.parallel_folds
+        assert par.fold_rollups(HORIZON * 0.95) == ser.fold_rollups(HORIZON * 0.95)
+        assert par.parallel_folds == folds_before + (1 if respawn else 0)
+        assert store.serial_appends == (
+            0 if respawn else len(parts[2]) + (len(extra[1]) if grow else 0)
+        )
+        assert_tiers_byte_equal(par, ser, store)
+        q = MetricQuery("m", agg="mean", range_s=HORIZON, step_s=50.0, group_by=("node",))
+        assert_bit_identical(par.query(q, at=HORIZON), ser.query(q, at=HORIZON))
+        # the surviving worker's shards: per-fold late reports add up to
+        # the serial count under both names of the counter
+        late = [m.late_samples_dropped for m in ser.shard_rollups]
+        assert late[1] + late[3] > 0
+        for s in (1, 3):
+            assert store.tiersets[s].late_dropped == late[s]
+            assert par.shard_rollups[s].late_samples_dropped == late[s]
+    assert [e for e in os.listdir("/dev/shm") if e.startswith(prefix)] == []
 
 
 # ---------------------------------------------------------------------------
