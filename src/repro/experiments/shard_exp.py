@@ -25,7 +25,7 @@ measures both halves at high cardinality on identical data:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,39 @@ def _fill(store, sids: np.ndarray, ticks: int, period: float, base: np.ndarray) 
     for tick in range(ticks):
         store.append_batch(*_tick_columns(n, sids, tick, period, base))
     return time.perf_counter() - wall_t0
+
+
+def _paired_ingest_walls(
+    stores: Sequence, sids: Sequence[np.ndarray], n_commits: int, period: float, base: np.ndarray,
+    *, window: int = 1, after_window: Optional[Callable[[int, float], None]] = None,
+) -> np.ndarray:
+    """Ingest walls of the identical commit stream into each of
+    ``stores``, as ``(part, store, window)``: part 0 the commits, part 1
+    ``after_window(which, now)``, run on that store's account after the
+    last commit of each window.
+
+    Best-of runs cannot resolve stores a few percent apart on a host
+    whose speed drifts: here every commit lands on all stores back to
+    back, the order rotating, and ``window`` commits make one paired
+    sample.  Windows in which any side stalled (wall above 1.5× its
+    side's median; the first, which admits every series, always is) are
+    dropped from all sides.
+    """
+    walls = np.zeros((2, len(stores), n_commits // window))
+    for tick in range(walls.shape[2] * window):
+        for slot in range(len(stores)):
+            which = (tick + slot) % len(stores)
+            columns = _tick_columns(base.size, sids[which], tick, period, base)
+            wall_t0 = time.perf_counter()
+            stores[which].append_batch(*columns)
+            wall_t1 = time.perf_counter()
+            walls[0, which, tick // window] += wall_t1 - wall_t0
+            if after_window is not None and tick % window == window - 1:
+                after_window(which, (tick + 1) * period)
+                walls[1, which, tick // window] = time.perf_counter() - wall_t1
+    whole = walls.sum(axis=0)
+    keep = (whole < 1.5 * np.median(whole, axis=1, keepdims=True)).all(axis=0)
+    return walls[:, :, keep]
 
 
 def _intern(store, keys: List[SeriesKey]) -> np.ndarray:
@@ -200,28 +233,24 @@ def run_sharded_ingest_benchmark(
 ) -> Dict[str, float]:
     """Identical commit stream into one store vs the sharded facade.
 
-    Best-of-``repeats`` walls on both sides (scheduler-noise guard);
-    stores must come out bit-identical, and the sharded path must not
-    regress — it pays the same single global lexsort and routes
-    pre-sorted segments to shards with no per-shard re-sort.
+    ``ticks × repeats`` commits, timed paired and stall-trimmed
+    (:func:`_paired_ingest_walls`); stores must come out bit-identical.
+    The sharded path pays the same single global lexsort and routes
+    pre-sorted segments to shards with no per-shard re-sort, then one
+    ring-scatter call per shard where the single store makes one in all
+    — the ratio prices the routing and those calls.
     """
     rng = np.random.default_rng(seed)
     keys = _series_keys(n_series)
     base = rng.normal(100.0, 15.0, size=n_series)
-    capacity = ticks + 8
-
-    single_wall = float("inf")
-    sharded_wall = float("inf")
-    single = sharded = None
-    for _ in range(repeats):
-        single = TimeSeriesStore(default_capacity=capacity)
-        single_wall = min(
-            single_wall, _fill(single, _intern(single, keys), ticks, sample_period_s, base)
-        )
-        sharded = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=capacity)
-        sharded_wall = min(
-            sharded_wall, _fill(sharded, _intern(sharded, keys), ticks, sample_period_s, base)
-        )
+    n_commits = ticks * repeats
+    single = TimeSeriesStore(default_capacity=n_commits + 8)
+    sharded = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=n_commits + 8)
+    walls = _paired_ingest_walls(
+        (single, sharded), [_intern(single, keys), _intern(sharded, keys)],
+        n_commits, sample_period_s, base,
+    )
+    single_wall, sharded_wall = walls[0].sum(axis=1).tolist()
 
     match = single.cardinality() == sharded.cardinality()
     if match:
@@ -232,7 +261,7 @@ def run_sharded_ingest_benchmark(
                 match = False
                 break
 
-    samples = float(single.total_inserts)
+    samples = float(n_series * walls.shape[2])
     cards = sharded.shard_cardinalities()
     return {
         "n_series": float(n_series),

@@ -64,6 +64,10 @@ _KEY_ROUTES = {
     "fanout_total": "federation",
     "fanout_mean": "federation",
     "serial_fallbacks": "parallel",
+    "serial_appends": "parallel",
+    "cols_forwarded_rows": "parallel",
+    "cols_dropped_rows": "parallel",
+    "cols_flushes": "parallel",
 }
 
 _LEAF_ROUTES = (

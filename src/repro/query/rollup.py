@@ -7,15 +7,15 @@ kernel** shared by every execution shape:
 
 * :class:`TierStore` / :class:`DenseTier` — the rows of a cascade of
   resolutions (e.g. 10s → 60s → 600s) for all series of one store,
-  addressed by dense series id.  Per tier the seven :data:`ROW_COLUMNS`
-  are 2-D ``(series, ring slot)`` views of one dense block beside
-  per-series ``head`` / ``count`` / watermark vectors, so a fold's rows
-  land with one fancy-index scatter per column, a cascade reads its
-  fine rows with one gather, and a query reads one series' window with
-  one slice.  Storage comes from an injected allocator (process heap
-  here, a shared-memory arena in :mod:`repro.shard.parallel`) and grows
-  by appending series chunks — never by copy or zero-fill, so resident
-  pages follow the rows actually written.
+  addressed by dense series id.  A tier is the
+  :class:`~repro.telemetry.tsdb.DenseRings` the raw store is also built
+  on: the seven :data:`ROW_COLUMNS` are 2-D ``(series, ring slot)``
+  views of one dense block beside per-series ``head`` / ``count`` /
+  watermark vectors, so a fold's rows land with one fancy-index scatter
+  per column, a cascade reads its fine rows with one gather, and a
+  query reads one series' window with one slice.  Storage comes from an
+  injected allocator (process heap here, a shared-memory arena in
+  :mod:`repro.shard.parallel`) and grows by appending series chunks.
 * :class:`CascadeFolder` — the fold itself, one vectorised pass per tier
   over all series at once.  Tier 0 folds complete bins out of the
   committed ``(series_id, time, value)`` column stream; each coarser
@@ -49,34 +49,24 @@ fold are lost to the rollups, same as in any real collector.
 from __future__ import annotations
 
 import math
-import mmap
-from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.query.kernels import PARTIAL_AGGS, PartialBins
 from repro.telemetry.batch import sort_series_columns
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import TimeSeriesStore, ring_window_ranges
+from repro.telemetry.tsdb import (
+    Allocator,
+    DenseRings,
+    TimeSeriesStore,
+    heap_alloc,
+    ring_gather,
+    ring_window_ranges,
+)
 
 #: Column names of one rollup row, in storage order.
 ROW_COLUMNS = ("time", "sum", "count", "min", "max", "last_t", "last_v")
-
-#: ``alloc(count) -> (float64 array, descriptor)``: where tier blocks
-#: live.  The descriptor is whatever lets another process map the same
-#: storage (``None`` on the heap).
-Allocator = Callable[[int], Tuple[np.ndarray, object]]
-
-
-def heap_alloc(count: int) -> Tuple[np.ndarray, None]:
-    """Process-private tier storage: an anonymous mapping, resident only
-    where rows have landed.  (``np.empty`` asks for transparent huge
-    pages at this size; each series' ring is a small-page-sized stride
-    apart, so a single row per series would make a whole block
-    resident.)"""
-    return np.frombuffer(mmap.mmap(-1, int(count) * 8), dtype=np.float64), None
-
 
 def select_tier_index(
     resolutions: Sequence[float], step_s: Optional[float], agg: str
@@ -99,76 +89,26 @@ def select_tier_index(
 # Dense tier storage.
 
 
-class _TierChunk:
-    """Tier storage of one contiguous series-id range ``[sid0, sid0+n)``."""
-
-    __slots__ = ("sid0", "rows", "cols", "head", "count", "wm")
-
-    def __init__(self, sid0: int, block: np.ndarray, n: int, capacity: int) -> None:
-        self.sid0 = sid0
-        cells = n * len(ROW_COLUMNS) * capacity
-        #: ``(series, column, ring slot)``: a series' seven rings are
-        #: adjacent, so one series' window is a single 2-D slice
-        self.rows = block[:cells].reshape(n, len(ROW_COLUMNS), capacity)
-        #: the same cells as one ``(series, ring slot)`` view per column
-        self.cols = [self.rows[:, k, :] for k in range(len(ROW_COLUMNS))]
-        tail = block[cells:]
-        self.head = tail[:n].view(np.int64)  # next ring slot, per series
-        self.count = tail[n:2 * n].view(np.int64)  # valid rows, per series
-        self.wm = tail[2 * n:3 * n]  # end of the last folded bin; NaN = unset
-
-
-class DenseTier:
+class DenseTier(DenseRings):
     """All series of one resolution, addressed by dense series id.
 
-    Each series owns a fixed-capacity ring of rows (overwrite-oldest,
-    the last ``capacity`` rows are retained) plus a fold watermark.
-    The scalar reads (:meth:`watermark`, :meth:`window`) are the query
-    engines' surface; the vector operations serve :class:`CascadeFolder`
-    and take series ids **sorted ascending**.
+    The :class:`~repro.telemetry.tsdb.DenseRings` of the seven
+    :data:`ROW_COLUMNS` plus a per-series fold watermark ``wm`` (end of
+    the last folded bin; NaN = unset).  The scalar reads
+    (:meth:`watermark`, :meth:`window`) are the query engines' surface;
+    the inherited vector operations serve :class:`CascadeFolder`.
     """
 
     def __init__(self, resolution_s: float, capacity: int = 4096) -> None:
         if resolution_s <= 0:
             raise ValueError("resolution_s must be positive")
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        super().__init__(capacity, len(ROW_COLUMNS), (("wm", np.float64, np.nan),))
         self.resolution_s = float(resolution_s)
-        self.capacity = int(capacity)
-        self._chunks: List[_TierChunk] = []
-        #: exclusive end id of each chunk, ascending
-        self._ends: List[int] = []
-        #: series ids ``[0, n_sids)`` have storage
-        self.n_sids = 0
 
-    def block_size(self, n: int) -> int:
-        """Float64 slots one chunk of ``n`` series needs."""
-        return n * (len(ROW_COLUMNS) * self.capacity + 3)
-
-    def add_chunk(self, block: np.ndarray, n: int, *, fresh: bool) -> None:
-        """Back the next ``n`` series ids with ``block``.
-
-        ``fresh`` initialises the per-series vectors (the creating side);
-        a process attaching storage another one created must not.
-        """
-        chunk = _TierChunk(self.n_sids, block, n, self.capacity)
-        if fresh:
-            chunk.head[:] = 0
-            chunk.count[:] = 0
-            chunk.wm[:] = np.nan
-        self._chunks.append(chunk)
-        self.n_sids += n
-        self._ends.append(self.n_sids)
-
-    def __len__(self) -> int:
-        return sum(int(chunk.count.sum()) for chunk in self._chunks)
-
-    # ---------------------------------------------------------- scalar reads
-    def _locate(self, sid: int) -> Optional[Tuple[_TierChunk, int]]:
-        if not 0 <= sid < self.n_sids:
-            return None
-        chunk = self._chunks[bisect_right(self._ends, sid)]
-        return chunk, sid - chunk.sid0
+    @property
+    def n_sids(self) -> int:
+        """Series ids ``[0, n_sids)`` have storage."""
+        return self.n_series
 
     def watermark(self, sid: int) -> Optional[float]:
         """End of the last complete bin folded for ``sid``."""
@@ -192,85 +132,12 @@ class DenseTier:
         ranges = ring_window_ranges(
             rings[0], chunk.head.item(i), count, t0, t1, right_inclusive=False
         )
-        parts = [rings[:, lo:hi] for lo, hi in ranges if hi > lo]
-        if len(parts) == 1:
-            out = parts[0].copy()
-        elif parts:
-            out = np.concatenate(parts, axis=1)
-        else:
-            out = np.empty((len(ROW_COLUMNS), 0))
-        return dict(zip(ROW_COLUMNS, out))
-
-    # ------------------------------------------------------ vector operations
-    def _split(self, sids: np.ndarray):
-        """``(chunk, lo, hi)`` for every chunk the sorted ``sids`` touch."""
-        if len(self._chunks) == 1:
-            if sids.size:
-                yield self._chunks[0], 0, sids.size
-            return
-        lo = 0
-        for chunk, hi in zip(self._chunks, np.searchsorted(sids, self._ends).tolist()):
-            if hi > lo:
-                yield chunk, lo, hi
-            lo = hi
-
-    def take(self, name: str, sids: np.ndarray) -> np.ndarray:
-        """Per-series vector ``name`` (``head``/``count``/``wm``) at ``sids``."""
-        out = np.empty(sids.size, dtype=np.float64 if name == "wm" else np.int64)
-        for chunk, lo, hi in self._split(sids):
-            out[lo:hi] = getattr(chunk, name)[sids[lo:hi] - chunk.sid0]
-        return out
-
-    def put(self, name: str, sids: np.ndarray, values) -> None:
-        """Store ``values`` (array or scalar) into vector ``name`` at ``sids``."""
-        per_sid = np.ndim(values) > 0
-        for chunk, lo, hi in self._split(sids):
-            getattr(chunk, name)[sids[lo:hi] - chunk.sid0] = values[lo:hi] if per_sid else values
-
-    def gather(
-        self, sids: np.ndarray, slots: np.ndarray, columns: Sequence[int]
-    ) -> List[np.ndarray]:
-        """Row cells ``(sids[i], slots[i])`` of the selected columns."""
-        out = [np.empty(sids.size, dtype=np.float64) for _ in columns]
-        for chunk, lo, hi in self._split(sids):
-            local = sids[lo:hi] - chunk.sid0
-            for dst, k in zip(out, columns):
-                dst[lo:hi] = chunk.cols[k][local, slots[lo:hi]]
-        return out
+        return dict(zip(ROW_COLUMNS, ring_gather(rings, ranges)))
 
     def oldest_time(self, sids: np.ndarray) -> np.ndarray:
         """Bin start of the oldest retained row of each (non-empty) series."""
         slots = (self.take("head", sids) - self.take("count", sids)) % self.capacity
         return self.gather(sids, slots, (0,))[0]
-
-    def append_rows(self, sids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray]) -> None:
-        """Append ``counts[i]`` time-ordered rows to series ``sids[i]``.
-
-        ``cols`` holds the rows of all series back to back, one array
-        per :data:`ROW_COLUMNS` entry.  Ring semantics per series: rows
-        continue at ``head`` and wrap; a series receiving ``capacity``
-        or more rows keeps only the last ``capacity``, laid out from
-        slot 0.  Cells are written before ``head``/``count`` publish
-        them.
-        """
-        cap = self.capacity
-        seg = np.repeat(np.arange(sids.size), counts)
-        rank = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        head = self.take("head", sids)
-        whole = counts >= cap
-        slots = np.where(whole, cap - counts, head)[seg] + rank
-        if whole.any():
-            keep = slots >= 0  # leading rows of a whole-ring write fall off
-            seg, slots = seg[keep], slots[keep]
-            cols = [col[keep] for col in cols]
-        slots %= cap
-        row_sids = sids[seg]
-        for chunk, lo, hi in self._split(row_sids):
-            local = row_sids[lo:hi] - chunk.sid0
-            for dst, src in zip(chunk.cols, cols):
-                dst[local, slots[lo:hi]] = src[lo:hi]
-        self.put("head", sids, np.where(whole, 0, (head + counts) % cap))
-        self.put("count", sids, np.minimum(self.take("count", sids) + counts, cap))
 
 
 class TierStore:
@@ -621,24 +488,6 @@ class CascadeFolder:
 # Store binding.
 
 
-class _KeyedRaw:
-    """Series-id raw reader over a key-addressed store."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store) -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return len(self._store.registry)
-
-    def earliest_time(self, sid: int) -> Optional[float]:
-        return self._store.earliest_time(self._store.registry.key_for(sid))
-
-    def window(self, sid: int, t0: float, t1: float):
-        return self._store.query(self._store.registry.key_for(sid), t0, t1)
-
-
 class RollupTier:
     """Key-addressed read view of one :class:`DenseTier`."""
 
@@ -679,9 +528,7 @@ class RollupManager:
             store.registry.id_for(key)
         self._dense = self._make_tier_store(resolutions, capacity)
         self.tiers: List[RollupTier] = [RollupTier(store.registry, t) for t in self._dense.tiers]
-        self._folder = CascadeFolder(
-            self._dense.tiers, _KeyedRaw(store), buffer_cap=ingest_buffer_cap
-        )
+        self._folder = CascadeFolder(self._dense.tiers, store.rings, buffer_cap=ingest_buffer_cap)
         self.folds = 0
         self._task = None
         store.add_ingest_listener(self._on_ingest)

@@ -530,16 +530,9 @@ class StoreStandingProvider:
     def _backfill(self, grid: StandingGrid, metric: str) -> None:
         registry = self.store.registry
         for key in self.store.series_keys(metric):
-            buf = self.store._series.get(key)
-            if buf is None:
-                continue
-            times, values = buf.arrays()
-            grid.backfill_series(
-                registry.id_for(key),
-                times,
-                values,
-                evicted=buf.total_appended > len(buf),
-            )
+            sid = registry.id_for(key)
+            times, values, evicted = self.store.rings.retained(sid)
+            grid.backfill_series(sid, times, values, evicted=evicted)
 
     def entries(
         self,

@@ -21,7 +21,6 @@ from repro.shard.parallel import (
     ParallelShardContext,
     ParallelShardedStore,
     ParallelStandingProvider,
-    SharedTimeSeriesStore,
     ShardWorkerPool,
 )
 from repro.shard.store import ShardedTimeSeriesStore, shard_of_key
@@ -35,6 +34,5 @@ __all__ = [
     "ParallelStandingProvider",
     "ShardWorkerPool",
     "ShardedTimeSeriesStore",
-    "SharedTimeSeriesStore",
     "shard_of_key",
 ]

@@ -1,12 +1,18 @@
 """Process-parallel shard execution over shared-memory columns.
 
-This module is the parallel tier of the shard stack: shard ring buffers
-and rollup tiers are relocated into ``multiprocessing.shared_memory``
+This module is the parallel tier of the shard stack: shard raw rings and
+rollup tiers are relocated into ``multiprocessing.shared_memory``
 blocks, and a persistent pool of worker processes executes per-shard
-work — scatter passes for federated queries, segment appends and the
-rollup fold for ingest — directly against those columns.  Only task
-metadata and per-shard *partial results* cross the process boundary;
-the sample columns themselves never move.
+work — scatter passes for federated queries, standing-grid upkeep and
+the rollup fold — directly against those columns.  **One process writes
+the raw rings: the parent.**  A commit is the serial store's vectorised
+scatter, straight into blocks the parent already maps; workers map the
+same blocks read-only and only ever write rollup tiers and their own
+standing grids.  What crosses the pipe is task metadata and per-shard
+*partial results*; the committed columns the worker's folder and grids
+consume are handed over — batched onto the next fold / scatter /
+standing dispatch — through a per-shard column log in the same shared
+memory.
 
 Layering (parent process owns everything above the pipe):
 
@@ -15,14 +21,11 @@ Layering (parent process owns everything above the pipe):
   descriptors ``(block, offset, count, dtype)`` that any process can
   attach on demand.  The parent allocates every long-lived block;
   workers only ever create per-batch result scratch.
-* :class:`SharedRingBuffer` — the raw ring with storage relocated into
-  an arena and its mutable ints (head/count/written) mirrored in a tiny
-  shared meta array, synced at mutation boundaries so either side sees
-  the other's writes.
-* :class:`SharedTimeSeriesStore` — a per-shard
-  :class:`~repro.telemetry.tsdb.TimeSeriesStore` whose rings live in the
-  arena; ring creation is announced to the worker through a per-shard
-  **event log** so the worker's sid-addressed mirror stays consistent.
+* Per shard a plain :class:`~repro.telemetry.tsdb.TimeSeriesStore` whose
+  :class:`~repro.telemetry.tsdb.RawRings` allocate from the arena; each
+  new block is announced once (``"rblock"``) through the shard's
+  **event log** and the worker's sid-addressed view is rebuilt from the
+  blocks alone.
 * :class:`SharedTierSet` — a shard's
   :class:`~repro.query.rollup.RollupManager` with its dense tier store
   allocated from the arena and announced through the same event log.
@@ -31,13 +34,14 @@ Layering (parent process owns everything above the pipe):
   mapping of the parent's tier blocks, and the parent runs the very
   same kernel over the very same blocks when the pool is down.
 * :class:`ShardWorkerPool` — worker lifecycle, the per-shard event logs,
-  batched task dispatch with crash detection, and shared-memory result
-  transport.
+  forwarded-column queues and column logs, batched task dispatch with
+  crash detection, and shared-memory result transport.
 * :class:`ParallelShardedStore` / :class:`ParallelFederatedQueryEngine`
-  — the sharded store facade and federated engine with ingest and
-  scatter dispatched to the pool; every parallel path degrades to the
-  inherited serial implementation when the pool is unavailable or a
-  worker dies, so correctness never depends on the pool being healthy.
+  — the sharded store facade over those shards and the federated engine
+  with scatters and folds dispatched to the pool; every parallel path
+  degrades to the inherited serial implementation when the pool is
+  unavailable or a worker dies, so correctness never depends on the
+  pool being healthy.
 
 Determinism: workers compute exactly the per-shard passes the serial
 engine runs (same :data:`~repro.shard.federated.SCATTER_FNS` functions,
@@ -62,13 +66,8 @@ from repro.query.rollup import CascadeFolder, RollupManager, TierStore
 from repro.query.standing import StandingGrid, concat_entries
 from repro.shard.federated import SCATTER_FNS, FederatedQueryEngine, ShardWork
 from repro.shard.store import ShardedTimeSeriesStore
-from repro.telemetry.batch import sort_series_columns
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import (
-    RingBuffer,
-    TimeSeriesStore,
-    segment_notify_columns,
-)
+from repro.telemetry.tsdb import RawRings, TimeSeriesStore
 
 #: Sentinel dispatch result for tasks lost to a dead worker.
 WORKER_DIED = object()
@@ -213,209 +212,6 @@ class _BlockCache:
 
 
 # --------------------------------------------------------------------------
-# Shared ring structures.
-
-
-class SharedRingBuffer(RingBuffer):
-    """A :class:`RingBuffer` whose columns and mutable ints live in shm.
-
-    The buffer-relocatable base already stores samples in caller-provided
-    arrays; this subclass adds a 3-slot ``int64`` meta array —
-    ``(head, count, written)``.  While ``lazy`` is set (workers always;
-    the parent once the pool is live) every mutation syncs the meta
-    **into** the Python ints first and **out of** them after, and every
-    read re-syncs in, so writes from either side of the process boundary
-    are immediately visible to the other.  Before the pool is live the
-    ring behaves exactly like the in-process base — no per-operation
-    loads or stores — and :meth:`SharedTimeSeriesStore.mark_shared`
-    publishes the accumulated state in one flush when the mode flips.
-    """
-
-    __slots__ = ("_meta", "_lazy", "descs")
-
-    META_SLOTS = 3
-
-    def __init__(
-        self,
-        capacity: int,
-        times: np.ndarray,
-        values: np.ndarray,
-        meta: np.ndarray,
-        *,
-        lazy: bool = False,
-        descs: Tuple = (),
-    ) -> None:
-        super().__init__(capacity, times=times, values=values)
-        self._meta = meta
-        self._lazy = lazy
-        self.descs = descs
-        self._sync_in()
-
-    @classmethod
-    def create(cls, arena: SharedArena, capacity: int) -> "SharedRingBuffer":
-        t_arr, t_desc = arena.alloc(capacity)
-        v_arr, v_desc = arena.alloc(capacity)
-        m_arr, m_desc = arena.alloc(cls.META_SLOTS, dtype=np.int64)
-        return cls(capacity, t_arr, v_arr, m_arr, descs=(t_desc, v_desc, m_desc))
-
-    @classmethod
-    def attach(
-        cls, cache: _BlockCache, capacity: int, t_desc, v_desc, m_desc
-    ) -> "SharedRingBuffer":
-        return cls(
-            capacity,
-            cache.view(t_desc),
-            cache.view(v_desc),
-            cache.view(m_desc),
-            lazy=True,
-            descs=(t_desc, v_desc, m_desc),
-        )
-
-    def _sync_in(self) -> None:
-        m = self._meta
-        self._head = int(m[0])
-        self._count = int(m[1])
-        self._written = int(m[2])
-
-    def _sync_out(self) -> None:
-        m = self._meta
-        m[0] = self._head
-        m[1] = self._count
-        m[2] = self._written
-
-    # mutations: in shared mode, pick up the other side's state, write,
-    # publish.  Before the pool is live (``lazy`` unset) the Python ints
-    # are authoritative and no cross-process reader exists, so mutations
-    # skip the meta round-trip entirely — ``mark_shared()`` flushes the
-    # final pre-pool state exactly once when the mode flips.
-    def append(self, t: float, v: float) -> None:
-        if not self._lazy:
-            super().append(t, v)
-            return
-        self._sync_in()
-        super().append(t, v)
-        self._sync_out()
-
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
-        if not self._lazy:
-            super().extend(times, values)
-            return
-        self._sync_in()
-        super().extend(times, values)
-        self._sync_out()
-
-    def _extend_sorted(self, times: np.ndarray, values: np.ndarray) -> None:
-        if not self._lazy:
-            super()._extend_sorted(times, values)
-            return
-        self._sync_in()
-        super()._extend_sorted(times, values)
-        self._sync_out()
-
-    # reads: re-sync only while cross-process writers exist
-    def __len__(self) -> int:
-        if self._lazy:
-            self._sync_in()
-        return self._count
-
-    @property
-    def total_appended(self) -> int:
-        if self._lazy:
-            self._sync_in()
-        return self._written
-
-    def arrays(self):
-        if self._lazy:
-            self._sync_in()
-        return super().arrays()
-
-    def first_time(self) -> float:
-        if self._lazy:
-            self._sync_in()
-        return super().first_time()
-
-    def last_time(self) -> float:
-        if self._lazy:
-            self._sync_in()
-        return super().last_time()
-
-    def last_value(self) -> float:
-        if self._lazy:
-            self._sync_in()
-        return super().last_value()
-
-    def window(self, t0: float, t1: float):
-        if self._lazy:
-            self._sync_in()
-        return super().window(t0, t1)
-
-
-class SharedTimeSeriesStore(TimeSeriesStore):
-    """Per-shard store whose ring buffers live in a shared arena.
-
-    Ring creation announces ``("ring", sid, capacity, *descs)`` through
-    ``on_event`` so the owning worker attaches the same storage by
-    descriptor before its next task.  The base class's inlined
-    ``append_segments`` fast path bypasses the ring's sync discipline,
-    so once :meth:`mark_shared` flips the store to cross-process mode it
-    is replaced by the (synced) ``_extend_sorted`` loop; before that the
-    inlined path runs unchanged over the shm-backed arrays.
-    """
-
-    def __init__(self, default_capacity: int, arena: SharedArena,
-                 on_event: Callable[[Tuple], None]) -> None:
-        super().__init__(default_capacity)
-        self._arena = arena
-        self._on_event = on_event
-        self._shared_lazy = False
-
-    def mark_shared(self) -> None:
-        """Enable cross-process syncing (call once the pool is live).
-
-        Flushes every ring's Python-side state to its shm meta block —
-        pre-pool mutations skip that publish — then flips the rings to
-        sync on every subsequent operation.
-        """
-        self._shared_lazy = True
-        for buf in self._series.values():
-            buf._sync_out()
-            buf._lazy = True
-
-    def _make_buffer(self, key: SeriesKey, capacity: int) -> RingBuffer:
-        ring = SharedRingBuffer.create(self._arena, capacity)
-        ring._lazy = self._shared_lazy
-        sid = self.registry.id_for(key)
-        self._on_event(("ring", sid, capacity) + ring.descs)
-        return ring
-
-    def append_segments(self, seg_ids, times, values, starts, ends) -> None:
-        if not self._shared_lazy:
-            # pool not live: the Python ints are authoritative and the
-            # base class's inlined fast path is sync-correct as-is —
-            # this is what keeps the shm layout inside the E18 ≤1.2×
-            # ingest-overhead gate
-            super().append_segments(seg_ids, times, values, starts, ends)
-            return
-        n = 0
-        touched = set()
-        id_buffers = self._id_buffers
-        for sid, lo, hi in zip(seg_ids.tolist(), starts.tolist(), ends.tolist()):
-            entry = id_buffers.get(sid)
-            if entry is None:
-                entry = self._buffer_for_id(sid)
-            buf, metric = entry
-            buf._extend_sorted(times[lo:hi], values[lo:hi])
-            touched.add(metric)
-            n += hi - lo
-        if n == 0:
-            return
-        self.total_inserts += n
-        self._record_commit(touched)
-        if self._listeners:
-            self._notify(*segment_notify_columns(seg_ids, times, values, starts, ends))
-
-
-# --------------------------------------------------------------------------
 # Result transport: nested structures with large arrays relocated into a
 # per-batch shared-memory arena, everything else pickled inline.
 
@@ -453,32 +249,6 @@ def _unpack(enc, view: Callable[[Tuple], np.ndarray]):
 
 # --------------------------------------------------------------------------
 # Worker process.
-
-
-class _SidStoreView:
-    """Worker-side raw-ring view addressed by shard-local series id —
-    the raw reader of the scatter passes, the instant-query tier
-    fallbacks and the rollup fold's bootstrap scan."""
-
-    __slots__ = ("rings",)
-
-    def __init__(self, rings: List[Optional[SharedRingBuffer]]) -> None:
-        self.rings = rings
-
-    def __len__(self) -> int:
-        return len(self.rings)
-
-    def earliest_time(self, sid: int) -> Optional[float]:
-        ring = self.rings[sid] if sid < len(self.rings) else None
-        if ring is None or len(ring) == 0:
-            return None
-        return ring.first_time()
-
-    def window(self, sid: int, lo: float, hi: float):
-        ring = self.rings[sid] if sid < len(self.rings) else None
-        if ring is None:
-            return np.empty(0), np.empty(0)
-        return ring.window(lo, hi)
 
 
 class SidShardReader:
@@ -522,8 +292,8 @@ class _WorkerShard:
 
     def __init__(self, cache: _BlockCache) -> None:
         self._cache = cache
-        self.rings: List[Optional[SharedRingBuffer]] = []
-        self.raw = _SidStoreView(self.rings)
+        #: the shard's raw rings: parent-written blocks, mapped read-only
+        self.raw = RawRings(alloc=None)
         #: the shard's rollup tiers, mapped from parent-announced blocks
         self.tiers: Optional[TierStore] = None
         self.folder: Optional[CascadeFolder] = None
@@ -531,17 +301,18 @@ class _WorkerShard:
         #: stream; worker grids track every sid (no registry here, and
         #: reads only request the sids the parent planned)
         self.standing: Dict[float, StandingGrid] = {}
+        #: the shard's column log: parent-written ``(ids, times, values)``
+        self.clog: List[np.ndarray] = []
 
     # ------------------------------------------------------------- events
     def apply_event(self, ev: Tuple) -> None:
         kind = ev[0]
-        if kind == "ring":
-            _, sid, capacity, t_desc, v_desc, m_desc = ev
-            while len(self.rings) <= sid:
-                self.rings.append(None)
-            self.rings[sid] = SharedRingBuffer.attach(
-                self._cache, capacity, t_desc, v_desc, m_desc
-            )
+        if kind == "rblock":
+            _, capacity, first, n, desc = ev
+            block = self._cache.view(desc)
+            block.flags.writeable = False
+            # a re-delivered block (already mapped) is skipped by attach
+            self.raw.attach(capacity, first, n, block)
         elif kind == "tiers":
             # one layout per store: a re-delivered announcement must not
             # replace the mirror (and its mapped blocks) built so far
@@ -551,25 +322,31 @@ class _WorkerShard:
                 self.folder = CascadeFolder(self.tiers.tiers, self.raw, buffer_cap=buffer_cap)
         elif kind == "tblock":
             _, sid0, n, descs = ev
-            # a re-delivered block (already mapped) is skipped by attach
             self.tiers.attach(sid0, n, [self._cache.view(desc) for desc in descs])
         elif kind == "streg":
             _, step, n_slots, want_rate = ev
             self._register_standing(step, n_slots, want_rate)
+        elif kind == "clog":
+            self.clog = [self._cache.view(desc) for desc in ev[1]]
         elif kind == "cols":
-            _, ids, times, values = ev
+            # the commits since this shard's last dispatch, back to back
+            # in the column log, which the parent reuses after this batch
+            ids, times, values = (column[: ev[1]].copy() for column in self.clog)
             if self.folder is not None:
                 self.folder.on_columns(ids, times, values)
-            for grid in self.standing.values():
-                grid.ingest(ids, times, values)
+            if self.standing:
+                order = np.argsort(ids, kind="stable")  # regroup by series
+                ids, times, values = ids[order], times[order], values[order]
+                for grid in self.standing.values():
+                    grid.ingest(ids, times, values)
 
     def _register_standing(self, step: float, n_slots: int, want_rate: bool) -> None:
         """Create (or widen) the standing grid for ``step``, bootstrapped
-        from the shared rings.  The backfill floor is each ring's current
-        last timestamp: column events queued behind this registration
-        carry samples already in the rings, and the floor keeps them from
-        double-counting (exact-boundary ties resolve as already applied —
-        the same best-effort semantics as crash re-apply)."""
+        from the shared rings.  The parent writes a ring before it
+        forwards the columns, so the rings already hold every sample of
+        any column event still queued behind this registration; the
+        backfill floor — each ring's current last timestamp — keeps those
+        from counting twice."""
         grid = self.standing.get(step)
         if (
             grid is not None
@@ -583,20 +360,17 @@ class _WorkerShard:
             track_rate=want_rate or (grid.track_rate if grid is not None else False),
         )
         self.standing[step] = grid
-        for sid, ring in enumerate(self.rings):
-            if ring is None:
-                continue
-            times, values = ring.arrays()
+        self.raw.refresh()
+        for sid in self.raw.sids().tolist():
+            times, values, evicted = self.raw.retained(sid)
             grid.backfill_series(
-                sid,
-                times,
-                values,
-                evicted=ring.total_appended > len(ring),
+                sid, times, values, evicted=evicted,
                 floor=float(times[-1]) if times.size else None,
             )
 
     # -------------------------------------------------------------- tasks
     def run(self, kind: str, payload: Dict):
+        self.raw.refresh()
         if kind == "scatter":
             reader = SidShardReader(self, payload["params"].get("tier_idx"))
             fn = SCATTER_FNS[payload["kind"]]
@@ -608,18 +382,6 @@ class _WorkerShard:
                 payload.get("singleton"),
                 payload["params"],
             )
-        if kind == "append":
-            ids, times, values = payload["ids"], payload["times"], payload["values"]
-            bounds = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [ids.size]))
-            for sid, lo, hi in zip(ids[starts].tolist(), starts.tolist(), ends.tolist()):
-                self.rings[sid]._extend_sorted(times[lo:hi], values[lo:hi])
-            if self.folder is not None:
-                self.folder.on_columns(ids, times, values)
-            for grid in self.standing.values():
-                grid.ingest(ids, times, values)
-            return {"n": int(ids.size)}
         if kind == "standing":
             grid = self.standing.get(payload["step"])
             if grid is None:
@@ -627,8 +389,7 @@ class _WorkerShard:
             sids = np.asarray(payload["sids"], dtype=np.int64)
             b0, b1 = payload["b0"], payload["b1"]
             for sid in grid.incomplete(sids, b0).tolist():
-                ring = self.rings[sid] if sid < len(self.rings) else None
-                if ring is not None and len(ring) > 0:
+                if self.raw.count(sid) > 0:
                     return {"ok": False}
             rows = grid.rows(sids, b0, b1, want_rate=payload["want_rate"])
             spos = rows.pop("spos")
@@ -640,6 +401,8 @@ class _WorkerShard:
             # late samples since the last report: the parent keeps the total
             late, self.folder.late_dropped = self.folder.late_dropped, 0
             return {"written": written, "late": late}
+        if kind == "sync":  # nothing to run: the events were the message
+            return None
         raise ValueError(f"unknown task kind {kind!r}")
 
 
@@ -648,7 +411,6 @@ class _WorkerShard:
 _TASK_SPANS = {
     "scatter": "scatter.shard",
     "standing": "standing.shard",
-    "append": "ingest.shard",
     "fold": "fold.shard",
 }
 
@@ -747,15 +509,20 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
 # Parent-side pool.
 
 
+def _cols_rows(batch: List[Tuple]) -> int:
+    """Forwarded-column rows riding one worker's dispatch batch."""
+    return sum(ev[1] for _shard, events, _kind, _payload in batch for ev in events if ev[0] == "cols")
+
+
 class ShardWorkerPool:
     """Persistent worker pool with per-shard event logs and crash handling.
 
     Shards have **static ownership**: shard ``s`` always executes on
-    worker ``s % n_workers``, so a shard's event stream and its
-    shared-ring mutations are seen by exactly one worker in order.
-    ``dispatch`` is synchronous — all tasks are sent, then one batched
-    reply per worker is collected — so the parent and workers never
-    race on the same ring.  A dead or hung worker marks the whole pool
+    worker ``s % n_workers``, so a shard's event stream is seen by
+    exactly one worker in order.  ``dispatch`` is synchronous — all
+    tasks are sent, then one batched reply per worker is collected — so
+    the parent (the only writer of raw rings) never writes while a
+    worker reads or folds.  A dead or hung worker marks the whole pool
     :attr:`broken`; callers degrade to their serial implementations
     (parent-side state is authoritative and shm-readable throughout).
     """
@@ -776,6 +543,18 @@ class ShardWorkerPool:
         self.respawn = bool(respawn)
         self.prefix = f"repro.{os.getpid()}.{id(self) & 0xFFFF:x}"
         self._events: List[List[Tuple]] = [[] for _ in range(n_shards)]
+        #: per shard the committed columns waiting for its next dispatch,
+        #: and the column log — ``(ids, times, values)`` arrays in shared
+        #: memory the worker maps — that dispatch hands them over in
+        self._cols: List[List[Tuple]] = [[] for _ in range(n_shards)]
+        self._cols_rows = [0] * n_shards
+        self._clog: List[Sequence[np.ndarray]] = [()] * n_shards
+        self.clog_events: List[Tuple] = []  # per shard, for respawn replay
+        #: rows that rode a dispatch / that a dead worker or a broken pool
+        #: took with it (the rings hold them: the fold restarts from there)
+        self.cols_forwarded_rows = 0
+        self.cols_dropped_rows = 0
+        self.cols_flushes = 0
         self._procs: List = []
         self._conns: List = []
         self.started = False
@@ -797,6 +576,61 @@ class ShardWorkerPool:
 
     def log_event(self, shard: int, ev: Tuple) -> None:
         self._events[shard].append(ev)
+
+    def open_column_logs(self, alloc: Callable, rows: int) -> None:
+        """Give every shard its column log: ``(ids, times, values)``
+        arrays of ``rows`` rows from ``alloc`` (shared memory), announced
+        to the worker by their descriptors."""
+        for shard in range(self.n_shards):
+            self._clog[shard], descs = zip(*(
+                alloc(rows, dtype) for dtype in (np.int64, np.float64, np.float64)
+            ))
+            self.clog_events.append(("clog", descs))
+            self.log_event(shard, self.clog_events[-1])
+
+    def queue_columns(self, shard: int, ids, times, values) -> None:
+        """Forward committed columns to ``shard``'s worker: they ride
+        its next dispatch, behind the events logged so far.  Never more
+        rows wait than the column log holds: once that many do they are
+        delivered on their own (counted), so the queue stays bounded
+        when nothing else is dispatched."""
+        room = self._clog[shard][0].size
+        done = 0
+        while done < ids.size:  # fill the log up, deliver, go on
+            if not self.active:
+                self.cols_dropped_rows += ids.size - done
+                return
+            n = min(room - self._cols_rows[shard], ids.size - done)
+            if n == 0:
+                self.cols_flushes += 1
+                self._run([(shard, "sync", None)])
+                continue
+            self._cols[shard].append(tuple(c[done:done + n] for c in (ids, times, values)))
+            self._cols_rows[shard] += n
+            done += n
+
+    def _take_events(self, shard: int) -> List[Tuple]:
+        """The events ``shard``'s next dispatch carries; waiting columns
+        last, as one ``("cols", rows)`` event — the samples go back to
+        back into the column log, not through the pipe."""
+        events = self._events[shard]
+        if events:
+            self._events[shard] = []
+        rows = self._cols_rows[shard]
+        if rows:
+            for column, parts in zip(self._clog[shard], zip(*self._cols[shard])):
+                np.concatenate(parts, out=column[:rows])
+            self._cols[shard], self._cols_rows[shard] = [], 0
+            events = events + [("cols", rows)]
+        return events
+
+    def _break(self) -> None:
+        """Give the pool up.  Callers degrade to their serial paths; the
+        columns still queued for the workers are dropped (counted)."""
+        self.broken = True
+        self.cols_dropped_rows += sum(self._cols_rows)
+        self._cols = [[] for _ in range(self.n_shards)]
+        self._cols_rows = [0] * self.n_shards
 
     def _spawn_worker(self, w: int) -> Tuple:
         import multiprocessing as mp
@@ -833,7 +667,7 @@ class ShardWorkerPool:
         for w in range(self.n_workers):
             reply = self._recv(w, timeout_s=30.0)
             if reply is None or reply[0] != "hello":
-                self.broken = True
+                self._break()
                 raise RuntimeError(f"shard worker {w} failed to start")
         self.started = True
 
@@ -871,6 +705,12 @@ class ShardWorkerPool:
         in its reply — dispatch ingests them into the parent ring, so a
         cross-process scatter traces exactly like a serial one.
         """
+        return self._run(tasks)
+
+    # ``dispatch`` is the seam callers instrument per task kind; a column
+    # flush is part of the commit that triggered it, not a dispatch of
+    # its own, so it enters here
+    def _run(self, tasks: List[Tuple[int, str, Optional[Dict]]]) -> List:
         if not self.active:
             raise RuntimeError("pool is not active")
         self.dispatches += 1
@@ -880,9 +720,7 @@ class ShardWorkerPool:
         messages: Dict[int, List] = {}
         for pos, (shard, kind, payload) in enumerate(tasks):
             w = self.worker_of(shard)
-            events = self._events[shard]
-            if events:
-                self._events[shard] = []
+            events = self._take_events(shard)
             per_worker.setdefault(w, []).append((pos, shard))
             messages.setdefault(w, []).append((shard, events, kind, payload))
         for w, msg in messages.items():
@@ -898,8 +736,9 @@ class ShardWorkerPool:
                 continue
             status = reply[0]
             if status == "err":
-                self.broken = True
+                self._break()
                 raise RuntimeError(f"shard worker {w} task failed:\n{reply[1]}")
+            self.cols_forwarded_rows += _cols_rows(messages[w])
             _, scratch_names, replies, spans = reply
             if spans:
                 TRACER.ingest(spans)
@@ -920,26 +759,27 @@ class ShardWorkerPool:
         re-apply or recompute against parent-authoritative shared state).
         With a replay provider the worker is respawned and every shard it
         owns gets a fresh mirror: the replay events (``tiers`` layout,
-        every ``tblock`` announced so far, ``ring`` attaches, ``streg``
-        standing registrations) are queued first, then the events the
-        dead worker may never have applied — the fatal batch's and the
-        ones still pending.  The replay already covers any
-        ``tiers``/``tblock``/``ring``/``streg`` among those, so each is
-        delivered twice and must be safe to re-apply: ``tiers`` is
-        ignored once a mirror exists, a ``tblock`` carries its first
-        series id and is skipped when already mapped, a ``ring``
-        re-attaches the same parent-owned buffers, an ``streg`` returns
-        early on an equal grid, and re-delivered ``cols`` are absorbed by
-        the tier watermarks and the standing backfill floors.  Without a
-        provider the pool turns broken, exactly the pre-respawn behavior.
+        every ``tblock`` and ``rblock`` announced so far, the ``clog``,
+        ``streg`` standing registrations) are queued first, then the
+        events the dead worker may never have applied — the fatal
+        batch's and the ones still pending.  Those the replay already
+        covers arrive twice and are safe to re-apply: ``tiers`` is
+        ignored once a mirror exists, a ``tblock``/``rblock`` carries its
+        first row and is skipped when already mapped, a ``clog`` maps
+        the same arrays again, an ``streg`` returns early on an equal
+        grid.  The fatal batch's ``cols`` are not sent again (counted as
+        dropped; the log is being refilled): the rings hold those
+        samples, a new worker's folder starts from the shared watermarks
+        and its grids backfill from the rings — which also absorbs the
+        columns queued since.  Without a provider the pool turns broken.
         """
+        self.cols_dropped_rows += _cols_rows(sent)
         if not self.respawn or self.replay_provider is None or not self._respawn(w):
-            self.broken = True
+            self._break()
             return
         requeue: Dict[int, List[Tuple]] = {}
         for shard, events, _kind, _payload in sent:
-            if events:
-                requeue.setdefault(shard, []).extend(events)
+            requeue.setdefault(shard, []).extend(ev for ev in events if ev[0] != "cols")
         for shard in range(self.n_shards):
             if self.worker_of(shard) != w:
                 continue
@@ -1030,17 +870,21 @@ class SharedTierSet(RollupManager):
     shard's event log (``("tblock", sid0, n, descriptors)``, kept in
     :attr:`events` for crash-respawn replay), so the owning worker maps
     the very storage the parent reads.  While the pool is live the fold
-    runs inside that worker — committed columns are forwarded to it and
-    each fold reply adds its late-sample count to this cascade's one
-    counter (:meth:`note_worker_fold`); when the pool is down, the inherited in-process fold continues over the same
-    blocks.  A tier pass publishes its watermarks last, so a fold cut
-    short between tier passes re-folds safely: finished passes are
-    skipped by their watermarks, the rest run again.
+    runs inside that worker — the store forwards it the committed
+    columns, and each fold reply adds its late-sample count to this
+    cascade's one counter (:meth:`note_worker_fold`).  Whenever folding
+    comes back in-process (pool down, or a shard re-folded after its
+    worker died) it restarts from the shared watermarks with a fresh
+    folder, exactly as a respawned worker does: the columns of the
+    meantime went to the worker, and the raw rings hold them all.  A
+    tier pass publishes its watermarks last, so a fold cut short between
+    tier passes re-folds safely: finished passes are skipped by their
+    watermarks, the rest run again.
     """
 
     def __init__(
         self,
-        store: SharedTimeSeriesStore,
+        store: TimeSeriesStore,
         resolutions: Sequence[float],
         tier_capacity: int,
         arena: SharedArena,
@@ -1052,6 +896,8 @@ class SharedTierSet(RollupManager):
         self._log_event = log_event
         self._pool_active = pool_active
         self._buffer_cap = int(buffer_cap)
+        #: columns went to the worker since the in-process folder last ran
+        self._behind = False
         #: the layout and every tier block announced so far, in order —
         #: what rebuilds a respawned worker's mirror of this cascade
         self.events: List[Tuple] = []
@@ -1077,14 +923,26 @@ class SharedTierSet(RollupManager):
         if grown is not None:
             self._announce(("tblock",) + grown)
 
+    def _fold_here(self) -> None:
+        if self._behind:
+            self._behind = False
+            late = self._folder.late_dropped
+            self._folder = CascadeFolder(
+                self._dense.tiers, self.store.rings, buffer_cap=self._buffer_cap
+            )
+            self._folder.late_dropped = late
+
     def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
-        """Shard ingest listener: serial-path commits (scalar inserts,
-        degraded appends) feed the owning worker's folder through the
-        event log — or the parent folder once degraded."""
         if self._pool_active():
-            self._log_event(("cols", ids, times, values))
+            self.ensure_sids()
+            self._behind = True  # the store forwards these to the worker's folder
         else:
+            self._fold_here()
             super()._on_ingest(ids, times, values)
+
+    def fold(self, now: float) -> int:
+        self._fold_here()
+        return super().fold(now)
 
     def note_worker_fold(self, late: int) -> None:
         """Account one fold the owning worker ran; ``late`` is what it
@@ -1092,6 +950,7 @@ class SharedTierSet(RollupManager):
         counter (so a respawned worker's fresh count loses nothing)."""
         self._folder.late_dropped += late
         self.folds += 1
+        self._behind = True
 
     #: ``late_samples_dropped`` under the name ``bench/`` reads; goes
     #: when that read can next change
@@ -1103,15 +962,20 @@ class SharedTierSet(RollupManager):
 
 
 class ParallelShardedStore(ShardedTimeSeriesStore):
-    """Sharded store with ingest executed by the worker pool.
+    """Sharded store whose columns live in shared memory beside a worker pool.
 
-    Shard ring buffers live in one parent-owned :class:`SharedArena`;
-    :meth:`append_batch` routes segments exactly like the serial facade,
-    then ships each shard's compact columns to its owning worker, which
-    writes the shared rings and feeds its tier-0 folder in-process.  The
-    parent keeps all bookkeeping (registries, epochs, generations,
-    facade listeners) authoritative, so reads and serial fallbacks never
-    depend on worker state.
+    Shard raw rings live in one parent-owned :class:`SharedArena` and the
+    parent is their **only writer**: :meth:`append_batch` (and every
+    other write path) routes exactly like the serial facade and scatters
+    straight into the shared blocks.  Workers map the blocks read-only
+    from their one-time ``("rblock", …)`` announcements.  Once something
+    worker-side consumes the column stream — rollup tiers
+    (:meth:`create_tiersets`) or a standing registration — every shard
+    commit is also forwarded to the owning worker
+    (:meth:`ShardWorkerPool.queue_columns`).  The parent keeps all
+    bookkeeping (registries, epochs, generations, listeners)
+    authoritative, so reads and serial fallbacks never depend on worker
+    state.
     """
 
     def __init__(
@@ -1132,18 +996,16 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         #: standing registrations ``(metric, step, n_slots, want_rate)``,
         #: kept for crash-respawn replay
         self.standing_regs: List[Tuple] = []
-        self.parallel_appends = 0
+        #: commits made while the pool was not running
         self.serial_appends = 0
-        self.append_recoveries = 0
         self._closed = False
         super().__init__(n_shards, default_capacity)
 
     def _make_shard(self, idx: int) -> TimeSeriesStore:
-        return SharedTimeSeriesStore(
-            self.default_capacity,
-            self.arena,
-            on_event=lambda ev, s=idx: self.pool.log_event(s, ev),
+        rings = RawRings(
+            self.arena.alloc, lambda block: self.pool.log_event(idx, ("rblock",) + block)
         )
+        return TimeSeriesStore(self.default_capacity, rings=rings)
 
     # ------------------------------------------------------------ lifecycle
     def create_tiersets(
@@ -1180,13 +1042,28 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
             )
             for s in range(self.n_shards)
         ]
+        self.forward_columns(int(ingest_buffer_cap))
         return self.tiersets
 
+    def forward_columns(self, log_rows: int = 1 << 18) -> None:
+        """From now on forward every shard commit to the owning worker
+        while the pool is live (idempotent), through a per-shard column
+        log of ``log_rows`` rows in the arena.  Called when the first
+        worker-side consumer of the column stream appears, and not
+        before, so nothing is forwarded unread."""
+        if self.pool.clog_events:
+            return
+        self.pool.open_column_logs(self.arena.alloc, log_rows)
+        for s, shard in enumerate(self.shards):
+            def forward(ids, times, values, s=s) -> None:
+                if self.pool.active:
+                    self.pool.queue_columns(s, ids, times, values)
+
+            shard.add_ingest_listener(forward)
+
     def start_parallel(self) -> None:
-        """Start the worker pool and switch rings to cross-process mode."""
+        """Start the worker pool."""
         self.pool.start()
-        for shard in self.shards:
-            shard.mark_shared()
 
     @property
     def parallel_active(self) -> bool:
@@ -1211,19 +1088,18 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         """Full event list rebuilding shard ``s``'s worker mirror.
 
         Everything is reconstructed from parent-authoritative shared
-        state: tier layout and tier blocks first (the parent allocated
-        them, so the respawned worker maps the storage the parent
-        already reads), then ring attaches, then standing registrations
-        — whose worker-side backfill reads the shm rings at apply time,
-        so it also covers any columns the dead worker half-applied.
+        state: tier layout, tier blocks, raw-ring blocks and the column
+        log first (the parent allocated them, so the respawned worker
+        maps the storage the parent already reads), then standing
+        registrations — whose worker-side backfill reads the shm rings
+        at apply time, so it also covers any columns the dead worker
+        never saw.
         """
-        shard = self.shards[s]
         events: List[Tuple] = []
         if self.tiersets is not None:
             events.extend(self.tiersets[s].events)
-        registry = shard.registry
-        for key, buf in shard._series.items():
-            events.append(("ring", registry.id_for(key), buf.capacity) + buf.descs)
+        events.extend(("rblock",) + block for block in self.shards[s].rings.blocks)
+        events.extend(self.pool.clog_events[s:s + 1])
         for _metric, step, n_slots, want_rate in self.standing_regs:
             events.append(("streg", step, n_slots, want_rate))
         return events
@@ -1237,124 +1113,20 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
 
     # -------------------------------------------------------------- writing
     def append_batch(self, series_ids, times, values) -> None:
-        if TRACER.enabled:
-            with TRACER.span("store.append", samples=len(series_ids)):
-                self._append_batch_impl(series_ids, times, values)
-        else:
-            self._append_batch_impl(series_ids, times, values)
-
-    def _append_batch_impl(self, series_ids, times, values) -> None:
         if not self.pool.active:
             self.serial_appends += 1
+        if TRACER.enabled:
+            with TRACER.span("store.append", samples=len(series_ids)):
+                super().append_batch(series_ids, times, values)
+        else:
             super().append_batch(series_ids, times, values)
-            return
-        series_ids = np.asarray(series_ids, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (series_ids.shape == times.shape == values.shape):
-            raise ValueError("series_ids, times, values must be parallel 1-D arrays")
-        if series_ids.size == 0:
-            return
-        self._ensure_routed()
-        if int(series_ids.max()) >= self._routed:
-            raise IndexError("series id not interned in this store's registry")
-        ids_s, times_s, values_s, starts, ends = sort_series_columns(
-            series_ids, times, values
-        )
-        seg_gids = ids_s[starts]
-        seg_shards = self._shard_of[seg_gids]
-        seg_locals = self._local_of[seg_gids]
-        order = np.argsort(seg_shards, kind="stable")
-        seg_shards_o = seg_shards[order]
-        bounds = np.flatnonzero(seg_shards_o[1:] != seg_shards_o[:-1]) + 1
-        shard_slices: List[Tuple[int, np.ndarray]] = []
-        tasks: List[Tuple[int, str, Dict]] = []
-        for lo, hi in zip(
-            np.concatenate(([0], bounds)).tolist(),
-            np.concatenate((bounds, [order.size])).tolist(),
-        ):
-            sel = order[lo:hi]
-            s = int(seg_shards_o[lo])
-            shard = self.shards[s]
-            # pre-create buffers parent-side so ring events precede the
-            # task in the shard's event stream and parent bookkeeping
-            # (metric keys, generations) stays authoritative
-            for sid in seg_locals[sel].tolist():
-                if sid not in shard._id_buffers:
-                    shard._buffer_for_id(sid)
-            ids_c, t_c, v_c = segment_notify_columns(
-                seg_locals[sel], times_s, values_s, starts[sel], ends[sel]
-            )
-            shard_slices.append((s, sel))
-            tasks.append((s, "append", {"ids": ids_c, "times": t_c, "values": v_c}))
-        self.ensure_tier_sids()
-        results = self.pool.dispatch(tasks)
-        self.parallel_appends += 1
-        failed: List[Tuple[int, np.ndarray]] = []
-        for (s, sel), res in zip(shard_slices, results):
-            if res is WORKER_DIED:
-                failed.append((s, sel))
-                continue
-            self._commit_bookkeeping(s, seg_locals[sel], starts[sel], ends[sel],
-                                     times_s, values_s)
-        for s, sel in failed:
-            self.append_recoveries += 1
-            self._reapply_segments(s, seg_locals[sel], times_s, values_s,
-                                   starts[sel], ends[sel])
-
-    def _commit_bookkeeping(self, s, seg_sids, seg_starts, seg_ends, times_s, values_s):
-        """Parent-side commit accounting for rows a worker wrote."""
-        shard = self.shards[s]
-        n = int((seg_ends - seg_starts).sum())
-        shard.total_inserts += n
-        shard._record_commit(
-            {shard._id_buffers[sid][1] for sid in seg_sids.tolist()}
-        )
-        if self._listeners:
-            ids_c, t_c, v_c = segment_notify_columns(
-                seg_sids, times_s, values_s, seg_starts, seg_ends
-            )
-            gids = self._global_of[s][ids_c]
-            for listener in self._listeners:
-                listener(gids, t_c, v_c)
-
-    def _reapply_segments(self, s, seg_sids, times_s, values_s, seg_starts, seg_ends):
-        """Serial re-apply after a worker died mid-append.
-
-        The worker may have committed any prefix of its segments, so
-        each segment is trimmed at the ring's current last timestamp
-        before re-writing — best-effort dedup (rows sharing the exact
-        boundary timestamp are treated as already applied).
-        """
-        shard = self.shards[s]
-        touched = set()
-        n = 0
-        for sid, lo, hi in zip(seg_sids.tolist(), seg_starts.tolist(), seg_ends.tolist()):
-            buf, metric = shard._id_buffers[sid]
-            seg_t = times_s[lo:hi]
-            seg_v = values_s[lo:hi]
-            if len(buf):
-                cut = int(np.searchsorted(seg_t, buf.last_time(), side="right"))
-                seg_t, seg_v = seg_t[cut:], seg_v[cut:]
-            if seg_t.size:
-                buf._extend_sorted(seg_t, seg_v)
-                n += int(seg_t.size)
-            touched.add(metric)
-        shard.total_inserts += n
-        shard._record_commit(touched)
-        # the shard's own listener chain (tier feed — degraded now — plus
-        # the facade's translating wrappers) gets the full payload: the
-        # worker died before any notification happened
-        ids_c, t_c, v_c = segment_notify_columns(
-            seg_sids, times_s, values_s, seg_starts, seg_ends
-        )
-        shard._notify(ids_c, t_c, v_c)
 
     def shard_stats(self) -> Dict[str, float]:
         out = super().shard_stats()
-        out["parallel_appends"] = float(self.parallel_appends)
         out["serial_appends"] = float(self.serial_appends)
-        out["append_recoveries"] = float(self.append_recoveries)
+        out["cols_forwarded_rows"] = float(self.pool.cols_forwarded_rows)
+        out["cols_dropped_rows"] = float(self.pool.cols_dropped_rows)
+        out["cols_flushes"] = float(self.pool.cols_flushes)
         out.update({f"pool_{k}": v for k, v in self.pool.stats().items()})
         return out
 
@@ -1508,6 +1280,7 @@ class ParallelStandingProvider:
     def register(self, metric: str, step: float, n_slots: int, *, want_rate: bool) -> None:
         reg = (metric, float(step), int(n_slots), bool(want_rate))
         self.store.standing_regs.append(reg)
+        self.store.forward_columns()
         for s in range(self.store.n_shards):
             self.store.pool.log_event(s, ("streg",) + reg[1:])
 
@@ -1635,8 +1408,6 @@ class ParallelShardContext:
 __all__ = [
     "WORKER_DIED",
     "SharedArena",
-    "SharedRingBuffer",
-    "SharedTimeSeriesStore",
     "SharedTierSet",
     "ShardWorkerPool",
     "SidShardReader",

@@ -19,10 +19,11 @@ NumPy gathers, not a Python call per row.
 
 The batch commit path sorts the batch **once** (the same
 ``(series, time)`` lexsort the single store pays), maps each resulting
-per-series segment to its shard, and hands segments to the shards
-through :meth:`TimeSeriesStore.append_segments` — the trusted pre-sorted
-entry — so sharded ingest does not regress against a single store's
-``append_batch`` on the same rows.
+per-series segment to its shard, regroups the segments by shard with one
+gather and hands each shard its (now contiguous) runs through
+:meth:`TimeSeriesStore.append_segments` — the trusted pre-sorted
+entry — so a sharded commit is one vectorised ring scatter per touched
+shard and never a per-shard re-sort.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from repro.telemetry.batch import SeriesRegistry, sort_series_columns
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import IngestListener, SeriesStats, TimeSeriesStore
+from repro.telemetry.tsdb import IngestListener, SeriesStats, TimeSeriesStore, segment_rows
 
 
 def shard_of_key(key: SeriesKey, n_shards: int) -> int:
@@ -72,7 +73,7 @@ class ShardedTimeSeriesStore:
         #: global intern table — the id namespace the ingest pipeline moves
         self.registry = SeriesRegistry()
         #: routing tables indexed by global series id (dense, grown lazily)
-        self._shard_of = np.empty(0, dtype=np.int64)
+        self._shard_of = np.empty(0, dtype=np.int16)  # 16 bits: stable argsort is a radix sort
         self._local_of = np.empty(0, dtype=np.int64)
         self._routed = 0
         #: per-shard local id → global id (for translating listener columns)
@@ -83,8 +84,8 @@ class ShardedTimeSeriesStore:
 
     def _make_shard(self, idx: int) -> TimeSeriesStore:
         """Build the per-shard store.  Subclasses override to relocate
-        shard columns (e.g. :class:`repro.shard.parallel.SharedTimeSeriesStore`
-        over shared memory for the process-parallel tier)."""
+        shard columns (:class:`repro.shard.parallel.ParallelShardedStore`
+        puts the rings in shared memory for the process-parallel tier)."""
         return TimeSeriesStore(self.default_capacity)
 
     # ------------------------------------------------------------- routing
@@ -168,8 +169,9 @@ class ShardedTimeSeriesStore:
         single store would pay — then each per-series segment is routed
         to its shard and committed through the trusted pre-sorted
         :meth:`TimeSeriesStore.append_segments` path, so the split adds
-        only two O(segments) gathers over the unsharded commit.  Ids
-        must come from this facade's :attr:`registry`.
+        O(segments) routing gathers and one row gather over the
+        unsharded commit.  Ids must come from this facade's
+        :attr:`registry`.
         """
         series_ids = np.asarray(series_ids, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
@@ -185,22 +187,26 @@ class ShardedTimeSeriesStore:
             series_ids, times, values
         )
         seg_gids = ids_s[starts]
-        seg_shards = self._shard_of[seg_gids]
         seg_locals = self._local_of[seg_gids]
         if self.n_shards == 1:
             self.shards[0].append_segments(seg_locals, times_s, values_s, starts, ends)
             return
+        # regroup the segments by shard (stable: id order survives inside
+        # a shard) with one gather, so each shard's runs lie back to back
+        seg_shards = self._shard_of[seg_gids]
         order = np.argsort(seg_shards, kind="stable")
-        seg_shards_o = seg_shards[order]
-        bounds = np.flatnonzero(seg_shards_o[1:] != seg_shards_o[:-1]) + 1
-        for lo, hi in zip(
-            np.concatenate(([0], bounds)).tolist(),
-            np.concatenate((bounds, [order.size])).tolist(),
-        ):
-            sel = order[lo:hi]
-            self.shards[seg_shards_o[lo]].append_segments(
-                seg_locals[sel], times_s, values_s, starts[sel], ends[sel]
-            )
+        lens = (ends - starts)[order]
+        ends = np.cumsum(lens)
+        rows = order if ends[-1] == order.size else segment_rows(starts[order], lens)
+        starts = ends - lens
+        times_o, values_o, locals_o = times_s[rows], values_s[rows], seg_locals[order]
+        lo = 0
+        for shard, n in zip(self.shards, np.bincount(seg_shards, minlength=self.n_shards).tolist()):
+            if n:
+                shard.append_segments(
+                    locals_o[lo:lo + n], times_o, values_o, starts[lo:lo + n], ends[lo:lo + n]
+                )
+                lo += n
 
     # --------------------------------------------------------------- reading
     def has(self, key: SeriesKey) -> bool:

@@ -1,22 +1,35 @@
-"""In-memory time-series store backed by NumPy ring buffers.
+"""In-memory time-series store backed by dense NumPy ring blocks.
 
 The store is the "K-adjacent" raw-data layer of the MODA stack: samplers
 append points, analytics issue window queries, downsampling, and rate
 computations.  Design goals, in order:
 
-1. **Append speed** — a single ``O(1)`` write into a pre-allocated pair of
-   arrays (insert rate is the storage concern called out in Section IV of
-   the paper).
+1. **Append speed** — a commit of any number of series is one vectorised
+   scatter into pre-allocated ``(series, slot)`` blocks (insert rate is
+   the storage concern called out in Section IV of the paper).
 2. **Query as arrays** — window queries return NumPy views/copies that the
    analytics layer consumes without further conversion.
 3. **Bounded memory** — fixed per-series capacity with overwrite-oldest
    semantics, matching production ring-buffer collectors.
+
+Layout: :class:`DenseRings` keeps the fixed-capacity rings of many series
+in dense ``(series, column, slot)`` blocks beside per-series ``head`` /
+``count`` vectors, with storage from an injected allocator (process heap
+here, a shared-memory arena in :mod:`repro.shard.parallel`) that grows by
+appending series chunks.  The rollup tiers (:mod:`repro.query.rollup`)
+build on the same class.  :class:`RawRings` is the raw ``(time, value)``
+instance of it, one :class:`DenseRings` per ring capacity in use,
+addressed by series id; :class:`TimeSeriesStore` owns one and writes it
+through a single batch kernel.  :class:`RingBuffer` is the stand-alone
+single-series ring.
 """
 
 from __future__ import annotations
 
+import mmap
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +41,25 @@ from repro.telemetry.metric import SeriesKey
 #: series.  Receivers must treat the arrays as read-only.
 IngestListener = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
+#: ``alloc(count) -> (float64 array, descriptor)``: where ring blocks
+#: live.  The descriptor is whatever lets another process map the same
+#: storage (``None`` on the heap).
+Allocator = Callable[[int], Tuple[np.ndarray, object]]
+
+
+def heap_alloc(count: int) -> Tuple[np.ndarray, None]:
+    """Process-private ring storage: an anonymous mapping, resident only
+    where samples have landed.  (``np.empty`` asks for transparent huge
+    pages at this size; each series' ring is a small-page-sized stride
+    apart, so a single row per series would make a whole block
+    resident.)"""
+    return np.frombuffer(mmap.mmap(-1, int(count) * 8), dtype=np.float64), None
+
+
 # --------------------------------------------------------------------------
 # Shared ring machinery.  A "ring" here is a set of parallel fixed-capacity
-# arrays written at a common head; RingBuffer (raw samples) and the rollup
-# layer's column rings both build on these helpers so the wraparound
-# invariants live in exactly one place.
+# arrays written at a common head; the wraparound invariants live in these
+# helpers and in DenseRings.append_rows, nowhere else.
 
 
 def ring_extend(
@@ -89,46 +116,427 @@ def ring_window_ranges(
     capacity = times.shape[0]
     if count < capacity:
         seg = times[:count]
-        lo = int(seg.searchsorted(t0, side="left"))
-        hi = int(seg.searchsorted(t1, side=side))
-        return [(lo, hi)]
+        return [(seg.searchsorted(t0, side="left"), seg.searchsorted(t1, side=side))]
     seg1, seg2 = times[head:], times[:head]
     return [
-        (head + int(seg1.searchsorted(t0, side="left")),
-         head + int(seg1.searchsorted(t1, side=side))),
-        (int(seg2.searchsorted(t0, side="left")),
-         int(seg2.searchsorted(t1, side=side))),
+        (head + seg1.searchsorted(t0, side="left"), head + seg1.searchsorted(t1, side=side)),
+        (seg2.searchsorted(t0, side="left"), seg2.searchsorted(t1, side=side)),
     ]
 
 
 def ring_gather(arr: np.ndarray, ranges: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """Copy the selected index ranges of one ring array, in order."""
-    parts = [arr[lo:hi] for lo, hi in ranges if hi > lo]
+    """Copy the selected index ranges of a ring (its last axis), in order."""
+    parts = [arr[..., lo:hi] for lo, hi in ranges if hi > lo]
     if not parts:
-        return np.empty(0, dtype=arr.dtype)
+        return np.empty(arr.shape[:-1] + (0,), dtype=arr.dtype)
     if len(parts) == 1:
         return parts[0].copy()
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
-def segment_notify_columns(
-    seg_ids: np.ndarray,
-    times: np.ndarray,
-    values: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compact listener columns ``(ids, times, values)`` for segment rows.
+def segment_rows(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Row indices of segments ``[starts[j], starts[j] + lens[j])``, back
+    to back in segment order."""
+    idx = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    idx += np.arange(idx.size)
+    return idx
 
-    Segments select rows ``[starts[j], ends[j])`` of shared columns;
-    the result repeats each segment's id over its rows and gathers the
-    rows into dense arrays — the shape ingest listeners (and the
-    parallel shard tier's task payloads) consume.
+
+class _RingChunk:
+    """Ring storage of one contiguous series-index range ``[first, first+n)``:
+    the cells, then one per-series vector per entry of ``vectors``."""
+
+    def __init__(self, first, block, n, n_cols, capacity, vectors, fresh) -> None:
+        self.first = first
+        cells = n * n_cols * capacity
+        #: ``(series, column, ring slot)``: a series' rings are adjacent,
+        #: so one series' window is a single 2-D slice
+        self.rows = block[:cells].reshape(n, n_cols, capacity)
+        #: the same cells as one ``(series, ring slot)`` view per column
+        self.cols = [self.rows[:, k, :] for k in range(n_cols)]
+        for k, (name, dtype, fill) in enumerate(vectors):
+            vec = block[cells + k * n:cells + (k + 1) * n].view(dtype)
+            if fresh:
+                vec[:] = fill
+            setattr(self, name, vec)
+
+
+class DenseRings:
+    """Fixed-capacity rings of many series in dense blocks.
+
+    Every series owns one ring per column (overwrite-oldest, the last
+    ``capacity`` rows are retained) written at a common ``head``, plus
+    one slot in each per-series vector: ``head`` (next ring slot),
+    ``count`` (valid rows) and whatever ``vectors`` adds as ``(name,
+    dtype, initial value)``.  Series are addressed by a dense index;
+    storage grows by whole chunks of consecutive indices
+    (:meth:`add_chunk`), never by copy or zero-fill, so resident pages
+    follow the rows actually written.  The vector operations take
+    indices **sorted ascending**.
     """
-    lens = ends - starts
-    idx = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
-    idx += np.arange(int(lens.sum()))
-    return np.repeat(seg_ids, lens), times[idx], values[idx]
+
+    def __init__(self, capacity: int, n_cols: int, vectors: Sequence[Tuple] = ()) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = int(capacity)
+        self._n_cols = n_cols
+        self._vectors = (("head", np.int64, 0), ("count", np.int64, 0)) + tuple(vectors)
+        self._dtypes = {name: dtype for name, dtype, _ in self._vectors}
+        self._chunks: List[_RingChunk] = []
+        #: exclusive end index of each chunk, ascending
+        self._ends: List[int] = []
+        #: series indices ``[0, n_series)`` have storage
+        self.n_series = 0
+
+    def block_size(self, n: int) -> int:
+        """Float64 slots one chunk of ``n`` series needs."""
+        return n * (self._n_cols * self.capacity + len(self._vectors))
+
+    def add_chunk(self, block: np.ndarray, n: int, *, fresh: bool) -> None:
+        """Back the next ``n`` series indices with ``block``.
+
+        ``fresh`` initialises the per-series vectors (the creating side);
+        a process attaching storage another one created must not.
+        """
+        self._chunks.append(
+            _RingChunk(self.n_series, block, n, self._n_cols, self.capacity, self._vectors, fresh)
+        )
+        self.n_series += n
+        self._ends.append(self.n_series)
+
+    def __len__(self) -> int:
+        return sum(int(chunk.count.sum()) for chunk in self._chunks)
+
+    # ---------------------------------------------------------- scalar reads
+    def _locate(self, idx: int) -> Optional[Tuple[_RingChunk, int]]:
+        if not 0 <= idx < self.n_series:
+            return None
+        chunk = self._chunks[bisect_right(self._ends, idx)]
+        return chunk, idx - chunk.first
+
+    # ------------------------------------------------------ vector operations
+    def _split(self, ids: np.ndarray):
+        """``(chunk, lo, hi)`` for every chunk the sorted ``ids`` touch."""
+        if len(self._chunks) == 1:
+            if ids.size:
+                yield self._chunks[0], 0, ids.size
+            return
+        lo = 0
+        for chunk, hi in zip(self._chunks, np.searchsorted(ids, self._ends).tolist()):
+            if hi > lo:
+                yield chunk, lo, hi
+            lo = hi
+
+    def take(self, name: str, ids: np.ndarray) -> np.ndarray:
+        """Per-series vector ``name`` at ``ids``."""
+        if len(self._chunks) == 1:
+            return getattr(self._chunks[0], name)[ids]
+        out = np.empty(ids.size, dtype=self._dtypes[name])
+        for chunk, lo, hi in self._split(ids):
+            out[lo:hi] = getattr(chunk, name)[ids[lo:hi] - chunk.first]
+        return out
+
+    def put(self, name: str, ids: np.ndarray, values) -> None:
+        """Store ``values`` (array or scalar) into vector ``name`` at ``ids``."""
+        per_id = np.ndim(values) > 0
+        for chunk, lo, hi in self._split(ids):
+            getattr(chunk, name)[ids[lo:hi] - chunk.first] = values[lo:hi] if per_id else values
+
+    def gather(
+        self, ids: np.ndarray, slots: np.ndarray, columns: Sequence[int]
+    ) -> List[np.ndarray]:
+        """Ring cells ``(ids[i], slots[i])`` of the selected columns."""
+        out = [np.empty(ids.size, dtype=np.float64) for _ in columns]
+        for chunk, lo, hi in self._split(ids):
+            local = ids[lo:hi] - chunk.first
+            for dst, k in zip(out, columns):
+                dst[lo:hi] = chunk.cols[k][local, slots[lo:hi]]
+        return out
+
+    def append_rows(self, ids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray]) -> List:
+        """Append ``counts[i] >= 1`` time-ordered rows to series ``ids[i]``.
+
+        ``cols`` holds the rows of all series back to back, one array
+        per column.  Ring semantics per series: rows continue at
+        ``head`` and wrap; a series receiving ``capacity`` or more rows
+        keeps only the last ``capacity``, laid out from slot 0.  Cells
+        are written before ``head``/``count`` publish them.  Returns the
+        chunks written as ``(chunk, indices within it, lo, hi)``, the
+        latter the positions in ``ids``, for a caller with per-series
+        vectors of its own to update.
+        """
+        cap = self.capacity
+        one_each = cols[0].size == ids.size and cap > 1  # the streamed-telemetry commit
+        ends = None if one_each else np.cumsum(counts)
+        written = []
+        for chunk, lo, hi in self._split(ids):
+            local = ids[lo:hi] - chunk.first
+            written.append((chunk, local, lo, hi))
+            head = chunk.head[local]
+            keep = None
+            if one_each:
+                n, r0, r1, at, slots, new_head = 1, lo, hi, local, head, (head + 1) % cap
+            else:
+                n = counts[lo:hi]
+                r0, r1 = int(ends[lo] - n[0]), int(ends[hi - 1])
+                whole = n >= cap
+                seg = np.repeat(np.arange(hi - lo), n)
+                rank = np.arange(r1 - r0) - np.repeat(ends[lo:hi] - n - r0, n)
+                slots = np.where(whole, cap - n, head)[seg] + rank
+                if whole.any():
+                    keep = slots >= 0  # leading rows of a whole-ring write fall off
+                    seg, slots = seg[keep], slots[keep]
+                slots %= cap
+                at = local[seg]
+                new_head = np.where(whole, 0, (head + n) % cap)
+            for dst, src in zip(chunk.cols, cols):
+                dst[at, slots] = src[r0:r1] if keep is None else src[r0:r1][keep]
+            chunk.head[local] = new_head
+            chunk.count[local] = np.minimum(chunk.count[local] + n, cap)
+        return written
+
+
+class RawRings:
+    """The raw ``(time, value)`` rings of one store, addressed by series id.
+
+    One :class:`DenseRings` per ring capacity in use (per-metric
+    capacity overrides); series ``sid`` owns row ``_row[sid]`` of the
+    rings of capacity ``_cap[sid]``, rows handed out in creation order.
+    Beside ``head``/``count`` each row records the samples ever
+    ``written`` to it, its ``last`` (newest) timestamp — the append
+    order check reads this dense vector, not the rings — and the ``sid``
+    it belongs to, so a process that maps the announced blocks
+    (:meth:`attach`) rebuilds the addressing from the storage alone
+    (:meth:`refresh`) — the pool workers' view.  Exactly one process
+    writes: the one that allocates.
+    """
+
+    VECTORS = (("written", np.int64, 0), ("last", np.float64, -np.inf), ("sid", np.int64, -1))
+
+    def __init__(
+        self,
+        alloc: Optional[Allocator] = heap_alloc,
+        announce: Optional[Callable[[Tuple], None]] = None,
+    ) -> None:
+        self._alloc = alloc
+        self._announce = announce
+        #: rings by capacity
+        self.classes: Dict[int, DenseRings] = {}
+        #: rows handed out (owner) / mapped (attached view) per capacity
+        self._used: Dict[int, int] = {}
+        #: every block so far as ``(capacity, first row, rows, descriptor)``
+        #: — the arguments of :meth:`attach`, in order
+        self.blocks: List[Tuple] = []
+        self._cap = np.zeros(0, dtype=np.int64)  # ring capacity per sid; 0 = no ring
+        self._row = np.zeros(0, dtype=np.int64)
+        self._len = 0  # one past the highest series id with a ring
+        self._located: Dict[int, Tuple[_RingChunk, int]] = {}  # scalar-access memo
+        self.n_series = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    # ------------------------------------------------------------- addressing
+    def _reserve(self, n: int) -> None:
+        """Make series ids ``[0, n)`` addressable."""
+        if n > self._cap.size:
+            grown = np.zeros(max(64, 2 * self._cap.size, n), dtype=np.int64)
+            grown[: self._cap.size] = self._cap
+            self._cap = grown
+            self._row = np.resize(self._row, grown.size)
+
+    def capacities(self, sids: np.ndarray) -> np.ndarray:
+        """Ring capacity of each of the ascending ``sids``; 0 = no ring yet."""
+        self._reserve(int(sids[-1]) + 1)
+        return self._cap[sids]
+
+    def _bind(self, sids: np.ndarray, capacity: int, rows: np.ndarray) -> None:
+        top = int(sids.max()) + 1
+        self._reserve(top)
+        self._cap[sids] = capacity
+        self._row[sids] = rows
+        self._used[capacity] = int(rows[-1]) + 1
+        self._len = max(self._len, top)
+        self.n_series += sids.size
+
+    def _rings_of(self, capacity: int) -> DenseRings:
+        ring = self.classes.get(capacity)
+        if ring is None:
+            ring = self.classes[capacity] = DenseRings(capacity, 2, self.VECTORS)
+        return ring
+
+    def create(self, sids: np.ndarray, capacity: int) -> None:
+        """Give each of ``sids`` an empty ring of ``capacity`` slots.
+
+        Storage grows by chunks of ``max(64, have, need)`` rows — at
+        least doubling, so a store holds O(log n) of them — each
+        announced once as ``(capacity, first row, rows, descriptor)``.
+        """
+        ring = self._rings_of(capacity)
+        used = self._used.get(capacity, 0)
+        have = ring.n_series
+        if used + sids.size > have:
+            n = max(64, have, used + sids.size - have)
+            block, desc = self._alloc(ring.block_size(n))
+            ring.add_chunk(block, n, fresh=True)
+            self.blocks.append((capacity, have, n, desc))
+            if self._announce is not None:
+                self._announce(self.blocks[-1])
+        rows = np.arange(used, used + sids.size)
+        ring.put("sid", rows, sids)
+        self._bind(sids, capacity, rows)
+
+    def attach(self, capacity: int, first: int, n: int, block: np.ndarray) -> None:
+        """Map a block another process created.  Idempotent: a block
+        starting below the rows already mapped is skipped, so an
+        announcement may be delivered more than once; blocks must
+        otherwise arrive in order."""
+        ring = self._rings_of(capacity)
+        if first < ring.n_series:
+            return
+        if first > ring.n_series:
+            raise ValueError(f"ring block at {first} leaves a gap after {ring.n_series}")
+        ring.add_chunk(block, n, fresh=False)
+
+    def refresh(self) -> None:
+        """Address the rows the owner has handed out since the last call
+        (an attached view; rows are handed out in order)."""
+        for capacity, ring in self.classes.items():
+            used = self._used.get(capacity, 0)
+            if used < ring.n_series:
+                rows = np.arange(used, ring.n_series)
+                sids = ring.take("sid", rows)
+                n = int(np.count_nonzero(sids >= 0))
+                if n:
+                    self._bind(sids[:n], capacity, rows[:n])
+
+    def sids(self) -> np.ndarray:
+        """Every series id with a ring, ascending."""
+        return np.flatnonzero(self._cap[: self._len])
+
+    def _at(self, sid: int) -> Optional[Tuple[_RingChunk, int]]:
+        loc = self._located.get(sid)
+        if loc is None and 0 <= sid < self._len and self._cap.item(sid):
+            loc = self.classes[self._cap.item(sid)]._locate(self._row.item(sid))
+            self._located[sid] = loc  # rows never move
+        return loc
+
+    # ---------------------------------------------------------------- writing
+    def push(self, sid: int, t: float, v: float) -> bool:
+        """Append one sample to the ring of ``sid``; False if it has none."""
+        loc = self._at(sid)
+        if loc is None:
+            return False
+        chunk, i = loc
+        if t < chunk.last.item(i):
+            raise ValueError(f"out-of-order append: t={t} < last={chunk.last.item(i)}")
+        head, capacity = chunk.head.item(i), chunk.rows.shape[2]
+        chunk.cols[0][i, head] = t
+        chunk.cols[1][i, head] = v
+        chunk.head[i] = (head + 1) % capacity
+        chunk.count[i] = min(chunk.count.item(i) + 1, capacity)
+        chunk.written[i] = chunk.written.item(i) + 1
+        chunk.last[i] = t
+        return True
+
+    def extend(self, sid: int, times: np.ndarray, values: np.ndarray) -> bool:
+        """Append one series' time-sorted samples; False if it has no ring."""
+        loc = self._at(sid)
+        if loc is None:
+            return False
+        chunk, i = loc
+        if times[0] < chunk.last.item(i):
+            raise ValueError("bulk append overlaps existing data")
+        chunk.head[i], chunk.count[i] = ring_extend(
+            chunk.rows[i], chunk.head.item(i), chunk.count.item(i), (times, values)
+        )
+        chunk.written[i] = chunk.written.item(i) + times.size
+        chunk.last[i] = times[-1]
+        return True
+
+    def append(self, sids: np.ndarray, lens: np.ndarray, times: np.ndarray,
+               values: np.ndarray) -> None:
+        """The batch write: ``lens[j] > 0`` time-sorted samples, back to
+        back in ``times``/``values``, onto the ring of each of the
+        ascending distinct ``sids`` (all created).  A series' new
+        samples may not start before its last retained one; that is
+        checked for every series before anything is written."""
+        if len(self.classes) == 1:
+            parts = [(next(iter(self.classes.values())), self._row[sids], lens, times, values)]
+        else:
+            caps = self._cap[sids]
+            parts = []
+            for capacity in np.unique(caps).tolist():
+                pick = caps == capacity
+                rows = np.repeat(pick, lens)
+                parts.append((self.classes[capacity], self._row[sids[pick]], lens[pick],
+                              times[rows], values[rows]))
+        for k, (ring, rows, n, t, v) in enumerate(parts):
+            if len(ring._chunks) > 1 and (rows[1:] < rows[:-1]).any():
+                # rows follow creation order, not series id: chunk walks need them sorted
+                order = np.argsort(rows)
+                idx = segment_rows((np.cumsum(n) - n)[order], n[order])
+                rows, n, t, v = rows[order], n[order], t[idx], v[idx]
+            if t.size == rows.size:  # one sample each
+                first = newest = t
+            else:
+                ends = np.cumsum(n)
+                first, newest = t[ends - n], t[ends - 1]
+            if (first < ring.take("last", rows)).any():
+                raise ValueError("bulk append overlaps existing data")
+            parts[k] = (ring, rows, n, t, v, newest)
+        for ring, rows, n, t, v, newest in parts:
+            for chunk, local, lo, hi in ring.append_rows(rows, n, (t, v)):
+                chunk.written[local] += n[lo:hi]
+                chunk.last[local] = newest[lo:hi]
+
+    # ---------------------------------------------------------------- reading
+    def count(self, sid: int) -> int:
+        """Samples retained for ``sid`` (0 without a ring)."""
+        loc = self._at(sid)
+        return 0 if loc is None else loc[0].count.item(loc[1])
+
+    def earliest_time(self, sid: int) -> Optional[float]:
+        """Oldest retained timestamp, O(1); ``None`` when empty."""
+        loc = self._at(sid)
+        if loc is None:
+            return None
+        chunk, i = loc
+        count = chunk.count.item(i)
+        if count == 0:
+            return None
+        times = chunk.rows[i, 0]
+        return float(times[chunk.head.item(i) if count == times.size else 0])
+
+    def latest(self, sid: int) -> Optional[Tuple[float, float]]:
+        """Newest retained ``(time, value)``; ``None`` when empty."""
+        loc = self._at(sid)
+        if loc is None or loc[0].count.item(loc[1]) == 0:
+            return None
+        chunk, i = loc
+        t, v = chunk.rows[i, :, chunk.head.item(i) - 1].tolist()
+        return t, v
+
+    def window(self, sid: int, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Points with ``t0 <= t <= t1`` in time order; empty arrays
+        when the series is absent.  Copies only the selected span —
+        window queries are the hottest read path in the store."""
+        loc = self._at(sid)
+        if loc is None:
+            return np.empty(0), np.empty(0)
+        chunk, i = loc
+        times, values = chunk.cols[0][i], chunk.cols[1][i]
+        ranges = ring_window_ranges(
+            times, chunk.head.item(i), chunk.count.item(i), t0, t1, right_inclusive=True
+        )
+        return ring_gather(times, ranges), ring_gather(values, ranges)
+
+    def retained(self, sid: int) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """All retained points in time order, and whether older ones
+        have been overwritten."""
+        times, values = self.window(sid, -np.inf, np.inf)
+        loc = self._at(sid)
+        return times, values, loc is not None and loc[0].written.item(loc[1]) > times.size
 
 
 _AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
@@ -145,7 +553,7 @@ _AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
 
 
 class RingBuffer:
-    """Fixed-capacity (timestamp, value) ring buffer.
+    """Fixed-capacity (timestamp, value) ring buffer of a single series.
 
     Timestamps must be appended in non-decreasing order (the collection
     pipeline guarantees arrival-order per series); violating this raises,
@@ -154,29 +562,12 @@ class RingBuffer:
 
     __slots__ = ("capacity", "_times", "_values", "_head", "_count", "_written")
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        times: Optional[np.ndarray] = None,
-        values: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        if times is None:
-            times = np.empty(self.capacity, dtype=np.float64)
-        if values is None:
-            values = np.empty(self.capacity, dtype=np.float64)
-        if times.shape != (self.capacity,) or values.shape != (self.capacity,):
-            raise ValueError("preallocated ring arrays must be 1-D of length capacity")
-        # Buffer-relocatable layout: the ring never reallocates or aliases
-        # beyond these two arrays, so callers may back them with any
-        # float64 storage — including multiprocessing shared memory (see
-        # repro.shard.parallel.SharedRingBuffer) — and the ring works
-        # unchanged from any process mapping the same buffers.
-        self._times = times
-        self._values = values
+        self._times = np.empty(self.capacity, dtype=np.float64)
+        self._values = np.empty(self.capacity, dtype=np.float64)
         self._head = 0  # next write position
         self._count = 0  # valid entries
         self._written = 0  # total appends ever
@@ -202,56 +593,15 @@ class RingBuffer:
 
     def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Bulk append of already-sorted arrays."""
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if times.shape != values.shape:
-            raise ValueError("times and values must have the same shape")
+        times, values = _checked_series(times, values)
         if times.size == 0:
             return
-        if np.any(np.diff(times) < 0):
-            raise ValueError("bulk append requires sorted timestamps")
         if self._count and times[0] < self.last_time():
             raise ValueError("bulk append overlaps existing data")
         self._head, self._count = ring_extend(
             (self._times, self._values), self._head, self._count, (times, values)
         )
         self._written += times.size
-
-    def _extend_sorted(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Hot-path bulk append for pre-validated float64 arrays.
-
-        The caller (``TimeSeriesStore.append_batch``) has already sorted
-        the segment and checked dtype/shape, so only the cross-call
-        overlap invariant is enforced here.  The two-array ring write is
-        inlined: per-series segments in a commit are typically a handful
-        of points, and the generic :func:`ring_extend` list/zip plumbing
-        would dominate the cost at that size.
-        """
-        n = times.size
-        if n == 0:
-            return
-        if self._count and times[0] < self._times[(self._head - 1) % self.capacity]:
-            raise ValueError("bulk append overlaps existing data")
-        capacity = self.capacity
-        head = self._head
-        if n >= capacity:
-            self._times[:] = times[-capacity:]
-            self._values[:] = values[-capacity:]
-            self._head, self._count = 0, capacity
-        else:
-            end = head + n
-            if end <= capacity:
-                self._times[head:end] = times
-                self._values[head:end] = values
-            else:
-                split = capacity - head
-                self._times[head:] = times[:split]
-                self._values[head:] = values[:split]
-                self._times[: end % capacity] = times[split:]
-                self._values[: end % capacity] = values[split:]
-            self._head = end % capacity
-            self._count = min(self._count + n, capacity)
-        self._written += n
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """All stored points in time order as ``(times, values)`` copies."""
@@ -281,14 +631,24 @@ class RingBuffer:
     def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
         """Points with ``t0 <= t <= t1`` in time order.
 
-        Copies only the selected span, not the whole buffer — window
-        queries are the hottest read path in the store, and narrow
+        Copies only the selected span, not the whole buffer — narrow
         windows (loop observations, rollup tails) should cost O(answer).
         """
         ranges = ring_window_ranges(
             self._times, self._head, self._count, t0, t1, right_inclusive=True
         )
         return ring_gather(self._times, ranges), ring_gather(self._values, ranges)
+
+
+def _checked_series(times, values) -> Tuple[np.ndarray, np.ndarray]:
+    """One series' bulk-append columns as float64, shape- and order-checked."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if times.shape != values.shape:
+        raise ValueError("times and values must have the same shape")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("bulk append requires sorted timestamps")
+    return times, values
 
 
 @dataclass
@@ -315,12 +675,14 @@ class SeriesStats:
 
 
 class TimeSeriesStore:
-    """Map of :class:`SeriesKey` → :class:`RingBuffer` with query helpers.
+    """:class:`SeriesKey`-addressed raw rings with query helpers.
 
     The store owns the :class:`~repro.telemetry.batch.SeriesRegistry`
     that interns keys to dense integer ids — the columnar pipeline moves
-    ``series_ids`` arrays and resolves keys only here, on commit.  Every
-    write path (scalar, per-series bulk, columnar batch) additionally:
+    ``series_ids`` arrays and resolves keys only here, when a series is
+    first written — and the :class:`RawRings` (:attr:`rings`) those ids
+    address.  Every write path (scalar, per-series bulk, columnar batch)
+    additionally:
 
     * bumps a per-metric **write epoch** (used by the query layer to
       version-key cached results, so a commit inside a cached window
@@ -328,24 +690,29 @@ class TimeSeriesStore:
     * notifies registered **ingest listeners** with the committed
       columns, which is how rollup folding consumes new data without
       rescanning raw rings.
+
+    ``rings`` relocates ring storage (shared memory for the
+    process-parallel shard tier); the bookkeeping here is unchanged.
     """
 
-    def __init__(self, default_capacity: int = 4096) -> None:
+    def __init__(self, default_capacity: int = 4096, *, rings: Optional[RawRings] = None) -> None:
         if default_capacity <= 0:
             raise ValueError("default_capacity must be positive")
         self.default_capacity = int(default_capacity)
         self.registry = SeriesRegistry()
-        self._series: Dict[SeriesKey, RingBuffer] = {}
-        #: series id → (buffer, metric) cache so the columnar commit path
-        #: hashes a small int instead of a SeriesKey per segment
-        self._id_buffers: Dict[int, Tuple[RingBuffer, str]] = {}
+        self.rings = rings if rings is not None else RawRings()
         self._capacity_overrides: Dict[str, int] = {}
-        self._metric_epoch: Dict[str, int] = {}
+        #: metric -> dense index into the write epochs; series id -> the
+        #: same index, so a commit bumps its touched metrics as array ops
+        self._metric_index: Dict[str, int] = {}
+        self._epochs = np.zeros(8, dtype=np.int64)
+        self._metric_of = np.zeros(0, dtype=np.int64)
         #: per-metric sorted-key index + generation counter: loop-style
         #: readers issue the same selection every tick, so key listing
         #: and matcher evaluation must not rescan the whole series map
         self._metric_keys: Dict[str, List[SeriesKey]] = {}
         self._metric_keys_dirty: set = set()
+        self._metric_sids: Dict[str, List[int]] = {}  # in creation order
         self._metric_gen: Dict[str, int] = {}
         self._listeners: List[IngestListener] = []
         self.total_inserts = 0
@@ -368,42 +735,54 @@ class TimeSeriesStore:
 
     def metric_epoch(self, metric: str) -> int:
         """Monotone counter bumped by every write touching ``metric``."""
-        return self._metric_epoch.get(metric, 0)
+        idx = self._metric_index.get(metric)
+        return 0 if idx is None else int(self._epochs[idx])
 
-    def _make_buffer(self, key: SeriesKey, capacity: int) -> RingBuffer:
-        """Allocate the ring buffer backing a new series.
-
-        Subclasses override this to relocate ring storage (e.g. into
-        shared memory for the process-parallel shard tier) without
-        touching the interning/epoch bookkeeping in :meth:`_buffer`.
-        """
-        return RingBuffer(capacity)
-
-    def _buffer(self, key: SeriesKey) -> RingBuffer:
-        buf = self._series.get(key)
-        if buf is None:
-            cap = self._capacity_overrides.get(key.metric, self.default_capacity)
-            buf = self._make_buffer(key, cap)
-            self._series[key] = buf
+    def _admit(self, sids: np.ndarray) -> None:
+        """First write of each of the ascending ``sids``: create its ring
+        and enter it into the per-metric indexes."""
+        if sids[-1] >= self._metric_of.size:
+            self._metric_of = np.resize(
+                self._metric_of, max(64, 2 * self._metric_of.size, len(self.registry))
+            )
+        by_capacity: Dict[int, List[int]] = {}
+        for sid in sids.tolist():
+            key = self.registry.key_for(sid)
             metric = key.metric
+            idx = self._metric_index.get(metric)
+            if idx is None:
+                idx = self._metric_index[metric] = len(self._metric_index)
+                if idx == self._epochs.size:
+                    self._epochs = np.concatenate((self._epochs, np.zeros_like(self._epochs)))
+            self._metric_of[sid] = idx
             self._metric_keys.setdefault(metric, []).append(key)
             self._metric_keys_dirty.add(metric)
+            self._metric_sids.setdefault(metric, []).append(sid)
             self._metric_gen[metric] = self._metric_gen.get(metric, 0) + 1
-        return buf
-
-    def _buffer_for_id(self, sid: int) -> Tuple[RingBuffer, str]:
-        """Resolve and cache the ``(buffer, metric)`` entry for a series id."""
-        key = self.registry.key_for(sid)
-        entry = (self._buffer(key), key.metric)
-        self._id_buffers[sid] = entry
-        return entry
+            capacity = self._capacity_overrides.get(metric, self.default_capacity)
+            by_capacity.setdefault(capacity, []).append(sid)
+        for capacity, group in by_capacity.items():
+            self.rings.create(np.array(group, dtype=np.int64), capacity)
 
     # --------------------------------------------------------------- writing
-    def _record_commit(self, metrics: Iterable[str]) -> None:
-        """Bump the write epoch of every touched metric."""
-        epochs = self._metric_epoch
-        for metric in metrics:
-            epochs[metric] = epochs.get(metric, 0) + 1
+    def _commit(self, sids: np.ndarray, lens: np.ndarray, times: np.ndarray,
+                values: np.ndarray) -> None:
+        """The one batch write behind every bulk entry: ``lens[j] > 0``
+        time-sorted samples, back to back in ``times``/``values``, for
+        each of the ascending distinct ``sids``.  The columns pass to
+        the ingest listeners as they are.  Rings first, then epochs,
+        then listeners."""
+        if sids[0] < 0 or sids[-1] >= len(self.registry):
+            raise IndexError("series id not interned in this store's registry")
+        if self.rings.n_series < len(self.registry):  # some id has no ring: one of these?
+            capacities = self.rings.capacities(sids)
+            if not capacities.all():
+                self._admit(sids[capacities == 0])
+        self.rings.append(sids, lens, times, values)
+        self.total_inserts += times.size
+        self._epochs[self._metric_of[sids]] += 1  # once per distinct metric
+        if self._listeners:
+            self._notify(sids if times.size == sids.size else np.repeat(sids, lens), times, values)
 
     def _notify(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
         """Deliver committed columns to every ingest listener."""
@@ -411,33 +790,34 @@ class TimeSeriesStore:
             listener(ids, times, values)
 
     def insert(self, key: SeriesKey, t: float, value: float) -> None:
-        self._buffer(key).append(t, value)
+        sid = self.registry.id_for(key)
+        if not self.rings.push(sid, t, value):
+            self._admit(np.array([sid], dtype=np.int64))
+            self.rings.push(sid, t, value)
         self.total_inserts += 1
-        self._record_commit((key.metric,))
+        self._epochs[self._metric_of.item(sid)] += 1
         if self._listeners:
             self._notify(
-                np.array([self.registry.id_for(key)], dtype=np.int64),
+                np.array([sid], dtype=np.int64),
                 np.array([t], dtype=np.float64),
                 np.array([value], dtype=np.float64),
             )
 
     def insert_batch(self, key: SeriesKey, times: np.ndarray, values: np.ndarray) -> None:
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        self._buffer(key).extend(times, values)
-        self.total_inserts += int(times.size)
+        times, values = _checked_series(times, values)
         if times.size == 0:
             return
-        self._record_commit((key.metric,))
+        sid = self.registry.id_for(key)
+        if not self.rings.extend(sid, times, values):
+            self._admit(np.array([sid], dtype=np.int64))
+            self.rings.extend(sid, times, values)
+        self.total_inserts += int(times.size)
+        self._epochs[self._metric_of.item(sid)] += 1
         if self._listeners:
             # copies, not the caller's arrays: listeners may buffer the
             # columns past this call (rollup folds), and the caller is
             # free to reuse its scratch arrays afterwards
-            self._notify(
-                np.full(times.size, self.registry.id_for(key), dtype=np.int64),
-                times.copy(),
-                values.copy(),
-            )
+            self._notify(np.full(times.size, sid, dtype=np.int64), times.copy(), values.copy())
 
     def append_batch(
         self,
@@ -448,35 +828,21 @@ class TimeSeriesStore:
         """Columnar bulk commit: rows for many series in one call.
 
         Rows may arrive in any order; one stable ``lexsort`` groups them
-        by series id with per-series time order, then each series gets a
-        single bulk ring extend — the per-sample cost is a few NumPy
-        slice writes, not a Python call per point.  Ids must come from
-        this store's :attr:`registry`.
+        by series id with per-series time order, then every series' rows
+        land in one vectorised ring scatter — no Python work per series
+        or per point.  Ids must come from this store's :attr:`registry`.
         """
         series_ids = np.asarray(series_ids, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        n = series_ids.size
         if not (series_ids.shape == times.shape == values.shape):
             raise ValueError("series_ids, times, values must be parallel 1-D arrays")
-        if n == 0:
+        if series_ids.size == 0:
             return
         ids_s, times_s, values_s, starts, ends = sort_series_columns(
             series_ids, times, values
         )
-        touched_metrics = set()
-        id_buffers = self._id_buffers
-        for sid, lo, hi in zip(ids_s[starts].tolist(), starts.tolist(), ends.tolist()):
-            entry = id_buffers.get(sid)
-            if entry is None:
-                entry = self._buffer_for_id(sid)
-            buf, metric = entry
-            buf._extend_sorted(times_s[lo:hi], values_s[lo:hi])
-            touched_metrics.add(metric)
-        self.total_inserts += int(n)
-        self._record_commit(touched_metrics)
-        if self._listeners:
-            self._notify(ids_s, times_s, values_s)
+        self._commit(ids_s[starts], ends - starts, times_s, values_s)
 
     def append_segments(
         self,
@@ -486,77 +852,33 @@ class TimeSeriesStore:
         starts: np.ndarray,
         ends: np.ndarray,
     ) -> None:
-        """Trusted commit of pre-sorted per-series segments.
-
-        ``times``/``values`` are shared columns; rows ``[starts[j],
-        ends[j])`` belong to series ``seg_ids[j]`` and are time-sorted
-        (the :func:`~repro.telemetry.batch.sort_series_columns`
-        contract).  This is the shard-router entry: the facade sorts a
-        batch once, then hands each shard only its segments — no
-        per-shard re-sort.  Segments must be ordered by series id and
-        ids must come from this store's :attr:`registry`.
+        """Trusted commit of pre-sorted per-series segments of shared
+        columns — the shard router's entry: rows ``[starts[j], ends[j])``
+        of ``times``/``values`` belong to series ``seg_ids[j]`` and are
+        time-sorted (the
+        :func:`~repro.telemetry.batch.sort_series_columns` contract).
+        Segments must be ordered by series id (distinct) and ids must
+        come from this store's :attr:`registry`; empty segments write
+        nothing.  Segments lying back to back are committed in place
+        (the ingest listeners may keep those rows: leave them alone
+        afterwards), any others are gathered first.
         """
-        n = 0
-        touched_metrics = set()
-        id_buffers = self._id_buffers
-        for sid, lo, hi in zip(seg_ids.tolist(), starts.tolist(), ends.tolist()):
-            entry = id_buffers.get(sid)
-            if entry is None:
-                entry = self._buffer_for_id(sid)
-            buf, metric = entry
-            # Inlined RingBuffer._extend_sorted: this loop is the router's
-            # per-commit floor (one iteration per live series), and at
-            # 4096-series cardinality the helper's call overhead alone
-            # costs ~10% of commit wall time — the margin of the E16
-            # no-regression gate.  Invariants must match _extend_sorted
-            # exactly; tests/shard/test_sharded_store.py pins the two
-            # implementations to bit-identical stores, including the
-            # wraparound cases.
-            seg_t = times[lo:hi]
-            seg_n = hi - lo
-            count = buf._count
-            capacity = buf.capacity
-            if count and seg_t[0] < buf._times[(buf._head - 1) % capacity]:
-                raise ValueError("bulk append overlaps existing data")
-            seg_v = values[lo:hi]
-            head = buf._head
-            if seg_n >= capacity:
-                buf._times[:] = seg_t[-capacity:]
-                buf._values[:] = seg_v[-capacity:]
-                buf._head, buf._count = 0, capacity
-            else:
-                end = head + seg_n
-                if end <= capacity:
-                    buf._times[head:end] = seg_t
-                    buf._values[head:end] = seg_v
-                    buf._head = end % capacity
-                else:
-                    split = capacity - head
-                    buf._times[head:] = seg_t[:split]
-                    buf._values[head:] = seg_v[:split]
-                    buf._times[: end - capacity] = seg_t[split:]
-                    buf._values[: end - capacity] = seg_v[split:]
-                    buf._head = end - capacity
-                count += seg_n
-                buf._count = count if count < capacity else capacity
-            buf._written += seg_n
-            touched_metrics.add(metric)
-            n += seg_n
-        if n == 0:
-            return
-        self.total_inserts += n
-        self._record_commit(touched_metrics)
-        if self._listeners:
-            self._notify(*segment_notify_columns(seg_ids, times, values, starts, ends))
+        lens = ends - starts
+        if not lens.all():
+            seg_ids, starts, ends, lens = (a[lens > 0] for a in (seg_ids, starts, ends, lens))
+        if seg_ids.size:
+            back_to_back = (starts[1:] == ends[:-1]).all()
+            rows = slice(starts[0], ends[-1]) if back_to_back else segment_rows(starts, lens)
+            self._commit(seg_ids, lens, times[rows], values[rows])
 
     # --------------------------------------------------------------- reading
     def has(self, key: SeriesKey) -> bool:
-        buf = self._series.get(key)
-        return buf is not None and len(buf) > 0
+        sid = self.registry.get(key)
+        return sid is not None and self.rings.count(sid) > 0
 
     def series_keys(self, metric: Optional[str] = None) -> list[SeriesKey]:
         if metric is None:
-            return sorted(self._series, key=str)
+            return sorted((k for keys in self._metric_keys.values() for k in keys), key=str)
         keys = self._metric_keys.get(metric)
         if keys is None:
             return []
@@ -576,27 +898,23 @@ class TimeSeriesStore:
 
     def cardinality(self) -> int:
         """Number of distinct live series (the Section IV design concern)."""
-        return len(self._series)
+        return self.rings.n_series
 
     def latest(self, key: SeriesKey) -> Optional[Tuple[float, float]]:
-        buf = self._series.get(key)
-        if buf is None or len(buf) == 0:
-            return None
-        return buf.last_time(), buf.last_value()
+        sid = self.registry.get(key)
+        return None if sid is None else self.rings.latest(sid)
 
     def earliest_time(self, key: SeriesKey) -> Optional[float]:
         """Oldest retained timestamp of a series, O(1); None when empty."""
-        buf = self._series.get(key)
-        if buf is None or len(buf) == 0:
-            return None
-        return buf.first_time()
+        sid = self.registry.get(key)
+        return None if sid is None else self.rings.earliest_time(sid)
 
     def query(self, key: SeriesKey, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
         """Window query; empty arrays when the series is absent."""
-        buf = self._series.get(key)
-        if buf is None:
+        sid = self.registry.get(key)
+        if sid is None:
             return np.empty(0), np.empty(0)
-        return buf.window(t0, t1)
+        return self.rings.window(sid, t0, t1)
 
     def stats(self, key: SeriesKey, t0: float, t1: float) -> SeriesStats:
         _, values = self.query(key, t0, t1)
@@ -651,16 +969,15 @@ class TimeSeriesStore:
         t1: float,
         agg: str = "mean",
     ) -> Optional[float]:
-        """Aggregate all points of all series of one metric over a window."""
+        """Aggregate all points of all series of one metric over a window
+        (series pooled in creation order)."""
         try:
             fn = _AGGREGATORS[agg]
         except KeyError:
             raise ValueError(f"unknown aggregator {agg!r}") from None
         chunks = []
-        for key in self._series:
-            if key.metric != metric:
-                continue
-            _, values = self.query(key, t0, t1)
+        for sid in self._metric_sids.get(metric, ()):
+            _, values = self.rings.window(sid, t0, t1)
             if values.size:
                 chunks.append(values)
         if not chunks:

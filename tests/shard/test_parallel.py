@@ -5,8 +5,9 @@ the very same per-shard pass functions the serial loop runs and the
 gather is untouched, so results must equal serial federated execution
 exactly — for every worker count, for every query shape, with rollup
 tiers folded inside the workers, and across every degradation path
-(worker crash during append, scatter, or fold).  These tests pin all of
-that to the serial engine and the single-shard oracle, plus the
+(worker crash between commits, during a scatter, or inside a fold).
+These tests pin all of that to the serial engine and the single-shard
+oracle, plus the
 ``append_segments`` edge cases and the ``ClusterConfig(parallel=)``
 wiring.
 """
@@ -19,6 +20,7 @@ import pytest
 
 from repro.query import MetricQuery
 from repro.query.rollup import ROW_COLUMNS, CascadeFolder
+from repro.query.standing import StandingQueryEngine
 from repro.shard import (
     FederatedQueryEngine,
     ParallelFederatedQueryEngine,
@@ -26,6 +28,7 @@ from repro.shard import (
     ParallelShardedStore,
     ShardedTimeSeriesStore,
 )
+from repro.shard.parallel import WORKER_DIED
 from repro.telemetry.metric import SeriesKey
 
 from tests.query.test_property import random_query
@@ -100,7 +103,10 @@ def test_parallel_bit_identical_to_serial_across_worker_counts(workers, n_shards
             assert_bit_identical(got, orc.query(q, at=at))
         assert par.parallel_scatters > 0
         assert par.serial_fallbacks == 0
-        assert store.parallel_appends == len(data)
+        # the commits wrote the shared rings from the parent: the only
+        # dispatches were the scatters
+        assert store.serial_appends == 0
+        assert store.pool.dispatches == par.parallel_scatters
 
 
 def test_parallel_samples_and_rate_match_serial():
@@ -149,35 +155,131 @@ def test_parallel_rollup_folds_match_serial():
 # Worker-crash degradation
 
 
-def test_worker_crash_append_recovery_and_serial_fallback():
-    data = series_data(21, n_series=10)
-    halves = [
-        [(k, t[: t.size // 2], v[: v.size // 2]) for k, t, v in data],
-        [(k, t[t.size // 2:], v[v.size // 2:]) for k, t, v in data],
+@pytest.fixture
+def die_in_next_fold(tmp_path, monkeypatch):
+    """A kill switch forked workers inherit: while the returned flag file
+    exists, worker 0 dies inside its next fold — tier 0 written, the
+    cascade not."""
+    flag = tmp_path / "die-in-next-fold"
+    parent_pid = os.getpid()
+    cascade = CascadeFolder._fold_cascade
+
+    def dying_cascade(self, fine, coarse):
+        if (
+            os.getpid() != parent_pid
+            and multiprocessing.current_process().name.endswith("-0")
+            and flag.exists()
+        ):
+            flag.unlink()
+            os._exit(1)
+        return cascade(self, fine, coarse)
+
+    monkeypatch.setattr(CascadeFolder, "_fold_cascade", dying_cascade)
+    return flag
+
+
+STANDING_SHAPE = MetricQuery("m", agg="mean", range_s=400.0, step_s=50.0, group_by=("node",))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the in-fold kill switch is inherited through fork",
+)
+@pytest.mark.parametrize("where", ["queued", "in_fold"])
+@pytest.mark.parametrize("respawn", [True, False])
+def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_next_fold):
+    """The parent is the only writer of raw rings, so a worker can no
+    longer die mid-append; what it can take with it are the committed
+    columns forwarded for its folder and standing grids.  Worker 0 is
+    killed (``queued``) between commits, while those columns still wait
+    parent-side for the next dispatch, or (``in_fold``) inside the fold
+    dispatch that carries them.  Respawned or degraded, the rings, the
+    tiers and the standing answers end equal to the serial engine's."""
+    data = series_data(71, n_series=12, max_points=90)
+    cuts = [(t.size // 3, 2 * t.size // 3) for _, t, _ in data]
+    parts = [
+        [(k, t[:a], v[:a]) for (k, t, v), (a, b) in zip(data, cuts)],
+        [(k, t[a:b], v[a:b]) for (k, t, v), (a, b) in zip(data, cuts)],
+        [(k, t[b:], v[b:]) for (k, t, v), (a, b) in zip(data, cuts)],
     ]
-    reference = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-    fill_serial(reference, data)
-    with ParallelShardedStore(
-        n_shards=4, default_capacity=4096, workers=2, respawn=False
-    ) as store:
-        store.start_parallel()
-        fill_through_pool(store, halves[0])
-        store.pool.inject_crash(0)
-        # the next commit sees the dead worker: its shards' segments are
-        # re-applied by the parent against the same shared rings
-        fill_through_pool(store, halves[1])
-        assert store.pool.broken
-        assert store.append_recoveries > 0
-        assert store.serial_appends > 0  # post-crash commits run serially
+    serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
+    ser = FederatedQueryEngine.with_rollups(
+        serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
+    )
+    store = parallel_store(parts[0], 4, 2, resolutions=(10.0, 50.0), respawn=respawn)
+    prefix = store.pool.prefix
+    with store:
         par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        ser = FederatedQueryEngine(reference, enable_cache=False)
+        standing = StandingQueryEngine(par)
+        assert standing.register(STANDING_SHAPE)
+        fill_serial(serial_sharded, parts[0])
+        assert par.fold_rollups(HORIZON * 0.3) == ser.fold_rollups(HORIZON * 0.3)
+        dispatches = store.pool.dispatches
+        fill_through_pool(store, parts[1])
+        fill_serial(serial_sharded, parts[1])
+        # committed to the shared rings, forwarded columns waiting
+        assert store.pool.dispatches == dispatches
+        assert sum(store.pool._cols_rows) == sum(t.size for _, t, _ in parts[1])
+        if where == "queued":
+            store.pool.inject_crash(0)
+            assert par.fold_rollups(HORIZON * 0.6) == ser.fold_rollups(HORIZON * 0.6)
+        else:
+            die_in_next_fold.touch()
+            # rows the worker wrote before it died were never reported
+            assert par.fold_rollups(HORIZON * 0.6) <= ser.fold_rollups(HORIZON * 0.6)
+            assert not die_in_next_fold.exists()  # the worker did die inside the fold
+        if respawn:
+            assert store.pool.respawns_total == 1 and not store.pool.broken
+        else:
+            assert store.pool.broken
+        assert_tiers_byte_equal(par, ser, store)
+        fill_through_pool(store, parts[2])
+        fill_serial(serial_sharded, parts[2])
+        scatters = par.parallel_scatters
+        assert par.fold_rollups(HORIZON * 0.95) == ser.fold_rollups(HORIZON * 0.95)
+        assert_tiers_byte_equal(par, ser, store)
+        for key, _, _ in data:
+            pt, pv = store.query(key, -np.inf, np.inf)
+            st, sv = serial_sharded.query(key, -np.inf, np.inf)
+            assert pt.tobytes() == st.tobytes() and pv.tobytes() == sv.tobytes()
         rng = np.random.default_rng(3)
         for _ in range(8):
             q = random_query(rng)
             at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
             assert_bit_identical(par.query(q, at=at), ser.query(q, at=at))
-        assert par.serial_fallbacks > 0
-        assert par.parallel_scatters == 0
+        # (against the raw scan: the commits above trail the folds, so the
+        # tiers have dropped late samples that standing state keeps)
+        raw = FederatedQueryEngine(serial_sharded, enable_cache=False)
+        for at in (HORIZON * 0.7, HORIZON):
+            got = standing.query(STANDING_SHAPE, at=at)
+            want = raw.query(STANDING_SHAPE, at=at)
+            if respawn:  # the respawned worker's grids, rebuilt from the rings
+                assert got is not None and got.source == "standing"
+                assert len(got.series) == len(want.series)
+                for a, b in zip(got.series, want.series):
+                    assert a.labels == b.labels
+                    np.testing.assert_array_equal(a.times, b.times)
+                    np.testing.assert_allclose(a.values, b.values, rtol=1e-9, atol=1e-9)
+            else:  # no pool, no standing state: the hub falls back to the engine
+                assert got is None
+        stats = store.shard_stats()
+        if respawn:
+            assert par.parallel_scatters > scatters and par.serial_fallbacks == 0
+            assert store.serial_appends == 0  # every commit met a live pool
+            assert stats["pool_respawns_total"] == 1.0
+        else:
+            assert par.parallel_scatters == scatters and par.serial_fallbacks > 0
+            assert store.serial_appends == len(parts[2])  # the pool-down commits only
+        # every row committed while the pool was up either rode a dispatch
+        # that completed or is counted as lost with worker 0: what the
+        # fatal fold dispatch carried for the shards that worker owns
+        live = parts[0] + parts[1] + (parts[2] if respawn else [])
+        lost = [t.size for k, t, _ in parts[1] if store.pool.worker_of(store.shard_index(k)) == 0]
+        assert stats["cols_dropped_rows"] == float(sum(lost)) > 0
+        assert stats["cols_forwarded_rows"] == float(sum(t.size for _, t, _ in live) - sum(lost))
+        assert sum(store.pool._cols_rows) == 0
+        assert stats["cols_flushes"] == 0.0
+    assert [e for e in os.listdir("/dev/shm") if e.startswith(prefix)] == []
 
 
 def test_worker_crash_degraded_fold_matches_serial():
@@ -218,44 +320,6 @@ def test_crash_then_more_ingest_and_parent_folds_stay_exact():
         assert_bit_identical(par.query(q, at=HORIZON), ser.query(q, at=HORIZON))
 
 
-def test_worker_respawn_restores_parallel_execution():
-    """With respawn on (the default), a crash costs one dispatch: the
-    dead worker's tasks are recovered by the parent, the worker is
-    respawned with its shard meta replayed from shm, and subsequent
-    appends, scatters, and folds run parallel again — bit-identical to
-    serial throughout."""
-    data = series_data(51, n_series=10)
-    halves = [
-        [(k, t[: t.size // 2], v[: v.size // 2]) for k, t, v in data],
-        [(k, t[t.size // 2:], v[v.size // 2:]) for k, t, v in data],
-    ]
-    serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-    ser = FederatedQueryEngine.with_rollups(
-        serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
-    )
-    with parallel_store(halves[0], 4, 2, resolutions=(10.0, 50.0)) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        par.fold_rollups(HORIZON * 0.3)  # worker-side tier rings exist
-        store.pool.inject_crash(0)
-        fill_through_pool(store, halves[1])  # detects death, recovers, respawns
-        fill_serial(serial_sharded, data)
-        assert store.pool.respawns_total == 1
-        assert not store.pool.broken
-        assert store.append_recoveries > 0  # the detecting batch was lost
-        assert store.serial_appends == 0  # later commits ran parallel again
-        ser.fold_rollups(HORIZON * 0.3)
-        assert par.fold_rollups(HORIZON * 0.9) == ser.fold_rollups(HORIZON * 0.9)
-        scatters_before = par.parallel_scatters
-        rng = np.random.default_rng(13)
-        for _ in range(8):
-            q = random_query(rng)
-            at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
-            assert_bit_identical(par.query(q, at=at), ser.query(q, at=at))
-        assert par.parallel_scatters > scatters_before
-        assert par.serial_fallbacks == 0
-        assert store.shard_stats()["pool_respawns_total"] == 1.0
-
-
 def assert_tiers_byte_equal(par, ser, store):
     """Every tier row and watermark of every series, parallel vs serial."""
     compared = 0
@@ -281,7 +345,7 @@ def assert_tiers_byte_equal(par, ser, store):
 )
 @pytest.mark.parametrize("grow", [False, True])
 @pytest.mark.parametrize("respawn", [True, False])
-def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, tmp_path, monkeypatch):
+def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_next_fold):
     """Worker 0 dies *inside* a fold — tier 0 written, the cascade not —
     and the shards it owned are (a) re-folded by the parent, then folded
     by a respawned worker that maps every tier block purely from the
@@ -294,21 +358,7 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, tmp_path,
     the store again afterwards: the respawned worker is handed that
     block twice — by the replay and by the requeued batch — and must
     still address every later block where the parent does."""
-    flag = tmp_path / "die-in-next-fold"
-    parent_pid = os.getpid()
-    cascade = CascadeFolder._fold_cascade
-
-    def dying_cascade(self, fine, coarse):
-        if (
-            os.getpid() != parent_pid
-            and multiprocessing.current_process().name.endswith("-0")
-            and flag.exists()
-        ):
-            flag.unlink()
-            os._exit(1)
-        return cascade(self, fine, coarse)
-
-    monkeypatch.setattr(CascadeFolder, "_fold_cascade", dying_cascade)
+    flag = die_in_next_fold
     data = series_data(61, n_series=14, max_points=90)
     cuts = [(t.size // 3, 2 * t.size // 3) for _, t, _ in data]
     parts = [
@@ -381,6 +431,62 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, tmp_path,
     assert [e for e in os.listdir("/dev/shm") if e.startswith(prefix)] == []
 
 
+def test_forwarded_columns_flush_past_the_buffer_cap():
+    """Nothing else dispatching, the forwarded-column queue of a shard is
+    delivered on its own once it passes ``ingest_buffer_cap`` — counted —
+    and the worker folds the same tiers from it."""
+    data = series_data(81, n_series=10)
+    serial_sharded = ShardedTimeSeriesStore(n_shards=3, default_capacity=4096)
+    fill_serial(serial_sharded, data)
+    ser = FederatedQueryEngine.with_rollups(
+        serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
+    )
+    with ParallelShardedStore(n_shards=3, default_capacity=4096, workers=2) as store:
+        store.create_tiersets((10.0, 50.0), ingest_buffer_cap=32)
+        store.start_parallel()
+        fill_through_pool(store, data)
+        stats = store.shard_stats()
+        assert stats["cols_flushes"] > 0
+        assert stats["pool_dispatches"] == stats["cols_flushes"]  # nothing else was sent
+        assert max(store.pool._cols_rows) <= 32
+        assert stats["cols_forwarded_rows"] + sum(store.pool._cols_rows) == float(
+            sum(t.size for _, t, _ in data)
+        )
+        assert stats["cols_dropped_rows"] == 0.0
+        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        # fold past all the data (fewer rows than the serial fold, and
+        # watermarks that were already ahead: past its own cap the worker's
+        # folder drained complete bins as the flushes arrived)
+        assert 0 < par.fold_rollups(HORIZON * 1.1) <= ser.fold_rollups(HORIZON * 1.1)
+        assert_tiers_byte_equal(par, ser, store)
+        assert par.serial_fallbacks == 0 and store.serial_appends == 0
+
+
+def test_broken_pool_drops_queued_columns_counted():
+    """A pool that breaks takes the columns still queued for its workers
+    with it — none is left waiting, each is counted as dropped, none as
+    forwarded — and the in-process fold restarts from the rings."""
+    data = series_data(83)
+    serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
+    fill_serial(serial_sharded, data)
+    ser = FederatedQueryEngine.with_rollups(
+        serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
+    )
+    with parallel_store(data, 4, 2, resolutions=(10.0, 50.0), respawn=False) as store:
+        total = sum(t.size for _, t, _ in data)
+        assert sum(store.pool._cols_rows) == total
+        store.pool.inject_crash(0)
+        # only shard 0 rides the fatal dispatch; the other three still queue
+        assert store.pool.dispatch([(0, "sync", None)]) == [WORKER_DIED]
+        assert store.pool.broken and sum(store.pool._cols_rows) == 0
+        stats = store.shard_stats()
+        assert stats["cols_dropped_rows"] == float(total)
+        assert stats["cols_forwarded_rows"] == 0.0
+        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        assert par.fold_rollups(HORIZON * 0.8) == ser.fold_rollups(HORIZON * 0.8)
+        assert_tiers_byte_equal(par, ser, store)
+
+
 # ---------------------------------------------------------------------------
 # append_segments / append_batch edge cases
 
@@ -393,7 +499,7 @@ def test_append_batch_empty_is_noop(start_pool):
         empty = np.empty(0, dtype=np.int64)
         store.append_batch(empty, np.empty(0), np.empty(0))
         assert store.total_inserts == 0
-        assert store.parallel_appends == 0
+        assert store.pool.dispatches == 0
 
 
 def test_append_segments_empty_segment_arrays_are_noop():
@@ -462,7 +568,11 @@ def test_context_lifecycle_and_stats():
         assert stats["pool_workers"] == 2.0
         assert stats["pool_dispatches"] >= 1.0
         store_stats = ctx.store.shard_stats()
-        assert store_stats["parallel_appends"] == float(len(data))
+        assert store_stats["serial_appends"] == 0.0
+        # no tiers, no standing registration: nothing consumes the column
+        # stream worker-side, so nothing is forwarded
+        assert store_stats["cols_forwarded_rows"] == 0.0
+        assert store_stats["cols_flushes"] == 0.0
     ctx.close()  # idempotent after the context manager already closed
 
 

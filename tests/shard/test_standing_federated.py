@@ -123,3 +123,35 @@ def test_parallel_standing_matches_serial_reference_through_crash():
         stats = st.stats()
         assert stats["standing_scatters"] > 0
         assert stats["scan_fallbacks"] <= len(QUERIES)
+
+
+@pytest.mark.parametrize("resolutions", [None, (10.0, 60.0)])
+def test_parallel_standing_sees_serial_path_inserts(resolutions):
+    """Scalar ``insert`` / per-series ``insert_batch`` (how loop
+    self-telemetry is written) must reach a worker-side grid that
+    already exists — with rollup tiers and without: the store itself
+    forwards committed columns once anything worker-side consumes them."""
+    from repro.query.reference import evaluate_naive
+    from repro.shard import ParallelShardContext
+
+    q = MetricQuery("m", agg="sum", range_s=100.0, step_s=10.0, group_by=("node",))
+    keys = [SeriesKey.of("m", node=f"n{i}") for i in range(4)]
+    with ParallelShardContext(
+        shards=3, workers=2, capacity=256, rollup_resolutions=resolutions
+    ) as ctx:
+        st = StandingQueryEngine(ctx.engine)
+        for t in range(0, 50, 10):
+            for key in keys:
+                ctx.store.insert(key, t + 1.0, float(t))
+        assert st.register(q)
+        assert_standing_matches(st.query(q, at=50.0), evaluate_naive(ctx.store, q, at=50.0))
+        for t in range(50, 100, 10):
+            for i, key in enumerate(keys):
+                if i % 2:
+                    ctx.store.insert(key, t + 1.0, float(t))
+                else:
+                    ctx.store.insert_batch(key, np.array([t + 1.0, t + 2.0]), np.array([1.0, t]))
+        want = evaluate_naive(ctx.store, q, at=100.0)
+        assert all(s.times.size == 10 for s in want.series)
+        assert_standing_matches(st.query(q, at=100.0), want)
+        assert ctx.store.shard_stats()["cols_forwarded_rows"] > 0

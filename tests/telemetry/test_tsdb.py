@@ -313,6 +313,15 @@ class TestTimeSeriesStore:
         assert store.aggregate_across("power", 0, 1, "max") == pytest.approx(300.0)
         assert store.aggregate_across("other", 0, 1) is None
 
+    def test_aggregate_across_pools_in_first_write_order(self):
+        """Ids interned up front (the columnar pipeline) and first
+        written in another order: the pooling follows the writes."""
+        store = TimeSeriesStore()
+        a, b, c = (store.registry.id_for(SeriesKey.of("power", node=n)) for n in "abc")
+        store.append_batch(np.array([c]), np.array([0.0]), np.array([3.0]))
+        store.append_batch(np.array([b, a]), np.array([0.0, 0.0]), np.array([2.0, 1.0]))
+        assert store.aggregate_across("power", 0, 1, "last") == 2.0  # c, then a, b
+
     def test_capacity_override(self):
         store = TimeSeriesStore(default_capacity=100)
         store.set_capacity("m", 2)
