@@ -97,7 +97,7 @@ class Client:
         tenants: Iterable[TenantSpec] = (),
         rollup_resolutions: Optional[Tuple[float, ...]] = DEFAULT_ROLLUP_RESOLUTIONS,
         shed: Optional[ShedConfig] = None,
-        n_workers: int = 2,
+        n_workers: int = 1,
     ) -> "Client":
         """Build a cluster from ``config`` and serve it.
 
@@ -123,7 +123,7 @@ class Client:
         tenants: Iterable[TenantSpec] = (),
         rollup_resolutions: Optional[Tuple[float, ...]] = DEFAULT_ROLLUP_RESOLUTIONS,
         shed: Optional[ShedConfig] = None,
-        n_workers: int = 2,
+        n_workers: int = 1,
         owns_cluster: bool = False,
     ) -> "Client":
         """Serve an existing (possibly already-running) cluster."""

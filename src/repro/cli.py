@@ -695,6 +695,8 @@ def _bench_parallel_storage(
         absorb_stats(reg, {
             "pool_workers": scatter["workers"],
             "parallel_scatters": scatter["parallel_scatters"],
+            "parallel_folds": ingest["parallel_folds"],
+            "serial_fallbacks": ingest["serial_fallbacks"],
             **{key: ingest[key] for key in _PARALLEL_INGEST_KEYS},
         }, "engine")
         print("# stats:")

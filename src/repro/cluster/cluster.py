@@ -240,29 +240,14 @@ class Cluster:
 
     def _build_query_engine(self, rollup_resolutions, cache, enable_cache):
         from repro.query import QueryEngine, RollupManager
-        from repro.shard import (
-            FederatedQueryEngine,
-            ParallelFederatedQueryEngine,
-            ParallelShardedStore,
-            ShardedTimeSeriesStore,
-        )
+        from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
 
-        if isinstance(self.store, ParallelShardedStore):
-            # tiers live in shared memory and fold inside the workers;
-            # the store enforces one rollup layout for its lifetime
+        if isinstance(self.store, ShardedTimeSeriesStore):
+            # the tiers belong to the store (heap, or shared memory beside
+            # a worker pool), one rollup layout for its lifetime; the
+            # engine finds them, and the pool, there
             if rollup_resolutions is not None:
                 self.store.create_tiersets(rollup_resolutions)
-            return ParallelFederatedQueryEngine(
-                self.store, cache=cache, enable_cache=enable_cache
-            )
-        if isinstance(self.store, ShardedTimeSeriesStore):
-            if rollup_resolutions is not None:
-                return FederatedQueryEngine.with_rollups(
-                    self.store,
-                    resolutions=rollup_resolutions,
-                    cache=cache,
-                    enable_cache=enable_cache,
-                )
             return FederatedQueryEngine(self.store, cache=cache, enable_cache=enable_cache)
         rollups = None
         if rollup_resolutions is not None:

@@ -10,9 +10,9 @@ single-shard oracle in ``tests/shard/test_parallel.py``.  E18 measures
 four things on identical data:
 
 * **Scatter speedup** — the E16 ``group_by`` dashboard query served by
-  the serial :class:`~repro.shard.FederatedQueryEngine` vs the
-  :class:`~repro.shard.ParallelFederatedQueryEngine` dispatching
-  per-shard partial aggregation to the pool.  Gated ≥2.5× at 4 workers
+  a :class:`~repro.shard.FederatedQueryEngine` over a plain sharded
+  store vs the same engine over a store with a live worker pool,
+  dispatching per-shard partial aggregation to it.  Gated ≥2.5× at 4 workers
   × 8 shards (4096 series) on a multi-core host.
 * **Shared-memory ingest** — the identical commit stream and periodic
   folds into plain sharded rings, shared-memory rings with the pool
@@ -46,12 +46,7 @@ from repro.experiments.shard_exp import (
 )
 from repro.experiments.supervise_exp import run_supervision_scenario
 from repro.query.model import MetricQuery
-from repro.shard import (
-    FederatedQueryEngine,
-    ParallelFederatedQueryEngine,
-    ParallelShardedStore,
-    ShardedTimeSeriesStore,
-)
+from repro.shard import FederatedQueryEngine, ParallelShardedStore, ShardedTimeSeriesStore
 
 
 def _check_queries(at: float, step_s: float) -> List[MetricQuery]:
@@ -111,7 +106,7 @@ def run_parallel_scatter_benchmark(
         )
         store.start_parallel()
         _fill(store, _intern(store, keys), ticks, sample_period_s, base)
-        engine = ParallelFederatedQueryEngine(store, enable_cache=False)
+        engine = FederatedQueryEngine(store, enable_cache=False)
         for q, ref in zip(queries, want):
             if not _results_bit_identical(engine.query(q, at=at), ref):
                 bit_identical = False
@@ -204,18 +199,14 @@ def run_parallel_ingest_benchmark(
     shm_store = ParallelShardedStore(
         n_shards=n_shards, default_capacity=capacity, workers=workers
     )
-    shm_store.create_tiersets(resolutions)
     parallel_store = ParallelShardedStore(
         n_shards=n_shards, default_capacity=capacity, workers=workers
     )
-    parallel_store.create_tiersets(resolutions)
     parallel_store.start_parallel()
     stores = (serial_store, shm_store, parallel_store)
-    engines = (
-        FederatedQueryEngine.with_rollups(serial_store, resolutions=resolutions),
-        ParallelFederatedQueryEngine(shm_store),
-        ParallelFederatedQueryEngine(parallel_store),
-    )
+    engines = [
+        FederatedQueryEngine.with_rollups(store, resolutions=resolutions) for store in stores
+    ]
     folded = [0, 0, 0]
 
     def fold(which: int, now: float) -> None:
@@ -256,6 +247,10 @@ def run_parallel_ingest_benchmark(
         "cols_dropped_rows": stats["cols_dropped_rows"],
         "cols_flushes": stats["cols_flushes"],
         "serial_appends": stats["serial_appends"],
+        # fold passes by executor: the live pool ran all of its engine's,
+        # the stopped pool's engine ran every one in process, counted
+        "parallel_folds": float(engines[2].parallel_folds),
+        "serial_fallbacks": float(engines[1].serial_fallbacks),
         "match": float(match),
     }
 
@@ -283,7 +278,7 @@ def _parallel_factories(n_shards: int, workers: int, captured: Dict):
         return store
 
     def make_engine(store, config):
-        engine = ParallelFederatedQueryEngine(store, enable_cache=config.enable_cache)
+        engine = FederatedQueryEngine(store, enable_cache=config.enable_cache)
         captured["engine"] = engine
         return engine
 

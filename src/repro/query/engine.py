@@ -7,7 +7,10 @@ execution runs through four stages:
 
 1. **Cache probe** — canonical expression + quantized window
    (:class:`~repro.query.cache.QueryCache`).
-2. **Resolve** — label matchers → concrete series keys → groups.
+2. **Resolve** — label matchers → concrete series keys → the grouped,
+   sid-addressed :class:`QueryPlan`, memoised per query shape against
+   the store's series generation and shared with the federated and
+   standing engines.
 3. **Plan** — pick the coarsest rollup tier that can serve the
    ``(step, agg)`` pair exactly, else raw; tier-served queries still
    merge the raw tail past each series' fold watermark, so results are
@@ -29,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,6 +100,55 @@ class QueryResult:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+class ShardWork:
+    """One store's (or one shard's) rows of a :class:`QueryPlan`.
+
+    Parallel columns, in the plan's ``(group, rank)`` order: the series
+    id there, its group index, its rank within the group and its
+    position in :meth:`QueryEngine.select` order.  They are lists — what
+    a scatter pass loops over and a pool dispatch pickles; the
+    vectorised standing read takes :meth:`arrays`, built on first use
+    (registered shapes only).
+    """
+
+    __slots__ = ("sids", "gidx", "rank", "sel", "_arrays")
+
+    def __init__(self) -> None:
+        self.sids: List[int] = []
+        self.gidx: List[int] = []
+        self.rank: List[int] = []
+        self.sel: List[int] = []
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sids, gidx, rank)`` as int64 arrays."""
+        if self._arrays is None:
+            self._arrays = tuple(
+                np.asarray(col, dtype=np.int64) for col in (self.sids, self.gidx, self.rank)
+            )
+        return self._arrays
+
+
+class QueryPlan(NamedTuple):
+    """The resolved selection of one query shape, grouped and sid-addressed.
+
+    ``keys`` are the selected series flattened in canonical ``(group,
+    rank)`` order — groups by sorted label tuple (``labels``), members
+    by ``str`` — and group ``g`` owns ``keys[bounds[g]:bounds[g + 1]]``.
+    ``shards`` holds the same rows as sid-addressed columns, one
+    :class:`ShardWork` per place the series live: one for a single
+    store, one per shard for a sharded one (``fanout`` counts those that
+    hold any).
+    """
+
+    generation: int
+    labels: Tuple[GroupLabels, ...]
+    keys: List[SeriesKey]
+    bounds: List[int]
+    shards: List[ShardWork]
+    fanout: int
 
 
 def instant_tier_partials(
@@ -195,7 +247,10 @@ class QueryEngine:
         #: matcher resolution memo keyed by the store's per-metric series
         #: generation — repeated loop queries skip re-matching every key
         self._select_cache: Dict[MetricQuery, Tuple[int, List[SeriesKey]]] = {}
+        #: the one plan memo, keyed like the selection memo
+        self._plans: Dict[MetricQuery, QueryPlan] = {}
         self._expr_cache: Dict[MetricQuery, str] = {}
+        self._standing = None
 
     # -------------------------------------------------------------- public
     def parse(self, expr: str) -> MetricQuery:
@@ -333,6 +388,66 @@ class QueryEngine:
         self._select_cache[q] = (gen, keys)
         return keys
 
+    def plan(self, q: MetricQuery) -> QueryPlan:
+        """The grouped, sid-addressed selection of ``q`` (memoised).
+
+        Rebuilt only when the metric's key set changes — every series
+        with data is interned (the store's ``_admit`` is the only ring
+        creator), so every selected key has a sid.
+        """
+        gen = self.store.series_generation(q.metric)
+        plan = self._plans.get(q)
+        if plan is None or plan.generation != gen:
+            selected = self.select(q)
+            groups: Dict[GroupLabels, List[int]] = {}
+            for sel, key in enumerate(selected):
+                groups.setdefault(q.group_key(key), []).append(sel)
+            labels = tuple(sorted(groups))
+            keys: List[SeriesKey] = []
+            bounds = [0]
+            shards = [ShardWork() for _ in range(self._n_places)]
+            for g, lab in enumerate(labels):
+                members = sorted(groups[lab], key=lambda i: str(selected[i]))
+                for rank, sel in enumerate(members):
+                    key = selected[sel]
+                    keys.append(key)
+                    place, sid = self._locate(key)
+                    work = shards[place]
+                    work.sids.append(sid)
+                    work.gidx.append(g)
+                    work.rank.append(rank)
+                    work.sel.append(sel)
+                bounds.append(len(keys))
+            fanout = sum(1 for work in shards if work.sids)
+            plan = QueryPlan(gen, labels, keys, bounds, shards, fanout)
+            if len(self._plans) > 4096:  # unbounded query shapes: reset
+                self._plans.clear()
+            self._plans[q] = plan
+        return plan
+
+    #: places a plan's series can live in (a sharded engine: its shards)
+    _n_places = 1
+
+    def _locate(self, key: SeriesKey) -> Tuple[int, int]:
+        """``(place, series id there)`` of a selected key."""
+        return 0, self.store.registry.get(key)
+
+    def standing_provider(self):
+        """The one standing-state provider over this engine's store.
+
+        Every :class:`~repro.query.standing.StandingQueryEngine` over
+        this engine shares it, so a shape registered twice keeps one
+        grid and one ingest listener.
+        """
+        if self._standing is None:
+            self._standing = self._make_standing_provider()
+        return self._standing
+
+    def _make_standing_provider(self):
+        from repro.query.standing import StoreStandingProvider
+
+        return StoreStandingProvider(self.store)
+
     def tier_resolutions(self) -> List[float]:
         """Rollup tier resolutions (seconds, finest first); empty if none.
 
@@ -359,12 +474,9 @@ class QueryEngine:
 
     # ----------------------------------------------------------- execution
     def _execute(self, q: MetricQuery, at: float) -> QueryResult:
-        keys = self.select(q)
+        plan = self.plan(q)
         t1 = float(at)
-        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(keys, t1)
-        groups: Dict[GroupLabels, List[SeriesKey]] = {}
-        for key in keys:
-            groups.setdefault(q.group_key(key), []).append(key)
+        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(plan.keys, t1)
 
         tier: Optional[RollupTier] = None
         if self.rollups is not None and q.agg in PARTIAL_AGGS and q.step_s is not None:
@@ -372,8 +484,8 @@ class QueryEngine:
 
         series: List[ResultSeries] = []
         tier_res: Optional[float] = None
-        for labels in sorted(groups):
-            member_keys = sorted(groups[labels], key=str)
+        for g, labels in enumerate(plan.labels):
+            member_keys = plan.keys[plan.bounds[g]:plan.bounds[g + 1]]
             if q.step_s is None:
                 times, values, inst_res = self._execute_instant(q, member_keys, t0, t1)
                 if inst_res is not None:

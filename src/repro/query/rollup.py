@@ -305,6 +305,15 @@ class CascadeFolder:
             written += self._fold_cascade(fine, coarse)
         return written
 
+    def restart(self) -> None:
+        """Forget the column stream seen so far (another folder has it
+        from here on): the next fold starts from the tiers' watermarks
+        and the raw rings, as a new folder's would.  The late-sample
+        count is kept."""
+        self._buffered = []
+        self.buffered_rows = 0
+        self._floors = np.empty(0, dtype=np.float64)
+
     # ---------------------------------------------------------------- tier 0
     def _floors_upto(self, n: int) -> np.ndarray:
         """The listener floors of series ``[0, n)`` (a view)."""
@@ -522,13 +531,11 @@ class RollupManager:
         ingest_buffer_cap: int = 1 << 18,
     ) -> None:
         self.store = store
-        # tiers are addressed by series id; series written before any
-        # listener existed were never interned
-        for key in store.series_keys():
-            store.registry.id_for(key)
-        self._dense = self._make_tier_store(resolutions, capacity)
-        self.tiers: List[RollupTier] = [RollupTier(store.registry, t) for t in self._dense.tiers]
-        self._folder = CascadeFolder(self._dense.tiers, store.rings, buffer_cap=ingest_buffer_cap)
+        #: the sid-addressed tier store and the fold kernel over it — what
+        #: a shard pass reads and runs (:mod:`repro.shard.federated`)
+        self.dense = self._make_tier_store(resolutions, capacity)
+        self.tiers: List[RollupTier] = [RollupTier(store.registry, t) for t in self.dense.tiers]
+        self.folder = CascadeFolder(self.dense.tiers, store.rings, buffer_cap=ingest_buffer_cap)
         self.folds = 0
         self._task = None
         store.add_ingest_listener(self._on_ingest)
@@ -539,22 +546,22 @@ class RollupManager:
 
     def ensure_sids(self) -> None:
         """Give every interned series tier storage."""
-        self._dense.grow(len(self.store.registry))
+        self.dense.grow(len(self.store.registry))
 
     @property
     def late_samples_dropped(self) -> int:
         """Samples that arrived behind their series' watermark."""
-        return self._folder.late_dropped
+        return self.folder.late_dropped
 
     @property
     def _buffered_rows(self) -> int:
-        return self._folder.buffered_rows
+        return self.folder.buffered_rows
 
     # -------------------------------------------------------------- ingest
     def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
         """Store listener: queue committed columns for the next fold."""
         self.ensure_sids()
-        self._folder.on_columns(ids, times, values)
+        self.folder.on_columns(ids, times, values)
 
     # ------------------------------------------------------------- folding
     def fold(self, now: float) -> int:
@@ -565,9 +572,17 @@ class RollupManager:
         """
         self.ensure_sids()
         res = self.tiers[0].resolution_s
-        written = self._folder.fold(math.floor(now / res) * res)
+        written = self.folder.fold(math.floor(now / res) * res)
         self.folds += 1
         return written
+
+    def note_fold(self, late: int) -> None:
+        """Account one fold a shard pass ran over :attr:`dense` — here
+        or in the owning worker; ``late`` is what that pass's folder
+        dropped since its last report (so a respawned worker's fresh
+        count loses nothing)."""
+        self.folder.late_dropped += late
+        self.folds += 1
 
     # ---------------------------------------------------------- scheduling
     def attach(self, engine, period_s: Optional[float] = None, *, start_at=None) -> None:

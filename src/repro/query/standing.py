@@ -34,16 +34,17 @@ Layout and lifecycle:
   (commits that already wrapped the ring mark the oldest retained bin
   incomplete, forcing batch fallback for windows that need it).
 * :class:`StandingQueryEngine` — the serving layer: shape registration,
-  per-shape group plans memoized on the series generation, reads merged
-  from provider rows, and **epoch-keyed snapshots** — a result is keyed
-  by ``(at, metric epoch, series generation)``, so repeated reads inside
-  one tick are served from the snapshot and any in-flight commit mints a
-  new key rather than racing the read.
+  reads merged from provider rows over the batch engine's memoised
+  :class:`~repro.query.engine.QueryPlan`, and **epoch-keyed snapshots**
+  — a result is keyed by ``(at, metric epoch, series generation)``, so
+  repeated reads inside one tick are served from the snapshot and any
+  in-flight commit mints a new key rather than racing the read.
 
-Sharded stores plug in through the provider seam:
-``FederatedQueryEngine`` keeps one provider per shard (shard-local sids,
-gathered rows merged here), and the process-parallel tier maintains the
-same grids worker-side, fed by the shard event stream.
+An engine has one provider (:meth:`QueryEngine.standing_provider`),
+shared by every standing engine over it.  Sharded stores plug in through
+that seam: the federated engine's provider keeps the grids beside the
+shard's other state — parent-side per shard, or inside the pool workers
+— and reads them with the very :func:`standing_rows` pass used here.
 """
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs.trace import TRACER
-from repro.query.engine import GroupLabels, QueryEngine, QueryResult, ResultSeries, _freeze
+from repro.query.engine import GroupLabels, QueryEngine, QueryPlan, QueryResult, ResultSeries
 from repro.query.kernels import PARTIAL_AGGS
 from repro.query.model import MetricQuery
-from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
 #: sentinel bin numbers: "complete since forever" / "complete nowhere"
@@ -146,6 +146,22 @@ class StandingGrid:
         self.first_inc = np.empty(shape)
 
     # ------------------------------------------------------------- sizing
+    @staticmethod
+    def widened(
+        grid: Optional["StandingGrid"], step: float, n_slots: int, want_rate: bool, tracks=None
+    ) -> Optional["StandingGrid"]:
+        """A new, empty grid holding what ``grid`` (if any) does plus
+        ``n_slots`` bins and, if asked, rate state — ``None`` when ``grid``
+        already holds that.  A wider window or newly-needed rate state
+        cannot be grown incrementally: the caller re-bootstraps the new
+        grid from the rings."""
+        slots, rate = (grid.n_slots, grid.track_rate) if grid is not None else (0, False)
+        if grid is not None and n_slots <= slots and (rate or not want_rate):
+            return None
+        return StandingGrid(
+            step, max(n_slots, slots), track_rate=want_rate or rate, tracks=tracks
+        )
+
     def _grow(self, n: int) -> None:
         cap = max(self._cap * 2, n, 16)
 
@@ -471,11 +487,44 @@ class StandingGrid:
             "sumsq": self.sumsq[np.full(sel.size, int(sid)), col],
         }
 
-    def stats(self) -> Dict[str, float]:
-        return {
-            "updates_applied": float(self.updates_applied),
-            "late_dropped": float(self.late_dropped),
-        }
+
+def standing_rows(
+    grids: Dict[float, StandingGrid],
+    raw,
+    step: float,
+    sids: np.ndarray,
+    gidx: np.ndarray,
+    rank: np.ndarray,
+    b0: int,
+    b1: int,
+    want_rate: bool,
+) -> Optional[Dict[str, np.ndarray]]:
+    """The standing read of one store or shard: partial rows of the
+    planned series ``sids`` (with their ``gidx`` / ``rank`` attached)
+    from the grid of ``step``, or ``None`` when the state here cannot
+    cover the window — no such grid on this side, or a series whose
+    ring (``raw``, sid-addressed) holds data the grid never saw."""
+    grid = grids.get(step)
+    if grid is None:
+        return None
+    for sid in grid.incomplete(sids, b0).tolist():
+        # incomplete state only matters if the series actually holds
+        # data the batch scan would see
+        if raw.count(sid) > 0:
+            return None
+    rows = grid.rows(sids, b0, b1, want_rate=want_rate)
+    spos = rows.pop("spos")
+    rows["gidx"] = gidx[spos]
+    rows["rank"] = rank[spos]
+    return rows
+
+
+def grid_stats(grids: Dict[float, StandingGrid]) -> Dict[str, float]:
+    """Update counters summed over the grids of one store or shard."""
+    return {
+        "updates_applied": float(sum(g.updates_applied for g in grids.values())),
+        "late_dropped": float(sum(g.late_dropped for g in grids.values())),
+    }
 
 
 class StoreStandingProvider:
@@ -491,11 +540,6 @@ class StoreStandingProvider:
         self.store = store
         self.grids: Dict[float, StandingGrid] = {}
         self._step_metrics: Dict[float, set] = {}
-        # interned sid columns per plan key-list: the engine's plan cache
-        # hands the same list object back until the series generation
-        # moves, so identity is the cache key (the held reference keeps
-        # the id stable)
-        self._sid_cache: Dict[int, Tuple[Sequence[SeriesKey], np.ndarray]] = {}
         store.add_ingest_listener(self._on_ingest)
 
     def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
@@ -512,18 +556,11 @@ class StoreStandingProvider:
         fresh_metric = metric not in metrics
         metrics.add(metric)
         grid = self.grids.get(step)
-        if grid is None or n_slots > grid.n_slots or (want_rate and not grid.track_rate):
-            # a wider window or newly-needed rate state cannot be grown
-            # incrementally: rebuild and re-bootstrap from the rings
-            grid = StandingGrid(
-                step,
-                max(n_slots, grid.n_slots if grid is not None else 0),
-                track_rate=want_rate or (grid.track_rate if grid is not None else False),
-                tracks=self._tracks_fn(step),
-            )
-            self.grids[step] = grid
+        rebuilt = StandingGrid.widened(grid, step, n_slots, want_rate, self._tracks_fn(step))
+        if rebuilt is not None:
+            self.grids[step] = rebuilt
             for name in sorted(metrics):
-                self._backfill(grid, name)
+                self._backfill(rebuilt, name)
         elif fresh_metric:
             self._backfill(grid, metric)
 
@@ -535,50 +572,16 @@ class StoreStandingProvider:
             grid.backfill_series(sid, times, values, evicted=evicted)
 
     def entries(
-        self,
-        metric: str,
-        step: float,
-        keys: Sequence[SeriesKey],
-        gidxs: np.ndarray,
-        ranks: np.ndarray,
-        b0: int,
-        b1: int,
-        *,
-        want_rate: bool = False,
+        self, plan: QueryPlan, step: float, b0: int, b1: int, *, want_rate: bool = False
     ) -> Optional[Dict[str, np.ndarray]]:
         """Partial rows for the planned selection, or ``None`` when the
         state cannot cover the window (batch fallback)."""
-        grid = self.grids.get(step)
-        if grid is None:
-            return None
-        if not keys:
-            return _empty_entries(want_rate)
-        registry = self.store.registry
-        cached = self._sid_cache.get(id(keys))
-        if cached is not None and cached[0] is keys:
-            sids = cached[1]
-        else:
-            sids = registry.ids_for(keys)
-            if len(self._sid_cache) > 64:
-                self._sid_cache.clear()
-            self._sid_cache[id(keys)] = (keys, sids)
-        for sid in grid.incomplete(sids, b0).tolist():
-            # incomplete state only matters if the series actually holds
-            # data the batch scan would see
-            if self.store.earliest_time(registry.key_for(sid)) is not None:
-                return None
-        rows = grid.rows(sids, b0, b1, want_rate=want_rate)
-        spos = rows.pop("spos")
-        rows["gidx"] = np.asarray(gidxs, dtype=np.int64)[spos]
-        rows["rank"] = np.asarray(ranks, dtype=np.int64)[spos]
-        return rows
+        return standing_rows(
+            self.grids, self.store.rings, step, *plan.shards[0].arrays(), b0, b1, want_rate
+        )
 
     def stats(self) -> Dict[str, float]:
-        out = {"grids": float(len(self.grids)), "updates_applied": 0.0, "late_dropped": 0.0}
-        for grid in self.grids.values():
-            for k, v in grid.stats().items():
-                out[k] += v
-        return out
+        return {"grids": float(len(self.grids)), **grid_stats(self.grids)}
 
 
 def _seg_bounds(flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -722,7 +725,7 @@ def _assemble_rate(
 
 
 class StandingQueryEngine:
-    """Serving layer for standing queries: registration, plans, reads.
+    """Serving layer for standing queries: registration and reads.
 
     Wraps a batch engine (single-store or federated); ``query`` returns
     a :class:`QueryResult` with ``source="standing"`` when the
@@ -736,20 +739,16 @@ class StandingQueryEngine:
     #: running ahead of the read frontier
     SLACK_BINS = 4
 
-    def __init__(self, engine: QueryEngine, provider=None, *, max_shapes: int = 64) -> None:
+    def __init__(self, engine: QueryEngine, *, max_shapes: int = 64) -> None:
         self.engine = engine
         self.store = engine.store
-        if provider is None:
-            maker = getattr(engine, "make_standing_provider", None)
-            provider = maker() if maker is not None else StoreStandingProvider(engine.store)
-        self.provider = provider
+        self.provider = engine.standing_provider()
         self.max_shapes = int(max_shapes)
         self.shapes: Dict[MetricQuery, float] = {}
         self.registered_total = 0
         self.reads_served = 0
         self.snapshot_hits = 0
         self.scan_fallbacks = 0
-        self._plans: Dict[MetricQuery, Tuple[int, tuple]] = {}
         self._snaps: Dict[MetricQuery, Tuple[tuple, QueryResult]] = {}
 
     # ------------------------------------------------------- registration
@@ -815,35 +814,6 @@ class StandingQueryEngine:
         """
         self._snaps.clear()
 
-    def _plan(self, q: MetricQuery) -> tuple:
-        gen = self.store.series_generation(q.metric)
-        hit = self._plans.get(q)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        keys = self.engine.select(q)
-        groups: Dict[GroupLabels, List[SeriesKey]] = {}
-        for key in keys:
-            groups.setdefault(q.group_key(key), []).append(key)
-        labels = sorted(groups)
-        flat_keys: List[SeriesKey] = []
-        gidxs: List[int] = []
-        ranks: List[int] = []
-        for gi, lab in enumerate(labels):
-            for rank, key in enumerate(sorted(groups[lab], key=str)):
-                flat_keys.append(key)
-                gidxs.append(gi)
-                ranks.append(rank)
-        plan = (
-            tuple(labels),
-            flat_keys,
-            np.asarray(gidxs, dtype=np.int64),
-            np.asarray(ranks, dtype=np.int64),
-        )
-        if len(self._plans) > 4096:
-            self._plans.clear()
-        self._plans[q] = (gen, plan)
-        return plan
-
     def _read(self, q: MetricQuery, at: float) -> Optional[QueryResult]:
         step = q.step_s
         t1 = at
@@ -851,16 +821,14 @@ class StandingQueryEngine:
         grid_t0, n_bins = QueryEngine._grid(t0, t1, step)
         b0 = int(math.floor(t0 / step))
         b1 = b0 + n_bins - 1
-        labels, keys, gidxs, ranks = self._plan(q)
-        ent = self.provider.entries(
-            q.metric, step, keys, gidxs, ranks, b0, b1, want_rate=q.agg == "rate"
-        )
+        plan = self.engine.plan(q)
+        ent = self.provider.entries(plan, step, b0, b1, want_rate=q.agg == "rate")
         if ent is None:
             return None
         if q.agg == "rate":
-            series = _assemble_rate(labels, ent, grid_t0, b0, step)
+            series = _assemble_rate(plan.labels, ent, grid_t0, b0, step)
         else:
-            series = _assemble_partial(labels, ent, q.agg, grid_t0, b0, step)
+            series = _assemble_partial(plan.labels, ent, q.agg, grid_t0, b0, step)
         return QueryResult(q, t0, t1, tuple(series), "standing")
 
     def stats(self) -> Dict[str, float]:
@@ -870,6 +838,5 @@ class StandingQueryEngine:
             "snapshot_hits": float(self.snapshot_hits),
             "scan_fallbacks": float(self.scan_fallbacks),
         }
-        for k, v in self.provider.stats().items():
-            out[k] = v
+        out.update(self.provider.stats())
         return out

@@ -3,9 +3,9 @@
 :class:`QueryFrontDoor` is the externally-facing serving layer: requests
 arrive on behalf of named tenants, pass per-tenant admission control
 (token-bucket quota, bounded queue, in-flight cap — see
-:mod:`repro.serve.admission`), and execute on a small pool of serving
+:mod:`repro.serve.admission`), and execute on the serving
 worker threads over any :class:`~repro.query.engine.QueryEngine` shape
-(single-store, federated, or the process-parallel scatter engine).
+(single-store or sharded, with or without a shard worker pool).
 
 Request lifecycle (also diagrammed in the README)::
 
@@ -37,10 +37,16 @@ hits resolve inline at submit, standing reads are O(merged rows)) while
 exactly one full scatter runs at a time.  Ingest shares the same lock
 via :meth:`write_gate`, which is the serving side of the flow-control
 story the ingest pipeline's backpressure bounds (one lock, two
-traffics).  Hot-result cache entries are keyed by the engine's
-epoch-derived cache version, so a commit invalidates them implicitly —
-a front-door answer can never be staler than the engine's own cache
-contract.
+traffics).  One serving worker is therefore the default: a second one
+cannot run the engine any sooner, it only queues on ``_engine_lock``
+holding a dequeued request, and every answer then waits for the lock to
+be handed to a sleeping thread — a convoy whose cost is the host's
+wake-up latency (beside a busy neighbour process on a 2-vCPU host,
+closed-loop throughput fell 20-32 % with two workers, 0-22 % with one).
+
+Hot-result cache entries are keyed by the engine's epoch-derived cache
+version, so a commit invalidates them implicitly — a front-door answer
+can never be staler than the engine's own cache contract.
 
 The ``clock`` is injectable (seconds, monotonic) so admission, deadline,
 and shed behaviour are all deterministically unit-testable.
@@ -95,7 +101,7 @@ class QueryFrontDoor:
         shed: Optional[ShedConfig] = None,
         standing: Optional[StandingQueryEngine] = None,
         enable_standing: bool = True,
-        n_workers: int = 2,
+        n_workers: int = 1,
         hot_cache_size: int = 512,
         hot_promote_after: int = 3,
         clock: Optional[Callable[[], float]] = None,

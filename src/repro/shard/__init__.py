@@ -5,33 +5,27 @@ hash-partitioning series across N independent shard stores
 (:class:`ShardedTimeSeriesStore`) and federating reads back together
 (:class:`FederatedQueryEngine`).  Routing is deterministic on the
 series key, so a series always lives on exactly one shard; ingest
-splits columnar batches by shard, and queries scatter per-shard
-subqueries whose partial results merge exactly.
+splits columnar batches by shard, and a query is planned once, run as
+one pass per touched shard and gathered in a partition-independent
+order, so partial results merge exactly.
 
-:mod:`repro.shard.parallel` adds the process-parallel execution tier:
-shard columns relocated into shared memory and a persistent worker pool
-running the per-shard scatter/append/fold passes concurrently
-(:class:`ParallelShardContext` is the one-stop entry point), degrading
-to the serial implementations whenever the pool is unavailable.
+Who runs a shard pass is a property of the store, not a class of
+engine: :mod:`repro.shard.parallel` relocates shard columns into shared
+memory beside a persistent worker pool (:class:`ParallelShardedStore`;
+:class:`ParallelShardContext` is the one-stop entry point), the engine
+dispatches its passes to that pool while it is live, and runs the same
+pass functions in process otherwise.
 """
 
 from repro.shard.federated import FederatedQueryEngine, FederatedStandingProvider
-from repro.shard.parallel import (
-    ParallelFederatedQueryEngine,
-    ParallelShardContext,
-    ParallelShardedStore,
-    ParallelStandingProvider,
-    ShardWorkerPool,
-)
+from repro.shard.parallel import ParallelShardContext, ParallelShardedStore, ShardWorkerPool
 from repro.shard.store import ShardedTimeSeriesStore, shard_of_key
 
 __all__ = [
     "FederatedQueryEngine",
     "FederatedStandingProvider",
-    "ParallelFederatedQueryEngine",
     "ParallelShardContext",
     "ParallelShardedStore",
-    "ParallelStandingProvider",
     "ShardWorkerPool",
     "ShardedTimeSeriesStore",
     "shard_of_key",

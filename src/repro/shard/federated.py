@@ -6,64 +6,75 @@
 :class:`~repro.shard.store.ShardedTimeSeriesStore`.  Execution is a
 three-stage scatter-gather:
 
-1. **Plan** — resolve matchers to series keys, assign each key its
-   output group (``gidx``) and its canonical rank within the group, and
-   partition the work by owning shard.
-2. **Scatter** — each touched shard computes *per-series partial rows*:
-   windowed reads stitched from the shard's rollup tier plus its raw
-   tail, reduced per ``(series, bin)`` with ``reduceat`` over composite
-   keys (sum/count/min/max/last partials, counter increases for
-   ``rate``, pooled samples for percentiles).  No per-group Python
-   loops — a shard's whole worklist is one vectorized pass.
+1. **Plan** — the base engine's memoised
+   :class:`~repro.query.engine.QueryPlan` (matchers resolved, every
+   series given its output group ``gidx`` and canonical ``rank``),
+   extended with the partition: per shard the ``(local sid, gidx,
+   rank)`` columns of the series it owns (:class:`ShardWork`).
+2. **Run on shards** — each touched shard runs one *pass* over its
+   :class:`ShardState`, read through the one sid-addressed
+   :class:`ShardReader`.  Scatter passes compute *per-series partial
+   rows*: windowed reads stitched from the shard's rollup tier plus its
+   raw tail, reduced per ``(series, bin)`` with ``reduceat`` over
+   composite keys (sum/count/min/max/last partials, counter increases
+   for ``rate``, pooled samples for percentiles); the ``standing`` pass
+   reads the maintained grids instead; the ``fold`` pass advances the
+   tiers.  No per-group Python loops.
 3. **Gather** — partial rows from every shard are concatenated, sorted
    into one **canonical order** ``(group, bin, last_t, source, rank)``
    that is independent of how series are partitioned, and reduced to
    output bins with ``reduceat`` kernels.
 
-The per-shard scatter passes are module-level functions parameterized by
-a **shard reader** (:class:`KeyShardReader` here; the sid-addressed
-worker-side reader in :mod:`repro.shard.parallel`), so the serial loop
-below and the process-parallel tier execute literally the same pass code
-— the engine's only serial/parallel difference is *where* the pass runs.
-:meth:`FederatedQueryEngine._scatter` is that seam: the parallel engine
-overrides it to dispatch the passes to worker processes over
-shared-memory columns.
+The passes are the plain functions of :data:`SHARD_PASSES`, and *who
+runs them* is observed, not configured:
+:meth:`FederatedQueryEngine._run_on_shards` dispatches a pass to the
+store's worker pool while that is live (:mod:`repro.shard.parallel`) and
+otherwise — or for a shard whose worker died — runs the very same
+function here.  Plan and gather never know which.
 
 Because per-series arithmetic happens on exactly one shard (a series
 never splits) and the cross-series reduction runs in a
 partition-independent order, the result is **bit-identical for every
-shard count** — the property tests pin the federated result against the
-same engine running over a single-shard store.  Against the legacy
-per-group :class:`QueryEngine`, results are equal up to floating-point
-association (≤1e-9 relative), since that engine pools samples in a
-different (but equally valid) summation order.
+shard count and either executor** — the property tests pin the federated
+result against the same engine running over a single-shard store.
+Against the legacy per-group :class:`QueryEngine`, results are equal up
+to floating-point association (≤1e-9 relative), since that engine pools
+samples in a different (but equally valid) summation order.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.query.engine import (
     QueryEngine,
+    QueryPlan,
     QueryResult,
     ResultSeries,
+    ShardWork,
     instant_tier_partials,
     instant_tier_rate,
 )
 from repro.obs.trace import TRACER
 from repro.query.kernels import PARTIAL_AGGS, counter_increase, grouped_aggregate
 from repro.query.model import MetricQuery
-from repro.query.rollup import RollupManager, select_tier_index
-from repro.query.standing import StoreStandingProvider, concat_entries
+from repro.query.rollup import CascadeFolder, RollupManager, TierStore, select_tier_index
+from repro.query.standing import (
+    StandingGrid,
+    StoreStandingProvider,
+    concat_entries,
+    grid_stats,
+    standing_rows,
+)
 from repro.shard.store import ShardedTimeSeriesStore
-from repro.telemetry.metric import SeriesKey
+from repro.telemetry.tsdb import RawRings
 
-#: One shard's worklist as parallel columns: ``(items, group indices,
-#: ranks within group)``.  Items are series keys for the in-process
-#: reader and shard-local series ids for the worker-side reader.
-ShardWork = Tuple[list, List[int], List[int]]
+#: Dispatch result of a task lost to a dead worker.
+WORKER_DIED = object()
 
 
 def _segment_bounds(comp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,44 +170,70 @@ def _row_entries(
 
 
 # --------------------------------------------------------------------------
-# Shard readers: the data-access surface the scatter passes run against.
+# Shard state and its reader: what the passes below run against.
 
 
-class KeyShardReader:
-    """Key-addressed reader over one in-process shard store.
+class ShardState:
+    """One shard as a pass sees it, on whichever side runs the pass.
 
-    ``tier`` is the pre-selected rollup tier for the running query (or
-    ``None``); ``manager`` is the shard's rollup cascade for the
-    instant-query aged-out fallbacks (or ``None``).
+    The parent builds it over the shard store's rings, its rollup
+    cascade and the parent-side standing grids; a pool worker keeps one
+    per shard it owns over its mappings of the same shared-memory
+    blocks and its own grids.  Everything is addressed by shard-local
+    series id.
     """
 
-    __slots__ = ("shard", "manager", "tier")
+    __slots__ = ("raw", "tiers", "folder", "standing")
 
-    def __init__(self, shard, manager, tier) -> None:
-        self.shard = shard
-        self.manager = manager
-        self.tier = tier
+    def __init__(
+        self,
+        raw: RawRings,
+        tiers: Optional[TierStore] = None,
+        folder: Optional[CascadeFolder] = None,
+        standing: Optional[Dict[float, StandingGrid]] = None,
+    ) -> None:
+        self.raw = raw
+        self.tiers = tiers
+        self.folder = folder
+        #: standing grids by step; empty where the other side keeps them
+        self.standing = standing if standing is not None else {}
 
-    def window(self, item, lo: float, hi: float):
+
+class ShardReader:
+    """Sid-addressed reads of one shard for the scatter passes.
+
+    ``tier`` is the pre-selected rollup tier for the running query (or
+    ``None``); the shard's whole cascade serves the instant-query
+    aged-out fallbacks.
+    """
+
+    __slots__ = ("tier", "_raw", "_tiers")
+
+    def __init__(self, state: ShardState, tier_idx: Optional[int]) -> None:
+        self._raw = state.raw
+        self._tiers = state.tiers
+        self.tier = state.tiers.tiers[tier_idx] if tier_idx is not None else None
+
+    def window(self, sid: int, lo: float, hi: float):
         """Inclusive raw window ``[lo, hi]`` of one series."""
-        return self.shard.query(item, lo, hi)
+        return self._raw.window(sid, lo, hi)
 
-    def watermark(self, item) -> Optional[float]:
-        return self.tier.watermark(item)
+    def watermark(self, sid: int) -> Optional[float]:
+        return self.tier.watermark(sid)
 
-    def rows(self, item, lo: float, hi: float):
+    def rows(self, sid: int, lo: float, hi: float):
         """Selected-tier rows with bin start in ``[lo, hi)``."""
-        return self.tier.window(item, lo, hi)
+        return self.tier.window(sid, lo, hi)
 
-    def instant_partials(self, item, t0: float, t1: float):
-        if self.manager is None:
+    def instant_partials(self, sid: int, t0: float, t1: float):
+        if self._tiers is None:
             return None
-        return instant_tier_partials(self.shard, self.manager, item, t0, t1)
+        return instant_tier_partials(self._raw, self._tiers, sid, t0, t1)
 
-    def instant_rate(self, item, t0: float, t1: float):
-        if self.manager is None:
+    def instant_rate(self, sid: int, t0: float, t1: float):
+        if self._tiers is None:
             return None
-        return instant_tier_rate(self.shard, self.manager, item, t0, t1)
+        return instant_tier_rate(self._raw, self._tiers, sid, t0, t1)
 
 
 def _read_window(reader, item, lo: float, hi: float, right_exclusive: bool):
@@ -211,10 +248,11 @@ def _read_window(reader, item, lo: float, hi: float, right_exclusive: bool):
 
 # --------------------------------------------------------------------------
 # Scatter passes.  Each computes one shard's contribution to one query
-# kind from a reader + worklist columns, returning plain dict-of-array
-# partials that the parent gathers.  Everything here must stay
-# shard-local and partition-invariant — these functions run serially
-# in-process *and* inside pool workers against shared-memory columns.
+# kind from a reader + worklist columns (``items`` are shard-local
+# series ids), returning plain dict-of-array partials that the parent
+# gathers.  Everything here must stay shard-local and
+# partition-invariant — these functions run in process *and* inside
+# pool workers against shared-memory columns.
 
 
 def scatter_partial(
@@ -420,8 +458,7 @@ def scatter_samples(
     return {"sel": sels, "times": t_chunks, "values": v_chunks}
 
 
-#: Scatter pass per query kind; the worker-side task handler indexes
-#: this same table, so serial and parallel execution share one code path.
+#: Scatter pass per query kind.
 SCATTER_FNS = {
     "partial": scatter_partial,
     "rate": scatter_rate,
@@ -431,122 +468,153 @@ SCATTER_FNS = {
 }
 
 
-class FederatedStandingProvider:
-    """Shard-local standing state behind the single provider seam.
+# --------------------------------------------------------------------------
+# The shard passes: ``(state, payload) -> result``, run by
+# :meth:`FederatedQueryEngine._run_on_shards` in process or by the pool
+# worker that owns the shard.  Payloads and results cross a pipe, so
+# they hold only arrays and plain values.
 
-    One :class:`StoreStandingProvider` per shard store: every grid is
-    fed by its own shard's ingest listener with shard-local series ids,
-    so registration and incremental updates never cross the partition.
-    Reads route the planned selection with the same hash partition as
-    the scatter passes and concatenate the per-shard row chunks — the
-    engine-side assembler's canonical lexsort+reduceat merge is
-    partition-invariant, so the gathered result matches the single-store
-    provider for every shard count.
+
+def scatter_pass(state: ShardState, p: Dict):
+    """One query kind's scatter over the planned series of the shard."""
+    return SCATTER_FNS[p["kind"]](
+        ShardReader(state, p["params"].get("tier_idx")),
+        p["sids"], p["gidxs"], p["ranks"], p["singleton"], p["params"],
+    )
+
+
+def standing_pass(state: ShardState, p: Dict) -> Tuple[Optional[Dict[str, np.ndarray]], Dict]:
+    """The shard's standing rows (``None``: not covered by the grids on
+    this side) and the update counters of those grids."""
+    rows = standing_rows(
+        state.standing, state.raw, p["step"], p["sids"], p["gidxs"], p["ranks"],
+        p["b0"], p["b1"], p["want_rate"],
+    )
+    return rows, grid_stats(state.standing)
+
+
+def fold_pass(state: ShardState, p: Dict) -> Dict[str, int]:
+    """Fold the shard's tiers up to a boundary; reports the rows written
+    and the late samples dropped since the folder's last report."""
+    written = state.folder.fold(p["boundary"])
+    late, state.folder.late_dropped = state.folder.late_dropped, 0
+    return {"written": written, "late": late}
+
+
+#: Pass per task kind — the kinds :meth:`ShardWorkerPool.dispatch` carries.
+SHARD_PASSES = {"scatter": scatter_pass, "standing": standing_pass, "fold": fold_pass}
+
+
+class FederatedStandingProvider:
+    """A sharded engine's standing state, kept where its passes run.
+
+    Over a store without a worker pool that is here: one
+    :class:`StoreStandingProvider` per shard store, every grid fed by
+    its own shard's ingest listener with shard-local series ids, so
+    registration and incremental updates never cross the partition.
+    Over a store with a pool the workers keep the grids, built from the
+    registrations the store announces.  A read is one ``standing`` pass
+    over the planned partition and a concatenation of the per-shard row
+    chunks — the engine-side assembler's canonical lexsort+reduceat
+    merge is partition-invariant, so the gathered result matches the
+    single-store provider for every shard count.  A pass that runs where
+    no grid exists (in process, the pool stopped or its worker dead)
+    reports the window as not covered: the read falls back to the batch
+    engine.
     """
 
-    def __init__(self, store: ShardedTimeSeriesStore) -> None:
-        self.store = store
-        self.shard_providers = [StoreStandingProvider(s) for s in store.shards]
+    def __init__(self, engine: "FederatedQueryEngine") -> None:
+        self.engine = engine
+        store = engine.store
+        self.shard_providers = (
+            [StoreStandingProvider(shard) for shard in store.shards] if store.pool is None else []
+        )
+        #: the parent-side grids of each shard (none under a pool)
+        self.shard_grids = [p.grids for p in self.shard_providers] or [{}] * store.n_shards
+        self._steps: set = set()
+        self.standing_scatters = 0
+        #: grid counters per shard, as of the shard's last read
+        self._reported: Dict[int, Dict[str, float]] = {}
 
     def register(self, metric: str, step: float, n_slots: int, *, want_rate: bool) -> None:
+        self._steps.add(step)
         for provider in self.shard_providers:
             provider.register(metric, step, n_slots, want_rate=want_rate)
+        if not self.shard_providers:
+            self.engine.store.register_standing(step, n_slots, want_rate)
 
     def entries(
-        self,
-        metric: str,
-        step: float,
-        keys: Sequence[SeriesKey],
-        gidxs: np.ndarray,
-        ranks: np.ndarray,
-        b0: int,
-        b1: int,
-        *,
-        want_rate: bool = False,
+        self, plan: QueryPlan, step: float, b0: int, b1: int, *, want_rate: bool = False
     ) -> Optional[Dict[str, np.ndarray]]:
-        """Scatter the planned selection, gather per-shard partial rows.
+        """Run the standing pass on every touched shard, gather the rows.
 
         Any shard that cannot cover the window fails the whole read
         (``None`` -> batch fallback) — partial coverage would silently
         drop that shard's series from the merge.
         """
-        work: List[ShardWork] = [([], [], []) for _ in range(self.store.n_shards)]
-        shard_index = self.store.shard_index
-        for i, key in enumerate(keys):
-            wl = work[shard_index(key)]
-            wl[0].append(key)
-            wl[1].append(int(gidxs[i]))
-            wl[2].append(int(ranks[i]))
-        chunks: List[Dict[str, np.ndarray]] = []
-        for s, (s_keys, s_gidxs, s_ranks) in enumerate(work):
-            if not s_keys:
-                continue
-            with TRACER.span("standing.shard", shard=s, items=len(s_keys)):
-                ent = self.shard_providers[s].entries(
-                    metric,
-                    step,
-                    s_keys,
-                    np.asarray(s_gidxs, dtype=np.int64),
-                    np.asarray(s_ranks, dtype=np.int64),
-                    b0,
-                    b1,
-                    want_rate=want_rate,
-                )
-            if ent is None:
+        tasks = []
+        for s, work in enumerate(plan.shards):
+            if work.sids:
+                sids, gidx, rank = work.arrays()
+                tasks.append((s, {"step": step, "sids": sids, "gidxs": gidx, "ranks": rank,
+                                  "b0": b0, "b1": b1, "want_rate": want_rate}))
+        chunks = []
+        for (s, _), (rows, stats) in zip(tasks, self.engine._run_on_shards("standing", tasks)):
+            self._reported[s] = stats
+            if rows is None:
                 return None
-            chunks.append(ent)
+            chunks.append(rows)
+        self.standing_scatters += 1
         return concat_entries(chunks)
 
     def stats(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for provider in self.shard_providers:
-            for k, v in provider.stats().items():
-                out[k] = out.get(k, 0.0) + v
+        """``grids`` is registered step-grids summed over shards; the
+        update counters are live for parent-side grids and as of each
+        shard's last read for the workers'."""
+        for s, provider in enumerate(self.shard_providers):
+            self._reported[s] = grid_stats(provider.grids)
+        out = {
+            "grids": float(len(self._steps) * self.engine.store.n_shards),
+            "standing_scatters": float(self.standing_scatters),
+            "updates_applied": 0.0,
+            "late_dropped": 0.0,
+        }
+        for stats in self._reported.values():
+            for k, v in stats.items():
+                out[k] += v
         return out
 
 
 class FederatedQueryEngine(QueryEngine):
-    """Scatter-gather query serving over hash-partitioned shard stores."""
+    """Scatter-gather query serving over hash-partitioned shard stores.
+
+    Reads the store's per-shard rollup cascades (``store.tiersets``) and
+    runs its shard passes on the store's worker pool while that is live
+    (``store.pool``) — both observed, neither configured here.
+    """
 
     def __init__(
         self,
         store: ShardedTimeSeriesStore,
         *,
-        rollups: Optional[Sequence[RollupManager]] = None,
         cache=None,
         enable_cache: bool = True,
         instant_quantum_s: float = 1.0,
     ) -> None:
-        if rollups is not None and len(rollups) != store.n_shards:
-            raise ValueError(
-                f"need one rollup manager per shard: got {len(rollups)} for "
-                f"{store.n_shards} shards"
-            )
         super().__init__(
             store,
-            rollups=None,
             cache=cache,
             enable_cache=enable_cache,
             instant_quantum_s=instant_quantum_s,
         )
-        #: per-shard rollup managers, parallel to ``store.shards``
-        self.shard_rollups = list(rollups) if rollups is not None else None
-        self._tier_resolutions: Optional[List[float]] = (
-            [t.resolution_s for t in self.shard_rollups[0].tiers]
-            if self.shard_rollups
-            else None
-        )
         self.federated_queries = 0
         self.fanout_total = 0
-        self.fanout_last = 0
         self._fold_task = None
-        #: scatter-plan memo keyed by the store's per-metric series
-        #: generation: group labels, per-shard worklists, group sizes,
-        #: and fanout are recomputed only when the metric's key set
-        #: changes
-        self._plan_cache: Dict[
-            MetricQuery, Tuple[int, List, List[ShardWork], List[int], int]
-        ] = {}
+        self._n_places = store.n_shards
+        #: passes the pool ran, by kind, and passes that ran (partly) in
+        #: process although the store has a pool
+        self.pool_passes: Counter = Counter()
+        self.serial_fallbacks = 0
 
     # ------------------------------------------------------------- rollups
     @classmethod
@@ -558,15 +626,40 @@ class FederatedQueryEngine(QueryEngine):
         capacity: int = 4096,
         **kwargs,
     ) -> "FederatedQueryEngine":
-        """Build the engine plus one rollup cascade per shard."""
-        managers = [
-            RollupManager(shard, resolutions, capacity=capacity) for shard in store.shards
-        ]
-        return cls(store, rollups=managers, **kwargs)
+        """Give the store one rollup cascade per shard, build the engine."""
+        store.create_tiersets(resolutions, tier_capacity=capacity)
+        return cls(store, **kwargs)
+
+    @property
+    def parallel_scatters(self) -> int:
+        """Scatter passes the worker pool ran."""
+        return self.pool_passes["scatter"]
+
+    @property
+    def parallel_folds(self) -> int:
+        """Fold passes the worker pool ran."""
+        return self.pool_passes["fold"]
+
+    @property
+    def shard_rollups(self) -> Optional[List[RollupManager]]:
+        """Per-shard rollup managers, parallel to ``store.shards``."""
+        return self.store.tiersets
 
     def fold_rollups(self, now: float) -> int:
         """Fold every shard's tiers up to ``now``; returns rows written."""
-        return sum(m.fold(now) for m in self.shard_rollups or ())
+        tiersets = self.shard_rollups
+        if not tiersets:
+            return 0
+        res0 = tiersets[0].tiers[0].resolution_s
+        task = {"boundary": math.floor(now / res0) * res0}
+        for manager in tiersets:
+            manager.ensure_sids()
+        written = 0
+        results = self._run_on_shards("fold", [(s, task) for s in range(len(tiersets))])
+        for manager, data in zip(tiersets, results):
+            written += data["written"]
+            manager.note_fold(data["late"])
+        return written
 
     def attach_rollups(self, engine, period_s: Optional[float] = None, *, start_at=None) -> None:
         """Drive per-shard folding from a simulation engine, one task.
@@ -580,7 +673,7 @@ class FederatedQueryEngine(QueryEngine):
             return
         if self._fold_task is not None and not self._fold_task.stopped:
             raise RuntimeError("federated rollups already attached")
-        period = period_s if period_s is not None else self._tier_resolutions[0]
+        period = period_s if period_s is not None else self.tier_resolutions()[0]
         self._fold_task = engine.every(
             period, lambda: self.fold_rollups(engine.now), start_at=start_at,
             label="federated-rollup-fold",
@@ -588,14 +681,14 @@ class FederatedQueryEngine(QueryEngine):
 
     def tier_resolutions(self) -> List[float]:
         """Per-shard rollup resolutions (identical across shards)."""
-        return list(self._tier_resolutions) if self._tier_resolutions else []
+        tiersets = self.shard_rollups
+        return [t.resolution_s for t in tiersets[0].tiers] if tiersets else []
 
     # ------------------------------------------------------------ standing
-    def make_standing_provider(self) -> FederatedStandingProvider:
-        """Shard-local standing state for :class:`StandingQueryEngine`."""
-        return FederatedStandingProvider(self.store)
+    def _make_standing_provider(self) -> FederatedStandingProvider:
+        return FederatedStandingProvider(self)
 
-    # ----------------------------------------------------------- execution
+    # ------------------------------------------------------------ planning
     def _cache_version(self, q: MetricQuery):
         """Instant results additionally depend on per-shard fold state
         (the aged-out tier fallback), so mix the summed fold counter in."""
@@ -604,39 +697,18 @@ class FederatedQueryEngine(QueryEngine):
             return (epoch, sum(m.folds for m in self.shard_rollups))
         return epoch
 
-    def _plan(self, q: MetricQuery) -> Tuple[List, List[ShardWork], List[int], int]:
-        """Grouped, shard-partitioned worklists for ``q`` (memoized)."""
-        gen = self.store.series_generation(q.metric)
-        plan = self._plan_cache.get(q)
-        if plan is not None and plan[0] == gen:
-            return plan[1], plan[2], plan[3], plan[4]
-        keys = self.select(q)
-        groups: Dict[Tuple[Tuple[str, str], ...], List[SeriesKey]] = {}
-        for key in keys:
-            groups.setdefault(q.group_key(key), []).append(key)
-        sorted_labels = sorted(groups)
-        group_sizes = [len(groups[labels]) for labels in sorted_labels]
-        work: List[ShardWork] = [([], [], []) for _ in range(self.store.n_shards)]
-        shard_index = self.store.shard_index
-        for gidx, labels in enumerate(sorted_labels):
-            for rank, key in enumerate(sorted(groups[labels], key=str)):
-                wl = work[shard_index(key)]
-                wl[0].append(key)
-                wl[1].append(gidx)
-                wl[2].append(rank)
-        fanout = sum(1 for wl in work if wl[0])
-        if len(self._plan_cache) > 4096:  # unbounded query shapes: reset
-            self._plan_cache.clear()
-        self._plan_cache[q] = (gen, sorted_labels, work, group_sizes, fanout)
-        return sorted_labels, work, group_sizes, fanout
+    def _locate(self, key) -> Tuple[int, int]:
+        """The shard a selected key lives on, and its series id there."""
+        shard = self.store.shard_index(key)
+        return shard, self.store.shards[shard].registry.get(key)
 
+    # ----------------------------------------------------------- execution
     def _execute(self, q: MetricQuery, at: float) -> QueryResult:
         t1 = float(at)
-        sorted_labels, work, group_sizes, fanout = self._plan(q)
-        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(self.select(q), t1)
+        plan = self.plan(q)
+        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(plan.keys, t1)
         self.federated_queries += 1
-        self.fanout_last = fanout
-        self.fanout_total += fanout
+        self.fanout_total += plan.fanout
 
         step = q.step_s
         used_tier = False
@@ -644,23 +716,17 @@ class FederatedQueryEngine(QueryEngine):
             grid_t0, n_bins = self._grid(t0, t1, step)
             t1_hi = grid_t0 + n_bins * step  # exclusive right edge
             if q.agg == "rate":
-                series = self._fed_rate(q, work, sorted_labels, grid_t0, t1_hi, step, n_bins)
+                series = self._fed_rate(q, plan, grid_t0, t1_hi, step, n_bins)
             elif q.agg in PARTIAL_AGGS:
-                series, used_tier = self._fed_partial(
-                    q, work, sorted_labels, grid_t0, t1_hi, step, n_bins, group_sizes
-                )
+                series, used_tier = self._fed_partial(q, plan, grid_t0, t1_hi, step, n_bins)
             else:
-                series = self._fed_sampled(q, work, sorted_labels, grid_t0, t1_hi, step, n_bins)
+                series = self._fed_sampled(q, plan, grid_t0, t1_hi, step, n_bins)
         elif q.agg == "rate":
-            series, used_tier = self._fed_instant_rate(
-                q, work, sorted_labels, t0, t1, group_sizes
-            )
+            series, used_tier = self._fed_instant_rate(q, plan, t0, t1)
         elif q.agg in PARTIAL_AGGS:
-            series, used_tier = self._fed_partial(
-                q, work, sorted_labels, t0, t1, None, 1, group_sizes
-            )
+            series, used_tier = self._fed_partial(q, plan, t0, t1, None, 1)
         else:
-            series = self._fed_sampled(q, work, sorted_labels, t0, t1, None, 1)
+            series = self._fed_sampled(q, plan, t0, t1, None, 1)
 
         if used_tier:
             source = "federated:rollup"
@@ -670,84 +736,113 @@ class FederatedQueryEngine(QueryEngine):
             self.served_raw += 1
         return QueryResult(q, t0, t1, tuple(series), source)
 
-    # ----------------------------------------------------- scatter dispatch
-    def _scatter(self, kind: str, work: List[ShardWork], params: Dict) -> List:
-        """Run one scatter pass over every touched shard.
+    # ------------------------------------------------------- run on shards
+    def _run_on_shards(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
+        """Run one pass of ``kind`` on the shards of ``tasks`` — ``(shard,
+        payload)`` pairs — and return their results in task order.
+
+        The one place that decides who runs a shard pass: one dispatch
+        to the owning workers while the store's pool is live; where
+        there is no pool, it is stopped, or a worker died with its reply
+        (the pool breaks, or respawns it), the same :data:`SHARD_PASSES`
+        function here, on the parent's view of the shard — reads are
+        idempotent, a re-run fold is skipped tier by tier by its
+        watermarks, and parent state is authoritative throughout.  A
+        pass that ran here, wholly or in part, although the store has a
+        pool counts once in ``serial_fallbacks``; either way it traces
+        as one ``<kind>.shard`` span per shard.
+        """
+        if not tasks:
+            return []
+        pool = self.store.pool
+        results: List = [WORKER_DIED] * len(tasks)
+        if pool is not None and pool.active:
+            results = pool.dispatch([(shard, kind, payload) for shard, payload in tasks])
+        here = [i for i, data in enumerate(results) if data is WORKER_DIED]
+        if not here:
+            self.pool_passes[kind] += 1
+            return results
+        if pool is not None:
+            self.serial_fallbacks += 1
+        run = SHARD_PASSES[kind]
+        for i in here:
+            shard, payload = tasks[i]
+            state = self._shard_state(shard)
+            if TRACER.enabled:
+                with TRACER.span(f"{kind}.shard", shard=shard):
+                    results[i] = run(state, payload)
+            else:
+                results[i] = run(state, payload)
+        return results
+
+    def _shard_state(self, shard: int) -> ShardState:
+        """The parent's view of one shard for a pass run in process."""
+        manager = self.shard_rollups[shard] if self.shard_rollups else None
+        return ShardState(
+            self.store.shards[shard].rings,
+            manager.dense if manager is not None else None,
+            manager.folder if manager is not None else None,
+            self._standing.shard_grids[shard] if self._standing is not None else None,
+        )
+
+    def _scatter(
+        self, kind: str, plan: QueryPlan, params: Dict, *,
+        singleton: bool = False, label: str = "gidx",
+    ) -> List:
+        """Run one scatter pass over every touched shard; the results of
+        the shards that hold any of the selection.  Each series goes out
+        under its ``label`` column of the plan; ``singleton`` sends along
+        which ones are alone in their group (the aged-out instant
+        fallbacks serve only those).
 
         Always exactly one ``federated.scatter`` span per pass (when
-        tracing), with per-shard ``scatter.shard`` children — the
-        process-parallel engine overrides :meth:`_scatter_impl`, not
-        this wrapper, so a serial pass, a pool dispatch, and a
-        worker-death fallback all produce the same span tree shape.
+        tracing), with per-shard ``scatter.shard`` children — a pass run
+        here, a pool dispatch, and a worker-death fallback all produce
+        the same span tree shape.
         """
+        alone = None
+        if singleton:
+            alone = [hi - lo == 1 for lo, hi in zip(plan.bounds, plan.bounds[1:])]
+        tasks = [
+            (s, {
+                "kind": kind,
+                "sids": w.sids,
+                "gidxs": getattr(w, label),
+                "ranks": w.rank,
+                "singleton": [alone[g] for g in w.gidx] if singleton else None,
+                "params": params,
+            })
+            for s, w in enumerate(plan.shards) if w.sids
+        ]
         if TRACER.enabled:
-            with TRACER.span(
-                "federated.scatter", kind=kind,
-                fanout=sum(1 for wl in work if wl[0]),
-            ):
-                return self._scatter_impl(kind, work, params)
-        return self._scatter_impl(kind, work, params)
-
-    def _scatter_impl(self, kind: str, work: List[ShardWork], params: Dict) -> List:
-        """One scatter pass over every touched shard, serially
-        in-process.  The process-parallel engine overrides exactly this
-        method to dispatch the same passes (same functions, sid-addressed
-        readers) to its worker pool — plan and gather stay identical.
-        """
-        fn = SCATTER_FNS[kind]
-        tier_idx = params.get("tier_idx")
-        group_sizes = params.get("group_sizes")
-        traced = TRACER.enabled
-        out: List = [None] * len(work)
-        for s, wl in enumerate(work):
-            items, gidxs, ranks = wl
-            if not items:
-                continue
-            manager = self.shard_rollups[s] if self.shard_rollups is not None else None
-            tier = manager.tiers[tier_idx] if manager is not None and tier_idx is not None else None
-            reader = KeyShardReader(self.store.shards[s], manager, tier)
-            singleton = (
-                [group_sizes[g] == 1 for g in gidxs] if group_sizes is not None else None
-            )
-            if traced:
-                with TRACER.span("scatter.shard", shard=s, items=len(items)):
-                    out[s] = fn(reader, items, gidxs, ranks, singleton, params)
-            else:
-                out[s] = fn(reader, items, gidxs, ranks, singleton, params)
-        return out
-
-    def _tier_index(self, step: Optional[float], agg: str) -> Optional[int]:
-        if self._tier_resolutions is None:
-            return None
-        return select_tier_index(self._tier_resolutions, step, agg)
+            with TRACER.span("federated.scatter", kind=kind, fanout=len(tasks)):
+                return self._run_on_shards("scatter", tasks)
+        return self._run_on_shards("scatter", tasks)
 
     # --------------------------------------------------- partial-agg path
     def _fed_partial(
         self,
         q: MetricQuery,
-        work: List[ShardWork],
-        sorted_labels: List,
+        plan: QueryPlan,
         grid_t0: float,
         t1_hi: float,
         step: Optional[float],
         n_bins: int,
-        group_sizes: Optional[List[int]] = None,
     ) -> Tuple[List[ResultSeries], bool]:
-        instant_tiers = (
-            step is None and group_sizes is not None and self.shard_rollups is not None
-        )
+        # an instant read mirrors the single-store engine: a singleton
+        # group whose raw ring aged out is served from the shard's tiers
+        instant_tiers = step is None and self.shard_rollups is not None
         params = {
             "grid_t0": grid_t0,
             "t1_hi": t1_hi,
             "step": step,
             "n_bins": n_bins,
-            "tier_idx": self._tier_index(step, q.agg) if step is not None else None,
+            "tier_idx": select_tier_index(self.tier_resolutions(), step, q.agg),
             "instant_tiers": instant_tiers,
-            "group_sizes": group_sizes if instant_tiers else None,
         }
         entries: List[Dict[str, np.ndarray]] = []
         used_tier = False
-        for res in self._scatter("partial", work, params):
+        for res in self._scatter("partial", plan, params, singleton=instant_tiers):
             if res is None:
                 continue
             entries.extend(res[0])
@@ -755,7 +850,7 @@ class FederatedQueryEngine(QueryEngine):
         if not entries:
             return [], used_tier
         return (
-            self._reduce_partial(entries, q.agg, sorted_labels, grid_t0, step, n_bins),
+            self._reduce_partial(entries, q.agg, plan.labels, grid_t0, step, n_bins),
             used_tier,
         )
 
@@ -763,7 +858,7 @@ class FederatedQueryEngine(QueryEngine):
         self,
         entries: List[Dict[str, np.ndarray]],
         agg: str,
-        sorted_labels: List,
+        sorted_labels: Sequence,
         grid_t0: float,
         step: Optional[float],
         n_bins: int,
@@ -804,8 +899,7 @@ class FederatedQueryEngine(QueryEngine):
     def _fed_sampled(
         self,
         q: MetricQuery,
-        work: List[ShardWork],
-        sorted_labels: List,
+        plan: QueryPlan,
         grid_t0: float,
         t1_hi: float,
         step: Optional[float],
@@ -818,20 +912,19 @@ class FederatedQueryEngine(QueryEngine):
         for every shard count by construction.
         """
         params = {"grid_t0": grid_t0, "t1_hi": t1_hi, "step": step, "n_bins": n_bins}
-        parts = [r for r in self._scatter("sampled", work, params) if r is not None]
+        parts = [r for r in self._scatter("sampled", plan, params) if r is not None]
         if not parts:
             return []
         comp = np.concatenate([r["comp"] for r in parts])
         vals_in = np.concatenate([r["v"] for r in parts])
         nz, vals = grouped_aggregate(comp, vals_in, q.agg)
-        return self._build_series(nz // n_bins, nz % n_bins, vals, sorted_labels, grid_t0, step)
+        return self._build_series(nz // n_bins, nz % n_bins, vals, plan.labels, grid_t0, step)
 
     # ---------------------------------------------------------- rate path
     def _fed_rate(
         self,
         q: MetricQuery,
-        work: List[ShardWork],
-        sorted_labels: List,
+        plan: QueryPlan,
         grid_t0: float,
         t1_hi: float,
         step: float,
@@ -839,7 +932,7 @@ class FederatedQueryEngine(QueryEngine):
     ) -> List[ResultSeries]:
         """Counter rate: per-series reset-clamped increases, summed per bin."""
         params = {"grid_t0": grid_t0, "t1_hi": t1_hi, "step": step, "n_bins": n_bins}
-        parts = [r for r in self._scatter("rate", work, params) if r is not None]
+        parts = [r for r in self._scatter("rate", plan, params) if r is not None]
         if not parts:
             return []
         e_gidx = np.concatenate([r["gidx"] for r in parts])
@@ -851,32 +944,23 @@ class FederatedQueryEngine(QueryEngine):
         bin_o = e_bin[order]
         m_starts, _ = _segment_bounds(gidx * n_bins + bin_o)
         vals = np.add.reduceat(e_inc[order], m_starts) / step
-        return self._build_series(
-            gidx[m_starts], bin_o[m_starts], vals, sorted_labels, grid_t0, step
-        )
+        return self._build_series(gidx[m_starts], bin_o[m_starts], vals, plan.labels, grid_t0, step)
 
     def _fed_instant_rate(
         self,
         q: MetricQuery,
-        work: List[ShardWork],
-        sorted_labels: List,
+        plan: QueryPlan,
         t0: float,
         t1: float,
-        group_sizes: Optional[List[int]] = None,
     ) -> Tuple[List[ResultSeries], bool]:
         span = t1 - t0
         if span <= 0:
             return [], False
-        tier_fallback = group_sizes is not None and self.shard_rollups is not None
-        params = {
-            "t0": t0,
-            "t1": t1,
-            "tier_fallback": tier_fallback,
-            "group_sizes": group_sizes if tier_fallback else None,
-        }
+        tier_fallback = self.shard_rollups is not None
+        params = {"t0": t0, "t1": t1, "tier_fallback": tier_fallback}
         parts = []
         used_tier = False
-        for res in self._scatter("instant_rate", work, params):
+        for res in self._scatter("instant_rate", plan, params, singleton=tier_fallback):
             if res is None:
                 continue
             parts.append(res[0])
@@ -894,7 +978,7 @@ class FederatedQueryEngine(QueryEngine):
             gidx[m_starts],
             np.zeros(m_starts.size, dtype=np.int64),
             totals / span,
-            sorted_labels,
+            plan.labels,
             t0,
             None,
         ), used_tier
@@ -918,21 +1002,15 @@ class FederatedQueryEngine(QueryEngine):
         if isinstance(q, str):
             q = self.parse(q)
         self.samples_total += 1
-        keys = self.select(q)
+        plan = self.plan(q)
         t1 = float(at)
-        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(keys, t1)
+        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(plan.keys, t1)
         if since is not None:
             t0 = max(t0, since)
-        work: List[ShardWork] = [([], [], []) for _ in range(self.store.n_shards)]
-        shard_index = self.store.shard_index
-        for sel_idx, key in enumerate(keys):
-            wl = work[shard_index(key)]
-            wl[0].append(key)
-            wl[1].append(sel_idx)  # selection position, not a group index
-            wl[2].append(0)
         params = {"t0": t0, "t1": t1, "since": since}
         chunks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for res in self._scatter("samples", work, params):
+        # chunks come back labeled with the selection position, not a group index
+        for res in self._scatter("samples", plan, params, label="sel"):
             if res is None:
                 continue
             chunks.extend(zip(res["sel"], res["times"], res["values"]))
@@ -952,7 +1030,7 @@ class FederatedQueryEngine(QueryEngine):
         out_gidx: np.ndarray,
         out_bins: np.ndarray,
         vals: np.ndarray,
-        sorted_labels: List,
+        sorted_labels: Sequence,
         grid_t0: float,
         step: Optional[float],
     ) -> List[ResultSeries]:
@@ -981,6 +1059,12 @@ class FederatedQueryEngine(QueryEngine):
         out["federated_queries"] = float(self.federated_queries)
         out["fanout_total"] = float(self.fanout_total)
         out["fanout_mean"] = self.fanout_total / max(1, self.federated_queries)
+        pool = self.store.pool
+        if pool is not None:
+            out["parallel_scatters"] = float(self.parallel_scatters)
+            out["parallel_folds"] = float(self.parallel_folds)
+            out["serial_fallbacks"] = float(self.serial_fallbacks)
+            out.update({f"pool_{k}": v for k, v in pool.stats().items()})
         if self.shard_rollups:
             folds = 0.0
             tier_rows: Dict[str, float] = {}

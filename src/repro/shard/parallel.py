@@ -1,18 +1,18 @@
 """Process-parallel shard execution over shared-memory columns.
 
-This module is the parallel tier of the shard stack: shard raw rings and
-rollup tiers are relocated into ``multiprocessing.shared_memory``
-blocks, and a persistent pool of worker processes executes per-shard
-work — scatter passes for federated queries, standing-grid upkeep and
-the rollup fold — directly against those columns.  **One process writes
-the raw rings: the parent.**  A commit is the serial store's vectorised
-scatter, straight into blocks the parent already maps; workers map the
-same blocks read-only and only ever write rollup tiers and their own
-standing grids.  What crosses the pipe is task metadata and per-shard
-*partial results*; the committed columns the worker's folder and grids
-consume are handed over — batched onto the next fold / scatter /
-standing dispatch — through a per-shard column log in the same shared
-memory.
+This module is the worker-pool executor of the shard stack: shard raw
+rings and rollup tiers are relocated into ``multiprocessing.shared_memory``
+blocks, and a persistent pool of worker processes runs the shard passes
+of :data:`~repro.shard.federated.SHARD_PASSES` — scatter passes for
+federated queries, standing-grid reads and the rollup fold — directly
+against those columns.  **One process writes the raw rings: the
+parent.**  A commit is the serial store's vectorised scatter, straight
+into blocks the parent already maps; workers map the same blocks
+read-only and only ever write rollup tiers and their own standing
+grids.  What crosses the pipe is task metadata and per-shard *partial
+results*; the committed columns the worker's folder and grids consume
+are handed over — batched onto the next fold / scatter / standing
+dispatch — through a per-shard column log in the same shared memory.
 
 Layering (parent process owns everything above the pipe):
 
@@ -36,23 +36,21 @@ Layering (parent process owns everything above the pipe):
 * :class:`ShardWorkerPool` — worker lifecycle, the per-shard event logs,
   forwarded-column queues and column logs, batched task dispatch with
   crash detection, and shared-memory result transport.
-* :class:`ParallelShardedStore` / :class:`ParallelFederatedQueryEngine`
-  — the sharded store facade over those shards and the federated engine
-  with scatters and folds dispatched to the pool; every parallel path
-  degrades to the inherited serial implementation when the pool is
-  unavailable or a worker dies, so correctness never depends on the
-  pool being healthy.
+* :class:`ParallelShardedStore` — the sharded store facade over those
+  shards, carrying the pool.  There is no parallel engine: the
+  :class:`~repro.shard.federated.FederatedQueryEngine` over this store
+  dispatches its passes to the live pool and runs them in process when
+  it is down or a worker dies — correctness never depends on the pool.
 
-Determinism: workers compute exactly the per-shard passes the serial
-engine runs (same :data:`~repro.shard.federated.SCATTER_FNS` functions,
-same fold kernel, sid-addressed readers), and the parent's gather is the
-canonical partition-invariant merge — so parallel results are
-**bit-identical** to serial execution for every worker count.
+Determinism: a worker's :class:`_WorkerShard` is the same
+:class:`~repro.shard.federated.ShardState` the parent builds, the pass
+functions are the same, and the parent's gather is the canonical
+partition-invariant merge — so pool results are **bit-identical** to
+in-process execution for every worker count.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import traceback
 from multiprocessing import get_context, resource_tracker, shared_memory
@@ -61,16 +59,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.trace import TRACER
-from repro.query.engine import instant_tier_partials, instant_tier_rate
 from repro.query.rollup import CascadeFolder, RollupManager, TierStore
-from repro.query.standing import StandingGrid, concat_entries
-from repro.shard.federated import SCATTER_FNS, FederatedQueryEngine, ShardWork
+from repro.query.standing import StandingGrid
+from repro.shard.federated import SHARD_PASSES, WORKER_DIED, FederatedQueryEngine, ShardState
 from repro.shard.store import ShardedTimeSeriesStore
-from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import RawRings, TimeSeriesStore
-
-#: Sentinel dispatch result for tasks lost to a dead worker.
-WORKER_DIED = object()
 
 #: Arrays at or above this many bytes travel through shared memory;
 #: smaller ones are pickled inline with the reply (cheaper than a block).
@@ -251,56 +244,17 @@ def _unpack(enc, view: Callable[[Tuple], np.ndarray]):
 # Worker process.
 
 
-class SidShardReader:
-    """Scatter-pass reader addressed by shard-local series id.
-
-    The exact worker-side counterpart of
-    :class:`~repro.shard.federated.KeyShardReader`: the scatter pass
-    functions run unchanged against it, with ``item`` a sid instead of a
-    key.
-    """
-
-    __slots__ = ("tier", "_raw", "_tiers")
-
-    def __init__(self, shard: "_WorkerShard", tier_idx: Optional[int]) -> None:
-        self._raw = shard.raw
-        self._tiers = shard.tiers
-        self.tier = shard.tiers.tiers[tier_idx] if tier_idx is not None else None
-
-    def window(self, sid: int, lo: float, hi: float):
-        return self._raw.window(sid, lo, hi)
-
-    def watermark(self, sid: int) -> Optional[float]:
-        return self.tier.watermark(sid)
-
-    def rows(self, sid: int, lo: float, hi: float):
-        return self.tier.window(sid, lo, hi)
-
-    def instant_partials(self, sid: int, t0: float, t1: float):
-        if self._tiers is None:
-            return None
-        return instant_tier_partials(self._raw, self._tiers, sid, t0, t1)
-
-    def instant_rate(self, sid: int, t0: float, t1: float):
-        if self._tiers is None:
-            return None
-        return instant_tier_rate(self._raw, self._tiers, sid, t0, t1)
-
-
-class _WorkerShard:
-    """One shard's sid-addressed mirror inside a worker process."""
+class _WorkerShard(ShardState):
+    """One shard's state inside a worker process: the parent-announced
+    blocks mapped, a folder and standing grids of its own."""
 
     def __init__(self, cache: _BlockCache) -> None:
+        # the raw rings are parent-written blocks, mapped read-only; the
+        # tiers arrive as announced blocks; worker grids track every sid
+        # (no registry here, and reads only request the sids the parent
+        # planned)
+        super().__init__(RawRings(alloc=None))
         self._cache = cache
-        #: the shard's raw rings: parent-written blocks, mapped read-only
-        self.raw = RawRings(alloc=None)
-        #: the shard's rollup tiers, mapped from parent-announced blocks
-        self.tiers: Optional[TierStore] = None
-        self.folder: Optional[CascadeFolder] = None
-        #: standing-query grids by step, fed from this shard's column
-        #: stream; worker grids track every sid (no registry here, and
-        #: reads only request the sids the parent planned)
-        self.standing: Dict[float, StandingGrid] = {}
         #: the shard's column log: parent-written ``(ids, times, values)``
         self.clog: List[np.ndarray] = []
 
@@ -347,18 +301,9 @@ class _WorkerShard:
         any column event still queued behind this registration; the
         backfill floor — each ring's current last timestamp — keeps those
         from counting twice."""
-        grid = self.standing.get(step)
-        if (
-            grid is not None
-            and n_slots <= grid.n_slots
-            and (not want_rate or grid.track_rate)
-        ):
+        grid = StandingGrid.widened(self.standing.get(step), step, n_slots, want_rate)
+        if grid is None:
             return
-        grid = StandingGrid(
-            step,
-            max(n_slots, grid.n_slots if grid is not None else 0),
-            track_rate=want_rate or (grid.track_rate if grid is not None else False),
-        )
         self.standing[step] = grid
         self.raw.refresh()
         for sid in self.raw.sids().tolist():
@@ -369,50 +314,11 @@ class _WorkerShard:
             )
 
     # -------------------------------------------------------------- tasks
-    def run(self, kind: str, payload: Dict):
+    def run(self, kind: str, payload: Optional[Dict]):
         self.raw.refresh()
-        if kind == "scatter":
-            reader = SidShardReader(self, payload["params"].get("tier_idx"))
-            fn = SCATTER_FNS[payload["kind"]]
-            return fn(
-                reader,
-                payload["sids"],
-                payload["gidxs"],
-                payload["ranks"],
-                payload.get("singleton"),
-                payload["params"],
-            )
-        if kind == "standing":
-            grid = self.standing.get(payload["step"])
-            if grid is None:
-                return {"ok": False}
-            sids = np.asarray(payload["sids"], dtype=np.int64)
-            b0, b1 = payload["b0"], payload["b1"]
-            for sid in grid.incomplete(sids, b0).tolist():
-                if self.raw.count(sid) > 0:
-                    return {"ok": False}
-            rows = grid.rows(sids, b0, b1, want_rate=payload["want_rate"])
-            spos = rows.pop("spos")
-            rows["gidx"] = np.asarray(payload["gidxs"], dtype=np.int64)[spos]
-            rows["rank"] = np.asarray(payload["ranks"], dtype=np.int64)[spos]
-            return {"ok": True, "rows": rows, "stats": grid.stats()}
-        if kind == "fold":
-            written = self.folder.fold(payload["boundary"])
-            # late samples since the last report: the parent keeps the total
-            late, self.folder.late_dropped = self.folder.late_dropped, 0
-            return {"written": written, "late": late}
         if kind == "sync":  # nothing to run: the events were the message
             return None
-        raise ValueError(f"unknown task kind {kind!r}")
-
-
-#: worker-side span name per task kind — mirrors the serial engine's
-#: in-process span names so serial and parallel traces share one shape
-_TASK_SPANS = {
-    "scatter": "scatter.shard",
-    "standing": "standing.shard",
-    "fold": "fold.shard",
-}
+        return SHARD_PASSES[kind](self, payload)
 
 
 def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> None:
@@ -485,9 +391,8 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
                 for ev in events:
                     state.apply_event(ev)
                 if TRACER.enabled:
-                    with TRACER.span(
-                        _TASK_SPANS.get(kind, "task.shard"), shard=shard_idx
-                    ):
+                    # the span name a pass run in the parent gets
+                    with TRACER.span(f"{kind}.shard", shard=shard_idx):
                         data = state.run(kind, payload)
                 else:
                     data = state.run(kind, payload)
@@ -870,13 +775,12 @@ class SharedTierSet(RollupManager):
     shard's event log (``("tblock", sid0, n, descriptors)``, kept in
     :attr:`events` for crash-respawn replay), so the owning worker maps
     the very storage the parent reads.  While the pool is live the fold
-    runs inside that worker — the store forwards it the committed
-    columns, and each fold reply adds its late-sample count to this
-    cascade's one counter (:meth:`note_worker_fold`).  Whenever folding
-    comes back in-process (pool down, or a shard re-folded after its
-    worker died) it restarts from the shared watermarks with a fresh
-    folder, exactly as a respawned worker does: the columns of the
-    meantime went to the worker, and the raw rings hold them all.  A
+    pass runs inside that worker — the store forwards it the committed
+    columns — and the in-process folder is kept empty
+    (:meth:`ensure_sids`).  Whenever folding comes back in process (pool
+    down, or a shard re-folded after its worker died) it therefore
+    restarts from the shared watermarks and the raw rings, which hold
+    every column of the meantime, exactly as a respawned worker does.  A
     tier pass publishes its watermarks last, so a fold cut short between
     tier passes re-folds safely: finished passes are skipped by their
     watermarks, the rest run again.
@@ -896,8 +800,6 @@ class SharedTierSet(RollupManager):
         self._log_event = log_event
         self._pool_active = pool_active
         self._buffer_cap = int(buffer_cap)
-        #: columns went to the worker since the in-process folder last ran
-        self._behind = False
         #: the layout and every tier block announced so far, in order —
         #: what rebuilds a respawned worker's mirror of this cascade
         self.events: List[Tuple] = []
@@ -918,39 +820,21 @@ class SharedTierSet(RollupManager):
 
     def ensure_sids(self) -> None:
         """Grow the tiers to cover every interned series (parent-only,
-        called between dispatches) and announce the new blocks."""
-        grown = self._dense.grow(len(self.store.registry))
+        called between dispatches) and announce the new blocks.  Called
+        at every commit and before every fold pass, so also where a live
+        pool is observed: the worker's folder has the column stream from
+        here on, and the in-process one forgets what it has seen."""
+        grown = self.dense.grow(len(self.store.registry))
         if grown is not None:
             self._announce(("tblock",) + grown)
-
-    def _fold_here(self) -> None:
-        if self._behind:
-            self._behind = False
-            late = self._folder.late_dropped
-            self._folder = CascadeFolder(
-                self._dense.tiers, self.store.rings, buffer_cap=self._buffer_cap
-            )
-            self._folder.late_dropped = late
+        if self._pool_active():
+            self.folder.restart()
 
     def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
         if self._pool_active():
-            self.ensure_sids()
-            self._behind = True  # the store forwards these to the worker's folder
+            self.ensure_sids()  # the store forwards the columns to the worker's folder
         else:
-            self._fold_here()
             super()._on_ingest(ids, times, values)
-
-    def fold(self, now: float) -> int:
-        self._fold_here()
-        return super().fold(now)
-
-    def note_worker_fold(self, late: int) -> None:
-        """Account one fold the owning worker ran; ``late`` is what it
-        dropped since its last report, added to the one late-sample
-        counter (so a respawned worker's fresh count loses nothing)."""
-        self._folder.late_dropped += late
-        self.folds += 1
-        self._behind = True
 
     #: ``late_samples_dropped`` under the name ``bench/`` reads; goes
     #: when that read can next change
@@ -970,8 +854,9 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
     straight into the shared blocks.  Workers map the blocks read-only
     from their one-time ``("rblock", …)`` announcements.  Once something
     worker-side consumes the column stream — rollup tiers
-    (:meth:`create_tiersets`) or a standing registration — every shard
-    commit is also forwarded to the owning worker
+    (:meth:`create_tiersets`) or a standing registration
+    (:meth:`register_standing`) — every shard commit is also forwarded
+    to the owning worker
     (:meth:`ShardWorkerPool.queue_columns`).  The parent keeps all
     bookkeeping (registries, epochs, generations, listeners)
     authoritative, so reads and serial fallbacks never depend on worker
@@ -992,10 +877,9 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         )
         self.pool.replay_provider = self._replay_events
         self.arena = SharedArena(f"{self.pool.prefix}.p")
-        self.tiersets: Optional[List[SharedTierSet]] = None
-        #: standing registrations ``(metric, step, n_slots, want_rate)``,
+        #: the workers' standing grids as ``step -> (n_slots, want_rate)``,
         #: kept for crash-respawn replay
-        self.standing_regs: List[Tuple] = []
+        self.standing_regs: Dict[float, Tuple[int, bool]] = {}
         #: commits made while the pool was not running
         self.serial_appends = 0
         self._closed = False
@@ -1008,6 +892,19 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         return TimeSeriesStore(self.default_capacity, rings=rings)
 
     # ------------------------------------------------------------ lifecycle
+    def _make_tierset(
+        self, idx: int, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
+    ) -> SharedTierSet:
+        return SharedTierSet(
+            self.shards[idx],
+            resolutions,
+            tier_capacity,
+            self.arena,
+            log_event=lambda ev: self.pool.log_event(idx, ev),
+            pool_active=lambda: self.pool.active,
+            buffer_cap=buffer_cap,
+        )
+
     def create_tiersets(
         self,
         resolutions: Sequence[float],
@@ -1015,35 +912,27 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         tier_capacity: int = 4096,
         ingest_buffer_cap: int = 1 << 18,
     ) -> List[SharedTierSet]:
-        """Build one shared rollup cascade per shard.
-
-        One rollup configuration per store: the tier layout is baked
-        into every worker's mirror, so a second call with a different
-        layout raises instead of silently forking the config.
-        """
-        if self.tiersets is not None:
-            if [t.resolution_s for t in self.tiersets[0].tiers] == sorted(
-                float(r) for r in resolutions
-            ):
-                return self.tiersets
-            raise RuntimeError(
-                "parallel store already has rollup tiers with a different "
-                "layout; one rollup configuration per store"
-            )
-        self.tiersets = [
-            SharedTierSet(
-                self.shards[s],
-                resolutions,
-                tier_capacity,
-                self.arena,
-                log_event=lambda ev, s=s: self.pool.log_event(s, ev),
-                pool_active=lambda: self.pool.active,
-                buffer_cap=ingest_buffer_cap,
-            )
-            for s in range(self.n_shards)
-        ]
+        """One shared rollup cascade per shard, its worker's folder fed
+        from the forwarded column stream."""
+        tiersets = super().create_tiersets(
+            resolutions, tier_capacity=tier_capacity, ingest_buffer_cap=ingest_buffer_cap
+        )
         self.forward_columns(int(ingest_buffer_cap))
-        return self.tiersets
+        return tiersets
+
+    def register_standing(self, step: float, n_slots: int, want_rate: bool) -> None:
+        """Have every shard's worker keep a standing grid for ``step`` of
+        at least ``n_slots`` bins (with rate state if asked), built and
+        backfilled from the shared rings before its next task.  Kept for
+        crash-respawn replay; one an earlier call covers announces nothing."""
+        have_slots, have_rate = self.standing_regs.get(step, (0, False))
+        reg = (max(int(n_slots), have_slots), bool(want_rate) or have_rate)
+        if reg == (have_slots, have_rate):
+            return
+        self.standing_regs[step] = reg
+        self.forward_columns()
+        for s in range(self.n_shards):
+            self.pool.log_event(s, ("streg", step) + reg)
 
     def forward_columns(self, log_rows: int = 1 << 18) -> None:
         """From now on forward every shard commit to the owning worker
@@ -1100,16 +989,8 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
             events.extend(self.tiersets[s].events)
         events.extend(("rblock",) + block for block in self.shards[s].rings.blocks)
         events.extend(self.pool.clog_events[s:s + 1])
-        for _metric, step, n_slots, want_rate in self.standing_regs:
-            events.append(("streg", step, n_slots, want_rate))
+        events.extend(("streg", step) + reg for step, reg in self.standing_regs.items())
         return events
-
-    def ensure_tier_sids(self) -> None:
-        """Tier storage for every routed series, announced before the
-        next dispatch (no worker holds a view that would go stale: tier
-        blocks are appended, never moved)."""
-        for ts in self.tiersets or ():
-            ts.ensure_sids()
 
     # -------------------------------------------------------------- writing
     def append_batch(self, series_ids, times, values) -> None:
@@ -1131,241 +1012,12 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         return out
 
 
-# --------------------------------------------------------------------------
-# Parallel federated engine.
-
-
-class ParallelFederatedQueryEngine(FederatedQueryEngine):
-    """Federated engine whose scatter passes run on the worker pool.
-
-    Overrides exactly the :meth:`_scatter` seam: worklists are
-    translated to shard-local sid columns (memoized against the plan
-    cache), shipped to the shard's owning worker, and executed there by
-    the very same pass functions the serial loop runs — the gather is
-    untouched, so results are bit-identical to serial execution for any
-    worker count.  Every failure path falls back to the inherited serial
-    scatter over the same shared storage.
-    """
-
-    def __init__(self, store: ParallelShardedStore, **kwargs) -> None:
-        super().__init__(store, rollups=store.tiersets, **kwargs)
-        self.parallel_scatters = 0
-        self.parallel_folds = 0
-        self.serial_fallbacks = 0
-        #: id(work) → (work, per-shard sid columns, per-shard singleton)
-        self._sid_plans: Dict[int, Tuple] = {}
-
-    def _sid_work(self, work: List[ShardWork], group_sizes: Optional[List[int]]):
-        cached = self._sid_plans.get(id(work))
-        if cached is not None and cached[0] is work:
-            _, sid_work, singleton = cached
-        else:
-            sid_work = []
-            for s, (items, gidxs, ranks) in enumerate(work):
-                registry = self.store.shards[s].registry
-                sid_work.append([registry.get(k) for k in items])
-            singleton = None
-        if group_sizes is not None and singleton is None:
-            singleton = [
-                [group_sizes[g] == 1 for g in gidxs] for (_, gidxs, _) in work
-            ]
-        if len(self._sid_plans) > 4096:
-            self._sid_plans.clear()
-        self._sid_plans[id(work)] = (work, sid_work, singleton)
-        return sid_work, singleton
-
-    def _scatter_impl(self, kind: str, work: List[ShardWork], params: Dict) -> List:
-        # overrides the base class's dispatch seam *under* its
-        # ``federated.scatter`` span wrapper: pool dispatch, serial
-        # fallback, and the in-process path all trace identically
-        pool = self.store.pool
-        if not pool.active:
-            self.serial_fallbacks += 1
-            return super()._scatter_impl(kind, work, params)
-        group_sizes = params.get("group_sizes")
-        sid_work, singleton = self._sid_work(work, group_sizes)
-        wire_params = {k: v for k, v in params.items() if k != "group_sizes"}
-        tasks = []
-        task_shards = []
-        for s, (items, gidxs, ranks) in enumerate(work):
-            if not items:
-                continue
-            tasks.append(
-                (
-                    s,
-                    "scatter",
-                    {
-                        "kind": kind,
-                        "sids": sid_work[s],
-                        "gidxs": gidxs,
-                        "ranks": ranks,
-                        "singleton": singleton[s] if singleton is not None else None,
-                        "params": wire_params,
-                    },
-                )
-            )
-            task_shards.append(s)
-        if not tasks:
-            return [None] * len(work)
-        results = pool.dispatch(tasks)
-        out: List = [None] * len(work)
-        for s, data in zip(task_shards, results):
-            if data is WORKER_DIED:
-                # pool is broken now; recompute the whole pass serially —
-                # reads are idempotent and parent state is authoritative
-                self.serial_fallbacks += 1
-                return super()._scatter_impl(kind, work, params)
-            out[s] = data
-        self.parallel_scatters += 1
-        return out
-
-    def fold_rollups(self, now: float) -> int:
-        tiersets = self.shard_rollups
-        if not tiersets:
-            return 0
-        pool = self.store.pool
-        if not pool.active:
-            return sum(ts.fold(now) for ts in tiersets)
-        res0 = self._tier_resolutions[0]
-        boundary = math.floor(now / res0) * res0
-        self.store.ensure_tier_sids()
-        tasks = [(s, "fold", {"boundary": boundary}) for s in range(self.store.n_shards)]
-        results = pool.dispatch(tasks)
-        total = 0
-        for s, data in enumerate(results):
-            if data is WORKER_DIED:
-                # re-fold this shard in-process: the watermarks of the
-                # tier passes the worker finished make them no-ops
-                total += tiersets[s].fold(now)
-                continue
-            total += data["written"]
-            tiersets[s].note_worker_fold(data["late"])
-        self.parallel_folds += 1
-        return total
-
-    def make_standing_provider(self) -> "ParallelStandingProvider":
-        """Worker-side standing state (overrides the parent-listener
-        provider, which would never see pool-written appends)."""
-        return ParallelStandingProvider(self.store)
-
-    def stats(self) -> Dict[str, float]:
-        out = super().stats()
-        out["parallel_scatters"] = float(self.parallel_scatters)
-        out["parallel_folds"] = float(self.parallel_folds)
-        out["serial_fallbacks"] = float(self.serial_fallbacks)
-        out.update({f"pool_{k}": v for k, v in self.store.pool.stats().items()})
-        return out
-
-
-class ParallelStandingProvider:
-    """Standing-query provider whose grids live inside the workers.
-
-    Registration logs a ``("streg", step, n_slots, want_rate)`` event to
-    every shard — the owning worker builds and backfills the grid from
-    the shared rings before its next task — and records the registration
-    parent-side for crash-respawn replay.  Reads fan one ``"standing"``
-    task per touched shard to its owning worker and gather the per-shard
-    partial rows; the engine-side merge is partition-invariant, so
-    results match the single-store provider.  While the pool is down the
-    provider reports no coverage (``None``) and the hub falls back to
-    the batch engine, which itself degrades serially as usual.
-    """
-
-    def __init__(self, store: ParallelShardedStore) -> None:
-        self.store = store
-        self.standing_scatters = 0
-        #: last grid stats reported per shard (piggybacked on reads)
-        self._grid_stats: Dict[int, Dict[str, float]] = {}
-
-    def register(self, metric: str, step: float, n_slots: int, *, want_rate: bool) -> None:
-        reg = (metric, float(step), int(n_slots), bool(want_rate))
-        self.store.standing_regs.append(reg)
-        self.store.forward_columns()
-        for s in range(self.store.n_shards):
-            self.store.pool.log_event(s, ("streg",) + reg[1:])
-
-    def entries(
-        self,
-        metric: str,
-        step: float,
-        keys: Sequence[SeriesKey],
-        gidxs: np.ndarray,
-        ranks: np.ndarray,
-        b0: int,
-        b1: int,
-        *,
-        want_rate: bool = False,
-    ) -> Optional[Dict[str, np.ndarray]]:
-        pool = self.store.pool
-        if not pool.active:
-            return None
-        work: List[Tuple[List[int], List[int], List[int]]] = [
-            ([], [], []) for _ in range(self.store.n_shards)
-        ]
-        shard_index = self.store.shard_index
-        shards = self.store.shards
-        for i, key in enumerate(keys):
-            s = shard_index(key)
-            sid = shards[s].registry.get(key)
-            if sid is None:
-                continue  # never interned on its shard: holds no data
-            wl = work[s]
-            wl[0].append(sid)
-            wl[1].append(int(gidxs[i]))
-            wl[2].append(int(ranks[i]))
-        tasks: List[Tuple[int, str, Dict]] = []
-        task_shards: List[int] = []
-        for s, (sids, g, r) in enumerate(work):
-            if not sids:
-                continue
-            tasks.append(
-                (
-                    s,
-                    "standing",
-                    {
-                        "step": float(step),
-                        "sids": sids,
-                        "gidxs": g,
-                        "ranks": r,
-                        "b0": int(b0),
-                        "b1": int(b1),
-                        "want_rate": bool(want_rate),
-                    },
-                )
-            )
-            task_shards.append(s)
-        if not tasks:
-            return concat_entries([])
-        results = pool.dispatch(tasks)
-        chunks: List[Dict[str, np.ndarray]] = []
-        for s, data in zip(task_shards, results):
-            if data is WORKER_DIED or not data["ok"]:
-                return None
-            self._grid_stats[s] = data["stats"]
-            chunks.append(data["rows"])
-        self.standing_scatters += 1
-        return concat_entries(chunks)
-
-    def stats(self) -> Dict[str, float]:
-        out = {
-            "grids": 0.0,
-            "standing_scatters": float(self.standing_scatters),
-            "updates_applied": 0.0,
-            "late_dropped": 0.0,
-        }
-        for shard_stats in self._grid_stats.values():
-            for k, v in shard_stats.items():
-                out[k] = out.get(k, 0.0) + v
-        out["grids"] = float(len(self._grid_stats))
-        return out
-
-
 class ParallelShardContext:
     """One-stop construction of the parallel tier: store + pool + engine.
 
     ``with ParallelShardContext(shards=8, workers=4) as ctx:`` yields a
-    running pool; ``ctx.store`` and ``ctx.engine`` are drop-in
-    replacements for the serial sharded store and federated engine.
+    running pool; ``ctx.store`` is a drop-in replacement for the plain
+    sharded store and ``ctx.engine`` the federated engine over it.
     """
 
     def __init__(
@@ -1378,7 +1030,6 @@ class ParallelShardContext:
         tier_capacity: int = 4096,
         cache=None,
         enable_cache: bool = True,
-        start: bool = True,
         pool_timeout_s: float = 60.0,
     ) -> None:
         self.store = ParallelShardedStore(
@@ -1386,13 +1037,7 @@ class ParallelShardContext:
         )
         if rollup_resolutions is not None:
             self.store.create_tiersets(rollup_resolutions, tier_capacity=tier_capacity)
-        self.engine = ParallelFederatedQueryEngine(
-            self.store, cache=cache, enable_cache=enable_cache
-        )
-        if start:
-            self.start()
-
-    def start(self) -> None:
+        self.engine = FederatedQueryEngine(self.store, cache=cache, enable_cache=enable_cache)
         self.store.start_parallel()
 
     def close(self) -> None:
@@ -1410,9 +1055,6 @@ __all__ = [
     "SharedArena",
     "SharedTierSet",
     "ShardWorkerPool",
-    "SidShardReader",
     "ParallelShardedStore",
-    "ParallelFederatedQueryEngine",
-    "ParallelStandingProvider",
     "ParallelShardContext",
 ]

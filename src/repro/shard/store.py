@@ -29,10 +29,11 @@ shard and never a per-shard re-sort.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.query.rollup import RollupManager
 from repro.telemetry.batch import SeriesRegistry, sort_series_columns
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import IngestListener, SeriesStats, TimeSeriesStore, segment_rows
@@ -62,6 +63,11 @@ class ShardedTimeSeriesStore:
     scatters per-shard subqueries and merges partial results.
     """
 
+    #: the worker pool that can run this store's shard passes; the
+    #: federated engine runs them in process while there is none, or
+    #: while it is not live (:class:`repro.shard.parallel.ParallelShardedStore`)
+    pool = None
+
     def __init__(self, n_shards: int = 4, default_capacity: int = 4096) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
@@ -81,12 +87,51 @@ class ShardedTimeSeriesStore:
             np.empty(0, dtype=np.int64) for _ in range(self.n_shards)
         ]
         self._listeners: List[IngestListener] = []
+        #: one rollup cascade per shard (:meth:`create_tiersets`)
+        self.tiersets: Optional[List[RollupManager]] = None
 
     def _make_shard(self, idx: int) -> TimeSeriesStore:
         """Build the per-shard store.  Subclasses override to relocate
         shard columns (:class:`repro.shard.parallel.ParallelShardedStore`
         puts the rings in shared memory for the process-parallel tier)."""
         return TimeSeriesStore(self.default_capacity)
+
+    def create_tiersets(
+        self,
+        resolutions: Sequence[float],
+        *,
+        tier_capacity: int = 4096,
+        ingest_buffer_cap: int = 1 << 18,
+    ) -> List[RollupManager]:
+        """Build one rollup cascade per shard.
+
+        One rollup configuration per store — every engine over it reads
+        the same tiers, and a worker's mirror has the layout baked in —
+        so a second call with a different layout raises instead of
+        silently forking the config.
+        """
+        if self.tiersets is not None:
+            if [t.resolution_s for t in self.tiersets[0].tiers] == sorted(
+                float(r) for r in resolutions
+            ):
+                return self.tiersets
+            raise RuntimeError(
+                "store already has rollup tiers with a different layout; "
+                "one rollup configuration per store"
+            )
+        self.tiersets = [
+            self._make_tierset(idx, resolutions, tier_capacity, ingest_buffer_cap)
+            for idx in range(self.n_shards)
+        ]
+        return self.tiersets
+
+    def _make_tierset(
+        self, idx: int, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
+    ) -> RollupManager:
+        """Shard ``idx``'s cascade; subclasses relocate its tiers."""
+        return RollupManager(
+            self.shards[idx], resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
+        )
 
     # ------------------------------------------------------------- routing
     def shard_index(self, key: SeriesKey) -> int:

@@ -1,0 +1,74 @@
+"""Shared fixtures.
+
+``executor`` is the one input the sharded bit-identity suites take in
+place of an engine class: *who runs a shard pass* is a property of the
+store a :class:`~repro.shard.FederatedQueryEngine` observes, so every
+case runs unchanged over each way of running one.
+"""
+
+import pytest
+
+from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore
+
+
+class ShardExecutor:
+    """One way of running shard passes, as stores built to provoke it.
+
+    ``inline``: a plain sharded store, no pool.  ``pool-1`` / ``pool-2``:
+    shared-memory shards beside a live pool of that many workers.
+    ``pool-stopped``: the pool shut down after the data went in.
+    ``worker-killed``: two workers, respawn off, worker 0 killed after
+    the data went in — the next dispatch loses its shards' tasks and
+    breaks the pool.  :meth:`degrade` applies the last two; on the others
+    it does nothing.
+    """
+
+    NAMES = ("inline", "pool-1", "pool-2", "pool-stopped", "worker-killed")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._stores = []
+
+    @property
+    def pooled(self) -> bool:
+        """Every pass runs on the pool."""
+        return self.name in ("pool-1", "pool-2")
+
+    @property
+    def falls_back(self) -> bool:
+        """A pool exists, and (after :meth:`degrade`) passes run in
+        process anyway: counted in ``serial_fallbacks``."""
+        return self.name in ("pool-stopped", "worker-killed")
+
+    def store(self, n_shards: int, *, resolutions=None, capacity: int = 4096):
+        if self.name == "inline":
+            store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=capacity)
+        else:
+            store = ParallelShardedStore(
+                n_shards=n_shards,
+                default_capacity=capacity,
+                workers=1 if self.name == "pool-1" else 2,
+                respawn=self.name != "worker-killed",
+            )
+            self._stores.append(store)
+            store.start_parallel()
+        if resolutions is not None:
+            store.create_tiersets(resolutions)
+        return store
+
+    def degrade(self, store) -> None:
+        if self.name == "pool-stopped":
+            store.pool.close()
+        elif self.name == "worker-killed":
+            store.pool.inject_crash(0)
+
+    def close(self) -> None:
+        for store in self._stores:
+            store.close()
+
+
+@pytest.fixture(params=ShardExecutor.NAMES)
+def executor(request):
+    ex = ShardExecutor(request.param)
+    yield ex
+    ex.close()

@@ -1,20 +1,21 @@
-"""Span-tree parity: serial, pool-dispatched, and crash-fallback scatter
-passes must produce the same span tree shape (names + parentage) for an
-identical federated query — the guarantee that a trace reads the same
-whether the fleet ran ``--parallel`` or not.
+"""Span-tree parity: in-process, pool-dispatched, stopped-pool and
+crash-fallback scatter passes must produce the same span tree shape
+(names + parentage) for an identical federated query — the guarantee
+that a trace reads the same whether the fleet ran ``--parallel`` or not.
 """
 
-import numpy as np
+import os
+
 import pytest
 
 from repro.obs.trace import TRACER
 from repro.query import MetricQuery
 from repro.shard import (
     FederatedQueryEngine,
-    ParallelFederatedQueryEngine,
     ShardedTimeSeriesStore,
 )
-from tests.shard.test_parallel import fill_serial, parallel_store, series_data
+from tests.shard.test_federation_property import assert_bit_identical
+from tests.shard.test_parallel import fill_serial, fill_through_pool, parallel_store, series_data
 
 
 @pytest.fixture(autouse=True)
@@ -55,56 +56,41 @@ def traced_query(engine, at=950.0):
     return result, spans
 
 
-def test_serial_and_parallel_produce_identical_span_trees():
+def test_every_executor_produces_the_same_span_tree(executor):
     data = series_data(11)
     serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
     fill_serial(serial_sharded, data)
     ser = FederatedQueryEngine(serial_sharded, enable_cache=False)
-    _, serial_spans = traced_query(ser)
+    want, serial_spans = traced_query(ser)
     serial_shape = tree_shape(serial_spans)
 
-    # the serial trace has the full hierarchy: query -> execute ->
+    # the in-process trace has the full hierarchy: query -> execute ->
     # scatter -> per-shard leaves
     assert ("engine.query",) in serial_shape
     assert ("engine.query", "engine.execute", "federated.scatter",
             "scatter.shard") in serial_shape
 
-    with parallel_store(data, 4, 2) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        _, parallel_spans = traced_query(par)
-        assert par.serial_fallbacks == 0  # genuinely pool-dispatched
-    assert tree_shape(parallel_spans) == serial_shape
+    store = executor.store(4)
+    fill_through_pool(store, data)
+    executor.degrade(store)
+    engine = FederatedQueryEngine(store, enable_cache=False)
+    # on ``worker-killed`` this is the query that finds the worker dead:
+    # its shards fall back inside the already-open federated.scatter span
+    got, spans = traced_query(engine)
+    assert (engine.serial_fallbacks > 0) == executor.falls_back
+    assert tree_shape(spans) == serial_shape
+    assert_bit_identical(got, want)
 
-    # the shard leaves really crossed a process boundary
-    import os
-    worker_pids = {s[1] for s in parallel_spans if s[0] == "scatter.shard"}
-    assert worker_pids and os.getpid() not in worker_pids
-
-
-def test_worker_crash_fallback_keeps_the_same_span_tree():
-    data = series_data(23)
-    serial_sharded = ShardedTimeSeriesStore(n_shards=3, default_capacity=4096)
-    fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine(serial_sharded, enable_cache=False)
-    _, serial_spans = traced_query(ser)
-
-    # workers=1, no respawn: the injected crash forces the WORKER_DIED
-    # serial fallback inside the already-open federated.scatter span
-    with parallel_store(data, 3, 1, respawn=False) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        store.pool.inject_crash(0)
-        result, fallback_spans = traced_query(par)
-        assert par.serial_fallbacks > 0
-    assert tree_shape(fallback_spans) == tree_shape(serial_spans)
-    # the fallback ran in-process — every span from this pid
-    import os
-    assert {s[1] for s in fallback_spans} == {os.getpid()}
-    # and still answered correctly
-    want = ser.query(QUERY, at=950.0)
-    assert len(result.series) == len(want.series)
-    for a, b in zip(result.series, want.series):
-        assert a.labels == b.labels
-        assert np.array_equal(a.values, b.values)
+    # a shard leaf crossed a process boundary exactly when a live worker
+    # owned the shard
+    for name, pid, *_, args in spans:
+        if name != "scatter.shard":
+            assert pid == os.getpid()
+            continue
+        in_worker = executor.pooled or (
+            executor.name == "worker-killed" and store.pool.worker_of(args["shard"]) != 0
+        )
+        assert (pid != os.getpid()) == in_worker, (executor.name, args)
 
 
 def test_disabled_tracing_records_nothing_on_either_engine():
@@ -115,6 +101,6 @@ def test_disabled_tracing_records_nothing_on_either_engine():
     ser.query(QUERY, at=950.0)
     assert len(TRACER) == 0
     with parallel_store(data, 2, 1) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         par.query(QUERY, at=950.0)
     assert len(TRACER) == 0

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from repro.query import MetricQuery
+from repro.query.reference import evaluate_naive
 from repro.query.rollup import ROW_COLUMNS, CascadeFolder
 from repro.query.standing import StandingQueryEngine
 from repro.shard import (
     FederatedQueryEngine,
-    ParallelFederatedQueryEngine,
     ParallelShardContext,
     ParallelShardedStore,
     ShardedTimeSeriesStore,
@@ -83,72 +83,83 @@ def parallel_store(data, n_shards, workers, *, resolutions=None, respawn=True):
 # Bit-identicality properties
 
 
-@pytest.mark.parametrize("workers,n_shards", [(1, 3), (2, 4), (3, 5)])
-def test_parallel_bit_identical_to_serial_across_worker_counts(workers, n_shards):
-    data = series_data(100 * workers + n_shards)
-    serial_sharded = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=4096)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
-    fill_serial(serial_sharded, data)
-    fill_serial(oracle, data)
-    with parallel_store(data, n_shards, workers) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        ser = FederatedQueryEngine(serial_sharded, enable_cache=False)
-        orc = FederatedQueryEngine(oracle, enable_cache=False)
-        rng = np.random.default_rng(workers)
-        for _ in range(10):
-            q = random_query(rng)
-            at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
-            got = par.query(q, at=at)
-            assert_bit_identical(got, ser.query(q, at=at))
-            assert_bit_identical(got, orc.query(q, at=at))
-        assert par.parallel_scatters > 0
-        assert par.serial_fallbacks == 0
-        # the commits wrote the shared rings from the parent: the only
-        # dispatches were the scatters
+def assert_ran_where_expected(executor, engine, store):
+    """``serial_fallbacks`` > 0 exactly where a pool exists and did not
+    run the passes; on a live pool the scatters were its only dispatches
+    (the commits wrote the shared rings from the parent)."""
+    assert (engine.serial_fallbacks > 0) == executor.falls_back
+    if executor.pooled:
+        assert engine.parallel_scatters > 0
         assert store.serial_appends == 0
-        assert store.pool.dispatches == par.parallel_scatters
+        assert store.pool.dispatches == engine.parallel_scatters
+    elif executor.name == "pool-stopped":
+        assert engine.parallel_scatters == 0
 
 
-def test_parallel_samples_and_rate_match_serial():
+@pytest.mark.parametrize("n_shards", [3, 4, 5])
+def test_bit_identical_to_single_shard_oracle_on_every_executor(executor, n_shards):
+    data = series_data(100 + n_shards)
+    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
+    fill_serial(oracle, data)
+    store = executor.store(n_shards)
+    fill_through_pool(store, data)
+    executor.degrade(store)
+    par = FederatedQueryEngine(store, enable_cache=False)
+    orc = FederatedQueryEngine(oracle, enable_cache=False)
+    rng = np.random.default_rng(n_shards)
+    for _ in range(10):
+        q = random_query(rng)
+        at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
+        assert_bit_identical(par.query(q, at=at), orc.query(q, at=at))
+    assert_ran_where_expected(executor, par, store)
+
+
+def test_samples_and_rate_match_the_oracle_on_every_executor(executor):
     data = series_data(7, counter=True)
-    serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-    fill_serial(serial_sharded, data)
-    with parallel_store(data, 4, 2) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        ser = FederatedQueryEngine(serial_sharded, enable_cache=False)
-        q = MetricQuery("ctr", agg="rate", range_s=400.0, step_s=60.0, group_by=("node",))
-        assert_bit_identical(par.query(q, at=950.0), ser.query(q, at=950.0))
-        q_samples = MetricQuery("ctr", agg="mean", range_s=400.0)
-        pt, pv = par.samples(q_samples, at=950.0)
-        st, sv = ser.samples(q_samples, at=950.0)
-        assert np.array_equal(pt, st)
-        assert np.array_equal(pv, sv)
+    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
+    fill_serial(oracle, data)
+    store = executor.store(4)
+    fill_through_pool(store, data)
+    executor.degrade(store)
+    par = FederatedQueryEngine(store, enable_cache=False)
+    orc = FederatedQueryEngine(oracle, enable_cache=False)
+    for q in (
+        MetricQuery("ctr", agg="rate", range_s=400.0, step_s=60.0, group_by=("node",)),
+        MetricQuery("ctr", agg="rate", range_s=400.0, group_by=("node",)),
+    ):
+        assert_bit_identical(par.query(q, at=950.0), orc.query(q, at=950.0))
+    q_samples = MetricQuery("ctr", agg="mean", range_s=400.0)
+    pt, pv = par.samples(q_samples, at=950.0)
+    st, sv = orc.samples(q_samples, at=950.0)
+    assert np.array_equal(pt, st)
+    assert np.array_equal(pv, sv)
+    assert_ran_where_expected(executor, par, store)
 
 
-def test_parallel_rollup_folds_match_serial():
-    """Worker-side tier folds + the parallel fold fan-out must be
-    bit-identical to the serial per-shard RollupManager cascades —
-    including which source (raw vs rollup) serves each query."""
+def test_rollup_folds_match_the_oracle_on_every_executor(executor):
+    """Tier folds — in the workers, here, or here after the workers are
+    gone — must be bit-identical to the single-shard cascade, including
+    which source (raw vs rollup) serves each query."""
     data = series_data(11)
-    serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-    fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine.with_rollups(
-        serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
-    )
-    with parallel_store(data, 4, 2, resolutions=(10.0, 50.0)) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
-        for boundary in (HORIZON * 0.4, HORIZON * 0.8):
-            assert par.fold_rollups(boundary) == ser.fold_rollups(boundary)
-        rng = np.random.default_rng(5)
-        for _ in range(12):
-            q = random_query(rng)
-            at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
-            got, want = par.query(q, at=at), ser.query(q, at=at)
-            assert got.source.replace("federated:", "") == want.source.replace(
-                "federated:", ""
-            )
-            assert_bit_identical(got, want)
-        assert par.parallel_folds == 2
+    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
+    fill_serial(oracle, data)
+    orc = FederatedQueryEngine.with_rollups(oracle, resolutions=(10.0, 50.0), enable_cache=False)
+    store = executor.store(4, resolutions=(10.0, 50.0))
+    fill_through_pool(store, data)
+    par = FederatedQueryEngine(store, enable_cache=False)
+    assert par.fold_rollups(HORIZON * 0.4) == orc.fold_rollups(HORIZON * 0.4)
+    executor.degrade(store)
+    assert par.fold_rollups(HORIZON * 0.8) == orc.fold_rollups(HORIZON * 0.8)
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        q = random_query(rng)
+        at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
+        got, want = par.query(q, at=at), orc.query(q, at=at)
+        assert got.source == want.source
+        assert_bit_identical(got, want)
+    # a fold that runs here although a pool exists is counted like a scatter
+    assert (par.serial_fallbacks > 0) == executor.falls_back
+    assert par.parallel_folds == (2 if executor.pooled else 1 if executor.falls_back else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +220,7 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
     store = parallel_store(parts[0], 4, 2, resolutions=(10.0, 50.0), respawn=respawn)
     prefix = store.pool.prefix
     with store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         standing = StandingQueryEngine(par)
         assert standing.register(STANDING_SHAPE)
         fill_serial(serial_sharded, parts[0])
@@ -235,6 +246,8 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
         assert_tiers_byte_equal(par, ser, store)
         fill_through_pool(store, parts[2])
         fill_serial(serial_sharded, parts[2])
+        # the fold that met the dead worker re-ran its shards here: counted
+        assert par.serial_fallbacks == 1
         scatters = par.parallel_scatters
         assert par.fold_rollups(HORIZON * 0.95) == ser.fold_rollups(HORIZON * 0.95)
         assert_tiers_byte_equal(par, ser, store)
@@ -247,12 +260,12 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
             q = random_query(rng)
             at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
             assert_bit_identical(par.query(q, at=at), ser.query(q, at=at))
-        # (against the raw scan: the commits above trail the folds, so the
-        # tiers have dropped late samples that standing state keeps)
-        raw = FederatedQueryEngine(serial_sharded, enable_cache=False)
+        # (against the raw scan — an engine over this store reads its tiers:
+        # the commits above trail the folds, so the tiers have dropped late
+        # samples that standing state keeps)
         for at in (HORIZON * 0.7, HORIZON):
             got = standing.query(STANDING_SHAPE, at=at)
-            want = raw.query(STANDING_SHAPE, at=at)
+            want = evaluate_naive(serial_sharded, STANDING_SHAPE, at=at)
             if respawn:  # the respawned worker's grids, rebuilt from the rings
                 assert got is not None and got.source == "standing"
                 assert len(got.series) == len(want.series)
@@ -264,11 +277,11 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
                 assert got is None
         stats = store.shard_stats()
         if respawn:
-            assert par.parallel_scatters > scatters and par.serial_fallbacks == 0
+            assert par.parallel_scatters > scatters and par.serial_fallbacks == 1
             assert store.serial_appends == 0  # every commit met a live pool
             assert stats["pool_respawns_total"] == 1.0
         else:
-            assert par.parallel_scatters == scatters and par.serial_fallbacks > 0
+            assert par.parallel_scatters == scatters and par.serial_fallbacks > 1
             assert store.serial_appends == len(parts[2])  # the pool-down commits only
         # every row committed while the pool was up either rode a dispatch
         # that completed or is counted as lost with worker 0: what the
@@ -290,7 +303,7 @@ def test_worker_crash_degraded_fold_matches_serial():
         serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
     )
     with parallel_store(data, 4, 2, resolutions=(10.0, 50.0), respawn=False) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         store.pool.inject_crash(1)
         # fold fan-out hits the dead worker: its shards re-fold in the
         # parent from the shared rings (watermarks make this idempotent)
@@ -311,7 +324,7 @@ def test_crash_then_more_ingest_and_parent_folds_stay_exact():
         serial_sharded, resolutions=(20.0,), enable_cache=False
     )
     with parallel_store(data[:4], 3, 2, resolutions=(20.0,), respawn=False) as store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         store.pool.inject_crash(0)
         fill_through_pool(store, data[4:])  # lands serially after the crash
         fill_serial(serial_sharded, data)
@@ -386,7 +399,7 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
     store = parallel_store(parts[0], 4, 2, resolutions=(10.0, 50.0), respawn=respawn)
     prefix = store.pool.prefix
     with store:
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         fill_serial(serial_sharded, parts[0])
         assert par.fold_rollups(HORIZON * 0.3) == ser.fold_rollups(HORIZON * 0.3)
         fill_through_pool(store, parts[1])
@@ -453,7 +466,7 @@ def test_forwarded_columns_flush_past_the_buffer_cap():
             sum(t.size for _, t, _ in data)
         )
         assert stats["cols_dropped_rows"] == 0.0
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         # fold past all the data (fewer rows than the serial fold, and
         # watermarks that were already ahead: past its own cap the worker's
         # folder drained complete bins as the flushes arrived)
@@ -482,7 +495,7 @@ def test_broken_pool_drops_queued_columns_counted():
         stats = store.shard_stats()
         assert stats["cols_dropped_rows"] == float(total)
         assert stats["cols_forwarded_rows"] == 0.0
-        par = ParallelFederatedQueryEngine(store, enable_cache=False)
+        par = FederatedQueryEngine(store, enable_cache=False)
         assert par.fold_rollups(HORIZON * 0.8) == ser.fold_rollups(HORIZON * 0.8)
         assert_tiers_byte_equal(par, ser, store)
 

@@ -37,6 +37,27 @@ def test_series_land_on_exactly_one_shard():
     assert sum(store.shard_cardinalities()) == 60
 
 
+@pytest.mark.parametrize("n_shards", [None, 1, 4])
+def test_every_series_with_data_is_interned(n_shards):
+    """Whatever write met a series first — scalar, per-series bulk or
+    columnar — the store that holds its ring interned it: sid-addressed
+    plans, tiers and grids reach every series ``series_keys`` lists."""
+    store = TimeSeriesStore() if n_shards is None else ShardedTimeSeriesStore(n_shards)
+    keys = _keys(9, metrics=1)
+    for key in keys[:3]:
+        store.insert(key, 1.0, 2.0)
+    for key in keys[3:6]:
+        store.insert_batch(key, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    ids = store.registry.ids_for(keys[6:])
+    store.append_batch(ids, np.full(ids.size, 1.0), np.full(ids.size, 5.0))
+    listed = store.series_keys()
+    assert sorted(listed, key=str) == sorted(keys, key=str)
+    for key in listed:
+        owner = store if n_shards is None else store.shard_for(key)
+        assert owner.registry.get(key) is not None
+        assert owner.rings.count(owner.registry.get(key)) > 0
+
+
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8])
 def test_append_batch_matches_single_store(n_shards):
     rng = np.random.default_rng(n_shards)

@@ -14,7 +14,6 @@ from repro.query import MetricQuery
 from repro.query.standing import StandingQueryEngine
 from repro.shard import (
     FederatedQueryEngine,
-    ParallelFederatedQueryEngine,
     ParallelShardedStore,
     ShardedTimeSeriesStore,
 )
@@ -68,22 +67,84 @@ def assert_standing_matches(got, want):
 
 
 @pytest.mark.parametrize("n_shards", [1, 3, 4])
-def test_federated_standing_matches_batch(n_shards):
-    store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=4096)
+def test_standing_matches_batch_on_every_executor(executor, n_shards):
+    """Partial and rate shapes, registered before any data: exact after
+    every commit round wherever the grids are — parent-side per shard or
+    inside the workers.  Once a pool is gone its grids went with it: the
+    pass runs where no grid exists, the read is not covered, and the
+    caller's batch fallback is counted."""
+    store = executor.store(n_shards)
     engine = FederatedQueryEngine(store, enable_cache=False)
+    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
+    batch = FederatedQueryEngine(oracle, enable_cache=False)
     st = StandingQueryEngine(engine)
     for q in QUERIES:
         assert st.register(q)
     at = 0.0
-    for batch, cbatch in zip(commit_rounds(7), commit_rounds(8, counter=True)):
-        for k, ts, vs in batch + cbatch:
+    rounds = list(zip(commit_rounds(7), commit_rounds(8, counter=True)))
+    for i, (batch_m, batch_c) in enumerate(rounds):
+        for k, ts, vs in batch_m + batch_c:
             store.insert_batch(k, ts, vs)
+            oracle.insert_batch(k, ts, vs)
             at = max(at, float(ts[-1]))
+        if i == len(rounds) - 2:
+            executor.degrade(store)
+        covered = not (executor.falls_back and i >= len(rounds) - 2)
         for q in QUERIES:
-            assert_standing_matches(st.query(q, at=at), engine.query(q, at=at))
+            got = st.query(q, at=at)
+            if covered:
+                assert_standing_matches(got, batch.query(q, at=at))
+            else:
+                assert got is None
     stats = st.stats()
     assert stats["reads_served"] > 0
-    assert stats["scan_fallbacks"] == 0
+    assert stats["scan_fallbacks"] == (2 * len(QUERIES) if executor.falls_back else 0)
+    assert stats["grids"] == len({q.step_s for q in QUERIES}) * n_shards
+    assert (engine.serial_fallbacks > 0) == executor.falls_back
+
+
+@pytest.mark.parametrize("executor", ["inline", "pool-2"], indirect=True)
+def test_standing_engines_over_one_engine_share_its_state(executor):
+    """A hub and a front door each wrap the one batch engine in their own
+    standing engine.  Registering the same shape on both keeps one grid
+    per shard and step and one ingest listener per shard: every committed
+    sample is applied once, both answer exactly, and both executors
+    report the same ``grids`` / ``updates_applied`` / ``late_dropped``
+    after the same commits and one read."""
+    from repro.query.reference import evaluate_naive
+
+    q = MetricQuery("m", agg="mean", range_s=30.0, step_s=10.0)
+    store = executor.store(4, capacity=256)
+    engine = FederatedQueryEngine(store, enable_cache=False)
+    hub_side, door_side = StandingQueryEngine(engine), StandingQueryEngine(engine)
+    assert hub_side.register(q) and door_side.register(q)
+    assert hub_side.provider is door_side.provider
+    if executor.pooled:
+        assert list(store.standing_regs) == [10.0]  # one entry to replay on a respawn
+    for shard in store.shards:
+        standing = [
+            listener for listener in shard._listeners
+            if "Standing" in type(getattr(listener, "__self__", None)).__name__
+        ]
+        assert len(standing) == (0 if executor.pooled else 1)
+    keys = [SeriesKey.of("m", node=f"n{i:02d}") for i in range(16)]
+    ids = store.registry.ids_for(keys)
+    # 1 600 samples inside the bin ring — a worker's grid gets them in one
+    # batch, with the read's dispatch, and must not count any as late
+    for k in range(100):
+        store.append_batch(ids, np.full(16, 950.0 + 0.4 * k), np.full(16, float(k)))
+    # three samples older than the bin ring, on a series of their own
+    store.insert_batch(SeriesKey.of("m", node="lagging"), np.array([1.0, 2.0, 3.0]), np.ones(3))
+    assert min(store.shard_cardinalities()) > 0  # the read below reaches every shard
+    want = evaluate_naive(store, q, at=995.0)
+    assert want.series
+    for st in (hub_side, door_side):
+        assert_standing_matches(st.query(q, at=995.0), want)
+        stats = st.stats()
+        assert stats["grids"] == 4.0
+        assert stats["updates_applied"] == 1600.0
+        assert stats["late_dropped"] == 3.0
+        assert stats["scan_fallbacks"] == 0.0
 
 
 def test_parallel_standing_matches_serial_reference_through_crash():
@@ -94,7 +155,7 @@ def test_parallel_standing_matches_serial_reference_through_crash():
     with ParallelShardedStore(n_shards=4, default_capacity=4096, workers=2) as pstore:
         pstore.create_tiersets((10.0, 60.0))
         pstore.start_parallel()
-        engine = ParallelFederatedQueryEngine(pstore, enable_cache=False)
+        engine = FederatedQueryEngine(pstore, enable_cache=False)
         st = StandingQueryEngine(engine)
         ref = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
         ref_engine = FederatedQueryEngine(ref, enable_cache=False)
