@@ -16,6 +16,11 @@ benchmark gates both sides of that bargain on identical data:
   forwarded columns to the workers keep ≥0.8× (≈0.95 on one core, where
   the hand-over buys nothing).  All are ratios of paired walls, so they
   gate on every host;
+* a scatter over 8 series costs more dispatched than run in process
+  (``small_pass_tax``, the pool ÷ in-process wall ratio at 8 / 64 / 512
+  series with the engine's size election pinned off) — the measurement
+  ``INLINE_SCATTER_SERIES`` is calibrated against; a ratio, gated on
+  every host, and only where it is unambiguous;
 * **bit-identicality is asserted unconditionally**: every check query
   (range/instant/rate/p95 + raw ``samples()``) must match the serial
   engine exactly for every worker count, and all three ingest tiers
@@ -30,6 +35,7 @@ from conftest import run_once
 from repro.experiments.parallel_exp import (
     run_parallel_ingest_benchmark,
     run_parallel_scatter_benchmark,
+    run_small_pass_tax_benchmark,
 )
 from repro.experiments.report import render_table
 
@@ -68,3 +74,15 @@ def test_shared_memory_ingest_overhead(benchmark):
     assert row["shm_overhead"] <= 1.2
     assert row["parallel_ingest_speedup"] >= 0.9
     assert row["parallel_delivery_speedup"] >= 0.8
+
+
+def test_small_pass_tax(benchmark):
+    row = run_once(benchmark, run_small_pass_tax_benchmark, seed=0)
+    print()
+    print(render_table(
+        [row], title="E18 — pool round trip ÷ in-process wall of one scatter pass, by series"
+    ))
+    assert row["bit_identical"] == 1.0  # and every timed pass on the pool side was dispatched
+    assert row["inline_scatter_series"] >= 8
+    # the drill-down the serving benchmark issues: in process wins
+    assert row["tax_8"] > 1.0

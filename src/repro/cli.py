@@ -750,11 +750,12 @@ def cmd_bench_parallel(
         repeats=repeats, fleet_loops=fleet_loops, supervise_loops=supervise_loops,
     )
     scatter, ingest = rows["scatter"], rows["ingest"]
-    fleet, supervise = rows["fleet"], rows["supervise"]
+    fleet, supervise, tax = rows["fleet"], rows["supervise"], rows["small_pass_tax"]
     print(render_table([scatter], title="E18 — parallel vs serial federated scatter"))
     print(render_table([ingest], title="E18 — shared-memory vs plain sharded ingest"))
     print(render_table([fleet], title="E18 — E15 watch fleet rerun on the parallel engine"))
     print(render_table([supervise], title="E18 — E17 supervision rerun on the parallel engine"))
+    print(render_table([tax], title="E18 — pool round trip ÷ in-process wall of one scatter pass"))
     if scatter["bit_identical"] != 1.0 or ingest["match"] != 1.0:
         print("ERROR: parallel execution diverged from the serial engine", file=sys.stderr)
         return 1
@@ -764,6 +765,10 @@ def cmd_bench_parallel(
         return 1
     if supervise["trace_match"] != 1.0 or supervise["restores_within_2x"] != 1.0:
         print("ERROR: supervision diverged on the parallel engine", file=sys.stderr)
+        return 1
+    if tax["bit_identical"] != 1.0 or tax["tax_8"] <= 1.0:
+        print("ERROR: an 8-series scatter was not cheaper in process (or diverged)",
+              file=sys.stderr)
         return 1
     if not smoke and scatter["scatter_speedup"] < 2.5:
         print("ERROR: parallel scatter below the 2.5x gate", file=sys.stderr)

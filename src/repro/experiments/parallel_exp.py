@@ -7,7 +7,7 @@ single-process lexsort/reduceat merge, so the parallel tier must be
 **bit-identical** to the serial federated engine for every worker
 count — that is asserted here and property-tested against the
 single-shard oracle in ``tests/shard/test_parallel.py``.  E18 measures
-four things on identical data:
+five things on identical data:
 
 * **Scatter speedup** — the E16 ``group_by`` dashboard query served by
   a :class:`~repro.shard.FederatedQueryEngine` over a plain sharded
@@ -20,6 +20,11 @@ four things on identical data:
   forwarding columns to its workers (commits ≥0.9×, commits plus the
   delivering folds ≥0.8× of pool-off).  Ratios of paired walls, so the
   gates run on any host.
+* **Small-pass tax** — a drill-down over 8 / 64 / 512 series served in
+  process vs dispatched to the pool: the round trip's cost as a ratio,
+  which is what the engine's ``INLINE_SCATTER_SERIES`` election is
+  calibrated against.  Gated only where it is unambiguous on any host:
+  in process wins at 8 series.
 * **E15 fleet rerun** — the fused watch fleet hosted once on the serial
   sharded engine and once on the parallel engine; analyzer verdicts
   must match exactly.
@@ -31,7 +36,8 @@ four things on identical data:
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Dict, List, Sequence
+from unittest import mock
 
 import numpy as np
 
@@ -45,8 +51,13 @@ from repro.experiments.shard_exp import (
     _series_keys,
 )
 from repro.experiments.supervise_exp import run_supervision_scenario
-from repro.query.model import MetricQuery
-from repro.shard import FederatedQueryEngine, ParallelShardedStore, ShardedTimeSeriesStore
+from repro.query.model import LabelMatcher, MetricQuery
+from repro.shard import (
+    FederatedQueryEngine,
+    ParallelShardedStore,
+    ShardedTimeSeriesStore,
+    federated,
+)
 
 
 def _check_queries(at: float, step_s: float) -> List[MetricQuery]:
@@ -255,6 +266,85 @@ def run_parallel_ingest_benchmark(
     }
 
 
+def run_small_pass_tax_benchmark(
+    *,
+    seed: int = 0,
+    n_series: int = 1024,
+    n_shards: int = 4,
+    workers: int = 2,
+    ticks: int = 64,
+    sample_period_s: float = 10.0,
+    sizes: Sequence[int] = (8, 64, 512),
+    n_queries: int = 40,
+) -> Dict[str, float]:
+    """What the pool round trip costs a scatter pass, by selection size.
+
+    A drill-down over ``k`` of the series — a literal node alternation,
+    grouped by node, the serving benchmark's ad-hoc shape — is timed on
+    a plain sharded store (the pass runs in process) and on the same
+    data beside a live pool with ``INLINE_SCATTER_SERIES`` pinned to 0,
+    so that every pass is dispatched whatever its size.  Each query is
+    planned before it is timed and runs on both sides back to back;
+    ``tax_<k>`` is the ratio of the median walls, pool ÷ in process.
+    Above 1 the round trip costs more than the workers save; the size
+    where it crosses 1 is what ``INLINE_SCATTER_SERIES`` is calibrated
+    against, and a ratio runs on any host.
+    """
+    rng = np.random.default_rng(seed)
+    keys = _series_keys(n_series)
+    base = rng.normal(100.0, 15.0, size=n_series)
+    at = ticks * sample_period_s
+    nodes = np.array([key.label("node") for key in keys], dtype=object)
+    serial_store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=ticks + 8)
+    pool_store = ParallelShardedStore(
+        n_shards=n_shards, default_capacity=ticks + 8, workers=workers
+    )
+    pool_store.start_parallel()
+    row = {
+        "n_series": float(n_series),
+        "n_shards": float(n_shards),
+        "workers": float(workers),
+        "inline_scatter_series": float(federated.INLINE_SCATTER_SERIES),
+    }
+    try:
+        for store in (serial_store, pool_store):
+            _fill(store, _intern(store, keys), ticks, sample_period_s, base)
+        inline = FederatedQueryEngine(serial_store, enable_cache=False)
+        pooled = FederatedQueryEngine(pool_store, enable_cache=False)
+        bit_identical = True
+        with mock.patch.object(federated, "INLINE_SCATTER_SERIES", 0):
+            for k in sizes:
+                queries = [
+                    MetricQuery(
+                        "m", agg="mean", range_s=at / 2.0, step_s=60.0, group_by=("node",),
+                        matchers=(LabelMatcher(
+                            "node", "=~", "|".join(rng.choice(nodes, size=k, replace=False))
+                        ),),
+                    )
+                    for _ in range(n_queries)
+                ]
+                walls = np.empty((2, n_queries))
+                for i, q in enumerate(queries):
+                    results = []
+                    for side, engine in enumerate((inline, pooled)):
+                        engine.plan(q)
+                        t0 = time.perf_counter()
+                        results.append(engine.query(q, at=at))
+                        walls[side, i] = time.perf_counter() - t0
+                    bit_identical &= _results_bit_identical(*results)
+                inline_s, pool_s = np.median(walls, axis=1).tolist()
+                row[f"inline_us_{k}"] = inline_s * 1e6
+                row[f"pool_us_{k}"] = pool_s * 1e6
+                row[f"tax_{k}"] = pool_s / inline_s
+        row["pool_scatters"] = float(pooled.parallel_scatters)
+        row["bit_identical"] = float(
+            bit_identical and pooled.parallel_scatters == len(sizes) * n_queries
+        )
+    finally:
+        pool_store.close()
+    return row
+
+
 # ---------------------------------------------------------------------------
 # E15/E17 fleet reruns on the parallel engine
 
@@ -397,7 +487,7 @@ def run_parallel_benchmark(
     fleet_loops: int = 64,
     supervise_loops: int = 32,
 ) -> Dict[str, Dict[str, float]]:
-    """All four E18 measurements with shared sizing (the CLI/CI entry)."""
+    """All five E18 measurements with shared sizing (the CLI/CI entry)."""
     return {
         "scatter": run_parallel_scatter_benchmark(
             seed=seed, n_series=n_series, n_shards=n_shards, workers=workers,
@@ -414,5 +504,9 @@ def run_parallel_benchmark(
         "supervise": run_parallel_supervision_benchmark(
             seed=seed, n_loops=supervise_loops, n_shards=min(n_shards, 4),
             workers=min(workers, 2),
+        ),
+        # its own series count: the largest selection has to fit
+        "small_pass_tax": run_small_pass_tax_benchmark(
+            seed=seed, n_shards=min(n_shards, 4), workers=min(workers, 2), ticks=ticks,
         ),
     }

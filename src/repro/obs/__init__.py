@@ -64,6 +64,7 @@ _KEY_ROUTES = {
     "fanout_total": "federation",
     "fanout_mean": "federation",
     "serial_fallbacks": "parallel",
+    "inline_by_size": "parallel",
     "serial_appends": "parallel",
     "cols_forwarded_rows": "parallel",
     "cols_dropped_rows": "parallel",

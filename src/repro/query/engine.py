@@ -8,9 +8,11 @@ execution runs through four stages:
 1. **Cache probe** — canonical expression + quantized window
    (:class:`~repro.query.cache.QueryCache`).
 2. **Resolve** — label matchers → concrete series keys → the grouped,
-   sid-addressed :class:`QueryPlan`, memoised per query shape against
-   the store's series generation and shared with the federated and
-   standing engines.
+   sid-addressed :class:`QueryPlan`, built from the store's per-metric
+   :class:`~repro.telemetry.tsdb.LabelIndex` (matchers evaluated per
+   distinct label value, groups by code columns), memoised per query
+   shape against the store's series generation and shared with the
+   federated and standing engines.
 3. **Plan** — pick the coarsest rollup tier that can serve the
    ``(step, agg)`` pair exactly, else raw; tier-served queries still
    merge the raw tail past each series' fold watermark, so results are
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -48,9 +51,12 @@ from repro.query.model import MetricQuery
 from repro.query.parser import parse_query
 from repro.query.rollup import RollupManager, RollupTier
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import TimeSeriesStore
+from repro.telemetry.tsdb import LabelIndex, TimeSeriesStore
 
 GroupLabels = Tuple[Tuple[str, str], ...]
+
+#: Query shapes the plan memo keeps (least recently used go first).
+_PLANS_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,11 @@ class ShardWork:
 
     __slots__ = ("sids", "gidx", "rank", "sel", "_arrays")
 
-    def __init__(self) -> None:
-        self.sids: List[int] = []
-        self.gidx: List[int] = []
-        self.rank: List[int] = []
-        self.sel: List[int] = []
+    def __init__(self, sids: List[int], gidx: List[int], rank: List[int], sel: List[int]) -> None:
+        self.sids = sids
+        self.gidx = gidx
+        self.rank = rank
+        self.sel = sel
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,11 +250,10 @@ class QueryEngine:
         self.served_raw = 0
         self.served_rollup = 0
         self._parse_cache: Dict[str, MetricQuery] = {}
-        #: matcher resolution memo keyed by the store's per-metric series
-        #: generation — repeated loop queries skip re-matching every key
-        self._select_cache: Dict[MetricQuery, Tuple[int, List[SeriesKey]]] = {}
-        #: the one plan memo, keyed like the selection memo
-        self._plans: Dict[MetricQuery, QueryPlan] = {}
+        #: the one plan memo: an LRU per query shape, each entry valid for
+        #: the series generation it was built at — one-shot drill-downs
+        #: age out without taking the dashboard and loop shapes with them
+        self._plans: "OrderedDict[MetricQuery, QueryPlan]" = OrderedDict()
         self._expr_cache: Dict[MetricQuery, str] = {}
         self._standing = None
 
@@ -372,21 +377,12 @@ class QueryEngine:
         return times, values
 
     def select(self, q: MetricQuery) -> List[SeriesKey]:
-        """Series keys matching the query's metric + label matchers.
-
-        Memoized against the store's per-metric series generation: the
-        resolution is recomputed only when a new series of the metric
-        appears, not on every evaluation.
-        """
-        gen = self.store.series_generation(q.metric)
-        hit = self._select_cache.get(q)
-        if hit is not None and hit[0] == gen:
-            return hit[1]
-        keys = [k for k in self.store.series_keys(q.metric) if q.matches(k)]
-        if len(self._select_cache) > 4096:  # unbounded query shapes: reset
-            self._select_cache.clear()
-        self._select_cache[q] = (gen, keys)
-        return keys
+        """Series keys matching the query's metric + label matchers, in
+        canonical ``str`` order — resolved against the store's label
+        index of the metric, so it costs the distinct label values the
+        matchers look at plus the keys selected."""
+        index = self.store.label_index(q.metric)
+        return [index.keys[i] for i in q.positions(index).tolist()]
 
     def plan(self, q: MetricQuery) -> QueryPlan:
         """The grouped, sid-addressed selection of ``q`` (memoised).
@@ -395,42 +391,60 @@ class QueryEngine:
         with data is interned (the store's ``_admit`` is the only ring
         creator), so every selected key has a sid.
         """
-        gen = self.store.series_generation(q.metric)
         plan = self._plans.get(q)
-        if plan is None or plan.generation != gen:
-            selected = self.select(q)
-            groups: Dict[GroupLabels, List[int]] = {}
-            for sel, key in enumerate(selected):
-                groups.setdefault(q.group_key(key), []).append(sel)
-            labels = tuple(sorted(groups))
-            keys: List[SeriesKey] = []
-            bounds = [0]
-            shards = [ShardWork() for _ in range(self._n_places)]
-            for g, lab in enumerate(labels):
-                members = sorted(groups[lab], key=lambda i: str(selected[i]))
-                for rank, sel in enumerate(members):
-                    key = selected[sel]
-                    keys.append(key)
-                    place, sid = self._locate(key)
-                    work = shards[place]
-                    work.sids.append(sid)
-                    work.gidx.append(g)
-                    work.rank.append(rank)
-                    work.sel.append(sel)
-                bounds.append(len(keys))
-            fanout = sum(1 for work in shards if work.sids)
-            plan = QueryPlan(gen, labels, keys, bounds, shards, fanout)
-            if len(self._plans) > 4096:  # unbounded query shapes: reset
-                self._plans.clear()
-            self._plans[q] = plan
+        if plan is None or plan.generation != self.store.series_generation(q.metric):
+            plan = self._plans[q] = self._build_plan(q, self.store.label_index(q.metric))
+            if len(self._plans) > _PLANS_MAX:
+                self._plans.popitem(last=False)
+        self._plans.move_to_end(q)
         return plan
 
-    #: places a plan's series can live in (a sharded engine: its shards)
-    _n_places = 1
+    @staticmethod
+    def _build_plan(q: MetricQuery, index: LabelIndex) -> QueryPlan:
+        """Group the selection by the index's label codes.
 
-    def _locate(self, key: SeriesKey) -> Tuple[int, int]:
-        """``(place, series id there)`` of a selected key."""
-        return 0, self.store.registry.get(key)
+        Codes rise with their values, so a stable lexsort of the
+        ``group_by`` code columns puts the groups in sorted-label order
+        and leaves each group's members in key order — the ``(group,
+        rank)`` order of the plan.
+        """
+        pos = q.positions(index)
+        n = pos.size
+        order = np.arange(n)
+        new_group = np.zeros(n, dtype=bool)
+        new_group[:1] = True
+        labels: Tuple[GroupLabels, ...] = ((),) if n else ()
+        if q.group_by and n:
+            columns = [index.column(name) for name in q.group_by]
+            order = np.lexsort([column.codes[pos] for column in reversed(columns)])
+            pos = pos[order]
+            codes = [column.codes[pos] for column in columns]
+            for c in codes:
+                new_group[1:] |= c[1:] != c[:-1]
+            labels = tuple(
+                tuple(
+                    (name, column.values[code])
+                    for name, column, code in zip(q.group_by, columns, group)
+                )
+                for group in zip(*(c[new_group].tolist() for c in codes))
+            )
+        starts = np.flatnonzero(new_group)
+        gidx = np.cumsum(new_group) - 1
+        rank = np.arange(n) - starts[gidx]
+        keys = [index.keys[i] for i in pos.tolist()]
+        # the rows of each place back to back, (group, rank) order kept
+        places = index.places[pos]
+        by_place = np.argsort(places, kind="stable")
+        rows = [col[by_place].tolist() for col in (index.sids[pos], gidx, rank, order)]
+        shards = []
+        lo = 0
+        for n_here in np.bincount(places, minlength=index.n_places).tolist():
+            shards.append(ShardWork(*(col[lo:lo + n_here] for col in rows)))
+            lo += n_here
+        fanout = sum(1 for work in shards if work.sids)
+        return QueryPlan(
+            index.generation, labels, keys, starts.tolist() + [n] if n else [0], shards, fanout
+        )
 
     def standing_provider(self):
         """The one standing-state provider over this engine's store.

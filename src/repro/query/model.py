@@ -33,10 +33,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.query.kernels import ALL_AGGS
 from repro.telemetry.metric import SeriesKey
+
+if TYPE_CHECKING:
+    from repro.telemetry.tsdb import LabelIndex
 
 #: Every aggregator a query may name (kernel aggs plus counter rate).
 QUERY_AGGS = ALL_AGGS + ("rate",)
@@ -95,6 +100,26 @@ class LabelMatcher:
             matched = re.fullmatch(self.value, actual) is not None
         return matched if self.op == "=~" else not matched
 
+    def accepts(self, code_of: Mapping[str, int]) -> Tuple[List[int], bool]:
+        """:meth:`matches` over a label's distinct values at once.
+
+        ``code_of`` maps every value the label takes (absent → ``""``) to
+        its code; returns ``(codes, negated)`` — a series matches when
+        its code is among ``codes``, or is not if ``negated``.  Equality
+        and literal alternations are dict lookups, any other regex one
+        compiled ``fullmatch`` per distinct value.
+        """
+        if self.op in ("=", "!="):
+            wanted: Iterable[str] = (self.value,)
+        else:
+            wanted = _literal_alternates(self.value)
+        if wanted is not None:
+            codes = [code_of[value] for value in wanted if value in code_of]
+        else:
+            fullmatch = re.compile(self.value).fullmatch
+            codes = [code for value, code in code_of.items() if fullmatch(value)]
+        return codes, self.op in ("!=", "!~")
+
     def __str__(self) -> str:
         return f'{self.name}{self.op}"{self.value}"'
 
@@ -129,6 +154,28 @@ class MetricQuery:
         if key.metric != self.metric:
             return False
         return all(m.matches(key.label(m.name)) for m in self.matchers)
+
+    def positions(self, index: "LabelIndex") -> np.ndarray:
+        """Ascending positions in ``index`` — this metric's — of the
+        series satisfying all matchers: :meth:`matches` per distinct
+        label value instead of per key.  The first positive matcher
+        narrows through the postings, the others filter what is left."""
+        pos: Optional[np.ndarray] = None
+        filters = []
+        for m in self.matchers:
+            column = index.column(m.name)
+            codes, negated = m.accepts(column.code_of)
+            if pos is None and not negated:
+                pos = column.positions(codes)
+            else:
+                ok = np.full(len(column.values), negated)
+                ok[codes] = not negated
+                filters.append((column.codes, ok))
+        if pos is None:
+            pos = np.arange(len(index.keys))
+        for codes, ok in filters:
+            pos = pos[ok[codes[pos]]]
+        return pos
 
     def group_key(self, key: SeriesKey) -> Tuple[Tuple[str, str], ...]:
         """The output-series identity of one input series."""

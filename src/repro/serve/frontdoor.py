@@ -44,6 +44,22 @@ be handed to a sleeping thread — a convoy whose cost is the host's
 wake-up latency (beside a busy neighbour process on a 2-vCPU host,
 closed-loop throughput fell 20-32 % with two workers, 0-22 % with one).
 
+Answers are handed over when the interpreter is: a caller woken by its
+answer cannot run before the worker lets go of the interpreter lock, and
+one woken while the worker already runs the next queued request competes
+for that lock at every brief release inside NumPy — about 14 futile
+wake-ups per request when the guest scheduler has the two threads on
+different vCPUs, 2-3 when they share one, and which it is differs from
+run to run (closed-loop throughput 800-900 /s against 1 300-1 400 /s on
+the same code).  So a worker keeps the answers it has finished while
+the tenant it just served has more requests queued and resolves them
+together once that tenant has none, or after :data:`HANDOVER_MAX_S` at
+the latest.  A tenant with one request outstanding — a single caller,
+any load below capacity, the quiet tenant beside a flooding one — gets
+every answer at once as before; only a tenant that keeps its own queue
+full has its answers grouped.  ``latency_ms`` and the p99 readout run to
+the hand-over.
+
 Hot-result cache entries are keyed by the engine's epoch-derived cache
 version, so a commit invalidates them implicitly — a front-door answer
 can never be staler than the engine's own cache contract.
@@ -55,6 +71,7 @@ and shed behaviour are all deterministically unit-testable.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import threading
 import time
 from collections import OrderedDict, deque
@@ -81,6 +98,15 @@ from repro.serve.shed import LoadShedder, ShedConfig
 
 #: latencies kept per tenant for the p99 readout
 _LATENCY_WINDOW = 512
+
+#: Longest a finished answer waits for its tenant's queue to run empty
+#: before it is handed over regardless (looked at whenever a request
+#: finishes, so one execution or write-gate wait may go on top).  Two
+#: interpreter switch intervals, 10 ms at CPython's default: a thread
+#: that wants the interpreter from a busy one waits up to one interval
+#: to ask and is served at the next switch, so a held answer reaches its
+#: caller about when contending for the lock would have promised it.
+HANDOVER_MAX_S = 2.0 * sys.getswitchinterval()
 
 
 def _p99(values: Deque[float]) -> float:
@@ -279,12 +305,15 @@ class QueryFrontDoor:
         )
 
     def _worker(self) -> None:
+        #: answers finished but not yet handed over (module docstring)
+        held: List[Tuple[PendingRequest, QueryResult]] = []
+        hold_until = 0.0
         while True:
             with self._cv:
                 if not self._running:
-                    return
+                    break
                 chosen, expired = self.admission.next_ready(self._clock())
-                if chosen is None and not expired:
+                if chosen is None and not expired and not held:
                     # short timed wait: deadline expiry must fire even when
                     # no submit/release ever notifies again
                     self._cv.wait(timeout=0.02)
@@ -299,12 +328,19 @@ class QueryFrontDoor:
                         latency_ms=(self._clock() - entry.enqueued_at) * 1000.0,
                     ),
                 )
-            if chosen is None:
-                continue
-            state, entry = chosen
-            self._run_one(state, entry)
+            if chosen is not None:
+                if not held:
+                    hold_until = self._clock() + HANDOVER_MAX_S
+                state, entry = chosen
+                held.append((entry, self._run_one(state, entry)))
+                # advisory read: a stale one moves a hand-over by one request
+                if state.queue and self._clock() < hold_until:
+                    continue
+            self._hand_over(held)
+            held = []
+        self._hand_over(held)
 
-    def _run_one(self, state: TenantState, entry: PendingRequest) -> None:
+    def _run_one(self, state: TenantState, entry: PendingRequest) -> QueryResult:
         request = entry.request
         degrade = self.shedder.should_degrade(state.spec)
         result: Optional[QueryResult] = None
@@ -322,10 +358,7 @@ class QueryFrontDoor:
                 result = self._execute(request, entry, degrade)
         except Exception as exc:  # engine bug or bad query: answer, don't die
             error = True
-            result = QueryResult.failure(
-                request, "error", f"{type(exc).__name__}: {exc}",
-                latency_ms=(self._clock() - entry.enqueued_at) * 1000.0,
-            )
+            result = QueryResult.failure(request, "error", f"{type(exc).__name__}: {exc}")
         finally:
             with self._cv:
                 self.admission.release(state)
@@ -334,13 +367,30 @@ class QueryFrontDoor:
                     if result.degraded:
                         state.degraded += 1
                         self.shedder.degraded_served += 1
-                    self._latency[state.spec.name].append(result.latency_ms)
                 elif result is not None and result.status == "expired":
                     state.expired += 1
                 elif error:
                     state.errors += 1
                 self._cv.notify()
-        self._resolve(entry, result)
+        return result
+
+    def _hand_over(self, held: List[Tuple[PendingRequest, QueryResult]]) -> None:
+        """Resolve the futures of finished requests, latency up to now."""
+        if not held:
+            return
+        now = self._clock()
+        answers = [
+            (entry, dataclasses.replace(
+                result, latency_ms=(now - entry.enqueued_at) * 1000.0
+            ))
+            for entry, result in held
+        ]
+        with self._cv:
+            for _entry, result in answers:
+                if result.ok:
+                    self._latency[result.tenant].append(result.latency_ms)
+        for entry, result in answers:
+            self._resolve(entry, result)
 
     def _execute(
         self, request: QueryRequest, entry: PendingRequest, degrade: bool
@@ -354,10 +404,7 @@ class QueryFrontDoor:
                     hit = self.standing.query(q, at=at)
                     if hit is not None:
                         self.standing_served += 1
-                        return QueryResult.from_engine(
-                            request, hit, source="standing",
-                            latency_ms=(self._clock() - entry.enqueued_at) * 1000.0,
-                        )
+                        return QueryResult.from_engine(request, hit, source="standing")
             run_q = q
             degraded = False
             if degrade:
@@ -368,14 +415,9 @@ class QueryFrontDoor:
             res = self.engine.query(run_q, at=at)
             if not degraded:
                 self._remember_hot(q, at, res)
-        latency_ms = (self._clock() - entry.enqueued_at) * 1000.0
         if entry.expired(self._clock()):
-            return QueryResult.failure(
-                request, "expired", REJECT_DEADLINE, latency_ms=latency_ms
-            )
-        return QueryResult.from_engine(
-            request, res, degraded=degraded, latency_ms=latency_ms
-        )
+            return QueryResult.failure(request, "expired", REJECT_DEADLINE)
+        return QueryResult.from_engine(request, res, degraded=degraded)
 
     def _coarsest_step(self, q: MetricQuery) -> Optional[float]:
         """Coarsest rollup resolution ``q`` can degrade to, or ``None``.

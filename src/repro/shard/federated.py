@@ -8,9 +8,10 @@ three-stage scatter-gather:
 
 1. **Plan** — the base engine's memoised
    :class:`~repro.query.engine.QueryPlan` (matchers resolved, every
-   series given its output group ``gidx`` and canonical ``rank``),
-   extended with the partition: per shard the ``(local sid, gidx,
-   rank)`` columns of the series it owns (:class:`ShardWork`).
+   series given its output group ``gidx`` and canonical ``rank``); the
+   sharded store's label index carries each series' shard, so the plan
+   comes partitioned: per shard the ``(local sid, gidx, rank)`` columns
+   of the series it owns (:class:`ShardWork`).
 2. **Run on shards** — each touched shard runs one *pass* over its
    :class:`ShardState`, read through the one sid-addressed
    :class:`ShardReader`.  Scatter passes compute *per-series partial
@@ -29,8 +30,10 @@ The passes are the plain functions of :data:`SHARD_PASSES`, and *who
 runs them* is observed, not configured:
 :meth:`FederatedQueryEngine._run_on_shards` dispatches a pass to the
 store's worker pool while that is live (:mod:`repro.shard.parallel`) and
-otherwise — or for a shard whose worker died — runs the very same
-function here.  Plan and gather never know which.
+otherwise — or for a shard whose worker died, or for a scatter over so
+few series that the round trip would cost more than the pass
+(:data:`INLINE_SCATTER_SERIES`) — runs the very same function here.
+Plan and gather never know which.
 
 Because per-series arithmetic happens on exactly one shard (a series
 never splits) and the cross-series reduction runs in a
@@ -75,6 +78,20 @@ from repro.telemetry.tsdb import RawRings
 
 #: Dispatch result of a task lost to a dead worker.
 WORKER_DIED = object()
+
+#: A scatter pass over at most this many series runs in process although
+#: a pool is live.  Calibration (E18 ``small_pass_tax``, 4 shards × 2
+#: workers): a dispatch costs a fixed F ≈ 0.65–0.9 ms over the same pass
+#: run here (wake two workers, pickle ~40 small arrays, unpickle them),
+#: and reading a series costs c ≈ 8 µs from raw rings, ≈ 16 µs stitched
+#: from a tier, on either side.  W workers on cores of their own save at
+#: most c·k·(1 − 1/W), so the pool breaks even no earlier than k = F /
+#: (c·(1 − 1/W)): ≈ 80–220 series at W = 2, ≈ 55–150 at W = 4.  On the
+#: 2-vCPU development host (one core's worth of throughput) the measured
+#: crossover is 130–190 series with tiers and none up to 512 without.
+#: 64 is below all of those: no pass kept here would have been faster
+#: dispatched.  Tests and E18 pin it to 0 to send every pass to the pool.
+INLINE_SCATTER_SERIES = 64
 
 
 def _segment_bounds(comp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -610,11 +627,11 @@ class FederatedQueryEngine(QueryEngine):
         self.federated_queries = 0
         self.fanout_total = 0
         self._fold_task = None
-        self._n_places = store.n_shards
-        #: passes the pool ran, by kind, and passes that ran (partly) in
-        #: process although the store has a pool
+        #: passes the pool ran, by kind; passes it should have run and
+        #: (partly) could not; scatters kept in process for their size
         self.pool_passes: Counter = Counter()
         self.serial_fallbacks = 0
+        self.inline_by_size = 0
 
     # ------------------------------------------------------------- rollups
     @classmethod
@@ -697,11 +714,6 @@ class FederatedQueryEngine(QueryEngine):
             return (epoch, sum(m.folds for m in self.shard_rollups))
         return epoch
 
-    def _locate(self, key) -> Tuple[int, int]:
-        """The shard a selected key lives on, and its series id there."""
-        shard = self.store.shard_index(key)
-        return shard, self.store.shards[shard].registry.get(key)
-
     # ----------------------------------------------------------- execution
     def _execute(self, q: MetricQuery, at: float) -> QueryResult:
         t1 = float(at)
@@ -741,28 +753,41 @@ class FederatedQueryEngine(QueryEngine):
         """Run one pass of ``kind`` on the shards of ``tasks`` — ``(shard,
         payload)`` pairs — and return their results in task order.
 
-        The one place that decides who runs a shard pass: one dispatch
-        to the owning workers while the store's pool is live; where
-        there is no pool, it is stopped, or a worker died with its reply
-        (the pool breaks, or respawns it), the same :data:`SHARD_PASSES`
-        function here, on the parent's view of the shard — reads are
+        The one place that decides who runs a shard pass, from what it
+        observes: the store's pool and the size of the pass.  One
+        dispatch to the owning workers while the pool is live; the same
+        :data:`SHARD_PASSES` function here, on the parent's view of the
+        shard, where there is no pool, it is stopped, a worker died with
+        its reply (the pool breaks, or respawns it) — or the pass is a
+        scatter over no more than :data:`INLINE_SCATTER_SERIES` series,
+        which a round trip would cost more than it reads.  Reads are
         idempotent, a re-run fold is skipped tier by tier by its
         watermarks, and parent state is authoritative throughout.  A
-        pass that ran here, wholly or in part, although the store has a
-        pool counts once in ``serial_fallbacks``; either way it traces
-        as one ``<kind>.shard`` span per shard.
+        pass the pool could not run, wholly or in part, counts once in
+        ``serial_fallbacks``; one kept here for its size counts in
+        ``inline_by_size`` instead and never looks at the pool, so a
+        dead worker is noticed at the next dispatched pass (fold,
+        standing, large scatter), not at the next small read.  Either
+        way the pass traces as one ``<kind>.shard`` span per shard.
         """
         if not tasks:
             return []
         pool = self.store.pool
         results: List = [WORKER_DIED] * len(tasks)
-        if pool is not None and pool.active:
+        small = (
+            pool is not None
+            and kind == "scatter"
+            and sum(len(payload["sids"]) for _, payload in tasks) <= INLINE_SCATTER_SERIES
+        )
+        if small:
+            self.inline_by_size += 1
+        elif pool is not None and pool.active:
             results = pool.dispatch([(shard, kind, payload) for shard, payload in tasks])
         here = [i for i, data in enumerate(results) if data is WORKER_DIED]
         if not here:
             self.pool_passes[kind] += 1
             return results
-        if pool is not None:
+        if pool is not None and not small:
             self.serial_fallbacks += 1
         run = SHARD_PASSES[kind]
         for i in here:
@@ -1064,6 +1089,7 @@ class FederatedQueryEngine(QueryEngine):
             out["parallel_scatters"] = float(self.parallel_scatters)
             out["parallel_folds"] = float(self.parallel_folds)
             out["serial_fallbacks"] = float(self.serial_fallbacks)
+            out["inline_by_size"] = float(self.inline_by_size)
             out.update({f"pool_{k}": v for k, v in pool.stats().items()})
         if self.shard_rollups:
             folds = 0.0

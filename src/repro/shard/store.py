@@ -36,7 +36,13 @@ import numpy as np
 from repro.query.rollup import RollupManager
 from repro.telemetry.batch import SeriesRegistry, sort_series_columns
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import IngestListener, SeriesStats, TimeSeriesStore, segment_rows
+from repro.telemetry.tsdb import (
+    IngestListener,
+    LabelIndex,
+    SeriesStats,
+    TimeSeriesStore,
+    segment_rows,
+)
 
 
 def shard_of_key(key: SeriesKey, n_shards: int) -> int:
@@ -89,6 +95,7 @@ class ShardedTimeSeriesStore:
         self._listeners: List[IngestListener] = []
         #: one rollup cascade per shard (:meth:`create_tiersets`)
         self.tiersets: Optional[List[RollupManager]] = None
+        self._indexes: Dict[Optional[str], LabelIndex] = {}
 
     def _make_shard(self, idx: int) -> TimeSeriesStore:
         """Build the per-shard store.  Subclasses override to relocate
@@ -258,14 +265,31 @@ class ShardedTimeSeriesStore:
         return self.shard_for(key).has(key)
 
     def series_keys(self, metric: Optional[str] = None) -> List[SeriesKey]:
-        keys: List[SeriesKey] = []
-        for shard in self.shards:
-            keys.extend(shard.series_keys(metric))
-        keys.sort(key=str)
-        return keys
+        return list(self.label_index(metric).keys)
 
-    def series_generation(self, metric: str) -> int:
-        """Monotone: bumps whenever any shard grows a series of ``metric``."""
+    def label_index(self, metric: Optional[str] = None) -> LabelIndex:
+        """One :class:`LabelIndex` over every shard's series of ``metric``,
+        each with its shard and its series id there; rebuilt only when
+        some shard has grown one."""
+        generation = self.series_generation(metric)
+        index = self._indexes.get(metric)
+        if index is None or index.generation != generation:
+            sids = [shard.series_ids(metric) for shard in self.shards]
+            index = self._indexes[metric] = LabelIndex(
+                generation,
+                [
+                    shard.registry.key_for(sid)
+                    for shard, part in zip(self.shards, sids) for sid in part.tolist()
+                ],
+                np.repeat(np.arange(self.n_shards), [part.size for part in sids]),
+                np.concatenate(sids),
+                self.n_shards,
+            )
+        return index
+
+    def series_generation(self, metric: Optional[str]) -> int:
+        """Monotone: bumps whenever any shard grows a series of ``metric``
+        (``None``: of any metric)."""
         return sum(shard.series_generation(metric) for shard in self.shards)
 
     def metric_epoch(self, metric: str) -> int:

@@ -21,7 +21,10 @@ build on the same class.  :class:`RawRings` is the raw ``(time, value)``
 instance of it, one :class:`DenseRings` per ring capacity in use,
 addressed by series id; :class:`TimeSeriesStore` owns one and writes it
 through a single batch kernel.  :class:`RingBuffer` is the stand-alone
-single-series ring.
+single-series ring.  :class:`LabelIndex` is a store's per-metric view of
+*which* series it holds — keys in canonical order, label values as code
+columns with postings, where each series lives — which the query layer
+selects and plans from.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import mmap
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -674,6 +677,75 @@ class SeriesStats:
         )
 
 
+class LabelColumn(NamedTuple):
+    """One label name over the keys of a :class:`LabelIndex`.
+
+    ``values`` are the distinct values in sorted order (a key without the
+    label has ``""``), ``code_of`` their codes, ``codes`` each key's code;
+    ``order``/``bounds`` are the postings: the positions holding value
+    ``c``, ascending, are ``order[bounds[c]:bounds[c + 1]]``.
+    """
+
+    values: List[str]
+    code_of: Dict[str, int]
+    codes: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+    def positions(self, codes: Sequence[int]) -> np.ndarray:
+        """Ascending positions of the keys holding any of ``codes``."""
+        if 8 * len(codes) > len(self.values):  # wide: one pass beats many postings
+            ok = np.zeros(len(self.values), dtype=bool)
+            ok[codes] = True
+            return np.flatnonzero(ok[self.codes])
+        lo, hi = self.bounds, self.bounds[1:]
+        parts = [self.order[lo[c]:hi[c]] for c in codes]
+        if len(parts) == 1:
+            return parts[0]
+        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+
+
+class LabelIndex:
+    """The series of one metric (``None``: of every metric) as a store
+    holds them at one series generation.
+
+    ``keys`` are in canonical ``str`` order — the order of
+    ``series_keys`` and of every selection — and ``places`` / ``sids``
+    say where each lives: the shard (0 on a single store) and the series
+    id there.  :meth:`column` gives one label name's values as codes with
+    postings, built on first use, so a matcher is evaluated once per
+    distinct value and a selection costs what it selects.  Stores build
+    one per metric and rebuild it only when the generation moves.
+    """
+
+    __slots__ = ("generation", "keys", "places", "sids", "n_places", "_columns")
+
+    def __init__(
+        self, generation: int, keys: Sequence[SeriesKey], places: np.ndarray,
+        sids: np.ndarray, n_places: int = 1,
+    ) -> None:
+        strs = [str(key) for key in keys]
+        order = sorted(range(len(strs)), key=strs.__getitem__)  # stable; runs are cheap
+        self.generation = generation
+        self.keys: List[SeriesKey] = [keys[i] for i in order]
+        self.places: np.ndarray = places[order]
+        self.sids: np.ndarray = sids[order]
+        self.n_places = n_places
+        self._columns: Dict[str, LabelColumn] = {}
+
+    def column(self, name: str) -> LabelColumn:
+        column = self._columns.get(name)
+        if column is None:
+            raw = [key.label(name) or "" for key in self.keys]
+            values = sorted(set(raw))
+            code_of = {value: code for code, value in enumerate(values)}
+            codes = np.fromiter((code_of[v] for v in raw), dtype=np.intp, count=len(raw))
+            order = np.argsort(codes, kind="stable")
+            bounds = np.searchsorted(codes[order], np.arange(len(values) + 1))
+            column = self._columns[name] = LabelColumn(values, code_of, codes, order, bounds)
+        return column
+
+
 class TimeSeriesStore:
     """:class:`SeriesKey`-addressed raw rings with query helpers.
 
@@ -707,13 +779,10 @@ class TimeSeriesStore:
         self._metric_index: Dict[str, int] = {}
         self._epochs = np.zeros(8, dtype=np.int64)
         self._metric_of = np.zeros(0, dtype=np.int64)
-        #: per-metric sorted-key index + generation counter: loop-style
-        #: readers issue the same selection every tick, so key listing
-        #: and matcher evaluation must not rescan the whole series map
-        self._metric_keys: Dict[str, List[SeriesKey]] = {}
-        self._metric_keys_dirty: set = set()
-        self._metric_sids: Dict[str, List[int]] = {}  # in creation order
-        self._metric_gen: Dict[str, int] = {}
+        #: per metric its series ids in creation order — one more per
+        #: series generation — and the label index as of some generation
+        self._metric_sids: Dict[str, List[int]] = {}
+        self._indexes: Dict[Optional[str], LabelIndex] = {}
         self._listeners: List[IngestListener] = []
         self.total_inserts = 0
 
@@ -755,10 +824,7 @@ class TimeSeriesStore:
                 if idx == self._epochs.size:
                     self._epochs = np.concatenate((self._epochs, np.zeros_like(self._epochs)))
             self._metric_of[sid] = idx
-            self._metric_keys.setdefault(metric, []).append(key)
-            self._metric_keys_dirty.add(metric)
             self._metric_sids.setdefault(metric, []).append(sid)
-            self._metric_gen[metric] = self._metric_gen.get(metric, 0) + 1
             capacity = self._capacity_overrides.get(metric, self.default_capacity)
             by_capacity.setdefault(capacity, []).append(sid)
         for capacity, group in by_capacity.items():
@@ -877,24 +943,40 @@ class TimeSeriesStore:
         return sid is not None and self.rings.count(sid) > 0
 
     def series_keys(self, metric: Optional[str] = None) -> list[SeriesKey]:
-        if metric is None:
-            return sorted((k for keys in self._metric_keys.values() for k in keys), key=str)
-        keys = self._metric_keys.get(metric)
-        if keys is None:
-            return []
-        if metric in self._metric_keys_dirty:
-            keys.sort(key=str)
-            self._metric_keys_dirty.discard(metric)
-        return list(keys)
+        """The written series of ``metric`` (default: all), in ``str`` order."""
+        return list(self.label_index(metric).keys)
 
-    def series_generation(self, metric: str) -> int:
-        """Monotone counter bumped when a new series of ``metric`` appears.
+    def label_index(self, metric: Optional[str] = None) -> LabelIndex:
+        """The :class:`LabelIndex` of ``metric``'s series (``None``: of
+        all series), rebuilt only when a new one has appeared."""
+        generation = self.series_generation(metric)
+        index = self._indexes.get(metric)
+        if index is None or index.generation != generation:
+            sids = self.series_ids(metric)
+            keys = [self.registry.key_for(sid) for sid in sids.tolist()]
+            index = self._indexes[metric] = LabelIndex(
+                generation, keys, np.zeros(sids.size, dtype=np.int64), sids
+            )
+        return index
+
+    def series_ids(self, metric: Optional[str] = None) -> np.ndarray:
+        """Ids of the written series of ``metric`` in creation order
+        (``None``: of all series, ascending)."""
+        if metric is None:
+            return self.rings.sids()
+        return np.array(self._metric_sids.get(metric, ()), dtype=np.int64)
+
+    def series_generation(self, metric: Optional[str]) -> int:
+        """Monotone counter bumped when a new series of ``metric``
+        (``None``: of any metric) appears.
 
         Readers that resolve label matchers to concrete keys can cache
         the resolution against this generation — selection only changes
         when the key set does, not on every write.
         """
-        return self._metric_gen.get(metric, 0)
+        if metric is None:
+            return self.rings.n_series
+        return len(self._metric_sids.get(metric, ()))
 
     def cardinality(self) -> int:
         """Number of distinct live series (the Section IV design concern)."""

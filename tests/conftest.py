@@ -8,7 +8,7 @@ case runs unchanged over each way of running one.
 
 import pytest
 
-from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore
+from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore, federated
 
 
 class ShardExecutor:
@@ -16,6 +16,9 @@ class ShardExecutor:
 
     ``inline``: a plain sharded store, no pool.  ``pool-1`` / ``pool-2``:
     shared-memory shards beside a live pool of that many workers.
+    ``pool-2-auto``: the same, and the engine keeps scatters over few
+    series in process (its default; every other pool case pins
+    ``INLINE_SCATTER_SERIES`` to 0 so that each pass goes to the pool).
     ``pool-stopped``: the pool shut down after the data went in.
     ``worker-killed``: two workers, respawn off, worker 0 killed after
     the data went in — the next dispatch loses its shards' tasks and
@@ -23,7 +26,7 @@ class ShardExecutor:
     it does nothing.
     """
 
-    NAMES = ("inline", "pool-1", "pool-2", "pool-stopped", "worker-killed")
+    NAMES = ("inline", "pool-1", "pool-2", "pool-2-auto", "pool-stopped", "worker-killed")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -31,8 +34,15 @@ class ShardExecutor:
 
     @property
     def pooled(self) -> bool:
-        """Every pass runs on the pool."""
-        return self.name in ("pool-1", "pool-2")
+        """A live pool runs every pass that is dispatched: the workers
+        fold and keep the standing grids."""
+        return self.name in ("pool-1", "pool-2", "pool-2-auto")
+
+    @property
+    def by_size(self) -> bool:
+        """Scatters over few series stay in process beside the live
+        pool: counted in ``inline_by_size``, never a fallback."""
+        return self.name == "pool-2-auto"
 
     @property
     def falls_back(self) -> bool:
@@ -67,8 +77,17 @@ class ShardExecutor:
             store.close()
 
 
+@pytest.fixture
+def every_pass_dispatched(monkeypatch):
+    """No scatter is small enough to stay in process: what "the pool ran
+    it" and the crash-path assertions are about."""
+    monkeypatch.setattr(federated, "INLINE_SCATTER_SERIES", 0)
+
+
 @pytest.fixture(params=ShardExecutor.NAMES)
 def executor(request):
     ex = ShardExecutor(request.param)
+    if not ex.by_size:
+        request.getfixturevalue("every_pass_dispatched")
     yield ex
     ex.close()

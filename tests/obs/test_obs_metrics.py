@@ -59,6 +59,9 @@ class TestRouting:
         assert route_stat("shards", "engine") == ("federation", "shards")
         assert route_stat("fanout_mean", "engine") == ("federation", "fanout_mean")
         assert route_stat("serial_fallbacks", "engine") == ("parallel", "serial_fallbacks")
+        assert route_stat("inline_by_size", "engine") == ("parallel", "inline_by_size")
+        # ... also merged under the hub's engine_ prefix
+        assert route_stat("engine_inline_by_size", "hub") == ("parallel", "inline_by_size")
 
     def test_hub_origin_keeps_own_counters_and_unwraps_merges(self):
         # hub's own standing_served is a hub counter, not a standing one

@@ -82,12 +82,12 @@ def test_every_executor_produces_the_same_span_tree(executor):
     assert_bit_identical(got, want)
 
     # a shard leaf crossed a process boundary exactly when a live worker
-    # owned the shard
+    # owned the shard and the pass was dispatched to it
     for name, pid, *_, args in spans:
         if name != "scatter.shard":
             assert pid == os.getpid()
             continue
-        in_worker = executor.pooled or (
+        in_worker = (executor.pooled and not executor.by_size) or (
             executor.name == "worker-killed" and store.pool.worker_of(args["shard"]) != 0
         )
         assert (pid != os.getpid()) == in_worker, (executor.name, args)

@@ -22,6 +22,7 @@ def clean_global_tracer():
     TRACER.reset()
 
 
+@pytest.mark.usefixtures("every_pass_dispatched")  # 32 nodes: every scatter is a small one
 def test_traced_256_loop_fleet_exports_cross_process_chrome_json(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert main([

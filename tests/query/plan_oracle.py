@@ -1,0 +1,54 @@
+"""Per-key selection and plan building: the oracle for the label index.
+
+This is ``QueryEngine.select`` / ``.plan`` as they ran before the stores
+kept a :class:`repro.telemetry.tsdb.LabelIndex` — every key of the metric
+sorted by ``str`` and tested with ``q.matches``, groups collected in a
+dict of label tuples, members re-sorted by ``str``, every key located by
+its CRC-32 shard and that shard's registry — kept as the reference the
+index-built :class:`~repro.query.engine.QueryPlan` must equal.
+"""
+
+from typing import Dict, List, Tuple
+
+from repro.query.engine import GroupLabels, QueryPlan, ShardWork
+from repro.query.model import MetricQuery
+from repro.telemetry.metric import SeriesKey
+
+
+def oracle_select(store, q: MetricQuery) -> List[SeriesKey]:
+    """The selection :func:`repro.query.reference.evaluate_naive` makes."""
+    return sorted((k for k in store.series_keys(q.metric) if q.matches(k)), key=str)
+
+
+def oracle_locate(store, key: SeriesKey) -> Tuple[int, int]:
+    """``(place, series id there)``: a sharded store's CRC-32 routing and
+    shard registry, a single store's own registry at place 0."""
+    if hasattr(store, "shards"):
+        shard = store.shard_index(key)
+        return shard, store.shards[shard].registry.get(key)
+    return 0, store.registry.get(key)
+
+
+def oracle_plan(store, q: MetricQuery) -> QueryPlan:
+    selected = oracle_select(store, q)
+    groups: Dict[GroupLabels, List[int]] = {}
+    for sel, key in enumerate(selected):
+        groups.setdefault(q.group_key(key), []).append(sel)
+    labels = tuple(sorted(groups))
+    keys: List[SeriesKey] = []
+    bounds = [0]
+    shards = [ShardWork([], [], [], []) for _ in range(getattr(store, "n_shards", 1))]
+    for g, lab in enumerate(labels):
+        members = sorted(groups[lab], key=lambda i: str(selected[i]))
+        for rank, sel in enumerate(members):
+            key = selected[sel]
+            keys.append(key)
+            place, sid = oracle_locate(store, key)
+            work = shards[place]
+            work.sids.append(sid)
+            work.gidx.append(g)
+            work.rank.append(rank)
+            work.sel.append(sel)
+        bounds.append(len(keys))
+    fanout = sum(1 for work in shards if work.sids)
+    return QueryPlan(store.series_generation(q.metric), labels, keys, bounds, shards, fanout)

@@ -281,3 +281,87 @@ def test_error_answers_instead_of_dying():
         ok = fd.serve(QueryRequest(INSTANT, tenant="t", at=500.0))
         assert ok.status == "ok"
     assert fd.admission.tenant("t").errors == 1
+
+
+def _served_at_resolution(fd, futures, tenant):
+    """Per future, the tenant's ``served`` count when it was resolved."""
+    seen = [None] * len(futures)
+    for i, fut in enumerate(futures):
+        fut.add_done_callback(
+            lambda _f, _i=i: seen.__setitem__(_i, fd.admission.tenant(tenant).served)
+        )
+    return seen
+
+
+def test_answers_wait_for_their_tenants_queue_to_run_empty():
+    clock = FakeClock()  # stands still while the worker runs: no bound fires
+    engine, _store = _small_engine()
+    fd = QueryFrontDoor(
+        engine, tenants=[_open_spec("t")], n_workers=1, enable_standing=False,
+        clock=clock,
+    )
+    with fd:
+        with fd.write_gate():
+            futures = [fd.submit(QueryRequest(INSTANT, tenant="t", at=500.0))]
+            _wait_inflight(fd, "t", 1)
+            for i in range(1, 4):
+                clock.t += 0.001
+                futures.append(fd.submit(QueryRequest(INSTANT, tenant="t", at=500.0 + i)))
+            seen = _served_at_resolution(fd, futures, "t")
+        results = [fut.result(timeout=5.0) for fut in futures]
+    assert [r.status for r in results] == ["ok"] * 4
+    # nothing left the worker before the last queued request had run ...
+    assert seen == [4, 4, 4, 4]
+    # ... and every latency runs to that one hand-over
+    assert [r.latency_ms for r in results] == pytest.approx([3.0, 2.0, 1.0, 0.0])
+    assert fd.p99_ms("t") == pytest.approx(3.0)
+
+
+def test_a_tenant_without_backlog_is_answered_at_once():
+    engine, _store = _small_engine()
+    fd = QueryFrontDoor(
+        engine, tenants=[_open_spec("greedy"), _open_spec("quiet")],
+        n_workers=1, enable_standing=False, clock=FakeClock(),
+    )
+    with fd:
+        with fd.write_gate():
+            greedy = [fd.submit(QueryRequest(INSTANT, tenant="greedy", at=500.0))]
+            _wait_inflight(fd, "greedy", 1)
+            greedy += [
+                fd.submit(QueryRequest(INSTANT, tenant="greedy", at=500.0 + i))
+                for i in range(1, 4)
+            ]
+            quiet = fd.submit(QueryRequest(INSTANT, tenant="quiet", at=500.0))
+            seen = _served_at_resolution(fd, [quiet], "greedy")
+        for fut in [*greedy, quiet]:
+            assert fut.result(timeout=5.0).status == "ok"
+    assert seen[0] < len(greedy)  # not held behind the other tenant's queue
+
+
+def test_held_answers_leave_after_the_handover_bound():
+    from repro.serve.frontdoor import HANDOVER_MAX_S
+
+    class TickingClock:
+        t = 0.0
+
+        def __call__(self):
+            self.t += HANDOVER_MAX_S
+            return self.t
+
+    engine, _store = _small_engine()
+    fd = QueryFrontDoor(
+        engine, tenants=[_open_spec("t")], n_workers=1, enable_standing=False,
+        clock=TickingClock(),
+    )
+    with fd:
+        with fd.write_gate():
+            futures = [fd.submit(QueryRequest(INSTANT, tenant="t", at=500.0))]
+            _wait_inflight(fd, "t", 1)
+            futures += [
+                fd.submit(QueryRequest(INSTANT, tenant="t", at=500.0 + i))
+                for i in range(1, 4)
+            ]
+            seen = _served_at_resolution(fd, futures, "t")
+        for fut in futures:
+            assert fut.result(timeout=5.0).status == "ok"
+    assert seen == [1, 2, 3, 4]  # the queue never ran empty; the bound did it

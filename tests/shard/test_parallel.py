@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.query import MetricQuery
+from repro.query import LabelMatcher, MetricQuery
 from repro.query.reference import evaluate_naive
 from repro.query.rollup import ROW_COLUMNS, CascadeFolder
 from repro.query.standing import StandingQueryEngine
@@ -27,6 +27,7 @@ from repro.shard import (
     ParallelShardContext,
     ParallelShardedStore,
     ShardedTimeSeriesStore,
+    federated,
 )
 from repro.shard.parallel import WORKER_DIED
 from repro.telemetry.metric import SeriesKey
@@ -86,9 +87,14 @@ def parallel_store(data, n_shards, workers, *, resolutions=None, respawn=True):
 def assert_ran_where_expected(executor, engine, store):
     """``serial_fallbacks`` > 0 exactly where a pool exists and did not
     run the passes; on a live pool the scatters were its only dispatches
-    (the commits wrote the shared rings from the parent)."""
+    (the commits wrote the shared rings from the parent) — none at all
+    where these few series keep every scatter in process, which is
+    counted on its own and is no fallback."""
     assert (engine.serial_fallbacks > 0) == executor.falls_back
-    if executor.pooled:
+    assert (engine.inline_by_size > 0) == executor.by_size
+    if executor.by_size:
+        assert engine.parallel_scatters == store.pool.dispatches == 0
+    elif executor.pooled:
         assert engine.parallel_scatters > 0
         assert store.serial_appends == 0
         assert store.pool.dispatches == engine.parallel_scatters
@@ -162,6 +168,48 @@ def test_rollup_folds_match_the_oracle_on_every_executor(executor):
     assert par.parallel_folds == (2 if executor.pooled else 1 if executor.falls_back else 0)
 
 
+@pytest.mark.parametrize("executor", ["pool-2-auto"], indirect=True)
+def test_a_pass_goes_to_the_pool_only_above_the_size_it_pays_off(executor):
+    """At its default the engine keeps a scatter over no more than
+    ``INLINE_SCATTER_SERIES`` series in process — counted apart, never a
+    fallback, the pool not even asked — and dispatches one series more.
+    Either way the answer is the single-shard oracle's.  Kept passes
+    never look at the pool, so a stopped pool is noticed by the next
+    pass that would have been dispatched."""
+    limit = federated.INLINE_SCATTER_SERIES
+    data = series_data(17, n_series=limit + 1, max_points=12)
+    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
+    fill_serial(oracle, data)
+    orc = FederatedQueryEngine(oracle, enable_cache=False)
+    store = executor.store(4)
+    fill_through_pool(store, data)
+    par = FederatedQueryEngine(store, enable_cache=False)
+
+    def shape(n_series):
+        wanted = "|".join(str(i) for i in range(n_series))
+        return MetricQuery(
+            "m", agg="mean", range_s=HORIZON, step_s=100.0, group_by=("node",),
+            matchers=(LabelMatcher("shard", "=~", wanted),),
+        )
+
+    def counters():
+        return par.inline_by_size, par.parallel_scatters, par.serial_fallbacks, store.pool.dispatches
+
+    for n_series, want in ((8, (1, 0, 0, 0)), (limit, (2, 0, 0, 0)), (limit + 1, (2, 1, 0, 1))):
+        q = shape(n_series)
+        assert len(par.plan(q).keys) == n_series
+        assert_bit_identical(par.query(q, at=HORIZON), orc.query(q, at=HORIZON))
+        assert counters() == want
+    assert par.stats()["inline_by_size"] == 2.0
+
+    store.pool.close()
+    assert_bit_identical(par.query(shape(9), at=HORIZON), orc.query(shape(9), at=HORIZON))
+    assert counters() == (3, 1, 0, 1)  # a small read: the pool was not looked at
+    q = shape(limit + 1)
+    assert_bit_identical(par.query(q, at=HORIZON * 0.9), orc.query(q, at=HORIZON * 0.9))
+    assert counters() == (3, 1, 1, 1)  # the pool should have run this one and could not
+
+
 # ---------------------------------------------------------------------------
 # Worker-crash degradation
 
@@ -198,6 +246,7 @@ STANDING_SHAPE = MetricQuery("m", agg="mean", range_s=400.0, step_s=50.0, group_
 )
 @pytest.mark.parametrize("where", ["queued", "in_fold"])
 @pytest.mark.parametrize("respawn", [True, False])
+@pytest.mark.usefixtures("every_pass_dispatched")
 def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_next_fold):
     """The parent is the only writer of raw rings, so a worker can no
     longer die mid-append; what it can take with it are the committed
@@ -569,6 +618,7 @@ def test_shard_append_segments_rejects_out_of_range_sid():
 # Lifecycle and cluster wiring
 
 
+@pytest.mark.usefixtures("every_pass_dispatched")
 def test_context_lifecycle_and_stats():
     data = series_data(51, n_series=6)
     with ParallelShardContext(shards=3, workers=2, capacity=256) as ctx:
@@ -577,7 +627,7 @@ def test_context_lifecycle_and_stats():
         ctx.engine.query(q, at=HORIZON)
         stats = ctx.engine.stats()
         assert stats["parallel_scatters"] >= 1.0
-        assert stats["serial_fallbacks"] == 0.0
+        assert stats["serial_fallbacks"] == stats["inline_by_size"] == 0.0
         assert stats["pool_workers"] == 2.0
         assert stats["pool_dispatches"] >= 1.0
         store_stats = ctx.store.shard_stats()
