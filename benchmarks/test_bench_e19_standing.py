@@ -7,9 +7,15 @@ reads maintained state instead of re-scanning window x fleet samples.
 The benchmark gates both sides of that bargain on a streamed commit
 sequence at the E17b watch-fleet sizing (256 loops x 4096 series):
 
-* hub serving from standing state ≥5× the PR 5 fused baseline — the
-  standing side must *auto-register* the hot shape from tick-sharing
-  statistics, and its burn-in ticks count against it;
+* hub serving from standing state at ≥10 k queries/s and faster than
+  the fused batch baseline — the standing side must *auto-register* the
+  hot shape from tick-sharing statistics, and its burn-in ticks count
+  against it.  (The gate was ≥5× fused while the plain store had a
+  per-group batch algebra of its own: 7.3–8.2× on the 2-core
+  development host, fused 1.4–1.6 k/s vs standing 12.8–12.9 k/s.  On the
+  shared scatter passes the fused side serves 6.4 k/s and standing
+  16.5–17.3 k/s, 2.6–2.7×, so the gate now holds standing's absolute
+  rate and its lead instead of a ratio to the slower old baseline);
 * the per-commit partial-aggregate update costs ≤1.1× plain columnar
   ingest (paired per-commit walls, stall-trimmed pairwise);
 * **exactness is asserted unconditionally**: sampled loops on sampled
@@ -45,7 +51,8 @@ def test_standing_hub_serving_exact_and_fast(benchmark):
     assert row["standing_updates"] > 0
     if not MULTICORE:
         pytest.skip("hub serving gate needs an unloaded multicore host")
-    assert row["hub_speedup"] >= 5.0
+    assert row["standing_queries_per_s"] >= 10_000.0
+    assert row["hub_speedup"] >= 1.5
 
 
 def test_standing_ingest_overhead(benchmark):

@@ -63,10 +63,7 @@ def _attach_rollup_fold(engine, sim: Engine) -> None:
     would silently serve empty coarse answers.
     """
     try:
-        if getattr(engine, "shard_rollups", None):
-            engine.attach_rollups(sim)
-        elif getattr(engine, "rollups", None) is not None:
-            engine.rollups.attach(sim)
+        engine.attach_rollups(sim)
     except RuntimeError:
         pass  # an earlier client over the same cluster already attached
 

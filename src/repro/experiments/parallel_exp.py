@@ -6,7 +6,7 @@ pool (:mod:`repro.shard.parallel`).  The gather stays the canonical
 single-process lexsort/reduceat merge, so the parallel tier must be
 **bit-identical** to the serial federated engine for every worker
 count — that is asserted here and property-tested against the
-single-shard oracle in ``tests/shard/test_parallel.py``.  E18 measures
+single-store oracle in ``tests/shard/test_parallel.py``.  E18 measures
 five things on identical data:
 
 * **Scatter speedup** — the E16 ``group_by`` dashboard query served by

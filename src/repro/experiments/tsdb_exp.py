@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.core.knowledge import KnowledgeBase, ModelEntry
 from repro.core.types import Action, ExecutionResult, Plan
+from repro.query.engine import QueryEngine
+from repro.query.model import LabelMatcher, MetricQuery
 from repro.sim import RngRegistry
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -77,10 +79,17 @@ def run_tsdb_queries(
         store.query(key, points_per_series * 0.25, points_per_series * 0.75)
     query_us = (time.perf_counter() - t0) / n_queries * 1e6
 
+    engine = QueryEngine(store, enable_cache=False)
+    panels = [
+        MetricQuery(
+            "m", agg="mean", matchers=(LabelMatcher("series", "=", str(i)),),
+            range_s=float(points_per_series), step_s=60.0,
+        )
+        for i in range(n_series)
+    ]
     t0 = time.perf_counter()
     for i in range(n_queries):
-        key = keys[i % n_series]
-        store.downsample(key, 0.0, float(points_per_series), step=60.0, agg="mean")
+        engine.query(panels[i % n_series], at=float(points_per_series))
     downsample_us = (time.perf_counter() - t0) / n_queries * 1e6
     return {
         "n_series": float(n_series),

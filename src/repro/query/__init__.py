@@ -4,10 +4,11 @@ A declarative query model with a compact string syntax::
 
     mean(node_cpu_util{node=~"n0.*"}[300s] by 30s) group by (node)
 
-executed by a vectorized planner/executor (:class:`QueryEngine`) over
-the raw :class:`~repro.telemetry.tsdb.TimeSeriesStore`, continuously
-folded rollup tiers (:class:`RollupManager`), and an LRU result cache
-(:class:`QueryCache`).  See :mod:`repro.query.model` for the exact
+executed by one vectorized planner/executor (:class:`QueryEngine`:
+plan → shard passes of :mod:`repro.query.passes` → canonical gather)
+over the raw :class:`~repro.telemetry.tsdb.TimeSeriesStore` — or each
+shard of a sharded one — continuously folded rollup tiers
+(:class:`RollupManager`), and an LRU result cache (:class:`QueryCache`).  See :mod:`repro.query.model` for the exact
 semantics and :mod:`repro.query.reference` for the brute-force oracle.
 """
 
@@ -24,7 +25,7 @@ from repro.query.kernels import (
 from repro.query.model import LabelMatcher, MetricQuery, QUERY_AGGS
 from repro.query.parser import QueryParseError, parse_duration, parse_query
 from repro.query.reference import evaluate_naive
-from repro.query.rollup import RollupManager, RollupTier
+from repro.query.rollup import RollupManager
 
 __all__ = [
     "ALL_AGGS",
@@ -39,7 +40,6 @@ __all__ = [
     "QueryResult",
     "ResultSeries",
     "RollupManager",
-    "RollupTier",
     "SAMPLE_ONLY_AGGS",
     "counter_increase",
     "evaluate_naive",

@@ -1,28 +1,36 @@
-"""The query planner/executor.
+"""The query engine: plan → run on places → gather.
 
-:class:`QueryEngine` is the serving layer between the raw
-:class:`~repro.telemetry.tsdb.TimeSeriesStore` and everything that reads
-telemetry (analytics facades, MAPE-K loops, dashboards, the CLI).  An
-execution runs through four stages:
+:class:`QueryEngine` is the serving layer between a store and everything
+that reads telemetry (analytics facades, MAPE-K loops, dashboards, the
+front door).  Every store shape is served by the one algebra below — a
+plain :class:`~repro.telemetry.tsdb.TimeSeriesStore` is the one-place
+case of a sharded store, the series of each *place* addressed by that
+place's own series ids::
 
-1. **Cache probe** — canonical expression + quantized window
-   (:class:`~repro.query.cache.QueryCache`).
-2. **Resolve** — label matchers → concrete series keys → the grouped,
-   sid-addressed :class:`QueryPlan`, built from the store's per-metric
+    cache probe ─> plan ─> run on places ─> gather ─> QueryResult
+                    │          │               │
+      QueryPlan per shape,   one pass per    canonical lexsort +
+      sid columns per place  touched place   reduceat, partition-free
+
+1. **Cache probe** — canonical expression + quantized window, version-
+   keyed on the metric's write epoch (:class:`~repro.query.cache.QueryCache`).
+2. **Plan** — label matchers → the grouped, sid-addressed
+   :class:`QueryPlan`, built from the store's per-metric
    :class:`~repro.telemetry.tsdb.LabelIndex` (matchers evaluated per
-   distinct label value, groups by code columns), memoised per query
-   shape against the store's series generation and shared with the
-   federated and standing engines.
-3. **Plan** — pick the coarsest rollup tier that can serve the
-   ``(step, agg)`` pair exactly, else raw; tier-served queries still
-   merge the raw tail past each series' fold watermark, so results are
-   identical to a full raw scan (for partial-servable aggregators)
-   while long-range queries touch only rollup rows for the bulk of the
-   window.
-4. **Execute** — fully vectorized binned aggregation
-   (:mod:`repro.query.kernels`); cross-series pooling, percentiles,
-   group-by, and counter-reset-aware ``rate`` without per-bin Python
-   loops.
+   distinct label value, groups by code columns) and memoised per query
+   shape against the store's series generation.  It picks the coarsest
+   rollup tier that serves the ``(step, agg)`` pair exactly.
+3. **Run on places** — one pass of :mod:`repro.query.passes` per place
+   holding any selected series (:meth:`QueryEngine._run_on_shards`):
+   per-series partial rows, stitched from the tier below each series'
+   fold watermark and the raw tail past it, so a tier-served answer is
+   the raw scan's.  Here the passes run in process; the sharded engine
+   (:class:`repro.shard.federated.FederatedQueryEngine`) may hand them
+   to a worker pool.
+4. **Gather** — the rows of every place, concatenated and reduced in one
+   canonical order ``(group, bin, last_t, source, rank)`` that does not
+   depend on how series are partitioned (:func:`reduce_partial`), so
+   every store shape and executor returns bit-identical answers.
 
 Semantics are defined by :mod:`repro.query.model` and mirrored by the
 brute-force evaluator in :mod:`repro.query.reference`, which the
@@ -41,21 +49,18 @@ import numpy as np
 
 from repro.obs.trace import TRACER
 from repro.query.cache import QueryCache
-from repro.query.kernels import (
-    PARTIAL_AGGS,
-    PartialBins,
-    counter_increase,
-    grouped_aggregate,
-)
+from repro.query.kernels import PARTIAL_AGGS, grouped_aggregate, segment_bounds
 from repro.query.model import MetricQuery
 from repro.query.parser import parse_query
-from repro.query.rollup import RollupManager, RollupTier
+from repro.query.passes import SHARD_PASSES, ShardState
+from repro.query.rollup import RollupManager, select_tier_index
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import LabelIndex, TimeSeriesStore
 
 GroupLabels = Tuple[Tuple[str, str], ...]
 
-#: Query shapes the plan memo keeps (least recently used go first).
+#: Entries each engine memo keeps — plans, parsed expressions, canonical
+#: strings — least recently used going first.
 _PLANS_MAX = 4096
 
 
@@ -86,7 +91,7 @@ class QueryResult:
     t0: float
     t1: float
     series: Tuple[ResultSeries, ...]
-    source: str  # "raw", "rollup:<res>s", or "cache"
+    source: str  # "raw", "rollup:<res>s", "cache" or "standing"
 
     def first(self) -> Optional[ResultSeries]:
         return self.series[0] if self.series else None
@@ -103,13 +108,8 @@ class QueryResult:
         return float(values[-1]) if values.size else None
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 class ShardWork:
-    """One store's (or one shard's) rows of a :class:`QueryPlan`.
+    """One place's rows of a :class:`QueryPlan`.
 
     Parallel columns, in the plan's ``(group, rank)`` order: the series
     id there, its group index, its rank within the group and its
@@ -144,9 +144,8 @@ class QueryPlan(NamedTuple):
     rank)`` order — groups by sorted label tuple (``labels``), members
     by ``str`` — and group ``g`` owns ``keys[bounds[g]:bounds[g + 1]]``.
     ``shards`` holds the same rows as sid-addressed columns, one
-    :class:`ShardWork` per place the series live: one for a single
-    store, one per shard for a sharded one (``fanout`` counts those that
-    hold any).
+    :class:`ShardWork` per place of the store (``fanout`` counts those
+    that hold any).
     """
 
     generation: int
@@ -157,80 +156,120 @@ class QueryPlan(NamedTuple):
     fanout: int
 
 
-def instant_tier_partials(
-    store, rollups: RollupManager, key: SeriesKey, t0: float, t1: float
-) -> Optional[Dict[str, float]]:
-    """Partial statistics of an aged-out instant window served from tiers.
+class _Memo(OrderedDict):
+    """The rule of every engine memo: an LRU of at most ``_PLANS_MAX``
+    entries, so one-shot ad-hoc shapes age out without taking the
+    dashboard and loop shapes with them."""
 
-    Applies only when the raw ring no longer covers the window (its
-    oldest retained sample is newer than ``t0``): the raw scan and the
-    brute-force reference both see nothing, so answering from the
-    finest tier whose bins lie **fully inside** ``[t0, t1]`` is
-    strictly more history, never a different answer for data the ring
-    still holds.  Partially overlapping bins are excluded — their
-    statistics would mix samples from outside the window.  Returns the
-    pooled ``(sum, count, min, max, last_t, last_v, resolution)`` of
-    the qualifying rows, or ``None``.  Shared by the single-store
-    engine and the federated engine (which applies it per shard).
+    def put(self, key, value):
+        self[key] = value
+        if len(self) > _PLANS_MAX:
+            self.popitem(last=False)
+        return value
+
+    def lookup(self, key, make):
+        value = self.get(key)
+        if value is None:
+            return self.put(key, make(key))
+        self.move_to_end(key)
+        return value
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def concat_rows(parts: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
+    """Column-wise concatenation of row tables with the same columns."""
+    if len(parts) == 1:
+        return parts[0]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def build_series(
+    labels: Sequence[GroupLabels],
+    gidx: np.ndarray,
+    bins: np.ndarray,
+    vals: np.ndarray,
+    grid_t0: float,
+    step: Optional[float],
+) -> List[ResultSeries]:
+    """Slice reduced ``(group, bin)`` rows — group-major, bins ascending —
+    into one read-only result series per group (bin ``b`` stamped
+    ``grid_t0 + b * step``; every bin of an instant query at ``grid_t0``)."""
+    times = np.full(bins.size, grid_t0) if step is None else grid_t0 + bins * step
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    # freeze the parents once — the per-group slices are views and
+    # inherit read-only
+    _freeze(times)
+    _freeze(vals)
+    starts, ends = segment_bounds(gidx)
+    return [
+        ResultSeries(labels[g], times[lo:hi], vals[lo:hi])
+        for g, lo, hi in zip(gidx[starts].tolist(), starts.tolist(), ends.tolist())
+    ]
+
+
+def reduce_partial(
+    parts: Sequence[Dict[str, np.ndarray]],
+    agg: str,
+    labels: Sequence[GroupLabels],
+    grid_t0: float,
+    step: Optional[float],
+) -> List[ResultSeries]:
+    """The gather: partial rows of every place merged into output bins.
+
+    The one canonical ``lexsort`` — ``(group, bin, last_t, source,
+    rank)``, every key partition-independent — fixes both the summation
+    order (bit-stable across store shapes) and the ``last`` winner
+    (latest ``last_t``; ties prefer raw samples over tier rows, then the
+    later-ranked series).  Rows that already arrive in canonical order
+    with one row per ``(group, bin)`` — one place whose groups are
+    single series, such as a one-series instant read — skip the sort:
+    every reduction would be the identity.  Batch scatters and standing
+    reads both end here.
     """
-    earliest = store.earliest_time(key)
-    if earliest is None or earliest <= t0:
-        return None
-    for tier in rollups.tiers:  # finest first: freshest detail
-        rows = tier.window(key, t0, t1)
-        if rows is None or not rows["time"].size:
-            continue
-        keep = rows["time"] + tier.resolution_s <= t1
-        if not keep.any():
-            continue
-        return {
-            "sum": float(np.sum(rows["sum"][keep])),
-            "count": float(np.sum(rows["count"][keep])),
-            "min": float(np.min(rows["min"][keep])),
-            "max": float(np.max(rows["max"][keep])),
-            # rows are time-ordered, so the tail is the freshest sample
-            "last_t": float(rows["last_t"][keep][-1]),
-            "last_v": float(rows["last_v"][keep][-1]),
-            "resolution": tier.resolution_s,
-        }
-    return None
+    parts = [p for p in parts if p["gidx"].size]
+    if not parts:
+        return []
+    cols = concat_rows(parts)
+    gidx, bins = cols["gidx"], cols["bin"]
+    same = gidx[1:] == gidx[:-1]
+    if (gidx[1:] >= gidx[:-1]).all() and not (same & (bins[1:] <= bins[:-1])).any():
+        order = starts = ends = None
+        out_g, out_b = gidx, bins
+    else:
+        order = np.lexsort((cols["rank"], cols["source"], cols["last_t"], bins, gidx))
+        gidx, bins = gidx[order], bins[order]
+        starts, ends = segment_bounds(gidx, bins)
+        out_g, out_b = gidx[starts], bins[starts]
 
+    def reduced(ufunc, name: str) -> np.ndarray:
+        col = cols[name]
+        return col if order is None else ufunc.reduceat(col[order], starts)
 
-def instant_tier_rate(
-    store, rollups: RollupManager, key: SeriesKey, t0: float, t1: float
-) -> Optional[Tuple[float, float]]:
-    """Counter increase of an aged-out instant window served from tiers.
-
-    The ``rate`` analogue of :func:`instant_tier_partials`, with the same
-    applicability rule: only when the raw ring no longer covers the
-    window, and only from bins fully inside ``[t0, t1]``.  Consecutive
-    bins' ``last_v`` values form the counter's sampled trajectory at
-    tier resolution, so their reset-clamped deltas are the increase the
-    raw scan would have seen at bin boundaries (increases swallowed by
-    an intra-bin reset are lost — rollups keep bin-end values only, so
-    the tier answer is a conservative floor, never an overcount).
-    Returns ``(total_increase, resolution)`` or ``None``; shared by the
-    single-store engine and the federated engine (applied per shard).
-    """
-    from repro.query.kernels import counter_increase
-
-    earliest = store.earliest_time(key)
-    if earliest is None or earliest <= t0:
-        return None
-    for tier in rollups.tiers:  # finest first: most bin boundaries
-        rows = tier.window(key, t0, t1)
-        if rows is None or not rows["time"].size:
-            continue
-        keep = rows["time"] + tier.resolution_s <= t1
-        if int(keep.sum()) < 2:  # need >= 2 bin-end values for a delta
-            continue
-        inc = counter_increase(rows["last_v"][keep])
-        return float(np.sum(inc)), tier.resolution_s
-    return None
+    if agg == "mean":
+        vals = reduced(np.add, "sum") / reduced(np.add, "count")
+    elif agg in ("sum", "count"):
+        vals = reduced(np.add, agg)
+    elif agg == "min":
+        vals = reduced(np.minimum, "min")
+    elif agg == "max":
+        vals = reduced(np.maximum, "max")
+    else:  # last: the segment tail is (newest last_t, then raw, then highest rank)
+        vals = cols["last_v"] if order is None else cols["last_v"][order][ends - 1]
+    return build_series(labels, out_g, out_b, vals, grid_t0, step)
 
 
 class QueryEngine:
-    """Vectorized metric query engine with tiered rollups and caching."""
+    """Vectorized metric query engine with tiered rollups and caching.
+
+    Serves one place — the store itself, its rings, its ``rollups`` and
+    the standing grids kept beside them — and runs every pass in
+    process; :class:`repro.shard.federated.FederatedQueryEngine` is the
+    same engine over the places of a sharded store.
+    """
 
     def __init__(
         self,
@@ -245,24 +284,63 @@ class QueryEngine:
         self.rollups = rollups
         self.cache = cache if cache is not None else (QueryCache() if enable_cache else None)
         self.instant_quantum_s = float(instant_quantum_s)
+        #: the stores whose rings the passes read, by place index
+        self.places: List[TimeSeriesStore] = [store]
         self.queries_total = 0
         self.samples_total = 0
         self.served_raw = 0
         self.served_rollup = 0
-        self._parse_cache: Dict[str, MetricQuery] = {}
-        #: the one plan memo: an LRU per query shape, each entry valid for
-        #: the series generation it was built at — one-shot drill-downs
-        #: age out without taking the dashboard and loop shapes with them
-        self._plans: "OrderedDict[MetricQuery, QueryPlan]" = OrderedDict()
-        self._expr_cache: Dict[MetricQuery, str] = {}
+        self.fanout_total = 0
+        self._parsed: _Memo = _Memo()
+        self._exprs: _Memo = _Memo()
+        #: the plan memo, each entry valid for the series generation it
+        #: was built at
+        self._plans: _Memo = _Memo()
         self._standing = None
+        self._fold_task = None
+
+    # -------------------------------------------------------------- places
+    @property
+    def tiersets(self) -> Optional[List[RollupManager]]:
+        """The rollup cascade of each place (``None``: no tiers)."""
+        return [self.rollups] if self.rollups is not None else None
+
+    def _shard_state(self, place: int) -> ShardState:
+        """This side's view of one place for a pass run in process."""
+        tiersets = self.tiersets
+        manager = tiersets[place] if tiersets else None
+        return ShardState(
+            self.places[place].rings,
+            manager.dense if manager is not None else None,
+            manager.folder if manager is not None else None,
+            self._standing.place_grids[place] if self._standing is not None else None,
+        )
+
+    def _run_on_shards(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
+        """Run one pass of ``kind`` on the places of ``tasks`` — ``(place,
+        payload)`` pairs — and return their results in task order.  Here
+        every pass runs in process; the sharded engine's override may
+        hand them to a worker pool."""
+        return self._run_here(kind, tasks)
+
+    def _run_here(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
+        """Run the :data:`~repro.query.passes.SHARD_PASSES` function of
+        ``kind`` over this side's view of each task's place, tracing one
+        ``<kind>.shard`` span per place."""
+        run = SHARD_PASSES[kind]
+        results = []
+        for place, payload in tasks:
+            state = self._shard_state(place)
+            if TRACER.enabled:
+                with TRACER.span(f"{kind}.shard", shard=place):
+                    results.append(run(state, payload))
+            else:
+                results.append(run(state, payload))
+        return results
 
     # -------------------------------------------------------------- public
     def parse(self, expr: str) -> MetricQuery:
-        q = self._parse_cache.get(expr)
-        if q is None:
-            q = self._parse_cache[expr] = parse_query(expr)
-        return q
+        return self._parsed.lookup(expr, parse_query)
 
     def query(
         self,
@@ -286,21 +364,16 @@ class QueryEngine:
 
     def _query(self, q: MetricQuery, at: float) -> QueryResult:
         self.queries_total += 1
-        expr = self._expr_cache.get(q)
-        if expr is None:
-            if len(self._expr_cache) > 4096:
-                self._expr_cache.clear()
-            expr = self._expr_cache[q] = q.to_expr()
-        quantum = q.step_s if q.step_s is not None else self.instant_quantum_s
         cache_key = None
         if self.cache is not None:
             # Version-key on the metric's write epoch: any commit touching
             # this metric mints a new key, so a query issued after new
             # samples landed inside the window can never serve the stale
             # pre-commit tail.  Old-epoch entries age out of the LRU.
+            quantum = q.step_s if q.step_s is not None else self.instant_quantum_s
             cache_key = QueryCache.make_key(
-                expr, at - (q.range_s or 0.0), at, quantum,
-                version=self._cache_version(q),
+                self._exprs.lookup(q, MetricQuery.to_expr), at - (q.range_s or 0.0), at,
+                quantum, version=self._cache_version(q),
             )
             hit = self.cache.get(cache_key)
             if hit is not None:
@@ -319,13 +392,15 @@ class QueryEngine:
 
         Range results depend only on committed samples (tier stitching
         is bit-identical to a raw scan, so folding never changes them)
-        — the metric write epoch suffices.  Instant results can now be
+        — the metric write epoch suffices.  Instant results can be
         served from tiers once the ring ages out, so a fold with no
-        intervening commit *can* change them: mix the fold counter in.
+        intervening commit *can* change them: mix the summed fold
+        counter in.
         """
         epoch = self.store.metric_epoch(q.metric)
-        if q.step_s is None and self.rollups is not None:
-            return (epoch, self.rollups.folds)
+        tiersets = self.tiersets
+        if q.step_s is None and tiersets:
+            return (epoch, sum(m.folds for m in tiersets))
         return epoch
 
     def scalar(self, q: Union[str, MetricQuery], *, at: float) -> Optional[float]:
@@ -346,35 +421,35 @@ class QueryEngine:
         exclusive — cursor semantics for marker-style event streams;
         ``None`` means full retention).  The query's aggregator is
         ignored; its metric, matchers, and ``range_s`` define selection
-        and the window floor.  This is how loops consume point streams
-        (progress markers, transfer logs) via label selection instead of
-        reaching into producer objects.
+        and the window floor.  Per-series chunks pool in selection order
+        before one stable time sort, whatever the partition.  This is
+        how loops consume point streams (progress markers, transfer
+        logs) via label selection instead of reaching into producer
+        objects.
         """
         if isinstance(q, str):
             q = self.parse(q)
         self.samples_total += 1
-        keys = self.select(q)
+        plan = self.plan(q)
         t1 = float(at)
-        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(keys, t1)
+        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(plan, t1)
         if since is not None:
             t0 = max(t0, since)
-        all_t, all_v = [], []
-        for key in keys:
-            times, values = self.store.query(key, t0, t1)
-            if since is not None and times.size and times[0] <= since:
-                keep = times > since
-                times, values = times[keep], values[keep]
-            if times.size:
-                all_t.append(times)
-                all_v.append(values)
-        if not all_t:
+        params = {"t0": t0, "t1": t1, "since": since}
+        chunks: List[Tuple[int, np.ndarray, np.ndarray]] = []
+        # chunks come back labeled with the selection position, not a group index
+        for res in self._scatter("samples", plan, params, label="sel"):
+            if res is not None:
+                chunks.extend(zip(res["sel"], res["times"], res["values"]))
+        if not chunks:
             return np.empty(0), np.empty(0)
-        times = np.concatenate(all_t)
-        values = np.concatenate(all_v)
-        if len(all_t) > 1:
-            order = np.argsort(times, kind="stable")
-            times, values = times[order], values[order]
-        return times, values
+        if len(chunks) == 1:
+            return chunks[0][1], chunks[0][2]
+        chunks.sort(key=lambda c: c[0])
+        times = np.concatenate([c[1] for c in chunks])
+        values = np.concatenate([c[2] for c in chunks])
+        order = np.argsort(times, kind="stable")
+        return times[order], values[order]
 
     def select(self, q: MetricQuery) -> List[SeriesKey]:
         """Series keys matching the query's metric + label matchers, in
@@ -393,9 +468,7 @@ class QueryEngine:
         """
         plan = self._plans.get(q)
         if plan is None or plan.generation != self.store.series_generation(q.metric):
-            plan = self._plans[q] = self._build_plan(q, self.store.label_index(q.metric))
-            if len(self._plans) > _PLANS_MAX:
-                self._plans.popitem(last=False)
+            return self._plans.put(q, self._build_plan(q, self.store.label_index(q.metric)))
         self._plans.move_to_end(q)
         return plan
 
@@ -447,32 +520,61 @@ class QueryEngine:
         )
 
     def standing_provider(self):
-        """The one standing-state provider over this engine's store.
+        """The one standing-state provider of this engine.
 
         Every :class:`~repro.query.standing.StandingQueryEngine` over
         this engine shares it, so a shape registered twice keeps one
-        grid and one ingest listener.
+        grid per place and one ingest listener.
         """
         if self._standing is None:
-            self._standing = self._make_standing_provider()
+            from repro.query.standing import StandingProvider
+
+            self._standing = StandingProvider(self)
         return self._standing
 
-    def _make_standing_provider(self):
-        from repro.query.standing import StoreStandingProvider
-
-        return StoreStandingProvider(self.store)
-
+    # ------------------------------------------------------------- rollups
     def tier_resolutions(self) -> List[float]:
         """Rollup tier resolutions (seconds, finest first); empty if none.
 
         The serving layer's degrade ladder uses this to pick the
-        coarsest tier a request can be downgraded to; exposing it here
-        keeps front-door code engine-shape-agnostic (the federated
-        engine overrides with its per-shard tier list).
+        coarsest tier a request can be downgraded to.
         """
-        if self.rollups is None:
-            return []
-        return [t.resolution_s for t in self.rollups.tiers]
+        tiersets = self.tiersets
+        return [t.resolution_s for t in tiersets[0].tiers] if tiersets else []
+
+    def fold_rollups(self, now: float) -> int:
+        """Fold every place's tiers up to ``now``; returns rows written."""
+        tiersets = self.tiersets
+        if not tiersets:
+            return 0
+        res0 = tiersets[0].tiers[0].resolution_s
+        task = {"boundary": math.floor(now / res0) * res0}
+        for manager in tiersets:
+            manager.ensure_sids()
+        written = 0
+        results = self._run_on_shards("fold", [(s, task) for s in range(len(tiersets))])
+        for manager, data in zip(tiersets, results):
+            written += data["written"]
+            manager.note_fold(data["late"])
+        return written
+
+    def attach_rollups(self, engine, period_s: Optional[float] = None, *, start_at=None) -> None:
+        """Drive :meth:`fold_rollups` from a simulation engine, one task.
+
+        Behind a collection pipeline ``start_at`` must be at least its
+        sample→commit latency, or samples stamped just before a bin
+        boundary commit after the fold that closed their bin and are
+        dropped as late (see :meth:`RollupManager.attach`).
+        """
+        if not self.tiersets:
+            return
+        if self._fold_task is not None and not self._fold_task.stopped:
+            raise RuntimeError("engine rollups already attached")
+        period = period_s if period_s is not None else self.tier_resolutions()[0]
+        self._fold_task = engine.every(
+            period, lambda: self.fold_rollups(engine.now), start_at=start_at,
+            label="rollup-fold",
+        )
 
     def stats(self) -> Dict[str, float]:
         out = {
@@ -482,41 +584,34 @@ class QueryEngine:
         }
         if self.cache is not None:
             out.update({f"cache_{k}": v for k, v in self.cache.stats().items()})
-        if self.rollups is not None:
-            out.update({f"rollup_{k}": v for k, v in self.rollups.stats().items()})
+        for manager in self.tiersets or ():
+            for k, v in manager.stats().items():
+                out[f"rollup_{k}"] = out.get(f"rollup_{k}", 0.0) + v
         return out
 
     # ----------------------------------------------------------- execution
     def _execute(self, q: MetricQuery, at: float) -> QueryResult:
         plan = self.plan(q)
         t1 = float(at)
-        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(plan.keys, t1)
-
-        tier: Optional[RollupTier] = None
-        if self.rollups is not None and q.agg in PARTIAL_AGGS and q.step_s is not None:
-            tier = self.rollups.tier_for(q.step_s, q.agg)
-
-        series: List[ResultSeries] = []
-        tier_res: Optional[float] = None
-        for g, labels in enumerate(plan.labels):
-            member_keys = plan.keys[plan.bounds[g]:plan.bounds[g + 1]]
-            if q.step_s is None:
-                times, values, inst_res = self._execute_instant(q, member_keys, t0, t1)
-                if inst_res is not None:
-                    tier_res = inst_res
-            elif q.agg == "rate":
-                times, values = self._execute_rate(q, member_keys, t0, t1)
+        t0 = t1 - q.range_s if q.range_s is not None else self._earliest(plan, t1)
+        self.fanout_total += plan.fanout
+        step = q.step_s
+        tier_res = None
+        if step is not None:
+            grid_t0, n_bins = self._grid(t0, t1, step)
+            t1_hi = grid_t0 + n_bins * step  # exclusive right edge
+            if q.agg == "rate":
+                series = self._rate(plan, grid_t0, t1_hi, step)
             elif q.agg in PARTIAL_AGGS:
-                times, values, group_used_tier = self._execute_partial(
-                    q, member_keys, t0, t1, tier
-                )
-                if group_used_tier and tier is not None:
-                    tier_res = tier.resolution_s
-            else:  # percentiles: need the full sample distribution
-                times, values = self._execute_sampled(q, member_keys, t0, t1)
-            if times.size:
-                series.append(ResultSeries(labels, _freeze(times), _freeze(values)))
-
+                series, tier_res = self._partial(q, plan, grid_t0, t1_hi, step)
+            else:
+                series = self._sampled(q, plan, grid_t0, t1_hi, step, n_bins)
+        elif q.agg == "rate":
+            series, tier_res = self._instant_rate(plan, t0, t1)
+        elif q.agg in PARTIAL_AGGS:
+            series, tier_res = self._partial(q, plan, t0, t1, None)
+        else:
+            series = self._sampled(q, plan, t0, t1, None, 1)
         if tier_res is not None:
             source = f"rollup:{int(tier_res)}s"
             self.served_rollup += 1
@@ -525,12 +620,16 @@ class QueryEngine:
             self.served_raw += 1
         return QueryResult(q, t0, t1, tuple(series), source)
 
-    def _earliest(self, keys: Sequence[SeriesKey], t1: float) -> float:
+    def _earliest(self, plan: QueryPlan, t1: float) -> float:
+        """Oldest retained sample at or before ``t1`` over the planned
+        series (``t1`` when there is none): the floor of a window with
+        no ``range_s``."""
         earliest = t1
-        for key in keys:
-            first = self.store.earliest_time(key)
-            if first is not None and first <= t1:
-                earliest = min(earliest, first)
+        for place, work in zip(self.places, plan.shards):
+            for sid in work.sids:
+                first = place.rings.earliest_time(sid)
+                if first is not None and first <= t1:
+                    earliest = min(earliest, first)
         return earliest
 
     @staticmethod
@@ -540,180 +639,131 @@ class QueryEngine:
         last = math.floor(t1 / step)
         return first * step, int(last - first + 1)
 
-    def _raw_window(self, key: SeriesKey, t0: float, t1_excl: float):
-        """Raw samples with ``t0 <= t < t1_excl`` (store query is inclusive)."""
-        times, values = self.store.query(key, t0, t1_excl)
-        if times.size and times[-1] >= t1_excl:
-            keep = times < t1_excl
-            times, values = times[keep], values[keep]
-        return times, values
+    def _scatter(
+        self, kind: str, plan: QueryPlan, params: Dict, *,
+        singleton: bool = False, label: str = "gidx",
+    ) -> List:
+        """Run one scatter pass over every touched place; the results of
+        the places that hold any of the selection.  Each series goes out
+        under its ``label`` column of the plan; ``singleton`` sends along
+        which ones are alone in their group (the aged-out instant
+        fallbacks serve only those).
 
-    def _execute_partial(
+        Always exactly one ``federated.scatter`` span per pass (when
+        tracing), with per-place ``scatter.shard`` children — however
+        and wherever the pass ran.
+        """
+        alone = None
+        if singleton:
+            alone = [hi - lo == 1 for lo, hi in zip(plan.bounds, plan.bounds[1:])]
+        tasks = [
+            (s, {
+                "kind": kind,
+                "sids": w.sids,
+                "gidxs": getattr(w, label),
+                "ranks": w.rank,
+                "singleton": [alone[g] for g in w.gidx] if singleton else None,
+                "params": params,
+            })
+            for s, w in enumerate(plan.shards) if w.sids
+        ]
+        if TRACER.enabled:
+            with TRACER.span("federated.scatter", kind=kind, fanout=len(tasks)):
+                return self._run_on_shards("scatter", tasks)
+        return self._run_on_shards("scatter", tasks)
+
+    def _partial(
         self,
         q: MetricQuery,
-        keys: Sequence[SeriesKey],
-        t0: float,
-        t1: float,
-        tier: Optional[RollupTier],
-    ) -> Tuple[np.ndarray, np.ndarray, bool]:
-        step = q.step_s
-        grid_t0, n_bins = self._grid(t0, t1, step)
-        t1_excl = grid_t0 + n_bins * step
-        # Pool tier rows and raw tails across the whole group before
-        # touching the kernels: one add_rows + one add_samples call per
-        # group, regardless of how many series it contains.
-        row_chunks: List[Dict[str, np.ndarray]] = []
-        raw_t_chunks: List[np.ndarray] = []
-        raw_v_chunks: List[np.ndarray] = []
-        for key in keys:
-            cut = grid_t0
-            if tier is not None:
-                wm = tier.watermark(key)
-                if wm is not None:
-                    cut = min(max(wm, grid_t0), t1_excl)
-                rows = tier.window(key, grid_t0, cut)
-                if rows is not None and rows["time"].size:
-                    row_chunks.append(rows)
-            times, values = self._raw_window(key, cut, t1_excl)
-            if times.size:
-                raw_t_chunks.append(times)
-                raw_v_chunks.append(values)
-        partial = PartialBins(n_bins)
-        if row_chunks:
-            cols = {
-                name: np.concatenate([c[name] for c in row_chunks]) for name in row_chunks[0]
-            }
-            bin_idx = ((cols["time"] - grid_t0) // step).astype(np.int64)
-            partial.add_rows(
-                bin_idx,
-                cols["sum"],
-                cols["count"],
-                cols["min"],
-                cols["max"],
-                cols["last_t"],
-                cols["last_v"],
-            )
-        if raw_t_chunks:
-            times = np.concatenate(raw_t_chunks)
-            values = np.concatenate(raw_v_chunks)
-            bin_idx = ((times - grid_t0) // step).astype(np.int64)
-            partial.add_samples(bin_idx, times, values)
-        nz, vals = partial.finalize(q.agg)
-        return grid_t0 + nz * step, vals, bool(row_chunks)
+        plan: QueryPlan,
+        grid_t0: float,
+        t1_hi: float,
+        step: Optional[float],
+    ) -> Tuple[List[ResultSeries], Optional[float]]:
+        """Partial aggregates: tier rows + raw tails, one gather.  An
+        instant read serves a singleton group whose raw ring aged out
+        from its place's tiers."""
+        instant_tiers = step is None and bool(self.tiersets)
+        params = {
+            "grid_t0": grid_t0,
+            "t1_hi": t1_hi,
+            "step": step,
+            "tier_idx": select_tier_index(self.tier_resolutions(), step, q.agg),
+            "instant_tiers": instant_tiers,
+        }
+        entries: List[Dict[str, np.ndarray]] = []
+        tier_res: Optional[float] = None
+        for res in self._scatter("partial", plan, params, singleton=instant_tiers):
+            if res is not None:
+                entries.extend(res[0])
+                if res[1] is not None:
+                    tier_res = max(tier_res or 0.0, res[1])
+        return reduce_partial(entries, q.agg, plan.labels, grid_t0, step), tier_res
 
-    def _execute_sampled(
-        self, q: MetricQuery, keys: Sequence[SeriesKey], t0: float, t1: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        step = q.step_s
-        grid_t0, n_bins = self._grid(t0, t1, step)
-        t1_excl = grid_t0 + n_bins * step
-        all_t, all_v = [], []
-        for key in keys:
-            times, values = self._raw_window(key, grid_t0, t1_excl)
-            if times.size:
-                all_t.append(times)
-                all_v.append(values)
-        if not all_t:
-            return np.empty(0), np.empty(0)
-        times = np.concatenate(all_t)
-        values = np.concatenate(all_v)
-        bin_idx = ((times - grid_t0) // step).astype(np.int64)
-        nz, vals = grouped_aggregate(bin_idx, values, q.agg, times=times)
-        return grid_t0 + nz * step, vals
+    def _sampled(
+        self,
+        q: MetricQuery,
+        plan: QueryPlan,
+        grid_t0: float,
+        t1_hi: float,
+        step: Optional[float],
+        n_bins: int,
+    ) -> List[ResultSeries]:
+        """Percentiles: pool raw samples per ``(group, bin)`` across places.
 
-    def _execute_rate(
-        self, q: MetricQuery, keys: Sequence[SeriesKey], t0: float, t1: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-series reset-clamped increases, summed across the group.
-
-        Each increase is attributed to the bin of its *later* sample;
-        bin rate = pooled increase / step.
+        Percentile is a multiset statistic (the kernel value-sorts each
+        bin), so pooling order cannot affect the result.
         """
-        step = q.step_s
-        grid_t0, n_bins = self._grid(t0, t1, step)
-        t1_excl = grid_t0 + n_bins * step
-        increase = np.zeros(n_bins)
-        touched = np.zeros(n_bins, dtype=bool)
-        for key in keys:
-            times, values = self._raw_window(key, grid_t0, t1_excl)
-            if times.size < 2:
-                continue
-            inc = counter_increase(values)
-            bin_idx = ((times[1:] - grid_t0) // step).astype(np.int64)
-            increase += np.bincount(bin_idx, weights=inc, minlength=n_bins)
-            touched |= np.bincount(bin_idx, minlength=n_bins).astype(bool)
-        nz = np.nonzero(touched)[0]
-        return grid_t0 + nz * step, increase[nz] / step
+        params = {"grid_t0": grid_t0, "t1_hi": t1_hi, "step": step, "n_bins": n_bins}
+        parts = [r for r in self._scatter("sampled", plan, params) if r is not None]
+        if not parts:
+            return []
+        cols = concat_rows(parts)
+        nz, vals = grouped_aggregate(cols["comp"], cols["v"], q.agg)
+        return build_series(plan.labels, nz // n_bins, nz % n_bins, vals, grid_t0, step)
 
-    def _execute_instant(
-        self, q: MetricQuery, keys: Sequence[SeriesKey], t0: float, t1: float
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[float]]:
-        """Single-bin aggregate over the inclusive window ``[t0, t1]``.
+    def _rate(
+        self, plan: QueryPlan, grid_t0: float, t1_hi: float, step: float
+    ) -> List[ResultSeries]:
+        """Counter rate: per-series reset-clamped increases (each
+        attributed to the bin of its later sample), summed per ``(group,
+        bin)`` in rank order, over the step."""
+        params = {"grid_t0": grid_t0, "t1_hi": t1_hi, "step": step}
+        parts = [r for r in self._scatter("rate", plan, params) if r is not None]
+        if not parts:
+            return []
+        cols = concat_rows(parts)
+        order = np.lexsort((cols["rank"], cols["bin"], cols["gidx"]))
+        gidx, bins = cols["gidx"][order], cols["bin"][order]
+        starts, _ = segment_bounds(gidx, bins)
+        vals = np.add.reduceat(cols["inc"][order], starts) / step
+        return build_series(plan.labels, gidx[starts], bins[starts], vals, grid_t0, step)
 
-        The third element is the resolution of the rollup tier that
-        served the group, or ``None`` for a raw-served (or empty) group.
-        """
-        if q.agg == "rate":
-            span = t1 - t0
-            if span <= 0:
-                return np.empty(0), np.empty(0), None
-            total = 0.0
-            any_delta = False
-            for key in keys:
-                _, values = self.store.query(key, t0, t1)
-                inc = counter_increase(values)
-                if inc.size:
-                    any_delta = True
-                    total += float(np.sum(inc))
-            if not any_delta:
-                if len(keys) == 1 and self.rollups is not None:
-                    # aged-out singleton counter: serve the increase from
-                    # rollup tiers, matching the partial-agg tier fallback
-                    hit = instant_tier_rate(self.store, self.rollups, keys[0], t0, t1)
-                    if hit is not None:
-                        total, res = hit
-                        return np.array([t0]), np.array([total / span]), res
-                return np.empty(0), np.empty(0), None
-            return np.array([t0]), np.array([total / span]), None
-        all_t, all_v = [], []
-        for key in keys:
-            times, values = self.store.query(key, t0, t1)
-            if times.size:
-                all_t.append(times)
-                all_v.append(values)
-        if not all_t:
-            if len(keys) == 1 and q.agg in PARTIAL_AGGS and self.rollups is not None:
-                value, res = self._instant_from_tiers(q.agg, keys[0], t0, t1)
-                if value is not None:
-                    return np.array([t0]), np.array([value]), res
-            return np.empty(0), np.empty(0), None
-        if q.agg == "last" and len(all_t) == 1:
-            # single-series gauge read — the hottest loop-monitor shape;
-            # per-series windows are time-sorted, so skip the bin kernel
-            return np.array([t0]), np.array([all_v[0][-1]]), None
-        times = np.concatenate(all_t)
-        values = np.concatenate(all_v)
-        _, vals = grouped_aggregate(
-            np.zeros(values.size, dtype=np.int64), values, q.agg, times=times
-        )
-        return np.array([t0]), vals, None
-
-    def _instant_from_tiers(
-        self, agg: str, key: SeriesKey, t0: float, t1: float
-    ) -> Tuple[Optional[float], Optional[float]]:
-        row = instant_tier_partials(self.store, self.rollups, key, t0, t1)
-        if row is None:
-            return None, None
-        if agg == "mean":
-            value = row["sum"] / row["count"]
-        elif agg == "sum":
-            value = row["sum"]
-        elif agg == "count":
-            value = row["count"]
-        elif agg == "min":
-            value = row["min"]
-        elif agg == "max":
-            value = row["max"]
-        else:  # last
-            value = row["last_v"]
-        return value, row["resolution"]
+    def _instant_rate(
+        self, plan: QueryPlan, t0: float, t1: float
+    ) -> Tuple[List[ResultSeries], Optional[float]]:
+        """Instant rate: per-series increases over ``[t0, t1]`` summed per
+        group in rank order, over the window span."""
+        span = t1 - t0
+        if span <= 0:
+            return [], None
+        tier_fallback = bool(self.tiersets)
+        params = {"t0": t0, "t1": t1, "tier_fallback": tier_fallback}
+        parts = []
+        tier_res: Optional[float] = None
+        for res in self._scatter("instant_rate", plan, params, singleton=tier_fallback):
+            if res is not None:
+                parts.append(res[0])
+                if res[1] is not None:
+                    tier_res = max(tier_res or 0.0, res[1])
+        if not parts:
+            return [], tier_res
+        cols = concat_rows(parts)
+        order = np.lexsort((cols["rank"], cols["gidx"]))
+        gidx = cols["gidx"][order]
+        starts, _ = segment_bounds(gidx)
+        totals = np.add.reduceat(cols["total"][order], starts)
+        return build_series(
+            plan.labels, gidx[starts], np.zeros(starts.size, dtype=np.int64),
+            totals / span, t0, None,
+        ), tier_res

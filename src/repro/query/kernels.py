@@ -110,6 +110,25 @@ def grouped_aggregate(
     return nz_bins, out
 
 
+def segment_bounds(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of the runs of equal rows of the parallel key
+    columns (rows sorted so that equal rows are adjacent)."""
+    n = keys[0].size
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=new[1:])
+    for key in keys[1:]:
+        new[1:] |= key[1:] != key[:-1]
+    starts = new.nonzero()[0]
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
+    return starts, ends
+
+
 def counter_increase(values: np.ndarray) -> np.ndarray:
     """Reset-clamped per-sample increases of a counter series.
 

@@ -22,8 +22,9 @@ kernel** shared by every execution shape:
   tier folds from the tier below it, so raw data is read exactly once
   per sample no matter how many tiers exist.
 * :class:`RollupManager` — binds both to a store: registers the ingest
-  listener, keeps the key-addressed :class:`RollupTier` read views, and
-  drives folding from a simulation clock.
+  listener and drives folding from a simulation clock.  Queries pick
+  their tier with :func:`select_tier_index` and read it by series id,
+  in the engine's scatter passes (:mod:`repro.query.passes`).
 
 Each rollup row stores the *partial statistics* ``(sum, count, min,
 max, last_t, last_v)`` of one time-grid-aligned bin, which is exactly
@@ -55,7 +56,6 @@ import numpy as np
 
 from repro.query.kernels import PARTIAL_AGGS, PartialBins
 from repro.telemetry.batch import sort_series_columns
-from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import (
     Allocator,
     DenseRings,
@@ -68,13 +68,16 @@ from repro.telemetry.tsdb import (
 #: Column names of one rollup row, in storage order.
 ROW_COLUMNS = ("time", "sum", "count", "min", "max", "last_t", "last_v")
 
+
 def select_tier_index(
     resolutions: Sequence[float], step_s: Optional[float], agg: str
 ) -> Optional[int]:
     """Index of the coarsest resolution serving ``(step, agg)`` exactly.
 
-    ``resolutions`` must be sorted ascending (the tier order).  ``None``
-    → the engine scans raw; mirrors :meth:`RollupManager.tier_for`.
+    A tier qualifies when the query is a range query whose step is a
+    multiple of the tier resolution and the aggregator is servable from
+    partial statistics.  ``resolutions`` must be sorted ascending (the
+    tier order).  ``None`` → the engine scans raw.
     """
     if step_s is None or agg not in PARTIAL_AGGS:
         return None
@@ -497,28 +500,6 @@ class CascadeFolder:
 # Store binding.
 
 
-class RollupTier:
-    """Key-addressed read view of one :class:`DenseTier`."""
-
-    __slots__ = ("_registry", "_dense", "resolution_s")
-
-    def __init__(self, registry, dense: DenseTier) -> None:
-        self._registry = registry
-        self._dense = dense
-        self.resolution_s = dense.resolution_s
-
-    def __len__(self) -> int:
-        return len(self._dense)
-
-    def watermark(self, key: SeriesKey) -> Optional[float]:
-        sid = self._registry.get(key)
-        return None if sid is None else self._dense.watermark(sid)
-
-    def window(self, key: SeriesKey, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
-        sid = self._registry.get(key)
-        return None if sid is None else self._dense.window(sid, t0, t1)
-
-
 class RollupManager:
     """A cascade of rollup tiers continuously folded from ingested batches."""
 
@@ -532,9 +513,10 @@ class RollupManager:
     ) -> None:
         self.store = store
         #: the sid-addressed tier store and the fold kernel over it — what
-        #: a shard pass reads and runs (:mod:`repro.shard.federated`)
+        #: a shard pass reads and runs (:mod:`repro.query.passes`)
         self.dense = self._make_tier_store(resolutions, capacity)
-        self.tiers: List[RollupTier] = [RollupTier(store.registry, t) for t in self.dense.tiers]
+        #: the tiers, finest first, addressed by the store's series ids
+        self.tiers: List[DenseTier] = self.dense.tiers
         self.folder = CascadeFolder(self.dense.tiers, store.rings, buffer_cap=ingest_buffer_cap)
         self.folds = 0
         self._task = None
@@ -606,17 +588,6 @@ class RollupManager:
     def detach(self) -> None:
         if self._task is not None:
             self._task.stop()
-
-    # ------------------------------------------------------ tier selection
-    def tier_for(self, step_s: Optional[float], agg: str) -> Optional[RollupTier]:
-        """Coarsest tier that can serve ``(step, agg)`` exactly, if any.
-
-        A tier qualifies when the query is a range query whose step is a
-        multiple of the tier resolution and the aggregator is servable
-        from partial statistics.  ``None`` → the engine scans raw.
-        """
-        idx = select_tier_index([t.resolution_s for t in self.tiers], step_s, agg)
-        return None if idx is None else self.tiers[idx]
 
     def stats(self) -> Dict[str, float]:
         """Rows and watermark coverage per tier (for dashboards/benchmarks)."""

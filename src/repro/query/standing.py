@@ -9,16 +9,17 @@ into a **standing query**: per-series partial-aggregate state — ``(sum,
 count, sumsq, min, max, last)`` per absolute time-grid bin, so ``mean``
 / ``std`` / ``rate`` derive exactly — maintained O(new samples) from
 :meth:`TimeSeriesStore.add_ingest_listener` callbacks on commit.  A read
-then folds the maintained per-(series, bin) rows with the same canonical
-lexsort+reduceat merge the federated engine uses, instead of re-scanning
-raw rings.
+then gathers the maintained per-(series, bin) rows with the batch
+engine's own canonical merge (:func:`~repro.query.engine.reduce_partial`)
+instead of re-scanning raw rings.
 
 Exactness contract (property-tested against the batch engine and the
 brute-force reference): range queries always evaluate over *complete*
-grid bins, so full-bin partials are sufficient statistics; results match
-the batch engine up to floating-point association (<= 1e-9 relative, the
-same bound the federated engine documents), and bit-for-bit for the
-order statistics ``min``/``max``/``count``/``last``.
+grid bins, so full-bin partials are sufficient statistics.  A grid adds
+a bin's samples up commit by commit where a batch read adds them in one
+pass, so results match the batch engine up to floating-point
+association (<= 1e-9 relative), and bit-for-bit for the order
+statistics ``min``/``max``/``count``/``last``.
 
 Layout and lifecycle:
 
@@ -28,23 +29,24 @@ Layout and lifecycle:
   memory is bounded by ``series x window`` and **window eviction is
   delegated to the rollup tiers**: a read older than the bin ring falls
   back to the batch engine, which stitches tier rows under the raw tail.
-* :class:`StoreStandingProvider` — owns one grid per step for a single
-  :class:`TimeSeriesStore`, feeds them from the store's ingest listener,
-  and bootstraps registration by backfilling retained ring windows
-  (commits that already wrapped the ring mark the oldest retained bin
-  incomplete, forcing batch fallback for windows that need it).
+* :class:`StandingGrids` — one place's grids (one per step), fed from
+  that place's ingest listener and bootstrapped at registration by
+  backfilling retained ring windows (commits that already wrapped the
+  ring mark the oldest retained bin incomplete, forcing batch fallback
+  for windows that need it).
+* :class:`StandingProvider` — an engine's standing state, one per
+  engine (:meth:`QueryEngine.standing_provider`) and shared by every
+  standing engine over it: :class:`StandingGrids` per place of the
+  engine's store, or — beside a live worker pool — the grids the
+  workers keep.  A read is the ``standing`` pass of
+  :mod:`repro.query.passes` run on every touched place through the
+  engine's ``_run_on_shards``, wherever that runs it.
 * :class:`StandingQueryEngine` — the serving layer: shape registration,
   reads merged from provider rows over the batch engine's memoised
   :class:`~repro.query.engine.QueryPlan`, and **epoch-keyed snapshots**
   — a result is keyed by ``(at, metric epoch, series generation)``, so
   repeated reads inside one tick are served from the snapshot and any
   in-flight commit mints a new key rather than racing the read.
-
-An engine has one provider (:meth:`QueryEngine.standing_provider`),
-shared by every standing engine over it.  Sharded stores plug in through
-that seam: the federated engine's provider keeps the grids beside the
-shard's other state — parent-side per shard, or inside the pool workers
-— and reads them with the very :func:`standing_rows` pass used here.
 """
 
 from __future__ import annotations
@@ -55,39 +57,24 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs.trace import TRACER
-from repro.query.engine import GroupLabels, QueryEngine, QueryPlan, QueryResult, ResultSeries
-from repro.query.kernels import PARTIAL_AGGS
+from repro.query.engine import (
+    GroupLabels,
+    QueryEngine,
+    QueryPlan,
+    QueryResult,
+    ResultSeries,
+    build_series,
+    concat_rows,
+    reduce_partial,
+)
+from repro.query.kernels import PARTIAL_AGGS, segment_bounds
 from repro.query.model import MetricQuery
+from repro.query.passes import grid_stats
 from repro.telemetry.tsdb import TimeSeriesStore
 
 #: sentinel bin numbers: "complete since forever" / "complete nowhere"
 _NEG_BIG = -(1 << 62)
 _POS_BIG = 1 << 62
-
-#: columns of one standing partial row (mirrors rollup ROW_COLUMNS plus
-#: the grouping coordinates attached by providers)
-ENTRY_COLUMNS = ("gidx", "rank", "bin", "sum", "count", "min", "max", "last_t", "last_v")
-RATE_COLUMNS = ("inc", "first_inc")
-
-
-def _empty_entries(want_rate: bool) -> Dict[str, np.ndarray]:
-    out = {name: np.empty(0, dtype=np.float64) for name in ENTRY_COLUMNS}
-    out["gidx"] = np.empty(0, dtype=np.int64)
-    out["rank"] = np.empty(0, dtype=np.int64)
-    out["bin"] = np.empty(0, dtype=np.int64)
-    if want_rate:
-        for name in RATE_COLUMNS:
-            out[name] = np.empty(0, dtype=np.float64)
-    return out
-
-
-def concat_entries(chunks: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
-    """Column-wise concatenation of per-shard entry tables."""
-    chunks = [c for c in chunks if c["gidx"].size]
-    if not chunks:
-        return _empty_entries(False)
-    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-
 
 class StandingGrid:
     """Per-series partial aggregates over a ring of absolute grid bins.
@@ -443,33 +430,28 @@ class StandingGrid:
     ) -> Dict[str, np.ndarray]:
         """Non-empty ``(series, bin)`` partial rows for absolute bins
         ``[b0, b1]``; ``spos`` indexes into ``sids``."""
-        out = _empty_entries(want_rate)
-        out["spos"] = np.empty(0, dtype=np.int64)
-        del out["gidx"], out["rank"]
+        if want_rate and not self.track_rate:
+            raise ValueError("grid does not maintain rate state")
         sids = np.asarray(sids, dtype=np.int64)
-        if self.hi_bin is None or sids.size == 0:
-            return out
-        b_hi = min(b1, self.hi_bin)
-        if b_hi < b0:
-            return out
+        b_hi = b0 - 1 if self.hi_bin is None else min(b1, self.hi_bin)
         pos = np.nonzero(sids < self._cap)[0]
         ssub = sids[pos]
-        cols = (b0 + np.arange(b_hi - b0 + 1)) % self.n_slots
+        cols = (b0 + np.arange(max(b_hi - b0 + 1, 0))) % self.n_slots
         sub = self.count[np.ix_(ssub, cols)]
         r, c = np.nonzero(sub > 0.0)
         sel_s = ssub[r]
         sel_c = cols[c]
-        out["spos"] = pos[r]
-        out["bin"] = b0 + c
-        out["sum"] = self.sum[sel_s, sel_c]
-        out["count"] = sub[r, c]
-        out["min"] = self.vmin[sel_s, sel_c]
-        out["max"] = self.vmax[sel_s, sel_c]
-        out["last_t"] = self.last_t[sel_s, sel_c]
-        out["last_v"] = self.last_v[sel_s, sel_c]
+        out = {
+            "spos": pos[r],
+            "bin": (b0 + c).astype(np.int64),
+            "sum": self.sum[sel_s, sel_c],
+            "count": sub[r, c],
+            "min": self.vmin[sel_s, sel_c],
+            "max": self.vmax[sel_s, sel_c],
+            "last_t": self.last_t[sel_s, sel_c],
+            "last_v": self.last_v[sel_s, sel_c],
+        }
         if want_rate:
-            if not self.track_rate:
-                raise ValueError("grid does not maintain rate state")
             out["inc"] = self.inc[sel_s, sel_c]
             out["first_inc"] = self.first_inc[sel_s, sel_c]
         return out
@@ -488,52 +470,12 @@ class StandingGrid:
         }
 
 
-def standing_rows(
-    grids: Dict[float, StandingGrid],
-    raw,
-    step: float,
-    sids: np.ndarray,
-    gidx: np.ndarray,
-    rank: np.ndarray,
-    b0: int,
-    b1: int,
-    want_rate: bool,
-) -> Optional[Dict[str, np.ndarray]]:
-    """The standing read of one store or shard: partial rows of the
-    planned series ``sids`` (with their ``gidx`` / ``rank`` attached)
-    from the grid of ``step``, or ``None`` when the state here cannot
-    cover the window — no such grid on this side, or a series whose
-    ring (``raw``, sid-addressed) holds data the grid never saw."""
-    grid = grids.get(step)
-    if grid is None:
-        return None
-    for sid in grid.incomplete(sids, b0).tolist():
-        # incomplete state only matters if the series actually holds
-        # data the batch scan would see
-        if raw.count(sid) > 0:
-            return None
-    rows = grid.rows(sids, b0, b1, want_rate=want_rate)
-    spos = rows.pop("spos")
-    rows["gidx"] = gidx[spos]
-    rows["rank"] = rank[spos]
-    return rows
+class StandingGrids:
+    """The standing grids of one place, fed by its ingest listener.
 
-
-def grid_stats(grids: Dict[float, StandingGrid]) -> Dict[str, float]:
-    """Update counters summed over the grids of one store or shard."""
-    return {
-        "updates_applied": float(sum(g.updates_applied for g in grids.values())),
-        "late_dropped": float(sum(g.late_dropped for g in grids.values())),
-    }
-
-
-class StoreStandingProvider:
-    """Standing state for one :class:`TimeSeriesStore`.
-
-    Owns one :class:`StandingGrid` per registered step, fed from the
-    store's ingest listener; registration backfills the metric's
-    retained ring windows so the grid starts complete wherever the rings
-    still are.
+    One :class:`StandingGrid` per registered step over the place's
+    series ids; registration backfills the metric's retained ring
+    windows so a grid starts complete wherever the rings still are.
     """
 
     def __init__(self, store: TimeSeriesStore) -> None:
@@ -571,117 +513,87 @@ class StoreStandingProvider:
             times, values, evicted = self.store.rings.retained(sid)
             grid.backfill_series(sid, times, values, evicted=evicted)
 
+
+class StandingProvider:
+    """An engine's standing state, kept where its passes run.
+
+    Over a store without a worker pool that is here: one
+    :class:`StandingGrids` per place of the engine (the store itself, or
+    each shard), every grid fed by its own place's ingest listener with
+    that place's series ids, so registration and incremental updates
+    never cross the partition.  Over a store with a pool the workers
+    keep the grids, built from the registrations the store announces.
+    A read is one ``standing`` pass per touched place and the canonical
+    gather over the rows they return.  A pass that runs where no grid
+    exists (in process with the pool stopped or its worker dead)
+    reports the window as not covered: the read falls back to the batch
+    engine.
+    """
+
+    def __init__(self, engine: QueryEngine) -> None:
+        self.engine = engine
+        n_places = len(engine.places)
+        self.places = (
+            [StandingGrids(place) for place in engine.places] if engine.store.pool is None else []
+        )
+        #: the grids on this side, per place (none under a pool)
+        self.place_grids = [p.grids for p in self.places] or [{}] * n_places
+        self._steps: set = set()
+        self.standing_scatters = 0
+        #: grid counters per place, as of the place's last read
+        self._reported: Dict[int, Dict[str, float]] = {}
+
+    def register(self, metric: str, step: float, n_slots: int, *, want_rate: bool) -> None:
+        self._steps.add(step)
+        for place in self.places:
+            place.register(metric, step, n_slots, want_rate=want_rate)
+        if not self.places:
+            self.engine.store.register_standing(step, n_slots, want_rate)
+
     def entries(
         self, plan: QueryPlan, step: float, b0: int, b1: int, *, want_rate: bool = False
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Partial rows for the planned selection, or ``None`` when the
-        state cannot cover the window (batch fallback)."""
-        return standing_rows(
-            self.grids, self.store.rings, step, *plan.shards[0].arrays(), b0, b1, want_rate
-        )
+    ) -> Optional[List[Dict[str, np.ndarray]]]:
+        """The standing rows of every touched place, bins counted from
+        ``b0``.  Any place that cannot cover the window fails the whole
+        read (``None`` -> batch fallback) — partial coverage would
+        silently drop that place's series from the merge."""
+        tasks = []
+        for s, work in enumerate(plan.shards):
+            if work.sids:
+                sids, gidx, rank = work.arrays()
+                tasks.append((s, {"step": step, "sids": sids, "gidxs": gidx, "ranks": rank,
+                                  "b0": b0, "b1": b1, "want_rate": want_rate}))
+        chunks = []
+        for (s, _), (rows, stats) in zip(tasks, self.engine._run_on_shards("standing", tasks)):
+            self._reported[s] = stats
+            if rows is None:
+                return None
+            chunks.append(rows)
+        self.standing_scatters += 1
+        return chunks
 
     def stats(self) -> Dict[str, float]:
-        return {"grids": float(len(self.grids)), **grid_stats(self.grids)}
-
-
-def _seg_bounds(flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    starts = np.nonzero(flags)[0]
-    return starts, np.append(starts[1:], flags.size)
-
-
-def _group_series(
-    labels: Sequence[GroupLabels],
-    out_g: np.ndarray,
-    times: np.ndarray,
-    vals: np.ndarray,
-) -> List[ResultSeries]:
-    gflag = np.empty(out_g.size, dtype=bool)
-    gflag[0] = True
-    gflag[1:] = out_g[1:] != out_g[:-1]
-    gs, ge = _seg_bounds(gflag)
-    # freeze the parents once — the per-group slices are views and
-    # inherit read-only
-    times.flags.writeable = False
-    vals.flags.writeable = False
-    return [
-        ResultSeries(labels[gi], times[s:e], vals[s:e])
-        for gi, s, e in zip(out_g[gs].tolist(), gs.tolist(), ge.tolist())
-    ]
-
-
-def _assemble_partial(
-    labels: Sequence[GroupLabels],
-    ent: Dict[str, np.ndarray],
-    agg: str,
-    grid_t0: float,
-    b0: int,
-    step: float,
-) -> List[ResultSeries]:
-    """One lexsort+reduceat pass: rows -> per-(group, bin) aggregates.
-
-    The sort mirrors the federated merge: primary group, then bin, then
-    ``last_t`` with member rank as the tie-break — so ``last`` resolves
-    ties toward the later member exactly like the batch engine's pooled
-    fold does.
-    """
-    gidx = ent["gidx"]
-    if gidx.size == 0:
-        return []
-    b = ent["bin"]
-    same_g = gidx[1:] == gidx[:-1]
-    canonical = bool(
-        np.all(gidx[1:] >= gidx[:-1]) and not (same_g & (b[1:] <= b[:-1])).any()
-    )
-    if canonical:
-        # rows arrive in canonical (group, bin) order with unique cells —
-        # the provider's natural order when every group is a singleton —
-        # so the sort and every reduceat are the identity
-        out_g, out_b = gidx, b
-        if agg == "sum":
-            vals = ent["sum"]
-        elif agg == "count":
-            vals = ent["count"]
-        elif agg == "mean":
-            vals = ent["sum"] / ent["count"]
-        elif agg == "min":
-            vals = ent["min"]
-        elif agg == "max":
-            vals = ent["max"]
-        else:
-            vals = ent["last_v"]
-    else:
-        order = np.lexsort((ent["rank"], ent["last_t"], b, gidx))
-        g = gidx[order]
-        bo = b[order]
-        seg = np.empty(g.size, dtype=bool)
-        seg[0] = True
-        seg[1:] = (g[1:] != g[:-1]) | (bo[1:] != bo[:-1])
-        starts, ends = _seg_bounds(seg)
-        out_g = g[starts]
-        out_b = bo[starts]
-        if agg == "sum":
-            vals = np.add.reduceat(ent["sum"][order], starts)
-        elif agg == "count":
-            vals = np.add.reduceat(ent["count"][order], starts)
-        elif agg == "mean":
-            vals = np.add.reduceat(ent["sum"][order], starts) / np.add.reduceat(
-                ent["count"][order], starts
-            )
-        elif agg == "min":
-            vals = np.minimum.reduceat(ent["min"][order], starts)
-        elif agg == "max":
-            vals = np.maximum.reduceat(ent["max"][order], starts)
-        else:  # last: the segment tail is (newest last_t, then highest rank)
-            vals = ent["last_v"][order][ends - 1]
-    times = grid_t0 + (out_b - b0) * step
-    return _group_series(labels, out_g, times, vals)
+        """``grids`` is registered step-grids summed over places; the
+        update counters are live for grids on this side and as of each
+        place's last read for the workers'."""
+        for s, place in enumerate(self.places):
+            self._reported[s] = grid_stats(place.grids)
+        out = {
+            "grids": float(len(self._steps) * len(self.engine.places)),
+            "standing_scatters": float(self.standing_scatters),
+            "updates_applied": 0.0,
+            "late_dropped": 0.0,
+        }
+        for stats in self._reported.values():
+            for k, v in stats.items():
+                out[k] += v
+        return out
 
 
 def _assemble_rate(
     labels: Sequence[GroupLabels],
-    ent: Dict[str, np.ndarray],
+    chunks: List[Dict[str, np.ndarray]],
     grid_t0: float,
-    b0: int,
     step: float,
 ) -> List[ResultSeries]:
     """Windowed rate from maintained increases.
@@ -693,35 +605,30 @@ def _assemble_rate(
     a second sample.  Pass 2 pools per ``(group, bin)`` in member-rank
     order, matching the batch engine's per-series accumulation order.
     """
-    gidx = ent["gidx"]
-    if gidx.size == 0:
+    chunks = [c for c in chunks if c["gidx"].size]
+    if not chunks:
         return []
-    order = np.lexsort((ent["bin"], ent["rank"], gidx))
-    g = gidx[order]
+    ent = concat_rows(chunks)
+    order = np.lexsort((ent["bin"], ent["rank"], ent["gidx"]))
+    g = ent["gidx"][order]
     r = ent["rank"][order]
     b = ent["bin"][order]
     inc = ent["inc"][order].copy()
     cnt = ent["count"][order]
-    newser = np.empty(g.size, dtype=bool)
-    newser[0] = True
-    newser[1:] = (g[1:] != g[:-1]) | (r[1:] != r[:-1])
+    newser = np.zeros(g.size, dtype=bool)
+    newser[segment_bounds(g, r)[0]] = True
     inc[newser] -= ent["first_inc"][order][newser]
     touched = np.where(newser, cnt > 1.0, cnt > 0.0)
     order2 = np.lexsort((r, b, g))
     g2 = g[order2]
     b2 = b[order2]
-    seg = np.empty(g2.size, dtype=bool)
-    seg[0] = True
-    seg[1:] = (g2[1:] != g2[:-1]) | (b2[1:] != b2[:-1])
-    starts, _ = _seg_bounds(seg)
+    starts, _ = segment_bounds(g2, b2)
     pooled = np.add.reduceat(inc[order2], starts)
     any_touched = np.add.reduceat(touched[order2].astype(np.float64), starts) > 0.0
-    out_g = g2[starts][any_touched]
-    out_b = b2[starts][any_touched]
-    if out_g.size == 0:
-        return []
-    times = grid_t0 + (out_b - b0) * step
-    return _group_series(labels, out_g, times, pooled[any_touched] / step)
+    return build_series(
+        labels, g2[starts][any_touched], b2[starts][any_touched],
+        pooled[any_touched] / step, grid_t0, step,
+    )
 
 
 class StandingQueryEngine:
@@ -826,9 +733,9 @@ class StandingQueryEngine:
         if ent is None:
             return None
         if q.agg == "rate":
-            series = _assemble_rate(plan.labels, ent, grid_t0, b0, step)
+            series = _assemble_rate(plan.labels, ent, grid_t0, step)
         else:
-            series = _assemble_partial(plan.labels, ent, q.agg, grid_t0, b0, step)
+            series = reduce_partial(ent, q.agg, plan.labels, grid_t0, step)
         return QueryResult(q, t0, t1, tuple(series), "standing")
 
     def stats(self) -> Dict[str, float]:

@@ -3,11 +3,12 @@
 The MODA substrate scales past a single in-process store by
 hash-partitioning series across N independent shard stores
 (:class:`ShardedTimeSeriesStore`) and federating reads back together
-(:class:`FederatedQueryEngine`).  Routing is deterministic on the
-series key, so a series always lives on exactly one shard; ingest
-splits columnar batches by shard, and a query is planned once, run as
-one pass per touched shard and gathered in a partition-independent
-order, so partial results merge exactly.
+(:class:`FederatedQueryEngine` — the one query engine of
+:mod:`repro.query`, its places being the shards).  Routing is
+deterministic on the series key, so a series always lives on exactly
+one shard; ingest splits columnar batches by shard, and a query is
+planned once, run as one pass per touched shard and gathered in a
+partition-independent order, so partial results merge exactly.
 
 Who runs a shard pass is a property of the store, not a class of
 engine: :mod:`repro.shard.parallel` relocates shard columns into shared
@@ -17,13 +18,12 @@ dispatches its passes to that pool while it is live, and runs the same
 pass functions in process otherwise.
 """
 
-from repro.shard.federated import FederatedQueryEngine, FederatedStandingProvider
+from repro.shard.federated import FederatedQueryEngine
 from repro.shard.parallel import ParallelShardContext, ParallelShardedStore, ShardWorkerPool
 from repro.shard.store import ShardedTimeSeriesStore, shard_of_key
 
 __all__ = [
     "FederatedQueryEngine",
-    "FederatedStandingProvider",
     "ParallelShardContext",
     "ParallelShardedStore",
     "ShardWorkerPool",

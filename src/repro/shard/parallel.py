@@ -3,8 +3,8 @@
 This module is the worker-pool executor of the shard stack: shard raw
 rings and rollup tiers are relocated into ``multiprocessing.shared_memory``
 blocks, and a persistent pool of worker processes runs the shard passes
-of :data:`~repro.shard.federated.SHARD_PASSES` — scatter passes for
-federated queries, standing-grid reads and the rollup fold — directly
+of :data:`~repro.query.passes.SHARD_PASSES` — scatter passes for
+queries, standing-grid reads and the rollup fold — directly
 against those columns.  **One process writes the raw rings: the
 parent.**  A commit is the serial store's vectorised scatter, straight
 into blocks the parent already maps; workers map the same blocks
@@ -43,7 +43,7 @@ Layering (parent process owns everything above the pipe):
   it is down or a worker dies — correctness never depends on the pool.
 
 Determinism: a worker's :class:`_WorkerShard` is the same
-:class:`~repro.shard.federated.ShardState` the parent builds, the pass
+:class:`~repro.query.passes.ShardState` the parent builds, the pass
 functions are the same, and the parent's gather is the canonical
 partition-invariant merge — so pool results are **bit-identical** to
 in-process execution for every worker count.
@@ -61,7 +61,8 @@ import numpy as np
 from repro.obs.trace import TRACER
 from repro.query.rollup import CascadeFolder, RollupManager, TierStore
 from repro.query.standing import StandingGrid
-from repro.shard.federated import SHARD_PASSES, WORKER_DIED, FederatedQueryEngine, ShardState
+from repro.query.passes import SHARD_PASSES, ShardState
+from repro.shard.federated import WORKER_DIED, FederatedQueryEngine
 from repro.shard.store import ShardedTimeSeriesStore
 from repro.telemetry.tsdb import RawRings, TimeSeriesStore
 

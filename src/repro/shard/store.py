@@ -39,7 +39,6 @@ from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import (
     IngestListener,
     LabelIndex,
-    SeriesStats,
     TimeSeriesStore,
     segment_rows,
 )
@@ -64,9 +63,9 @@ class ShardedTimeSeriesStore:
     per-series bulk inserts, columnar ``append_batch``, window queries,
     key listing, epochs/generations, listeners), so every existing
     consumer — collectors, loops, dashboards, the query layer — works
-    unchanged on top of it.  Cross-shard aggregate queries should go
-    through :class:`repro.shard.federated.FederatedQueryEngine`, which
-    scatters per-shard subqueries and merges partial results.
+    unchanged on top of it.  Aggregates go through
+    :class:`repro.shard.federated.FederatedQueryEngine`, which runs the
+    query engine's passes per shard and gathers their partial rows.
     """
 
     #: the worker pool that can run this store's shard passes; the
@@ -311,52 +310,6 @@ class ShardedTimeSeriesStore:
 
     def query(self, key: SeriesKey, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
         return self.shard_for(key).query(key, t0, t1)
-
-    def stats(self, key: SeriesKey, t0: float, t1: float) -> SeriesStats:
-        return self.shard_for(key).stats(key, t0, t1)
-
-    def rate(self, key: SeriesKey, t0: float, t1: float) -> Optional[float]:
-        return self.shard_for(key).rate(key, t0, t1)
-
-    def downsample(
-        self,
-        key: SeriesKey,
-        t0: float,
-        t1: float,
-        step: float,
-        agg: str = "mean",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.shard_for(key).downsample(key, t0, t1, step, agg)
-
-    def aggregate_across(
-        self, metric: str, t0: float, t1: float, agg: str = "mean"
-    ) -> Optional[float]:
-        """Aggregate all points of all series of one metric over a window.
-
-        Pools windows in **series-creation order** — the global
-        registry's interning order, which is exactly the insertion
-        order the single store's implementation iterates — so
-        order-sensitive aggregates (``last``, float summation) match a
-        :class:`TimeSeriesStore` holding the same data.
-        """
-        from repro.telemetry.tsdb import _AGGREGATORS
-
-        try:
-            fn = _AGGREGATORS[agg]
-        except KeyError:
-            raise ValueError(f"unknown aggregator {agg!r}") from None
-        self._ensure_routed()
-        chunks = []
-        for gid in range(self._routed):
-            key = self.registry.key_for(gid)
-            if key.metric != metric:
-                continue
-            _, values = self.query(key, t0, t1)
-            if values.size:
-                chunks.append(values)
-        if not chunks:
-            return None
-        return float(fn(np.concatenate(chunks)))
 
     # ------------------------------------------------------------ telemetry
     def shard_cardinalities(self) -> List[int]:

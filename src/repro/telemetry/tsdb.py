@@ -1,8 +1,9 @@
 """In-memory time-series store backed by dense NumPy ring blocks.
 
 The store is the "K-adjacent" raw-data layer of the MODA stack: samplers
-append points, analytics issue window queries, downsampling, and rate
-computations.  Design goals, in order:
+append points, and the query engine (:mod:`repro.query`) reads windows
+of them — every aggregate, downsample and rate is the engine's; the
+store keeps rings, not query helpers.  Design goals, in order:
 
 1. **Append speed** — a commit of any number of series is one vectorised
    scatter into pre-allocated ``(series, slot)`` blocks (insert rate is
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import mmap
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -542,19 +542,6 @@ class RawRings:
         return times, values, loc is not None and loc[0].written.item(loc[1]) > times.size
 
 
-_AGGREGATORS: Dict[str, Callable[[np.ndarray], float]] = {
-    "mean": np.mean,
-    "min": np.min,
-    "max": np.max,
-    "sum": np.sum,
-    "last": lambda a: float(a[-1]),
-    "count": lambda a: float(a.size),
-    "p50": lambda a: float(np.percentile(a, 50)),
-    "p95": lambda a: float(np.percentile(a, 95)),
-    "p99": lambda a: float(np.percentile(a, 99)),
-}
-
-
 class RingBuffer:
     """Fixed-capacity (timestamp, value) ring buffer of a single series.
 
@@ -654,29 +641,6 @@ def _checked_series(times, values) -> Tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
-@dataclass
-class SeriesStats:
-    """Summary statistics for one series over a window (query helper)."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-    @staticmethod
-    def from_values(values: np.ndarray) -> "SeriesStats":
-        if values.size == 0:
-            return SeriesStats(0, float("nan"), float("nan"), float("nan"), float("nan"))
-        return SeriesStats(
-            int(values.size),
-            float(np.mean(values)),
-            float(np.std(values)),
-            float(np.min(values)),
-            float(np.max(values)),
-        )
-
-
 class LabelColumn(NamedTuple):
     """One label name over the keys of a :class:`LabelIndex`.
 
@@ -747,7 +711,7 @@ class LabelIndex:
 
 
 class TimeSeriesStore:
-    """:class:`SeriesKey`-addressed raw rings with query helpers.
+    """:class:`SeriesKey`-addressed raw rings.
 
     The store owns the :class:`~repro.telemetry.batch.SeriesRegistry`
     that interns keys to dense integer ids — the columnar pipeline moves
@@ -766,6 +730,10 @@ class TimeSeriesStore:
     ``rings`` relocates ring storage (shared memory for the
     process-parallel shard tier); the bookkeeping here is unchanged.
     """
+
+    #: no worker pool: a query engine runs this store's passes in
+    #: process (a sharded store may carry one)
+    pool = None
 
     def __init__(self, default_capacity: int = 4096, *, rings: Optional[RawRings] = None) -> None:
         if default_capacity <= 0:
@@ -997,71 +965,3 @@ class TimeSeriesStore:
         if sid is None:
             return np.empty(0), np.empty(0)
         return self.rings.window(sid, t0, t1)
-
-    def stats(self, key: SeriesKey, t0: float, t1: float) -> SeriesStats:
-        _, values = self.query(key, t0, t1)
-        return SeriesStats.from_values(values)
-
-    def rate(self, key: SeriesKey, t0: float, t1: float) -> Optional[float]:
-        """Average per-second increase over a window (for COUNTER metrics).
-
-        Counter resets (the process restarted and the counter dropped)
-        are clamped to per-segment positive increases: a drop contributes
-        the post-reset value rather than a negative delta, so restarts
-        never produce negative or understated rates.
-        """
-        from repro.query.kernels import counter_increase
-
-        times, values = self.query(key, t0, t1)
-        if times.size < 2 or times[-1] == times[0]:
-            return None
-        total = float(np.sum(counter_increase(values)))
-        return total / float(times[-1] - times[0])
-
-    def downsample(
-        self,
-        key: SeriesKey,
-        t0: float,
-        t1: float,
-        step: float,
-        agg: str = "mean",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate the window into ``step``-second bins.
-
-        Returns bin-start times and aggregated values; empty bins are
-        dropped (matching PromQL-style range-vector semantics).
-        """
-        if step <= 0:
-            raise ValueError("step must be positive")
-        if agg not in _AGGREGATORS:
-            raise ValueError(f"unknown aggregator {agg!r}; choose from {sorted(_AGGREGATORS)}")
-        from repro.query.kernels import grouped_aggregate
-
-        times, values = self.query(key, t0, t1)
-        if times.size == 0:
-            return np.empty(0), np.empty(0)
-        bins = np.floor((times - t0) / step).astype(np.int64)
-        nz_bins, out_v = grouped_aggregate(bins, values, agg, times=times)
-        return t0 + nz_bins * step, out_v
-
-    def aggregate_across(
-        self,
-        metric: str,
-        t0: float,
-        t1: float,
-        agg: str = "mean",
-    ) -> Optional[float]:
-        """Aggregate all points of all series of one metric over a window
-        (series pooled in creation order)."""
-        try:
-            fn = _AGGREGATORS[agg]
-        except KeyError:
-            raise ValueError(f"unknown aggregator {agg!r}") from None
-        chunks = []
-        for sid in self._metric_sids.get(metric, ()):
-            _, values = self.rings.window(sid, t0, t1)
-            if values.size:
-                chunks.append(values)
-        if not chunks:
-            return None
-        return float(fn(np.concatenate(chunks)))

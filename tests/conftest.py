@@ -1,36 +1,42 @@
 """Shared fixtures.
 
-``executor`` is the one input the sharded bit-identity suites take in
-place of an engine class: *who runs a shard pass* is a property of the
-store a :class:`~repro.shard.FederatedQueryEngine` observes, so every
-case runs unchanged over each way of running one.
+``executor`` is the one input the bit-identity suites take in place of
+an engine class: every store shape is served by the one query algebra,
+and *who runs a shard pass* is a property of the store the engine
+observes, so every case runs unchanged over each store shape and each
+way of running a pass.
 """
 
 import pytest
 
-from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore, federated
+from repro.query import QueryEngine, RollupManager
+from repro.shard import FederatedQueryEngine, ParallelShardedStore, ShardedTimeSeriesStore, federated
+from repro.telemetry.tsdb import TimeSeriesStore
 
 
 class ShardExecutor:
-    """One way of running shard passes, as stores built to provoke it.
+    """One store shape and way of running its passes, as stores built to
+    provoke it.
 
-    ``inline``: a plain sharded store, no pool.  ``pool-1`` / ``pool-2``:
-    shared-memory shards beside a live pool of that many workers.
-    ``pool-2-auto``: the same, and the engine keeps scatters over few
-    series in process (its default; every other pool case pins
-    ``INLINE_SCATTER_SERIES`` to 0 so that each pass goes to the pool).
-    ``pool-stopped``: the pool shut down after the data went in.
-    ``worker-killed``: two workers, respawn off, worker 0 killed after
-    the data went in — the next dispatch loses its shards' tasks and
-    breaks the pool.  :meth:`degrade` applies the last two; on the others
-    it does nothing.
+    ``single``: a plain store (its one place, whatever shard count is
+    asked for) with its own :class:`RollupManager`.  ``inline``: a plain
+    sharded store, no pool.  ``pool-1`` / ``pool-2``: shared-memory
+    shards beside a live pool of that many workers.  ``pool-2-auto``:
+    the same, and the engine keeps scatters over few series in process
+    (its default; every other pool case pins ``INLINE_SCATTER_SERIES``
+    to 0 so that each pass goes to the pool).  ``pool-stopped``: the
+    pool shut down after the data went in.  ``worker-killed``: two
+    workers, respawn off, worker 0 killed after the data went in — the
+    next dispatch loses its shards' tasks and breaks the pool.
+    :meth:`degrade` applies the last two; on the others it does nothing.
     """
 
-    NAMES = ("inline", "pool-1", "pool-2", "pool-2-auto", "pool-stopped", "worker-killed")
+    NAMES = ("single", "inline", "pool-1", "pool-2", "pool-2-auto", "pool-stopped", "worker-killed")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._stores = []
+        self._rollups = {}
 
     @property
     def pooled(self) -> bool:
@@ -51,6 +57,11 @@ class ShardExecutor:
         return self.name in ("pool-stopped", "worker-killed")
 
     def store(self, n_shards: int, *, resolutions=None, capacity: int = 4096):
+        if self.name == "single":
+            store = TimeSeriesStore(default_capacity=capacity)
+            if resolutions is not None:
+                self._rollups[id(store)] = RollupManager(store, resolutions)
+            return store
         if self.name == "inline":
             store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=capacity)
         else:
@@ -65,6 +76,12 @@ class ShardExecutor:
         if resolutions is not None:
             store.create_tiersets(resolutions)
         return store
+
+    def engine(self, store, **kwargs):
+        """The query engine over a store this executor built."""
+        if self.name == "single":
+            return QueryEngine(store, rollups=self._rollups.get(id(store)), **kwargs)
+        return FederatedQueryEngine(store, **kwargs)
 
     def degrade(self, store) -> None:
         if self.name == "pool-stopped":

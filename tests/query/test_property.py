@@ -3,7 +3,10 @@
 Randomized stores (irregular timestamps, many labelled series) and
 randomized queries, evaluated both by the vectorized engine (raw and
 rollup-served) and by :func:`repro.query.reference.evaluate_naive`.
-Seeded RNG keeps every run deterministic.
+The oracle pools samples in its own order, so it agrees to 1e-9; two
+executions of the engine agree bit for bit (:func:`assert_bit_identical`,
+which the shard suites hold every store shape to).  Seeded RNG keeps
+every run deterministic.
 """
 
 import numpy as np
@@ -71,6 +74,19 @@ def assert_results_match(got, want, rtol=1e-9):
         np.testing.assert_allclose(a.values, b.values, rtol=rtol, atol=1e-9)
 
 
+def assert_bit_identical(got, want):
+    """Two engines' answers: the same series, the same bits."""
+    assert len(got.series) == len(want.series), (
+        f"series count {len(got.series)} != {len(want.series)} for {got.query}"
+    )
+    for a, b in zip(got.series, want.series):
+        assert a.labels == b.labels
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.values, b.values), (
+            f"bitwise mismatch for {got.query} {a.labels}"
+        )
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_engine_matches_reference_raw(seed):
     rng = np.random.default_rng(seed)
@@ -121,5 +137,5 @@ def test_cached_result_equals_fresh():
     first = cached.query(q, at=900.0)
     hit = cached.query(q, at=900.0)
     assert hit.source == "cache"
-    assert_results_match(hit, fresh.query(q, at=900.0))
-    assert_results_match(first, hit)
+    assert_bit_identical(hit, fresh.query(q, at=900.0))
+    assert_bit_identical(first, hit)

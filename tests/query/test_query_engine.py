@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.query import QueryEngine, RollupManager, parse_query
+from repro.query import QueryEngine, RollupManager, evaluate_naive, parse_query
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -34,8 +34,8 @@ class TestExecution:
         store = make_store()
         qe = QueryEngine(store)
         got = qe.scalar("mean(node_cpu_util[600s])", at=600.0)
-        want = store.aggregate_across("node_cpu_util", 0.0, 600.0, "mean")
-        assert got == pytest.approx(want)
+        want = evaluate_naive(store, parse_query("mean(node_cpu_util[600s])"), at=600.0)
+        assert got == pytest.approx(want.scalar())
 
     def test_group_by_splits_series(self):
         store = make_store()
@@ -200,3 +200,30 @@ class TestRollupIntegration:
         rollups.fold(600.0)
         qe = QueryEngine(store, rollups=rollups, enable_cache=False)
         assert qe.query("p95(node_cpu_util[600s] by 60s)", at=600.0).source == "raw"
+
+
+def test_memos_stay_bounded_and_keep_the_shape_in_use():
+    """A long-running server parses every distinct ad-hoc expression: the
+    engine's parse, canonical-string and plan memos are LRUs of
+    ``_PLANS_MAX`` shapes, so 5 000 one-shot expressions leave them
+    bounded while the dashboard shape read between them stays memoised
+    (the uncached engine plans every read, the cached one keys its
+    result cache by the canonical string)."""
+    from repro.query import engine as engine_mod
+
+    store = make_store(n_nodes=2, points=20)
+    planning, cached = QueryEngine(store, enable_cache=False), QueryEngine(store)
+    dashboard = "mean(node_cpu_util[600s] by 60s)"
+    held = planning.parse(dashboard)
+    plan = planning.plan(held)
+    for i in range(5000):
+        one_shot = f"max(node_cpu_util[{i + 1}s])"
+        for qe in (planning, cached):
+            qe.query(one_shot, at=600.0)
+            qe.query(dashboard, at=600.0)
+    for qe in (planning, cached):
+        for memo in (qe._parsed, qe._exprs, qe._plans):
+            assert len(memo) <= engine_mod._PLANS_MAX
+    assert planning.parse(dashboard) is held
+    assert planning.plan(held) is plan
+    assert len(cached._exprs) == engine_mod._PLANS_MAX and held in cached._exprs

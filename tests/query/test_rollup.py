@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.query.cache import QueryCache
-from repro.query.rollup import ROW_COLUMNS, RollupManager, TierStore
+from repro.query.rollup import ROW_COLUMNS, RollupManager, TierStore, select_tier_index
 from repro.sim import Engine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
+
+
+def sid(roll, key):
+    """The series id a rollup manager's tiers address ``key`` by."""
+    return roll.store.registry.id_for(key)
 
 
 def filled_store(points=300, step=1.0):
@@ -23,9 +28,9 @@ class TestFolding:
         store, key = filled_store(points=95)
         roll = RollupManager(store, resolutions=(10.0,))
         roll.fold(95.0)
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], np.arange(0.0, 90.0, 10.0))
-        assert roll.tiers[0].watermark(key) == 90.0
+        assert roll.tiers[0].watermark(sid(roll, key)) == 90.0
 
     def test_fold_is_idempotent(self):
         store, key = filled_store()
@@ -42,8 +47,8 @@ class TestFolding:
         store_b, _ = filled_store()
         roll_b = RollupManager(store_b, resolutions=(10.0,))
         roll_b.fold(300.0)
-        rows_a = roll_a.tiers[0].window(key, 0.0, 1e9)
-        rows_b = roll_b.tiers[0].window(key, 0.0, 1e9)
+        rows_a = roll_a.tiers[0].window(sid(roll_a, key), 0.0, 1e9)
+        rows_b = roll_b.tiers[0].window(sid(roll_b, key), 0.0, 1e9)
         for col in rows_a:
             np.testing.assert_allclose(rows_a[col], rows_b[col], rtol=1e-12)
 
@@ -55,7 +60,7 @@ class TestFolding:
         )
         roll = RollupManager(store, resolutions=(10.0,))
         roll.fold(20.0)
-        rows = roll.tiers[0].window(key, 0.0, 20.0)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 20.0)
         np.testing.assert_array_equal(rows["time"], [0.0, 10.0])
         np.testing.assert_array_equal(rows["sum"], [12.0, 1.0])
         np.testing.assert_array_equal(rows["count"], [3.0, 1.0])
@@ -70,8 +75,8 @@ class TestCascade:
         store, key = filled_store(points=700)
         roll = RollupManager(store, resolutions=(10.0, 100.0))
         roll.fold(700.0)
-        fine = roll.tiers[0].window(key, 0.0, 1e9)
-        coarse = roll.tiers[1].window(key, 0.0, 1e9)
+        fine = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
+        coarse = roll.tiers[1].window(sid(roll, key), 0.0, 1e9)
         assert coarse["time"].size == 7
         # coarse sums/counts must equal regrouped fine sums/counts
         np.testing.assert_allclose(
@@ -79,7 +84,7 @@ class TestCascade:
             [np.sum(fine["sum"][(fine["time"] // 100) == b]) for b in range(7)],
             rtol=1e-12,
         )
-        assert roll.tiers[1].watermark(key) == 700.0
+        assert roll.tiers[1].watermark(sid(roll, key)) == 700.0
 
     def test_resolutions_must_nest(self):
         store, _ = filled_store()
@@ -87,14 +92,13 @@ class TestCascade:
             RollupManager(store, resolutions=(10.0, 25.0))
 
     def test_tier_for_prefers_coarsest_exact(self):
-        store, _ = filled_store()
-        roll = RollupManager(store, resolutions=(10.0, 60.0, 600.0))
-        assert roll.tier_for(600.0, "mean").resolution_s == 600.0
-        assert roll.tier_for(120.0, "mean").resolution_s == 60.0
-        assert roll.tier_for(90.0, "mean").resolution_s == 10.0
-        assert roll.tier_for(5.0, "mean") is None  # finer than any tier
-        assert roll.tier_for(600.0, "p95") is None  # needs raw samples
-        assert roll.tier_for(None, "mean") is None  # instant queries scan raw
+        resolutions = [10.0, 60.0, 600.0]
+        assert select_tier_index(resolutions, 600.0, "mean") == 2
+        assert select_tier_index(resolutions, 120.0, "mean") == 1
+        assert select_tier_index(resolutions, 90.0, "mean") == 0
+        assert select_tier_index(resolutions, 5.0, "mean") is None  # finer than any tier
+        assert select_tier_index(resolutions, 600.0, "p95") is None  # needs raw samples
+        assert select_tier_index(resolutions, None, "mean") is None  # instant queries scan raw
 
 
 class TestRetention:
@@ -102,7 +106,7 @@ class TestRetention:
         store, key = filled_store(points=2000)
         roll = RollupManager(store, resolutions=(10.0,), capacity=50)
         roll.fold(2000.0)
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         assert rows["time"].size == 50
         np.testing.assert_array_equal(rows["time"], np.arange(1500.0, 2000.0, 10.0))
 
@@ -119,7 +123,7 @@ class TestRetention:
             roll.fold(t)  # fold before the ring wraps
         raw_times, _ = store.query(key, -np.inf, np.inf)
         assert raw_times[0] == 900.0  # raw kept only the last 100 samples
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         assert rows["time"][0] == 0.0  # rollups kept everything
 
 
@@ -133,8 +137,8 @@ class TestAttach:
         roll.attach(engine)
         engine.run(until=100.0)
         # folds fired on cadence; all complete 10s bins are rolled up
-        assert roll.tiers[0].watermark(key) == 100.0
-        assert roll.tiers[0].window(key, 0.0, 1e9)["time"].size == 10
+        assert roll.tiers[0].watermark(sid(roll, key)) == 100.0
+        assert roll.tiers[0].window(sid(roll, key), 0.0, 1e9)["time"].size == 10
         with pytest.raises(RuntimeError):
             roll.attach(engine)
         roll.detach()
@@ -235,8 +239,8 @@ class TestIngestFedFolding:
         store_b, _ = filled_store()
         roll_b = RollupManager(store_b, resolutions=(10.0,))
         roll_b.fold(300.0)
-        rows_a = roll_a.tiers[0].window(key, 0.0, 1e9)
-        rows_b = roll_b.tiers[0].window(key, 0.0, 1e9)
+        rows_a = roll_a.tiers[0].window(sid(roll_a, key), 0.0, 1e9)
+        rows_b = roll_b.tiers[0].window(sid(roll_b, key), 0.0, 1e9)
         for col in rows_a:
             np.testing.assert_allclose(rows_a[col], rows_b[col], rtol=1e-12)
 
@@ -256,7 +260,7 @@ class TestIngestFedFolding:
         roll.fold(100.0)
         store.query = original
         assert calls == []  # second fold consumed only the ingest buffer
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], np.arange(0.0, 100.0, 10.0))
 
     def test_mixed_pre_and_post_manager_data(self):
@@ -268,7 +272,7 @@ class TestIngestFedFolding:
         roll = RollupManager(store, resolutions=(10.0,))
         store.insert_batch(key, np.arange(35.0, 95.0), np.ones(60))  # streamed
         roll.fold(95.0)
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], np.arange(0.0, 90.0, 10.0))
         np.testing.assert_array_equal(rows["count"], np.full(9, 10.0))
 
@@ -279,10 +283,10 @@ class TestIngestFedFolding:
         for t in range(200):  # overflows the 64-sample cap repeatedly
             store.insert(key, float(t), 1.0)
         assert roll._buffered_rows <= 64  # drained early, memory bounded
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         assert rows["time"].size >= 18  # complete bins already folded
         roll.fold(200.0)
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], np.arange(0.0, 200.0, 10.0))
         np.testing.assert_array_equal(rows["count"], np.full(20, 10.0))
 
@@ -299,7 +303,7 @@ class TestIngestFedFolding:
             np.ones(8),
         )
         assert roll._buffered_rows <= 4  # drain actually released the cap
-        rows = roll.tiers[0].window(SeriesKey.of("m", node="b"), 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, SeriesKey.of("m", node="b")), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], [0.0])
         np.testing.assert_array_equal(rows["count"], [4.0])
 
@@ -315,7 +319,7 @@ class TestIngestFedFolding:
         buf_t += 100.0  # caller reuses its scratch arrays
         buf_v[:] = 999.0
         roll.fold(20.0)
-        rows = roll.tiers[0].window(key, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], [0.0, 10.0])
         np.testing.assert_array_equal(rows["sum"], [10.0, 10.0])
 
@@ -331,7 +335,7 @@ class TestIngestFedFolding:
         store.insert(key_b, 60.0, 2.0)
         roll.fold(70.0)
         assert roll.late_samples_dropped == 1
-        rows = roll.tiers[0].window(key_b, 0.0, 1e9)
+        rows = roll.tiers[0].window(sid(roll, key_b), 0.0, 1e9)
         np.testing.assert_array_equal(rows["time"], [0.0, 60.0])  # 12.0 not folded
 
 

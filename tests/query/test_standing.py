@@ -23,11 +23,7 @@ from repro.query import (
     evaluate_naive,
 )
 from repro.query.kernels import PARTIAL_AGGS
-from repro.query.standing import (
-    StandingGrid,
-    StandingQueryEngine,
-    StoreStandingProvider,
-)
+from repro.query.standing import StandingGrid, StandingQueryEngine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 

@@ -44,7 +44,7 @@ def _open_spec(name, **kw):
 
 def _small_engine(seed=7):
     rng = np.random.default_rng(seed)
-    _sharded, _oracle, single = build_stores(rng, 2, n_series=6, max_points=60)
+    _sharded, single = build_stores(rng, 2, n_series=6, max_points=60)
     return QueryEngine(single, enable_cache=False), single
 
 
@@ -64,7 +64,7 @@ RANGE_Q = MetricQuery("m", agg="mean", range_s=600.0, step_s=60.0)
 @pytest.mark.parametrize("n_shards,n_workers", [(1, 1), (2, 4), (5, 2)])
 def test_served_answers_bit_identical_to_direct_execution(n_shards, n_workers):
     rng = np.random.default_rng(42 + 10 * n_shards + n_workers)
-    sharded, _oracle, single = build_stores(rng, max(n_shards, 2))
+    sharded, single = build_stores(rng, max(n_shards, 2))
     if n_shards == 1:
         engine = QueryEngine(single, enable_cache=False)
         direct = QueryEngine(single, enable_cache=False)
@@ -156,7 +156,7 @@ def test_shed_rejects_lowest_priority_class_only():
 
 def test_degrade_serves_coarse_tier_and_respects_exact_tenants():
     rng = np.random.default_rng(3)
-    _sharded, _oracle, single = build_stores(rng, 2)
+    _sharded, single = build_stores(rng, 2)
     rollups = RollupManager(single, resolutions=(10.0, 600.0))
     rollups.fold(HORIZON * 2)
     engine = QueryEngine(single, rollups=rollups, enable_cache=False)

@@ -1,15 +1,16 @@
 """Federation exactness: property tests against single-store oracles.
 
-Two oracles pin the federated engine down:
+Two oracles pin the sharded engine down:
 
-* **Partition invariance (bit-identical)** — the same engine over a
-  single-shard store.  Per-series arithmetic happens on exactly one
-  shard and the gather reduction runs in a canonical partition-free
-  order, so results must be *bit-identical* for every shard count.
-* **Semantics (1e-9)** — the legacy per-group :class:`QueryEngine` and
-  the brute-force :func:`evaluate_naive` reference.  These pool samples
-  in a different floating-point association order, so agreement is
-  exact-or-tight-allclose rather than bitwise.
+* **Partition invariance (bit-identical)** — the engine over a plain
+  store holding the same data, which is the one-shard case of the same
+  plan, shard passes and gather.  Per-series arithmetic happens on
+  exactly one shard and the gather reduces in a canonical
+  partition-free order, so results must be *bit-identical* for every
+  shard count.
+* **Semantics (1e-9)** — the brute-force :func:`evaluate_naive`
+  reference, which pools samples in its own floating-point association
+  order, so agreement is tight-allclose rather than bitwise.
 
 Randomized stores, shard counts, matchers, group-bys, aggregators, and
 rollup fold boundaries; seeded RNG keeps every run deterministic.
@@ -21,19 +22,18 @@ import pytest
 from repro.query import MetricQuery, QueryEngine, RollupManager, evaluate_naive
 from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
+from repro.telemetry.tsdb import TimeSeriesStore
 
-from tests.query.test_property import assert_results_match, random_query
+from tests.query.test_property import assert_bit_identical, assert_results_match, random_query
+
+__all__ = ["assert_bit_identical"]
 
 HORIZON = 1000.0
 
 
 def build_stores(rng, n_shards, n_series=14, max_points=250, counter=False):
-    """The same random series in a k-shard store, a 1-shard oracle store,
-    and a plain single store."""
-    from repro.telemetry.tsdb import TimeSeriesStore
-
+    """The same random series in a k-shard store and a plain store."""
     sharded = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=4096)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
     single = TimeSeriesStore(default_capacity=4096)
     for i in range(n_series):
         key = SeriesKey.of(
@@ -48,36 +48,22 @@ def build_stores(rng, n_shards, n_series=14, max_points=250, counter=False):
             values = np.cumsum(rng.exponential(5.0, size=n))
         else:
             values = rng.normal(50.0, 20.0, size=n)
-        for store in (sharded, oracle, single):
+        for store in (sharded, single):
             store.insert_batch(key, times, values)
-    return sharded, oracle, single
-
-
-def assert_bit_identical(got, want):
-    assert len(got.series) == len(want.series), (
-        f"series count {len(got.series)} != {len(want.series)} for {got.query}"
-    )
-    for a, b in zip(got.series, want.series):
-        assert a.labels == b.labels
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.values, b.values), (
-            f"bitwise mismatch for {got.query} {a.labels}"
-        )
+    return sharded, single
 
 
 @pytest.mark.parametrize("seed,n_shards", [(s, k) for s in range(4) for k in (2, 3, 5, 8)])
 def test_federated_bit_identical_to_single_shard_oracle(seed, n_shards):
     rng = np.random.default_rng(1000 * seed + n_shards)
-    sharded, oracle, single = build_stores(rng, n_shards)
+    sharded, single = build_stores(rng, n_shards)
     fed = FederatedQueryEngine(sharded, enable_cache=False)
-    fed1 = FederatedQueryEngine(oracle, enable_cache=False)
     qe = QueryEngine(single, enable_cache=False)
     for _ in range(10):
         q = random_query(rng)
         at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
         got = fed.query(q, at=at)
-        assert_bit_identical(got, fed1.query(q, at=at))
-        assert_results_match(got, qe.query(q, at=at))
+        assert_bit_identical(got, qe.query(q, at=at))
         assert_results_match(got, evaluate_naive(single, q, at=at))
 
 
@@ -86,33 +72,30 @@ def test_federated_bit_identical_with_rollup_boundaries(seed, n_shards):
     """Tier+raw-tail stitching must stay partition-invariant across
     random fold boundaries (per-shard tiers fold at the same instant)."""
     rng = np.random.default_rng(5000 + 100 * seed + n_shards)
-    sharded, oracle, single = build_stores(rng, n_shards)
+    sharded, single = build_stores(rng, n_shards)
     fed = FederatedQueryEngine.with_rollups(sharded, resolutions=(10.0, 50.0), enable_cache=False)
-    fed1 = FederatedQueryEngine.with_rollups(oracle, resolutions=(10.0, 50.0), enable_cache=False)
-    rollups = RollupManager(single, resolutions=(10.0, 50.0))
-    qe = QueryEngine(single, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(
+        single, rollups=RollupManager(single, resolutions=(10.0, 50.0)), enable_cache=False
+    )
     boundary = float(rng.uniform(HORIZON * 0.5, HORIZON))
-    fed.fold_rollups(boundary)
-    fed1.fold_rollups(boundary)
-    rollups.fold(boundary)
+    assert fed.fold_rollups(boundary) == qe.fold_rollups(boundary)
     served_rollup = 0
     for _ in range(12):
         q = random_query(rng)
         at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
-        got = fed.query(q, at=at)
-        assert_bit_identical(got, fed1.query(q, at=at))
-        assert_results_match(got, qe.query(q, at=at))
+        got, want = fed.query(q, at=at), qe.query(q, at=at)
+        assert got.source == want.source
+        assert_bit_identical(got, want)
         assert_results_match(got, evaluate_naive(single, q, at=at))
-        served_rollup += got.source == "federated:rollup"
+        served_rollup += got.source.startswith("rollup:")
     assert fed.served_rollup == served_rollup
 
 
 @pytest.mark.parametrize("seed,n_shards", [(0, 3), (1, 8)])
 def test_federated_rate_matches_oracles(seed, n_shards):
     rng = np.random.default_rng(7000 + 10 * seed + n_shards)
-    sharded, oracle, single = build_stores(rng, n_shards, counter=True)
+    sharded, single = build_stores(rng, n_shards, counter=True)
     fed = FederatedQueryEngine(sharded, enable_cache=False)
-    fed1 = FederatedQueryEngine(oracle, enable_cache=False)
     qe = QueryEngine(single, enable_cache=False)
     for _ in range(8):
         base = random_query(rng, metric="ctr")
@@ -122,14 +105,13 @@ def test_federated_rate_matches_oracles(seed, n_shards):
         )
         at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))
         got = fed.query(q, at=at)
-        assert_bit_identical(got, fed1.query(q, at=at))
-        assert_results_match(got, qe.query(q, at=at))
+        assert_bit_identical(got, qe.query(q, at=at))
         assert_results_match(got, evaluate_naive(single, q, at=at))
 
 
 def test_federated_cache_and_fanout_counters():
     rng = np.random.default_rng(42)
-    sharded, _, _ = build_stores(rng, 4)
+    sharded, _ = build_stores(rng, 4)
     fed = FederatedQueryEngine(sharded)
     q = MetricQuery("m", agg="mean", range_s=600.0, step_s=60.0, group_by=("node",))
     first = fed.query(q, at=900.0)
@@ -145,7 +127,7 @@ def test_federated_cache_and_fanout_counters():
 
 def test_federated_cache_invalidated_by_any_shard_commit():
     rng = np.random.default_rng(43)
-    sharded, _, _ = build_stores(rng, 4)
+    sharded, _ = build_stores(rng, 4)
     fed = FederatedQueryEngine(sharded)
     q = MetricQuery("m", agg="count", range_s=600.0, step_s=60.0)
     before = fed.query(q, at=900.0)
@@ -162,49 +144,38 @@ def test_federated_cache_invalidated_by_any_shard_commit():
 
 def test_federated_serves_aged_out_instant_from_shard_tiers():
     """Singleton instant queries past ring retention answer from the
-    owning shard's tiers, matching the single-store engine's fallback —
-    and stay partition-invariant."""
-    from repro.telemetry.tsdb import TimeSeriesStore
-
+    owning shard's tiers, exactly as the plain store's engine does from
+    its own — and stay partition-invariant."""
     key = SeriesKey.of("m", node="n0")
 
-    def filled(store_factory):
-        store = store_factory()
+    def filled(store):
         store.set_capacity("m", 32)
         if isinstance(store, ShardedTimeSeriesStore):
-            fed = FederatedQueryEngine.with_rollups(
+            engine = FederatedQueryEngine.with_rollups(
                 store, resolutions=(10.0,), enable_cache=False
             )
         else:
-            fed = QueryEngine(
+            engine = QueryEngine(
                 store, rollups=RollupManager(store, resolutions=(10.0,)), enable_cache=False
             )
         for i in range(400):
             store.insert(key, float(i), float(i))
             if i % 10 == 9:
-                if isinstance(fed, FederatedQueryEngine):
-                    fed.fold_rollups(float(i))
-                else:
-                    fed.rollups.fold(float(i))
-        return fed
+                engine.fold_rollups(float(i))
+        return engine
 
-    fed = filled(lambda: ShardedTimeSeriesStore(n_shards=4))
-    fed1 = filled(lambda: ShardedTimeSeriesStore(n_shards=1))
-    qe = filled(lambda: TimeSeriesStore())
+    fed = filled(ShardedTimeSeriesStore(n_shards=4))
+    qe = filled(TimeSeriesStore())
     q = MetricQuery("m", agg="mean", range_s=100.0, group_by=("node",))
     got = fed.query(q, at=200.0)  # ring holds only ~[368, 399]
-    assert got.source == "federated:rollup"
-    assert_bit_identical(got, fed1.query(q, at=200.0))
     want = qe.query(q, at=200.0)
-    assert want.source.startswith("rollup:")
-    assert got.series[0].values[0] == want.series[0].values[0]
+    assert got.source == want.source == "rollup:10s"
+    assert_bit_identical(got, want)
 
 
 def test_samples_read_matches_plain_engine():
-    from repro.telemetry.tsdb import TimeSeriesStore
-
     rng = np.random.default_rng(44)
-    sharded, _, single = build_stores(rng, 4)
+    sharded, single = build_stores(rng, 4)
     fed = FederatedQueryEngine(sharded, enable_cache=False)
     qe = QueryEngine(single, enable_cache=False)
     q = MetricQuery("m", agg="mean", range_s=400.0)

@@ -56,7 +56,7 @@ def streamed(start_at_of):
         group.start()
     engine.attach_rollups(sim, start_at=start_at_of(pipeline))
     sim.run(until=HORIZON_S)
-    late = sum(m.late_samples_dropped for m in engine.shard_rollups)
+    late = sum(m.late_samples_dropped for m in engine.tiersets)
     return store, engine, late
 
 

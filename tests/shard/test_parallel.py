@@ -6,8 +6,8 @@ gather is untouched, so results must equal serial federated execution
 exactly — for every worker count, for every query shape, with rollup
 tiers folded inside the workers, and across every degradation path
 (worker crash between commits, during a scatter, or inside a fold).
-These tests pin all of that to the serial engine and the single-shard
-oracle, plus the
+These tests pin all of that to the serial engine and the single-store
+oracle (the plain engine over the same data), plus the
 ``append_segments`` edge cases and the ``ClusterConfig(parallel=)``
 wiring.
 """
@@ -18,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.query import LabelMatcher, MetricQuery
+from repro.query import LabelMatcher, MetricQuery, QueryEngine, RollupManager
 from repro.query.reference import evaluate_naive
 from repro.query.rollup import ROW_COLUMNS, CascadeFolder
 from repro.query.standing import StandingQueryEngine
@@ -31,6 +31,7 @@ from repro.shard import (
 )
 from repro.shard.parallel import WORKER_DIED
 from repro.telemetry.metric import SeriesKey
+from repro.telemetry.tsdb import TimeSeriesStore
 
 from tests.query.test_property import random_query
 from tests.shard.test_federation_property import assert_bit_identical
@@ -59,6 +60,15 @@ def series_data(seed, n_series=12, max_points=60, counter=False):
 def fill_serial(store, data):
     for key, times, values in data:
         store.insert_batch(key, times, values)
+
+
+def oracle_engine(data, resolutions=None):
+    """The plain engine over a plain store holding ``data``: the
+    one-place case every store shape must answer bit for bit."""
+    store = TimeSeriesStore(default_capacity=4096)
+    rollups = RollupManager(store, resolutions) if resolutions is not None else None
+    fill_serial(store, data)
+    return QueryEngine(store, rollups=rollups, enable_cache=False)
 
 
 def fill_through_pool(store, data):
@@ -90,8 +100,8 @@ def assert_ran_where_expected(executor, engine, store):
     (the commits wrote the shared rings from the parent) — none at all
     where these few series keep every scatter in process, which is
     counted on its own and is no fallback."""
-    assert (engine.serial_fallbacks > 0) == executor.falls_back
-    assert (engine.inline_by_size > 0) == executor.by_size
+    assert (getattr(engine, "serial_fallbacks", 0) > 0) == executor.falls_back
+    assert (getattr(engine, "inline_by_size", 0) > 0) == executor.by_size
     if executor.by_size:
         assert engine.parallel_scatters == store.pool.dispatches == 0
     elif executor.pooled:
@@ -105,13 +115,11 @@ def assert_ran_where_expected(executor, engine, store):
 @pytest.mark.parametrize("n_shards", [3, 4, 5])
 def test_bit_identical_to_single_shard_oracle_on_every_executor(executor, n_shards):
     data = series_data(100 + n_shards)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
-    fill_serial(oracle, data)
+    orc = oracle_engine(data)
     store = executor.store(n_shards)
     fill_through_pool(store, data)
     executor.degrade(store)
-    par = FederatedQueryEngine(store, enable_cache=False)
-    orc = FederatedQueryEngine(oracle, enable_cache=False)
+    par = executor.engine(store, enable_cache=False)
     rng = np.random.default_rng(n_shards)
     for _ in range(10):
         q = random_query(rng)
@@ -122,13 +130,11 @@ def test_bit_identical_to_single_shard_oracle_on_every_executor(executor, n_shar
 
 def test_samples_and_rate_match_the_oracle_on_every_executor(executor):
     data = series_data(7, counter=True)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
-    fill_serial(oracle, data)
+    orc = oracle_engine(data)
     store = executor.store(4)
     fill_through_pool(store, data)
     executor.degrade(store)
-    par = FederatedQueryEngine(store, enable_cache=False)
-    orc = FederatedQueryEngine(oracle, enable_cache=False)
+    par = executor.engine(store, enable_cache=False)
     for q in (
         MetricQuery("ctr", agg="rate", range_s=400.0, step_s=60.0, group_by=("node",)),
         MetricQuery("ctr", agg="rate", range_s=400.0, group_by=("node",)),
@@ -147,12 +153,10 @@ def test_rollup_folds_match_the_oracle_on_every_executor(executor):
     gone — must be bit-identical to the single-shard cascade, including
     which source (raw vs rollup) serves each query."""
     data = series_data(11)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
-    fill_serial(oracle, data)
-    orc = FederatedQueryEngine.with_rollups(oracle, resolutions=(10.0, 50.0), enable_cache=False)
+    orc = oracle_engine(data, resolutions=(10.0, 50.0))
     store = executor.store(4, resolutions=(10.0, 50.0))
     fill_through_pool(store, data)
-    par = FederatedQueryEngine(store, enable_cache=False)
+    par = executor.engine(store, enable_cache=False)
     assert par.fold_rollups(HORIZON * 0.4) == orc.fold_rollups(HORIZON * 0.4)
     executor.degrade(store)
     assert par.fold_rollups(HORIZON * 0.8) == orc.fold_rollups(HORIZON * 0.8)
@@ -164,8 +168,10 @@ def test_rollup_folds_match_the_oracle_on_every_executor(executor):
         assert got.source == want.source
         assert_bit_identical(got, want)
     # a fold that runs here although a pool exists is counted like a scatter
-    assert (par.serial_fallbacks > 0) == executor.falls_back
-    assert par.parallel_folds == (2 if executor.pooled else 1 if executor.falls_back else 0)
+    assert (getattr(par, "serial_fallbacks", 0) > 0) == executor.falls_back
+    assert getattr(par, "parallel_folds", 0) == (
+        2 if executor.pooled else 1 if executor.falls_back else 0
+    )
 
 
 @pytest.mark.parametrize("executor", ["pool-2-auto"], indirect=True)
@@ -173,14 +179,12 @@ def test_a_pass_goes_to_the_pool_only_above_the_size_it_pays_off(executor):
     """At its default the engine keeps a scatter over no more than
     ``INLINE_SCATTER_SERIES`` series in process — counted apart, never a
     fallback, the pool not even asked — and dispatches one series more.
-    Either way the answer is the single-shard oracle's.  Kept passes
+    Either way the answer is the single-store oracle's.  Kept passes
     never look at the pool, so a stopped pool is noticed by the next
     pass that would have been dispatched."""
     limit = federated.INLINE_SCATTER_SERIES
     data = series_data(17, n_series=limit + 1, max_points=12)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
-    fill_serial(oracle, data)
-    orc = FederatedQueryEngine(oracle, enable_cache=False)
+    orc = oracle_engine(data)
     store = executor.store(4)
     fill_through_pool(store, data)
     par = FederatedQueryEngine(store, enable_cache=False)
@@ -386,13 +390,13 @@ def assert_tiers_byte_equal(par, ser, store):
     """Every tier row and watermark of every series, parallel vs serial."""
     compared = 0
     for s, shard in enumerate(store.shards):
-        for ti, (ptier, stier) in enumerate(
-            zip(par.shard_rollups[s].tiers, ser.shard_rollups[s].tiers)
-        ):
+        for ti, (ptier, stier) in enumerate(zip(par.tiersets[s].tiers, ser.tiersets[s].tiers)):
             for key in shard.series_keys():
-                assert ptier.watermark(key) == stier.watermark(key), (s, ti, key)
-                got = ptier.window(key, -np.inf, np.inf)
-                want = stier.window(key, -np.inf, np.inf)
+                psid = shard.registry.id_for(key)
+                ssid = ser.places[s].registry.id_for(key)
+                assert ptier.watermark(psid) == stier.watermark(ssid), (s, ti, key)
+                got = ptier.window(psid, -np.inf, np.inf)
+                want = stier.window(ssid, -np.inf, np.inf)
                 assert (got is None) == (want is None), (s, ti, key)
                 if got is not None:
                     compared += got["time"].size
@@ -485,11 +489,11 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
         assert_bit_identical(par.query(q, at=HORIZON), ser.query(q, at=HORIZON))
         # the surviving worker's shards: per-fold late reports add up to
         # the serial count under both names of the counter
-        late = [m.late_samples_dropped for m in ser.shard_rollups]
+        late = [m.late_samples_dropped for m in ser.tiersets]
         assert late[1] + late[3] > 0
         for s in (1, 3):
             assert store.tiersets[s].late_dropped == late[s]
-            assert par.shard_rollups[s].late_samples_dropped == late[s]
+            assert par.tiersets[s].late_samples_dropped == late[s]
     assert [e for e in os.listdir("/dev/shm") if e.startswith(prefix)] == []
 
 

@@ -59,7 +59,7 @@ def test_collector_routes_telemetry_across_shards():
         "mean(node_cpu_util[120s]) group by (node)", at=engine.now
     )
     assert len(res.series) == len(cluster.nodes)
-    assert res.source == "federated:raw"
+    assert res.source == "raw"
 
 
 def test_sharded_and_unsharded_clusters_store_identical_telemetry():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.shard import ShardedTimeSeriesStore, shard_of_key
+from repro.query import QueryEngine
+from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore, shard_of_key
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -149,25 +150,26 @@ def test_scalar_reads_route_to_owner():
     assert store.has(key)
     assert store.latest(key) == (3.0, 30.0)
     assert store.earliest_time(key) == 1.0
-    assert store.stats(key, 0.0, 10.0).count == 3
-    t, v = store.downsample(key, 0.0, 4.0, step=2.0)
-    assert v.size > 0
-    assert store.aggregate_across("m", 0.0, 10.0, agg="sum") == 60.0
+    t, v = store.query(key, 2.0, 10.0)
+    assert t.tolist() == [2.0, 3.0] and v.tolist() == [20.0, 30.0]
 
 
 def test_aggregate_across_matches_single_store_pooling_order():
-    """'last' (and float association) depend on pooling order: the
-    facade must iterate series in creation order like the single store."""
-    single = TimeSeriesStore()
-    sharded = ShardedTimeSeriesStore(n_shards=1)  # drop-in configuration
+    """'last' (and float association) depend on pooling order: across
+    series the engine pools in canonical key order, not creation order,
+    so a sharded store answers exactly what the single store does."""
+    stores = [TimeSeriesStore(), ShardedTimeSeriesStore(n_shards=1), ShardedTimeSeriesStore(4)]
     b, a = SeriesKey.of("m", node="b"), SeriesKey.of("m", node="a")
-    for store in (single, sharded):
+    for store in stores:
         store.insert(b, 1.0, 111.0)  # created first, str-sorts last
-        store.insert(a, 2.0, 222.0)
-    for agg in ("last", "sum", "mean", "min", "max", "count"):
-        assert sharded.aggregate_across("m", 0.0, 10.0, agg) == single.aggregate_across(
-            "m", 0.0, 10.0, agg
-        ), agg
+        store.insert(a, 1.0, 222.0)  # a last-time tie with b
+    plain = QueryEngine(stores[0], enable_cache=False)
+    for sharded in stores[1:]:
+        fed = FederatedQueryEngine(sharded, enable_cache=False)
+        for agg in ("last", "sum", "mean", "min", "max", "count"):
+            expr = f"{agg}(m[10s])"
+            assert fed.scalar(expr, at=10.0) == plain.scalar(expr, at=10.0), agg
+    assert plain.scalar("last(m[10s])", at=10.0) == 111.0  # the tie goes to node=b
 
 
 def test_set_capacity_applies_to_new_series():

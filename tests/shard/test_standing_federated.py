@@ -1,16 +1,17 @@
-"""Standing queries over sharded stores.
+"""Standing queries over every store shape.
 
-Shard-local standing state gathered with the canonical lexsort+reduceat
-merge must be partition-invariant: the same history partitioned across
-1, 3, or 4 shards — or maintained worker-side under the process pool —
-answers every registered shape identically to the single-pass batch
-evaluation.
+Place-local standing state gathered with the engine's canonical merge
+must be partition-invariant: the same history in a plain store,
+partitioned across 1, 3, or 4 shards, or maintained worker-side under
+the process pool answers every registered shape like the batch engine
+over a plain store (to 1e-9: a grid sums a bin's samples commit by
+commit, a batch read in one pass).
 """
 
 import numpy as np
 import pytest
 
-from repro.query import MetricQuery
+from repro.query import MetricQuery, QueryEngine
 from repro.query.standing import StandingQueryEngine
 from repro.shard import (
     FederatedQueryEngine,
@@ -18,6 +19,7 @@ from repro.shard import (
     ShardedTimeSeriesStore,
 )
 from repro.telemetry.metric import SeriesKey
+from repro.telemetry.tsdb import TimeSeriesStore
 
 QUERIES = [
     MetricQuery("m", agg="mean", range_s=400.0, step_s=60.0, group_by=("node",)),
@@ -74,9 +76,9 @@ def test_standing_matches_batch_on_every_executor(executor, n_shards):
     pass runs where no grid exists, the read is not covered, and the
     caller's batch fallback is counted."""
     store = executor.store(n_shards)
-    engine = FederatedQueryEngine(store, enable_cache=False)
-    oracle = ShardedTimeSeriesStore(n_shards=1, default_capacity=4096)
-    batch = FederatedQueryEngine(oracle, enable_cache=False)
+    engine = executor.engine(store, enable_cache=False)
+    oracle = TimeSeriesStore(default_capacity=4096)
+    batch = QueryEngine(oracle, enable_cache=False)
     st = StandingQueryEngine(engine)
     for q in QUERIES:
         assert st.register(q)
@@ -99,11 +101,11 @@ def test_standing_matches_batch_on_every_executor(executor, n_shards):
     stats = st.stats()
     assert stats["reads_served"] > 0
     assert stats["scan_fallbacks"] == (2 * len(QUERIES) if executor.falls_back else 0)
-    assert stats["grids"] == len({q.step_s for q in QUERIES}) * n_shards
-    assert (engine.serial_fallbacks > 0) == executor.falls_back
+    assert stats["grids"] == len({q.step_s for q in QUERIES}) * len(engine.places)
+    assert (getattr(engine, "serial_fallbacks", 0) > 0) == executor.falls_back
 
 
-@pytest.mark.parametrize("executor", ["inline", "pool-2"], indirect=True)
+@pytest.mark.parametrize("executor", ["single", "inline", "pool-2"], indirect=True)
 def test_standing_engines_over_one_engine_share_its_state(executor):
     """A hub and a front door each wrap the one batch engine in their own
     standing engine.  Registering the same shape on both keeps one grid
@@ -115,13 +117,13 @@ def test_standing_engines_over_one_engine_share_its_state(executor):
 
     q = MetricQuery("m", agg="mean", range_s=30.0, step_s=10.0)
     store = executor.store(4, capacity=256)
-    engine = FederatedQueryEngine(store, enable_cache=False)
+    engine = executor.engine(store, enable_cache=False)
     hub_side, door_side = StandingQueryEngine(engine), StandingQueryEngine(engine)
     assert hub_side.register(q) and door_side.register(q)
     assert hub_side.provider is door_side.provider
     if executor.pooled:
         assert list(store.standing_regs) == [10.0]  # one entry to replay on a respawn
-    for shard in store.shards:
+    for shard in engine.places:
         standing = [
             listener for listener in shard._listeners
             if "Standing" in type(getattr(listener, "__self__", None)).__name__
@@ -135,13 +137,13 @@ def test_standing_engines_over_one_engine_share_its_state(executor):
         store.append_batch(ids, np.full(16, 950.0 + 0.4 * k), np.full(16, float(k)))
     # three samples older than the bin ring, on a series of their own
     store.insert_batch(SeriesKey.of("m", node="lagging"), np.array([1.0, 2.0, 3.0]), np.ones(3))
-    assert min(store.shard_cardinalities()) > 0  # the read below reaches every shard
+    assert engine.plan(q).fanout == len(engine.places)  # the read below reaches every place
     want = evaluate_naive(store, q, at=995.0)
     assert want.series
     for st in (hub_side, door_side):
         assert_standing_matches(st.query(q, at=995.0), want)
         stats = st.stats()
-        assert stats["grids"] == 4.0
+        assert stats["grids"] == len(engine.places)
         assert stats["updates_applied"] == 1600.0
         assert stats["late_dropped"] == 3.0
         assert stats["scan_fallbacks"] == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.query import MetricQuery, QueryEngine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import RingBuffer, TimeSeriesStore
 
@@ -203,18 +204,25 @@ class TestTimeSeriesStore:
         store.insert(self._key(node="a"), 1.0, 1.0)
         assert store.cardinality() == 2
 
+    # The store keeps rings, not query helpers: rates, downsamples and
+    # cross-series aggregates of its windows are the query engine's.
+
+    @staticmethod
+    def _engine(store):
+        return QueryEngine(store, enable_cache=False)
+
     def test_rate_on_counter(self):
         store = TimeSeriesStore()
         k = self._key()
         for t in range(11):
             store.insert(k, float(t), float(t) * 3)  # 3 units/s
-        assert store.rate(k, 0, 10) == pytest.approx(3.0)
+        assert self._engine(store).scalar("rate(m[10s])", at=10.0) == pytest.approx(3.0)
 
     def test_rate_insufficient_points(self):
         store = TimeSeriesStore()
         k = self._key()
         store.insert(k, 0.0, 1.0)
-        assert store.rate(k, 0, 10) is None
+        assert self._engine(store).scalar("rate(m[10s])", at=10.0) is None
 
     def test_rate_clamps_counter_reset(self):
         """A restart (counter drops) must not yield a negative rate."""
@@ -224,34 +232,36 @@ class TestTimeSeriesStore:
         for t, v in samples:
             store.insert(k, t, v)
         # increases: 100, then 10 (post-reset value), then 100 → 210 / 30 s
-        assert store.rate(k, 0, 30) == pytest.approx(7.0)
+        assert self._engine(store).scalar("rate(m[30s])", at=30.0) == pytest.approx(7.0)
 
     def test_rate_all_resets_still_nonnegative(self):
         store = TimeSeriesStore()
         k = self._key()
         for t, v in [(0.0, 50.0), (10.0, 40.0), (20.0, 30.0)]:
             store.insert(k, t, v)
-        assert store.rate(k, 0, 20) == pytest.approx((40.0 + 30.0) / 20.0)
+        got = self._engine(store).scalar("rate(m[20s])", at=20.0)
+        assert got == pytest.approx((40.0 + 30.0) / 20.0)
 
     def test_downsample_mean(self):
         store = TimeSeriesStore()
         k = self._key()
         for t in range(10):
             store.insert(k, float(t), float(t))
-        times, values = store.downsample(k, 0.0, 10.0, step=5.0, agg="mean")
-        np.testing.assert_array_equal(times, [0.0, 5.0])
-        np.testing.assert_array_equal(values, [2.0, 7.0])
+        series = self._engine(store).query("mean(m[10s] by 5s)", at=10.0).first()
+        np.testing.assert_array_equal(series.times, [0.0, 5.0])
+        np.testing.assert_array_equal(series.values, [2.0, 7.0])
 
     def test_downsample_drops_empty_bins(self):
         store = TimeSeriesStore()
         k = self._key()
         store.insert(k, 0.0, 1.0)
         store.insert(k, 20.0, 2.0)
-        times, _ = store.downsample(k, 0.0, 30.0, step=5.0)
-        np.testing.assert_array_equal(times, [0.0, 20.0])
+        series = self._engine(store).query("mean(m[30s] by 5s)", at=30.0).first()
+        np.testing.assert_array_equal(series.times, [0.0, 20.0])
 
     def test_downsample_matches_naive_loop_for_all_aggs(self):
-        """The vectorized path must agree with a per-bin reference loop."""
+        """The vectorized path must agree with a per-bin reference loop
+        over the bins of the absolute grid that overlap the window."""
         rng = np.random.default_rng(5)
         store = TimeSeriesStore()
         k = self._key()
@@ -270,57 +280,62 @@ class TestTimeSeriesStore:
             "p99": lambda a: float(np.percentile(a, 99)),
         }
         t0, t1, step = 13.0, 487.0, 37.0
-        w_times, w_values = store.query(k, t0, t1)
-        bins = np.floor((w_times - t0) / step).astype(np.int64)
+        grid_t0, grid_t1 = np.floor(t0 / step) * step, (np.floor(t1 / step) + 1) * step
+        inside = (times >= grid_t0) & (times < grid_t1)
+        w_times, w_values = times[inside], values[inside]
+        bins = np.floor(w_times / step).astype(np.int64)
+        engine = self._engine(store)
         for agg, fn in naive_fns.items():
-            got_t, got_v = store.downsample(k, t0, t1, step=step, agg=agg)
-            want_t = [t0 + b * step for b in np.unique(bins)]
+            q = MetricQuery("m", agg=agg, range_s=t1 - t0, step_s=step)
+            got = engine.query(q, at=t1).first()
+            want_t = [b * step for b in np.unique(bins)]
             want_v = [fn(w_values[bins == b]) for b in np.unique(bins)]
-            np.testing.assert_allclose(got_t, want_t, rtol=1e-12)
-            np.testing.assert_allclose(got_v, want_v, rtol=1e-12)
+            np.testing.assert_allclose(got.times, want_t, rtol=1e-12)
+            np.testing.assert_allclose(got.values, want_v, rtol=1e-12)
 
     def test_downsample_unknown_agg_raises(self):
-        store = TimeSeriesStore()
         with pytest.raises(ValueError, match="unknown aggregator"):
-            store.downsample(self._key(), 0, 1, 1.0, agg="median-ish")
+            MetricQuery("m", agg="median-ish", range_s=1.0, step_s=1.0)
 
     def test_downsample_nonpositive_step_raises(self):
-        store = TimeSeriesStore()
         with pytest.raises(ValueError, match="step"):
-            store.downsample(self._key(), 0, 1, 0.0)
+            MetricQuery("m", range_s=1.0, step_s=0.0)
 
     def test_stats(self):
         store = TimeSeriesStore()
         k = self._key()
         for t, v in enumerate([1.0, 2.0, 3.0, 4.0]):
             store.insert(k, float(t), v)
-        s = store.stats(k, 0, 3)
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0 and s.maximum == 4.0
+        engine = self._engine(store)
+        assert engine.scalar("count(m[3s])", at=3.0) == 4
+        assert engine.scalar("mean(m[3s])", at=3.0) == pytest.approx(2.5)
+        assert engine.scalar("min(m[3s])", at=3.0) == 1.0
+        assert engine.scalar("max(m[3s])", at=3.0) == 4.0
 
     def test_stats_empty(self):
-        store = TimeSeriesStore()
-        s = store.stats(self._key(), 0, 1)
-        assert s.count == 0
-        assert np.isnan(s.mean)
+        engine = self._engine(TimeSeriesStore())
+        assert engine.scalar("count(m[1s])", at=1.0) is None
+        assert not engine.query("mean(m[1s])", at=1.0).series
 
     def test_aggregate_across_series(self):
         store = TimeSeriesStore()
         store.insert(SeriesKey.of("power", node="a"), 0.0, 100.0)
         store.insert(SeriesKey.of("power", node="b"), 0.0, 300.0)
-        assert store.aggregate_across("power", 0, 1, "mean") == pytest.approx(200.0)
-        assert store.aggregate_across("power", 0, 1, "max") == pytest.approx(300.0)
-        assert store.aggregate_across("other", 0, 1) is None
+        engine = self._engine(store)
+        assert engine.scalar("mean(power[1s])", at=1.0) == pytest.approx(200.0)
+        assert engine.scalar("max(power[1s])", at=1.0) == pytest.approx(300.0)
+        assert engine.scalar("mean(other[1s])", at=1.0) is None
 
-    def test_aggregate_across_pools_in_first_write_order(self):
+    def test_aggregate_across_ties_resolve_in_key_order(self):
         """Ids interned up front (the columnar pipeline) and first
-        written in another order: the pooling follows the writes."""
+        written in another order: a ``last`` tie across series goes to
+        the last series in canonical key order, not in write order —
+        so the answer does not depend on how the store was filled."""
         store = TimeSeriesStore()
         a, b, c = (store.registry.id_for(SeriesKey.of("power", node=n)) for n in "abc")
         store.append_batch(np.array([c]), np.array([0.0]), np.array([3.0]))
         store.append_batch(np.array([b, a]), np.array([0.0, 0.0]), np.array([2.0, 1.0]))
-        assert store.aggregate_across("power", 0, 1, "last") == 2.0  # c, then a, b
+        assert self._engine(store).scalar("last(power[1s])", at=1.0) == 3.0
 
     def test_capacity_override(self):
         store = TimeSeriesStore(default_capacity=100)

@@ -161,7 +161,7 @@ def test_bench_shard_smoke_command(tmp_path, capsys):
 
     rows = json.loads(out_path.read_text())
     assert rows["query"]["bit_identical"] == 1.0
-    assert rows["query"]["match"] == 1.0
+    assert rows["query"]["standing_match"] == 1.0
     assert rows["ingest"]["match"] == 1.0
     assert rows["query"]["n_shards"] == 4.0
 

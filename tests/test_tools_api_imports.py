@@ -48,3 +48,23 @@ def test_forbidden_predicate():
     assert not checker._is_forbidden("repro.serve", ("TenantSpec",))
     # prefix match is dotted, not textual
     assert not checker._is_forbidden("repro.sharding", ())
+
+
+def test_query_and_telemetry_never_import_the_shard_layer(tmp_path):
+    """The layering rule has no grandfather list: one import of
+    ``repro.shard`` under ``repro/query`` or ``repro/telemetry`` — direct,
+    from the package root, or relative — fails the lint."""
+    checker = _load_checker()
+    query = tmp_path / "repro" / "query"
+    query.mkdir(parents=True)
+    (query / "fine.py").write_text("from repro.query.engine import QueryEngine\nfrom . import passes\n")
+    assert checker.main(tmp_path) == 0
+    for source in (
+        "from repro.shard import FederatedQueryEngine\n",
+        "import repro.shard.federated\n",
+        "from repro import shard\n",
+        "from ..shard.store import ShardedTimeSeriesStore\n",
+    ):
+        (query / "bad.py").write_text(source)
+        assert checker.main(tmp_path) == 1, source
+        assert [m for _, m in checker._layer_violations(query / "bad.py", "repro.query")]

@@ -17,6 +17,11 @@ warn — they predate the facade and migrate opportunistically.  Any NEW
 violation fails the lint (exit 1): new code starts on the public
 surface.
 
+A second rule keeps the layering one-way: nothing under
+``src/repro/query/`` or ``src/repro/telemetry/`` imports ``repro.shard``
+— the shard layer builds on the query engine and the store, never the
+reverse.  It has no grandfather list.
+
 Run from the repository root: ``python tools/check_api_imports.py``.
 """
 
@@ -44,13 +49,21 @@ GRANDFATHERED = {
     ("repro/experiments/obs_exp.py", "repro.query"),
     ("repro/experiments/obs_exp.py", "repro.query.standing"),
     ("repro/experiments/parallel_exp.py", "repro.shard"),
+    # the store's own downsample helper is gone; E1 and E10 time the
+    # engine's binned mean over a bare store, which no facade builds
+    ("repro/experiments/pipeline_exp.py", "repro.query.engine"),
     ("repro/experiments/query_exp.py", "repro.query.engine"),
     ("repro/experiments/shard_exp.py", "repro.query.engine"),
     ("repro/experiments/shard_exp.py", "repro.query.standing"),
     ("repro/experiments/shard_exp.py", "repro.shard"),
     ("repro/experiments/standing_exp.py", "repro.query"),
     ("repro/experiments/standing_exp.py", "repro.query.standing"),
+    ("repro/experiments/tsdb_exp.py", "repro.query.engine"),
 }
+
+#: packages (paths relative to src/) that must not import LOWER_FORBIDDEN
+LOWER_LAYERS = ("repro/query", "repro/telemetry")
+LOWER_FORBIDDEN = "repro.shard"
 
 
 def _is_forbidden(module: str, names: Tuple[str, ...]) -> bool:
@@ -75,12 +88,40 @@ def _violations(path: Path) -> Iterator[Tuple[int, str]]:
                 yield node.lineno, node.module
 
 
-def main() -> int:
-    src = Path(__file__).resolve().parent.parent / "src"
+def _layer_violations(path: Path, package: str) -> Iterator[Tuple[int, str]]:
+    """Imports of :data:`LOWER_FORBIDDEN` in ``path`` (a module of
+    ``package``), relative ones resolved, ``from X import name``
+    counting as an import of ``X.name`` too."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            parts = parts[: len(parts) + 1 - node.level] if node.level else []
+            base = ".".join(parts + ([node.module] if node.module else []))
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module == LOWER_FORBIDDEN or module.startswith(LOWER_FORBIDDEN + "."):
+                yield node.lineno, module
+                break
+
+
+def main(src: Path = Path(__file__).resolve().parent.parent / "src") -> int:
     targets: List[Path] = [src / "repro" / "cli.py"]
     targets += sorted((src / "repro" / "experiments").glob("*.py"))
     warned = failed = 0
-    for path in targets:
+    for layer in LOWER_LAYERS:
+        for path in sorted((src / layer).rglob("*.py")):
+            package = path.parent.relative_to(src).as_posix().replace("/", ".")
+            for lineno, module in _layer_violations(path, package):
+                failed += 1
+                print(f"error: {path.relative_to(src).as_posix()}:{lineno}: imports "
+                      f"{module} — {layer.replace('/', '.')} sits below the shard layer",
+                      file=sys.stderr)
+    for path in (p for p in targets if p.exists()):
         rel = path.relative_to(src).as_posix()
         for lineno, module in _violations(path):
             if (rel, module) in GRANDFATHERED:
