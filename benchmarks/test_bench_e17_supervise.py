@@ -10,17 +10,18 @@ the fleet.  Two claims, one 256-instance fleet:
   ``loop_staleness_s`` to within 2× of the healthy baseline, while the
   unsupervised control degrades beyond it; every injected fault is
   repaired by an audited, deterministic restart.
-* **Adaptive fusion** — with query fusion disabled and no manual
-  ``fuse`` flags, the fusion supervisor discovers the fusible load from
-  the hub's tick-sharing statistics and recovers ≥2× of the E15
-  fused-monitoring win with identical analyzer verdicts.
+* **Shared serving without a supervisor** — the watch fleet through the
+  hub, which decides inline at every tick that its narrow reads share
+  one widened shape, costs ≥2× less Monitor time than the same fleet
+  over the uncached engine (the never-shared control), with identical
+  analyzer verdicts.
 """
 
 from conftest import run_once
 
 from repro.experiments.report import render_table
 from repro.experiments.supervise_exp import (
-    run_adaptive_fusion_benchmark,
+    run_shared_serving_benchmark,
     run_supervision_benchmark,
 )
 
@@ -41,10 +42,9 @@ def test_supervision_restores_fleet_staleness(benchmark):
 
 
 def test_adaptive_fusion_2x_without_manual_flags(benchmark):
-    row = run_once(benchmark, run_adaptive_fusion_benchmark, seed=0, n_loops=256, ticks=20)
+    row = run_once(benchmark, run_shared_serving_benchmark, seed=0, n_loops=256, ticks=20)
     print()
-    print(render_table([row], title="E17b — adaptive fusion vs never-fused monitoring"))
+    print(render_table([row], title="E17b — shared hub serving vs the uncached engine"))
     assert row["match"] == 1.0  # identical verdicts
-    assert row["overrides"] >= 1.0  # the supervisor flipped a shape
     assert row["fused_served"] > 0.0
     assert row["monitor_speedup"] >= 2.0

@@ -17,8 +17,8 @@ stable import path::
 Every read goes through the front door, so external traffic always gets
 admission control, deadline handling, the typed
 :class:`~repro.serve.QueryRequest`/:class:`~repro.serve.QueryResult`
-boundary, and the serving fast paths (hot-result cache, standing
-engine).  The raw engine stays reachable as :attr:`Client.engine` for
+boundary, and the serving fast paths (the engine's result cache, the
+standing engine).  The raw engine stays reachable as :attr:`Client.engine` for
 code that needs engine-level semantics (loop wiring, property tests) —
 that is an intentional escape hatch, not the public path.
 

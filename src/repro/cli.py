@@ -35,8 +35,8 @@
   the meta-loop supervisors and print the healing timeline (healthy →
   degraded → restored staleness, audited restarts).
 * ``bench-supervise`` — run the E17 fleet-supervision benchmark
-  (self-healing staleness restoration + adaptive fusion vs never-fused
-  monitoring), optionally writing a JSON artifact.
+  (self-healing staleness restoration + shared hub serving vs the
+  uncached engine), optionally writing a JSON artifact.
 * ``bench-parallel`` — run the E18 process-parallel shard benchmark
   (worker-pool scatter speedup, shared-memory layout overhead, and the
   E15/E17 fleet reruns on the parallel engine), optionally writing a
@@ -489,8 +489,8 @@ def cmd_bench_supervise(
 ) -> int:
     """Run the E17 supervision benchmark and print (optionally dump) rows.
 
-    ``--smoke`` shrinks the fleet and skips the perf gate on adaptive
-    fusion (exactness and healing are still asserted) — the CI wiring
+    ``--smoke`` shrinks the fleet and skips the perf gate on shared
+    serving (exactness and healing are still asserted) — the CI wiring
     check, fast enough for every push.
     """
     import json
@@ -498,37 +498,37 @@ def cmd_bench_supervise(
     from repro.experiments.provenance import stamp
     from repro.experiments.report import render_table
     from repro.experiments.supervise_exp import (
-        run_adaptive_fusion_benchmark,
+        run_shared_serving_benchmark,
         run_supervision_benchmark,
     )
 
     if smoke:
         n_loops, ticks = min(n_loops, 64), min(ticks, 12)
     heal = run_supervision_benchmark(seed=0, n_loops=n_loops)
-    fusion = run_adaptive_fusion_benchmark(seed=0, n_loops=n_loops, ticks=ticks)
+    shared = run_shared_serving_benchmark(seed=0, n_loops=n_loops, ticks=ticks)
     print(render_table([heal], title="E17 — supervised vs unsupervised fleet under faults"))
-    print(render_table([fusion], title="E17b — adaptive fusion vs never-fused monitoring"))
+    print(render_table([shared], title="E17b — shared hub serving vs the uncached engine"))
     if heal["restores_within_2x"] != 1.0 or heal["control_degrades"] != 1.0:
         print("ERROR: supervision did not restore fleet staleness within bound",
               file=sys.stderr)
         return 1
-    if fusion["match"] != 1.0:
-        print("ERROR: adaptive and unfused fleets disagreed on analyzer verdicts",
+    if shared["match"] != 1.0:
+        print("ERROR: shared and direct fleets disagreed on analyzer verdicts",
               file=sys.stderr)
         return 1
-    if not smoke and fusion["monitor_speedup"] < 2.0:
-        print("ERROR: adaptive fusion below the 2x gate", file=sys.stderr)
+    if not smoke and shared["monitor_speedup"] < 2.0:
+        print("ERROR: shared serving below the 2x gate", file=sys.stderr)
         return 1
     print(
         f"healing: p95 staleness {heal['healthy_p95_s']:.1f}s healthy -> "
         f"{heal['unsupervised_p95_s']:.1f}s unsupervised vs "
         f"{heal['supervised_p95_s']:.1f}s supervised "
         f"({heal['restarts']:.0f} audited restarts); "
-        f"adaptive fusion {fusion['monitor_speedup']:.2f}x over unfused"
+        f"shared serving {shared['monitor_speedup']:.2f}x over direct"
     )
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(stamp({"heal": heal, "fusion": fusion}), fh, indent=2, sort_keys=True)
+            json.dump(stamp({"heal": heal, "shared": shared}), fh, indent=2, sort_keys=True)
         print(f"wrote {json_path}")
     return 0
 
@@ -1125,10 +1125,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     sup.add_argument("--seed", type=int, default=0)
     bsup = sub.add_parser("bench-supervise", help="run the E17 fleet-supervision benchmark")
     bsup.add_argument("--loops", dest="n_loops", type=int, default=256)
-    bsup.add_argument("--ticks", type=int, default=20, help="adaptive-fusion fleet ticks")
+    bsup.add_argument("--ticks", type=int, default=20, help="shared-serving fleet ticks")
     bsup.add_argument("--json", dest="json_path", default=None, help="write rows as JSON")
     bsup.add_argument("--smoke", action="store_true",
-                      help="small run without the fusion perf gate (CI wiring check)")
+                      help="small run without the shared-serving perf gate (CI wiring check)")
     bpar = sub.add_parser("bench-parallel", help="run the E18 process-parallel benchmark")
     bpar.add_argument("--series", type=int, default=4096)
     bpar.add_argument("--shards", type=int, default=8)

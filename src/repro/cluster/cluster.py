@@ -293,14 +293,14 @@ class Cluster:
             )
         return self.runtime
 
-    def attach_supervisors(self, config=None, *, kinds=("health", "tuning", "fusion")):
+    def attach_supervisors(self, config=None, *, kinds=("health", "tuning")):
         """Attach the meta-loop supervisor family to this cluster's runtime.
 
         Builds the shared :meth:`loop_runtime` if needed, then hosts the
         fleet-supervision loops (see :mod:`repro.core.supervisor`) on
         it: every case loop attached to this cluster becomes a patient
-        of heartbeat/staleness healing, veto-storm quarantine, period
-        retuning, and adaptive query fusion.
+        of heartbeat/staleness healing, veto-storm quarantine and period
+        retuning.
         """
         from repro.core.supervisor import attach_supervisors
 

@@ -59,8 +59,8 @@ ADVISORY_KINDS = frozenset({"notify_user"})
 
 #: Default domain of each built-in action kind; unknown kinds fall back
 #: to the generic ``"target"`` domain so they still collide on equal
-#: target strings.  The ``loop`` and ``hub`` domains are the fleet
-#: itself: supervision actions contend like any other actuation.
+#: target strings.  The ``loop`` domain is the fleet itself:
+#: supervision actions contend like any other actuation.
 KIND_DOMAINS: Dict[str, str] = {
     "request_extension": "job",
     "signal_checkpoint": "job",
@@ -72,7 +72,6 @@ KIND_DOMAINS: Dict[str, str] = {
     "quarantine_loop": "loop",
     "unquarantine_loop": "loop",
     "retune_loop": "loop",
-    "set_fuse": "hub",
 }
 
 

@@ -12,10 +12,16 @@ trust controls.  This module is that control plane:
   Analyze/Plan/Execute components, guards, and phase latencies.
 * :class:`QueryHub` — the shared Monitor-phase serving layer: every
   loop's reads go through one vectorized
-  :class:`~repro.query.engine.QueryEngine` + :class:`QueryCache`, and
-  structurally compatible selections are **fused** (see
-  :mod:`repro.query.fuse`) so a fleet of N per-partition loops costs one
-  widened query execution per tick instead of N ad-hoc store scans.
+  :class:`~repro.query.engine.QueryEngine` and its epoch-keyed
+  :class:`QueryCache`.  Whether a read is shared is decided inline: once
+  two different narrow selections of one widened shape (see
+  :mod:`repro.query.fuse`) are read at the same tick, the rest of the
+  tick is served from one cached widened execution, so a fleet of N
+  per-partition loops costs two executions per tick instead of N
+  ad-hoc store scans; with standing queries on, the standing engine's
+  promotion rule turns such a shape into incrementally maintained state.
+  There is no fusion flag and no tuning loop — a lone reader is never
+  widened.
 * :class:`LoopRuntime` — instantiates specs into
   :class:`~repro.core.loop.MAPEKLoop` instances, multiplexes them on the
   simulation engine with priority ordering (higher-priority loops run
@@ -47,7 +53,7 @@ from repro.obs.flight import FLIGHT
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.query.cache import QueryCache
-from repro.query.engine import QueryEngine, QueryResult
+from repro.query.engine import QueryEngine, QueryResult, _Memo
 from repro.query.fuse import fusable, widen
 from repro.query.model import MetricQuery
 from repro.query.standing import StandingQueryEngine
@@ -73,225 +79,101 @@ __all__ = [
 class QueryHub:
     """One query front-end shared by every loop the runtime hosts.
 
-    Wraps a :class:`QueryEngine` with query fusion: a fusable narrow
-    query (matchers ⊆ group_by — see :mod:`repro.query.fuse`) is served
-    by executing its widened form once and filtering the output series.
-    Because the engine's cache is version-keyed on per-metric write
-    epochs, every other loop issuing a compatible selection in the same
-    tick hits the cached widened result — the fused query pass.
+    Every sharing decision is made inline, from what the hub sees at one
+    evaluation time, for a *fusable* narrow query (matchers ⊆ group_by —
+    see :mod:`repro.query.fuse`) and its widened shape:
+
+    * once a *different* narrow query of the same shape was read at this
+      ``at``, the read is shared: it is answered by narrowing the widened
+      result, which the engine executes once and caches for the tick's
+      later readers (version-keyed on the write epoch).  A first or lone
+      reader executes directly — an unshared widened execution would
+      cost a full-metric pass for a narrow answer — and so does every
+      read of an uncached engine, where widening would never be shared;
+    * with a :class:`~repro.query.standing.StandingQueryEngine`, shared
+      reads also go to it, and its one promotion rule decides when the
+      shape is hot enough to maintain incrementally; from then on every
+      read of the shape is served from standing state.
 
     The hub exposes the same read surface monitors already use
     (``query`` / ``scalar`` / ``samples`` / ``parse`` / ``store``), so
     existing telemetry-backed monitors run through it unchanged.
     """
 
-    def __init__(self, engine: QueryEngine, *, fuse: bool = True, standing=None) -> None:
+    def __init__(self, engine: QueryEngine, *, standing=None) -> None:
         self.engine = engine
         self.store = engine.store
-        self.fuse = fuse
-        #: optional StandingQueryEngine: registered hot shapes answer
-        #: from incrementally-maintained state instead of a widened scan
         self.standing = standing
         self.fused_served = 0
         self.direct_served = 0
         self.standing_served = 0
-        #: narrow-selection memo: query → (series generation, admissible
-        #: output-series labels).  Regex matchers are evaluated once per
-        #: generation; per-tick narrowing is pure set membership.
-        self._narrow_cache: Dict[MetricQuery, Tuple[int, frozenset]] = {}
-        #: per-widened-result label index (see :meth:`_narrow`); keyed by
-        #: object identity with the result kept referenced so ids stay
-        #: valid, bounded by reset — a tick touches only a few shapes
-        self._wide_index: Dict[int, Tuple[QueryResult, Dict]] = {}
-        #: adaptive fusion: per widened-shape fuse overrides (set by the
-        #: fusion supervisor — see :mod:`repro.core.supervisor`), and
-        #: tick-sharing statistics that justify them.  Sharing is
-        #: observed for every fusable read, fused or not, so a hub
-        #: running unfused still *measures* the fusible load.
-        self.fuse_overrides: Dict[MetricQuery, bool] = {}
-        self._shape_stats: Dict[MetricQuery, Dict[str, object]] = {}
+        #: the evaluation time being read, and per widened shape the
+        #: first narrow query read at it (``None`` once another was)
         self._tick_at: Optional[float] = None
-        self._tick_shapes: Dict[MetricQuery, set] = {}
+        self._tick_reads: Dict[MetricQuery, Optional[MetricQuery]] = {}
+        #: widened shape -> (its latest result's series, label -> position)
+        self._widened = _Memo()
 
     def parse(self, expr: str) -> MetricQuery:
         return self.engine.parse(expr)
 
-    def query(
-        self, q: Union[str, MetricQuery], *, at: float, fuse: Optional[bool] = None
-    ) -> QueryResult:
-        """Evaluate ``q``; ``fuse`` overrides the hub default per call.
-
-        Fusion pays when many loops issue compatible selections at the
-        *same* tick (the widened result is computed once and shared);
-        loops with per-instance phases (e.g. one loop per job, each
-        aligned to its job's start) should pass ``fuse=False`` — an
-        unshared widened execution costs a full-metric pass for a
-        single-series answer.  When neither the call nor the monitor
-        pins ``fuse``, a per-shape override learned from tick-sharing
-        statistics wins over the hub default — adaptive fusion.
-        """
+    def query(self, q: Union[str, MetricQuery], *, at: float) -> QueryResult:
+        """Evaluate ``q`` at ``at``, sharing the read when the tick does."""
         if isinstance(q, str):
             q = self.engine.parse(q)
         if TRACER.enabled:
             with TRACER.span("hub.query", metric=q.metric):
-                return self._query(q, at, fuse)
-        return self._query(q, at, fuse)
+                return self._query(q, at)
+        return self._query(q, at)
 
-    def _query(
-        self, q: MetricQuery, at: float, fuse: Optional[bool]
-    ) -> QueryResult:
-        # fusion's economics depend on the widened result being cached and
-        # shared; without a cache it would degrade every narrow read into
-        # its own full-metric pass, so an uncached engine never fuses
+    def _query(self, q: MetricQuery, at: float) -> QueryResult:
         if fusable(q):
             shape = widen(q)
-            self._observe_sharing(shape, q, at)
-            if self.standing is not None:
-                wide = self._standing_read(shape, at)
+            shared = self._shared(shape, q, at)
+            standing = self.standing
+            if standing is not None and (shared or shape in standing.shapes):
+                wide = standing.query(shape, at=at)
                 if wide is not None:
                     self.standing_served += 1
-                    return self._narrow(q, wide)
-            if fuse is None:
-                fuse = self.fuse_overrides.get(shape)
-            effective = (self.fuse if fuse is None else fuse) and self.engine.cache is not None
-            if effective:
+                    return self._narrow(q, shape, wide)
+            if shared and self.engine.cache is not None:
                 self.fused_served += 1
-                wide = self.engine.query(shape, at=at)
-                return self._narrow(q, wide)
+                return self._narrow(q, shape, self.engine.query(shape, at=at))
         self.direct_served += 1
         return self.engine.query(q, at=at)
 
-    #: auto-registration thresholds for standing queries: a shape whose
-    #: widened execution is shared by this many narrow readers per tick,
-    #: for this many completed ticks, is hot enough that maintaining it
-    #: incrementally beats re-scanning its window every tick
-    STANDING_MIN_SHARING = 2.0
-    STANDING_MIN_TICKS = 2.0
-
-    def _standing_read(self, shape: MetricQuery, at: float):
-        """Serve a fused shape from standing state when it is registered
-        (or hot enough to auto-register); ``None`` -> batch path."""
-        st = self.standing
-        if shape not in st.shapes and not self._auto_register(shape):
-            return None
-        return st.query(shape, at=at)
-
-    def _auto_register(self, shape: MetricQuery) -> bool:
-        st = self.standing
-        if not st.eligible(shape):
-            return False
-        row = self._shape_stats.get(shape)
-        if row is None or row["ticks"] < self.STANDING_MIN_TICKS:
-            return False
-        recent = row["recent"]
-        mean_narrow = sum(recent) / len(recent) if recent else 0.0
-        if mean_narrow < self.STANDING_MIN_SHARING:
-            return False
-        return st.register(shape)
-
-    #: sharing window: ticks of per-shape history kept for the mean —
-    #: long enough to smooth a burst, short enough that a sharing
-    #: collapse shows up within tens of ticks (stale overrides clear)
-    SHARING_WINDOW_TICKS = 32
-
-    # ------------------------------------------------------ adaptive fusion
-    def _observe_sharing(self, shape: MetricQuery, q: MetricQuery, at: float) -> None:
-        """Track how many distinct narrow queries share a shape per tick.
-
-        A "tick" is one exact evaluation time: the widened result is
-        cached per ``at``, so only queries arriving at the same instant
-        can share it.  Loops spread by phase jitter therefore measure —
-        correctly — as unshared: their load is genuinely not fusible,
-        and adaptive fusion leaves them alone.
-        """
-        if self._tick_at is None or at != self._tick_at:
-            self._fold_tick()
+    def _shared(self, shape: MetricQuery, q: MetricQuery, at: float) -> bool:
+        """Whether a narrow query of ``shape`` other than ``q`` was
+        already read at ``at``.  Only reads at the same instant can share
+        a widened result (the cache keys it per ``at``), so loops spread
+        by phase jitter read alone — their load is not fusible."""
+        if at != self._tick_at:
             self._tick_at = at
-        self._tick_shapes.setdefault(shape, set()).add(q)
+            self._tick_reads.clear()
+        first = self._tick_reads.setdefault(shape, q)
+        if first is None:
+            return True
+        if first == q:
+            return False
+        self._tick_reads[shape] = None
+        return True
 
-    def _fold_tick(self) -> None:
-        for shape, narrows in self._tick_shapes.items():
-            row = self._shape_stats.setdefault(
-                shape, {"ticks": 0.0, "recent": [], "max_narrow": 0.0}
-            )
-            row["ticks"] += 1.0
-            recent = row["recent"]
-            recent.append(float(len(narrows)))
-            if len(recent) > self.SHARING_WINDOW_TICKS:
-                del recent[: len(recent) - self.SHARING_WINDOW_TICKS]
-            row["max_narrow"] = max(row["max_narrow"], float(len(narrows)))
-        self._tick_shapes.clear()
+    def _narrow(self, q: MetricQuery, shape: MetricQuery, wide: QueryResult) -> QueryResult:
+        """Select ``q``'s series from the widened result by group label.
 
-    def sharing_stats(self) -> Dict[MetricQuery, Dict[str, float]]:
-        """Per-shape tick-sharing statistics (completed ticks only).
-
-        ``mean_narrow`` is the mean number of *distinct* narrow queries
-        that asked for the shape per tick over the recent window
-        (:data:`SHARING_WINDOW_TICKS`) — the fan-in a single widened
-        execution would serve, tracking the *current* load rather than
-        lifetime history so a sharing collapse surfaces promptly.
-        ``fused`` is the shape's current effective default (override or
-        hub default).
+        Equivalent to :func:`repro.query.fuse.narrow_result`, with the
+        matchers evaluated once per series generation — ``q``'s groups
+        are the labels of its memoised engine plan — and the widened
+        result indexed once, so every loop narrowing the same tick's
+        result pays O(its own series), not O(fleet series).  Cache hits
+        rebuild the result wrapper but share its series tuple.
         """
-        out: Dict[MetricQuery, Dict[str, float]] = {}
-        for shape, row in self._shape_stats.items():
-            recent = row["recent"]
-            out[shape] = {
-                "ticks": row["ticks"],
-                "mean_narrow": sum(recent) / len(recent) if recent else 0.0,
-                "max_narrow": row["max_narrow"],
-                "fused": 1.0 if self.fuse_overrides.get(shape, self.fuse) else 0.0,
-            }
-        return out
-
-    def set_fuse_override(self, shape: Union[str, MetricQuery], on: Optional[bool]) -> None:
-        """Pin (or with ``None`` clear) the fuse decision for one shape.
-
-        ``shape`` is widened before keying, so passing any narrow query
-        of the family is equivalent to passing the shape itself.
-        """
-        if isinstance(shape, str):
-            shape = self.engine.parse(shape)
-        shape = widen(shape) if shape.matchers else shape
-        if on is None:
-            self.fuse_overrides.pop(shape, None)
-        else:
-            self.fuse_overrides[shape] = bool(on)
-
-    def _narrow(self, q: MetricQuery, wide: QueryResult) -> QueryResult:
-        """Select ``q``'s series from the widened result by membership.
-
-        Equivalent to :func:`repro.query.fuse.narrow_result` but with the
-        matcher evaluation hoisted out of the per-tick path: the set of
-        admissible output-series labels only changes when a new series
-        of the metric appears (tracked by the store's generation).
-        """
-        gen = self.store.series_generation(q.metric)
-        hit = self._narrow_cache.get(q)
-        if hit is None or hit[0] != gen:
-            allowed = frozenset(q.group_key(key) for key in self.engine.select(q))
-            if len(self._narrow_cache) > 4096:  # unbounded query shapes: reset
-                self._narrow_cache.clear()
-            self._narrow_cache[q] = (gen, allowed)
-        else:
-            allowed = hit[1]
-        # index the widened result once per series tuple: every loop
-        # narrowing the same tick's wide result then pays O(its own
-        # series), not O(fleet series).  Keyed on the *series* identity —
-        # cache hits rebuild the QueryResult wrapper but share the tuple
-        entry = self._wide_index.get(id(wide.series))
-        if entry is None:
-            if len(self._wide_index) > 16:
-                self._wide_index.clear()
-            index = {s.labels: i for i, s in enumerate(wide.series)}
-            self._wide_index[id(wide.series)] = (wide.series, index)
-        else:
-            index = entry[1]
-        if len(allowed) < len(wide.series):
-            pos = sorted(index[lab] for lab in allowed if lab in index)
-            kept = tuple(wide.series[i] for i in pos)
-        else:
-            kept = tuple(s for s in wide.series if s.labels in allowed)
+        series = wide.series
+        entry = self._widened.get(shape)
+        if entry is None or entry[0] is not series:
+            entry = self._widened.put(shape, (series, {s.labels: i for i, s in enumerate(series)}))
+        index = entry[1]
+        kept = tuple(series[index[lab]] for lab in self.engine.plan(q).labels if lab in index)
         return QueryResult(q, wide.t0, wide.t1, kept, source=f"fused+{wide.source}")
 
     def scalar(self, q: Union[str, MetricQuery], *, at: float) -> Optional[float]:
@@ -307,8 +189,6 @@ class QueryHub:
             "fused_served": float(self.fused_served),
             "direct_served": float(self.direct_served),
             "standing_served": float(self.standing_served),
-            "fuse_overrides": float(len(self.fuse_overrides)),
-            "shapes_tracked": float(len(self._shape_stats)),
         }
         if self.standing is not None:
             out.update({f"standing_{k}": v for k, v in self.standing.stats().items()})
@@ -324,18 +204,15 @@ class QueryHub:
 class MonitorQuery:
     """One named read in a spec's Monitor phase.
 
-    ``mode="query"`` evaluates through the hub (fused + cached);
+    ``mode="query"`` evaluates through the hub (shared + cached);
     ``mode="samples"`` extracts raw points with cursor semantics — each
     observation sees only samples newer than the previous one (marker
-    streams, transfer logs).  ``fuse`` overrides the hub's fusion
-    default for this read (``False`` for per-instance-phased loops whose
-    widened results would never be shared).
+    streams, transfer logs).
     """
 
     slot: str
     query: Union[str, MetricQuery]
     mode: str = "query"
-    fuse: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("query", "samples"):
@@ -374,7 +251,6 @@ class QueryMonitor(Monitor):
                 mq.slot,
                 hub.parse(mq.query) if isinstance(mq.query, str) else mq.query,
                 mq.mode,
-                mq.fuse,
             )
             for mq in queries
         ]
@@ -395,7 +271,7 @@ class QueryMonitor(Monitor):
                     advanced[mq.slot] = float(times[-1])
                 inputs[mq.slot] = (times, values)
             else:
-                inputs[mq.slot] = self.hub.query(mq.query, at=now, fuse=mq.fuse)
+                inputs[mq.slot] = self.hub.query(mq.query, at=now)
         observation = self.build(now, inputs)
         if observation is not None:
             # commit cursors only for delivered observations — a builder
@@ -458,9 +334,8 @@ class LoopSpec:
 class RuntimeConfig:
     """Control-plane knobs shared by every hosted loop."""
 
-    fuse_queries: bool = True
     enable_cache: bool = True
-    #: maintain hot fused shapes as standing queries: O(new samples)
+    #: maintain hot shared shapes as standing queries: O(new samples)
     #: incremental updates on commit instead of per-tick window scans
     #: (see :mod:`repro.query.standing`).  Opt-in: cold/ad-hoc queries
     #: still take the batch path either way.
@@ -591,7 +466,7 @@ class LoopRuntime:
         standing = None
         if self.config.standing_queries:
             standing = StandingQueryEngine(query_engine)
-        self.hub = QueryHub(query_engine, fuse=self.config.fuse_queries, standing=standing)
+        self.hub = QueryHub(query_engine, standing=standing)
         self.audit = audit
         self.arbiter = arbiter if arbiter is not None else PlanArbiter(audit=audit)
         self.handles: Dict[str, LoopHandle] = {}

@@ -21,16 +21,15 @@ the fleet itself:
   loop periods: expensive loops are slowed down (load shedding),
   previously slowed loops are sped back up toward their spec period
   when the pressure clears.
-* **fusion** — the :class:`~repro.core.runtime.QueryHub` records, for
-  every fusable read, how many distinct narrow queries shared the same
-  widened shape per tick; when that fan-in shows fusible load the
-  supervisor flips the shape's fuse override on (adaptive fusion) — no
-  manual ``fuse`` flags required — and clears overrides whose sharing
-  evaporated.
+
+Whether loops share their reads is not supervised: the
+:class:`~repro.core.runtime.QueryHub` decides it inline at every tick,
+and the standing engine's one promotion rule decides what becomes a
+standing query (:mod:`repro.core.runtime`).
 
 Supervisor actions are ordinary :class:`~repro.core.types.Action`
-records (``restart_loop``, ``quarantine_loop``, ``retune_loop``,
-``set_fuse``) that pass through the loop's guard chain and the shared
+records (``restart_loop``, ``quarantine_loop``, ``retune_loop``) that
+pass through the loop's guard chain and the shared
 :class:`~repro.core.arbiter.PlanArbiter` like any other actuation —
 supervision is arbitrated and audited, not privileged.
 """
@@ -40,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.component import Analyzer, Executor, Monitor, Planner
+from repro.core.component import Analyzer, Executor, Planner
 from repro.core.knowledge import KnowledgeBase
 from repro.core.runtime import LoopHandle, LoopRuntime, LoopSpec, MonitorQuery
 from repro.obs.metrics import METRICS
@@ -60,7 +59,6 @@ __all__ = [
     "SUPERVISOR_PRIORITY",
     "FleetExecutor",
     "attach_supervisors",
-    "fusion_supervisor_spec",
     "health_supervisor_spec",
     "tuning_supervisor_spec",
 ]
@@ -99,11 +97,6 @@ class SupervisorConfig:
     #: never slow a loop beyond ``base_period * max_period_factor``
     max_period_factor: float = 8.0
     retune_cooldown_s: float = 240.0
-    # --- fusion: adaptive per-shape fuse flipping
-    #: distinct narrow queries per tick that justify fusing a shape
-    fuse_min_sharing: float = 4.0
-    #: ticks of evidence before flipping
-    fuse_min_ticks: float = 3.0
 
     def __post_init__(self) -> None:
         if self.period_s <= 0 or self.window_s <= 0:
@@ -154,7 +147,7 @@ class FleetExecutor(Executor):
     """Executes supervision actions against the hosting runtime.
 
     The managed system of a meta-loop *is* the fleet: restarts,
-    quarantines, retunes, and fuse flips all go through the runtime's
+    quarantines and retunes all go through the runtime's
     audited fleet operations.  Unknown targets are refused, not raised —
     a supervisor acting on a stale roster must degrade gracefully.
     """
@@ -200,13 +193,6 @@ class FleetExecutor(Executor):
             period = action.param("period_s")
             runtime.retune(name, period_s=period, by=self.by, reason=action.rationale)
             return f"period -> {period:g}s"
-        if action.kind == "set_fuse":
-            # on=1 pins fusion; on=0 clears the override back to the hub
-            # default — the inverse of an adaptive flip is "stop insisting",
-            # not "pin the opposite"
-            on = bool(action.param("on"))
-            runtime.hub.set_fuse_override(name, True if on else None)
-            return f"fuse[{name}] -> {'on' if on else 'default'}"
         raise ValueError(f"unknown fleet action kind {action.kind!r}")
 
 
@@ -524,122 +510,12 @@ def tuning_supervisor_spec(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive-fusion supervisor
-
-
-class FusionMonitor(Monitor):
-    """Observes the hub's per-shape tick-sharing statistics.
-
-    The hub is itself control-plane state, so this monitor reads it
-    directly rather than through the store — the one supervisor whose
-    subject is the serving layer instead of the loops.
-    """
-
-    name = "fusion-monitor"
-
-    def __init__(self, runtime: LoopRuntime, name: str) -> None:
-        self.runtime = runtime
-        self.source = name
-
-    def observe(self, now: float) -> Optional[Observation]:
-        hub = self.runtime.hub
-        values: Dict[str, float] = {}
-        shapes: Dict[str, Dict[str, float]] = {}
-        stats = hub.sharing_stats()
-        for shape in sorted(stats, key=lambda s: s.to_expr()):
-            row = stats[shape]
-            expr = shape.to_expr()
-            values[f"sharing:{expr}"] = row["mean_narrow"]
-            shapes[expr] = {
-                "ticks": row["ticks"],
-                "fused": row["fused"],
-                "override": float(hub.fuse_overrides.get(shape, -1.0)),
-            }
-        return Observation(now, self.source, values=values, context={"shapes": shapes})
-
-
-class FusionAnalyzer(Analyzer):
-    """Finds shapes whose measured fan-in justifies flipping fusion."""
-
-    name = "fusion-analyzer"
-
-    def __init__(self, config: SupervisorConfig) -> None:
-        self.config = config
-
-    def analyze(self, observation: Observation, knowledge: KnowledgeBase) -> AnalysisReport:
-        cfg = self.config
-        shapes: Dict[str, Dict[str, float]] = observation.context["shapes"]
-        symptoms: List[Symptom] = []
-        for expr in sorted(shapes):
-            info = shapes[expr]
-            sharing = observation.values.get(f"sharing:{expr}", 0.0)
-            if info["ticks"] < cfg.fuse_min_ticks:
-                continue
-            if not info["fused"] and sharing >= cfg.fuse_min_sharing:
-                symptoms.append(
-                    Symptom(
-                        f"fusible:{expr}",
-                        min(1.0, sharing / (4.0 * cfg.fuse_min_sharing)),
-                        evidence=f"{sharing:.1f} narrow queries/tick share this shape",
-                    )
-                )
-            elif info["override"] == 1.0 and sharing < 2.0:
-                symptoms.append(
-                    Symptom(
-                        f"unfusible:{expr}",
-                        0.5,
-                        evidence=f"sharing fell to {sharing:.1f}/tick",
-                    )
-                )
-        return AnalysisReport(observation.time, self.name, tuple(symptoms))
-
-
-class FusionPlanner(Planner):
-    """fusible → set_fuse on; unfusible → clear back to hub default."""
-
-    name = "fusion-planner"
-
-    def plan(self, report: AnalysisReport, knowledge: KnowledgeBase) -> Plan:
-        actions: List[Action] = []
-        for symptom in sorted(report.symptoms, key=lambda s: s.name):
-            cause, _, expr = symptom.name.partition(":")
-            on = 1.0 if cause == "fusible" else 0.0
-            actions.append(
-                Action("set_fuse", expr, params={"on": on}, rationale=symptom.evidence)
-            )
-        return Plan(
-            report.time,
-            self.name,
-            tuple(actions),
-            rationale=f"{len(actions)} fusion flip(s)" if actions else "",
-        )
-
-
-def fusion_supervisor_spec(
-    runtime: LoopRuntime, config: Optional[SupervisorConfig] = None, *, name: str = "meta-fusion"
-) -> MetaLoopSpec:
-    """The adaptive-fusion supervisor over hub tick-sharing statistics."""
-    cfg = config if config is not None else SupervisorConfig()
-    return MetaLoopSpec(
-        name=name,
-        meta_kind="fusion",
-        monitor_factory=lambda rt: FusionMonitor(rt, name),
-        analyzer_factory=lambda: FusionAnalyzer(cfg),
-        planner_factory=FusionPlanner,
-        executor_factory=lambda: FleetExecutor(runtime, by=name),
-        period_s=cfg.period_s,
-        priority=cfg.priority,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Wiring
 
 
 _SPEC_BUILDERS = {
     "health": health_supervisor_spec,
     "tuning": tuning_supervisor_spec,
-    "fusion": fusion_supervisor_spec,
 }
 
 
@@ -647,13 +523,20 @@ def attach_supervisors(
     runtime: LoopRuntime,
     config: Optional[SupervisorConfig] = None,
     *,
-    kinds: Sequence[str] = ("health", "tuning", "fusion"),
+    kinds: Sequence[str] = ("health", "tuning"),
     start: bool = True,
 ) -> List[LoopHandle]:
-    """Register (and by default start) the supervisor family on a runtime."""
+    """Register (and by default start) the supervisor family on a runtime.
+
+    ``"fusion"`` is accepted and attaches nothing: the hub now decides
+    fusion inline, and benchmark scripts written for the former fusion
+    supervisor still name it.
+    """
     cfg = config if config is not None else SupervisorConfig()
     handles = []
     for kind in kinds:
+        if kind == "fusion":
+            continue
         try:
             builder = _SPEC_BUILDERS[kind]
         except KeyError:

@@ -6,8 +6,9 @@ query hub: a fleet of per-partition loops issuing structurally identical
 selections costs one *fused* (widened, cached) query pass per tick
 instead of N ad-hoc store scans.  E15 measures exactly that: the same
 256-instance watch fleet over per-node utilization telemetry, run once
-with fusion + caching disabled (per-loop ad-hoc scans — the seed idiom)
-and once through the fused hub, with identical analyzer verdicts
+over an uncached engine (per-loop ad-hoc scans — the seed idiom; the
+hub never widens for an uncached engine) and once through the cached,
+sharing hub, with identical analyzer verdicts
 asserted.  A second measurement bounds the runtime's hosting overhead:
 the same loops hand-wired as bare ``MAPEKLoop`` + private uncached
 engines (the 5-loop seed wiring) vs. hosted on a ``LoopRuntime``.
@@ -268,9 +269,7 @@ def run_loop_fleet_benchmark(
         sample_period_s=sample_period_s,
         hot_fraction=hot_fraction,
     )
-    adhoc = _run_fleet(
-        config=RuntimeConfig(fuse_queries=False, enable_cache=False), **common
-    )
+    adhoc = _run_fleet(config=RuntimeConfig(enable_cache=False), **common)
     fused = _run_fleet(config=RuntimeConfig(), **common)
     return {
         "seed": seed,
@@ -331,7 +330,7 @@ def run_runtime_overhead(
     )
     loops: List[MAPEKLoop] = []
     for spec in specs:
-        hub = QueryHub(QueryEngine(store, enable_cache=False), fuse=False)
+        hub = QueryHub(QueryEngine(store, enable_cache=False))
         loop = MAPEKLoop(
             engine,
             spec.name,

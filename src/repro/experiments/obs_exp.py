@@ -171,7 +171,7 @@ def run_obs_standing_overhead(
     store = TimeSeriesStore(default_capacity=capacity)
     engine = QueryEngine(store, enable_cache=False)
     st = StandingQueryEngine(engine)
-    hub = QueryHub(engine, fuse=True, standing=st)
+    hub = QueryHub(engine, standing=st)
     # the loops' narrow reads all widen to one shared shape; registering
     # it up front means every hub read runs hub.query -> standing.read
     # (the instrumented pair being priced) from the first tick

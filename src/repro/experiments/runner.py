@@ -200,7 +200,7 @@ def run_all(quick: bool = False, seeds: List[int] = (0, 1, 2)) -> None:
 
     # ------------------------------------------------------------- E17
     from repro.experiments.supervise_exp import (
-        run_adaptive_fusion_benchmark,
+        run_shared_serving_benchmark,
         run_supervision_benchmark,
     )
 
@@ -209,9 +209,9 @@ def run_all(quick: bool = False, seeds: List[int] = (0, 1, 2)) -> None:
         title="E17 — fleet supervision under injected stuck/frozen loops",
     ))
     _p(render_table(
-        [run_adaptive_fusion_benchmark(seed=0, n_loops=64 if quick else 256,
-                                       ticks=12 if quick else 20)],
-        title="E17b — adaptive fusion vs never-fused monitoring",
+        [run_shared_serving_benchmark(seed=0, n_loops=64 if quick else 256,
+                                      ticks=12 if quick else 20)],
+        title="E17b — shared hub serving vs the uncached engine",
     ))
 
 

@@ -113,7 +113,7 @@ def run_standing_hub_benchmark(
         store = TimeSeriesStore(default_capacity=capacity)
         engine = QueryEngine(store)  # cached: the fused-serving economics
         st = StandingQueryEngine(engine) if standing else None
-        hub = QueryHub(engine, fuse=True, standing=st)
+        hub = QueryHub(engine, standing=st)
         reference = QueryEngine(store, enable_cache=False)
         sids = _intern(store, node_ids)
         _prefill(store, sids, base, window_s, sample_period_s)

@@ -14,15 +14,15 @@ The supervision claim has two halves, and E17 measures both on a
   so fleet p95 staleness returns to within 2× of the healthy baseline —
   while the unsupervised control run degrades without bound.
 
-* **Adaptive fusion** — the same watch fleet run with query fusion
-  *disabled* and no manual ``fuse`` flags anywhere.  The fusion
-  supervisor observes the hub's tick-sharing statistics (hundreds of
-  narrow queries sharing one widened shape per tick), flips the shape's
-  fuse override on, and the Monitor phase must end up ≥2× cheaper than
-  the never-fused control with identical analyzer verdicts.
+* **Shared serving** — a watch fleet read through the hub with nothing
+  configured: the hub decides inline that hundreds of narrow queries
+  share one widened shape per tick and serves them from one cached
+  execution.  Its Monitor phase must be ≥2× cheaper than the same fleet
+  over an uncached engine (the never-shared control), with identical
+  analyzer verdicts.
 
-Both scenarios are deterministic: rerunning one yields the identical
-supervisor action trace, which is also asserted in tests.
+Both scenarios are deterministic; rerunning the healing one yields the
+identical supervisor action trace, which is also asserted in tests.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ def run_supervision_benchmark(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive fusion (E17b)
+# Shared serving without a supervisor (E17b)
 
 
 def _run_watch_fleet(
@@ -318,23 +318,15 @@ def _run_watch_fleet(
     ticks: int,
     period_s: float,
     window_s: float,
-    adaptive: bool,
-    supervisor: SupervisorConfig,
+    cached: bool,
 ) -> Dict[str, float]:
-    """One watch fleet with fusion disabled; optionally fusion-supervised.
-
-    The non-adaptive control also runs uncached — the E15 ad-hoc
-    serving idiom.  Fusion's economics *are* the shared cached widened
-    pass, so the adaptive side keeps the cache and must recover the
-    fused-serving win by flipping the shape override itself.
-    """
+    """One watch fleet read through the hub, over a cached engine or an
+    uncached one — where the hub never widens, so every read is direct."""
     horizon_s = window_s + ticks * period_s
     engine = Engine()
     store = TimeSeriesStore(default_capacity=int(horizon_s / 10.0) + 16)
     _fill_store(store, node_ids, "node_cpu_util", horizon_s, 10.0, seed, 0.1)
-    runtime = LoopRuntime(
-        engine, store, config=RuntimeConfig(fuse_queries=False, enable_cache=adaptive)
-    )
+    runtime = LoopRuntime(engine, store, config=RuntimeConfig(enable_cache=cached))
     specs = watch_fleet_specs(
         "node_cpu_util", node_ids, n_loops, period_s=period_s, window_s=window_s,
         cluster_query=True,
@@ -342,36 +334,22 @@ def _run_watch_fleet(
     for spec in specs:
         spec.start_at = window_s
     runtime.add_many(specs, start=True)
-    if adaptive:
-        attach_supervisors(runtime, supervisor, kinds=("fusion",))
     wall_t0 = time.perf_counter()
     engine.run(until=window_s + ticks * period_s - 1.0)
     wall_s = time.perf_counter() - wall_t0
     runtime.stop()
-    meta = {name for name, h in runtime.handles.items() if name.startswith("meta-")}
-    cycle_ms = sum(
-        it.wall_ms
-        for name, h in runtime.handles.items()
-        if name not in meta
-        for it in h.loop.iterations
-    )
-    flags = sum(
-        h.loop.analyzer.flags_total
-        for name, h in runtime.handles.items()
-        if name not in meta
-    )
+    handles = runtime.handles.values()
     qe = runtime.query_engine
     return {
         "wall_s": wall_s,
-        "cycle_ms": cycle_ms,
-        "flags": float(flags),
+        "cycle_ms": sum(it.wall_ms for h in handles for it in h.loop.iterations),
+        "flags": float(sum(h.loop.analyzer.flags_total for h in handles)),
         "queries_executed": float(qe.served_raw + qe.served_rollup),
         "fused_served": float(runtime.hub.fused_served),
-        "overrides": float(len(runtime.hub.fuse_overrides)),
     }
 
 
-def run_adaptive_fusion_benchmark(
+def run_shared_serving_benchmark(
     *,
     seed: int = 0,
     n_loops: int = 256,
@@ -380,41 +358,36 @@ def run_adaptive_fusion_benchmark(
     period_s: float = 60.0,
     window_s: float = 600.0,
 ) -> Dict[str, float]:
-    """E17b: adaptive fusion vs never-fused, no manual ``fuse`` flags.
+    """E17b: the watch fleet through the hub vs the uncached engine.
 
-    Both fleets run with the hub's fusion default off.  The adaptive
-    side additionally hosts the fusion supervisor, which must discover
-    the fusible load from tick-sharing statistics and flip the shape
-    override within its evidence window — so the speedup includes the
-    unfused burn-in ticks before the flip.
+    Nothing is configured or supervised: the hub sees at every tick that
+    hundreds of narrow queries share one widened shape and serves them
+    from one cached execution, from the first tick on.  The control is
+    the same fleet over an uncached engine — the never-shared side, every
+    read its own scan.  Shared serving must be ≥ 2× cheaper with
+    identical analyzer verdicts.
     """
-    node_ids = [f"n{i:04d}" for i in range(n_loops * nodes_per_loop)]
-    supervisor = SupervisorConfig(
-        period_s=period_s, window_s=window_s, fuse_min_sharing=4.0, fuse_min_ticks=3.0
-    )
     common = dict(
-        node_ids=node_ids,
+        node_ids=[f"n{i:04d}" for i in range(n_loops * nodes_per_loop)],
         n_loops=n_loops,
         seed=seed,
         ticks=ticks,
         period_s=period_s,
         window_s=window_s,
-        supervisor=supervisor,
     )
-    unfused = _run_watch_fleet(adaptive=False, **common)
-    adaptive = _run_watch_fleet(adaptive=True, **common)
+    direct = _run_watch_fleet(cached=False, **common)
+    shared = _run_watch_fleet(cached=True, **common)
     return {
         "seed": seed,
         "n_loops": float(n_loops),
         "ticks": float(ticks),
-        "unfused_cycle_ms": unfused["cycle_ms"],
-        "adaptive_cycle_ms": adaptive["cycle_ms"],
-        "monitor_speedup": unfused["cycle_ms"] / max(adaptive["cycle_ms"], 1e-9),
-        "unfused_queries": unfused["queries_executed"],
-        "adaptive_queries": adaptive["queries_executed"],
-        "fused_served": adaptive["fused_served"],
-        "overrides": adaptive["overrides"],
-        "flags_unfused": unfused["flags"],
-        "flags_adaptive": adaptive["flags"],
-        "match": 1.0 if unfused["flags"] == adaptive["flags"] else 0.0,
+        "direct_cycle_ms": direct["cycle_ms"],
+        "shared_cycle_ms": shared["cycle_ms"],
+        "monitor_speedup": direct["cycle_ms"] / max(shared["cycle_ms"], 1e-9),
+        "direct_queries": direct["queries_executed"],
+        "shared_queries": shared["queries_executed"],
+        "fused_served": shared["fused_served"],
+        "flags_direct": direct["flags"],
+        "flags_shared": shared["flags"],
+        "match": 1.0 if direct["flags"] == shared["flags"] else 0.0,
     }

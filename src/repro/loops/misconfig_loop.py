@@ -115,11 +115,7 @@ class JobConfigMonitor(Monitor):
                 range_s=window_s,
                 group_by=("node",),
             )
-            # young jobs have age-dependent windows whose widened results
-            # would never be shared across jobs — fuse only once the
-            # window has converged to the configured one
-            converged = window_s >= self.config.observation_window_s
-            result = self.query_engine.query(query, at=now, fuse=None if converged else False)
+            result = self.query_engine.query(query, at=now)
             utils = [float(s.values[-1]) for s in result.series]
         cpu_util = sum(utils) / len(utils) if utils else float("nan")
         node = self.scheduler.nodes[job.assigned_nodes[0]]
@@ -295,8 +291,9 @@ def misconfig_case_spec(
     Per-job utilization views need one grouped query per running job
     with an age-dependent window, so the spec wires a
     ``monitor_factory`` reading through the runtime's shared hub — the
-    hub fuses the per-job ``node_cpu_util`` selections into one widened
-    pass per tick once job windows converge.
+    hub shares one widened pass among the per-job ``node_cpu_util``
+    selections of a tick whose windows are equal (converged, or jobs of
+    one age).
     """
     config = config if config is not None else MisconfigCaseConfig()
     return LoopSpec(

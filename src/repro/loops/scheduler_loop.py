@@ -259,8 +259,8 @@ def scheduler_job_spec(
     :class:`~repro.loops.bridges.SchedulerTelemetryBridge`) plus a
     cursor-tracked ``samples`` read of the mirrored progress-marker
     series — the paper's side channel consumed through the query layer.
-    Reads are deliberately unfused: each job's loop is phase-aligned to
-    its own start time, so widened gauge passes would not be shared.
+    Each job's loop is phase-aligned to its own start time, so its reads
+    are normally alone at their tick and the hub executes them directly.
     """
     cfg = config if config is not None else SchedulerCaseConfig()
     if executor is None:
@@ -313,14 +313,12 @@ def scheduler_job_spec(
     return LoopSpec(
         name=f"sched-case-{job_id}",
         priority=priority,
-        # fuse=False: per-job loops are phased to their job's start, so
-        # widened reads would never be shared across loops within a tick
         queries=(
-            MonitorQuery("running", f"last(job_running{selector}) group by (job)", fuse=False),
-            MonitorQuery("deadline", f"last(job_deadline_s{selector}) group by (job)", fuse=False),
-            MonitorQuery("limit", f"last(job_time_limit_s{selector}) group by (job)", fuse=False),
-            MonitorQuery("start", f"last(job_start_time_s{selector}) group by (job)", fuse=False),
-            MonitorQuery("total", f"last(job_progress_total{selector}) group by (job)", fuse=False),
+            MonitorQuery("running", f"last(job_running{selector}) group by (job)"),
+            MonitorQuery("deadline", f"last(job_deadline_s{selector}) group by (job)"),
+            MonitorQuery("limit", f"last(job_time_limit_s{selector}) group by (job)"),
+            MonitorQuery("start", f"last(job_start_time_s{selector}) group by (job)"),
+            MonitorQuery("total", f"last(job_progress_total{selector}) group by (job)"),
             MonitorQuery("markers", f"last(job_progress_steps{selector})", mode="samples"),
         ),
         build_observation=build,

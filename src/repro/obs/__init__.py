@@ -51,10 +51,7 @@ __all__ = [
 #: QueryHub counters that *look* like merged standing keys but are the
 #: hub's own (``standing_served`` counts hub queries answered from
 #: standing state; the standing engine's own counters arrive prefixed).
-_HUB_OWN = frozenset({
-    "fused_served", "direct_served", "standing_served",
-    "fuse_overrides", "shapes_tracked",
-})
+_HUB_OWN = frozenset({"fused_served", "direct_served", "standing_served"})
 
 #: Unprefixed federated/parallel engine keys that deserve their own
 #: namespaces rather than landing in ``engine.*``.

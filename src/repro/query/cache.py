@@ -13,23 +13,32 @@ recomputes — a cached result can never hide data that has already
 landed inside its window.
 
 Cached arrays are frozen (``writeable = False``) so one consumer cannot
-corrupt another's hit.
+corrupt another's hit.  Every operation holds the cache's own lock, so
+a reader on one thread may probe while another thread stores and evicts.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
 
 
 class QueryCache:
-    """Bounded LRU of query results with hit/miss accounting."""
+    """Bounded LRU of query results with hit/miss accounting.
 
-    def __init__(self, max_entries: int = 256) -> None:
+    The engine's cache is the read path's only result cache — the loops'
+    hub and the front door's submit-time probe both read it — so its
+    default reach is what a dashboard mix needs between two re-reads of
+    a key while ad-hoc answers stream through.
+    """
+
+    def __init__(self, max_entries: int = 512) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -53,25 +62,34 @@ class QueryCache:
         return (expr, int(t0 // q), int(t1 // q), version)
 
     def get(self, key: Hashable):
-        entry = self._entries.get(key)
+        entry = self.probe(key)
         if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+            with self._lock:
+                self.misses += 1
         return entry
 
+    def probe(self, key: Hashable):
+        """Like :meth:`get`, but a miss goes uncounted — for a lookup
+        whose miss leads to a :meth:`get` of the same key."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return entry
+
     def put(self, key: Hashable, result) -> None:
-        if key in self._entries:
+        with self._lock:
+            self._entries[key] = result
             self._entries.move_to_end(key)
-        self._entries[key] = result
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def invalidate(self) -> None:
         """Drop every entry (e.g. after bulk backfill into the store)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     @property
     def hit_rate(self) -> float:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -157,22 +158,31 @@ class QueryPlan(NamedTuple):
 
 
 class _Memo(OrderedDict):
-    """The rule of every engine memo: an LRU of at most ``_PLANS_MAX``
-    entries, so one-shot ad-hoc shapes age out without taking the
-    dashboard and loop shapes with them."""
+    """The rule of every memo on the read path: an LRU of at most
+    ``_PLANS_MAX`` entries, so one-shot ad-hoc shapes age out without
+    taking the dashboard and loop shapes with them.  Safe to share
+    between threads — the front door parses at submit while its worker
+    plans."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
 
     def put(self, key, value):
-        self[key] = value
-        if len(self) > _PLANS_MAX:
-            self.popitem(last=False)
+        with self._lock:
+            self[key] = value
+            self.move_to_end(key)
+            if len(self) > _PLANS_MAX:
+                self.popitem(last=False)
         return value
 
     def lookup(self, key, make):
-        value = self.get(key)
-        if value is None:
-            return self.put(key, make(key))
-        self.move_to_end(key)
-        return value
+        with self._lock:
+            value = self.get(key)
+            if value is not None:
+                self.move_to_end(key)
+                return value
+        return self.put(key, make(key))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -342,19 +352,8 @@ class QueryEngine:
     def parse(self, expr: str) -> MetricQuery:
         return self._parsed.lookup(expr, parse_query)
 
-    def query(
-        self,
-        q: Union[str, MetricQuery],
-        *,
-        at: float,
-        fuse: Optional[bool] = None,
-    ) -> QueryResult:
-        """Evaluate ``q`` with its window ending at time ``at``.
-
-        ``fuse`` is accepted for interface parity with
-        :class:`repro.core.runtime.QueryHub` (monitors can be wired to
-        either) and ignored here — the bare engine never widens.
-        """
+    def query(self, q: Union[str, MetricQuery], *, at: float) -> QueryResult:
+        """Evaluate ``q`` with its window ending at time ``at``."""
         if isinstance(q, str):
             q = self.parse(q)
         if TRACER.enabled:
@@ -362,19 +361,33 @@ class QueryEngine:
                 return self._query(q, at)
         return self._query(q, at)
 
+    def cached(self, q: MetricQuery, *, at: float) -> Optional[QueryResult]:
+        """The cached answer of ``q`` at ``at``, or ``None`` — never
+        executes.  Thread-safe without holding off writers: the key
+        carries the write epoch read now, so a commit racing the probe
+        mints a key no finished execution was stored under.  A miss is
+        not counted; the execution that follows counts it."""
+        if self.cache is None:
+            return None
+        hit = self.cache.probe(self._cache_key(q, at))
+        return None if hit is None else dataclasses.replace(hit, source="cache")
+
+    def _cache_key(self, q: MetricQuery, at: float) -> tuple:
+        # Version-key on the metric's write epoch: any commit touching
+        # this metric mints a new key, so a query issued after new
+        # samples landed inside the window can never serve the stale
+        # pre-commit tail.  Old-epoch entries age out of the LRU.
+        quantum = q.step_s if q.step_s is not None else self.instant_quantum_s
+        return QueryCache.make_key(
+            self._exprs.lookup(q, MetricQuery.to_expr), at - (q.range_s or 0.0), at,
+            quantum, version=self._cache_version(q),
+        )
+
     def _query(self, q: MetricQuery, at: float) -> QueryResult:
         self.queries_total += 1
         cache_key = None
         if self.cache is not None:
-            # Version-key on the metric's write epoch: any commit touching
-            # this metric mints a new key, so a query issued after new
-            # samples landed inside the window can never serve the stale
-            # pre-commit tail.  Old-epoch entries age out of the LRU.
-            quantum = q.step_s if q.step_s is not None else self.instant_quantum_s
-            cache_key = QueryCache.make_key(
-                self._exprs.lookup(q, MetricQuery.to_expr), at - (q.range_s or 0.0), at,
-                quantum, version=self._cache_version(q),
-            )
+            cache_key = self._cache_key(q, at)
             hit = self.cache.get(cache_key)
             if hit is not None:
                 return dataclasses.replace(hit, source="cache")
@@ -466,11 +479,13 @@ class QueryEngine:
         with data is interned (the store's ``_admit`` is the only ring
         creator), so every selected key has a sid.
         """
-        plan = self._plans.get(q)
-        if plan is None or plan.generation != self.store.series_generation(q.metric):
-            return self._plans.put(q, self._build_plan(q, self.store.label_index(q.metric)))
-        self._plans.move_to_end(q)
+        plan = self._plans.lookup(q, self._new_plan)
+        if plan.generation != self.store.series_generation(q.metric):
+            plan = self._plans.put(q, self._new_plan(q))
         return plan
+
+    def _new_plan(self, q: MetricQuery) -> QueryPlan:
+        return self._build_plan(q, self.store.label_index(q.metric))
 
     @staticmethod
     def _build_plan(q: MetricQuery, index: LabelIndex) -> QueryPlan:

@@ -41,8 +41,10 @@ Layout and lifecycle:
   workers keep.  A read is the ``standing`` pass of
   :mod:`repro.query.passes` run on every touched place through the
   engine's ``_run_on_shards``, wherever that runs it.
-* :class:`StandingQueryEngine` — the serving layer: shape registration,
-  reads merged from provider rows over the batch engine's memoised
+* :class:`StandingQueryEngine` — the serving layer: the read path's one
+  promotion rule (an eligible shape read at its third distinct
+  evaluation time is registered), reads merged from provider rows over
+  the batch engine's memoised
   :class:`~repro.query.engine.QueryPlan`, and **epoch-keyed snapshots**
   — a result is keyed by ``(at, metric epoch, series generation)``, so
   repeated reads inside one tick are served from the snapshot and any
@@ -63,6 +65,7 @@ from repro.query.engine import (
     QueryPlan,
     QueryResult,
     ResultSeries,
+    _Memo,
     build_series,
     concat_rows,
     reduce_partial,
@@ -632,7 +635,7 @@ def _assemble_rate(
 
 
 class StandingQueryEngine:
-    """Serving layer for standing queries: registration and reads.
+    """Serving layer for standing queries: promotion, registration, reads.
 
     Wraps a batch engine (single-store or federated); ``query`` returns
     a :class:`QueryResult` with ``source="standing"`` when the
@@ -640,11 +643,20 @@ class StandingQueryEngine:
     back to the batch engine (cold shapes, percentiles, instant queries,
     windows older than the bin ring — where eviction hands over to the
     rollup tiers).
+
+    ``query`` is also the one promotion rule of the read path, for the
+    loops' hub and the tenants' front door alike: an eligible shape that
+    is not registered yet is registered when it is read at its
+    :data:`PROMOTE_AFTER`-th distinct evaluation time.  A promotion the
+    ``max_shapes`` cap refuses is counted (``promotions_refused``).
     """
 
     #: extra bin slots beyond one window: absorbs grid phase plus ingest
     #: running ahead of the read frontier
     SLACK_BINS = 4
+    #: distinct evaluation times an eligible shape is read at before it
+    #: is maintained incrementally — the first two are batch reads
+    PROMOTE_AFTER = 3
 
     def __init__(self, engine: QueryEngine, *, max_shapes: int = 64) -> None:
         self.engine = engine
@@ -656,7 +668,10 @@ class StandingQueryEngine:
         self.reads_served = 0
         self.snapshot_hits = 0
         self.scan_fallbacks = 0
+        self.promotions_refused = 0
         self._snaps: Dict[MetricQuery, Tuple[tuple, QueryResult]] = {}
+        #: unregistered shape -> (sightings, evaluation time of the last)
+        self._seen = _Memo()
 
     # ------------------------------------------------------- registration
     @staticmethod
@@ -687,13 +702,31 @@ class StandingQueryEngine:
 
     # -------------------------------------------------------------- reads
     def query(self, q: MetricQuery, *, at: float) -> Optional[QueryResult]:
-        """Serve ``q`` from standing state, or ``None`` for batch fallback."""
-        if q not in self.shapes:
+        """Serve ``q`` from standing state, or ``None`` for batch fallback
+        (promoting ``q`` first when this read makes it hot)."""
+        if q not in self.shapes and not self._promote(q, at):
             return None
         if TRACER.enabled:
             with TRACER.span("standing.read", metric=q.metric):
                 return self._query(q, at=at)
         return self._query(q, at=at)
+
+    def _promote(self, q: MetricQuery, at: float) -> bool:
+        """Count a read of unregistered ``q`` at ``at``; True when it
+        registered ``q`` (the :data:`PROMOTE_AFTER`-th distinct time)."""
+        if not self.eligible(q):
+            return False
+        seen, last = self._seen.get(q, (0, None))
+        if at == last:
+            return False
+        if seen + 1 < self.PROMOTE_AFTER:
+            self._seen.put(q, (seen + 1, at))
+            return False
+        del self._seen[q]
+        if self.register(q):
+            return True
+        self.promotions_refused += 1
+        return False
 
     def _query(self, q: MetricQuery, *, at: float) -> Optional[QueryResult]:
         version = (
@@ -744,6 +777,7 @@ class StandingQueryEngine:
             "reads_served": float(self.reads_served),
             "snapshot_hits": float(self.snapshot_hits),
             "scan_fallbacks": float(self.scan_fallbacks),
+            "promotions_refused": float(self.promotions_refused),
         }
         out.update(self.provider.stats())
         return out

@@ -14,7 +14,7 @@ Request lifecycle (also diagrammed in the README)::
       ├─ token bucket empty ──> 429 (rejected/quota)
       ├─ queue full ──────────> 429 (rejected/queue_full)
       │
-      ├─ hot-result cache hit ──────────> ok  (source="cache")
+      ├─ engine cache hit ──────────────> ok  (source="cache")
       │
       └─ enqueue ── deadline passes ────> 504 (expired)
             │
@@ -25,7 +25,7 @@ Request lifecycle (also diagrammed in the README)::
 
 Under pressure (queue-fill fraction, read by the
 :class:`~repro.serve.shed.LoadShedder`) answers first come from the
-standing engine and the epoch-keyed hot-result cache, then degrade to
+standing engine and the engine's epoch-keyed result cache, then degrade to
 the coarsest rollup tier for tenants that allow it, then the lowest
 priority class is shed outright.
 
@@ -60,9 +60,13 @@ every answer at once as before; only a tenant that keeps its own queue
 full has its answers grouped.  ``latency_ms`` and the p99 readout run to
 the hand-over.
 
-Hot-result cache entries are keyed by the engine's epoch-derived cache
-version, so a commit invalidates them implicitly — a front-door answer
-can never be staler than the engine's own cache contract.
+The front door keeps no cache and no promotion rule of its own: the
+inline probe at submit reads the engine's :class:`~repro.query.cache.QueryCache`
+(:meth:`~repro.query.engine.QueryEngine.cached`, keyed on the metric's
+write epoch, so a commit invalidates implicitly and an answer can never
+be staler than the engine's own cache contract), and a worker's read of
+a shape is a sighting for the standing engine's promotion rule — the
+same rule the loops' hub feeds.
 
 The ``clock`` is injectable (seconds, monotonic) so admission, deadline,
 and shed behaviour are all deterministically unit-testable.
@@ -74,12 +78,11 @@ import dataclasses
 import sys
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import TRACER
-from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.engine import QueryResult as EngineResult
 from repro.query.kernels import PARTIAL_AGGS
@@ -128,8 +131,6 @@ class QueryFrontDoor:
         standing: Optional[StandingQueryEngine] = None,
         enable_standing: bool = True,
         n_workers: int = 1,
-        hot_cache_size: int = 512,
-        hot_promote_after: int = 3,
         clock: Optional[Callable[[], float]] = None,
         default_at: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -140,16 +141,12 @@ class QueryFrontDoor:
         self.shedder = LoadShedder(shed)
         self.admission = AdmissionController()
         self.n_workers = int(n_workers)
-        self.hot_cache_size = int(hot_cache_size)
-        self.hot_promote_after = int(hot_promote_after)
         self._clock = clock if clock is not None else time.perf_counter
         self._default_at = default_at
-        #: guards admission controller, shedder, hot cache, latency rings
+        #: guards admission controller, shedder, counters, latency rings
         self._cv = threading.Condition()
         #: serializes engine execution and ingest (see :meth:`write_gate`)
         self._engine_lock = threading.RLock()
-        self._hot: "OrderedDict[tuple, EngineResult]" = OrderedDict()
-        self._sightings: Dict[MetricQuery, int] = {}
         self._latency: Dict[str, Deque[float]] = {}
         self._threads: List[threading.Thread] = []
         self._running = False
@@ -216,7 +213,7 @@ class QueryFrontDoor:
     def submit(self, request: QueryRequest) -> "Future[QueryResult]":
         """Admit (or reject) one request; the future resolves to its result.
 
-        Rejections resolve the future immediately; hot-cache hits resolve
+        Rejections resolve the future immediately; engine-cache hits resolve
         inline without consuming a queue slot or a worker; everything
         else queues for the serving workers.
         """
@@ -244,7 +241,7 @@ class QueryFrontDoor:
             if decision is not ADMIT:
                 fut.set_result(QueryResult.failure(request, "rejected", decision))
                 return fut
-            hit = self._probe_hot(request)
+            hit = self._probe_cache(request)
             if hit is not None:
                 state.admitted += 1
                 state.served += 1
@@ -280,29 +277,17 @@ class QueryFrontDoor:
         q = request.query
         return self.engine.parse(q) if isinstance(q, str) else q
 
-    def _probe_hot(self, request: QueryRequest) -> Optional[EngineResult]:
-        """Epoch-keyed hot-result probe (called under the scheduler lock).
-
-        Only dict reads on the engine/store — safe to run without the
-        engine lock, so cache hits never queue behind a running scatter.
-        """
+    def _probe_cache(self, request: QueryRequest) -> Optional[EngineResult]:
+        """The engine cache's answer, read at submit without the engine
+        lock (:meth:`QueryEngine.cached` is thread-safe), so a hit never
+        queues behind a running scatter.  A request that does not parse
+        or has no evaluation time misses; its worker answers the error."""
         try:
             q = self._parse(request)
             at = self._resolve_at(request)
-        except Exception:
+        except ValueError:
             return None
-        key = self._hot_key(q, at)
-        hit = self._hot.get(key)
-        if hit is not None:
-            self._hot.move_to_end(key)
-        return hit
-
-    def _hot_key(self, q: MetricQuery, at: float) -> tuple:
-        quantum = q.step_s if q.step_s is not None else self.engine.instant_quantum_s
-        return QueryCache.make_key(
-            q.to_expr(), at - (q.range_s or 0.0), at, quantum,
-            version=self.engine._cache_version(q),
-        )
+        return self.engine.cached(q, at=at)
 
     def _worker(self) -> None:
         #: answers finished but not yet handed over (module docstring)
@@ -399,12 +384,10 @@ class QueryFrontDoor:
         at = self._resolve_at(request)
         with self._engine_lock:
             if self.standing is not None:
-                self._maybe_promote(q)
-                if q in self.standing.shapes:
-                    hit = self.standing.query(q, at=at)
-                    if hit is not None:
-                        self.standing_served += 1
-                        return QueryResult.from_engine(request, hit, source="standing")
+                hit = self.standing.query(q, at=at)
+                if hit is not None:
+                    self.standing_served += 1
+                    return QueryResult.from_engine(request, hit, source="standing")
             run_q = q
             degraded = False
             if degrade:
@@ -413,8 +396,6 @@ class QueryFrontDoor:
                     run_q = dataclasses.replace(q, step_s=coarse)
                     degraded = True
             res = self.engine.query(run_q, at=at)
-            if not degraded:
-                self._remember_hot(q, at, res)
         if entry.expired(self._clock()):
             return QueryResult.failure(request, "expired", REJECT_DEADLINE)
         return QueryResult.from_engine(request, res, degraded=degraded)
@@ -435,25 +416,6 @@ class QueryFrontDoor:
             return None
         coarse = max(resolutions)
         return coarse if coarse > q.step_s else None
-
-    def _maybe_promote(self, q: MetricQuery) -> None:
-        """Auto-register repeatedly seen shapes with the standing engine."""
-        if not StandingQueryEngine.eligible(q) or q in self.standing.shapes:
-            return
-        seen = self._sightings.get(q, 0) + 1
-        if len(self._sightings) > 4096:
-            self._sightings.clear()
-        self._sightings[q] = seen
-        if seen >= self.hot_promote_after:
-            self.standing.register(q)
-
-    def _remember_hot(self, q: MetricQuery, at: float, res: EngineResult) -> None:
-        key = self._hot_key(q, at)
-        with self._cv:
-            self._hot[key] = res
-            self._hot.move_to_end(key)
-            while len(self._hot) > self.hot_cache_size:
-                self._hot.popitem(last=False)
 
     @staticmethod
     def _resolve(entry: PendingRequest, result: QueryResult) -> None:
@@ -486,7 +448,6 @@ class QueryFrontDoor:
             out["degraded_served"] = float(self.shedder.degraded_served)
             out["shed_rejections"] = float(self.shedder.shed_rejections)
             out["hot_hits"] = float(self.hot_hits)
-            out["hot_size"] = float(len(self._hot))
             out["standing_served"] = float(self.standing_served)
             out["rejected_unknown"] = float(self.rejected_unknown)
             out["workers"] = float(len(self._threads))

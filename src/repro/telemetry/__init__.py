@@ -13,7 +13,7 @@ and metric cardinality.
 
 from repro.telemetry.metric import MetricCatalog, MetricKind, MetricSpec, SeriesKey
 from repro.telemetry.batch import Sample, SampleBatch, SeriesRegistry
-from repro.telemetry.tsdb import RingBuffer, TimeSeriesStore
+from repro.telemetry.tsdb import TimeSeriesStore
 from repro.telemetry.sensor import CallableSensor, Sensor, SensorBank
 from repro.telemetry.sampler import Sampler, SamplingGroup
 from repro.telemetry.collector import (
@@ -45,7 +45,6 @@ __all__ = [
     "MonitoringOverheadModel",
     "ProgressMarker",
     "ProgressMarkerChannel",
-    "RingBuffer",
     "Sample",
     "SampleBatch",
     "Sampler",

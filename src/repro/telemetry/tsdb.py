@@ -21,8 +21,7 @@ appending series chunks.  The rollup tiers (:mod:`repro.query.rollup`)
 build on the same class.  :class:`RawRings` is the raw ``(time, value)``
 instance of it, one :class:`DenseRings` per ring capacity in use,
 addressed by series id; :class:`TimeSeriesStore` owns one and writes it
-through a single batch kernel.  :class:`RingBuffer` is the stand-alone
-single-series ring.  :class:`LabelIndex` is a store's per-metric view of
+through a single batch kernel.  :class:`LabelIndex` is a store's per-metric view of
 *which* series it holds — keys in canonical order, label values as code
 columns with postings, where each series lives — which the query layer
 selects and plans from.
@@ -542,94 +541,6 @@ class RawRings:
         return times, values, loc is not None and loc[0].written.item(loc[1]) > times.size
 
 
-class RingBuffer:
-    """Fixed-capacity (timestamp, value) ring buffer of a single series.
-
-    Timestamps must be appended in non-decreasing order (the collection
-    pipeline guarantees arrival-order per series); violating this raises,
-    because silently unsorted buffers would corrupt window queries.
-    """
-
-    __slots__ = ("capacity", "_times", "_values", "_head", "_count", "_written")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._times = np.empty(self.capacity, dtype=np.float64)
-        self._values = np.empty(self.capacity, dtype=np.float64)
-        self._head = 0  # next write position
-        self._count = 0  # valid entries
-        self._written = 0  # total appends ever
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def total_appended(self) -> int:
-        """Total points ever appended (including overwritten ones)."""
-        return self._written
-
-    def append(self, t: float, v: float) -> None:
-        if self._count and t < self.last_time():
-            raise ValueError(
-                f"out-of-order append: t={t} < last={self.last_time()}"
-            )
-        self._times[self._head] = t
-        self._values[self._head] = v
-        self._head = (self._head + 1) % self.capacity
-        self._count = min(self._count + 1, self.capacity)
-        self._written += 1
-
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
-        """Bulk append of already-sorted arrays."""
-        times, values = _checked_series(times, values)
-        if times.size == 0:
-            return
-        if self._count and times[0] < self.last_time():
-            raise ValueError("bulk append overlaps existing data")
-        self._head, self._count = ring_extend(
-            (self._times, self._values), self._head, self._count, (times, values)
-        )
-        self._written += times.size
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All stored points in time order as ``(times, values)`` copies."""
-        if self._count < self.capacity:
-            return self._times[: self._count].copy(), self._values[: self._count].copy()
-        idx = np.arange(self._head, self._head + self.capacity) % self.capacity
-        return self._times[idx], self._values[idx]
-
-    def first_time(self) -> float:
-        """Oldest retained timestamp, O(1)."""
-        if self._count == 0:
-            raise IndexError("empty ring buffer")
-        if self._count < self.capacity:
-            return float(self._times[0])
-        return float(self._times[self._head])
-
-    def last_time(self) -> float:
-        if self._count == 0:
-            raise IndexError("empty ring buffer")
-        return float(self._times[(self._head - 1) % self.capacity])
-
-    def last_value(self) -> float:
-        if self._count == 0:
-            raise IndexError("empty ring buffer")
-        return float(self._values[(self._head - 1) % self.capacity])
-
-    def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Points with ``t0 <= t <= t1`` in time order.
-
-        Copies only the selected span, not the whole buffer — narrow
-        windows (loop observations, rollup tails) should cost O(answer).
-        """
-        ranges = ring_window_ranges(
-            self._times, self._head, self._count, t0, t1, right_inclusive=True
-        )
-        return ring_gather(self._times, ranges), ring_gather(self._values, ranges)
-
-
 def _checked_series(times, values) -> Tuple[np.ndarray, np.ndarray]:
     """One series' bulk-append columns as float64, shape- and order-checked."""
     times = np.asarray(times, dtype=np.float64)
@@ -788,9 +699,12 @@ class TimeSeriesStore:
             metric = key.metric
             idx = self._metric_index.get(metric)
             if idx is None:
-                idx = self._metric_index[metric] = len(self._metric_index)
+                # grow the epochs before publishing the index: a reader
+                # probing ``metric_epoch`` holds no lock against this
+                idx = len(self._metric_index)
                 if idx == self._epochs.size:
                     self._epochs = np.concatenate((self._epochs, np.zeros_like(self._epochs)))
+                self._metric_index[metric] = idx
             self._metric_of[sid] = idx
             self._metric_sids.setdefault(metric, []).append(sid)
             capacity = self._capacity_overrides.get(metric, self.default_capacity)

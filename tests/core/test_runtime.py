@@ -140,8 +140,11 @@ class TestQueryMonitorServing:
             )
         engine.run(until=0.0)  # one shared tick at t=0
         qe = runtime.query_engine
-        assert runtime.hub.fused_served == 8
-        assert qe.served_raw + qe.served_rollup == 1  # one widened execution
+        # the first reader is alone when it reads; from the second on the
+        # tick is shared and the widened shape executes once
+        assert runtime.hub.direct_served == 1
+        assert runtime.hub.fused_served == 7
+        assert qe.served_raw + qe.served_rollup == 2
         for i in range(8):
             obs = runtime.handle(f"w{i}").loop.iterations[-1].observation
             assert obs.values == {f"v:n{i}": pytest.approx(0.5 + 0.1 * i)}

@@ -381,64 +381,46 @@ def narrow_spec(name, node):
 
 
 class TestAdaptiveFusion:
+    """Fusion is decided inline by the hub, tick by tick — no flag, no
+    override and no supervisor."""
+
     def test_hub_tracks_tick_sharing(self):
         engine = Engine()
         store = TimeSeriesStore()
         fill(store, nodes=8)
-        runtime = LoopRuntime(engine, store, config=RuntimeConfig(fuse_queries=False))
+        runtime = LoopRuntime(engine, store)
         for i in range(8):
             runtime.add(narrow_spec(f"w{i}", f"n{i}"), start=True)
-        engine.run(until=100.0)
-        stats = runtime.hub.sharing_stats()
-        assert len(stats) == 1
-        row = next(iter(stats.values()))
-        assert row["mean_narrow"] == 8.0
-        assert row["fused"] == 0.0
+        engine.run(until=100.0)  # ticks at 0, 30, 60 and 90
+        hub, qe = runtime.hub, runtime.query_engine
+        # per tick: the first reader alone, then one widened execution
+        # shared by the other seven
+        assert hub.direct_served == 4
+        assert hub.fused_served == 4 * 7
+        assert qe.served_raw + qe.served_rollup == 4 * 2
 
-    def test_override_precedence_over_hub_default(self):
-        engine = Engine()
-        store = TimeSeriesStore()
-        fill(store, nodes=2)
-        runtime = LoopRuntime(engine, store, config=RuntimeConfig(fuse_queries=False))
-        hub = runtime.hub
-        expr = 'mean(util{node="n0"}[300s]) group by (node)'
-        hub.query(expr, at=50.0)
-        assert hub.fused_served == 0
-        hub.set_fuse_override(expr, True)
-        hub.query(expr, at=60.0)
-        assert hub.fused_served == 1
-        # explicit per-call fuse still wins over the override
-        hub.query(expr, at=70.0, fuse=False)
-        assert hub.fused_served == 1
-        hub.set_fuse_override(expr, None)
-        hub.query(expr, at=80.0)
-        assert hub.fused_served == 1
-
-    def test_supervisor_flips_fusion_on_shared_load(self):
+    def test_fusion_kind_attaches_nothing(self):
         engine = Engine()
         store = TimeSeriesStore()
         fill(store, nodes=8)
-        runtime = LoopRuntime(engine, store, config=RuntimeConfig(fuse_queries=False))
+        runtime = LoopRuntime(engine, store)
         for i in range(8):
             runtime.add(narrow_spec(f"w{i}", f"n{i}"), start=True)
-        cfg = SupervisorConfig(period_s=60.0, fuse_min_sharing=4.0, fuse_min_ticks=3.0)
-        attach_supervisors(runtime, cfg, kinds=("fusion",))
-        engine.run(until=400.0)
-        assert len(runtime.hub.fuse_overrides) == 1
-        assert list(runtime.hub.fuse_overrides.values()) == [True]
-        assert runtime.hub.fused_served > 0
+        assert attach_supervisors(runtime, kinds=("fusion",)) == []
+        assert not any(isinstance(h.spec, MetaLoopSpec) for h in runtime.handles.values())
+        engine.run(until=10.0)
+        assert runtime.hub.fused_served == 7  # shared from the first tick
 
-    def test_supervisor_clears_override_when_sharing_evaporates(self):
+    def test_lone_reader_never_widens(self):
         engine = Engine()
         store = TimeSeriesStore()
         fill(store, nodes=2)
-        runtime = LoopRuntime(engine, store, config=RuntimeConfig(fuse_queries=False))
-        runtime.add(narrow_spec("w0", "n0"), start=True)  # a lone narrow reader
-        runtime.hub.set_fuse_override('mean(util{node="n0"}[300s]) group by (node)', True)
-        cfg = SupervisorConfig(period_s=60.0, fuse_min_sharing=4.0, fuse_min_ticks=3.0)
-        attach_supervisors(runtime, cfg, kinds=("fusion",))
+        runtime = LoopRuntime(engine, store)
+        runtime.add(narrow_spec("w0", "n0"), start=True)
         engine.run(until=400.0)
-        assert runtime.hub.fuse_overrides == {}
+        hub = runtime.hub
+        assert hub.fused_served == 0
+        assert hub.direct_served == runtime.handles["w0"].loop.iterations_run
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.experiments.provenance import provenance, stamp
 from repro.experiments.supervise_exp import (
-    run_adaptive_fusion_benchmark,
+    run_shared_serving_benchmark,
     run_supervision_benchmark,
 )
 
@@ -17,12 +17,15 @@ def test_supervision_benchmark_row_shape():
 
 
 def test_adaptive_fusion_exactness_at_small_scale():
-    row = run_adaptive_fusion_benchmark(seed=0, n_loops=32, ticks=10)
-    # perf gate is benchmark-scale only; exactness and the flip always hold
+    row = run_shared_serving_benchmark(seed=0, n_loops=32, ticks=10)
+    # perf gate is benchmark-scale only; exactness and sharing always hold
     assert row["match"] == 1.0
-    assert row["overrides"] >= 1.0
-    assert row["fused_served"] > 0.0
-    assert row["adaptive_queries"] < row["unfused_queries"]
+    # per tick the shared side executes the first narrow read, the
+    # widened shape and the cluster-wide read once; the rest is shared
+    assert row["shared_queries"] == 3 * row["ticks"]
+    assert row["fused_served"] == (row["n_loops"] - 1) * row["ticks"]
+    # the uncached control never widens: every loop scans both reads
+    assert row["direct_queries"] == 2 * row["n_loops"] * row["ticks"]
 
 
 def test_provenance_fields():

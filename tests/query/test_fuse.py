@@ -1,8 +1,11 @@
 """Query fusion (widen/narrow) exactness and the raw samples API."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.runtime import QueryHub
 from repro.query.engine import QueryEngine
 from repro.query.fuse import fusable, narrow_result, widen
 from repro.query.model import LabelMatcher, MetricQuery
@@ -47,16 +50,28 @@ class TestFusable:
         )
 
 
+AGGS = pytest.mark.parametrize("agg", ["mean", "sum", "max", "count", "last", "p95"])
+EXPRS = pytest.mark.parametrize(
+    "expr_tpl",
+    [
+        'AGG(util{node=~"n0[0-3]"}[300s] by 30s) group by (node)',
+        'AGG(util{node=~"n0[0-3]"}[300s]) group by (node)',
+        'AGG(util{rack="r1"}[200s] by 50s) group by (rack,node)',
+    ],
+)
+
+
+def assert_same_series(a, b):
+    assert len(a.series) == len(b.series)
+    for x, y in zip(a.series, b.series):
+        assert x.labels == y.labels
+        np.testing.assert_array_equal(x.times, y.times)
+        np.testing.assert_array_equal(x.values, y.values)
+
+
 class TestNarrowExactness:
-    @pytest.mark.parametrize("agg", ["mean", "sum", "max", "count", "last", "p95"])
-    @pytest.mark.parametrize(
-        "expr_tpl",
-        [
-            'AGG(util{node=~"n0[0-3]"}[300s] by 30s) group by (node)',
-            'AGG(util{node=~"n0[0-3]"}[300s]) group by (node)',
-            'AGG(util{rack="r1"}[200s] by 50s) group by (rack,node)',
-        ],
-    )
+    @AGGS
+    @EXPRS
     def test_narrowed_equals_direct(self, agg, expr_tpl):
         store = _store()
         engine = QueryEngine(store, enable_cache=False)
@@ -64,11 +79,21 @@ class TestNarrowExactness:
         assert fusable(q)
         direct = engine.query(q, at=500.0)
         fused = narrow_result(q, engine.query(widen(q), at=500.0))
-        assert len(direct.series) == len(fused.series)
-        for d, f in zip(direct.series, fused.series):
-            assert d.labels == f.labels
-            np.testing.assert_array_equal(d.times, f.times)
-            np.testing.assert_array_equal(d.values, f.values)
+        assert_same_series(direct, fused)
+
+    @AGGS
+    @EXPRS
+    def test_hub_read_equals_direct(self, agg, expr_tpl):
+        """A hub read the tick shares is narrowed from the widened
+        result — bit for bit the direct answer."""
+        store = _store()
+        hub = QueryHub(QueryEngine(store))
+        q = parse_query(expr_tpl.replace("AGG", agg))
+        other = dataclasses.replace(q, matchers=(LabelMatcher("node", "=", "n07"),))
+        hub.query(other, at=500.0)  # the tick's first reader, alone
+        got = hub.query(q, at=500.0)
+        assert hub.fused_served == 1 and got.source.startswith("fused+")
+        assert_same_series(QueryEngine(store, enable_cache=False).query(q, at=500.0), got)
 
     def test_no_match_yields_empty(self):
         store = _store()

@@ -239,13 +239,15 @@ def test_grid_moments_expose_sufficient_statistics():
 
 
 def test_hub_auto_registers_hot_shapes_and_serves_standing():
-    """A fused shape shared by >=2 narrow readers for >=2 completed ticks
-    auto-registers; subsequent hub reads come from standing state and
-    match the batch engine bit-for-bit on narrowed output."""
+    """A widened shape shared by narrow readers is registered by the
+    standing engine's one rule — on the third distinct tick it is read
+    at — and from then on every narrow read of it, the tick's first
+    included, comes from standing state and matches the batch engine on
+    narrowed output."""
     store = TimeSeriesStore(default_capacity=4096)
     qe = QueryEngine(store)
     plain = QueryEngine(store, enable_cache=False)
-    hub = QueryHub(qe, fuse=True, standing=StandingQueryEngine(qe))
+    hub = QueryHub(qe, standing=StandingQueryEngine(qe))
     keys = [SeriesKey.of("m", node=f"n{i}") for i in range(4)]
     rng = np.random.default_rng(3)
     narrows = [
@@ -260,7 +262,7 @@ def test_hub_auto_registers_hot_shapes_and_serves_standing():
         for i in range(3)
     ]
     at = 0.0
-    served_before = None
+    served = []
     for tick in range(5):
         for k in keys:
             ts = at + np.sort(rng.uniform(1.0, 30.0, size=5))
@@ -269,11 +271,54 @@ def test_hub_auto_registers_hot_shapes_and_serves_standing():
         for q in narrows:
             got = hub.query(q, at=at)
             assert_results_match(got, plain.query(q, at=at))
-        if tick == 2:
-            served_before = hub.standing_served
-    # ticks 0-1 build sharing history; by the later ticks the shape is
-    # registered and every narrow read is answered from standing state
-    assert hub.standing_served > 0
-    assert hub.standing_served > served_before
-    assert len(hub.standing.shapes) == 1
+        served.append(hub.standing_served)
+        assert (len(hub.standing.shapes) == 1) == (tick >= 2)
+    # ticks 0-1: the first reader alone, the second and third shared and
+    # sighted; tick 2: the third sighting registers while the first
+    # reader still read alone; ticks 3-4: every read from standing state
+    assert served == [0, 0, 2, 5, 8]
+    assert hub.fused_served == 4 and hub.direct_served == 3
     assert hub.stats()["standing_served"] == float(hub.standing_served)
+
+
+def test_refused_promotions_are_counted_past_max_shapes():
+    """Promotion lives in the standing engine, so a shape it cannot take
+    once ``max_shapes`` are held is counted, not dropped silently."""
+    from repro.obs import collect_metrics, route_stat
+    from repro.obs.metrics import MetricsRegistry
+
+    store = TimeSeriesStore(default_capacity=256)
+    times = np.arange(1.0, 420.0, 10.0)  # the grids' ring ends at the reads
+    store.insert_batch(SeriesKey.of("m", node="n0"), times, np.ones(times.size))
+    engine = QueryEngine(store)
+    st = StandingQueryEngine(engine)
+    shapes = [MetricQuery("m", agg="mean", range_s=60.0 + i, step_s=10.0) for i in range(70)]
+    for at in (400.0, 410.0):  # two sightings each: nothing registered yet
+        assert all(st.query(q, at=at) is None for q in shapes)
+    assert not st.shapes
+    served = [st.query(q, at=420.0) for q in shapes]  # the third distinct time
+    assert len(st.shapes) == st.max_shapes == 64
+    assert all(r is not None for r in served[:64])
+    assert served[64:] == [None] * 6
+    assert st.stats()["promotions_refused"] == 6.0
+    assert route_stat("standing_promotions_refused", "hub") == ("standing", "promotions_refused")
+    reg = collect_metrics(standing=st, registry=MetricsRegistry())
+    assert reg.snapshot()["standing.promotions_refused"] == 6.0
+
+
+def test_promotion_counts_distinct_evaluation_times():
+    store = TimeSeriesStore(default_capacity=256)
+    times = np.arange(1.0, 420.0, 10.0)  # the grids' ring ends at the reads
+    store.insert_batch(SeriesKey.of("m", node="n0"), times, np.ones(times.size))
+    st = StandingQueryEngine(QueryEngine(store))
+    q = MetricQuery("m", agg="mean", range_s=60.0, step_s=10.0)
+    for at in (400.0, 400.0, 400.0, 410.0, 410.0):
+        assert st.query(q, at=at) is None
+    assert st.query(q, at=420.0) is not None
+    assert q in st.shapes
+    # percentiles and instants are never sighted: the partial algebra
+    # cannot maintain them
+    for at in (400.0, 410.0, 420.0, 430.0):
+        assert st.query(MetricQuery("m", agg="p95", range_s=60.0, step_s=10.0), at=at) is None
+        assert st.query(MetricQuery("m", agg="mean"), at=at) is None
+    assert len(st.shapes) == 1 and not st._seen

@@ -66,10 +66,10 @@ def test_served_answers_bit_identical_to_direct_execution(n_shards, n_workers):
     rng = np.random.default_rng(42 + 10 * n_shards + n_workers)
     sharded, single = build_stores(rng, max(n_shards, 2))
     if n_shards == 1:
-        engine = QueryEngine(single, enable_cache=False)
+        engine = QueryEngine(single)
         direct = QueryEngine(single, enable_cache=False)
     else:
-        engine = FederatedQueryEngine(sharded, enable_cache=False)
+        engine = FederatedQueryEngine(sharded)
         direct = FederatedQueryEngine(sharded, enable_cache=False)
     fd = QueryFrontDoor(
         engine,
@@ -85,8 +85,8 @@ def test_served_answers_bit_identical_to_direct_execution(n_shards, n_workers):
             first = fd.serve(QueryRequest(q, tenant="t", at=at))
             assert first.status == "ok" and not first.degraded
             assert_bit_identical(first.engine_result, want)
-            # the repeat may come from the hot-result cache — the answer
-            # must still be the engine's own, bit for bit
+            # the repeat may come from the engine cache at submit — the
+            # answer must still be the engine's own, bit for bit
             again = fd.serve(QueryRequest(q, tenant="t", at=at))
             assert again.status == "ok"
             assert_bit_identical(again.engine_result, want)
@@ -203,7 +203,8 @@ def test_degrade_serves_coarse_tier_and_respects_exact_tenants():
 
 
 def test_hot_cache_hits_and_epoch_invalidation():
-    engine, store = _small_engine()
+    _uncached, store = _small_engine()
+    engine = QueryEngine(store)  # its cache is the front door's only cache
     fd = QueryFrontDoor(
         engine, tenants=[_open_spec("t")], n_workers=1, enable_standing=False,
     )
@@ -231,17 +232,17 @@ def test_hot_cache_hits_and_epoch_invalidation():
 
 def test_standing_auto_promotion():
     engine, single = _small_engine(seed=11)
-    fd = QueryFrontDoor(
-        engine, tenants=[_open_spec("t")], n_workers=1, hot_promote_after=2,
-    )
+    fd = QueryFrontDoor(engine, tenants=[_open_spec("t")], n_workers=1)
     ats = [HORIZON * 0.6, HORIZON * 0.7, HORIZON * 0.8]
     with fd:
-        first = fd.serve(QueryRequest(RANGE_Q, tenant="t", at=ats[0]))
-        assert first.status == "ok" and first.source != "standing"
+        for at in ats[:2]:
+            for _ in range(2):  # a repeat at one time is no new sighting
+                early = fd.serve(QueryRequest(RANGE_Q, tenant="t", at=at))
+                assert early.status == "ok" and early.source != "standing"
         assert RANGE_Q not in fd.standing.shapes
-        fd.serve(QueryRequest(RANGE_Q, tenant="t", at=ats[1]))  # 2nd sighting
-        assert RANGE_Q in fd.standing.shapes
+        # the third distinct evaluation time promotes, and is served
         third = fd.serve(QueryRequest(RANGE_Q, tenant="t", at=ats[2]))
+        assert RANGE_Q in fd.standing.shapes
     assert third.status == "ok" and third.source == "standing"
     assert fd.standing_served >= 1
     direct = QueryEngine(single, enable_cache=False)

@@ -1,7 +1,7 @@
 """Per-series raw-ring write: the oracle for the dense append kernel.
 
 This is the commit as it ran before :class:`repro.telemetry.tsdb.RawRings`
-made it one vectorised scatter — one ``RingBuffer`` object per series, a
+made it one vectorised scatter — one :class:`RingBuffer` per series, a
 Python loop over a commit's segments, ``_extend_sorted`` per segment —
 kept as the reference the kernel must match byte for byte: ring cells,
 ``head`` / ``count`` / ``written``, write epochs, listener columns and
@@ -18,19 +18,30 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 
-class OracleRing:
-    """One series' fixed-capacity (time, value) ring."""
+class RingBuffer:
+    """One series' fixed-capacity (time, value) ring.
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._values = np.empty(capacity, dtype=np.float64)
-        self._head = 0
-        self._count = 0
-        self._written = 0
+    Timestamps must arrive in non-decreasing order; violating that
+    raises, because an unsorted ring would corrupt window reads.
+    """
 
-    def last_time(self) -> float:
-        return float(self._times[(self._head - 1) % self.capacity])
+    def __init__(self, capacity: int = 4096) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.capacity = int(capacity)
+        self._times = np.empty(self.capacity, dtype=np.float64)
+        self._values = np.empty(self.capacity, dtype=np.float64)
+        self._head = 0  # next write position
+        self._count = 0  # valid entries
+        self._written = 0  # total appends ever
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def total_appended(self) -> int:
+        """Total points ever appended (including overwritten ones)."""
+        return self._written
 
     def append(self, t: float, v: float) -> None:
         if self._count and t < self.last_time():
@@ -40,6 +51,43 @@ class OracleRing:
         self._head = (self._head + 1) % self.capacity
         self._count = min(self._count + 1, self.capacity)
         self._written += 1
+
+    def extend(self, times, values) -> None:
+        """Bulk append of already-sorted arrays."""
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if times.shape != values.shape:
+            raise ValueError("times and values must have the same shape")
+        if np.any(np.diff(times) < 0):
+            raise ValueError("bulk append requires sorted timestamps")
+        self._extend_sorted(times, values)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """All stored points in time order as ``(times, values)`` copies."""
+        idx = (np.arange(self._count) + self._head - self._count) % self.capacity
+        return self._times[idx], self._values[idx]
+
+    def first_time(self) -> float:
+        """Oldest retained timestamp."""
+        if self._count == 0:
+            raise IndexError("empty ring buffer")
+        return float(self._times[(self._head - self._count) % self.capacity])
+
+    def last_time(self) -> float:
+        if self._count == 0:
+            raise IndexError("empty ring buffer")
+        return float(self._times[(self._head - 1) % self.capacity])
+
+    def last_value(self) -> float:
+        if self._count == 0:
+            raise IndexError("empty ring buffer")
+        return float(self._values[(self._head - 1) % self.capacity])
+
+    def window(self, t0: float, t1: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Points with ``t0 <= t <= t1`` in time order."""
+        times, values = self.arrays()
+        keep = (times >= t0) & (times <= t1)
+        return times[keep], values[keep]
 
     def _extend_sorted(self, times: np.ndarray, values: np.ndarray) -> None:
         n = times.size
@@ -74,7 +122,7 @@ class OracleRing:
 
 
 class OracleStore:
-    """The store-level commit loop over :class:`OracleRing` objects.
+    """The store-level commit loop over :class:`RingBuffer` objects.
 
     ``capacity_of(sid)`` and ``metric_of(sid)`` stand in for the key
     registry and the per-metric capacity overrides.
@@ -83,16 +131,16 @@ class OracleStore:
     def __init__(self, capacity_of: Callable[[int], int], metric_of: Callable[[int], str]) -> None:
         self._capacity_of = capacity_of
         self._metric_of = metric_of
-        self.rings: Dict[int, OracleRing] = {}
+        self.rings: Dict[int, RingBuffer] = {}
         self.epochs: Dict[str, int] = {}
         self.total_inserts = 0
         #: listener columns of every commit, in order
         self.notified: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _ring(self, sid: int) -> OracleRing:
+    def _ring(self, sid: int) -> RingBuffer:
         ring = self.rings.get(sid)
         if ring is None:
-            ring = self.rings[sid] = OracleRing(self._capacity_of(sid))
+            ring = self.rings[sid] = RingBuffer(self._capacity_of(sid))
         return ring
 
     def _committed(self, metrics, ids, times, values) -> None:

@@ -1,11 +1,12 @@
-"""Unit tests for the ring buffer and time-series store."""
+"""Unit tests for the ring oracle's per-series ring and the time-series store."""
 
 import numpy as np
 import pytest
 
 from repro.query import MetricQuery, QueryEngine
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.tsdb import RingBuffer, TimeSeriesStore
+from repro.telemetry.tsdb import TimeSeriesStore
+from tests.telemetry.ring_oracle import RingBuffer
 
 
 class TestRingBuffer:

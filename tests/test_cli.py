@@ -129,12 +129,12 @@ def test_bench_supervise_smoke_command(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "healing:" in out
-    assert "adaptive fusion" in out
+    assert "shared serving" in out
     import json
 
     rows = json.loads(out_path.read_text())
     assert rows["heal"]["restores_within_2x"] == 1.0
-    assert rows["fusion"]["match"] == 1.0
+    assert rows["shared"]["match"] == 1.0
     # bench artifacts are stamped for cross-run comparability
     assert rows["git_sha"] and rows["generated_at"]
 
