@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Assessor, Executor, Monitor, Planner
@@ -26,7 +26,7 @@ from repro.core.guards import Guard
 from repro.core.knowledge import KnowledgeBase
 from repro.core.types import LoopIteration, Observation, Plan
 from repro.obs.trace import TRACER
-from repro.sim.engine import Engine, PeriodicTask
+from repro.sim.engine import Engine, Event, PeriodicTask
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,9 @@ class MAPEKLoop:
         self.actions_executed = 0
         self.actions_vetoed = 0
         self._task: Optional[PeriodicTask] = None
+        #: iteration index -> its decide/execute phase still waiting out
+        #: a phase latency
+        self._pending: Dict[int, Event] = {}
 
     # ------------------------------------------------------------- lifecycle
     def start(self, *, start_at: Optional[float] = None) -> None:
@@ -101,9 +104,21 @@ class MAPEKLoop:
             self.period_s, self._begin_cycle, start_at=start_at, label=f"loop-{self.name}"
         )
 
-    def stop(self) -> None:
+    def stop(self) -> int:
+        """Stop ticking and abandon the phases already scheduled — a
+        stopped loop does not act.  Returns the phases abandoned."""
         if self._task is not None:
             self._task.stop()
+        for event in self._pending.values():
+            event.cancel()
+        abandoned = len(self._pending)
+        self._pending.clear()
+        return abandoned
+
+    def _later(self, delay: float, phase: Callable, iteration: LoopIteration, arg) -> None:
+        self._pending[iteration.index] = self.engine.schedule(
+            delay, phase, iteration, arg, label=f"loop-{self.name}"
+        )
 
     @property
     def running(self) -> bool:
@@ -149,11 +164,12 @@ class MAPEKLoop:
         delay = self.phase_latency.decision_delay
         iteration.wall_ms += (time.perf_counter() - wall_t0) * 1e3
         if delay > 0:
-            self.engine.schedule(delay, self._decide, iteration, observation, label=f"loop-{self.name}")
+            self._later(delay, self._decide, iteration, observation)
         else:
             self._decide(iteration, observation)
 
     def _decide(self, iteration: LoopIteration, observation: Observation) -> None:
+        self._pending.pop(iteration.index, None)
         if TRACER.enabled:
             with TRACER.span("loop.decide", loop=self.name):
                 self._decide_impl(iteration, observation)
@@ -177,13 +193,12 @@ class MAPEKLoop:
             self._finish(iteration)
             return
         if self.phase_latency.execute_s > 0:
-            self.engine.schedule(
-                self.phase_latency.execute_s, self._execute, iteration, plan, label=f"loop-{self.name}"
-            )
+            self._later(self.phase_latency.execute_s, self._execute, iteration, plan)
         else:
             self._execute(iteration, plan)
 
     def _execute(self, iteration: LoopIteration, plan: Plan) -> None:
+        self._pending.pop(iteration.index, None)
         if TRACER.enabled:
             with TRACER.span("plan.execute", loop=self.name):
                 self._execute_impl(iteration, plan)

@@ -31,11 +31,17 @@ trust controls.  This module is that control plane:
   self-telemetry (``loop_iteration_ms``, ``loop_actions_total``,
   ``loop_vetoes_total``, ``loop_staleness_s``) back into the
   :class:`~repro.telemetry.tsdb.TimeSeriesStore` — loops are themselves
-  monitorable through the same query path they monitor with.
+  monitorable through the same query path they monitor with.  The rows
+  of every loop finishing at one instant are committed together, as one
+  ``store.insert_many`` after the instant's other events; a read through
+  the hub commits the rows staged so far first, so hub readers see them
+  at once.  Only a direct read of the store in the middle of an instant
+  can miss them.
 """
 
 from __future__ import annotations
 
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -57,7 +63,7 @@ from repro.query.engine import QueryEngine, QueryResult, _Memo
 from repro.query.fuse import fusable, widen
 from repro.query.model import MetricQuery
 from repro.query.standing import StandingQueryEngine
-from repro.sim.engine import Engine, PeriodicTask
+from repro.sim.engine import Engine, Event, PeriodicTask
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -71,9 +77,23 @@ __all__ = [
     "RuntimeConfig",
 ]
 
+#: the self-telemetry series of one iteration, in publication order
+_LOOP_SERIES = (
+    "loop_iteration_ms", "loop_actions_total", "loop_vetoes_total", "loop_staleness_s",
+)
+
+#: engine events order by ``(time, priority, seq)``: nothing at an
+#: instant runs after an event of this priority scheduled before it
+_LAST = sys.maxsize
+
 
 # ---------------------------------------------------------------------------
 # Shared Monitor-phase serving layer
+
+
+def _fusion_shape(q: MetricQuery):
+    """The widened shape ``q`` is narrowed from; ``False`` if not fusable."""
+    return widen(q) if fusable(q) else False
 
 
 class QueryHub:
@@ -98,6 +118,11 @@ class QueryHub:
     The hub exposes the same read surface monitors already use
     (``query`` / ``scalar`` / ``samples`` / ``parse`` / ``store``), so
     existing telemetry-backed monitors run through it unchanged.
+
+    Writes can go through it too: rows :meth:`stage`\\ d at one instant
+    are committed as one keyed columnar write by :meth:`flush` — which a
+    read through the hub calls first when it reads a metric with staged
+    rows, so a hub read sees every row staged before it.
     """
 
     def __init__(self, engine: QueryEngine, *, standing=None) -> None:
@@ -111,24 +136,54 @@ class QueryHub:
         #: first narrow query read at it (``None`` once another was)
         self._tick_at: Optional[float] = None
         self._tick_reads: Dict[MetricQuery, Optional[MetricQuery]] = {}
+        #: query -> its widened shape (``False`` when not fusable)
+        self._shapes = _Memo()
         #: widened shape -> (its latest result's series, label -> position)
         self._widened = _Memo()
+        #: rows staged at ``_staged_at`` and not committed yet, and their metrics
+        self._staged_at: Optional[float] = None
+        self._staged_keys: List[SeriesKey] = []
+        self._staged_values: List[float] = []
+        self._staged_metrics: set = set()
 
     def parse(self, expr: str) -> MetricQuery:
         return self.engine.parse(expr)
 
+    # -------------------------------------------------------------- writes
+    def stage(self, keys: Sequence[SeriesKey], values: Sequence[float], *, at: float) -> None:
+        """Queue the rows ``(keys[i], at, values[i])`` for the next
+        :meth:`flush`.  Rows of an earlier instant are flushed first."""
+        if at != self._staged_at:
+            self.flush()
+            self._staged_at = at
+        self._staged_keys.extend(keys)
+        self._staged_values.extend(values)
+        self._staged_metrics.update(key.metric for key in keys)
+
+    def flush(self) -> None:
+        """Commit the staged rows with one ``store.insert_many``."""
+        keys = self._staged_keys
+        if keys:
+            values = self._staged_values
+            self._staged_keys, self._staged_values = [], []
+            self._staged_metrics.clear()
+            self.store.insert_many(keys, np.full(len(keys), self._staged_at), values)
+
+    # --------------------------------------------------------------- reads
     def query(self, q: Union[str, MetricQuery], *, at: float) -> QueryResult:
         """Evaluate ``q`` at ``at``, sharing the read when the tick does."""
         if isinstance(q, str):
             q = self.engine.parse(q)
+        if q.metric in self._staged_metrics:
+            self.flush()
         if TRACER.enabled:
             with TRACER.span("hub.query", metric=q.metric):
                 return self._query(q, at)
         return self._query(q, at)
 
     def _query(self, q: MetricQuery, at: float) -> QueryResult:
-        if fusable(q):
-            shape = widen(q)
+        shape = self._shapes.lookup(q, _fusion_shape)
+        if shape:
             shared = self._shared(shape, q, at)
             standing = self.standing
             if standing is not None and (shared or shape in standing.shapes):
@@ -182,6 +237,10 @@ class QueryHub:
     def samples(
         self, q: Union[str, MetricQuery], *, at: float, since: Optional[float] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
+        if isinstance(q, str):
+            q = self.engine.parse(q)
+        if q.metric in self._staged_metrics:
+            self.flush()
         return self.engine.samples(q, at=at, since=since)
 
     def stats(self) -> Dict[str, float]:
@@ -420,6 +479,13 @@ class LoopHandle:
         self.first_tick_at = max(first, engine.now)
 
     def stop(self) -> None:
+        """Stop ticking and abandon the decide/execute phases the loop
+        already scheduled (counted in the runtime's ``abandoned_total``):
+        a stopped loop does not act, whatever its phase latency."""
+        self._stop_ticks()
+        self.runtime.abandoned_total += self.loop.stop()
+
+    def _stop_ticks(self) -> None:
         if self._task is not None:
             self._task.stop()
             self._task = None
@@ -475,6 +541,11 @@ class LoopRuntime:
         self.restarts_total = 0
         self.quarantines_total = 0
         self.retunes_total = 0
+        #: scheduled decide/execute phases cancelled by stopping their loop
+        self.abandoned_total = 0
+        #: the end-of-instant commit of staged self-telemetry, while one
+        #: is scheduled
+        self._flush_event: Optional[Event] = None
         #: the runtime's own view into the obs taxonomy — refreshed and
         #: published by the periodic task below (when configured) or on
         #: demand via :meth:`publish_obs`
@@ -600,9 +671,8 @@ class LoopRuntime:
         handle.start(at=self.engine.now + handle.spec.period_s)
         now = self.engine.now
         if self.config.self_telemetry:
-            self.store.insert(
-                SeriesKey.of("loop_restarts_total", loop=name), now, float(handle.restarts)
-            )
+            key = SeriesKey.of("loop_restarts_total", loop=name)
+            self._stage((key,), (float(handle.restarts),))
         if self.audit is not None:
             data = {"op": "restart", "loop": name, "restarts": handle.restarts}
             # attach the causal trace: the spans that preceded this
@@ -679,7 +749,7 @@ class LoopRuntime:
                 if isinstance(guard, ArbiterGuard):
                     guard.ttl_s = period_s
         was_running = handle.running
-        handle.stop()
+        handle._stop_ticks()  # an iteration in flight still completes
         handle.retunes += 1
         self.retunes_total += 1
         if was_running and not handle.quarantined:
@@ -715,39 +785,53 @@ class LoopRuntime:
     # ----------------------------------------------------------- telemetry
     def _iteration_hook(self, spec: LoopSpec) -> Callable[[LoopIteration], None]:
         """Chain fleet accounting + self-telemetry after the spec's hook."""
+        name = spec.name
+        keys = tuple(SeriesKey.of(metric, loop=name) for metric in _LOOP_SERIES)
 
         def hook(iteration: LoopIteration) -> None:
             self.iterations_total += 1
             self.actions_total += len(iteration.results)
             if self.config.self_telemetry:
-                self._publish_iteration(spec.name, iteration)
+                self._publish_iteration(name, keys, iteration)
             if spec.on_iteration is not None:
                 spec.on_iteration(iteration)
 
         return hook
 
-    def _publish_iteration(self, name: str, iteration: LoopIteration) -> None:
-        """Write one iteration's self-telemetry into the shared store.
+    def _publish_iteration(
+        self, name: str, keys: Tuple[SeriesKey, ...], iteration: LoopIteration
+    ) -> None:
+        """Stage one iteration's self-telemetry for the shared store.
 
         Published through the same store the monitors read, so loops can
         watch loops: ``mean(loop_iteration_ms[600s]) group by (loop)``
-        is a valid monitor query for a meta-loop.
+        is a valid monitor query for a meta-loop.  ``keys`` are the
+        loop's :data:`_LOOP_SERIES`.
         """
-        now = self.engine.now
-        loop = self.handles[name].loop if name in self.handles else None
-        store = self.store
-        store.insert(SeriesKey.of("loop_iteration_ms", loop=name), now, iteration.wall_ms)
-        if loop is not None:
-            store.insert(
-                SeriesKey.of("loop_actions_total", loop=name), now, float(loop.actions_executed)
-            )
-            store.insert(
-                SeriesKey.of("loop_vetoes_total", loop=name), now, float(loop.actions_vetoed)
-            )
+        handle = self.handles.get(name)
+        if handle is not None:
+            loop = handle.loop
+            values = [iteration.wall_ms, float(loop.actions_executed), float(loop.actions_vetoed)]
+        else:  # removed: its counters went with it
+            values, keys = [iteration.wall_ms], keys[:1] + keys[3:]
         if iteration.staleness is not None:
-            store.insert(
-                SeriesKey.of("loop_staleness_s", loop=name), now, float(iteration.staleness)
+            values.append(float(iteration.staleness))
+        self._stage(keys[:len(values)], values)
+
+    def _stage(self, keys: Sequence[SeriesKey], values: Sequence[float]) -> None:
+        """Queue self-telemetry rows at now: they are committed as one
+        write per instant, after every other event of the instant (or
+        before the next read through the hub, if that comes first)."""
+        now = self.engine.now
+        self.hub.stage(keys, values, at=now)
+        if self._flush_event is None:
+            self._flush_event = self.engine.schedule_at(
+                now, self._flush, priority=_LAST, label="loop-telemetry-flush"
             )
+
+    def _flush(self) -> None:
+        self._flush_event = None
+        self.hub.flush()
 
     def publish_obs(self) -> int:
         """Refresh the obs registry from live stats and publish it.
@@ -779,6 +863,7 @@ class LoopRuntime:
             "restarts_total": float(self.restarts_total),
             "quarantines_total": float(self.quarantines_total),
             "retunes_total": float(self.retunes_total),
+            "abandoned_total": float(self.abandoned_total),
         }
         out.update({f"hub_{k}": v for k, v in self.hub.stats().items()})
         out.update({f"arbiter_{k}": v for k, v in self.arbiter.stats().items()})

@@ -16,6 +16,7 @@ engines (the 5-loop seed wiring) vs. hosted on a ``LoopRuntime``.
 
 from __future__ import annotations
 
+import gc
 import re
 import time
 from typing import Dict, List, Optional, Sequence
@@ -342,6 +343,10 @@ def run_runtime_overhead(
         )
         loop.start(start_at=window_s)
         loops.append(loop)
+    # a full collection due in a process holding many objects (a test
+    # session) costs tens of ms — more than a side's whole run — so it
+    # must not fall due inside one side and not the other
+    gc.collect()
     wall_t0 = time.perf_counter()
     engine.run(until=until)
     legacy_wall_s = time.perf_counter() - wall_t0
@@ -357,6 +362,7 @@ def run_runtime_overhead(
     for spec in specs:
         spec.start_at = window_s
     runtime.add_many(specs, start=True)
+    gc.collect()
     wall_t0 = time.perf_counter()
     engine.run(until=until)
     hosted_wall_s = time.perf_counter() - wall_t0

@@ -186,16 +186,21 @@ class MetricsRegistry:
 
         Canonical dots become underscores (``cache.hits`` →
         ``obs_cache_hits``) — the store's label-free self-telemetry
-        convention (mirrors the runtime's ``loop_*`` series).  Returns
-        the (series_name, value) pairs written, for tests and the CLI.
+        convention (mirrors the runtime's ``loop_*`` series).  One
+        ``store.insert_many`` commits the whole snapshot.  Returns the
+        (series_name, value) pairs written, for tests and the CLI.
         """
         from repro.telemetry.metric import SeriesKey
 
-        written: List[Tuple[str, float]] = []
-        for name, value in self.snapshot().items():
-            series = f"{prefix}_{name.replace('.', '_')}"
-            store.insert(SeriesKey.of(series), at, float(value))
-            written.append((series, value))
+        written: List[Tuple[str, float]] = [
+            (f"{prefix}_{name.replace('.', '_')}", value)
+            for name, value in self.snapshot().items()
+        ]
+        store.insert_many(
+            [SeriesKey.of(series) for series, _ in written],
+            [float(at)] * len(written),
+            [float(value) for _, value in written],
+        )
         return written
 
 

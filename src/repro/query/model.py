@@ -148,6 +148,20 @@ class MetricQuery:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid group_by label {name!r}")
 
+    def __hash__(self) -> int:
+        # memoised: a loop's query is a key of the plan, cache, shape and
+        # standing lookups of every read, and its fields never change
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.metric, self.agg, self.matchers, self.range_s, self.step_s,
+                      self.group_by))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes are salted per process: never ship the memo
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     # ----------------------------------------------------------- selection
     def matches(self, key: SeriesKey) -> bool:
         """Whether one series key satisfies metric name and all matchers."""

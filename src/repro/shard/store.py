@@ -39,6 +39,7 @@ from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import (
     IngestListener,
     LabelIndex,
+    MetricVersions,
     TimeSeriesStore,
     segment_rows,
 )
@@ -81,6 +82,11 @@ class ShardedTimeSeriesStore:
         self.shards: List[TimeSeriesStore] = [
             self._make_shard(idx) for idx in range(self.n_shards)
         ]
+        #: every shard counts its commits and series into one table, so an
+        #: epoch or generation read here costs one lookup, not one per shard
+        self.versions = MetricVersions()
+        for shard in self.shards:
+            shard.versions = self.versions
         #: global intern table — the id namespace the ingest pipeline moves
         self.registry = SeriesRegistry()
         #: routing tables indexed by global series id (dense, grown lazily)
@@ -208,6 +214,14 @@ class ShardedTimeSeriesStore:
         self.registry.id_for(key)
         self.shard_for(key).insert_batch(key, times, values)
 
+    def insert_many(self, keys: Sequence[SeriesKey], times, values) -> None:
+        """Keyed columnar commit, the keyed twin of :meth:`insert`: the
+        rows of ``insert(keys[i], times[i], values[i])`` for every ``i``,
+        interned into :attr:`registry` in order, then sorted once, routed
+        once and committed once per touched shard."""
+        if len(keys):
+            self._append(self.registry.ids_for(keys), times, values)
+
     def append_batch(
         self,
         series_ids: np.ndarray,
@@ -224,6 +238,9 @@ class ShardedTimeSeriesStore:
         unsharded commit.  Ids must come from this facade's
         :attr:`registry`.
         """
+        self._append(series_ids, times, values)
+
+    def _append(self, series_ids, times, values) -> None:
         series_ids = np.asarray(series_ids, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -289,11 +306,13 @@ class ShardedTimeSeriesStore:
     def series_generation(self, metric: Optional[str]) -> int:
         """Monotone: bumps whenever any shard grows a series of ``metric``
         (``None``: of any metric)."""
-        return sum(shard.series_generation(metric) for shard in self.shards)
+        if metric is None:
+            return sum(shard.series_generation(None) for shard in self.shards)
+        return self.versions.generation(metric)
 
     def metric_epoch(self, metric: str) -> int:
         """Monotone: bumps on every commit touching ``metric`` on any shard."""
-        return sum(shard.metric_epoch(metric) for shard in self.shards)
+        return self.versions.epoch(metric)
 
     def cardinality(self) -> int:
         return sum(shard.cardinality() for shard in self.shards)

@@ -621,6 +621,47 @@ class LabelIndex:
         return column
 
 
+class MetricVersions:
+    """Per-metric write epochs and series generations as dense counters.
+
+    ``index`` maps a metric to its slot in ``epochs`` (commits touching
+    the metric) and ``generations`` (series of the metric admitted).  A
+    store counts into one; the shards of a sharded store count into the
+    same one, so the facade reads either number — the sum over its
+    shards — with one lookup instead of one per shard.
+    """
+
+    __slots__ = ("index", "epochs", "generations")
+
+    def __init__(self) -> None:
+        self.index: Dict[str, int] = {}
+        self.epochs = np.zeros(8, dtype=np.int64)
+        self.generations = np.zeros(8, dtype=np.int64)
+
+    def slot(self, metric: str) -> int:
+        """The slot of ``metric``, assigned on first use."""
+        idx = self.index.get(metric)
+        if idx is None:
+            # grow the counters before publishing the slot: a reader
+            # probing them holds no lock against this
+            idx = len(self.index)
+            if idx == self.epochs.size:
+                self.epochs = np.concatenate((self.epochs, np.zeros_like(self.epochs)))
+                self.generations = np.concatenate(
+                    (self.generations, np.zeros_like(self.generations))
+                )
+            self.index[metric] = idx
+        return idx
+
+    def epoch(self, metric: str) -> int:
+        idx = self.index.get(metric)
+        return 0 if idx is None else int(self.epochs[idx])
+
+    def generation(self, metric: str) -> int:
+        idx = self.index.get(metric)
+        return 0 if idx is None else int(self.generations[idx])
+
+
 class TimeSeriesStore:
     """:class:`SeriesKey`-addressed raw rings.
 
@@ -653,13 +694,13 @@ class TimeSeriesStore:
         self.registry = SeriesRegistry()
         self.rings = rings if rings is not None else RawRings()
         self._capacity_overrides: Dict[str, int] = {}
-        #: metric -> dense index into the write epochs; series id -> the
-        #: same index, so a commit bumps its touched metrics as array ops
-        self._metric_index: Dict[str, int] = {}
-        self._epochs = np.zeros(8, dtype=np.int64)
+        #: write epochs and series generations per metric (shared by the
+        #: shards of a sharded store); series id -> its metric's slot
+        #: there, so a commit bumps its touched metrics as array ops
+        self.versions = MetricVersions()
         self._metric_of = np.zeros(0, dtype=np.int64)
-        #: per metric its series ids in creation order — one more per
-        #: series generation — and the label index as of some generation
+        #: per metric its series ids in creation order, and the label
+        #: index as of some generation
         self._metric_sids: Dict[str, List[int]] = {}
         self._indexes: Dict[Optional[str], LabelIndex] = {}
         self._listeners: List[IngestListener] = []
@@ -683,8 +724,7 @@ class TimeSeriesStore:
 
     def metric_epoch(self, metric: str) -> int:
         """Monotone counter bumped by every write touching ``metric``."""
-        idx = self._metric_index.get(metric)
-        return 0 if idx is None else int(self._epochs[idx])
+        return self.versions.epoch(metric)
 
     def _admit(self, sids: np.ndarray) -> None:
         """First write of each of the ascending ``sids``: create its ring
@@ -693,20 +733,14 @@ class TimeSeriesStore:
             self._metric_of = np.resize(
                 self._metric_of, max(64, 2 * self._metric_of.size, len(self.registry))
             )
+        versions = self.versions
         by_capacity: Dict[int, List[int]] = {}
         for sid in sids.tolist():
-            key = self.registry.key_for(sid)
-            metric = key.metric
-            idx = self._metric_index.get(metric)
-            if idx is None:
-                # grow the epochs before publishing the index: a reader
-                # probing ``metric_epoch`` holds no lock against this
-                idx = len(self._metric_index)
-                if idx == self._epochs.size:
-                    self._epochs = np.concatenate((self._epochs, np.zeros_like(self._epochs)))
-                self._metric_index[metric] = idx
+            metric = self.registry.key_for(sid).metric
+            idx = versions.slot(metric)
             self._metric_of[sid] = idx
             self._metric_sids.setdefault(metric, []).append(sid)
+            versions.generations[idx] += 1
             capacity = self._capacity_overrides.get(metric, self.default_capacity)
             by_capacity.setdefault(capacity, []).append(sid)
         for capacity, group in by_capacity.items():
@@ -728,7 +762,7 @@ class TimeSeriesStore:
                 self._admit(sids[capacities == 0])
         self.rings.append(sids, lens, times, values)
         self.total_inserts += times.size
-        self._epochs[self._metric_of[sids]] += 1  # once per distinct metric
+        self.versions.epochs[self._metric_of[sids]] += 1  # once per distinct metric
         if self._listeners:
             self._notify(sids if times.size == sids.size else np.repeat(sids, lens), times, values)
 
@@ -743,7 +777,7 @@ class TimeSeriesStore:
             self._admit(np.array([sid], dtype=np.int64))
             self.rings.push(sid, t, value)
         self.total_inserts += 1
-        self._epochs[self._metric_of.item(sid)] += 1
+        self.versions.epochs[self._metric_of.item(sid)] += 1
         if self._listeners:
             self._notify(
                 np.array([sid], dtype=np.int64),
@@ -760,12 +794,23 @@ class TimeSeriesStore:
             self._admit(np.array([sid], dtype=np.int64))
             self.rings.extend(sid, times, values)
         self.total_inserts += int(times.size)
-        self._epochs[self._metric_of.item(sid)] += 1
+        self.versions.epochs[self._metric_of.item(sid)] += 1
         if self._listeners:
             # copies, not the caller's arrays: listeners may buffer the
             # columns past this call (rollup folds), and the caller is
             # free to reuse its scratch arrays afterwards
             self._notify(np.full(times.size, sid, dtype=np.int64), times.copy(), values.copy())
+
+    def insert_many(self, keys: Sequence[SeriesKey], times, values) -> None:
+        """Keyed columnar commit: the keyed twin of :meth:`insert`.
+
+        Writes the rows of ``insert(keys[i], times[i], values[i])`` for
+        every ``i`` — unseen keys interned in order — as one commit: one
+        sort, one ring scatter, one epoch bump per metric and one
+        listener delivery (grouped by series, as :meth:`append_batch`).
+        """
+        if len(keys):
+            self._append(self.registry.ids_for(keys), times, values)
 
     def append_batch(
         self,
@@ -780,6 +825,9 @@ class TimeSeriesStore:
         land in one vectorised ring scatter — no Python work per series
         or per point.  Ids must come from this store's :attr:`registry`.
         """
+        self._append(series_ids, times, values)
+
+    def _append(self, series_ids, times, values) -> None:
         series_ids = np.asarray(series_ids, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -858,7 +906,7 @@ class TimeSeriesStore:
         """
         if metric is None:
             return self.rings.n_series
-        return len(self._metric_sids.get(metric, ()))
+        return self.versions.generation(metric)
 
     def cardinality(self) -> int:
         """Number of distinct live series (the Section IV design concern)."""

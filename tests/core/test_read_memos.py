@@ -3,7 +3,8 @@
 Ten thousand distinct shapes go through the loops' hub and through the
 tenants' front door over one engine, while one shape of each kind is
 read again every round.  Standing sightings, engine plans / expressions /
-parses, the hub's index over widened results and the engine cache must
+parses, the hub's shape memo and its index over widened results and the
+engine cache must
 all stay within their bounds — and the re-read shapes must survive the
 churn, which a memo cleared wholesale past its bound would not let them.
 """
@@ -68,7 +69,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
             futures.append(fd.submit(QueryRequest(hot_cached, tenant="t", at=300.0)))
             assert all(f.result(timeout=10.0).ok for f in futures)
 
-    for memo in (engine._plans, engine._exprs, engine._parsed, hub._widened,
+    for memo in (engine._plans, engine._exprs, engine._parsed, hub._shapes, hub._widened,
                  hub.standing._seen, fd.standing._seen):
         assert len(memo) <= _PLANS_MAX
     assert len(engine.cache) <= engine.cache.max_entries
@@ -76,7 +77,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
     hot_shape = MetricQuery("m", agg="mean", range_s=60.0, step_s=10.0, group_by=("node",))
     assert hot_shape in hub.standing.shapes
     assert hot_shape in hub._widened
-    assert all(q in engine._plans for q in hot_pair)
+    assert all(q in engine._plans and hub._shapes[q] == hot_shape for q in hot_pair)
     assert engine.parse(hot_standing) in fd.standing.shapes
     assert engine.cached(engine.parse(hot_cached), at=300.0) is not None
     assert fd.hot_hits >= ROUNDS - 1

@@ -204,6 +204,117 @@ class TestSelfTelemetry:
         assert not store.series_keys("loop_iteration_ms")
 
 
+class PokePlanner(Planner):
+    """Plans the same contested action every cycle: the arbiter vetoes
+    the lower-priority loops while a claim is live."""
+
+    name = "poke-planner"
+
+    def plan(self, report, knowledge):
+        return Plan(report.time, self.name, (Action("signal_checkpoint", "j1"),))
+
+
+LOOP_METRICS = ("loop_iteration_ms", "loop_actions_total", "loop_vetoes_total", "loop_staleness_s")
+
+
+class TestBatchedSelfTelemetry:
+    """Self-telemetry is staged per instant and committed once, and says
+    exactly what one scalar ``insert`` per row said."""
+
+    @pytest.mark.parametrize(
+        "latency",
+        [PhaseLatency(), PhaseLatency(analyze_s=5.0, execute_s=2.0)],
+        ids=["zero", "phased"],
+    )
+    def test_equals_scalar_insert_oracle(self, latency):
+        engine = Engine()
+        store = TimeSeriesStore()
+        fill(store)
+        runtime = LoopRuntime(engine, store)
+        oracle = TimeSeriesStore()
+
+        def record(name):
+            def on_iteration(it):
+                now, loop = engine.now, runtime.handle(name).loop
+                rows = [it.wall_ms, loop.actions_executed, loop.actions_vetoed, it.staleness]
+                for metric, value in zip(LOOP_METRICS, rows):
+                    if value is not None:
+                        oracle.insert(SeriesKey.of(metric, loop=name), now, float(value))
+            return on_iteration
+
+        for i in range(6):
+            name = f"w{i}"
+            runtime.add(
+                watch_spec(
+                    name, f'last(util{{node="n{i % 4}"}}) group by (node)', period_s=30.0,
+                    planner=PokePlanner, priority=i, phase_latency=latency,
+                    on_iteration=record(name),
+                ),
+                start=True,
+            )
+        engine.run(until=400.0)
+        assert runtime.arbiter.stats()["vetoes_total"] > 0
+        for metric in LOOP_METRICS:
+            keys = oracle.series_keys(metric)
+            assert keys and store.series_keys(metric) == keys, metric
+            for key in keys:
+                want_t, want_v = oracle.query(key, -np.inf, np.inf)
+                got_t, got_v = store.query(key, -np.inf, np.inf)
+                assert np.array_equal(got_t, want_t) and np.array_equal(got_v, want_v), key
+
+    def test_loops_finishing_together_commit_once(self):
+        engine = Engine()
+        store = TimeSeriesStore()
+        fill(store)
+        runtime = LoopRuntime(engine, store)
+        commits = []
+        store.add_ingest_listener(lambda ids, t, v: commits.append((float(t[0]), ids.size)))
+        for i in range(8):
+            runtime.add(
+                watch_spec(f"w{i}", "last(util) group by (node)", start_at=60.0), start=True
+            )
+        engine.run(until=60.0)
+        # eight loops x (iteration ms, actions, vetoes) in one commit, though
+        # every loop after the first read the hub after others had finished
+        assert commits == [(60.0, 8 * 3)]
+
+    @pytest.mark.parametrize("mode", ["query", "samples"])
+    def test_meta_loop_reads_rows_of_its_own_instant(self, mode):
+        """A lower-priority meta-loop ticking at the same instant, with no
+        phase latency, reads the worker's row through the hub before the
+        end-of-instant commit has run."""
+        engine = Engine()
+        store = TimeSeriesStore()
+        fill(store)
+        runtime = LoopRuntime(engine, store)
+        runtime.add(
+            watch_spec("w", "last(util) group by (node)", start_at=60.0, priority=10),
+            start=True,
+        )
+        seen = []
+
+        def build(now, inputs):
+            got = inputs["ms"]
+            seen.append((now, got[0].tolist() if mode == "samples" else got.scalar()))
+            return None
+
+        runtime.add(
+            LoopSpec(
+                name="meta",
+                queries=(MonitorQuery("ms", 'count(loop_iteration_ms{loop="w"}[5s])', mode),),
+                build_observation=build,
+                analyzer_factory=PassAnalyzer,
+                planner_factory=EmptyPlanner,
+                executor_factory=OkExecutor,
+                period_s=60.0,
+                start_at=60.0,
+            ),
+            start=True,
+        )
+        engine.run(until=60.0)
+        assert seen == [(60.0, [60.0] if mode == "samples" else 1.0)]
+
+
 class TestStaleness:
     def test_staleness_spans_decision_and_execute_delay(self):
         engine = Engine()

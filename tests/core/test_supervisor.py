@@ -124,14 +124,29 @@ class TestFleetOps:
         engine.run(until=200.0)
         assert runtime.handles["a"].loop.iterations_run > before
 
+    @pytest.mark.parametrize("op", ["quarantine", "restart", "remove"])
+    def test_stopped_loop_does_not_act(self, op):
+        """The tick at t=30 schedules its decide for t=35; stopping the loop
+        at t=31 abandons it instead of acting after the claims went."""
+        engine, runtime = make_runtime()
+        spec = acting_spec("a", "n0", kind="signal_checkpoint", target="j1")
+        spec.phase_latency = PhaseLatency(analyze_s=5.0)
+        runtime.add(spec, start=True)
+        engine.run(until=30.0)
+        assert runtime.actions_total == 1  # the tick at 0, executed at 5
+        engine.schedule_at(31.0, getattr(runtime, op), "a")
+        engine.run(until=36.0)
+        assert runtime.actions_total == 1
+        assert runtime.stats()["abandoned_total"] == 1.0
+        assert not runtime.arbiter.active_claims(engine.now)
+
     def test_restart_publishes_counter_series(self):
         engine, runtime = make_runtime()
         runtime.add(acting_spec("a", "n0"), start=True)
         engine.run(until=50.0)
         runtime.restart("a")
-        value = runtime.query_engine.scalar(
-            'last(loop_restarts_total{loop="a"})', at=engine.now
-        )
+        # staged until the instant ends; a read through the hub sees it now
+        value = runtime.hub.scalar('last(loop_restarts_total{loop="a"})', at=engine.now)
         assert value == 1.0
 
     def test_quarantine_stops_and_bars_start(self):

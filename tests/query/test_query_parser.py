@@ -1,5 +1,8 @@
 """Tests for the query string syntax parser."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.query import LabelMatcher, MetricQuery, QueryParseError, parse_duration, parse_query
@@ -135,3 +138,22 @@ class TestMetricQueryValidation:
     def test_bad_metric_name(self):
         with pytest.raises(ValueError):
             MetricQuery("9metric")
+
+
+class TestMetricQueryHash:
+    def test_hash_is_memoised_and_follows_equality(self):
+        q = parse_query('mean(m{node=~"a|b"}[60s] by 10s) group by (node)')
+        same = parse_query(q.to_expr())
+        assert q == same and q is not same
+        assert hash(q) == hash(same) == hash(q)
+        assert q.__dict__["_hash"] == hash(q)
+        assert {q: 1}[same] == 1
+        assert hash(dataclasses.replace(q, matchers=())) != hash(q)
+        assert repr(q) == repr(same) and "_hash" not in repr(q)
+
+    def test_memo_is_not_pickled(self):
+        q = parse_query("max(m[30s]) group by (job)")
+        hash(q)
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and "_hash" not in back.__dict__
+        assert hash(back) == hash(q)

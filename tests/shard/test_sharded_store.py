@@ -143,6 +143,23 @@ def test_epochs_and_generations_are_monotone():
     assert store.series_generation("m") == g1  # no new series
 
 
+def test_epochs_and_generations_count_every_shard():
+    """One table for all shards: a metric's epoch counts its commits on
+    any shard, its generation its series on all of them."""
+    store = ShardedTimeSeriesStore(n_shards=4)
+    keys = _keys(16, metrics=1)
+    ids = store.registry.ids_for(keys)
+    store.append_batch(ids, np.zeros(ids.size), np.ones(ids.size))
+    touched = len({shard_of_key(key, 4) for key in keys})
+    assert touched > 1
+    assert store.metric_epoch("metric0") == touched
+    assert store.series_generation("metric0") == len(keys)
+    assert store.series_generation(None) == len(keys)
+    store.insert(keys[0], 1.0, 2.0)
+    assert store.metric_epoch("metric0") == touched + 1
+    assert store.metric_epoch("metric1") == store.series_generation("metric1") == 0
+
+
 def test_scalar_reads_route_to_owner():
     store = ShardedTimeSeriesStore(n_shards=4)
     key = SeriesKey.of("m", node="y")
