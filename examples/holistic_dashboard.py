@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analytics import OLSForecaster, ZScoreDetector
 from repro.cluster import Cluster, ClusterConfig
-from repro.query import QueryEngine, RollupManager
+from repro.query import QueryEngine
 from repro.sim import Engine, RngRegistry
 from repro.telemetry import SeriesKey
 from repro.workloads import WorkloadGenerator, WorkloadSpec
@@ -48,13 +48,13 @@ def main() -> None:
     generator.start()
     # continuously fold raw telemetry into 60s → 300s rollup tiers so the
     # dashboard's long-range queries never scan raw ring buffers
-    rollups = RollupManager(cluster.store, resolutions=(60.0, 300.0))
-    rollups.attach(engine)
+    for rollups in cluster.store.create_tiersets((60.0, 300.0)):
+        rollups.attach(engine)
     horizon = 7200.0
     engine.run(until=horizon)
 
     store = cluster.store
-    qe = QueryEngine(store, rollups=rollups)
+    qe = QueryEngine(store)
     print("=" * 70)
     print("VISUALIZE — cluster power (5-min bins, served from rollups)")
     print("=" * 70)

@@ -21,10 +21,6 @@ boundary, and the serving fast paths (the engine's result cache, the
 standing engine).  The raw engine stays reachable as :attr:`Client.engine` for
 code that needs engine-level semantics (loop wiring, property tests) —
 that is an intentional escape hatch, not the public path.
-
-Deprecated-but-working older entry points (``Cluster.query_engine()``,
-per-command engine construction in the CLI) now warn once and delegate
-to the same internals; see the README migration note.
 """
 
 from __future__ import annotations

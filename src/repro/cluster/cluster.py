@@ -40,8 +40,8 @@ class ClusterConfig:
     telemetry_hop_latency_s: float = 0.1
     enable_telemetry: bool = True
     #: >1 hash-partitions the telemetry store across that many shard
-    #: stores; loops and dashboards then read through a federated
-    #: scatter-gather query engine (see :mod:`repro.shard`)
+    #: stores; loops and dashboards read them through the same query
+    #: engine, one pass per shard (see :mod:`repro.shard`)
     shards: int = 1
     #: >0 backs the shard stores with shared-memory columns and runs
     #: per-shard ingest/scatter/fold work on that many worker processes
@@ -64,10 +64,6 @@ class ClusterConfig:
             raise ValueError("parallel workers require a sharded store (shards > 1)")
 
 
-#: warn-once flag for the deprecated public ``query_engine`` entry point
-_QUERY_ENGINE_WARNED = False
-
-
 class Cluster:
     """Assembled simulated HPC system."""
 
@@ -83,7 +79,7 @@ class Cluster:
 
             # shared-memory shard columns + worker pool: ingest and
             # query scatters execute process-parallel, reads still
-            # federate through query_engine() / loop_runtime()
+            # federate through _query_engine() / loop_runtime()
             self.store = ParallelShardedStore(
                 n_shards=self.config.shards, workers=self.config.parallel
             )
@@ -92,7 +88,7 @@ class Cluster:
             from repro.shard import ShardedTimeSeriesStore
 
             # the collector's commit path routes batches by shard; every
-            # reader goes through query_engine() / loop_runtime(), which
+            # reader goes through _query_engine() / loop_runtime(), which
             # federate reads back across the partitions
             self.store = ShardedTimeSeriesStore(n_shards=self.config.shards)
         else:
@@ -112,7 +108,7 @@ class Cluster:
         self.samplers: List[SamplingGroup] = []
         self.pipeline: Optional[CollectionPipeline] = None
         self.runtime = None  # lazily built by loop_runtime()
-        self._query_engines: Dict = {}  # query_engine() memo per config
+        self._query_engines: Dict = {}  # _query_engine() memo per config
         if self.config.enable_telemetry:
             self._wire_telemetry()
 
@@ -187,74 +183,32 @@ class Cluster:
         return read
 
     # --------------------------------------------------------------- queries
-    def query_engine(self, *, rollup_resolutions=None, cache=None, enable_cache=True):
-        """Deprecated raw-engine access — use :class:`repro.api.Client`.
-
-        The engine this returns still works exactly as before (it is the
-        same memoized engine the client uses internally), but external
-        consumers should now go through ``Client.from_config`` /
-        ``Client.from_cluster``, which adds admission control, typed
-        request/response, and the serving fast paths.  Warns once per
-        process.
-        """
-        global _QUERY_ENGINE_WARNED
-        if not _QUERY_ENGINE_WARNED:
-            _QUERY_ENGINE_WARNED = True
-            import warnings
-
-            warnings.warn(
-                "Cluster.query_engine() is deprecated as a public entry point; "
-                "build a repro.api.Client (Client.from_config / Client.from_cluster) "
-                "and use client.query()/client.engine instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self._query_engine(
-            rollup_resolutions=rollup_resolutions, cache=cache, enable_cache=enable_cache
-        )
-
     def _query_engine(self, *, rollup_resolutions=None, cache=None, enable_cache=True):
-        """A query engine over this cluster's store (internal seam).
+        """A query engine over this cluster's store (internal seam; the
+        public path is :class:`repro.api.Client`).
 
-        Returns the plain vectorized engine for a single-store cluster
-        and a :class:`~repro.shard.FederatedQueryEngine` (optionally
-        with per-shard rollup cascades) when the store is sharded — the
-        one read surface, so callers never need to know how the store is
-        partitioned.  Memoized per configuration: building rollup
-        cascades registers permanent ingest listeners on the store, so
-        repeated calls (dashboard refresh loops) must share one engine,
-        not stack new managers.
+        One engine type whatever the store's shape: it reads the store's
+        places, tiers and pool.  ``rollup_resolutions`` gives the store
+        its rollup tiers (one layout per store: another layout raises).
+        Memoized per configuration, so repeated calls (dashboard refresh
+        loops) share one engine.
         """
+        from repro.query import QueryEngine
+
+        if rollup_resolutions is not None:
+            self.store.create_tiersets(rollup_resolutions)
         if cache is not None:  # caller-managed cache: no sharing
-            return self._build_query_engine(rollup_resolutions, cache, enable_cache)
+            return QueryEngine(self.store, cache=cache)
         config_key = (
             tuple(rollup_resolutions) if rollup_resolutions is not None else None,
             enable_cache,
         )
-        cached = self._query_engines.get(config_key)
-        if cached is not None:
-            return cached
-        engine = self._build_query_engine(rollup_resolutions, cache, enable_cache)
-        self._query_engines[config_key] = engine
+        engine = self._query_engines.get(config_key)
+        if engine is None:
+            engine = self._query_engines[config_key] = QueryEngine(
+                self.store, enable_cache=enable_cache
+            )
         return engine
-
-    def _build_query_engine(self, rollup_resolutions, cache, enable_cache):
-        from repro.query import QueryEngine, RollupManager
-        from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
-
-        if isinstance(self.store, ShardedTimeSeriesStore):
-            # the tiers belong to the store (heap, or shared memory beside
-            # a worker pool), one rollup layout for its lifetime; the
-            # engine finds them, and the pool, there
-            if rollup_resolutions is not None:
-                self.store.create_tiersets(rollup_resolutions)
-            return FederatedQueryEngine(self.store, cache=cache, enable_cache=enable_cache)
-        rollups = None
-        if rollup_resolutions is not None:
-            rollups = RollupManager(self.store, resolutions=rollup_resolutions)
-        return QueryEngine(
-            self.store, rollups=rollups, cache=cache, enable_cache=enable_cache
-        )
 
     # --------------------------------------------------------------- loops
     def loop_runtime(self, *, audit=None, runtime_config=None):
@@ -269,19 +223,12 @@ class Cluster:
         """
         if self.runtime is None:
             from repro.core.runtime import LoopRuntime, RuntimeConfig
-            from repro.shard import ShardedTimeSeriesStore
 
-            query_engine = None
-            if isinstance(self.store, ShardedTimeSeriesStore):
-                cfg = runtime_config if runtime_config is not None else RuntimeConfig()
-                # monitors read through the federated scatter-gather
-                # engine; the QueryHub's fusion/caching layers work
-                # unchanged on top of it
-                query_engine = self._query_engine(enable_cache=cfg.enable_cache)
+            cfg = runtime_config if runtime_config is not None else RuntimeConfig()
             self.runtime = LoopRuntime(
                 self.engine,
                 self.store,
-                query_engine=query_engine,
+                query_engine=self._query_engine(enable_cache=cfg.enable_cache),
                 audit=audit,
                 config=runtime_config,
             )

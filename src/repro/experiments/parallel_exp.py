@@ -4,13 +4,13 @@ PR 7 moves shard columns into ``multiprocessing.shared_memory`` and runs
 the per-shard scatter/fold passes on a persistent worker-process
 pool (:mod:`repro.shard.parallel`).  The gather stays the canonical
 single-process lexsort/reduceat merge, so the parallel tier must be
-**bit-identical** to the serial federated engine for every worker
+**bit-identical** to the same engine over the serial store for every worker
 count — that is asserted here and property-tested against the
 single-store oracle in ``tests/shard/test_parallel.py``.  E18 measures
 five things on identical data:
 
 * **Scatter speedup** — the E16 ``group_by`` dashboard query served by
-  a :class:`~repro.shard.FederatedQueryEngine` over a plain sharded
+  the :class:`~repro.query.engine.QueryEngine` over a plain sharded
   store vs the same engine over a store with a live worker pool,
   dispatching per-shard partial aggregation to it.  Gated ≥2.5× at 4 workers
   × 8 shards (4096 series) on a multi-core host.
@@ -51,13 +51,10 @@ from repro.experiments.shard_exp import (
     _series_keys,
 )
 from repro.experiments.supervise_exp import run_supervision_scenario
+from repro.query import engine as query_engine
+from repro.query.engine import QueryEngine
 from repro.query.model import LabelMatcher, MetricQuery
-from repro.shard import (
-    FederatedQueryEngine,
-    ParallelShardedStore,
-    ShardedTimeSeriesStore,
-    federated,
-)
+from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore
 
 
 def _check_queries(at: float, step_s: float) -> List[MetricQuery]:
@@ -90,7 +87,7 @@ def run_parallel_scatter_benchmark(
     ``identical_worker_counts`` plus the measured ``workers``, a fresh
     parallel store is filled *through the pool* and every check query
     (range/instant/rate/p95) plus a raw ``samples()`` read must come out
-    bit-identical to the serial federated engine — partition invariance
+    bit-identical to the engine over the serial store — partition invariance
     extended across process boundaries.  Then the E16 dashboard query is
     timed on both engines.
     """
@@ -102,7 +99,7 @@ def run_parallel_scatter_benchmark(
 
     serial_store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=capacity)
     _fill(serial_store, _intern(serial_store, keys), ticks, sample_period_s, base)
-    serial = FederatedQueryEngine(serial_store, enable_cache=False)
+    serial = QueryEngine(serial_store, enable_cache=False)
     queries = _check_queries(at, step_s)
     want = [serial.query(q, at=at) for q in queries]
     want_samples = serial.samples(queries[0], at=at)
@@ -117,7 +114,7 @@ def run_parallel_scatter_benchmark(
         )
         store.start_parallel()
         _fill(store, _intern(store, keys), ticks, sample_period_s, base)
-        engine = FederatedQueryEngine(store, enable_cache=False)
+        engine = QueryEngine(store, enable_cache=False)
         for q, ref in zip(queries, want):
             if not _results_bit_identical(engine.query(q, at=at), ref):
                 bit_identical = False
@@ -216,7 +213,7 @@ def run_parallel_ingest_benchmark(
     parallel_store.start_parallel()
     stores = (serial_store, shm_store, parallel_store)
     engines = [
-        FederatedQueryEngine.with_rollups(store, resolutions=resolutions) for store in stores
+        QueryEngine.with_rollups(store, resolutions=resolutions) for store in stores
     ]
     folded = [0, 0, 0]
 
@@ -304,15 +301,15 @@ def run_small_pass_tax_benchmark(
         "n_series": float(n_series),
         "n_shards": float(n_shards),
         "workers": float(workers),
-        "inline_scatter_series": float(federated.INLINE_SCATTER_SERIES),
+        "inline_scatter_series": float(query_engine.INLINE_SCATTER_SERIES),
     }
     try:
         for store in (serial_store, pool_store):
             _fill(store, _intern(store, keys), ticks, sample_period_s, base)
-        inline = FederatedQueryEngine(serial_store, enable_cache=False)
-        pooled = FederatedQueryEngine(pool_store, enable_cache=False)
+        inline = QueryEngine(serial_store, enable_cache=False)
+        pooled = QueryEngine(pool_store, enable_cache=False)
         bit_identical = True
-        with mock.patch.object(federated, "INLINE_SCATTER_SERIES", 0):
+        with mock.patch.object(query_engine, "INLINE_SCATTER_SERIES", 0):
             for k in sizes:
                 queries = [
                     MetricQuery(
@@ -354,7 +351,7 @@ def _sharded_factories(n_shards: int):
         return ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=capacity)
 
     def make_engine(store, config):
-        return FederatedQueryEngine(store, enable_cache=config.enable_cache)
+        return QueryEngine(store, enable_cache=config.enable_cache)
 
     return make_store, make_engine
 
@@ -368,7 +365,7 @@ def _parallel_factories(n_shards: int, workers: int, captured: Dict):
         return store
 
     def make_engine(store, config):
-        engine = FederatedQueryEngine(store, enable_cache=config.enable_cache)
+        engine = QueryEngine(store, enable_cache=config.enable_cache)
         captured["engine"] = engine
         return engine
 

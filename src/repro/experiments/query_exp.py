@@ -26,7 +26,6 @@ import numpy as np
 from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.model import MetricQuery
-from repro.query.rollup import RollupManager
 from repro.sim import RngRegistry
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -87,8 +86,7 @@ def run_query_scan_comparison(
 ) -> Dict[str, float]:
     """Long-range query latency: naive scan vs engine (cold and cached)."""
     store = _build_store(seed, n_series, horizon_s, sample_period_s)
-    rollups = RollupManager(store, resolutions=rollup_resolutions, capacity=8192)
-    rollups.fold(horizon_s)
+    store.create_tiersets(rollup_resolutions, tier_capacity=8192)[0].fold(horizon_s)
 
     at = horizon_s
     query = MetricQuery("m", agg="mean", range_s=range_s, step_s=step_s)
@@ -98,13 +96,13 @@ def run_query_scan_comparison(
         naive_t, naive_v = _naive_scan(store, at - range_s, at, step_s)
     naive_ms = (time.perf_counter() - t0) / n_naive_queries * 1e3
 
-    cold = QueryEngine(store, rollups=rollups, enable_cache=False)
+    cold = QueryEngine(store, enable_cache=False)
     t0 = time.perf_counter()
     for _ in range(n_engine_queries):
         result = cold.query(query, at=at)
     engine_cold_ms = (time.perf_counter() - t0) / n_engine_queries * 1e3
 
-    cached = QueryEngine(store, rollups=rollups, cache=QueryCache())
+    cached = QueryEngine(store, cache=QueryCache())
     cached.query(query, at=at)  # warm the cache
     t0 = time.perf_counter()
     for _ in range(n_engine_queries):
@@ -144,9 +142,8 @@ def run_cache_effectiveness(
 ) -> Dict[str, float]:
     """A dashboard fleet re-polling the same panels inside one quantum."""
     store = _build_store(seed, n_series, horizon_s, sample_period_s=10.0)
-    rollups = RollupManager(store, resolutions=(60.0,), capacity=8192)
-    rollups.fold(horizon_s)
-    qe = QueryEngine(store, rollups=rollups, cache=QueryCache())
+    store.create_tiersets((60.0,), tier_capacity=8192)[0].fold(horizon_s)
+    qe = QueryEngine(store, cache=QueryCache())
     exprs = [
         f"mean(m[{window_s:g}s] by {step_s:g}s)",
         f"max(m[{window_s:g}s] by {step_s:g}s)",

@@ -6,12 +6,11 @@ measures both halves at high cardinality on identical data:
 
 * **Query federation** — cross-series ``group_by`` dashboard queries
   (the shape every per-node watch fleet issues) served by the
-  :class:`~repro.query.engine.QueryEngine` over one store vs the
-  :class:`~repro.shard.FederatedQueryEngine` over 8 shards.  Both run
-  the one algebra — plan, one pass per place, canonical gather — so the
-  answers must be bit-identical and the ratio prices the partition
-  alone: eight passes and a gather that sorts where one place's rows
-  arrive canonical.
+  :class:`~repro.query.engine.QueryEngine` over one store vs the same
+  engine over 8 shards.  Both run the one algebra — plan, one pass per
+  place, canonical gather — so the answers must be bit-identical and the
+  ratio prices the partition alone: eight passes and a gather that sorts
+  where one place's rows arrive canonical.
 
 * **Sharded ingest** — the identical columnar commit stream through
   ``append_batch`` on one store vs the sharded facade's split-and-route
@@ -30,7 +29,7 @@ import numpy as np
 from repro.query.engine import QueryEngine, QueryResult
 from repro.query.model import MetricQuery
 from repro.query.standing import StandingQueryEngine
-from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
+from repro.shard import ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -152,7 +151,7 @@ def run_federated_query_benchmark(
     query = MetricQuery(
         "m", agg="mean", range_s=at, step_s=step_s, group_by=("node",)
     )
-    fed = FederatedQueryEngine(sharded, enable_cache=False)
+    fed = QueryEngine(sharded, enable_cache=False)
     # register the bench shape *before* ingest so the standing pass
     # measures the incremental listener path, not a one-shot backfill
     standing = StandingQueryEngine(fed)

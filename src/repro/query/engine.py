@@ -2,10 +2,12 @@
 
 :class:`QueryEngine` is the serving layer between a store and everything
 that reads telemetry (analytics facades, MAPE-K loops, dashboards, the
-front door).  Every store shape is served by the one algebra below — a
-plain :class:`~repro.telemetry.tsdb.TimeSeriesStore` is the one-place
-case of a sharded store, the series of each *place* addressed by that
-place's own series ids::
+front door).  Every store shape is served by the one algebra below,
+through the one store protocol: ``places`` — the stores whose rings hold
+the series, a plain :class:`~repro.telemetry.tsdb.TimeSeriesStore`
+itself, a sharded store its shards — with one rollup cascade per place
+in ``tiersets`` and the worker pool, if any, in ``pool``.  The series of
+each *place* are addressed by that place's own series ids::
 
     cache probe ─> plan ─> run on places ─> gather ─> QueryResult
                     │          │               │
@@ -24,9 +26,8 @@ place's own series ids::
    holding any selected series (:meth:`QueryEngine._run_on_shards`):
    per-series partial rows, stitched from the tier below each series'
    fold watermark and the raw tail past it, so a tier-served answer is
-   the raw scan's.  Here the passes run in process; the sharded engine
-   (:class:`repro.shard.federated.FederatedQueryEngine`) may hand them
-   to a worker pool.
+   the raw scan's.  They run in process, or on the store's worker pool
+   while that is live — observed, not configured.
 4. **Gather** — the rows of every place, concatenated and reduced in one
    canonical order ``(group, bin, last_t, source, rank)`` that does not
    depend on how series are partitioned (:func:`reduce_partial`), so
@@ -42,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -63,6 +64,23 @@ GroupLabels = Tuple[Tuple[str, str], ...]
 #: Entries each engine memo keeps — plans, parsed expressions, canonical
 #: strings — least recently used going first.
 _PLANS_MAX = 4096
+
+#: Dispatch result of a task lost to a dead worker.
+WORKER_DIED = object()
+
+#: A scatter pass over at most this many series runs in process although
+#: a pool is live.  Calibration (E18 ``small_pass_tax``, 4 shards × 2
+#: workers): a dispatch costs a fixed F ≈ 0.65–0.9 ms over the same pass
+#: run here (wake two workers, pickle ~40 small arrays, unpickle them),
+#: and reading a series costs c ≈ 8 µs from raw rings, ≈ 16 µs stitched
+#: from a tier, on either side.  W workers on cores of their own save at
+#: most c·k·(1 − 1/W), so the pool breaks even no earlier than k = F /
+#: (c·(1 − 1/W)): ≈ 80–220 series at W = 2, ≈ 55–150 at W = 4.  On the
+#: 2-vCPU development host (one core's worth of throughput) the measured
+#: crossover is 130–190 series with tiers and none up to 512 without.
+#: 64 is below all of those: no pass kept here would have been faster
+#: dispatched.  Tests and E18 pin it to 0 to send every pass to the pool.
+INLINE_SCATTER_SERIES = 64
 
 
 @dataclass(frozen=True)
@@ -275,32 +293,37 @@ def reduce_partial(
 class QueryEngine:
     """Vectorized metric query engine with tiered rollups and caching.
 
-    Serves one place — the store itself, its rings, its ``rollups`` and
-    the standing grids kept beside them — and runs every pass in
-    process; :class:`repro.shard.federated.FederatedQueryEngine` is the
-    same engine over the places of a sharded store.
+    Serves whatever store it is given through the store's protocol: its
+    ``places`` (the stores whose rings hold its series — a plain store
+    itself, a sharded store its shards), their rollup cascades
+    (``store.tiersets``, one per place, ``None`` without tiers) and the
+    worker pool that may run its passes (``store.pool``) — all observed,
+    none configured here.
     """
 
     def __init__(
         self,
         store: TimeSeriesStore,
         *,
-        rollups: Optional[RollupManager] = None,
         cache: Optional[QueryCache] = None,
         enable_cache: bool = True,
         instant_quantum_s: float = 1.0,
     ) -> None:
         self.store = store
-        self.rollups = rollups
         self.cache = cache if cache is not None else (QueryCache() if enable_cache else None)
         self.instant_quantum_s = float(instant_quantum_s)
         #: the stores whose rings the passes read, by place index
-        self.places: List[TimeSeriesStore] = [store]
+        self.places: List[TimeSeriesStore] = store.places
         self.queries_total = 0
         self.samples_total = 0
         self.served_raw = 0
         self.served_rollup = 0
         self.fanout_total = 0
+        #: passes the pool ran, by kind; passes it should have run and
+        #: (partly) could not; scatters kept in process for their size
+        self.pool_passes: Counter = Counter()
+        self.serial_fallbacks = 0
+        self.inline_by_size = 0
         self._parsed: _Memo = _Memo()
         self._exprs: _Memo = _Memo()
         #: the plan memo, each entry valid for the series generation it
@@ -309,11 +332,34 @@ class QueryEngine:
         self._standing = None
         self._fold_task = None
 
+    @classmethod
+    def with_rollups(
+        cls,
+        store: TimeSeriesStore,
+        *,
+        resolutions: Sequence[float] = (10.0, 60.0, 600.0),
+        capacity: int = 4096,
+        **kwargs,
+    ) -> "QueryEngine":
+        """Give the store its rollup tiers, build the engine."""
+        store.create_tiersets(resolutions, tier_capacity=capacity)
+        return cls(store, **kwargs)
+
     # -------------------------------------------------------------- places
     @property
     def tiersets(self) -> Optional[List[RollupManager]]:
         """The rollup cascade of each place (``None``: no tiers)."""
-        return [self.rollups] if self.rollups is not None else None
+        return self.store.tiersets
+
+    @property
+    def parallel_scatters(self) -> int:
+        """Scatter passes the worker pool ran."""
+        return self.pool_passes["scatter"]
+
+    @property
+    def parallel_folds(self) -> int:
+        """Fold passes the worker pool ran."""
+        return self.pool_passes["fold"]
 
     def _shard_state(self, place: int) -> ShardState:
         """This side's view of one place for a pass run in process."""
@@ -328,10 +374,48 @@ class QueryEngine:
 
     def _run_on_shards(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
         """Run one pass of ``kind`` on the places of ``tasks`` — ``(place,
-        payload)`` pairs — and return their results in task order.  Here
-        every pass runs in process; the sharded engine's override may
-        hand them to a worker pool."""
-        return self._run_here(kind, tasks)
+        payload)`` pairs — and return their results in task order.
+
+        The one place that decides who runs a pass, from what it
+        observes: the store's pool and the size of the pass.  One
+        dispatch to the owning workers while the pool is live; the same
+        :data:`~repro.query.passes.SHARD_PASSES` function here, on this
+        side's view of the place, where there is no pool, it is
+        stopped, a worker died with its reply (the pool breaks, or
+        respawns it) — or the pass is a scatter over no more than
+        :data:`INLINE_SCATTER_SERIES` series, which a round trip would
+        cost more than it reads.  Reads are idempotent, a re-run fold is
+        skipped tier by tier by its watermarks, and parent state is
+        authoritative throughout.  A pass the pool could not run, wholly
+        or in part, counts once in ``serial_fallbacks``; one kept here
+        for its size counts in ``inline_by_size`` instead and never
+        looks at the pool, so a dead worker is noticed at the next
+        dispatched pass (fold, standing, large scatter), not at the next
+        small read.  Either way the pass traces as one ``<kind>.shard``
+        span per place.
+        """
+        if not tasks:
+            return []
+        pool = self.store.pool
+        results: List = [WORKER_DIED] * len(tasks)
+        small = (
+            pool is not None
+            and kind == "scatter"
+            and sum(len(payload["sids"]) for _, payload in tasks) <= INLINE_SCATTER_SERIES
+        )
+        if small:
+            self.inline_by_size += 1
+        elif pool is not None and pool.active:
+            results = pool.dispatch([(place, kind, payload) for place, payload in tasks])
+        here = [i for i, data in enumerate(results) if data is WORKER_DIED]
+        if not here:
+            self.pool_passes[kind] += 1
+            return results
+        if pool is not None and not small:
+            self.serial_fallbacks += 1
+        for i, data in zip(here, self._run_here(kind, [tasks[i] for i in here])):
+            results[i] = data
+        return results
 
     def _run_here(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
         """Run the :data:`~repro.query.passes.SHARD_PASSES` function of
@@ -602,6 +686,19 @@ class QueryEngine:
         for manager in self.tiersets or ():
             for k, v in manager.stats().items():
                 out[f"rollup_{k}"] = out.get(f"rollup_{k}", 0.0) + v
+        if self.places[0] is not self.store:  # a federation of shard stores
+            executed = self.served_raw + self.served_rollup
+            out["shards"] = float(len(self.places))
+            out["federated_queries"] = float(executed)
+            out["fanout_total"] = float(self.fanout_total)
+            out["fanout_mean"] = self.fanout_total / max(1, executed)
+        pool = self.store.pool
+        if pool is not None:
+            out["parallel_scatters"] = float(self.parallel_scatters)
+            out["parallel_folds"] = float(self.parallel_folds)
+            out["serial_fallbacks"] = float(self.serial_fallbacks)
+            out["inline_by_size"] = float(self.inline_by_size)
+            out.update({f"pool_{k}": v for k, v in pool.stats().items()})
         return out
 
     # ----------------------------------------------------------- execution

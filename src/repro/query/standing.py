@@ -37,8 +37,8 @@ Layout and lifecycle:
 * :class:`StandingProvider` — an engine's standing state, one per
   engine (:meth:`QueryEngine.standing_provider`) and shared by every
   standing engine over it: :class:`StandingGrids` per place of the
-  engine's store, or — beside a live worker pool — the grids the
-  workers keep.  A read is the ``standing`` pass of
+  engine's store (``store.places``), or — beside a worker pool
+  (``store.pool``) — the grids the workers keep.  A read is the ``standing`` pass of
   :mod:`repro.query.passes` run on every touched place through the
   engine's ``_run_on_shards``, wherever that runs it.
 * :class:`StandingQueryEngine` — the serving layer: the read path's one
@@ -637,7 +637,7 @@ def _assemble_rate(
 class StandingQueryEngine:
     """Serving layer for standing queries: promotion, registration, reads.
 
-    Wraps a batch engine (single-store or federated); ``query`` returns
+    Wraps the batch engine, whatever its store's shape; ``query`` returns
     a :class:`QueryResult` with ``source="standing"`` when the
     registered state covers the request, or ``None`` so the caller falls
     back to the batch engine (cold shapes, percentiles, instant queries,

@@ -3,8 +3,8 @@
 The MODA substrate scales past a single in-process store by
 hash-partitioning series across N independent shard stores
 (:class:`ShardedTimeSeriesStore`) and federating reads back together
-(:class:`FederatedQueryEngine` — the one query engine of
-:mod:`repro.query`, its places being the shards).  Routing is
+through the one :class:`~repro.query.engine.QueryEngine`, the store's
+``places`` being its shards.  Routing is
 deterministic on the series key, so a series always lives on exactly
 one shard; ingest splits columnar batches by shard, and a query is
 planned once, run as one pass per touched shard and gathered in a
@@ -18,12 +18,14 @@ dispatches its passes to that pool while it is live, and runs the same
 pass functions in process otherwise.
 """
 
-from repro.shard.federated import FederatedQueryEngine
+from repro.query.engine import QueryEngine
 from repro.shard.parallel import ParallelShardContext, ParallelShardedStore, ShardWorkerPool
 from repro.shard.store import ShardedTimeSeriesStore, shard_of_key
 
+# exists only for ``from repro.shard import FederatedQueryEngine`` in bench/wl_fleet_act.py
+FederatedQueryEngine = QueryEngine
+
 __all__ = [
-    "FederatedQueryEngine",
     "ParallelShardContext",
     "ParallelShardedStore",
     "ShardWorkerPool",

@@ -38,9 +38,9 @@ Layering (parent process owns everything above the pipe):
   crash detection, and shared-memory result transport.
 * :class:`ParallelShardedStore` — the sharded store facade over those
   shards, carrying the pool.  There is no parallel engine: the
-  :class:`~repro.shard.federated.FederatedQueryEngine` over this store
-  dispatches its passes to the live pool and runs them in process when
-  it is down or a worker dies — correctness never depends on the pool.
+  :class:`~repro.query.engine.QueryEngine` over this store dispatches
+  its passes to the live pool and runs them in process when it is down
+  or a worker dies — correctness never depends on the pool.
 
 Determinism: a worker's :class:`_WorkerShard` is the same
 :class:`~repro.query.passes.ShardState` the parent builds, the pass
@@ -62,7 +62,7 @@ from repro.obs.trace import TRACER
 from repro.query.rollup import CascadeFolder, RollupManager, TierStore
 from repro.query.standing import StandingGrid
 from repro.query.passes import SHARD_PASSES, ShardState
-from repro.shard.federated import WORKER_DIED, FederatedQueryEngine
+from repro.query.engine import WORKER_DIED, QueryEngine
 from repro.shard.store import ShardedTimeSeriesStore
 from repro.telemetry.tsdb import RawRings, TimeSeriesStore
 
@@ -1018,7 +1018,7 @@ class ParallelShardContext:
 
     ``with ParallelShardContext(shards=8, workers=4) as ctx:`` yields a
     running pool; ``ctx.store`` is a drop-in replacement for the plain
-    sharded store and ``ctx.engine`` the federated engine over it.
+    sharded store and ``ctx.engine`` the query engine over it.
     """
 
     def __init__(
@@ -1038,7 +1038,7 @@ class ParallelShardContext:
         )
         if rollup_resolutions is not None:
             self.store.create_tiersets(rollup_resolutions, tier_capacity=tier_capacity)
-        self.engine = FederatedQueryEngine(self.store, cache=cache, enable_cache=enable_cache)
+        self.engine = QueryEngine(self.store, cache=cache, enable_cache=enable_cache)
         self.store.start_parallel()
 
     def close(self) -> None:

@@ -4,9 +4,12 @@
 independent :class:`~repro.telemetry.tsdb.TimeSeriesStore` instances.
 Each shard owns the full single-store machinery — its own
 :class:`~repro.telemetry.batch.SeriesRegistry`, ring buffers, per-metric
-write epochs and series generations, ingest listeners, and (when the
-query layer attaches them) rollup tiers — so a shard is exactly the
-storage unit a production deployment would run as one process.
+write epochs and series generations, ingest listeners — so a shard is
+exactly the storage unit a production deployment would run as one
+process.  The facade speaks the store protocol the query engine reads:
+its ``places`` are the shards, ``tiersets`` their rollup cascades (one
+layout per store, :meth:`~repro.telemetry.tsdb.TimeSeriesStore.create_tiersets`)
+and ``pool`` the worker pool that may run their passes.
 
 Routing is **deterministic and content-addressed**: a series key always
 maps to the same shard (:func:`shard_of_key`, CRC-32 of the canonical
@@ -33,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.query.rollup import RollupManager
 from repro.telemetry.batch import SeriesRegistry, sort_series_columns
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import (
@@ -64,15 +66,17 @@ class ShardedTimeSeriesStore:
     per-series bulk inserts, columnar ``append_batch``, window queries,
     key listing, epochs/generations, listeners), so every existing
     consumer — collectors, loops, dashboards, the query layer — works
-    unchanged on top of it.  Aggregates go through
-    :class:`repro.shard.federated.FederatedQueryEngine`, which runs the
-    query engine's passes per shard and gathers their partial rows.
+    unchanged on top of it.  Its ``places`` are its shards, so the one
+    :class:`~repro.query.engine.QueryEngine` runs its passes per shard
+    and gathers their partial rows.
     """
 
     #: the worker pool that can run this store's shard passes; the
-    #: federated engine runs them in process while there is none, or
-    #: while it is not live (:class:`repro.shard.parallel.ParallelShardedStore`)
+    #: query engine runs them in process while there is none, or while
+    #: it is not live (:class:`repro.shard.parallel.ParallelShardedStore`)
     pool = None
+    #: one rollup cascade per shard (:meth:`create_tiersets`)
+    tiersets = None
 
     def __init__(self, n_shards: int = 4, default_capacity: int = 4096) -> None:
         if n_shards <= 0:
@@ -98,8 +102,6 @@ class ShardedTimeSeriesStore:
             np.empty(0, dtype=np.int64) for _ in range(self.n_shards)
         ]
         self._listeners: List[IngestListener] = []
-        #: one rollup cascade per shard (:meth:`create_tiersets`)
-        self.tiersets: Optional[List[RollupManager]] = None
         self._indexes: Dict[Optional[str], LabelIndex] = {}
 
     def _make_shard(self, idx: int) -> TimeSeriesStore:
@@ -108,42 +110,15 @@ class ShardedTimeSeriesStore:
         puts the rings in shared memory for the process-parallel tier)."""
         return TimeSeriesStore(self.default_capacity)
 
-    def create_tiersets(
-        self,
-        resolutions: Sequence[float],
-        *,
-        tier_capacity: int = 4096,
-        ingest_buffer_cap: int = 1 << 18,
-    ) -> List[RollupManager]:
-        """Build one rollup cascade per shard.
+    @property
+    def places(self) -> List[TimeSeriesStore]:
+        """The stores whose rings hold this store's series: its shards."""
+        return self.shards
 
-        One rollup configuration per store — every engine over it reads
-        the same tiers, and a worker's mirror has the layout baked in —
-        so a second call with a different layout raises instead of
-        silently forking the config.
-        """
-        if self.tiersets is not None:
-            if [t.resolution_s for t in self.tiersets[0].tiers] == sorted(
-                float(r) for r in resolutions
-            ):
-                return self.tiersets
-            raise RuntimeError(
-                "store already has rollup tiers with a different layout; "
-                "one rollup configuration per store"
-            )
-        self.tiersets = [
-            self._make_tierset(idx, resolutions, tier_capacity, ingest_buffer_cap)
-            for idx in range(self.n_shards)
-        ]
-        return self.tiersets
-
-    def _make_tierset(
-        self, idx: int, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
-    ) -> RollupManager:
-        """Shard ``idx``'s cascade; subclasses relocate its tiers."""
-        return RollupManager(
-            self.shards[idx], resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
-        )
+    # one rollup layout per store, one cascade per place: the plain
+    # store's rule and builder, over the shards
+    create_tiersets = TimeSeriesStore.create_tiersets
+    _make_tierset = TimeSeriesStore._make_tierset
 
     # ------------------------------------------------------------- routing
     def shard_index(self, key: SeriesKey) -> int:

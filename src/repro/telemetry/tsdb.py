@@ -686,6 +686,8 @@ class TimeSeriesStore:
     #: no worker pool: a query engine runs this store's passes in
     #: process (a sharded store may carry one)
     pool = None
+    #: one rollup cascade per place (:meth:`create_tiersets`)
+    tiersets = None
 
     def __init__(self, default_capacity: int = 4096, *, rings: Optional[RawRings] = None) -> None:
         if default_capacity <= 0:
@@ -705,6 +707,51 @@ class TimeSeriesStore:
         self._indexes: Dict[Optional[str], LabelIndex] = {}
         self._listeners: List[IngestListener] = []
         self.total_inserts = 0
+
+    @property
+    def places(self) -> List["TimeSeriesStore"]:
+        """The stores whose rings hold this store's series: itself."""
+        return [self]
+
+    def create_tiersets(
+        self,
+        resolutions: Sequence[float],
+        *,
+        tier_capacity: int = 4096,
+        ingest_buffer_cap: int = 1 << 18,
+    ) -> List:
+        """Build one rollup cascade per place.
+
+        One rollup configuration per store — every engine over it reads
+        the same tiers, and a worker's mirror has the layout baked in —
+        so a second call with the same layout returns the same list and
+        one with a different layout raises instead of silently forking
+        the config.
+        """
+        if self.tiersets is not None:
+            if [t.resolution_s for t in self.tiersets[0].tiers] == sorted(
+                float(r) for r in resolutions
+            ):
+                return self.tiersets
+            raise RuntimeError(
+                "store already has rollup tiers with a different layout; "
+                "one rollup configuration per store"
+            )
+        self.tiersets = [
+            self._make_tierset(idx, resolutions, tier_capacity, ingest_buffer_cap)
+            for idx in range(len(self.places))
+        ]
+        return self.tiersets
+
+    def _make_tierset(
+        self, idx: int, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
+    ):
+        """Place ``idx``'s cascade; subclasses relocate its tiers."""
+        from repro.query.rollup import RollupManager
+
+        return RollupManager(
+            self.places[idx], resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
+        )
 
     # ------------------------------------------------------------ management
     def set_capacity(self, metric: str, capacity: int) -> None:

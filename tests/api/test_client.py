@@ -2,16 +2,13 @@
 
 The client is the one supported external surface: every read passes the
 front door (typed request/response, admission, fast paths), the sim
-advances under the serving write gate, and the deprecated raw-engine
-entry point still works but warns exactly once per process.
+advances under the serving write gate, and the raw engine behind it is
+the cluster's one memoized engine.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-import repro.cluster.cluster as cluster_mod
 from repro.api import Client, ClusterConfig, QueryRequest, QueryResult, TenantSpec
 from repro.obs import MetricsRegistry
 
@@ -95,18 +92,9 @@ class TestReadout:
 
 
 class TestLifecycleAndMigration:
-    def test_deprecated_query_engine_warns_once(self, client):
-        cluster_mod._QUERY_ENGINE_WARNED = False
-        resolutions = (10.0, 60.0, 600.0)
-        with pytest.warns(DeprecationWarning, match="repro.api.Client"):
-            engine = client.cluster.query_engine(rollup_resolutions=resolutions)
-        assert engine is client.engine  # same memoized engine underneath
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            client.cluster.query_engine(rollup_resolutions=resolutions)
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in record
-        )
+    def test_client_engine_is_the_clusters_memoized_engine(self, client):
+        engine = client.cluster._query_engine(rollup_resolutions=(10.0, 60.0, 600.0))
+        assert engine is client.engine
 
     def test_close_is_idempotent(self):
         c = Client.from_config(ClusterConfig(n_nodes=2, seed=1))

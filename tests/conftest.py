@@ -9,8 +9,9 @@ way of running a pass.
 
 import pytest
 
-from repro.query import QueryEngine, RollupManager
-from repro.shard import FederatedQueryEngine, ParallelShardedStore, ShardedTimeSeriesStore, federated
+from repro.query import QueryEngine
+from repro.query import engine as query_engine
+from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore
 from repro.telemetry.tsdb import TimeSeriesStore
 
 
@@ -19,8 +20,9 @@ class ShardExecutor:
     provoke it.
 
     ``single``: a plain store (its one place, whatever shard count is
-    asked for) with its own :class:`RollupManager`.  ``inline``: a plain
-    sharded store, no pool.  ``pool-1`` / ``pool-2``: shared-memory
+    asked for).  ``inline``: a plain sharded store, no pool.  Every
+    store builds its tiers with ``create_tiersets``, and every engine is
+    a ``QueryEngine``.  ``pool-1`` / ``pool-2``: shared-memory
     shards beside a live pool of that many workers.  ``pool-2-auto``:
     the same, and the engine keeps scatters over few series in process
     (its default; every other pool case pins ``INLINE_SCATTER_SERIES``
@@ -36,7 +38,6 @@ class ShardExecutor:
     def __init__(self, name: str) -> None:
         self.name = name
         self._stores = []
-        self._rollups = {}
 
     @property
     def pooled(self) -> bool:
@@ -59,10 +60,7 @@ class ShardExecutor:
     def store(self, n_shards: int, *, resolutions=None, capacity: int = 4096):
         if self.name == "single":
             store = TimeSeriesStore(default_capacity=capacity)
-            if resolutions is not None:
-                self._rollups[id(store)] = RollupManager(store, resolutions)
-            return store
-        if self.name == "inline":
+        elif self.name == "inline":
             store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=capacity)
         else:
             store = ParallelShardedStore(
@@ -79,9 +77,7 @@ class ShardExecutor:
 
     def engine(self, store, **kwargs):
         """The query engine over a store this executor built."""
-        if self.name == "single":
-            return QueryEngine(store, rollups=self._rollups.get(id(store)), **kwargs)
-        return FederatedQueryEngine(store, **kwargs)
+        return QueryEngine(store, **kwargs)
 
     def degrade(self, store) -> None:
         if self.name == "pool-stopped":
@@ -98,7 +94,7 @@ class ShardExecutor:
 def every_pass_dispatched(monkeypatch):
     """No scatter is small enough to stay in process: what "the pool ran
     it" and the crash-path assertions are about."""
-    monkeypatch.setattr(federated, "INLINE_SCATTER_SERIES", 0)
+    monkeypatch.setattr(query_engine, "INLINE_SCATTER_SERIES", 0)
 
 
 @pytest.fixture(params=ShardExecutor.NAMES)

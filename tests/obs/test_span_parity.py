@@ -11,11 +11,8 @@ import os
 import pytest
 
 from repro.obs.trace import TRACER
-from repro.query import MetricQuery
-from repro.shard import (
-    FederatedQueryEngine,
-    ShardedTimeSeriesStore,
-)
+from repro.query import MetricQuery, QueryEngine
+from repro.shard import ShardedTimeSeriesStore
 from tests.shard.test_federation_property import assert_bit_identical
 from tests.shard.test_parallel import fill_serial, fill_through_pool, parallel_store, series_data
 
@@ -68,7 +65,7 @@ def test_every_executor_produces_the_same_span_tree(executor):
     # the reference: the same places, every pass run in process
     serial_sharded = ShardedTimeSeriesStore(n_shards=len(engine.places), default_capacity=4096)
     fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine(serial_sharded, enable_cache=False)
+    ser = QueryEngine(serial_sharded, enable_cache=False)
     want, serial_spans = traced_query(ser)
     serial_shape = tree_shape(serial_spans)
 
@@ -101,10 +98,10 @@ def test_disabled_tracing_records_nothing_on_either_engine():
     data = series_data(5)
     serial_sharded = ShardedTimeSeriesStore(n_shards=2, default_capacity=4096)
     fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine(serial_sharded, enable_cache=False)
+    ser = QueryEngine(serial_sharded, enable_cache=False)
     ser.query(QUERY, at=950.0)
     assert len(TRACER) == 0
     with parallel_store(data, 2, 1) as store:
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         par.query(QUERY, at=950.0)
     assert len(TRACER) == 0

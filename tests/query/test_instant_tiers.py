@@ -9,7 +9,7 @@ fully inside the window.  Raw-served behavior must be unchanged.
 import numpy as np
 import pytest
 
-from repro.query import MetricQuery, QueryCache, QueryEngine, RollupManager
+from repro.query import MetricQuery, QueryCache, QueryEngine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -20,7 +20,7 @@ def aged_store(capacity=32, points=400, period=1.0, res=10.0):
     """A store whose ring wrapped far past the early samples, with
     tier rows folded continuously (so they retain the aged-out data)."""
     store = TimeSeriesStore(default_capacity=capacity)
-    rollups = RollupManager(store, resolutions=(res, 5 * res))
+    [rollups] = store.create_tiersets((res, 5 * res))
     for i in range(points):
         store.insert(KEY, i * period, float(i))
         if i % 10 == 9:
@@ -34,7 +34,7 @@ def aged_store(capacity=32, points=400, period=1.0, res=10.0):
 ])
 def test_aged_out_window_served_from_tier(agg, expected):
     store, rollups = aged_store()
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(store, enable_cache=False)
     # window [100, 200]: raw ring holds only ~[368, 399] by now
     q = MetricQuery("m", agg=agg, range_s=100.0)
     result = qe.query(q, at=200.0)
@@ -46,7 +46,7 @@ def test_aged_out_window_served_from_tier(agg, expected):
 
 def test_raw_covered_window_still_served_raw():
     store, rollups = aged_store()
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(store, enable_cache=False)
     q = MetricQuery("m", agg="mean", range_s=20.0)
     result = qe.query(q, at=395.0)  # ring still holds this window
     assert result.source == "raw"
@@ -56,7 +56,7 @@ def test_raw_covered_window_still_served_raw():
 
 def test_window_with_no_data_stays_empty():
     store, rollups = aged_store()
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(store, enable_cache=False)
     # window entirely before the first sample: no rows, no raw
     q = MetricQuery("m", agg="mean", range_s=50.0)
     result = qe.query(q, at=-100.0)
@@ -64,7 +64,9 @@ def test_window_with_no_data_stays_empty():
 
 
 def test_no_rollups_keeps_empty_answer():
-    store, _ = aged_store()
+    store = TimeSeriesStore(default_capacity=32)
+    for i in range(400):
+        store.insert(KEY, float(i), float(i))
     qe = QueryEngine(store, enable_cache=False)
     q = MetricQuery("m", agg="mean", range_s=100.0)
     assert not qe.query(q, at=200.0).series
@@ -72,21 +74,21 @@ def test_no_rollups_keeps_empty_answer():
 
 def test_percentiles_not_served_from_tiers():
     store, rollups = aged_store()
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(store, enable_cache=False)
     q = MetricQuery("m", agg="p95", range_s=100.0)
     assert not qe.query(q, at=200.0).series  # needs the raw distribution
 
 
 def test_multi_series_groups_not_served_from_tiers():
     store = TimeSeriesStore(default_capacity=32)
-    rollups = RollupManager(store, resolutions=(10.0,))
+    [rollups] = store.create_tiersets((10.0,))
     other = SeriesKey.of("m", node="n1")
     for i in range(400):
         store.insert(KEY, float(i), float(i))
         store.insert(other, float(i), float(i))
         if i % 10 == 9:
             rollups.fold(float(i))
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(store, enable_cache=False)
     q = MetricQuery("m", agg="mean", range_s=100.0)  # pools both series
     assert not qe.query(q, at=200.0).series
     # but grouped singletons qualify
@@ -98,7 +100,7 @@ def test_multi_series_groups_not_served_from_tiers():
 
 def test_tier_served_instant_results_cache_correctly():
     store, rollups = aged_store()
-    qe = QueryEngine(store, rollups=rollups, cache=QueryCache())
+    qe = QueryEngine(store, cache=QueryCache())
     q = MetricQuery("m", agg="last", range_s=100.0)
     first = qe.query(q, at=200.0)
     assert first.source.startswith("rollup:")
@@ -109,12 +111,12 @@ def test_fold_without_commit_invalidates_cached_instant():
     """Instant results now depend on fold state: a fold that lands with
     no intervening commit must not keep serving the pre-fold answer."""
     store = TimeSeriesStore(default_capacity=32)
-    rollups = RollupManager(store, resolutions=(10.0,))
+    [rollups] = store.create_tiersets((10.0,))
     for i in range(200):
         store.insert(KEY, float(i), float(i))
         if i == 99:
             rollups.fold(100.0)  # [110, 160] still unfolded after this
-    qe = QueryEngine(store, rollups=rollups, cache=QueryCache())
+    qe = QueryEngine(store, cache=QueryCache())
     q = MetricQuery("m", agg="mean", range_s=50.0)
     empty = qe.query(q, at=160.0)  # aged out of the ring, not yet folded
     assert not empty.series

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query import LabelMatcher, MetricQuery, QueryEngine
-from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
+from repro.shard import ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -64,7 +64,7 @@ def build(n_shards):
         store = TimeSeriesStore(default_capacity=8)
         return store, QueryEngine(store, enable_cache=False)
     store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=8)
-    return store, FederatedQueryEngine(store, enable_cache=False)
+    return store, QueryEngine(store, enable_cache=False)
 
 
 def write(store, label_sets, t):

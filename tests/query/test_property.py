@@ -16,7 +16,6 @@ from repro.query import (
     LabelMatcher,
     MetricQuery,
     QueryEngine,
-    RollupManager,
     evaluate_naive,
 )
 from repro.telemetry.metric import SeriesKey
@@ -103,9 +102,9 @@ def test_engine_matches_reference_with_rollups(seed):
     """Tier-served execution must be bit-compatible with raw scans."""
     rng = np.random.default_rng(100 + seed)
     store = random_store(rng)
-    rollups = RollupManager(store, resolutions=(10.0, 50.0))
+    [rollups] = store.create_tiersets((10.0, 50.0))
     rollups.fold(float(rng.uniform(HORIZON * 0.6, HORIZON)))
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    qe = QueryEngine(store, enable_cache=False)
     for _ in range(12):
         q = random_query(rng)
         at = float(rng.uniform(HORIZON * 0.5, HORIZON * 1.1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.query import QueryEngine, RollupManager, evaluate_naive, parse_query
+from repro.query import QueryEngine, evaluate_naive, parse_query
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -160,7 +160,8 @@ class TestCacheIntegration:
 
     def test_stats_exposed(self):
         store = make_store()
-        qe = QueryEngine(store, rollups=RollupManager(store, resolutions=(60.0,)))
+        store.create_tiersets((60.0,))
+        qe = QueryEngine(store)
         qe.query("mean(node_cpu_util[600s])", at=600.0)
         stats = qe.stats()
         assert stats["queries_total"] == 1.0
@@ -171,14 +172,14 @@ class TestCacheIntegration:
 class TestRollupIntegration:
     def test_long_range_served_from_tier_and_exact(self):
         store = make_store(points=400)
-        rollups = RollupManager(store, resolutions=(10.0, 60.0))
-        rollups.fold(600.0)
-        qe = QueryEngine(store, rollups=rollups, enable_cache=False)
-        tiered = qe.query("mean(node_cpu_util[600s] by 60s)", at=600.0)
-        assert tiered.source == "rollup:60s"
         flat = QueryEngine(store, enable_cache=False).query(
             "mean(node_cpu_util[600s] by 60s)", at=600.0
         )
+        [rollups] = store.create_tiersets((10.0, 60.0))
+        rollups.fold(600.0)
+        qe = QueryEngine(store, enable_cache=False)
+        tiered = qe.query("mean(node_cpu_util[600s] by 60s)", at=600.0)
+        assert tiered.source == "rollup:60s"
         np.testing.assert_array_equal(tiered.series[0].times, flat.series[0].times)
         np.testing.assert_allclose(tiered.series[0].values, flat.series[0].values, rtol=1e-12)
 
@@ -186,19 +187,19 @@ class TestRollupIntegration:
         store = TimeSeriesStore()
         key = SeriesKey.of("m")
         store.insert_batch(key, np.arange(0.0, 100.0), np.ones(100))
-        rollups = RollupManager(store, resolutions=(10.0,))
+        [rollups] = store.create_tiersets((10.0,))
         rollups.fold(50.0)  # watermark at 50; the rest stays raw
         store.insert_batch(key, np.arange(100.0, 130.0), np.ones(30))
-        qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+        qe = QueryEngine(store, enable_cache=False)
         r = qe.query("count(m[130s] by 10s)", at=130.0)
         assert r.source == "rollup:10s"
         assert float(np.sum(r.series[0].values)) == 130.0
 
     def test_percentiles_stay_raw(self):
         store = make_store()
-        rollups = RollupManager(store, resolutions=(60.0,))
+        [rollups] = store.create_tiersets((60.0,))
         rollups.fold(600.0)
-        qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+        qe = QueryEngine(store, enable_cache=False)
         assert qe.query("p95(node_cpu_util[600s] by 60s)", at=600.0).source == "raw"
 
 

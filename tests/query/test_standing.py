@@ -19,7 +19,6 @@ from repro.query import (
     LabelMatcher,
     MetricQuery,
     QueryEngine,
-    RollupManager,
     evaluate_naive,
 )
 from repro.query.kernels import PARTIAL_AGGS
@@ -183,8 +182,8 @@ def test_window_older_than_bin_ring_falls_back_to_rollup_tiers():
     """Eviction is delegated: reads past the bin ring return ``None`` and
     the batch engine stitches the answer from rollup tiers instead."""
     store = TimeSeriesStore(default_capacity=4096)
-    rollups = RollupManager(store, resolutions=(30.0,))
-    qe = QueryEngine(store, rollups=rollups, enable_cache=False)
+    [rollups] = store.create_tiersets((30.0,))
+    qe = QueryEngine(store, enable_cache=False)
     st = StandingQueryEngine(qe)
     q = MetricQuery("m", agg="mean", range_s=300.0, step_s=30.0)
     assert st.register(q)

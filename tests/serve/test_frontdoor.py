@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.query import QueryEngine, RollupManager
+from repro.query import QueryEngine
 from repro.query.model import MetricQuery
 from repro.serve import QueryFrontDoor, QueryRequest, TenantSpec
-from repro.shard import FederatedQueryEngine
 
 from tests.query.test_property import assert_results_match, random_query
 from tests.shard.test_federation_property import (
@@ -69,8 +68,8 @@ def test_served_answers_bit_identical_to_direct_execution(n_shards, n_workers):
         engine = QueryEngine(single)
         direct = QueryEngine(single, enable_cache=False)
     else:
-        engine = FederatedQueryEngine(sharded)
-        direct = FederatedQueryEngine(sharded, enable_cache=False)
+        engine = QueryEngine(sharded)
+        direct = QueryEngine(sharded, enable_cache=False)
     fd = QueryFrontDoor(
         engine,
         tenants=[_open_spec("t")],
@@ -157,10 +156,10 @@ def test_shed_rejects_lowest_priority_class_only():
 def test_degrade_serves_coarse_tier_and_respects_exact_tenants():
     rng = np.random.default_rng(3)
     _sharded, single = build_stores(rng, 2)
-    rollups = RollupManager(single, resolutions=(10.0, 600.0))
+    [rollups] = single.create_tiersets((10.0, 600.0))
     rollups.fold(HORIZON * 2)
-    engine = QueryEngine(single, rollups=rollups, enable_cache=False)
-    direct = QueryEngine(single, rollups=rollups, enable_cache=False)
+    engine = QueryEngine(single, enable_cache=False)
+    direct = QueryEngine(single, enable_cache=False)
     fd = QueryFrontDoor(
         engine,
         tenants=[

@@ -19,8 +19,8 @@ rollup fold boundaries; seeded RNG keeps every run deterministic.
 import numpy as np
 import pytest
 
-from repro.query import MetricQuery, QueryEngine, RollupManager, evaluate_naive
-from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
+from repro.query import MetricQuery, QueryEngine, evaluate_naive
+from repro.shard import ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -57,7 +57,7 @@ def build_stores(rng, n_shards, n_series=14, max_points=250, counter=False):
 def test_federated_bit_identical_to_single_shard_oracle(seed, n_shards):
     rng = np.random.default_rng(1000 * seed + n_shards)
     sharded, single = build_stores(rng, n_shards)
-    fed = FederatedQueryEngine(sharded, enable_cache=False)
+    fed = QueryEngine(sharded, enable_cache=False)
     qe = QueryEngine(single, enable_cache=False)
     for _ in range(10):
         q = random_query(rng)
@@ -73,10 +73,8 @@ def test_federated_bit_identical_with_rollup_boundaries(seed, n_shards):
     random fold boundaries (per-shard tiers fold at the same instant)."""
     rng = np.random.default_rng(5000 + 100 * seed + n_shards)
     sharded, single = build_stores(rng, n_shards)
-    fed = FederatedQueryEngine.with_rollups(sharded, resolutions=(10.0, 50.0), enable_cache=False)
-    qe = QueryEngine(
-        single, rollups=RollupManager(single, resolutions=(10.0, 50.0)), enable_cache=False
-    )
+    fed = QueryEngine.with_rollups(sharded, resolutions=(10.0, 50.0), enable_cache=False)
+    qe = QueryEngine.with_rollups(single, resolutions=(10.0, 50.0), enable_cache=False)
     boundary = float(rng.uniform(HORIZON * 0.5, HORIZON))
     assert fed.fold_rollups(boundary) == qe.fold_rollups(boundary)
     served_rollup = 0
@@ -95,7 +93,7 @@ def test_federated_bit_identical_with_rollup_boundaries(seed, n_shards):
 def test_federated_rate_matches_oracles(seed, n_shards):
     rng = np.random.default_rng(7000 + 10 * seed + n_shards)
     sharded, single = build_stores(rng, n_shards, counter=True)
-    fed = FederatedQueryEngine(sharded, enable_cache=False)
+    fed = QueryEngine(sharded, enable_cache=False)
     qe = QueryEngine(single, enable_cache=False)
     for _ in range(8):
         base = random_query(rng, metric="ctr")
@@ -112,7 +110,7 @@ def test_federated_rate_matches_oracles(seed, n_shards):
 def test_federated_cache_and_fanout_counters():
     rng = np.random.default_rng(42)
     sharded, _ = build_stores(rng, 4)
-    fed = FederatedQueryEngine(sharded)
+    fed = QueryEngine(sharded)
     q = MetricQuery("m", agg="mean", range_s=600.0, step_s=60.0, group_by=("node",))
     first = fed.query(q, at=900.0)
     hit = fed.query(q, at=900.0)
@@ -128,7 +126,7 @@ def test_federated_cache_and_fanout_counters():
 def test_federated_cache_invalidated_by_any_shard_commit():
     rng = np.random.default_rng(43)
     sharded, _ = build_stores(rng, 4)
-    fed = FederatedQueryEngine(sharded)
+    fed = QueryEngine(sharded)
     q = MetricQuery("m", agg="count", range_s=600.0, step_s=60.0)
     before = fed.query(q, at=900.0)
     assert fed.query(q, at=900.0).source == "cache"
@@ -150,14 +148,7 @@ def test_federated_serves_aged_out_instant_from_shard_tiers():
 
     def filled(store):
         store.set_capacity("m", 32)
-        if isinstance(store, ShardedTimeSeriesStore):
-            engine = FederatedQueryEngine.with_rollups(
-                store, resolutions=(10.0,), enable_cache=False
-            )
-        else:
-            engine = QueryEngine(
-                store, rollups=RollupManager(store, resolutions=(10.0,)), enable_cache=False
-            )
+        engine = QueryEngine.with_rollups(store, resolutions=(10.0,), enable_cache=False)
         for i in range(400):
             store.insert(key, float(i), float(i))
             if i % 10 == 9:
@@ -176,7 +167,7 @@ def test_federated_serves_aged_out_instant_from_shard_tiers():
 def test_samples_read_matches_plain_engine():
     rng = np.random.default_rng(44)
     sharded, single = build_stores(rng, 4)
-    fed = FederatedQueryEngine(sharded, enable_cache=False)
+    fed = QueryEngine(sharded, enable_cache=False)
     qe = QueryEngine(single, enable_cache=False)
     q = MetricQuery("m", agg="mean", range_s=400.0)
     ft, fv = fed.samples(q, at=950.0)

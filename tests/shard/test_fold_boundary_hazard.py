@@ -14,7 +14,8 @@ evaluator.  (``bench/README.md`` reports the hazard; this pins it.)
 import numpy as np
 
 from repro.query.reference import evaluate_naive
-from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
+from repro.query import QueryEngine
+from repro.shard import ShardedTimeSeriesStore
 from repro.sim import Engine
 from repro.telemetry.collector import CollectionPipeline
 from repro.telemetry.metric import SeriesKey
@@ -37,7 +38,7 @@ def streamed(start_at_of):
     ``start_at_of(pipeline)`` picks the fold phase."""
     sim = Engine()
     store = ShardedTimeSeriesStore(n_shards=2, default_capacity=256)
-    engine = FederatedQueryEngine.with_rollups(
+    engine = QueryEngine.with_rollups(
         store, resolutions=(10.0, 60.0), enable_cache=False
     )
     pipeline = CollectionPipeline(sim, store, hop_latency=0.1, ingest_latency=0.1)

@@ -98,13 +98,13 @@ def test_insert_many_equals_scalar_inserts(executor):
 def test_insert_many_is_one_commit(make):
     store = make()
     commits = []
-    for place in getattr(store, "shards", [store]):
+    for place in store.places:
         place.add_ingest_listener(lambda i, t, v: commits.append(i.size))
     keys = [SeriesKey.of("m", node=f"n{i}") for i in range(40)]
     store.insert_many(keys, np.full(len(keys), 1.0), np.arange(len(keys), dtype=float))
     # one delivery per place that received rows, never one per row
     assert sum(commits) == len(keys)
-    assert len(commits) == len(getattr(store, "shards", [store]))
+    assert len(commits) == len(store.places)
     assert store.metric_epoch("m") == len(commits)
     store.insert_many([], [], [])
     assert sum(commits) == len(keys)

@@ -2,7 +2,7 @@
 
 The parallel tier's contract is *bit-identicality*: the worker pool runs
 the very same per-shard pass functions the serial loop runs and the
-gather is untouched, so results must equal serial federated execution
+gather is untouched, so results must equal serial in-process execution
 exactly — for every worker count, for every query shape, with rollup
 tiers folded inside the workers, and across every degradation path
 (worker crash between commits, during a scatter, or inside a fold).
@@ -18,17 +18,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.query import LabelMatcher, MetricQuery, QueryEngine, RollupManager
+from repro.query import LabelMatcher, MetricQuery, QueryEngine
+from repro.query import engine as query_engine
 from repro.query.reference import evaluate_naive
 from repro.query.rollup import ROW_COLUMNS, CascadeFolder
 from repro.query.standing import StandingQueryEngine
-from repro.shard import (
-    FederatedQueryEngine,
-    ParallelShardContext,
-    ParallelShardedStore,
-    ShardedTimeSeriesStore,
-    federated,
-)
+from repro.shard import ParallelShardContext, ParallelShardedStore, ShardedTimeSeriesStore
 from repro.shard.parallel import WORKER_DIED
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -66,9 +61,10 @@ def oracle_engine(data, resolutions=None):
     """The plain engine over a plain store holding ``data``: the
     one-place case every store shape must answer bit for bit."""
     store = TimeSeriesStore(default_capacity=4096)
-    rollups = RollupManager(store, resolutions) if resolutions is not None else None
+    if resolutions is not None:
+        store.create_tiersets(resolutions)
     fill_serial(store, data)
-    return QueryEngine(store, rollups=rollups, enable_cache=False)
+    return QueryEngine(store, enable_cache=False)
 
 
 def fill_through_pool(store, data):
@@ -182,12 +178,12 @@ def test_a_pass_goes_to_the_pool_only_above_the_size_it_pays_off(executor):
     Either way the answer is the single-store oracle's.  Kept passes
     never look at the pool, so a stopped pool is noticed by the next
     pass that would have been dispatched."""
-    limit = federated.INLINE_SCATTER_SERIES
+    limit = query_engine.INLINE_SCATTER_SERIES
     data = series_data(17, n_series=limit + 1, max_points=12)
     orc = oracle_engine(data)
     store = executor.store(4)
     fill_through_pool(store, data)
-    par = FederatedQueryEngine(store, enable_cache=False)
+    par = QueryEngine(store, enable_cache=False)
 
     def shape(n_series):
         wanted = "|".join(str(i) for i in range(n_series))
@@ -267,13 +263,13 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
         [(k, t[b:], v[b:]) for (k, t, v), (a, b) in zip(data, cuts)],
     ]
     serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-    ser = FederatedQueryEngine.with_rollups(
+    ser = QueryEngine.with_rollups(
         serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
     )
     store = parallel_store(parts[0], 4, 2, resolutions=(10.0, 50.0), respawn=respawn)
     prefix = store.pool.prefix
     with store:
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         standing = StandingQueryEngine(par)
         assert standing.register(STANDING_SHAPE)
         fill_serial(serial_sharded, parts[0])
@@ -352,11 +348,11 @@ def test_worker_crash_degraded_fold_matches_serial():
     data = series_data(31)
     serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
     fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine.with_rollups(
+    ser = QueryEngine.with_rollups(
         serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
     )
     with parallel_store(data, 4, 2, resolutions=(10.0, 50.0), respawn=False) as store:
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         store.pool.inject_crash(1)
         # fold fan-out hits the dead worker: its shards re-fold in the
         # parent from the shared rings (watermarks make this idempotent)
@@ -373,11 +369,11 @@ def test_crash_then_more_ingest_and_parent_folds_stay_exact():
     rings must keep matching the serial engine (full degraded mode)."""
     data = series_data(41, n_series=8)
     serial_sharded = ShardedTimeSeriesStore(n_shards=3, default_capacity=4096)
-    ser = FederatedQueryEngine.with_rollups(
+    ser = QueryEngine.with_rollups(
         serial_sharded, resolutions=(20.0,), enable_cache=False
     )
     with parallel_store(data[:4], 3, 2, resolutions=(20.0,), respawn=False) as store:
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         store.pool.inject_crash(0)
         fill_through_pool(store, data[4:])  # lands serially after the crash
         fill_serial(serial_sharded, data)
@@ -446,13 +442,13 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
         for ids, lo in ((range(400), HORIZON * 0.3), (range(400, 1000), HORIZON * 0.6))
     ]
     serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-    ser = FederatedQueryEngine.with_rollups(
+    ser = QueryEngine.with_rollups(
         serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
     )
     store = parallel_store(parts[0], 4, 2, resolutions=(10.0, 50.0), respawn=respawn)
     prefix = store.pool.prefix
     with store:
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         fill_serial(serial_sharded, parts[0])
         assert par.fold_rollups(HORIZON * 0.3) == ser.fold_rollups(HORIZON * 0.3)
         fill_through_pool(store, parts[1])
@@ -504,7 +500,7 @@ def test_forwarded_columns_flush_past_the_buffer_cap():
     data = series_data(81, n_series=10)
     serial_sharded = ShardedTimeSeriesStore(n_shards=3, default_capacity=4096)
     fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine.with_rollups(
+    ser = QueryEngine.with_rollups(
         serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
     )
     with ParallelShardedStore(n_shards=3, default_capacity=4096, workers=2) as store:
@@ -519,7 +515,7 @@ def test_forwarded_columns_flush_past_the_buffer_cap():
             sum(t.size for _, t, _ in data)
         )
         assert stats["cols_dropped_rows"] == 0.0
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         # fold past all the data (fewer rows than the serial fold, and
         # watermarks that were already ahead: past its own cap the worker's
         # folder drained complete bins as the flushes arrived)
@@ -535,7 +531,7 @@ def test_broken_pool_drops_queued_columns_counted():
     data = series_data(83)
     serial_sharded = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
     fill_serial(serial_sharded, data)
-    ser = FederatedQueryEngine.with_rollups(
+    ser = QueryEngine.with_rollups(
         serial_sharded, resolutions=(10.0, 50.0), enable_cache=False
     )
     with parallel_store(data, 4, 2, resolutions=(10.0, 50.0), respawn=False) as store:
@@ -548,7 +544,7 @@ def test_broken_pool_drops_queued_columns_counted():
         stats = store.shard_stats()
         assert stats["cols_dropped_rows"] == float(total)
         assert stats["cols_forwarded_rows"] == 0.0
-        par = FederatedQueryEngine(store, enable_cache=False)
+        par = QueryEngine(store, enable_cache=False)
         assert par.fold_rollups(HORIZON * 0.8) == ser.fold_rollups(HORIZON * 0.8)
         assert_tiers_byte_equal(par, ser, store)
 
@@ -669,7 +665,7 @@ def test_cluster_parallel_matches_serial_sharded():
             if parallel:
                 assert isinstance(cluster.store, ParallelShardedStore)
                 assert cluster.store.parallel_active
-            qe = cluster.query_engine(rollup_resolutions=(30.0, 120.0))
+            qe = cluster._query_engine(rollup_resolutions=(30.0, 120.0))
             engine.run(until=240.0)
             qe.fold_rollups(engine.now)
             results[parallel] = qe.query(

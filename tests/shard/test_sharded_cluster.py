@@ -1,10 +1,11 @@
 """Stack wiring: a sharded cluster serves loops and queries unchanged."""
 
 import numpy as np
+import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.query.engine import QueryEngine
-from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore
+from repro.shard import ShardedTimeSeriesStore
 from repro.sim import Engine
 
 
@@ -19,34 +20,45 @@ def _cluster(shards, n_nodes=12, horizon=None, seed=5):
     return engine, cluster
 
 
-def test_cluster_builds_sharded_store_and_federated_engine():
+def test_cluster_builds_sharded_store_and_one_engine_over_its_shards():
     _, cluster = _cluster(shards=4)
     assert isinstance(cluster.store, ShardedTimeSeriesStore)
     assert cluster.store.n_shards == 4
-    assert isinstance(cluster.query_engine(), FederatedQueryEngine)
+    qe = cluster._query_engine()
+    assert type(qe) is QueryEngine
+    assert qe.places == cluster.store.shards
     runtime = cluster.loop_runtime()
-    assert isinstance(runtime.query_engine, FederatedQueryEngine)
+    assert runtime.query_engine is qe
     assert runtime.store is cluster.store
 
 
-def test_query_engine_memoized_per_configuration():
-    _, cluster = _cluster(shards=4)
-    a = cluster.query_engine(rollup_resolutions=(60.0,))
-    b = cluster.query_engine(rollup_resolutions=(60.0,))
-    assert a is b  # repeated calls must not stack rollup listeners
-    c = cluster.query_engine()
-    assert c is not a
-    assert cluster.query_engine() is c
-    # one manager per shard registered exactly once
-    assert all(len(s._listeners) == 1 for s in cluster.store.shards)
+@pytest.mark.parametrize("shards", [1, 4])
+def test_one_rollup_layout_per_cluster_store(shards):
+    """Every engine over the store reads the store's one cascade per
+    place, whatever the store's shape: equal layouts share the tiers (one
+    ingest listener per place, so every sample folds once) and another
+    layout raises instead of adding a second cascade."""
+    _, cluster = _cluster(shards=shards)
+    a = cluster._query_engine(rollup_resolutions=(60.0,))
+    assert cluster._query_engine(rollup_resolutions=(60.0,)) is a  # memoized
+    tiersets = cluster.store.tiersets
+    b = cluster._query_engine(rollup_resolutions=(60.0,), enable_cache=False)
+    assert b is not a
+    assert cluster.store.tiersets is tiersets
+    assert b.tiersets is a.tiersets is tiersets
+    assert len(tiersets) == len(cluster.store.places)
+    assert all(len(place._listeners) == 1 for place in cluster.store.places)
+    with pytest.raises(RuntimeError, match="different layout"):
+        cluster._query_engine(rollup_resolutions=(10.0, 60.0))
+    assert cluster._query_engine().tiersets is tiersets
 
 
 def test_single_shard_config_keeps_plain_store():
     _, cluster = _cluster(shards=1)
     assert not isinstance(cluster.store, ShardedTimeSeriesStore)
-    qe = cluster.query_engine()
-    assert isinstance(qe, QueryEngine)
-    assert not isinstance(qe, FederatedQueryEngine)
+    qe = cluster._query_engine()
+    assert type(qe) is QueryEngine
+    assert qe.places == [cluster.store]
 
 
 def test_collector_routes_telemetry_across_shards():
@@ -55,7 +67,7 @@ def test_collector_routes_telemetry_across_shards():
     cards = cluster.store.shard_cardinalities()
     assert sum(cards) == cluster.store.cardinality() > 0
     assert sum(1 for c in cards if c > 0) >= 2  # routing actually spread keys
-    res = cluster.query_engine().query(
+    res = cluster._query_engine().query(
         "mean(node_cpu_util[120s]) group by (node)", at=engine.now
     )
     assert len(res.series) == len(cluster.nodes)

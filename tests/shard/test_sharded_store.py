@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.query import QueryEngine
-from repro.shard import FederatedQueryEngine, ShardedTimeSeriesStore, shard_of_key
+from repro.shard import ShardedTimeSeriesStore, shard_of_key
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -182,7 +182,7 @@ def test_aggregate_across_matches_single_store_pooling_order():
         store.insert(a, 1.0, 222.0)  # a last-time tie with b
     plain = QueryEngine(stores[0], enable_cache=False)
     for sharded in stores[1:]:
-        fed = FederatedQueryEngine(sharded, enable_cache=False)
+        fed = QueryEngine(sharded, enable_cache=False)
         for agg in ("last", "sum", "mean", "min", "max", "count"):
             expr = f"{agg}(m[10s])"
             assert fed.scalar(expr, at=10.0) == plain.scalar(expr, at=10.0), agg
@@ -196,3 +196,21 @@ def test_set_capacity_applies_to_new_series():
     store.insert_batch(key, np.arange(10.0), np.arange(10.0))
     t, _ = store.query(key, -np.inf, np.inf)
     assert t.size == 4  # overwrote oldest
+
+
+@pytest.mark.parametrize(
+    "make", [TimeSeriesStore, lambda: ShardedTimeSeriesStore(n_shards=3)], ids=["plain", "sharded"]
+)
+def test_one_rollup_layout_per_store(make):
+    """A store has one cascade per place and one layout for its lifetime:
+    the same layout (in any order) returns the very same list, another
+    raises and leaves the tiers alone."""
+    store = make()
+    assert store.tiersets is None
+    tiersets = store.create_tiersets((60.0, 10.0))
+    assert store.tiersets is tiersets
+    assert [m.store for m in tiersets] == store.places
+    assert store.create_tiersets([10, 60.0]) is tiersets
+    with pytest.raises(RuntimeError, match="different layout"):
+        store.create_tiersets((10.0,))
+    assert store.tiersets is tiersets

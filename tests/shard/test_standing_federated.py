@@ -13,11 +13,7 @@ import pytest
 
 from repro.query import MetricQuery, QueryEngine
 from repro.query.standing import StandingQueryEngine
-from repro.shard import (
-    FederatedQueryEngine,
-    ParallelShardedStore,
-    ShardedTimeSeriesStore,
-)
+from repro.shard import ParallelShardedStore, ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -157,10 +153,10 @@ def test_parallel_standing_matches_serial_reference_through_crash():
     with ParallelShardedStore(n_shards=4, default_capacity=4096, workers=2) as pstore:
         pstore.create_tiersets((10.0, 60.0))
         pstore.start_parallel()
-        engine = FederatedQueryEngine(pstore, enable_cache=False)
+        engine = QueryEngine(pstore, enable_cache=False)
         st = StandingQueryEngine(engine)
         ref = ShardedTimeSeriesStore(n_shards=4, default_capacity=4096)
-        ref_engine = FederatedQueryEngine(ref, enable_cache=False)
+        ref_engine = QueryEngine(ref, enable_cache=False)
         for q in QUERIES:
             assert st.register(q)
         at = 0.0

@@ -10,7 +10,7 @@ sync with the data it describes.
 import numpy as np
 import pytest
 
-from repro.query import MetricQuery, QueryEngine, RollupManager, evaluate_naive
+from repro.query import MetricQuery, QueryEngine, evaluate_naive
 from repro.query.standing import StandingQueryEngine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -117,8 +117,8 @@ def test_commit_straddling_ring_eviction_stays_exact():
     """
     small = TimeSeriesStore(default_capacity=48)
     reference = TimeSeriesStore(default_capacity=100_000)
-    rollups = RollupManager(small, resolutions=(10.0,))
-    qe = QueryEngine(small, rollups=rollups, enable_cache=False)
+    [rollups] = small.create_tiersets((10.0,))
+    qe = QueryEngine(small, enable_cache=False)
     st = StandingQueryEngine(qe)
     q = MetricQuery("m", agg="sum", range_s=100.0, step_s=10.0, group_by=("node",))
     assert st.register(q)

@@ -40,7 +40,7 @@ def test_forbidden_predicate():
     assert checker._is_forbidden("repro.query.engine", ())
     assert checker._is_forbidden("repro.query.standing", ("StandingQueryEngine",))
     assert checker._is_forbidden("repro.shard", ())
-    assert checker._is_forbidden("repro.shard.federated", ())
+    assert checker._is_forbidden("repro.shard.parallel", ())
     assert checker._is_forbidden("repro.query", ("QueryEngine",))
     # the public surface stays importable
     assert not checker._is_forbidden("repro.query", ("MetricQuery",))
@@ -55,16 +55,34 @@ def test_query_and_telemetry_never_import_the_shard_layer(tmp_path):
     ``repro.shard`` under ``repro/query`` or ``repro/telemetry`` — direct,
     from the package root, or relative — fails the lint."""
     checker = _load_checker()
+    checker.GRANDFATHERED = set()  # the tree below holds none of those files
     query = tmp_path / "repro" / "query"
     query.mkdir(parents=True)
     (query / "fine.py").write_text("from repro.query.engine import QueryEngine\nfrom . import passes\n")
     assert checker.main(tmp_path) == 0
     for source in (
-        "from repro.shard import FederatedQueryEngine\n",
-        "import repro.shard.federated\n",
+        "from repro.shard import ShardedTimeSeriesStore\n",
+        "import repro.shard.parallel\n",
         "from repro import shard\n",
         "from ..shard.store import ShardedTimeSeriesStore\n",
     ):
         (query / "bad.py").write_text(source)
         assert checker.main(tmp_path) == 1, source
         assert [m for _, m in checker._layer_violations(query / "bad.py", "repro.query")]
+
+
+def test_stale_grandfathered_entry_fails(tmp_path, capsys):
+    """A grandfathered entry warns while its import exists and fails the
+    lint once no import matches it: the list can only shrink."""
+    checker = _load_checker()
+    entry = ("repro/experiments/old_exp.py", "repro.shard")
+    checker.GRANDFATHERED = {entry}
+    experiments = tmp_path / "repro" / "experiments"
+    experiments.mkdir(parents=True)
+    driver = experiments / "old_exp.py"
+    driver.write_text("from repro.shard import ShardedTimeSeriesStore\n")
+    assert checker.main(tmp_path) == 0
+    assert "grandfathered import of repro.shard" in capsys.readouterr().out
+    driver.write_text("from repro.api import Client\n")
+    assert checker.main(tmp_path) == 1
+    assert "stale grandfathered entry" in capsys.readouterr().err

@@ -9,13 +9,14 @@ This script AST-scans ``src/repro/cli.py`` and
 
 * ``repro.query.engine`` / ``repro.query.standing`` — batch and
   standing engine construction;
-* ``repro.shard`` — federated / process-parallel engine construction;
+* ``repro.shard`` — sharded / process-parallel store construction;
 * ``QueryEngine`` re-exported through ``repro.query``.
 
 Pre-existing offenders are **grandfathered** (listed below) and only
 warn — they predate the facade and migrate opportunistically.  Any NEW
 violation fails the lint (exit 1): new code starts on the public
-surface.
+surface.  So does a grandfathered entry that matches no import any
+more: the list only shrinks, and a migrated import leaves it.
 
 A second rule keeps the layering one-way: nothing under
 ``src/repro/query/`` or ``src/repro/telemetry/`` imports ``repro.shard``
@@ -43,12 +44,17 @@ FORBIDDEN_PREFIXES = (
 FORBIDDEN_FROM_QUERY = frozenset({"QueryEngine"})
 
 #: (path relative to src/, forbidden module) pairs that predate the
-#: repro.api facade — these warn instead of failing; shrink, never grow
+#: repro.api facade — these warn instead of failing.  An entry that
+#: matches no import fails the lint, so the list shrinks as imports
+#: migrate
 GRANDFATHERED = {
     ("repro/experiments/loops_exp.py", "repro.query.engine"),
     ("repro/experiments/obs_exp.py", "repro.query"),
     ("repro/experiments/obs_exp.py", "repro.query.standing"),
     ("repro/experiments/parallel_exp.py", "repro.shard"),
+    # was the sharded engine, imported from repro.shard; E18 builds it
+    # over bare stores and pins its INLINE_SCATTER_SERIES
+    ("repro/experiments/parallel_exp.py", "repro.query.engine"),
     # the store's own downsample helper is gone; E1 and E10 time the
     # engine's binned mean over a bare store, which no facade builds
     ("repro/experiments/pipeline_exp.py", "repro.query.engine"),
@@ -113,6 +119,7 @@ def main(src: Path = Path(__file__).resolve().parent.parent / "src") -> int:
     targets: List[Path] = [src / "repro" / "cli.py"]
     targets += sorted((src / "repro" / "experiments").glob("*.py"))
     warned = failed = 0
+    matched = set()
     for layer in LOWER_LAYERS:
         for path in sorted((src / layer).rglob("*.py")):
             package = path.parent.relative_to(src).as_posix().replace("/", ".")
@@ -126,12 +133,17 @@ def main(src: Path = Path(__file__).resolve().parent.parent / "src") -> int:
         for lineno, module in _violations(path):
             if (rel, module) in GRANDFATHERED:
                 warned += 1
+                matched.add((rel, module))
                 print(f"warning: {rel}:{lineno}: grandfathered import of "
                       f"{module} (migrate to repro.api)")
             else:
                 failed += 1
                 print(f"error: {rel}:{lineno}: imports engine internal "
                       f"{module} — use repro.api instead", file=sys.stderr)
+    for rel, module in sorted(GRANDFATHERED - matched):
+        failed += 1
+        print(f"error: stale grandfathered entry ({rel}, {module}) matches no "
+              f"import — drop it", file=sys.stderr)
     print(f"check_api_imports: {len(targets)} file(s), "
           f"{warned} grandfathered warning(s), {failed} new violation(s)")
     return 1 if failed else 0
