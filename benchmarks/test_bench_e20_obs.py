@@ -2,8 +2,8 @@
 
 PR 9 threads span tracing through the autonomy hot paths (hub serving,
 standing reads, engine execution, federated scatter, columnar ingest).
-The benchmark prices the instrumentation on the two paths earlier PRs
-already gate (E14 ingest, E19 standing serving), with A/A controls so
+The benchmark prices the instrumentation on two gated hot paths
+(columnar ingest, E19 standing serving), with A/A controls so
 the gates bound the methodology's noise floor, not just the tracer:
 
 * **disabled tracing ≤1.02×** — each guarded site costs one attribute

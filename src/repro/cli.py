@@ -22,8 +22,6 @@
 * ``loops`` — run a watch-loop fleet on the unified runtime over a
   simulated shift and print per-loop stats, fused-query serving
   counters, and the loops' own self-telemetry queried back out.
-* ``bench-ingest`` — run the E14 ingest benchmark (columnar pipeline vs
-  the per-object seed path), optionally writing a JSON artifact.
 * ``bench-loops`` — run the E15 loop-fleet benchmark (fused monitoring
   vs per-loop ad-hoc scans + runtime hosting overhead), optionally
   writing a JSON artifact.
@@ -54,7 +52,7 @@
   federated and worker-process paths, whose worker-side spans arrive
   parented under the dispatching scatter span.
 * ``bench-obs`` — run the E20 observability-overhead benchmark
-  (disabled-mode and enabled-mode tracing costs on the E14 ingest and
+  (disabled-mode and enabled-mode tracing costs on the columnar ingest and
   E19 standing-serving paths, priced ≤2% / ≤5%), optionally writing a
   JSON artifact; ``--smoke`` runs a small exactness-only configuration
   for CI.
@@ -98,7 +96,7 @@ EXPERIMENT_INDEX = [
     ("E11", "§III.iv", "trust/guard budget sweep"),
     ("E12", "§II i–ii", "component interchange matrix"),
     ("E13", "§IV", "query engine: tiered rollups + cache vs raw scans"),
-    ("E14", "§IV", "columnar ingest pipeline vs per-object seed path"),
+    ("E14", "§IV", "columnar vs per-object ingest (frozen row in README; path deleted)"),
     ("E15", "§II/§IV", "loop runtime: fused fleet monitoring vs ad-hoc scans"),
     ("E16", "§IV", "sharded store: federated scatter-gather vs one store"),
     ("E17", "§II/§IV", "fleet supervision: meta-loops over loop self-telemetry"),
@@ -529,35 +527,6 @@ def cmd_bench_supervise(
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(stamp({"heal": heal, "shared": shared}), fh, indent=2, sort_keys=True)
-        print(f"wrote {json_path}")
-    return 0
-
-
-def cmd_bench_ingest(
-    nodes: int, metrics: int, horizon: float, json_path: Optional[str]
-) -> int:
-    """Run the E14 ingest benchmark and print (optionally dump) the row."""
-    import json
-
-    from repro.experiments.ingest_exp import run_ingest_benchmark
-    from repro.experiments.provenance import stamp
-    from repro.experiments.report import render_table
-
-    row = run_ingest_benchmark(
-        n_nodes=nodes, metrics_per_node=metrics, horizon_s=horizon
-    )
-    print(render_table([row], title="E14 — columnar vs per-object ingest"))
-    if row["match"] != 1.0:
-        print("ERROR: columnar and per-object stores diverged", file=sys.stderr)
-        return 1
-    print(
-        f"speedup: {row['speedup']:.2f}x "
-        f"({row['legacy_samples_per_s']:.0f} -> {row['columnar_samples_per_s']:.0f} samples/s), "
-        f"events reduced {row['event_reduction']:.1f}x"
-    )
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(stamp(row), fh, indent=2, sort_keys=True)
         print(f"wrote {json_path}")
     return 0
 
@@ -1099,11 +1068,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     loops.add_argument("--nodes", type=int, default=32)
     loops.add_argument("--horizon", type=float, default=1800.0, help="simulated seconds")
     loops.add_argument("--seed", type=int, default=7)
-    bench = sub.add_parser("bench-ingest", help="run the E14 ingest benchmark")
-    bench.add_argument("--nodes", type=int, default=1024)
-    bench.add_argument("--metrics", type=int, default=8, help="metrics per node")
-    bench.add_argument("--horizon", type=float, default=180.0, help="simulated seconds")
-    bench.add_argument("--json", dest="json_path", default=None, help="write row as JSON")
     bloops = sub.add_parser("bench-loops", help="run the E15 loop-fleet benchmark")
     bloops.add_argument("--loops", dest="n_loops", type=int, default=256)
     bloops.add_argument("--ticks", type=int, default=10)
@@ -1216,8 +1180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.command == "loops":
         return cmd_loops(args.n_loops, args.nodes, args.horizon, args.seed)
-    if args.command == "bench-ingest":
-        return cmd_bench_ingest(args.nodes, args.metrics, args.horizon, args.json_path)
     if args.command == "bench-loops":
         return cmd_bench_loops(args.n_loops, args.ticks, args.json_path)
     if args.command == "bench-shard":

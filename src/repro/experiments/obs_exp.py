@@ -4,7 +4,7 @@ PR 9 threads span tracing (:mod:`repro.obs.trace`) through the autonomy
 hot paths — hub serving, standing reads, engine execution, federated
 scatter, columnar ingest.  The bargain is only honest if the
 instrumentation is priced: **disabled tracing must cost ≤2%** on the
-E14 ingest and E19 standing-serving paths (one attribute load + branch
+columnar ingest and E19 standing-serving paths (one attribute load + branch
 per guarded site), and **enabled tracing ≤5%** (one ring append per
 span).  E20 measures both, with the same paired/interleaved wall-clock
 discipline E19b established:

@@ -7,18 +7,10 @@ detection), forecast (trend extrapolation) — and reports pipeline
 throughput, end-to-end lag, analytics latency, overhead, and detection
 quality.
 
-Two ingest modes share the scenario:
-
-* ``"columnar"`` (default) — one :class:`SensorBank` per node reading
-  all its metrics in a single vectorized call, one
-  :class:`SamplingGroup` per aggregation subtree (one engine event per
-  group per tick), batched hops, and interval-coalesced bulk commits.
-* ``"legacy"`` — the per-object seed path: one :class:`Sampler` per
-  node, one ``Sample`` dataclass per sensor per tick, point-by-point
-  commits.  Kept as the baseline the E14 benchmark measures against.
-
-Ground-truth signals and anomaly injection draw from identical RNG
-streams in both modes, so the modes differ only in how samples move.
+Samples move columnar: one :class:`SensorBank` per node reads all its
+metrics in a single vectorized call, one :class:`SamplingGroup` per
+aggregation subtree fires one engine event per group per tick, hops are
+batched, and the root commits interval-coalesced bulk appends.
 """
 
 from __future__ import annotations
@@ -35,8 +27,8 @@ from repro.query.model import LabelMatcher, MetricQuery
 from repro.sim import Engine, RngRegistry
 from repro.telemetry.collector import CollectionPipeline
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.sampler import Sampler, SamplingGroup
-from repro.telemetry.sensor import CallableSensor, SensorBank
+from repro.telemetry.sampler import SamplingGroup
+from repro.telemetry.sensor import SensorBank
 from repro.telemetry.synthetic import SpikeSpec, SyntheticSeriesSpec, render_series
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -46,7 +38,6 @@ def _build_frontends(
     engine: Engine,
     pipeline: CollectionPipeline,
     rngs: RngRegistry,
-    ingest: str,
     n_nodes: int,
     metrics_per_node: int,
     sample_period_s: float,
@@ -55,12 +46,11 @@ def _build_frontends(
     per_sample_cost_s: float,
     anomaly_times: List[float],
     anomaly_nodes: List[int],
-) -> List:
-    """Wire sampling front-ends for the requested ingest mode.
+) -> List[SamplingGroup]:
+    """Wire one sampling group per aggregator, one bank per node.
 
-    Returns the list of front-ends (per-node ``Sampler`` or per-group
-    ``SamplingGroup``); signals are pre-rendered on the sampling grid
-    from mode-independent RNG streams.
+    Signals are pre-rendered on the sampling grid from per-(node,
+    metric) RNG streams.
     """
     aggregators = pipeline.aggregators
     grid = np.arange(0.0, horizon_s + sample_period_s, sample_period_s)
@@ -91,32 +81,7 @@ def _build_frontends(
             for m in range(metrics_per_node)
         ]
 
-    fronts: List = []
-    if ingest == "legacy":
-        for node_idx in range(n_nodes):
-            signals = node_signals(node_idx)
-            sampler = Sampler(
-                engine,
-                aggregators[node_idx % n_groups],
-                period=sample_period_s,
-                rng=rngs.stream(f"sampler-{node_idx}"),
-                jitter_std=jitter_std,
-                per_sample_cost_s=per_sample_cost_s,
-                name=f"sampler-{node_idx}",
-            )
-            for metric_idx, key in enumerate(node_keys(node_idx)):
-                row = signals[metric_idx]
-
-                def reader(now: float, _row=row, _p=sample_period_s) -> float:
-                    return float(_row[min(len(_row) - 1, int(now / _p))])
-
-                sampler.add_sensor(CallableSensor(key, reader))
-            sampler.start()
-            fronts.append(sampler)
-        return fronts
-
-    if ingest != "columnar":
-        raise ValueError(f"unknown ingest mode {ingest!r}; use 'columnar' or 'legacy'")
+    fronts: List[SamplingGroup] = []
     registry = pipeline.registry
     last_col = len(grid) - 1
     for g in range(n_groups):
@@ -151,17 +116,11 @@ def run_pipeline_scenario(
     sample_period_s: float = 5.0,
     horizon_s: float = 3600.0,
     n_anomalies: int = 8,
-    ingest: str = "columnar",
-    diagnose: str = "scan",
     commit_interval_s: Optional[float] = None,
     watch_loops: int = 0,
 ) -> Dict[str, float]:
-    """Run E1.  ``ingest`` picks the sample-movement path; ``diagnose``
-    picks the anomaly sweep — ``"scan"`` (batch z-score pass) or
-    ``"pointwise"`` (the seed idiom: one detector update per sample),
-    kept so the E14 scale check can measure the original configuration
-    as its wall-clock budget.  ``watch_loops`` > 0 additionally hosts
-    that many per-partition autonomy loops on a
+    """Run E1.  ``watch_loops`` > 0 additionally hosts that many
+    per-partition autonomy loops on a
     :class:`~repro.core.runtime.LoopRuntime` over the live stream
     (in-situ ODA on the Fig. 1 pipeline) and reports their fleet
     telemetry; the fleet's Monitor/Analyze work then runs inside the
@@ -170,14 +129,14 @@ def run_pipeline_scenario(
     engine = Engine()
     rngs = RngRegistry(seed=seed)
     store = TimeSeriesStore(default_capacity=int(horizon_s / sample_period_s) + 16)
-    if commit_interval_s is None and ingest == "columnar":
+    if commit_interval_s is None:
         commit_interval_s = 4.0 * sample_period_s
     pipeline = CollectionPipeline(
         engine,
         store,
         hop_latency=0.1,
         ingest_latency=0.1,
-        commit_interval_s=commit_interval_s if ingest == "columnar" else None,
+        commit_interval_s=commit_interval_s,
     )
     pipeline.build(max(1, n_nodes // 16))
 
@@ -191,7 +150,6 @@ def run_pipeline_scenario(
         engine=engine,
         pipeline=pipeline,
         rngs=rngs,
-        ingest=ingest,
         n_nodes=n_nodes,
         metrics_per_node=metrics_per_node,
         sample_period_s=sample_period_s,
@@ -231,7 +189,7 @@ def run_pipeline_scenario(
     # horizon cut, then force the root's coalescing buffer out.
     for front in fronts:
         front.stop()
-    engine.run(until=horizon_s + pipeline.end_to_end_latency + (commit_interval_s or 0.0))
+    engine.run(until=horizon_s + pipeline.end_to_end_latency + commit_interval_s)
     pipeline.root.flush()
     ingest_wall_s = time.perf_counter() - wall_t0
 
@@ -250,22 +208,14 @@ def run_pipeline_scenario(
     visualize_ms = (time.perf_counter() - t0) * 1e3
 
     # --- Fig. 1 "diagnose": anomaly detection over every node ------------
-    if diagnose not in ("scan", "pointwise"):
-        raise ValueError(f"unknown diagnose mode {diagnose!r}")
     t0 = time.perf_counter()
     detected: List[tuple] = []
     for node_idx in range(n_nodes):
         key = SeriesKey.of("metric0", node=f"n{node_idx:03d}")
         times, values = store.query(key, 0.0, horizon_s)
         det = ZScoreDetector(window=60, threshold=5.0)
-        if diagnose == "scan":
-            for anomaly in det.scan(times, values):
-                detected.append((node_idx, anomaly.time))
-        else:
-            for t, v in zip(times, values):
-                a = det.update(t, v)
-                if a is not None:
-                    detected.append((node_idx, t))
+        for anomaly in det.scan(times, values):
+            detected.append((node_idx, anomaly.time))
     diagnose_ms = (time.perf_counter() - t0) * 1e3
 
     # detection quality vs ground truth (match within the spike window)
@@ -352,7 +302,11 @@ def run_sampling_tradeoff(
         rng = rngs.stream("events")
         onsets = rng.uniform(horizon_s * 0.4, horizon_s * 0.7, size=n_nodes)
         grid = np.arange(0.0, horizon_s + period, period)
-        samplers: List[Sampler] = []
+        last_col = len(grid) - 1
+        groups = [
+            SamplingGroup(engine, agg, period=period, per_sample_cost_s=1e-4, name=f"group-{g}")
+            for g, agg in enumerate(aggregators)
+        ]
         for node_idx in range(n_nodes):
             spec = SyntheticSeriesSpec(
                 base=400.0,
@@ -362,19 +316,15 @@ def run_sampling_tradeoff(
             series = render_series(grid, spec, rngs.fork("sig", node_idx))
             key = SeriesKey.of("m", node=f"n{node_idx:03d}")
 
-            def reader(now: float, _series=series, _p=period) -> float:
-                return float(_series[min(len(_series) - 1, int(now / _p))])
+            def read(now: float, _series=series, _p=period) -> np.ndarray:
+                col = min(last_col, int(now / _p))
+                return _series[col : col + 1]
 
-            sampler = Sampler(
-                engine,
-                aggregators[node_idx % len(aggregators)],
-                period=period,
-                per_sample_cost_s=1e-4,
-                name=f"s{node_idx}",
+            groups[node_idx % len(groups)].add_bank(
+                SensorBank([key], read, registry=pipeline.registry)
             )
-            sampler.add_sensor(CallableSensor(key, reader))
-            sampler.start()
-            samplers.append(sampler)
+        for group in groups:
+            group.start()
         engine.run(until=horizon_s)
 
         latencies = []
@@ -387,7 +337,10 @@ def run_sampling_tradeoff(
                 if anomaly.time >= onset:
                     latencies.append(anomaly.time - onset)
                     break
-        mean_cpu_frac = float(np.mean([s.overhead_cpu_frac(horizon_s) for s in samplers]))
+        # per-node CPU overhead, agent-weighted across the groups
+        mean_cpu_frac = (
+            sum(g.overhead_cpu_frac(horizon_s) * g.agent_count for g in groups) / n_nodes
+        )
         rows.append(
             {
                 "period_s": period,

@@ -177,14 +177,6 @@ def run_all(quick: bool = False, seeds: List[int] = (0, 1, 2)) -> None:
         title="E13 — query engine vs naive raw scans",
     ))
 
-    # ------------------------------------------------------------- E14
-    from repro.experiments.ingest_exp import run_ingest_benchmark
-
-    _p(render_table(
-        [run_ingest_benchmark(seed=0, n_nodes=256 if quick else 1024)],
-        title="E14 — columnar vs per-object ingest",
-    ))
-
     # ------------------------------------------------------------- E15
     from repro.experiments.loops_exp import run_loop_fleet_benchmark, run_runtime_overhead
 

@@ -12,9 +12,10 @@ numbers one home:
 * three instrument kinds — :class:`Counter` (monotonic),
   :class:`Gauge` (last value), :class:`Histogram` (count/sum/min/max,
   enough for means and rates without bucket bookkeeping);
-* ``absorb()`` — snapshot an existing ``stats()`` dict into gauges in
-  one call, which is how the CLI unifies its output without every
-  subsystem migrating off its dict;
+* ``record()`` — set one gauge under its canonical name and remember
+  the flat alias; :func:`repro.obs.absorb_stats` routes a whole
+  ``stats()`` dict through it, which is how the CLI unifies its output
+  without every subsystem migrating off its dict;
 * ``publish()`` — write a snapshot into a :class:`TimeSeriesStore` as
   ``obs_*`` series, so supervisors and standing queries can monitor the
   monitor with the same machinery they use on the fleet (the DCDB
@@ -24,7 +25,7 @@ numbers one home:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS"]
 
@@ -115,30 +116,6 @@ class MetricsRegistry:
         self._aliases.clear()
 
     # -- absorption of legacy stats() dicts ------------------------------
-    def absorb(self, namespace: str, stats: Mapping[str, Any],
-               *, strip_prefix: str = "") -> None:
-        """Snapshot a subsystem ``stats()`` dict into namespaced gauges.
-
-        ``strip_prefix`` handles dicts whose keys already carry a flat
-        namespace (``cache_hits`` under ``cache`` → ``cache.hits``); the
-        original flat key is remembered as the alias either way.  Nested
-        dicts recurse with a dotted sub-namespace; non-numeric values
-        are skipped (a stats dict may carry strings or lists).
-        """
-        for key, value in stats.items():
-            if isinstance(value, Mapping):
-                self.absorb(f"{namespace}.{key}", value)
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            short = key
-            if strip_prefix and short.startswith(strip_prefix):
-                short = short[len(strip_prefix):]
-            canonical = f"{namespace}.{short}"
-            self.gauge(canonical).set(value)
-            if key != short:
-                self._aliases.setdefault(canonical, key)
-
     def record(self, canonical: str, value: Any, *,
                alias: Optional[str] = None) -> None:
         """Set one gauge under its canonical name, remembering the

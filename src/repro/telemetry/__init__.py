@@ -1,10 +1,12 @@
 """Holistic monitoring substrate (the "Monitor" layer of Fig. 1).
 
 This package models a site telemetry stack of the LDMS / DCDB / Examon
-class: sensors exposing facility, hardware, system-software, and
-application metrics; periodic samplers with jitter, dropout, and overhead;
-a collector/aggregation tree with per-hop transport latency; and a
-NumPy-backed in-memory time-series store that the analytics layer queries.
+class: vectorized sensor banks exposing facility, hardware,
+system-software, and application metrics; periodic sampling groups with
+jitter, dropout, and overhead; a collector/aggregation tree with per-hop
+transport latency that moves every sample as a columnar
+:class:`SampleBatch`; and a NumPy-backed in-memory time-series store that
+the analytics layer queries.
 
 The stack deliberately reproduces the *operational* properties that gate
 autonomy-loop reaction time: finite sampling rates, collection latency,
@@ -12,10 +14,10 @@ and metric cardinality.
 """
 
 from repro.telemetry.metric import MetricCatalog, MetricKind, MetricSpec, SeriesKey
-from repro.telemetry.batch import Sample, SampleBatch, SeriesRegistry
+from repro.telemetry.batch import SampleBatch, SeriesRegistry
 from repro.telemetry.tsdb import TimeSeriesStore
-from repro.telemetry.sensor import CallableSensor, Sensor, SensorBank
-from repro.telemetry.sampler import Sampler, SamplingGroup
+from repro.telemetry.sensor import SensorBank
+from repro.telemetry.sampler import SamplingGroup
 from repro.telemetry.collector import (
     AdaptiveCommitConfig,
     Aggregator,
@@ -29,12 +31,10 @@ from repro.telemetry.derived import (
     DerivedMetricsService,
     standard_cluster_aggregates,
 )
-from repro.telemetry.overhead import MonitoringOverheadModel
 
 __all__ = [
     "AdaptiveCommitConfig",
     "Aggregator",
-    "CallableSensor",
     "CollectionPipeline",
     "Collector",
     "DerivedMetricSpec",
@@ -42,14 +42,10 @@ __all__ = [
     "MetricCatalog",
     "MetricKind",
     "MetricSpec",
-    "MonitoringOverheadModel",
     "ProgressMarker",
     "ProgressMarkerChannel",
-    "Sample",
     "SampleBatch",
-    "Sampler",
     "SamplingGroup",
-    "Sensor",
     "SensorBank",
     "SeriesKey",
     "SeriesRegistry",

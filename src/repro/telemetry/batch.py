@@ -1,9 +1,8 @@
 """Columnar sample movement: struct-of-arrays batches and series interning.
 
-The per-object ingest path (one :class:`Sample` dataclass per sensor per
-tick) caps pipeline throughput at Python object-churn speed.  Production
-collectors (LDMS transport, DCDB Wintermute) move telemetry as packed
-columnar frames instead; this module provides the equivalents:
+Samples move through the pipeline as packed columnar frames, the way
+production collectors (LDMS transport, DCDB Wintermute) move telemetry,
+never as one Python object per point:
 
 * :class:`SeriesRegistry` — interns :class:`~repro.telemetry.metric.SeriesKey`
   objects to dense integer ids, so hot-path code moves ``int64`` arrays
@@ -12,29 +11,15 @@ columnar frames instead; this module provides the equivalents:
 * :class:`SampleBatch` — one struct-of-arrays record ``(series_ids,
   times, values)`` carrying an entire sampling round (or the
   concatenation of many) through the aggregation tree.
-
-:class:`Sample` remains the legacy per-point record; list-of-``Sample``
-submissions are accepted everywhere as a thin adapter and converted to
-batches at the collection root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.telemetry.metric import SeriesKey
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One collected data point (legacy per-object pipeline currency)."""
-
-    key: SeriesKey
-    time: float
-    value: float
 
 
 def sort_series_columns(
@@ -171,21 +156,3 @@ class SampleBatch:
             np.concatenate([b.times for b in batches]),
             np.concatenate([b.values for b in batches]),
         )
-
-    @staticmethod
-    def from_samples(samples: Sequence[Sample], registry: SeriesRegistry) -> "SampleBatch":
-        """Adapter: pack legacy per-object samples into one batch."""
-        n = len(samples)
-        if n == 0:
-            return SampleBatch.empty()
-        ids = np.fromiter((registry.id_for(s.key) for s in samples), dtype=np.int64, count=n)
-        times = np.fromiter((s.time for s in samples), dtype=np.float64, count=n)
-        values = np.fromiter((s.value for s in samples), dtype=np.float64, count=n)
-        return SampleBatch(ids, times, values)
-
-    def to_samples(self, registry: SeriesRegistry) -> List[Sample]:
-        """Adapter: unpack into legacy per-object samples (tests, debug)."""
-        return [
-            Sample(registry.key_for(int(sid)), float(t), float(v))
-            for sid, t, v in zip(self.series_ids, self.times, self.values)
-        ]

@@ -11,32 +11,26 @@ The native currency is the columnar
 every child batch arriving within one forwarding window into a single
 concatenated batch per hop, and the root collector commits through
 :meth:`~repro.telemetry.tsdb.TimeSeriesStore.append_batch` — one bulk
-write per flush instead of one Python call per point.  Legacy
-``list[Sample]`` submissions are still accepted at every hop; without
-commit coalescing they keep the seed path's point-by-point commit
-semantics (the E14 baseline), while an interval-coalescing root packs
-them into batches at flush time.
+write per flush instead of one Python call per point.
 
 Topology::
 
-    SensorBank/Sampler -> Aggregator (level N) -> ... -> Collector (root) -> TimeSeriesStore
+    SensorBank -> SamplingGroup -> Aggregator (level N) -> ... -> Collector (root) -> TimeSeriesStore
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.sim.engine import Engine
-from repro.telemetry.batch import Sample, SampleBatch
+from repro.telemetry.batch import SampleBatch
 from repro.telemetry.tsdb import TimeSeriesStore
 
 #: Approximate wire size of one encoded sample (metric id, ts, value, labels).
 SAMPLE_WIRE_BYTES = 64
-
-Submission = Union[SampleBatch, List[Sample]]
 
 
 @dataclass(frozen=True)
@@ -124,11 +118,11 @@ class Collector:
         #: max(ingest_latency, interval) at schedule time, which is the
         #: denominator of the rate observation (not the bare interval)
         self._window_s: Optional[float] = None
-        self._pending: List[Submission] = []
+        self._pending: List[SampleBatch] = []
         self._flush_scheduled = False
         self._flush_seq = 0  # invalidates orphaned scheduled flush events
 
-    def submit(self, samples: Submission) -> None:
+    def submit(self, samples: SampleBatch) -> None:
         if self.commit_interval_s is not None:
             # Tail-drop backpressure: once the coalescing window holds
             # the cap, arriving submissions bounce whole (a single
@@ -186,7 +180,7 @@ class Collector:
         self._flush_scheduled = False
         pending, self._pending = self._pending, []
         self._pending_samples = 0
-        merged = self._merge(pending) if pending else None
+        merged = SampleBatch.concat(pending) if pending else None
         if adapt and self.adaptive is not None and self.commit_interval_s is not None:
             self._adapt_interval(len(merged) if merged is not None else 0)
         if merged is not None:
@@ -210,41 +204,17 @@ class Collector:
             self.commit_interval_s = desired
             self.interval_adjustments += 1
 
-    def _merge(self, pending: List[Submission]) -> Submission:
-        """Concatenate queued submissions; lists are packed into a batch."""
-        if len(pending) == 1:
-            return pending[0]
-        batches: List[SampleBatch] = []
-        for sub in pending:
-            if isinstance(sub, SampleBatch):
-                batches.append(sub)
-            else:
-                batches.append(SampleBatch.from_samples(sub, self.store.registry))
-        return SampleBatch.concat(batches)
-
-    def _commit(self, samples: Submission) -> None:
+    def _commit(self, samples: SampleBatch) -> None:
         n = len(samples)
         if n == 0:
             return
-        if isinstance(samples, SampleBatch):
-            self.store.append_batch(samples.series_ids, samples.times, samples.values)
-            oldest = float(samples.times.min())
-        else:
-            # Legacy per-object submissions keep the seed path's
-            # point-by-point commit semantics (and cost) — they are the
-            # baseline the E14 benchmark measures the columnar path
-            # against.
-            oldest = samples[0].time
-            for s in samples:
-                self.store.insert(s.key, s.time, s.value)
-                if s.time < oldest:
-                    oldest = s.time
+        self.store.append_batch(samples.series_ids, samples.times, samples.values)
         self.commits += 1
         self.samples_ingested += n
         # Lag accounting once per commit, against the *oldest* sample in
         # the batch — the worst-case end-to-end delay, not whichever
         # sample happened to be last in submission order.
-        self.latest_arrival_lag = float(self.engine.now - oldest)
+        self.latest_arrival_lag = float(self.engine.now - samples.times.min())
 
     def stats(self) -> dict:
         return {
@@ -265,10 +235,8 @@ class Aggregator:
 
     Submissions arriving while a forwarding window is open are merged
     and sent with one hop event per window, however many children fed
-    it: columnar submissions concatenate into a single downstream
-    ``SampleBatch``, and legacy list submissions (which carry no series
-    ids to merge by) coalesce into a single downstream list — so a
-    window emits at most one message per submission kind.  ``loss_prob``
+    it: child batches concatenate into a single downstream
+    ``SampleBatch``, so a window emits at most one message.  ``loss_prob``
     drops whole child batches before they enter the window (network
     loss / agent crash); byte and message counters track both
     directions so loss accounting stays exact.
@@ -312,11 +280,11 @@ class Aggregator:
         self.dropped_batches = 0
         self.dropped_samples = 0
         self.dropped_bytes = 0
-        self._pending: List[Submission] = []
+        self._pending: List[SampleBatch] = []
         self._pending_samples = 0
         self._flush_scheduled = False
 
-    def submit(self, samples: Submission) -> None:
+    def submit(self, samples: SampleBatch) -> None:
         n = len(samples)
         if self.loss_prob > 0 and self.rng.random() < self.loss_prob:
             self.batches_lost += 1
@@ -368,30 +336,19 @@ class Aggregator:
             "pending_samples": float(self._pending_samples),
         }
 
-    def _forward(self, pending: List[Submission]) -> None:
-        lists = [s for s in pending if not isinstance(s, SampleBatch)]
-        batches = [s for s in pending if isinstance(s, SampleBatch)]
-        if lists:
-            merged_list: List[Sample] = lists[0] if len(lists) == 1 else [
-                s for sub in lists for s in sub
-            ]
-            self.batches_forwarded += 1
-            self.samples_forwarded += len(merged_list)
-            self.bytes_forwarded += len(merged_list) * SAMPLE_WIRE_BYTES
-            self.downstream.submit(merged_list)
-        if batches:
-            merged = SampleBatch.concat(batches)
-            self.batches_forwarded += 1
-            self.samples_forwarded += len(merged)
-            self.bytes_forwarded += len(merged) * SAMPLE_WIRE_BYTES
-            self.downstream.submit(merged)
+    def _forward(self, pending: List[SampleBatch]) -> None:
+        merged = SampleBatch.concat(pending)
+        self.batches_forwarded += 1
+        self.samples_forwarded += len(merged)
+        self.bytes_forwarded += len(merged) * SAMPLE_WIRE_BYTES
+        self.downstream.submit(merged)
 
 
 class CollectionPipeline:
     """Convenience builder for a two-level tree (rack aggregators → root).
 
     ``build(n_groups)`` returns one aggregator per group, all feeding the
-    shared root collector.  Samplers attach to their group's aggregator.
+    shared root collector.  Sampling groups attach to their aggregator.
     ``registry`` exposes the store's series-id intern table for wiring
     :class:`~repro.telemetry.sensor.SensorBank` producers.
     """

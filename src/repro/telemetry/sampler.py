@@ -1,22 +1,15 @@
-"""Periodic samplers.
+"""Periodic columnar sampling.
 
-Two sampling front-ends share this module:
+A :class:`SamplingGroup` owns :class:`~repro.telemetry.sensor.SensorBank`
+objects for many nodes, fires **one** engine event per tick for the
+whole group, and emits a single concatenated
+:class:`~repro.telemetry.batch.SampleBatch`: at N nodes × M metrics a
+tick costs one event and one batch.
 
-* :class:`Sampler` — the legacy per-object agent: owns :class:`Sensor`
-  objects on one node, polls them every ``period`` seconds, and emits a
-  ``list[Sample]`` per round.  Kept as a thin adapter; everything
-  downstream accepts it unchanged.
-* :class:`SamplingGroup` — the columnar agent group: owns
-  :class:`~repro.telemetry.sensor.SensorBank` objects for many nodes,
-  fires **one** engine event per tick for the whole group, and emits a
-  single concatenated :class:`~repro.telemetry.batch.SampleBatch`.  This
-  is the scalable path: at N nodes × M metrics a tick costs one event
-  and one batch instead of N events and N·M ``Sample`` objects.
-
-Dropout models agent-side sample loss; it is decided *before* sensors
-are polled, so a lost round costs no simulated sensor CPU, and the
-overhead model (Fig. 1 feasibility, E1) charges ``per_sample_cost_s``
-only for sensors actually read.
+Dropout models agent-side sample loss; it is decided *before* banks are
+polled, so a lost round costs no simulated sensor CPU, and the overhead
+accounting (Fig. 1 feasibility, E1) charges ``per_sample_cost_s`` only
+for sensors actually read.
 """
 
 from __future__ import annotations
@@ -27,26 +20,39 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from repro.sim.engine import Engine, PeriodicTask
-from repro.telemetry.batch import Sample, SampleBatch
-from repro.telemetry.sensor import Sensor, SensorBank
+from repro.telemetry.batch import SampleBatch
+from repro.telemetry.sensor import SensorBank
 
-__all__ = ["Sample", "SampleSink", "Sampler", "SamplingGroup"]
+__all__ = ["SamplingGroup"]
 
 
-class _PeriodicAgentBase:
-    """Shared scheduling + overhead accounting for sampling front-ends."""
+class SamplingGroup:
+    """Coalesced columnar sampling for a group of nodes.
+
+    One :class:`SamplingGroup` typically mirrors one aggregation subtree
+    (e.g. a rack): each member :class:`SensorBank` is one node's sensor
+    set.  Per tick the group fires a single engine event, reads every
+    bank vectorized, and submits **one** concatenated
+    :class:`SampleBatch` to ``sink`` (any object with
+    ``submit(batch: SampleBatch)``).
+
+    ``dropout_prob`` is applied per bank per round (agent-side loss is a
+    per-node phenomenon) with a single vectorized draw; dropped banks
+    are not polled and accrue no overhead.  ``jitter_std`` is the
+    std-dev of Gaussian jitter applied to each firing (seconds).
+    """
 
     def __init__(
         self,
         engine: Engine,
-        sink: "SampleSink",
+        sink,
         *,
-        period: float,
-        jitter_std: float,
-        dropout_prob: float,
-        per_sample_cost_s: float,
-        rng: Optional[np.random.Generator],
-        name: str,
+        period: float = 1.0,
+        jitter_std: float = 0.0,
+        dropout_prob: float = 0.0,
+        per_sample_cost_s: float = 0.0,
+        rng: Optional[np.random.Generator] = None,
+        name: str = "sampling-group",
     ) -> None:
         if period <= 0:
             raise ValueError("period must be positive")
@@ -66,6 +72,11 @@ class _PeriodicAgentBase:
         self.samples_emitted = 0
         self.samples_dropped = 0
         self.overhead_cpu_s = 0.0
+        self.banks: List[SensorBank] = []
+        self.rounds = 0
+        self._layout_banks = -1  # bank count the cached layout was built for
+        self._all_ids: Optional[np.ndarray] = None
+        self._offsets: List[int] = []
 
     def start(self, *, start_at: Optional[float] = None) -> None:
         if self._task is not None and not self._task.stopped:
@@ -82,144 +93,6 @@ class _PeriodicAgentBase:
         if self._task is not None:
             self._task.stop()
 
-    def _collect_round(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    @property
-    def agent_count(self) -> int:
-        """Number of monitored agents (nodes) this front-end stands for."""
-        return 1
-
-    def overhead_cpu_frac(self, window_s: float) -> float:
-        """Fraction of one agent's compute consumed over ``window_s``.
-
-        The explicit accessor experiments should use instead of dividing
-        ``overhead_cpu_s`` by hand: it normalizes by the number of
-        agents represented, so per-node :class:`Sampler` and many-node
-        :class:`SamplingGroup` report on the same scale.
-        """
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        return self.overhead_cpu_s / (self.agent_count * window_s)
-
-
-class Sampler(_PeriodicAgentBase):
-    """Polls per-object sensors periodically and forwards sample lists.
-
-    Parameters
-    ----------
-    engine:
-        Simulation engine providing time and scheduling.
-    sink:
-        Any object with ``submit(samples: list[Sample]) -> None``.
-    period:
-        Sampling period in seconds.
-    jitter_std:
-        Std-dev of Gaussian jitter applied to each firing (seconds).
-    dropout_prob:
-        Probability an entire sampling round is lost before the sensors
-        are polled (no samples, no overhead charged).
-    per_sample_cost_s:
-        Simulated CPU seconds consumed per sensor actually read.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        sink: "SampleSink",
-        *,
-        period: float = 1.0,
-        jitter_std: float = 0.0,
-        dropout_prob: float = 0.0,
-        per_sample_cost_s: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-        name: str = "sampler",
-    ) -> None:
-        super().__init__(
-            engine,
-            sink,
-            period=period,
-            jitter_std=jitter_std,
-            dropout_prob=dropout_prob,
-            per_sample_cost_s=per_sample_cost_s,
-            rng=rng,
-            name=name,
-        )
-        self._sensors: List[Sensor] = []
-
-    def add_sensor(self, sensor: Sensor) -> None:
-        self._sensors.append(sensor)
-
-    def add_sensors(self, sensors: Iterable[Sensor]) -> None:
-        for s in sensors:
-            self.add_sensor(s)
-
-    @property
-    def sensor_count(self) -> int:
-        return len(self._sensors)
-
-    def _collect_round(self) -> None:
-        if not self._sensors:
-            return
-        if self.dropout_prob > 0 and self.rng.random() < self.dropout_prob:
-            self.samples_dropped += len(self._sensors)
-            return
-        now = self.engine.now
-        batch: List[Sample] = []
-        for sensor in self._sensors:
-            value = sensor.read(now)
-            self.overhead_cpu_s += self.per_sample_cost_s
-            if value is None:
-                continue
-            batch.append(Sample(sensor.key, now, value))
-        if not batch:
-            return
-        self.samples_emitted += len(batch)
-        self.sink.submit(batch)
-
-
-class SamplingGroup(_PeriodicAgentBase):
-    """Coalesced columnar sampling for a group of nodes.
-
-    One :class:`SamplingGroup` typically mirrors one aggregation subtree
-    (e.g. a rack): each member :class:`SensorBank` is one node's sensor
-    set.  Per tick the group fires a single engine event, reads every
-    bank vectorized, and submits **one** concatenated
-    :class:`SampleBatch` to its sink.
-
-    ``dropout_prob`` is applied per bank per round (agent-side loss is a
-    per-node phenomenon) with a single vectorized draw; dropped banks
-    are not polled and accrue no overhead.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        sink: "SampleSink",
-        *,
-        period: float = 1.0,
-        jitter_std: float = 0.0,
-        dropout_prob: float = 0.0,
-        per_sample_cost_s: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-        name: str = "sampling-group",
-    ) -> None:
-        super().__init__(
-            engine,
-            sink,
-            period=period,
-            jitter_std=jitter_std,
-            dropout_prob=dropout_prob,
-            per_sample_cost_s=per_sample_cost_s,
-            rng=rng,
-            name=name,
-        )
-        self.banks: List[SensorBank] = []
-        self.rounds = 0
-        self._layout_banks = -1  # bank count the cached layout was built for
-        self._all_ids: Optional[np.ndarray] = None
-        self._offsets: List[int] = []
-
     def add_bank(self, bank: SensorBank) -> None:
         self.banks.append(bank)
 
@@ -229,11 +102,23 @@ class SamplingGroup(_PeriodicAgentBase):
 
     @property
     def agent_count(self) -> int:
+        """Number of monitored agents (nodes): one per member bank."""
         return len(self.banks)
 
     @property
     def sensor_count(self) -> int:
         return sum(bank.size for bank in self.banks)
+
+    def overhead_cpu_frac(self, window_s: float) -> float:
+        """Fraction of one agent's compute consumed over ``window_s``.
+
+        The explicit accessor experiments should use instead of dividing
+        ``overhead_cpu_s`` by hand: it normalizes by the number of agents
+        the group stands for, so groups of any size report per node.
+        """
+        if window_s <= 0:
+            raise ValueError("window_s must be positive")
+        return self.overhead_cpu_s / (self.agent_count * window_s)
 
     def _refresh_layout(self) -> None:
         """Precompute the group's concatenated id column and bank slices."""
@@ -314,14 +199,3 @@ class SamplingGroup(_PeriodicAgentBase):
         merged = SampleBatch.concat(batches)
         self.samples_emitted += len(merged)
         self.sink.submit(merged)
-
-
-class SampleSink:
-    """Minimal sink interface (duck-typed; this class is documentation).
-
-    ``submit`` accepts either a legacy ``list[Sample]`` or a columnar
-    :class:`SampleBatch`.
-    """
-
-    def submit(self, samples) -> None:  # pragma: no cover
-        raise NotImplementedError

@@ -1,16 +1,16 @@
-"""Sensor abstraction.
+"""Vectorized sensor banks.
 
-A sensor binds a :class:`~repro.telemetry.metric.SeriesKey` to a readout
-function over simulated system state.  Samplers poll sensors; sensors
-never push.  Measurement noise and failure (returning ``None``) are
+A :class:`SensorBank` binds one node's
+:class:`~repro.telemetry.metric.SeriesKey` set to a vectorized readout
+function over simulated system state.  Sampling groups poll banks; banks
+never push.  Measurement noise and failure (``NaN`` readings) are
 modelled here because they are properties of the sensing hardware, while
-sampling jitter/dropout are modelled in the sampler (properties of the
-collection agent).
+sampling jitter/dropout are modelled in the sampling group (properties
+of the collection agent).
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -19,85 +19,18 @@ from repro.telemetry.batch import SampleBatch, SeriesRegistry
 from repro.telemetry.metric import SeriesKey
 
 
-class Sensor(abc.ABC):
-    """One readable telemetry source."""
-
-    def __init__(self, key: SeriesKey) -> None:
-        self.key = key
-
-    @abc.abstractmethod
-    def read(self, now: float) -> Optional[float]:
-        """Current value, or ``None`` if the reading is unavailable."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.key}>"
-
-
-class CallableSensor(Sensor):
-    """Sensor wrapping a plain callable, with optional Gaussian noise.
-
-    ``fn`` receives the current time and returns the true value;
-    ``noise_std`` adds zero-mean measurement noise drawn from ``rng``.
-    ``fault_prob`` models a flaky sensor that occasionally fails to read.
-    """
-
-    def __init__(
-        self,
-        key: SeriesKey,
-        fn: Callable[[float], Optional[float]],
-        *,
-        noise_std: float = 0.0,
-        fault_prob: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__(key)
-        if noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if not 0.0 <= fault_prob <= 1.0:
-            raise ValueError("fault_prob must be within [0, 1]")
-        if (noise_std > 0 or fault_prob > 0) and rng is None:
-            raise ValueError("rng required when noise_std or fault_prob is set")
-        self._fn = fn
-        self.noise_std = noise_std
-        self.fault_prob = fault_prob
-        self._rng = rng
-
-    def read(self, now: float) -> Optional[float]:
-        if self.fault_prob > 0 and self._rng.random() < self.fault_prob:
-            return None
-        value = self._fn(now)
-        if value is None:
-            return None
-        if self.noise_std > 0:
-            value = float(value) + float(self._rng.normal(0.0, self.noise_std))
-        return float(value)
-
-
-class ConstantSensor(Sensor):
-    """Sensor that always reads a fixed value (tests and fillers)."""
-
-    def __init__(self, key: SeriesKey, value: float) -> None:
-        super().__init__(key)
-        self.value = float(value)
-
-    def read(self, now: float) -> Optional[float]:
-        return self.value
-
-
 class SensorBank:
     """A group of series evaluated in one vectorized call per round.
 
-    Where a :class:`Sensor` produces one float per read, a bank produces
-    the whole node's sampling round as a
+    A bank produces the whole node's sampling round as a
     :class:`~repro.telemetry.batch.SampleBatch`: ``read_fn(now)`` returns
     an array of length ``len(keys)``, and measurement noise and sensor
-    faults are drawn as arrays from the RNG stream instead of one scalar
-    draw per sensor.  ``NaN`` entries in the readout mark unavailable
-    readings (the array equivalent of a sensor returning ``None``).
+    faults are drawn as arrays from the RNG stream.  ``NaN`` entries in
+    the readout mark unavailable readings.
 
     ``noise_std`` and ``fault_prob`` accept either a scalar applied to
     every series or a per-series array.  Per read, fault draws happen
-    before noise draws (matching :class:`CallableSensor` ordering).
+    before noise draws.
     """
 
     def __init__(
@@ -138,27 +71,6 @@ class SensorBank:
     @property
     def read_fn(self) -> Callable[[float], np.ndarray]:
         return self._read_fn
-
-    @classmethod
-    def from_sensors(
-        cls, sensors: Sequence[Sensor], registry: SeriesRegistry
-    ) -> "SensorBank":
-        """Adapter: wrap legacy per-object sensors into a bank.
-
-        The readout still loops the sensors in Python (they own their
-        noise/fault modelling), but the round leaves as one batch, so
-        everything downstream is columnar.
-        """
-        sensors = list(sensors)
-
-        def read_all(now: float) -> np.ndarray:
-            out = np.empty(len(sensors), dtype=np.float64)
-            for i, sensor in enumerate(sensors):
-                value = sensor.read(now)
-                out[i] = np.nan if value is None else value
-            return out
-
-        return cls([s.key for s in sensors], read_all, registry=registry)
 
     @property
     def size(self) -> int:

@@ -18,8 +18,8 @@ from repro.telemetry.collector import (
     CollectionPipeline,
     Collector,
 )
+from repro.telemetry.batch import SampleBatch
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.sampler import Sample
 from repro.telemetry.tsdb import TimeSeriesStore
 
 
@@ -31,9 +31,13 @@ class _ListSink:
         self.batches.append(samples)
 
 
-def _samples(n, t0=0.0):
-    key = SeriesKey.of("m")
-    return [Sample(key, t0 + 0.001 * i, float(i)) for i in range(n)]
+def _samples(n, t0=0.0, store=None):
+    """``n`` points of one series from ``t0``, 1 ms apart; pass the
+    ``store`` the batch will commit into so its series id is interned."""
+    sid = store.registry.id_for(SeriesKey.of("m")) if store is not None else 0
+    return SampleBatch(
+        np.full(n, sid, dtype=np.int64), t0 + 0.001 * np.arange(n), np.arange(n, dtype=float)
+    )
 
 
 class TestCollectorBackpressure:
@@ -57,7 +61,7 @@ class TestCollectorBackpressure:
         eng = Engine()
         store = TimeSeriesStore()
         col = Collector(eng, store, commit_interval_s=1.0, max_pending_samples=4)
-        col.submit(_samples(5, t0=0.0))  # oversized into empty window: accepted
+        col.submit(_samples(5, t0=0.0, store=store))  # oversized into empty window: accepted
         col.submit(_samples(1, t0=1.0))  # bounced
         assert col.dropped_samples == 1
         eng.run(until=2.0)  # interval flush drains the window
@@ -76,9 +80,10 @@ class TestCollectorBackpressure:
     def test_immediate_path_never_drops(self):
         # without coalescing there is no queue to bound: the cap is inert
         eng = Engine()
-        col = Collector(eng, TimeSeriesStore(), max_pending_samples=1)
-        col.submit(_samples(5, t0=0.0))
-        col.submit(_samples(5, t0=1.0))
+        store = TimeSeriesStore()
+        col = Collector(eng, store, max_pending_samples=1)
+        col.submit(_samples(5, t0=0.0, store=store))
+        col.submit(_samples(5, t0=1.0, store=store))
         assert col.dropped_samples == 0
         assert col.samples_ingested == 10
 

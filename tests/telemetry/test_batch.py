@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from repro.sim import Engine, RngRegistry
-from repro.telemetry.batch import Sample, SampleBatch, SeriesRegistry
+from repro.telemetry.batch import SampleBatch, SeriesRegistry
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.sampler import SamplingGroup
-from repro.telemetry.sensor import CallableSensor, SensorBank
+from repro.telemetry.sensor import SensorBank
 from repro.telemetry.tsdb import TimeSeriesStore
 
 
@@ -46,16 +46,6 @@ class TestSampleBatch:
         np.testing.assert_array_equal(merged.series_ids, [0, 1, 2])
         assert len(SampleBatch.concat([])) == 0
         assert SampleBatch.concat([b1]) is b1
-
-    def test_sample_roundtrip(self):
-        reg = SeriesRegistry()
-        samples = [
-            Sample(SeriesKey.of("m", node="a"), 1.0, 10.0),
-            Sample(SeriesKey.of("m", node="b"), 2.0, 20.0),
-        ]
-        batch = SampleBatch.from_samples(samples, reg)
-        assert batch.to_samples(reg) == samples
-        assert len(SampleBatch.from_samples([], reg)) == 0
 
 
 class TestSensorBank:
@@ -125,18 +115,6 @@ class TestSensorBank:
         )
         with pytest.raises(ValueError, match="shape"):
             bank.read(0.0)
-
-    def test_from_sensors_adapter(self):
-        reg = SeriesRegistry()
-        sensors = [
-            CallableSensor(SeriesKey.of("a"), lambda now: 1.0),
-            CallableSensor(SeriesKey.of("dead"), lambda now: None),
-            CallableSensor(SeriesKey.of("b"), lambda now: 2.0),
-        ]
-        bank = SensorBank.from_sensors(sensors, reg)
-        batch = bank.read(0.0)
-        assert len(batch) == 2
-        np.testing.assert_array_equal(batch.values, [1.0, 2.0])
 
 
 class _BatchSink:

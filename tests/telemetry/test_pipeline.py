@@ -1,4 +1,4 @@
-"""Tests for sensors, samplers, collectors, and the assembled pipeline."""
+"""Tests for sampling groups, collectors, and the assembled pipeline."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from repro.telemetry.collector import (
     Collector,
 )
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.sampler import Sample, Sampler
-from repro.telemetry.sensor import CallableSensor, ConstantSensor
+from repro.telemetry.batch import SeriesRegistry
+from repro.telemetry.sampler import SamplingGroup
+from repro.telemetry.sensor import SensorBank
 from repro.telemetry.tsdb import TimeSeriesStore
 
 
@@ -25,105 +26,47 @@ class _ListSink:
         self.batches.append(samples)
 
 
-class TestSensors:
-    def test_callable_sensor_reads_fn(self):
-        k = SeriesKey.of("m")
-        s = CallableSensor(k, lambda now: now * 2)
-        assert s.read(3.0) == 6.0
-
-    def test_callable_sensor_noise(self):
-        rng = RngRegistry(seed=1).stream("s")
-        s = CallableSensor(SeriesKey.of("m"), lambda now: 100.0, noise_std=1.0, rng=rng)
-        vals = [s.read(0.0) for _ in range(200)]
-        assert np.std(vals) > 0.5
-        assert abs(np.mean(vals) - 100.0) < 0.5
-
-    def test_callable_sensor_fault(self):
-        rng = RngRegistry(seed=2).stream("s")
-        s = CallableSensor(SeriesKey.of("m"), lambda now: 1.0, fault_prob=1.0, rng=rng)
-        assert s.read(0.0) is None
-
-    def test_noise_requires_rng(self):
-        with pytest.raises(ValueError, match="rng required"):
-            CallableSensor(SeriesKey.of("m"), lambda now: 1.0, noise_std=1.0)
-
-    def test_fn_none_propagates(self):
-        s = CallableSensor(SeriesKey.of("m"), lambda now: None)
-        assert s.read(0.0) is None
-
-    def test_constant_sensor(self):
-        s = ConstantSensor(SeriesKey.of("m"), 42.0)
-        assert s.read(123.0) == 42.0
+def _const_bank(registry, *metrics, node="a"):
+    keys = [SeriesKey.of(m, node=node) for m in metrics]
+    values = np.ones(len(keys))
+    return SensorBank(keys, lambda now: values, registry=registry)
 
 
-class TestSampler:
-    def test_samples_at_period(self):
+class TestSamplingGroupSchedule:
+    def test_samples_land_on_period_grid(self):
         eng = Engine()
         sink = _ListSink()
-        sampler = Sampler(eng, sink, period=10.0)
-        sampler.add_sensor(ConstantSensor(SeriesKey.of("m"), 1.0))
-        sampler.start()
+        group = SamplingGroup(eng, sink, period=10.0)
+        group.add_bank(_const_bank(SeriesRegistry(), "m"))
+        group.start()
         eng.run(until=35.0)
-        assert len(sink.batches) == 4  # t = 0, 10, 20, 30
-        assert sampler.samples_emitted == 4
-
-    def test_batch_contains_all_sensors(self):
-        eng = Engine()
-        sink = _ListSink()
-        sampler = Sampler(eng, sink, period=10.0)
-        sampler.add_sensors(
-            [ConstantSensor(SeriesKey.of("a"), 1.0), ConstantSensor(SeriesKey.of("b"), 2.0)]
-        )
-        sampler.start()
-        eng.run(until=0.0)
-        assert len(sink.batches) == 1
-        assert {s.key.metric for s in sink.batches[0]} == {"a", "b"}
-
-    def test_failed_sensor_skipped(self):
-        eng = Engine()
-        sink = _ListSink()
-        sampler = Sampler(eng, sink, period=10.0)
-        sampler.add_sensor(CallableSensor(SeriesKey.of("dead"), lambda now: None))
-        sampler.add_sensor(ConstantSensor(SeriesKey.of("ok"), 1.0))
-        sampler.start()
-        eng.run(until=0.0)
-        assert [s.key.metric for s in sink.batches[0]] == ["ok"]
-
-    def test_dropout_loses_rounds(self):
-        eng = Engine()
-        sink = _ListSink()
-        rng = RngRegistry(seed=3).stream("drop")
-        sampler = Sampler(eng, sink, period=1.0, dropout_prob=1.0, rng=rng)
-        sampler.add_sensor(ConstantSensor(SeriesKey.of("m"), 1.0))
-        sampler.start()
-        eng.run(until=5.0)
-        assert sink.batches == []
-        assert sampler.samples_dropped == 6
-
-    def test_overhead_accumulates(self):
-        eng = Engine()
-        sampler = Sampler(eng, _ListSink(), period=1.0, per_sample_cost_s=0.001)
-        sampler.add_sensor(ConstantSensor(SeriesKey.of("m"), 1.0))
-        sampler.start()
-        eng.run(until=9.0)
-        assert sampler.overhead_cpu_s == pytest.approx(0.010)
-
-    def test_double_start_raises(self):
-        eng = Engine()
-        sampler = Sampler(eng, _ListSink(), period=1.0)
-        sampler.start()
-        with pytest.raises(RuntimeError):
-            sampler.start()
+        assert [float(b.times[0]) for b in sink.batches] == [0.0, 10.0, 20.0, 30.0]
+        assert group.samples_emitted == 4
 
     def test_stop_halts_sampling(self):
         eng = Engine()
         sink = _ListSink()
-        sampler = Sampler(eng, sink, period=1.0)
-        sampler.add_sensor(ConstantSensor(SeriesKey.of("m"), 1.0))
-        sampler.start()
-        eng.schedule(2.5, sampler.stop)
+        group = SamplingGroup(eng, sink, period=1.0)
+        group.add_bank(_const_bank(SeriesRegistry(), "m"))
+        group.start()
+        eng.schedule(2.5, group.stop)
         eng.run(until=10.0)
-        assert len(sink.batches) == 3
+        assert len(sink.batches) == 3  # t = 0, 1, 2
+
+    def test_overhead_cpu_frac_is_per_agent(self):
+        eng = Engine()
+        reg = SeriesRegistry()
+        group = SamplingGroup(eng, _ListSink(), period=1.0, per_sample_cost_s=0.001)
+        group.add_banks(
+            [_const_bank(reg, "a", node="n0"), _const_bank(reg, "a", "b", "c", node="n1")]
+        )
+        group.start()
+        eng.run(until=9.0)
+        # 10 rounds x 4 sensors, spread over the group's 2 agents
+        assert group.overhead_cpu_s == pytest.approx(0.040)
+        assert group.overhead_cpu_frac(10.0) == pytest.approx(0.002)
+        with pytest.raises(ValueError):
+            group.overhead_cpu_frac(0.0)
 
 
 class TestCollector:
@@ -131,16 +74,15 @@ class TestCollector:
         eng = Engine()
         store = TimeSeriesStore()
         coll = Collector(eng, store)
-        k = SeriesKey.of("m")
-        coll.submit([Sample(k, 0.0, 5.0)])
-        assert store.latest(k) == (0.0, 5.0)
+        coll.submit(_batch(store, "m", [0.0], [5.0]))
+        assert store.latest(SeriesKey.of("m", node="a")) == (0.0, 5.0)
 
     def test_ingest_latency_defers_write(self):
         eng = Engine()
         store = TimeSeriesStore()
         coll = Collector(eng, store, ingest_latency=2.0)
-        k = SeriesKey.of("m")
-        eng.schedule(1.0, coll.submit, [Sample(k, 1.0, 5.0)])
+        k = SeriesKey.of("m", node="a")
+        eng.schedule(1.0, coll.submit, _batch(store, "m", [1.0], [5.0]))
         eng.run(until=2.0)
         assert store.latest(k) is None  # not yet committed
         eng.run(until=3.0)
@@ -152,8 +94,8 @@ class TestCollector:
         store = TimeSeriesStore()
         coll = Collector(eng, store)
         agg = Aggregator(eng, coll, forward_latency=1.5)
-        k = SeriesKey.of("m")
-        eng.schedule(0.0, agg.submit, [Sample(k, 0.0, 1.0)])
+        k = SeriesKey.of("m", node="a")
+        eng.schedule(0.0, agg.submit, _batch(store, "m", [0.0], [1.0]))
         eng.run(until=1.0)
         assert store.latest(k) is None
         eng.run(until=2.0)
@@ -166,7 +108,7 @@ class TestCollector:
         coll = Collector(eng, store)
         rng = RngRegistry(seed=5).stream("loss")
         agg = Aggregator(eng, coll, forward_latency=0.0, loss_prob=1.0, rng=rng)
-        agg.submit([Sample(SeriesKey.of("m"), 0.0, 1.0)])
+        agg.submit(_batch(store, "m", [0.0], [1.0]))
         assert agg.batches_lost == 1
         assert store.cardinality() == 0
 
@@ -220,13 +162,6 @@ class TestBatchPath:
         assert store.total_inserts == 0
         coll.flush()
         assert store.total_inserts == 1
-
-    def test_legacy_lists_convert_at_root(self):
-        eng = Engine()
-        store = TimeSeriesStore()
-        coll = Collector(eng, store)
-        coll.submit([Sample(SeriesKey.of("m"), 0.0, 7.0)])
-        assert store.latest(SeriesKey.of("m")) == (0.0, 7.0)
 
 
 class TestAggregatorBatchLoss:
@@ -315,9 +250,9 @@ class TestCollectionPipeline:
         pipe = CollectionPipeline(eng, store, hop_latency=0.1, ingest_latency=0.1)
         aggs = pipe.build(2)
         k = SeriesKey.of("node_power_watts", node="n0")
-        sampler = Sampler(eng, aggs[0], period=1.0)
-        sampler.add_sensor(ConstantSensor(k, 400.0))
-        sampler.start()
+        group = SamplingGroup(eng, aggs[0], period=1.0)
+        group.add_bank(SensorBank([k], lambda now: np.array([400.0]), registry=pipe.registry))
+        group.start()
         eng.run(until=5.5)
         times, values = store.query(k, 0, 10)
         assert times.size == 6

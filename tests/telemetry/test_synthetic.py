@@ -6,9 +6,8 @@ import pytest
 from repro.sim import Engine, RngRegistry
 from repro.telemetry.collector import CollectionPipeline
 from repro.telemetry.metric import SeriesKey
-from repro.telemetry.overhead import MonitoringOverheadModel
-from repro.telemetry.sampler import Sampler
-from repro.telemetry.sensor import ConstantSensor
+from repro.telemetry.sampler import SamplingGroup
+from repro.telemetry.sensor import SensorBank
 from repro.telemetry.synthetic import (
     DAY_S,
     LevelShiftSpec,
@@ -103,24 +102,19 @@ def test_plausible_specs(rng):
         assert np.all(np.isfinite(v))
 
 
-def test_overhead_report():
+def test_overhead_per_agent_cpu_and_bytes():
+    """E1's two overhead numbers: per-agent CPU fraction and wire bytes."""
     eng = Engine()
     store = TimeSeriesStore()
     pipe = CollectionPipeline(eng, store, hop_latency=0.0, ingest_latency=0.0)
     aggs = pipe.build(1)
-    sampler = Sampler(eng, aggs[0], period=1.0, per_sample_cost_s=0.002)
-    sampler.add_sensor(ConstantSensor(SeriesKey.of("m", node="a"), 1.0))
-    sampler.start()
+    group = SamplingGroup(eng, aggs[0], period=1.0, per_sample_cost_s=0.002)
+    group.add_bank(
+        SensorBank([SeriesKey.of("m", node="a")], lambda now: np.ones(1), registry=pipe.registry)
+    )
+    group.start()
     eng.run(until=99.0)
-    model = MonitoringOverheadModel([sampler], aggs)
-    report = model.report(window_s=100.0)
-    assert report.n_agents == 1
-    assert report.cpu_fraction_per_agent == pytest.approx(0.002, rel=0.01)
-    assert report.bytes_total == 100 * 64
-    assert report.drop_rate == 0.0
-
-
-def test_overhead_rejects_bad_window():
-    model = MonitoringOverheadModel([], [])
-    with pytest.raises(ValueError):
-        model.report(0.0)
+    assert group.agent_count == 1
+    assert group.overhead_cpu_frac(100.0) == pytest.approx(0.002, rel=0.01)
+    assert pipe.total_bytes() == 100 * 64
+    assert group.samples_dropped == 0

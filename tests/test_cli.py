@@ -48,21 +48,6 @@ def test_bench_loops_command(tmp_path, capsys):
     assert data["overhead"]["iterations_match"] == 1.0
 
 
-def test_bench_ingest_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_ingest.json"
-    assert main([
-        "bench-ingest", "--nodes", "64", "--metrics", "4",
-        "--horizon", "30", "--json", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-    import json
-
-    row = json.loads(out_path.read_text())
-    assert row["match"] == 1.0
-    assert row["n_nodes"] == 64.0
-
-
 def test_query_command(capsys):
     assert main([
         "query", "mean(node_cpu_util[600s] by 60s)", "--nodes", "4", "--horizon", "900",
