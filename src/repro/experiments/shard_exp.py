@@ -137,7 +137,8 @@ def run_federated_query_benchmark(
     The workload is the watch-fleet shape: one output series per node
     over the full retention window.  The 8-shard answer must equal the
     single store's bit for bit; the standing read over the shards must
-    equal it to 1e-9.
+    equal it to 1e-9.  The two engines are timed paired and
+    stall-trimmed, ``repeats × n_queries`` queries each.
     """
     rng = np.random.default_rng(seed)
     keys = _series_keys(n_series)
@@ -167,19 +168,22 @@ def run_federated_query_benchmark(
     bit_identical = _results_bit_identical(res_fed, res_single)
     standing_match = res_standing is not None and _results_close(res_standing, res_single)
 
-    def timed(engine_obj) -> float:
-        best = float("inf")
-        for _ in range(repeats):
+    # paired like the ingest half: every query runs on both engines back
+    # to back, the order rotating, so a drift in host speed lands on both
+    # sides; pairs in which either side stalled are dropped from both
+    engines = (qe, fed)
+    walls = np.zeros((2, repeats * n_queries))
+    for i in range(walls.shape[1]):
+        # vary the evaluation point so the engines execute (the
+        # benchmark measures serving, not the result cache)
+        q_at = at - (i % n_queries) * sample_period_s
+        for slot in range(2):
+            which = (i + slot) % 2
             t0 = time.perf_counter()
-            for q_i in range(n_queries):
-                # vary the evaluation point so the engines execute (the
-                # benchmark measures serving, not the result cache)
-                engine_obj.query(query, at=at - q_i * sample_period_s)
-            best = min(best, time.perf_counter() - t0)
-        return best / n_queries
-
-    single_s = timed(qe)
-    fed_s = timed(fed)
+            engines[which].query(query, at=q_at)
+            walls[which, i] = time.perf_counter() - t0
+    keep = (walls < 1.5 * np.median(walls, axis=1, keepdims=True)).all(axis=0)
+    single_s, fed_s = walls[:, keep].mean(axis=1).tolist()
 
     def timed_standing() -> float:
         best = float("inf")

@@ -47,6 +47,14 @@ class TestSampleBatch:
         assert len(SampleBatch.concat([])) == 0
         assert SampleBatch.concat([b1]) is b1
 
+    def test_concat_keeps_rows_aligned(self):
+        b1 = SampleBatch(np.array([3, 1]), np.array([5.0, 4.0]), np.array([30.0, 10.0]))
+        b2 = SampleBatch(np.array([2]), np.array([1.0]), np.array([20.0]))
+        merged = SampleBatch.concat([b1, b2])
+        np.testing.assert_array_equal(merged.series_ids, [3, 1, 2])
+        np.testing.assert_array_equal(merged.times, [5.0, 4.0, 1.0])
+        np.testing.assert_array_equal(merged.values, [30.0, 10.0, 20.0])
+
 
 class TestSensorBank:
     def test_vectorized_read(self):
@@ -115,6 +123,66 @@ class TestSensorBank:
         )
         with pytest.raises(ValueError, match="shape"):
             bank.read(0.0)
+
+    def test_empty_keys_rejected(self):
+        with pytest.raises(ValueError, match="at least one series"):
+            SensorBank([], lambda now: np.zeros(0), registry=SeriesRegistry())
+
+    def test_negative_noise_rejected(self):
+        rng = RngRegistry(seed=0).stream("n")
+        with pytest.raises(ValueError, match="noise_std"):
+            SensorBank(
+                [SeriesKey.of("m")], lambda now: np.zeros(1),
+                registry=SeriesRegistry(), noise_std=-1.0, rng=rng,
+            )
+
+    def test_fault_prob_within_unit_interval(self):
+        rng = RngRegistry(seed=0).stream("f")
+        with pytest.raises(ValueError, match="fault_prob"):
+            SensorBank(
+                [SeriesKey.of("m"), SeriesKey.of("n")], lambda now: np.zeros(2),
+                registry=SeriesRegistry(), fault_prob=np.array([0.5, 1.5]), rng=rng,
+            )
+
+    def test_is_plain_only_without_transforms(self):
+        rng = RngRegistry(seed=0).stream("p")
+        keys = [SeriesKey.of("m")]
+        plain = SensorBank(keys, lambda now: np.zeros(1), registry=SeriesRegistry())
+        noisy = SensorBank(
+            keys, lambda now: np.zeros(1), registry=SeriesRegistry(), noise_std=1.0, rng=rng
+        )
+        faulty = SensorBank(
+            keys, lambda now: np.zeros(1), registry=SeriesRegistry(), fault_prob=0.1, rng=rng
+        )
+        assert plain.is_plain
+        assert not noisy.is_plain
+        assert not faulty.is_plain
+
+    def test_read_values_copy_does_not_alias_readout(self):
+        readout = np.array([1.0, 2.0])
+        bank = SensorBank(
+            [SeriesKey.of("m", node="a"), SeriesKey.of("m", node="b")],
+            lambda now: readout, registry=SeriesRegistry(),
+        )
+        values = bank.read_values(0.0)
+        values[0] = 99.0
+        assert readout[0] == 1.0
+        assert bank.read_values(0.0, copy=False) is readout
+
+    def test_same_seed_same_readings(self):
+        def readings(seed):
+            rng = RngRegistry(seed=seed).stream("s")
+            keys = [SeriesKey.of("m", node=f"n{i}") for i in range(50)]
+            bank = SensorBank(
+                keys, lambda now: np.full(50, 10.0), registry=SeriesRegistry(),
+                noise_std=1.0, fault_prob=0.2, rng=rng,
+            )
+            return bank.read(0.0)
+
+        a, b = readings(11), readings(11)
+        np.testing.assert_array_equal(a.series_ids, b.series_ids)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, readings(12).values)
 
 
 class _BatchSink:

@@ -68,6 +68,140 @@ class TestSamplingGroupSchedule:
         with pytest.raises(ValueError):
             group.overhead_cpu_frac(0.0)
 
+    def test_start_at_delays_first_round(self):
+        eng = Engine()
+        sink = _ListSink()
+        group = SamplingGroup(eng, sink, period=10.0)
+        group.add_bank(_const_bank(SeriesRegistry(), "m"))
+        group.start(start_at=5.0)
+        eng.run(until=30.0)
+        assert [float(b.times[0]) for b in sink.batches] == [5.0, 15.0, 25.0]
+
+    def test_restart_after_stop(self):
+        eng = Engine()
+        sink = _ListSink()
+        group = SamplingGroup(eng, sink, period=1.0)
+        group.add_bank(_const_bank(SeriesRegistry(), "m"))
+        group.start()
+        eng.run(until=1.0)
+        group.stop()
+        eng.run(until=5.0)
+        group.start()  # a stopped group may start again, from now
+        eng.run(until=6.0)
+        assert [float(b.times[0]) for b in sink.batches] == [0.0, 1.0, 5.0, 6.0]
+
+    def test_empty_group_fires_no_rounds(self):
+        eng = Engine()
+        sink = _ListSink()
+        group = SamplingGroup(eng, sink, period=1.0)
+        group.start()
+        eng.run(until=5.0)
+        assert sink.batches == []
+        assert group.rounds == 0
+        assert group.samples_emitted == 0
+
+    def test_bank_added_while_running_joins_next_round(self):
+        eng = Engine()
+        reg = SeriesRegistry()
+        sink = _ListSink()
+        group = SamplingGroup(eng, sink, period=1.0)
+        group.add_bank(_const_bank(reg, "m", node="n0"))
+        group.start()
+        eng.schedule(1.5, group.add_bank, _const_bank(reg, "m", node="n1"))
+        eng.run(until=3.0)
+        assert [len(b) for b in sink.batches] == [1, 1, 2, 2]
+        assert group.agent_count == 2
+        assert group.samples_emitted == 6
+
+    def test_all_nan_round_emits_nothing_but_costs_reads(self):
+        eng = Engine()
+        sink = _ListSink()
+        bank = SensorBank(
+            [SeriesKey.of("m", node="a")], lambda now: np.array([np.nan]),
+            registry=SeriesRegistry(),
+        )
+        group = SamplingGroup(eng, sink, period=1.0, per_sample_cost_s=0.5)
+        group.add_bank(bank)
+        group.start()
+        eng.run(until=3.0)
+        assert sink.batches == []
+        assert group.rounds == 4
+        assert group.samples_emitted == 0
+        assert group.overhead_cpu_s == pytest.approx(2.0)  # the sensor was read
+
+    def test_noisy_bank_redrawn_every_round(self):
+        eng = Engine()
+        sink = _ListSink()
+        rng = RngRegistry(seed=7).stream("n")
+        bank = SensorBank(
+            [SeriesKey.of("m", node="a")], lambda now: np.array([100.0]),
+            registry=SeriesRegistry(), noise_std=1.0, rng=rng,
+        )
+        group = SamplingGroup(eng, sink, period=1.0)
+        group.add_bank(bank)
+        group.start()
+        eng.run(until=4.0)
+        values = [float(b.values[0]) for b in sink.batches]
+        assert len(values) == 5
+        assert len(set(values)) == 5  # no round served the raw readout
+        assert 100.0 not in values
+
+    def test_jitter_moves_rounds_off_grid_reproducibly(self):
+        def round_times(seed):
+            eng = Engine()
+            sink = _ListSink()
+            rng = RngRegistry(seed=seed).stream("j")
+            group = SamplingGroup(eng, sink, period=10.0, jitter_std=1.0, rng=rng)
+            group.add_bank(_const_bank(SeriesRegistry(), "m"))
+            group.start()
+            eng.run(until=100.0)
+            return [float(b.times[0]) for b in sink.batches]
+
+        times = round_times(1)
+        assert times == round_times(1)
+        assert times != round_times(2)
+        assert times == sorted(times)
+        assert any(t % 10.0 != 0.0 for t in times)
+
+    def test_partial_dropout_conserves_samples(self):
+        eng = Engine()
+        reg = SeriesRegistry()
+        sink = _ListSink()
+        rng = RngRegistry(seed=8).stream("d")
+        group = SamplingGroup(
+            eng, sink, period=1.0, dropout_prob=0.5, per_sample_cost_s=0.001, rng=rng
+        )
+        group.add_banks([_const_bank(reg, "a", "b", node=f"n{i}") for i in range(20)])
+        group.start()
+        eng.run(until=9.0)
+        # 10 rounds x 20 banks x 2 sensors, each bank kept or lost whole
+        assert group.samples_emitted + group.samples_dropped == 400
+        assert 0 < group.samples_dropped < 400
+        assert group.samples_dropped % 2 == 0
+        assert sum(len(b) for b in sink.batches) == group.samples_emitted
+        assert len(sink.batches) <= 10  # at most one batch per round
+        assert group.overhead_cpu_s == pytest.approx(0.001 * group.samples_emitted)
+
+
+class TestSamplingGroupValidation:
+    @pytest.mark.parametrize("period", [0.0, -1.0])
+    def test_period_must_be_positive(self, period):
+        with pytest.raises(ValueError, match="period"):
+            SamplingGroup(Engine(), _ListSink(), period=period)
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5])
+    def test_dropout_prob_within_unit_interval(self, prob):
+        rng = RngRegistry(seed=0).stream("d")
+        with pytest.raises(ValueError, match="dropout_prob"):
+            SamplingGroup(Engine(), _ListSink(), dropout_prob=prob, rng=rng)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"jitter_std": 1.0}, {"dropout_prob": 0.5}], ids=["jitter", "dropout"]
+    )
+    def test_rng_required_for_randomness(self, kwargs):
+        with pytest.raises(ValueError, match="rng required"):
+            SamplingGroup(Engine(), _ListSink(), **kwargs)
+
 
 class TestCollector:
     def test_zero_latency_writes_immediately(self):
