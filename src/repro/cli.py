@@ -8,10 +8,10 @@
 * ``query "<expr>"`` — run a short simulated shift and serve a metric
   query expression (e.g. ``mean(node_cpu_util[600s] by 60s)``) through
   the multi-tenant front door over the vectorized query engine with
-  tiered rollups.  ``--shards N`` partitions the telemetry store and
-  serves the query through the federated scatter-gather engine;
-  ``--parallel W`` additionally backs the shards with shared-memory
-  columns and executes the per-shard scatter/append/fold passes on W
+  tiered rollups.  ``--shards N`` splits the telemetry store's series
+  into N places and serves the query one pass per place;
+  ``--parallel W`` additionally backs the store with shared-memory
+  columns and executes the per-place scatter/standing/fold passes on W
   worker processes.  ``query``, ``serve``, and ``bench-serve`` share
   one serving flag group: ``--tenant`` / ``--qps`` / ``--deadline-ms``
   / ``--stats`` (the unified metrics registry, ``serve.*`` included).
@@ -25,8 +25,8 @@
 * ``bench-loops`` — run the E15 loop-fleet benchmark (fused monitoring
   vs per-loop ad-hoc scans + runtime hosting overhead), optionally
   writing a JSON artifact.
-* ``bench-shard`` — run the E16 sharded-store benchmark (federated
-  scatter-gather queries + routed ingest vs one store), optionally
+* ``bench-shard`` — run the E16 sharded-store benchmark (per-place
+  scatter-gather queries + ingest vs a plain store), optionally
   writing a JSON artifact; ``--smoke`` runs a small exactness-only
   configuration for CI.
 * ``supervise`` — run a fleet with injected stuck/frozen loops under
@@ -98,7 +98,7 @@ EXPERIMENT_INDEX = [
     ("E13", "§IV", "query engine: tiered rollups + cache vs raw scans"),
     ("E14", "§IV", "columnar vs per-object ingest (frozen row in README; path deleted)"),
     ("E15", "§II/§IV", "loop runtime: fused fleet monitoring vs ad-hoc scans"),
-    ("E16", "§IV", "sharded store: federated scatter-gather vs one store"),
+    ("E16", "§IV", "sharded store: per-place scatter-gather vs a plain store"),
     ("E17", "§II/§IV", "fleet supervision: meta-loops over loop self-telemetry"),
     ("E18", "§IV", "process-parallel shards: shared-memory columns + worker pool"),
     ("E19", "§IV", "standing queries: O(new samples) incremental monitor serving"),
@@ -567,8 +567,8 @@ def cmd_bench_shard(
         n_series=series, n_shards=shards, ticks=ticks, repeats=repeats
     )
     query, ingest = rows["query"], rows["ingest"]
-    print(render_table([query], title="E16 — federated vs unsharded group_by queries"))
-    print(render_table([ingest], title="E16 — sharded vs single-store columnar ingest"))
+    print(render_table([query], title="E16 — per-place vs plain-store group_by queries"))
+    print(render_table([ingest], title="E16 — per-place vs plain-store columnar ingest"))
     if query["bit_identical"] != 1.0:
         print("ERROR: federated results diverged from the single-store oracle", file=sys.stderr)
         return 1

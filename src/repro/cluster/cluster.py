@@ -39,13 +39,13 @@ class ClusterConfig:
     telemetry_groups: int = 2
     telemetry_hop_latency_s: float = 0.1
     enable_telemetry: bool = True
-    #: >1 hash-partitions the telemetry store across that many shard
-    #: stores; loops and dashboards read them through the same query
-    #: engine, one pass per shard (see :mod:`repro.shard`)
+    #: >1 splits the telemetry store's series ids into that many places;
+    #: loops and dashboards read them through the same query engine, one
+    #: pass per place (see :mod:`repro.shard`)
     shards: int = 1
-    #: >0 backs the shard stores with shared-memory columns and runs
-    #: per-shard ingest/scatter/fold work on that many worker processes
-    #: (see :mod:`repro.shard.parallel`); requires ``shards > 1``.
+    #: >0 backs the store with shared-memory rings and tiers and runs
+    #: per-place scatter/standing/fold passes on that many worker
+    #: processes (see :mod:`repro.shard.parallel`); requires ``shards > 1``.
     #: The pool starts with the cluster; call :meth:`Cluster.close` (or
     #: use the cluster as a context manager) to release it.
     parallel: int = 0
@@ -77,9 +77,9 @@ class Cluster:
         if self.config.parallel > 0:
             from repro.shard import ParallelShardedStore
 
-            # shared-memory shard columns + worker pool: ingest and
-            # query scatters execute process-parallel, reads still
-            # federate through _query_engine() / loop_runtime()
+            # shared-memory rings and tiers + worker pool: each worker
+            # runs the query, standing and fold passes of its places;
+            # commits stay one ring-kernel call in this process
             self.store = ParallelShardedStore(
                 n_shards=self.config.shards, workers=self.config.parallel
             )
@@ -87,9 +87,9 @@ class Cluster:
         elif self.config.shards > 1:
             from repro.shard import ShardedTimeSeriesStore
 
-            # the collector's commit path routes batches by shard; every
-            # reader goes through _query_engine() / loop_runtime(), which
-            # federate reads back across the partitions
+            # one ring store whose series fall into places by id: a commit
+            # is the plain store's; readers (_query_engine() /
+            # loop_runtime()) run one pass per place and gather
             self.store = ShardedTimeSeriesStore(n_shards=self.config.shards)
         else:
             self.store = TimeSeriesStore()
@@ -257,8 +257,8 @@ class Cluster:
         """Absorb every live subsystem's stats into one obs registry.
 
         Covers whatever exists on this cluster: every built query
-        engine, the loop runtime (which embeds hub and arbiter stats),
-        and a sharded store's per-shard counters.  Returns the registry
+        engine and the loop runtime (which embeds hub and arbiter
+        stats).  Returns the registry
         (the process-wide :data:`repro.obs.METRICS` by default) — the
         one-call path from a cluster to the unified ``--stats`` taxonomy
         and the ``obs_*`` self-publication series.

@@ -138,7 +138,7 @@ class QueryHub:
         self._tick_reads: Dict[MetricQuery, Optional[MetricQuery]] = {}
         #: query -> its widened shape (``False`` when not fusable)
         self._shapes = _Memo()
-        #: widened shape -> (its latest result's series, label -> position)
+        #: widened shape -> (its plan, group label -> group position there)
         self._widened = _Memo()
         #: rows staged at ``_staged_at`` and not committed yet, and their metrics
         self._staged_at: Optional[float] = None
@@ -219,15 +219,20 @@ class QueryHub:
         Equivalent to :func:`repro.query.fuse.narrow_result`, with the
         matchers evaluated once per series generation — ``q``'s groups
         are the labels of its memoised engine plan — and the widened
-        result indexed once, so every loop narrowing the same tick's
-        result pays O(its own series), not O(fleet series).  Cache hits
-        rebuild the result wrapper but share its series tuple.
+        shape's groups indexed once per plan generation: a widened
+        result with a series for every group of its plan holds group
+        ``g`` at position ``g``, so every loop narrowing the same tick's
+        result pays O(its own series), not O(fleet series).  A result
+        missing some group is indexed by label on the spot.
         """
         series = wide.series
+        plan = self.engine.plan(shape)
         entry = self._widened.get(shape)
-        if entry is None or entry[0] is not series:
-            entry = self._widened.put(shape, (series, {s.labels: i for i, s in enumerate(series)}))
+        if entry is None or entry[0] is not plan:
+            entry = self._widened.put(shape, (plan, {lab: g for g, lab in enumerate(plan.labels)}))
         index = entry[1]
+        if len(series) != len(index):  # a group without rows: positions shift
+            index = {s.labels: i for i, s in enumerate(series)}
         kept = tuple(series[index[lab]] for lab in self.engine.plan(q).labels if lab in index)
         return QueryResult(q, wide.t0, wide.t1, kept, source=f"fused+{wide.source}")
 

@@ -1,8 +1,8 @@
 """Process-parallel shard execution experiment (E18, Section IV).
 
-PR 7 moves shard columns into ``multiprocessing.shared_memory`` and runs
-the per-shard scatter/fold passes on a persistent worker-process
-pool (:mod:`repro.shard.parallel`).  The gather stays the canonical
+The process-parallel tier keeps the store's columns in
+``multiprocessing.shared_memory`` and runs the per-place scatter/fold
+passes on a persistent worker-process pool (:mod:`repro.shard.parallel`).  The gather stays the canonical
 single-process lexsort/reduceat merge, so the parallel tier must be
 **bit-identical** to the same engine over the serial store for every worker
 count — that is asserted here and property-tested against the
@@ -12,8 +12,8 @@ five things on identical data:
 * **Scatter speedup** — the E16 ``group_by`` dashboard query served by
   the :class:`~repro.query.engine.QueryEngine` over a plain sharded
   store vs the same engine over a store with a live worker pool,
-  dispatching per-shard partial aggregation to it.  Gated ≥2.5× at 4 workers
-  × 8 shards (4096 series) on a multi-core host.
+  dispatching per-place partial aggregation to it.  Gated ≥2.5× at 4
+  workers × 8 places (4096 series) on a multi-core host.
 * **Shared-memory ingest** — the identical commit stream and periodic
   folds into plain sharded rings, shared-memory rings with the pool
   *off* (the pure layout cost, gated ≤1.2×) and with the pool *live*,
@@ -184,7 +184,7 @@ def run_parallel_ingest_benchmark(
 
     Two ratios of pool-off ÷ pool-live walls price the pool.
     ``parallel_ingest_speedup`` (gated ≥0.9) is the commits alone: a
-    ring scatter and a queue entry per shard — delivery is not in it.
+    ring scatter and one queue entry — delivery is not in it.
     ``parallel_delivery_speedup`` (gated ≥0.8) adds the folds, where the
     forwarded columns reach their consumer: copied into the column
     logs, handed over and folded inside the timed dispatch.  On one core

@@ -5,11 +5,12 @@ A declarative query model with a compact string syntax::
     mean(node_cpu_util{node=~"n0.*"}[300s] by 30s) group by (node)
 
 executed by one vectorized planner/executor (:class:`QueryEngine`:
-plan → shard passes of :mod:`repro.query.passes` → canonical gather)
-over the raw :class:`~repro.telemetry.tsdb.TimeSeriesStore` — or each
-shard of a sharded one — continuously folded rollup tiers
-(:class:`RollupManager`), and an LRU result cache (:class:`QueryCache`).  See :mod:`repro.query.model` for the exact
-semantics and :mod:`repro.query.reference` for the brute-force oracle.
+plan → one pass of :mod:`repro.query.passes` per place → canonical
+gather) over the raw :class:`~repro.telemetry.tsdb.TimeSeriesStore`,
+continuously folded rollup tiers (:class:`RollupManager`), and an LRU
+result cache (:class:`QueryCache`).  See :mod:`repro.query.model` for
+the exact semantics and :mod:`repro.query.reference` for the
+brute-force oracle.
 """
 
 from repro.query.cache import QueryCache

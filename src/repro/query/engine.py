@@ -3,11 +3,11 @@
 :class:`QueryEngine` is the serving layer between a store and everything
 that reads telemetry (analytics facades, MAPE-K loops, dashboards, the
 front door).  Every store shape is served by the one algebra below,
-through the one store protocol: ``places`` — the stores whose rings hold
-the series, a plain :class:`~repro.telemetry.tsdb.TimeSeriesStore`
-itself, a sharded store its shards — with one rollup cascade per place
-in ``tiersets`` and the worker pool, if any, in ``pool``.  The series of
-each *place* are addressed by that place's own series ids::
+through the one store protocol: one ring store (``rings``) whose series
+ids fall into ``n_places`` places — id ``sid`` in place ``sid %
+n_places``, one place on a plain
+:class:`~repro.telemetry.tsdb.TimeSeriesStore` — its one rollup cascade
+in ``tiersets`` and the worker pool, if any, in ``pool``::
 
     cache probe ─> plan ─> run on places ─> gather ─> QueryResult
                     │          │               │
@@ -83,13 +83,19 @@ WORKER_DIED = object()
 INLINE_SCATTER_SERIES = 64
 
 
-@dataclass(frozen=True)
 class ResultSeries:
-    """One output series: group labels plus aligned time/value arrays."""
+    """One output series: group labels plus aligned, read-only time/value
+    arrays.  A slotted record: a wide result builds thousands per read."""
 
-    labels: GroupLabels
-    times: np.ndarray
-    values: np.ndarray
+    __slots__ = ("labels", "times", "values")
+
+    def __init__(self, labels: GroupLabels, times: np.ndarray, values: np.ndarray) -> None:
+        self.labels = labels
+        self.times = times
+        self.values = values
+
+    def __repr__(self) -> str:
+        return f"ResultSeries({self.labels!r}, {self.times!r}, {self.values!r})"
 
     def label(self, name: str) -> Optional[str]:
         for k, v in self.labels:
@@ -131,7 +137,7 @@ class ShardWork:
     """One place's rows of a :class:`QueryPlan`.
 
     Parallel columns, in the plan's ``(group, rank)`` order: the series
-    id there, its group index, its rank within the group and its
+    id, its group index, its rank within the group and its
     position in :meth:`QueryEngine.select` order.  They are lists — what
     a scatter pass loops over and a pool dispatch pickles; the
     vectorised standing read takes :meth:`arrays`, built on first use
@@ -252,9 +258,10 @@ def reduce_partial(
     rank)``, every key partition-independent — fixes both the summation
     order (bit-stable across store shapes) and the ``last`` winner
     (latest ``last_t``; ties prefer raw samples over tier rows, then the
-    later-ranked series).  Rows that already arrive in canonical order
-    with one row per ``(group, bin)`` — one place whose groups are
-    single series, such as a one-series instant read — skip the sort:
+    later-ranked series).  Rows that arrive with one row per ``(group,
+    bin)`` in canonical order — one place whose groups are single
+    series, such as a one-series instant read, or several such places
+    once a stable sort by group has merged their runs — skip the sort:
     every reduction would be the identity.  Batch scatters and standing
     reads both end here.
     """
@@ -263,19 +270,23 @@ def reduce_partial(
         return []
     cols = concat_rows(parts)
     gidx, bins = cols["gidx"], cols["bin"]
+    order = None if len(parts) == 1 else np.argsort(gidx, kind="stable")
+    if order is not None:
+        gidx, bins = gidx[order], bins[order]
     same = gidx[1:] == gidx[:-1]
     if (gidx[1:] >= gidx[:-1]).all() and not (same & (bins[1:] <= bins[:-1])).any():
-        order = starts = ends = None
+        starts = ends = None
         out_g, out_b = gidx, bins
     else:
-        order = np.lexsort((cols["rank"], cols["source"], cols["last_t"], bins, gidx))
-        gidx, bins = gidx[order], bins[order]
+        keys = ("rank", "source", "last_t", "bin", "gidx")
+        order = np.lexsort([cols[name] for name in keys])
+        gidx, bins = cols["gidx"][order], cols["bin"][order]
         starts, ends = segment_bounds(gidx, bins)
         out_g, out_b = gidx[starts], bins[starts]
 
     def reduced(ufunc, name: str) -> np.ndarray:
-        col = cols[name]
-        return col if order is None else ufunc.reduceat(col[order], starts)
+        col = cols[name] if order is None else cols[name][order]
+        return col if starts is None else ufunc.reduceat(col, starts)
 
     if agg == "mean":
         vals = reduced(np.add, "sum") / reduced(np.add, "count")
@@ -286,7 +297,8 @@ def reduce_partial(
     elif agg == "max":
         vals = reduced(np.maximum, "max")
     else:  # last: the segment tail is (newest last_t, then raw, then highest rank)
-        vals = cols["last_v"] if order is None else cols["last_v"][order][ends - 1]
+        last_v = cols["last_v"] if order is None else cols["last_v"][order]
+        vals = last_v if ends is None else last_v[ends - 1]
     return build_series(labels, out_g, out_b, vals, grid_t0, step)
 
 
@@ -294,11 +306,10 @@ class QueryEngine:
     """Vectorized metric query engine with tiered rollups and caching.
 
     Serves whatever store it is given through the store's protocol: its
-    ``places`` (the stores whose rings hold its series — a plain store
-    itself, a sharded store its shards), their rollup cascades
-    (``store.tiersets``, one per place, ``None`` without tiers) and the
-    worker pool that may run its passes (``store.pool``) — all observed,
-    none configured here.
+    rings and ``n_places`` (the places its passes split a selection
+    into), its rollup cascade (``store.tiersets``, ``None`` without
+    tiers) and the worker pool that may run its passes (``store.pool``)
+    — all observed, none configured here.
     """
 
     def __init__(
@@ -312,8 +323,6 @@ class QueryEngine:
         self.store = store
         self.cache = cache if cache is not None else (QueryCache() if enable_cache else None)
         self.instant_quantum_s = float(instant_quantum_s)
-        #: the stores whose rings the passes read, by place index
-        self.places: List[TimeSeriesStore] = store.places
         self.queries_total = 0
         self.samples_total = 0
         self.served_raw = 0
@@ -348,7 +357,7 @@ class QueryEngine:
     # -------------------------------------------------------------- places
     @property
     def tiersets(self) -> Optional[List[RollupManager]]:
-        """The rollup cascade of each place (``None``: no tiers)."""
+        """The store's rollup cascade, a one-entry list (``None``: no tiers)."""
         return self.store.tiersets
 
     @property
@@ -360,17 +369,6 @@ class QueryEngine:
     def parallel_folds(self) -> int:
         """Fold passes the worker pool ran."""
         return self.pool_passes["fold"]
-
-    def _shard_state(self, place: int) -> ShardState:
-        """This side's view of one place for a pass run in process."""
-        tiersets = self.tiersets
-        manager = tiersets[place] if tiersets else None
-        return ShardState(
-            self.places[place].rings,
-            manager.dense if manager is not None else None,
-            manager.folder if manager is not None else None,
-            self._standing.place_grids[place] if self._standing is not None else None,
-        )
 
     def _run_on_shards(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
         """Run one pass of ``kind`` on the places of ``tasks`` — ``(place,
@@ -419,12 +417,19 @@ class QueryEngine:
 
     def _run_here(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
         """Run the :data:`~repro.query.passes.SHARD_PASSES` function of
-        ``kind`` over this side's view of each task's place, tracing one
+        ``kind`` over this side's view of the store — the same rings,
+        tiers, folder and standing grids serve every place — tracing one
         ``<kind>.shard`` span per place."""
         run = SHARD_PASSES[kind]
+        manager = self.tiersets[0] if self.tiersets else None
+        state = ShardState(
+            self.store.rings,
+            manager.dense if manager is not None else None,
+            manager.folder if manager is not None else None,
+            self._standing.grids if self._standing is not None else None,
+        )
         results = []
         for place, payload in tasks:
-            state = self._shard_state(place)
             if TRACER.enabled:
                 with TRACER.span(f"{kind}.shard", shard=place):
                     results.append(run(state, payload))
@@ -623,7 +628,7 @@ class QueryEngine:
 
         Every :class:`~repro.query.standing.StandingQueryEngine` over
         this engine shares it, so a shape registered twice keeps one
-        grid per place and one ingest listener.
+        grid and one ingest listener.
         """
         if self._standing is None:
             from repro.query.standing import StandingProvider
@@ -642,20 +647,22 @@ class QueryEngine:
         return [t.resolution_s for t in tiersets[0].tiers] if tiersets else []
 
     def fold_rollups(self, now: float) -> int:
-        """Fold every place's tiers up to ``now``; returns rows written."""
+        """Fold the tiers up to ``now``; returns rows written.  One fold
+        pass per folder: in process one covers every place, beside a pool
+        each worker's covers the places it owns — place ``w`` is worker
+        ``w``'s for every ``w`` below the worker count."""
         tiersets = self.tiersets
         if not tiersets:
             return 0
-        res0 = tiersets[0].tiers[0].resolution_s
+        [manager] = tiersets
+        res0 = manager.tiers[0].resolution_s
         task = {"boundary": math.floor(now / res0) * res0}
-        for manager in tiersets:
-            manager.ensure_sids()
-        written = 0
-        results = self._run_on_shards("fold", [(s, task) for s in range(len(tiersets))])
-        for manager, data in zip(tiersets, results):
-            written += data["written"]
-            manager.note_fold(data["late"])
-        return written
+        manager.ensure_sids()
+        pool = self.store.pool
+        places = range(min(self.store.n_places, pool.n_workers)) if pool is not None else [0]
+        results = self._run_on_shards("fold", [(place, task) for place in places])
+        manager.note_fold(sum(data["late"] for data in results))
+        return sum(data["written"] for data in results)
 
     def attach_rollups(self, engine, period_s: Optional[float] = None, *, start_at=None) -> None:
         """Drive :meth:`fold_rollups` from a simulation engine, one task.
@@ -686,9 +693,9 @@ class QueryEngine:
         for manager in self.tiersets or ():
             for k, v in manager.stats().items():
                 out[f"rollup_{k}"] = out.get(f"rollup_{k}", 0.0) + v
-        if self.places[0] is not self.store:  # a federation of shard stores
+        if self.store.n_places > 1:
             executed = self.served_raw + self.served_rollup
-            out["shards"] = float(len(self.places))
+            out["shards"] = float(self.store.n_places)
             out["federated_queries"] = float(executed)
             out["fanout_total"] = float(self.fanout_total)
             out["fanout_mean"] = self.fanout_total / max(1, executed)
@@ -737,9 +744,10 @@ class QueryEngine:
         series (``t1`` when there is none): the floor of a window with
         no ``range_s``."""
         earliest = t1
-        for place, work in zip(self.places, plan.shards):
+        rings = self.store.rings
+        for work in plan.shards:
             for sid in work.sids:
-                first = place.rings.earliest_time(sid)
+                first = rings.earliest_time(sid)
                 if first is not None and first <= t1:
                     earliest = min(earliest, first)
         return earliest

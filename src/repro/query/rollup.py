@@ -102,10 +102,10 @@ class DenseTier(DenseRings):
     the inherited vector operations serve :class:`CascadeFolder`.
     """
 
-    def __init__(self, resolution_s: float, capacity: int = 4096) -> None:
+    def __init__(self, resolution_s: float, capacity: int = 4096, lanes: int = 1) -> None:
         if resolution_s <= 0:
             raise ValueError("resolution_s must be positive")
-        super().__init__(capacity, len(ROW_COLUMNS), (("wm", np.float64, np.nan),))
+        super().__init__(capacity, len(ROW_COLUMNS), (("wm", np.float64, np.nan),), lanes)
         self.resolution_s = float(resolution_s)
 
     @property
@@ -147,7 +147,8 @@ class TierStore:
     """The tiers of one cascade over one allocator.
 
     Validates the resolution lattice (ascending, each a multiple of the
-    previous) and grows all tiers together by whole series chunks.
+    previous) and grows all tiers together by whole series chunks, in
+    ``lanes`` (:class:`~repro.telemetry.tsdb.DenseRings`).
     """
 
     def __init__(
@@ -155,6 +156,7 @@ class TierStore:
         resolutions: Sequence[float],
         capacity: int = 4096,
         alloc: Optional[Allocator] = heap_alloc,
+        lanes: int = 1,
     ) -> None:
         if not resolutions:
             raise ValueError("need at least one rollup resolution")
@@ -166,7 +168,7 @@ class TierStore:
                 raise ValueError(
                     f"each tier must be a multiple of the previous: {coarse} % {fine} != 0"
                 )
-        self.tiers: List[DenseTier] = [DenseTier(r, capacity) for r in res]
+        self.tiers: List[DenseTier] = [DenseTier(r, capacity, lanes) for r in res]
         self._alloc = alloc
 
     @property
@@ -185,7 +187,8 @@ class TierStore:
         have = self.n_sids
         if n_sids <= have:
             return None
-        n = max(64, have, n_sids - have)
+        lanes = self.tiers[0].lanes
+        n = -(-max(64, have, n_sids - have) // lanes) * lanes
         descs = []
         for tier in self.tiers:
             block, desc = self._alloc(tier.block_size(n))
@@ -270,13 +273,20 @@ class CascadeFolder:
     series-id-addressed raw reader (``len(raw)``, ``earliest_time(sid)``,
     ``window(sid, t0, t1)``) the once-per-series bootstrap scan uses.
     Series ids beyond the tiers' current storage are deferred to a later
-    fold (the owner grows the store between folds).
+    fold (the owner grows the store between folds).  ``places`` limits
+    the folder to the series of some places — series ``sid`` lives in
+    place ``sid % places.size``, folded where ``places`` is true — and it
+    is then handed only their columns; ``None`` folds every series.
     """
 
-    def __init__(self, tiers: Sequence[DenseTier], raw, *, buffer_cap: int = 1 << 18) -> None:
+    def __init__(
+        self, tiers: Sequence[DenseTier], raw, *, buffer_cap: int = 1 << 18,
+        places: Optional[np.ndarray] = None,
+    ) -> None:
         self.tiers = list(tiers)
         self._raw = raw
         self._buffer_cap = int(buffer_cap)
+        self._places = places
         #: committed-but-unfolded columns, newest last: ``(ids, times, values)``
         self._buffered: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.buffered_rows = 0
@@ -317,6 +327,11 @@ class CascadeFolder:
         self.buffered_rows = 0
         self._floors = np.empty(0, dtype=np.float64)
 
+    def _sids(self, n: int) -> np.ndarray:
+        """The series ids below ``n`` this folder folds."""
+        sids = np.arange(n)
+        return sids if self._places is None else sids[self._places[sids % self._places.size]]
+
     # ---------------------------------------------------------------- tier 0
     def _floors_upto(self, n: int) -> np.ndarray:
         """The listener floors of series ``[0, n)`` (a view)."""
@@ -347,16 +362,16 @@ class CascadeFolder:
             if ids.size:
                 written += self._fold_columns(ids, times, values, boundary)
         n = min(len(self._raw), tier.n_sids)
-        if n == 0:
+        sids = self._sids(n)
+        if sids.size == 0:
             return written
-        sids = np.arange(n)
         wm = tier.take("wm", sids)
         stale = ~(wm >= boundary)  # unset (NaN) or behind the boundary
-        covered = stale & (self._floors_upto(n) < wm)  # the buffer held everything
+        covered = stale & (self._floors_upto(n)[sids] < wm)  # the buffer held everything
         tier.put("wm", sids[covered], boundary)
-        boot = np.flatnonzero(stale & ~covered)
-        if boot.size:
-            written += self._fold_rawscan(boot, wm[boot], boundary)
+        boot = stale & ~covered
+        if boot.any():
+            written += self._fold_rawscan(sids[boot], wm[boot], boundary)
         return written
 
     def _fold_columns(
@@ -446,25 +461,24 @@ class CascadeFolder:
     def _fold_cascade(self, fine: DenseTier, coarse: DenseTier) -> int:
         """Coarse rows of every series from the fine rows the fine
         watermark has completed since the coarse one."""
-        n = min(len(self._raw), fine.n_sids)
-        if n == 0:
+        sids = self._sids(min(len(self._raw), fine.n_sids))
+        if sids.size == 0:
             return 0
         res = coarse.resolution_s
-        sids = np.arange(n)
         fine_wm = fine.take("wm", sids)
         start = coarse.take("wm", sids)
         boundary = np.floor(fine_wm / res) * res
         unset = np.flatnonzero(np.isnan(start) & ~np.isnan(fine_wm))
         if unset.size:  # first cascade of a series: begin at its oldest fine row
-            unset = unset[fine.take("count", unset) > 0]
-            start[unset] = np.floor(fine.oldest_time(unset) / res) * res
-        go = np.flatnonzero(boundary > start)
-        if go.size == 0:
+            unset = unset[fine.take("count", sids[unset]) > 0]
+            start[unset] = np.floor(fine.oldest_time(sids[unset]) / res) * res
+        pos = np.flatnonzero(boundary > start)
+        if pos.size == 0:
             return 0
-        start, boundary = start[go], boundary[go]
+        go, start, boundary = sids[pos], start[pos], boundary[pos]
         # fine rows at or after ``start`` are the newest rows of the
         # ring, one per fine bin at most: bound the tail, then mask
-        tail = np.floor((fine_wm[go] - start) / fine.resolution_s).astype(np.int64) + 2
+        tail = np.floor((fine_wm[pos] - start) / fine.resolution_s).astype(np.int64) + 2
         tail = np.minimum(tail, fine.take("count", go))
         seg = np.repeat(np.arange(go.size), tail)
         rank = np.arange(seg.size) - np.repeat(np.cumsum(tail) - tail, tail)

@@ -29,18 +29,19 @@ Layout and lifecycle:
   memory is bounded by ``series x window`` and **window eviction is
   delegated to the rollup tiers**: a read older than the bin ring falls
   back to the batch engine, which stitches tier rows under the raw tail.
-* :class:`StandingGrids` — one place's grids (one per step), fed from
-  that place's ingest listener and bootstrapped at registration by
-  backfilling retained ring windows (commits that already wrapped the
-  ring mark the oldest retained bin incomplete, forcing batch fallback
-  for windows that need it).
+* :class:`StandingGrids` — a store's grids (one per step), fed from its
+  one ingest listener and bootstrapped at registration by backfilling
+  retained ring windows (commits that already wrapped the ring mark the
+  oldest retained bin incomplete, forcing batch fallback for windows
+  that need it).
 * :class:`StandingProvider` — an engine's standing state, one per
   engine (:meth:`QueryEngine.standing_provider`) and shared by every
-  standing engine over it: :class:`StandingGrids` per place of the
-  engine's store (``store.places``), or — beside a worker pool
-  (``store.pool``) — the grids the workers keep.  A read is the ``standing`` pass of
-  :mod:`repro.query.passes` run on every touched place through the
-  engine's ``_run_on_shards``, wherever that runs it.
+  standing engine over it: one :class:`StandingGrids` over the engine's
+  store, serving every place, or — beside a worker pool
+  (``store.pool``) — the grids each worker keeps over its places.  A
+  read is the ``standing`` pass of :mod:`repro.query.passes` run on
+  every touched place through the engine's ``_run_on_shards``,
+  wherever that runs it.
 * :class:`StandingQueryEngine` — the serving layer: the read path's one
   promotion rule (an eligible shape read at its third distinct
   evaluation time is registered), reads merged from provider rows over
@@ -474,9 +475,9 @@ class StandingGrid:
 
 
 class StandingGrids:
-    """The standing grids of one place, fed by its ingest listener.
+    """The standing grids of a store, fed by its ingest listener.
 
-    One :class:`StandingGrid` per registered step over the place's
+    One :class:`StandingGrid` per registered step over the store's
     series ids; registration backfills the metric's retained ring
     windows so a grid starts complete wherever the rings still are.
     """
@@ -510,9 +511,7 @@ class StandingGrids:
             self._backfill(grid, metric)
 
     def _backfill(self, grid: StandingGrid, metric: str) -> None:
-        registry = self.store.registry
-        for key in self.store.series_keys(metric):
-            sid = registry.id_for(key)
+        for sid in self.store.series_ids(metric).tolist():
             times, values, evicted = self.store.rings.retained(sid)
             grid.backfill_series(sid, times, values, evicted=evicted)
 
@@ -521,36 +520,31 @@ class StandingProvider:
     """An engine's standing state, kept where its passes run.
 
     Over a store without a worker pool that is here: one
-    :class:`StandingGrids` per place of the engine (the store itself, or
-    each shard), every grid fed by its own place's ingest listener with
-    that place's series ids, so registration and incremental updates
-    never cross the partition.  Over a store with a pool the workers
-    keep the grids, built from the registrations the store announces.
-    A read is one ``standing`` pass per touched place and the canonical
-    gather over the rows they return.  A pass that runs where no grid
-    exists (in process with the pool stopped or its worker dead)
-    reports the window as not covered: the read falls back to the batch
-    engine.
+    :class:`StandingGrids` over the store, fed by its one ingest
+    listener, whose grids serve every place's pass.  Over a store with a
+    pool each worker keeps grids over its places' series, built from the
+    registrations the store announces.  A read is one ``standing`` pass
+    per touched place and the canonical gather over the rows they
+    return.  A pass that runs where no grid exists (in process with the
+    pool stopped or its worker dead) reports the window as not covered:
+    the read falls back to the batch engine.
     """
 
     def __init__(self, engine: QueryEngine) -> None:
         self.engine = engine
-        n_places = len(engine.places)
-        self.places = (
-            [StandingGrids(place) for place in engine.places] if engine.store.pool is None else []
-        )
-        #: the grids on this side, per place (none under a pool)
-        self.place_grids = [p.grids for p in self.places] or [{}] * n_places
+        #: the grids on this side (none under a pool)
+        self.local = StandingGrids(engine.store) if engine.store.pool is None else None
+        self.grids: Dict[float, StandingGrid] = self.local.grids if self.local is not None else {}
         self._steps: set = set()
         self.standing_scatters = 0
-        #: grid counters per place, as of the place's last read
+        #: the grid counters of each worker, as of its last read
         self._reported: Dict[int, Dict[str, float]] = {}
 
     def register(self, metric: str, step: float, n_slots: int, *, want_rate: bool) -> None:
         self._steps.add(step)
-        for place in self.places:
-            place.register(metric, step, n_slots, want_rate=want_rate)
-        if not self.places:
+        if self.local is not None:
+            self.local.register(metric, step, n_slots, want_rate=want_rate)
+        else:
             self.engine.store.register_standing(step, n_slots, want_rate)
 
     def entries(
@@ -567,8 +561,10 @@ class StandingProvider:
                 tasks.append((s, {"step": step, "sids": sids, "gidxs": gidx, "ranks": rank,
                                   "b0": b0, "b1": b1, "want_rate": want_rate}))
         chunks = []
+        pool = self.engine.store.pool
         for (s, _), (rows, stats) in zip(tasks, self.engine._run_on_shards("standing", tasks)):
-            self._reported[s] = stats
+            if pool is not None:
+                self._reported[pool.worker_of(s)] = stats
             if rows is None:
                 return None
             chunks.append(rows)
@@ -576,18 +572,17 @@ class StandingProvider:
         return chunks
 
     def stats(self) -> Dict[str, float]:
-        """``grids`` is registered step-grids summed over places; the
-        update counters are live for grids on this side and as of each
-        place's last read for the workers'."""
-        for s, place in enumerate(self.places):
-            self._reported[s] = grid_stats(place.grids)
+        """``grids`` is the registered steps; the update counters are
+        live for grids on this side, and as of each worker's last read
+        for the workers'."""
         out = {
-            "grids": float(len(self._steps) * len(self.engine.places)),
+            "grids": float(len(self._steps)),
             "standing_scatters": float(self.standing_scatters),
             "updates_applied": 0.0,
             "late_dropped": 0.0,
         }
-        for stats in self._reported.values():
+        reported = [grid_stats(self.grids)] if self.local is not None else self._reported.values()
+        for stats in reported:
             for k, v in stats.items():
                 out[k] += v
         return out

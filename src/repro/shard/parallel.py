@@ -1,18 +1,20 @@
 """Process-parallel shard execution over shared-memory columns.
 
-This module is the worker-pool executor of the shard stack: shard raw
-rings and rollup tiers are relocated into ``multiprocessing.shared_memory``
-blocks, and a persistent pool of worker processes runs the shard passes
-of :data:`~repro.query.passes.SHARD_PASSES` — scatter passes for
-queries, standing-grid reads and the rollup fold — directly
-against those columns.  **One process writes the raw rings: the
-parent.**  A commit is the serial store's vectorised scatter, straight
-into blocks the parent already maps; workers map the same blocks
-read-only and only ever write rollup tiers and their own standing
-grids.  What crosses the pipe is task metadata and per-shard *partial
-results*; the committed columns the worker's folder and grids consume
-are handed over — batched onto the next fold / scatter / standing
-dispatch — through a per-shard column log in the same shared memory.
+This module is the worker-pool executor of the sharded store: its one
+ring store and its one rollup tier store are relocated into
+``multiprocessing.shared_memory`` blocks, and a persistent pool of worker
+processes runs the place passes of
+:data:`~repro.query.passes.SHARD_PASSES` — scatter passes for queries,
+standing-grid reads and the rollup fold — directly against those
+columns, each worker for the places it owns.  **One process writes the
+raw rings: the parent.**  A commit is the plain store's vectorised
+scatter, straight into blocks the parent already maps; workers map the
+same blocks read-only and only ever write their places' rollup rows and
+their own standing grids.  What crosses the pipe is task metadata and
+per-place *partial results*; the committed columns a worker's folder
+and grids consume are handed over — batched onto its next fold /
+scatter / standing dispatch — through a per-worker column log in the
+same shared memory.
 
 Layering (parent process owns everything above the pipe):
 
@@ -21,32 +23,32 @@ Layering (parent process owns everything above the pipe):
   descriptors ``(block, offset, count, dtype)`` that any process can
   attach on demand.  The parent allocates every long-lived block;
   workers only ever create per-batch result scratch.
-* Per shard a plain :class:`~repro.telemetry.tsdb.TimeSeriesStore` whose
-  :class:`~repro.telemetry.tsdb.RawRings` allocate from the arena; each
-  new block is announced once (``"rblock"``) through the shard's
-  **event log** and the worker's sid-addressed view is rebuilt from the
-  blocks alone.
-* :class:`SharedTierSet` — a shard's
+* The store's :class:`~repro.telemetry.tsdb.RawRings` allocate from the
+  arena; each new block is announced once (``"rblock"``) on the pool's
+  **announcement log**, and a worker's sid-addressed view is rebuilt
+  from the blocks alone.
+* :class:`SharedTierSet` — the store's
   :class:`~repro.query.rollup.RollupManager` with its dense tier store
-  allocated from the arena and announced through the same event log.
-  There is one fold kernel (:class:`~repro.query.rollup.CascadeFolder`)
-  and one tier store layout: the worker runs that kernel over its
-  mapping of the parent's tier blocks, and the parent runs the very
-  same kernel over the very same blocks when the pool is down.
-* :class:`ShardWorkerPool` — worker lifecycle, the per-shard event logs,
-  forwarded-column queues and column logs, batched task dispatch with
-  crash detection, and shared-memory result transport.
-* :class:`ParallelShardedStore` — the sharded store facade over those
-  shards, carrying the pool.  There is no parallel engine: the
+  allocated from the arena and announced on the same log.  There is one
+  fold kernel (:class:`~repro.query.rollup.CascadeFolder`) and one tier
+  store layout: a worker runs that kernel over its places' series in its
+  mapping of the parent's tier blocks, and the parent runs the very same
+  kernel over the very same blocks when the pool is down.
+* :class:`ShardWorkerPool` — worker lifecycle, the announcement log,
+  forwarded columns split by owning worker into per-worker column logs,
+  batched task dispatch with crash detection and respawn, and
+  shared-memory result transport.
+* :class:`ParallelShardedStore` — the sharded store over that storage,
+  carrying the pool.  There is no parallel engine: the
   :class:`~repro.query.engine.QueryEngine` over this store dispatches
   its passes to the live pool and runs them in process when it is down
   or a worker dies — correctness never depends on the pool.
 
-Determinism: a worker's :class:`_WorkerShard` is the same
-:class:`~repro.query.passes.ShardState` the parent builds, the pass
-functions are the same, and the parent's gather is the canonical
-partition-invariant merge — so pool results are **bit-identical** to
-in-process execution for every worker count.
+Determinism: a worker runs the same pass functions over a
+:class:`~repro.query.passes.ShardState` of the same columns the parent
+reads, and the parent's gather is the canonical partition-invariant
+merge — so pool results are **bit-identical** to in-process execution
+for every worker count.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.trace import TRACER
+from repro.query.engine import WORKER_DIED, QueryEngine
+from repro.query.passes import SHARD_PASSES, ShardState
 from repro.query.rollup import CascadeFolder, RollupManager, TierStore
 from repro.query.standing import StandingGrid
-from repro.query.passes import SHARD_PASSES, ShardState
-from repro.query.engine import WORKER_DIED, QueryEngine
 from repro.shard.store import ShardedTimeSeriesStore
 from repro.telemetry.tsdb import RawRings, TimeSeriesStore
 
@@ -245,93 +247,100 @@ def _unpack(enc, view: Callable[[Tuple], np.ndarray]):
 # Worker process.
 
 
-class _WorkerShard(ShardState):
-    """One shard's state inside a worker process: the parent-announced
-    blocks mapped, a folder and standing grids of its own."""
+class _WorkerStore(ShardState):
+    """A worker's view of the store, as the passes of every place it owns
+    see it: the ring and tier blocks the parent announced, mapped, and
+    one folder and one set of standing grids over the series ids of
+    those places."""
 
-    def __init__(self, cache: _BlockCache) -> None:
+    def __init__(self, cache: _BlockCache, worker_idx: int, n_workers: int, n_places: int) -> None:
         # the raw rings are parent-written blocks, mapped read-only; the
-        # tiers arrive as announced blocks; worker grids track every sid
-        # (no registry here, and reads only request the sids the parent
-        # planned)
+        # tiers arrive as announced blocks
         super().__init__(RawRings(alloc=None))
-        self._cache = cache
-        #: the shard's column log: parent-written ``(ids, times, values)``
+        self.worker_idx = worker_idx
+        #: per place whether this worker owns it (series ``sid`` lives in
+        #: place ``sid % n_places``, place ``p`` on worker ``p % n_workers``)
+        self.mine = np.arange(n_places) % n_workers == worker_idx
+        #: the worker's column log: parent-written ``(ids, times, values)``
         self.clog: List[np.ndarray] = []
+        self._cache = cache
 
-    # ------------------------------------------------------------- events
-    def apply_event(self, ev: Tuple) -> None:
+    def apply(self, ev: Tuple) -> None:
+        """One entry of the pool's announcement log."""
         kind = ev[0]
         if kind == "rblock":
             _, capacity, first, n, desc = ev
             block = self._cache.view(desc)
             block.flags.writeable = False
-            # a re-delivered block (already mapped) is skipped by attach
             self.raw.attach(capacity, first, n, block)
         elif kind == "tiers":
-            # one layout per store: a re-delivered announcement must not
-            # replace the mirror (and its mapped blocks) built so far
-            if self.tiers is None:
-                _, resolutions, tier_capacity, buffer_cap = ev
-                self.tiers = TierStore(resolutions, tier_capacity, alloc=None)
-                self.folder = CascadeFolder(self.tiers.tiers, self.raw, buffer_cap=buffer_cap)
+            _, resolutions, tier_capacity, buffer_cap = ev
+            self.tiers = TierStore(resolutions, tier_capacity, alloc=None, lanes=self.mine.size)
+            self.folder = CascadeFolder(
+                self.tiers.tiers, self.raw, buffer_cap=buffer_cap, places=self.mine
+            )
         elif kind == "tblock":
             _, sid0, n, descs = ev
             self.tiers.attach(sid0, n, [self._cache.view(desc) for desc in descs])
         elif kind == "streg":
-            _, step, n_slots, want_rate = ev
-            self._register_standing(step, n_slots, want_rate)
-        elif kind == "clog":
-            self.clog = [self._cache.view(desc) for desc in ev[1]]
-        elif kind == "cols":
-            # the commits since this shard's last dispatch, back to back
-            # in the column log, which the parent reuses after this batch
-            ids, times, values = (column[: ev[1]].copy() for column in self.clog)
-            if self.folder is not None:
-                self.folder.on_columns(ids, times, values)
-            if self.standing:
-                order = np.argsort(ids, kind="stable")  # regroup by series
-                ids, times, values = ids[order], times[order], values[order]
-                for grid in self.standing.values():
-                    grid.ingest(ids, times, values)
+            self._register_standing(*ev[1:])
+        elif kind == "clog" and ev[1] == self.worker_idx:
+            self.clog = [self._cache.view(desc) for desc in ev[2]]
+
+    def columns(self, rows: int) -> None:
+        """The commits of this worker's places since its last dispatch,
+        back to back in its column log, which the parent reuses after
+        this batch."""
+        ids, times, values = (column[:rows].copy() for column in self.clog)
+        if self.folder is not None:
+            self.folder.on_columns(ids, times, values)
+        if self.standing:
+            order = np.argsort(ids, kind="stable")  # regroup by series
+            ids, times, values = ids[order], times[order], values[order]
+            for grid in self.standing.values():
+                grid.ingest(ids, times, values)
 
     def _register_standing(self, step: float, n_slots: int, want_rate: bool) -> None:
         """Create (or widen) the standing grid for ``step``, bootstrapped
-        from the shared rings.  The parent writes a ring before it
-        forwards the columns, so the rings already hold every sample of
-        any column event still queued behind this registration; the
-        backfill floor — each ring's current last timestamp — keeps those
-        from counting twice."""
+        from the shared rings of this worker's places.  The parent writes
+        a ring before it forwards the columns, so the rings already hold
+        every sample of any column delivery still queued behind this
+        registration; the backfill floor — each ring's current last
+        timestamp — keeps those from counting twice."""
         grid = StandingGrid.widened(self.standing.get(step), step, n_slots, want_rate)
         if grid is None:
             return
         self.standing[step] = grid
         self.raw.refresh()
-        for sid in self.raw.sids().tolist():
+        sids = self.raw.sids()
+        for sid in sids[self.mine[sids % self.mine.size]].tolist():
             times, values, evicted = self.raw.retained(sid)
             grid.backfill_series(
                 sid, times, values, evicted=evicted,
                 floor=float(times[-1]) if times.size else None,
             )
 
-    # -------------------------------------------------------------- tasks
     def run(self, kind: str, payload: Optional[Dict]):
         self.raw.refresh()
-        if kind == "sync":  # nothing to run: the events were the message
+        if kind == "sync":  # nothing to run: the columns were the message
             return None
         return SHARD_PASSES[kind](self, payload)
 
 
-def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> None:
+def _worker_main(
+    conn, worker_idx: int, prefix: str, shared_tracker: bool, n_workers: int, n_places: int
+) -> None:
     """Worker process entry: attach-on-demand mirrors + task loop.
 
-    One message per dispatch batch: ``(trace_parent,
-    [(shard, events, kind, payload), ...])`` in,
-    ``("ok", scratch_blocks, replies, spans)`` out.  Large reply arrays
+    One message per dispatch batch: ``(trace_parent, events, rows,
+    [(place, kind, payload), ...])`` in — ``events`` the
+    announcement-log entries this worker has not seen yet, ``rows`` the
+    forwarded columns waiting in its column log — ``("ok",
+    scratch_blocks, replies, spans)`` out.  Large reply arrays
     travel through a per-batch scratch arena whose blocks the parent
     unlinks after copying — the only shared memory a worker ever
     creates; rings and rollup tiers are parent-allocated and mapped here
-    from the descriptors in the shard's event log.
+    from the descriptors in the log.
 
     ``trace_parent`` is the dispatching side's innermost open span id
     (or ``None`` when tracing is off): the worker adopts it as the
@@ -347,7 +356,7 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
     TRACER.enabled = False
     TRACER.reset()
     cache = _BlockCache()
-    shards: Dict[int, _WorkerShard] = {}
+    store = _WorkerStore(cache, worker_idx, n_workers, n_places)
     old_scratch: List[shared_memory.SharedMemory] = []
     conn.send(("hello", worker_idx))
     while True:
@@ -359,7 +368,7 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
             break
         if msg == "__crash__":
             os._exit(1)
-        trace_parent, batch = msg
+        trace_parent, events, rows, batch = msg
         if trace_parent is not None:
             TRACER.enable()
             TRACER.reset()
@@ -384,19 +393,18 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
             return desc
 
         try:
+            for ev in events:
+                store.apply(ev)
+            if rows:
+                store.columns(rows)
             replies = []
-            for shard_idx, events, kind, payload in batch:
-                state = shards.get(shard_idx)
-                if state is None:
-                    state = shards[shard_idx] = _WorkerShard(cache)
-                for ev in events:
-                    state.apply_event(ev)
+            for place, kind, payload in batch:
                 if TRACER.enabled:
                     # the span name a pass run in the parent gets
-                    with TRACER.span(f"{kind}.shard", shard=shard_idx):
-                        data = state.run(kind, payload)
+                    with TRACER.span(f"{kind}.shard", shard=place):
+                        data = store.run(kind, payload)
                 else:
-                    data = state.run(kind, payload)
+                    data = store.run(kind, payload)
                 replies.append(_pack(data, alloc))
             scratch_names = scratch[0].block_names if scratch else []
             if scratch:
@@ -415,20 +423,19 @@ def _worker_main(conn, worker_idx: int, prefix: str, shared_tracker: bool) -> No
 # Parent-side pool.
 
 
-def _cols_rows(batch: List[Tuple]) -> int:
-    """Forwarded-column rows riding one worker's dispatch batch."""
-    return sum(ev[1] for _shard, events, _kind, _payload in batch for ev in events if ev[0] == "cols")
-
-
 class ShardWorkerPool:
-    """Persistent worker pool with per-shard event logs and crash handling.
+    """Persistent worker pool with one announcement log and crash handling.
 
-    Shards have **static ownership**: shard ``s`` always executes on
-    worker ``s % n_workers``, so a shard's event stream is seen by
-    exactly one worker in order.  ``dispatch`` is synchronous — all
-    tasks are sent, then one batched reply per worker is collected — so
-    the parent (the only writer of raw rings) never writes while a
-    worker reads or folds.  A dead or hung worker marks the whole pool
+    Places have **static ownership**: place ``p`` always executes on
+    worker ``p % n_workers``, so the column stream of a worker's places
+    is seen by that worker alone, in commit order.  Every ring block,
+    tier block, column log and standing registration goes out once on
+    the pool-wide announcement log (:meth:`announce`); each dispatch
+    hands a worker the entries it has not seen, and a respawned worker
+    is handed the whole log again.  ``dispatch`` is synchronous — all tasks are sent,
+    then one batched reply per worker is collected — so the parent (the
+    only writer of raw rings) never writes while a worker reads or
+    folds.  A dead or hung worker is respawned, or marks the whole pool
     :attr:`broken`; callers degrade to their serial implementations
     (parent-side state is authoritative and shm-readable throughout).
     """
@@ -436,7 +443,7 @@ class ShardWorkerPool:
     def __init__(
         self,
         n_workers: int,
-        n_shards: int,
+        n_places: int,
         *,
         timeout_s: float = 60.0,
         respawn: bool = True,
@@ -444,18 +451,24 @@ class ShardWorkerPool:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         self.n_workers = int(n_workers)
-        self.n_shards = int(n_shards)
+        self.n_places = int(n_places)
         self.timeout_s = float(timeout_s)
         self.respawn = bool(respawn)
         self.prefix = f"repro.{os.getpid()}.{id(self) & 0xFFFF:x}"
-        self._events: List[List[Tuple]] = [[] for _ in range(n_shards)]
-        #: per shard the committed columns waiting for its next dispatch,
-        #: and the column log — ``(ids, times, values)`` arrays in shared
-        #: memory the worker maps — that dispatch hands them over in
-        self._cols: List[List[Tuple]] = [[] for _ in range(n_shards)]
-        self._cols_rows = [0] * n_shards
-        self._clog: List[Sequence[np.ndarray]] = [()] * n_shards
-        self.clog_events: List[Tuple] = []  # per shard, for respawn replay
+        #: the announcement log, how much of it each worker was sent, and
+        #: the replay a respawned worker is sent first
+        self.log: List[Tuple] = []
+        self._sent = [0] * self.n_workers
+        self._replay: Dict[int, List[Tuple]] = {}
+        #: the commits forwarded since the last dispatch, not yet split
+        #: by place, and their rows
+        self._pending: List[Tuple] = []
+        self._pending_rows = 0
+        #: per worker its column log — ``(ids, times, values)`` arrays in
+        #: shared memory it maps — and the rows written there for its
+        #: next dispatch to hand over
+        self._clog: List[Sequence[np.ndarray]] = [()] * self.n_workers
+        self._cols_rows = [0] * self.n_workers
         #: rows that rode a dispatch / that a dead worker or a broken pool
         #: took with it (the rings hold them: the fold restarts from there)
         self.cols_forwarded_rows = 0
@@ -468,75 +481,90 @@ class ShardWorkerPool:
         self.dispatches = 0
         self.tasks_sent = 0
         self.respawns_total = 0
-        #: shard -> full replay event list reconstructing the worker-side
-        #: mirror from parent-authoritative shared state; required for
-        #: respawn (without it a crash still breaks the pool)
-        self.replay_provider: Optional[Callable[[int], List[Tuple]]] = None
 
-    def worker_of(self, shard: int) -> int:
-        return shard % self.n_workers
+    def worker_of(self, place: int) -> int:
+        return place % self.n_workers
 
     @property
     def active(self) -> bool:
         return self.started and not self.broken
 
-    def log_event(self, shard: int, ev: Tuple) -> None:
-        self._events[shard].append(ev)
+    def announce(self, ev: Tuple) -> None:
+        """Append to the announcement log: every worker applies it,
+        before its next task."""
+        self.log.append(ev)
 
-    def open_column_logs(self, alloc: Callable, rows: int) -> None:
-        """Give every shard its column log: ``(ids, times, values)``
+    def open_column_logs(self, alloc: Callable, rows: int) -> bool:
+        """Give every worker its column log: ``(ids, times, values)``
         arrays of ``rows`` rows from ``alloc`` (shared memory), announced
-        to the worker by their descriptors."""
-        for shard in range(self.n_shards):
-            self._clog[shard], descs = zip(*(
+        by their descriptors.  False, doing nothing, once they are open."""
+        if self._clog[0]:
+            return False
+        for w in range(self.n_workers):
+            self._clog[w], descs = zip(*(
                 alloc(rows, dtype) for dtype in (np.int64, np.float64, np.float64)
             ))
-            self.clog_events.append(("clog", descs))
-            self.log_event(shard, self.clog_events[-1])
+            self.announce(("clog", w, descs))
+        return True
 
-    def queue_columns(self, shard: int, ids, times, values) -> None:
-        """Forward committed columns to ``shard``'s worker: they ride
-        its next dispatch, behind the events logged so far.  Never more
-        rows wait than the column log holds: once that many do they are
-        delivered on their own (counted), so the queue stays bounded
-        when nothing else is dispatched."""
-        room = self._clog[shard][0].size
+    @property
+    def queued_rows(self) -> int:
+        """Forwarded rows no worker has been handed yet."""
+        return self._pending_rows + sum(self._cols_rows)
+
+    def forward(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
+        """Forward one commit's columns to the workers of its places
+        while the pool is live: the commit only queues them, and the
+        next dispatch writes them into the owning workers' column logs —
+        right away once a column log's worth waits, so that no worker
+        waits on more than its log holds."""
+        if self.active:
+            self._pending.append((ids, times, values))
+            self._pending_rows += ids.size
+            if self._pending_rows > self._clog[0][0].size:
+                self._split_pending()
+
+    def _split_pending(self) -> None:
+        """Write the forwarded commits into the column logs of the
+        workers owning their places, in commit order."""
+        pending, self._pending, self._pending_rows = self._pending, [], 0
+        for cols in pending:
+            if self.n_workers == 1:
+                self._write(0, cols, np.arange(cols[0].size))
+                continue
+            owner = cols[0] % self.n_places % self.n_workers
+            for w in range(self.n_workers):
+                self._write(w, cols, np.flatnonzero(owner == w))
+
+    def _write(self, w: int, cols: Sequence[np.ndarray], rows: np.ndarray) -> None:
+        """Append ``rows`` of ``cols`` to worker ``w``'s column log.
+        Never more rows wait than the log holds: a full log is delivered
+        on its own (counted), so it stays bounded when nothing else is
+        dispatched."""
+        log = self._clog[w]
         done = 0
-        while done < ids.size:  # fill the log up, deliver, go on
+        while done < rows.size:  # fill the log up, deliver, go on
             if not self.active:
-                self.cols_dropped_rows += ids.size - done
+                self.cols_dropped_rows += rows.size - done
                 return
-            n = min(room - self._cols_rows[shard], ids.size - done)
+            at = self._cols_rows[w]
+            n = min(log[0].size - at, rows.size - done)
             if n == 0:
                 self.cols_flushes += 1
-                self._run([(shard, "sync", None)])
+                self._run([(w, "sync", None)])  # place w is worker w's
                 continue
-            self._cols[shard].append(tuple(c[done:done + n] for c in (ids, times, values)))
-            self._cols_rows[shard] += n
+            for dst, src in zip(log, cols):
+                np.take(src, rows[done:done + n], out=dst[at:at + n])
+            self._cols_rows[w] += n
             done += n
-
-    def _take_events(self, shard: int) -> List[Tuple]:
-        """The events ``shard``'s next dispatch carries; waiting columns
-        last, as one ``("cols", rows)`` event — the samples go back to
-        back into the column log, not through the pipe."""
-        events = self._events[shard]
-        if events:
-            self._events[shard] = []
-        rows = self._cols_rows[shard]
-        if rows:
-            for column, parts in zip(self._clog[shard], zip(*self._cols[shard])):
-                np.concatenate(parts, out=column[:rows])
-            self._cols[shard], self._cols_rows[shard] = [], 0
-            events = events + [("cols", rows)]
-        return events
 
     def _break(self) -> None:
         """Give the pool up.  Callers degrade to their serial paths; the
         columns still queued for the workers are dropped (counted)."""
         self.broken = True
-        self.cols_dropped_rows += sum(self._cols_rows)
-        self._cols = [[] for _ in range(self.n_shards)]
-        self._cols_rows = [0] * self.n_shards
+        self.cols_dropped_rows += self.queued_rows
+        self._pending, self._pending_rows = [], 0
+        self._cols_rows = [0] * self.n_workers
 
     def _spawn_worker(self, w: int) -> Tuple:
         import multiprocessing as mp
@@ -555,7 +583,7 @@ class ShardWorkerPool:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, w, self.prefix, method == "fork"),
+            args=(child_conn, w, self.prefix, method == "fork", self.n_workers, self.n_places),
             daemon=True,
             name=f"repro-shard-worker-{w}",
         )
@@ -602,9 +630,10 @@ class ShardWorkerPool:
                 return None
 
     def dispatch(self, tasks: List[Tuple[int, str, Dict]]) -> List:
-        """Run ``(shard, kind, payload)`` tasks; one batched send+recv per
+        """Run ``(place, kind, payload)`` tasks; one batched send+recv per
         worker.  Returns per-task results in order; tasks owned by a dead
-        worker yield :data:`WORKER_DIED` (and the pool turns broken).
+        worker yield :data:`WORKER_DIED` (and the pool respawns it, or
+        turns broken).
 
         When tracing is enabled the dispatching span's id rides along in
         each batch message and every worker's per-task spans come back
@@ -619,38 +648,44 @@ class ShardWorkerPool:
     def _run(self, tasks: List[Tuple[int, str, Optional[Dict]]]) -> List:
         if not self.active:
             raise RuntimeError("pool is not active")
+        self._split_pending()  # may deliver a full column log on its own first
+        if not self.active:  # ...and find a worker dead: the pool broke
+            return [WORKER_DIED] * len(tasks)
         self.dispatches += 1
         self.tasks_sent += len(tasks)
         trace_parent = TRACER.current_id() if TRACER.enabled else None
-        per_worker: Dict[int, List[Tuple[int, int]]] = {}
+        per_worker: Dict[int, List[int]] = {}
         messages: Dict[int, List] = {}
-        for pos, (shard, kind, payload) in enumerate(tasks):
-            w = self.worker_of(shard)
-            events = self._take_events(shard)
-            per_worker.setdefault(w, []).append((pos, shard))
-            messages.setdefault(w, []).append((shard, events, kind, payload))
+        for pos, (place, kind, payload) in enumerate(tasks):
+            w = self.worker_of(place)
+            per_worker.setdefault(w, []).append(pos)
+            messages.setdefault(w, []).append((place, kind, payload))
+        rows = {}
         for w, msg in messages.items():
+            events = self._replay.pop(w, []) + self.log[self._sent[w]:]
+            self._sent[w] = len(self.log)
+            rows[w], self._cols_rows[w] = self._cols_rows[w], 0
             try:
-                self._conns[w].send((trace_parent, msg))
+                self._conns[w].send((trace_parent, events, rows[w], msg))
             except (BrokenPipeError, OSError):
                 pass  # surfaces as a dead recv below
         results: List = [WORKER_DIED] * len(tasks)
-        for w in per_worker:
+        for w, positions in per_worker.items():
             reply = self._recv(w)
             if reply is None:
-                self._handle_death(w, messages[w])
+                self._handle_death(w, rows[w])
                 continue
             status = reply[0]
             if status == "err":
                 self._break()
                 raise RuntimeError(f"shard worker {w} task failed:\n{reply[1]}")
-            self.cols_forwarded_rows += _cols_rows(messages[w])
+            self.cols_forwarded_rows += rows[w]
             _, scratch_names, replies, spans = reply
             if spans:
                 TRACER.ingest(spans)
             scratch = _BlockCache()
             try:
-                for (pos, _shard), enc in zip(per_worker[w], replies):
+                for pos, enc in zip(positions, replies):
                     results[pos] = _unpack(enc, scratch.view)
             finally:
                 scratch.close()
@@ -658,41 +693,30 @@ class ShardWorkerPool:
                     _unlink_block(name)
         return results
 
-    def _handle_death(self, w: int, sent: List) -> None:
+    def _handle_death(self, w: int, rows: int) -> None:
         """Recover from worker ``w`` dying mid-dispatch.
 
         The batch's tasks stay :data:`WORKER_DIED` either way (callers
         re-apply or recompute against parent-authoritative shared state).
-        With a replay provider the worker is respawned and every shard it
-        owns gets a fresh mirror: the replay events (``tiers`` layout,
-        every ``tblock`` and ``rblock`` announced so far, the ``clog``,
-        ``streg`` standing registrations) are queued first, then the
-        events the dead worker may never have applied — the fatal
-        batch's and the ones still pending.  Those the replay already
-        covers arrive twice and are safe to re-apply: ``tiers`` is
-        ignored once a mirror exists, a ``tblock``/``rblock`` carries its
-        first row and is skipped when already mapped, a ``clog`` maps
-        the same arrays again, an ``streg`` returns early on an equal
-        grid.  The fatal batch's ``cols`` are not sent again (counted as
-        dropped; the log is being refilled): the rings hold those
-        samples, a new worker's folder starts from the shared watermarks
+        With respawn on, a new worker takes ``w``'s places and is handed
+        the whole announcement log before its first task: the tier
+        layout, every ring and tier block and the column logs, then the
+        standing registrations, whose backfill reads the rings as they
+        are then.  The fatal batch's columns are not sent again (counted
+        as dropped; the log is being refilled): the rings hold those
+        samples, a new worker's folders start from the shared watermarks
         and its grids backfill from the rings — which also absorbs the
-        columns queued since.  Without a provider the pool turns broken.
+        columns queued since.  Without respawn the pool turns broken.
         """
-        self.cols_dropped_rows += _cols_rows(sent)
-        if not self.respawn or self.replay_provider is None or not self._respawn(w):
+        self.cols_dropped_rows += rows
+        if not self.respawn or not self._respawn(w):
             self._break()
             return
-        requeue: Dict[int, List[Tuple]] = {}
-        for shard, events, _kind, _payload in sent:
-            requeue.setdefault(shard, []).extend(ev for ev in events if ev[0] != "cols")
-        for shard in range(self.n_shards):
-            if self.worker_of(shard) != w:
-                continue
-            replay = self.replay_provider(shard)
-            self._events[shard] = (
-                replay + requeue.get(shard, []) + self._events[shard]
-            )
+        log = self.log
+        self._replay[w] = [ev for ev in log if ev[0] != "streg"] + [
+            ev for ev in log if ev[0] == "streg"
+        ]
+        self._sent[w] = len(log)
 
     def _respawn(self, w: int) -> bool:
         proc = self._procs[w]
@@ -769,22 +793,21 @@ class ShardWorkerPool:
 
 
 class SharedTierSet(RollupManager):
-    """One shard's rollup cascade over shared storage (parent side).
+    """The store's rollup cascade over shared storage (parent side).
 
     A :class:`~repro.query.rollup.RollupManager` whose tier blocks come
-    from the parent's :class:`SharedArena` and are announced through the
-    shard's event log (``("tblock", sid0, n, descriptors)``, kept in
-    :attr:`events` for crash-respawn replay), so the owning worker maps
-    the very storage the parent reads.  While the pool is live the fold
-    pass runs inside that worker — the store forwards it the committed
-    columns — and the in-process folder is kept empty
-    (:meth:`ensure_sids`).  Whenever folding comes back in process (pool
-    down, or a shard re-folded after its worker died) it therefore
-    restarts from the shared watermarks and the raw rings, which hold
-    every column of the meantime, exactly as a respawned worker does.  A
-    tier pass publishes its watermarks last, so a fold cut short between
-    tier passes re-folds safely: finished passes are skipped by their
-    watermarks, the rest run again.
+    from the parent's :class:`SharedArena` and are announced on the
+    pool's log (``("tblock", sid0, n, descriptors)``), so every worker
+    maps the very storage the parent reads.  While the pool is live each
+    worker folds the places it owns — the store forwards it their
+    committed columns — and the in-process folder is kept empty
+    (:meth:`ensure_sids`).  Whenever
+    folding comes back in process (pool down, or a place re-folded after
+    its worker died) it therefore restarts from the shared watermarks
+    and the raw rings, which hold every column of the meantime, exactly
+    as a respawned worker does.  A tier pass publishes its watermarks
+    last, so a fold cut short between tier passes re-folds safely:
+    finished passes are skipped by their watermarks, the rest run again.
     """
 
     def __init__(
@@ -793,28 +816,23 @@ class SharedTierSet(RollupManager):
         resolutions: Sequence[float],
         tier_capacity: int,
         arena: SharedArena,
-        log_event: Callable[[Tuple], None],
-        pool_active: Callable[[], bool],
+        pool: ShardWorkerPool,
         buffer_cap: int = 1 << 18,
     ) -> None:
         self._arena = arena
-        self._log_event = log_event
-        self._pool_active = pool_active
+        self._pool = pool
         self._buffer_cap = int(buffer_cap)
-        #: the layout and every tier block announced so far, in order —
-        #: what rebuilds a respawned worker's mirror of this cascade
-        self.events: List[Tuple] = []
         super().__init__(
             store, resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
         )
 
-    def _announce(self, event: Tuple) -> None:
-        self.events.append(event)
-        self._log_event(event)
-
     def _make_tier_store(self, resolutions: Sequence[float], capacity: int) -> TierStore:
-        tiers = TierStore(resolutions, capacity, alloc=self._arena.alloc)
-        self._announce(
+        # the places are the storage lanes: a worker folds into the pages
+        # of its own places' series only
+        tiers = TierStore(
+            resolutions, capacity, alloc=self._arena.alloc, lanes=self.store.n_places
+        )
+        self._pool.announce(
             ("tiers", tuple(t.resolution_s for t in tiers.tiers), capacity, self._buffer_cap)
         )
         return tiers
@@ -823,17 +841,17 @@ class SharedTierSet(RollupManager):
         """Grow the tiers to cover every interned series (parent-only,
         called between dispatches) and announce the new blocks.  Called
         at every commit and before every fold pass, so also where a live
-        pool is observed: the worker's folder has the column stream from
-        here on, and the in-process one forgets what it has seen."""
+        pool is observed: the workers' folders have the column stream
+        from here on, and the in-process one forgets what it has seen."""
         grown = self.dense.grow(len(self.store.registry))
         if grown is not None:
-            self._announce(("tblock",) + grown)
-        if self._pool_active():
+            self._pool.announce(("tblock",) + grown)
+        if self._pool.active:
             self.folder.restart()
 
     def _on_ingest(self, ids: np.ndarray, times: np.ndarray, values: np.ndarray) -> None:
-        if self._pool_active():
-            self.ensure_sids()  # the store forwards the columns to the worker's folder
+        if self._pool.active:
+            self.ensure_sids()  # the store forwards the columns to the workers' folders
         else:
             super()._on_ingest(ids, times, values)
 
@@ -843,23 +861,23 @@ class SharedTierSet(RollupManager):
 
 
 # --------------------------------------------------------------------------
-# Parallel store facade.
+# Parallel store.
 
 
 class ParallelShardedStore(ShardedTimeSeriesStore):
-    """Sharded store whose columns live in shared memory beside a worker pool.
+    """Sharded store whose rings and tiers live in shared memory beside a
+    worker pool.
 
-    Shard raw rings live in one parent-owned :class:`SharedArena` and the
-    parent is their **only writer**: :meth:`append_batch` (and every
-    other write path) routes exactly like the serial facade and scatters
-    straight into the shared blocks.  Workers map the blocks read-only
-    from their one-time ``("rblock", …)`` announcements.  Once something
-    worker-side consumes the column stream — rollup tiers
-    (:meth:`create_tiersets`) or a standing registration
-    (:meth:`register_standing`) — every shard commit is also forwarded
-    to the owning worker
-    (:meth:`ShardWorkerPool.queue_columns`).  The parent keeps all
-    bookkeeping (registries, epochs, generations, listeners)
+    One ring store in one parent-owned :class:`SharedArena`, and the
+    parent is its **only writer**: every write path is the plain
+    store's commit, scattering straight into the shared blocks.  Workers
+    map every block read-only from the pool's announcement log and read
+    only their places' series.  Once something worker-side consumes the
+    column stream — rollup tiers (:meth:`create_tiersets`) or a standing
+    registration (:meth:`register_standing`) — the one commit listener
+    forwards each commit to the pool, which hands every place's part to
+    the worker that owns it (:meth:`ShardWorkerPool.forward`).  The parent
+    keeps all bookkeeping (registry, epochs, generations, listeners)
     authoritative, so reads and serial fallbacks never depend on worker
     state.
     """
@@ -876,35 +894,20 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         self.pool = ShardWorkerPool(
             workers, n_shards, timeout_s=pool_timeout_s, respawn=respawn
         )
-        self.pool.replay_provider = self._replay_events
         self.arena = SharedArena(f"{self.pool.prefix}.p")
-        #: the workers' standing grids as ``step -> (n_slots, want_rate)``,
-        #: kept for crash-respawn replay
+        #: the workers' standing grids as ``step -> (n_slots, want_rate)``
         self.standing_regs: Dict[float, Tuple[int, bool]] = {}
         #: commits made while the pool was not running
         self.serial_appends = 0
         self._closed = False
-        super().__init__(n_shards, default_capacity)
-
-    def _make_shard(self, idx: int) -> TimeSeriesStore:
-        rings = RawRings(
-            self.arena.alloc, lambda block: self.pool.log_event(idx, ("rblock",) + block)
-        )
-        return TimeSeriesStore(self.default_capacity, rings=rings)
+        rings = RawRings(self.arena.alloc, lambda block: self.pool.announce(("rblock",) + block))
+        super().__init__(n_shards, default_capacity, rings=rings)
 
     # ------------------------------------------------------------ lifecycle
     def _make_tierset(
-        self, idx: int, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
+        self, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
     ) -> SharedTierSet:
-        return SharedTierSet(
-            self.shards[idx],
-            resolutions,
-            tier_capacity,
-            self.arena,
-            log_event=lambda ev: self.pool.log_event(idx, ev),
-            pool_active=lambda: self.pool.active,
-            buffer_cap=buffer_cap,
-        )
+        return SharedTierSet(self, resolutions, tier_capacity, self.arena, self.pool, buffer_cap)
 
     def create_tiersets(
         self,
@@ -913,7 +916,7 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         tier_capacity: int = 4096,
         ingest_buffer_cap: int = 1 << 18,
     ) -> List[SharedTierSet]:
-        """One shared rollup cascade per shard, its worker's folder fed
+        """The shared rollup cascade, each place folded by its worker
         from the forwarded column stream."""
         tiersets = super().create_tiersets(
             resolutions, tier_capacity=tier_capacity, ingest_buffer_cap=ingest_buffer_cap
@@ -922,42 +925,30 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         return tiersets
 
     def register_standing(self, step: float, n_slots: int, want_rate: bool) -> None:
-        """Have every shard's worker keep a standing grid for ``step`` of
-        at least ``n_slots`` bins (with rate state if asked), built and
-        backfilled from the shared rings before its next task.  Kept for
-        crash-respawn replay; one an earlier call covers announces nothing."""
+        """Have every worker keep a standing grid for ``step`` over its
+        places' series, of at least ``n_slots`` bins (with rate state if
+        asked), built and backfilled from the shared rings before its
+        next task.  One an earlier call covers announces nothing."""
         have_slots, have_rate = self.standing_regs.get(step, (0, False))
         reg = (max(int(n_slots), have_slots), bool(want_rate) or have_rate)
         if reg == (have_slots, have_rate):
             return
         self.standing_regs[step] = reg
         self.forward_columns()
-        for s in range(self.n_shards):
-            self.pool.log_event(s, ("streg", step) + reg)
+        self.pool.announce(("streg", step) + reg)
 
     def forward_columns(self, log_rows: int = 1 << 18) -> None:
-        """From now on forward every shard commit to the owning worker
-        while the pool is live (idempotent), through a per-shard column
-        log of ``log_rows`` rows in the arena.  Called when the first
-        worker-side consumer of the column stream appears, and not
-        before, so nothing is forwarded unread."""
-        if self.pool.clog_events:
-            return
-        self.pool.open_column_logs(self.arena.alloc, log_rows)
-        for s, shard in enumerate(self.shards):
-            def forward(ids, times, values, s=s) -> None:
-                if self.pool.active:
-                    self.pool.queue_columns(s, ids, times, values)
-
-            shard.add_ingest_listener(forward)
+        """From now on forward every commit, split by place, to the
+        owning workers while the pool is live (idempotent), through a
+        per-worker column log of ``log_rows`` rows in the arena.  Called
+        when the first worker-side consumer of the column stream
+        appears, and not before, so nothing is forwarded unread."""
+        if self.pool.open_column_logs(self.arena.alloc, log_rows):
+            self.add_ingest_listener(self.pool.forward)
 
     def start_parallel(self) -> None:
         """Start the worker pool."""
         self.pool.start()
-
-    @property
-    def parallel_active(self) -> bool:
-        return self.pool.active
 
     def close(self) -> None:
         if self._closed:
@@ -973,26 +964,6 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------- plumbing
-    def _replay_events(self, s: int) -> List[Tuple]:
-        """Full event list rebuilding shard ``s``'s worker mirror.
-
-        Everything is reconstructed from parent-authoritative shared
-        state: tier layout, tier blocks, raw-ring blocks and the column
-        log first (the parent allocated them, so the respawned worker
-        maps the storage the parent already reads), then standing
-        registrations — whose worker-side backfill reads the shm rings
-        at apply time, so it also covers any columns the dead worker
-        never saw.
-        """
-        events: List[Tuple] = []
-        if self.tiersets is not None:
-            events.extend(self.tiersets[s].events)
-        events.extend(("rblock",) + block for block in self.shards[s].rings.blocks)
-        events.extend(self.pool.clog_events[s:s + 1])
-        events.extend(("streg", step) + reg for step, reg in self.standing_regs.items())
-        return events
-
     # -------------------------------------------------------------- writing
     def append_batch(self, series_ids, times, values) -> None:
         if not self.pool.active:
@@ -1004,11 +975,14 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
             super().append_batch(series_ids, times, values)
 
     def shard_stats(self) -> Dict[str, float]:
-        out = super().shard_stats()
-        out["serial_appends"] = float(self.serial_appends)
-        out["cols_forwarded_rows"] = float(self.pool.cols_forwarded_rows)
-        out["cols_dropped_rows"] = float(self.pool.cols_dropped_rows)
-        out["cols_flushes"] = float(self.pool.cols_flushes)
+        """Ingest-side counters: commits made without the pool, forwarded
+        columns, and the pool's own."""
+        out = {
+            "serial_appends": float(self.serial_appends),
+            "cols_forwarded_rows": float(self.pool.cols_forwarded_rows),
+            "cols_dropped_rows": float(self.pool.cols_dropped_rows),
+            "cols_flushes": float(self.pool.cols_flushes),
+        }
         out.update({f"pool_{k}": v for k, v in self.pool.stats().items()})
         return out
 

@@ -21,10 +21,13 @@ appending series chunks.  The rollup tiers (:mod:`repro.query.rollup`)
 build on the same class.  :class:`RawRings` is the raw ``(time, value)``
 instance of it, one :class:`DenseRings` per ring capacity in use,
 addressed by series id; :class:`TimeSeriesStore` owns one and writes it
-through a single batch kernel.  :class:`LabelIndex` is a store's per-metric view of
-*which* series it holds — keys in canonical order, label values as code
-columns with postings, where each series lives — which the query layer
-selects and plans from.
+through a single batch kernel.  A store's series ids fall into
+``n_places`` *places* — id ``sid`` lives in place ``sid % n_places`` —
+the unit a query pass or a pool worker covers; every place shares the
+one registry, ring store and commit.  :class:`LabelIndex` is a store's
+per-metric view of *which* series it holds — keys in canonical order,
+label values as code columns with postings, the place and id of each
+series — which the query layer selects and plans from.
 """
 
 from __future__ import annotations
@@ -136,20 +139,16 @@ def ring_gather(arr: np.ndarray, ranges: Iterable[Tuple[int, int]]) -> np.ndarra
     return np.concatenate(parts, axis=-1)
 
 
-def segment_rows(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Row indices of segments ``[starts[j], starts[j] + lens[j])``, back
-    to back in segment order."""
-    idx = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    idx += np.arange(idx.size)
-    return idx
-
-
 class _RingChunk:
     """Ring storage of one contiguous series-index range ``[first, first+n)``:
-    the cells, then one per-series vector per entry of ``vectors``."""
+    the cells, then one per-series vector per entry of ``vectors``, each
+    in slot order (:meth:`slot`)."""
 
-    def __init__(self, first, block, n, n_cols, capacity, vectors, fresh) -> None:
+    def __init__(self, first, block, n, n_cols, capacity, vectors, fresh, lanes) -> None:
         self.first = first
+        #: index - first -> storage slot, lane by lane (``None``: one lane)
+        j = np.arange(n)
+        self._slots = None if lanes == 1 else j % lanes * (n // lanes) + j // lanes
         cells = n * n_cols * capacity
         #: ``(series, column, ring slot)``: a series' rings are adjacent,
         #: so one series' window is a single 2-D slice
@@ -162,6 +161,14 @@ class _RingChunk:
                 vec[:] = fill
             setattr(self, name, vec)
 
+    def slot(self, idx):
+        """Where index ``idx`` (an int or an array) of this chunk is
+        stored: each lane's indices — ``first + lane``, ``first + lane +
+        lanes``, … — lie together, so a process that works on some lanes
+        touches only their pages."""
+        j = idx - self.first if self.first else idx
+        return j if self._slots is None else self._slots[j]
+
 
 class DenseRings:
     """Fixed-capacity rings of many series in dense blocks.
@@ -173,14 +180,18 @@ class DenseRings:
     dtype, initial value)``.  Series are addressed by a dense index;
     storage grows by whole chunks of consecutive indices
     (:meth:`add_chunk`), never by copy or zero-fill, so resident pages
-    follow the rows actually written.  The vector operations take
-    indices **sorted ascending**.
+    follow the rows actually written.  Index ``i`` is in lane ``i %
+    lanes``: chunks hold whole lanes and store each lane's indices
+    together.  The vector operations take indices **sorted ascending**.
     """
 
-    def __init__(self, capacity: int, n_cols: int, vectors: Sequence[Tuple] = ()) -> None:
+    def __init__(
+        self, capacity: int, n_cols: int, vectors: Sequence[Tuple] = (), lanes: int = 1
+    ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
+        self.lanes = int(lanes)
         self._n_cols = n_cols
         self._vectors = (("head", np.int64, 0), ("count", np.int64, 0)) + tuple(vectors)
         self._dtypes = {name: dtype for name, dtype, _ in self._vectors}
@@ -200,9 +211,9 @@ class DenseRings:
         ``fresh`` initialises the per-series vectors (the creating side);
         a process attaching storage another one created must not.
         """
-        self._chunks.append(
-            _RingChunk(self.n_series, block, n, self._n_cols, self.capacity, self._vectors, fresh)
-        )
+        self._chunks.append(_RingChunk(
+            self.n_series, block, n, self._n_cols, self.capacity, self._vectors, fresh, self.lanes
+        ))
         self.n_series += n
         self._ends.append(self.n_series)
 
@@ -214,7 +225,7 @@ class DenseRings:
         if not 0 <= idx < self.n_series:
             return None
         chunk = self._chunks[bisect_right(self._ends, idx)]
-        return chunk, idx - chunk.first
+        return chunk, chunk.slot(idx)
 
     # ------------------------------------------------------ vector operations
     def _split(self, ids: np.ndarray):
@@ -232,17 +243,17 @@ class DenseRings:
     def take(self, name: str, ids: np.ndarray) -> np.ndarray:
         """Per-series vector ``name`` at ``ids``."""
         if len(self._chunks) == 1:
-            return getattr(self._chunks[0], name)[ids]
+            return getattr(self._chunks[0], name)[self._chunks[0].slot(ids)]
         out = np.empty(ids.size, dtype=self._dtypes[name])
         for chunk, lo, hi in self._split(ids):
-            out[lo:hi] = getattr(chunk, name)[ids[lo:hi] - chunk.first]
+            out[lo:hi] = getattr(chunk, name)[chunk.slot(ids[lo:hi])]
         return out
 
     def put(self, name: str, ids: np.ndarray, values) -> None:
         """Store ``values`` (array or scalar) into vector ``name`` at ``ids``."""
         per_id = np.ndim(values) > 0
         for chunk, lo, hi in self._split(ids):
-            getattr(chunk, name)[ids[lo:hi] - chunk.first] = values[lo:hi] if per_id else values
+            getattr(chunk, name)[chunk.slot(ids[lo:hi])] = values[lo:hi] if per_id else values
 
     def gather(
         self, ids: np.ndarray, slots: np.ndarray, columns: Sequence[int]
@@ -250,7 +261,7 @@ class DenseRings:
         """Ring cells ``(ids[i], slots[i])`` of the selected columns."""
         out = [np.empty(ids.size, dtype=np.float64) for _ in columns]
         for chunk, lo, hi in self._split(ids):
-            local = ids[lo:hi] - chunk.first
+            local = chunk.slot(ids[lo:hi])
             for dst, k in zip(out, columns):
                 dst[lo:hi] = chunk.cols[k][local, slots[lo:hi]]
         return out
@@ -263,7 +274,7 @@ class DenseRings:
         ``head`` and wrap; a series receiving ``capacity`` or more rows
         keeps only the last ``capacity``, laid out from slot 0.  Cells
         are written before ``head``/``count`` publish them.  Returns the
-        chunks written as ``(chunk, indices within it, lo, hi)``, the
+        chunks written as ``(chunk, storage slots there, lo, hi)``, the
         latter the positions in ``ids``, for a caller with per-series
         vectors of its own to update.
         """
@@ -272,7 +283,7 @@ class DenseRings:
         ends = None if one_each else np.cumsum(counts)
         written = []
         for chunk, lo, hi in self._split(ids):
-            local = ids[lo:hi] - chunk.first
+            local = chunk.slot(ids[lo:hi])
             written.append((chunk, local, lo, hi))
             head = chunk.head[local]
             keep = None
@@ -302,15 +313,14 @@ class RawRings:
     """The raw ``(time, value)`` rings of one store, addressed by series id.
 
     One :class:`DenseRings` per ring capacity in use (per-metric
-    capacity overrides); series ``sid`` owns row ``_row[sid]`` of the
-    rings of capacity ``_cap[sid]``, rows handed out in creation order.
-    Beside ``head``/``count`` each row records the samples ever
-    ``written`` to it, its ``last`` (newest) timestamp — the append
-    order check reads this dense vector, not the rings — and the ``sid``
-    it belongs to, so a process that maps the announced blocks
-    (:meth:`attach`) rebuilds the addressing from the storage alone
-    (:meth:`refresh`) — the pool workers' view.  Exactly one process
-    writes: the one that allocates.
+    capacity overrides); series ``sid`` owns index ``sid`` of the rings
+    of capacity ``_cap[sid]``.  Beside ``head``/``count`` each row
+    records the samples ever ``written`` to it, its ``last`` (newest)
+    timestamp — the append order check reads this dense vector, not the
+    rings — and the ``sid`` it belongs to (-1: none), so a process that
+    maps the announced blocks (:meth:`attach`) rebuilds the addressing
+    from the storage alone (:meth:`refresh`) — the pool workers' view.
+    Exactly one process writes: the one that allocates.
     """
 
     VECTORS = (("written", np.int64, 0), ("last", np.float64, -np.inf), ("sid", np.int64, -1))
@@ -324,13 +334,13 @@ class RawRings:
         self._announce = announce
         #: rings by capacity
         self.classes: Dict[int, DenseRings] = {}
-        #: rows handed out (owner) / mapped (attached view) per capacity
-        self._used: Dict[int, int] = {}
-        #: every block so far as ``(capacity, first row, rows, descriptor)``
+        #: per capacity, the ids below which an attached view has
+        #: addressed every ring the owner created
+        self._scanned: Dict[int, int] = {}
+        #: every block so far as ``(capacity, first id, ids, descriptor)``
         #: — the arguments of :meth:`attach`, in order
         self.blocks: List[Tuple] = []
         self._cap = np.zeros(0, dtype=np.int64)  # ring capacity per sid; 0 = no ring
-        self._row = np.zeros(0, dtype=np.int64)
         self._len = 0  # one past the highest series id with a ring
         self._located: Dict[int, Tuple[_RingChunk, int]] = {}  # scalar-access memo
         self.n_series = 0
@@ -345,19 +355,16 @@ class RawRings:
             grown = np.zeros(max(64, 2 * self._cap.size, n), dtype=np.int64)
             grown[: self._cap.size] = self._cap
             self._cap = grown
-            self._row = np.resize(self._row, grown.size)
 
     def capacities(self, sids: np.ndarray) -> np.ndarray:
         """Ring capacity of each of the ascending ``sids``; 0 = no ring yet."""
         self._reserve(int(sids[-1]) + 1)
         return self._cap[sids]
 
-    def _bind(self, sids: np.ndarray, capacity: int, rows: np.ndarray) -> None:
-        top = int(sids.max()) + 1
+    def _bind(self, sids: np.ndarray, capacity: int) -> None:
+        top = int(sids[-1]) + 1
         self._reserve(top)
         self._cap[sids] = capacity
-        self._row[sids] = rows
-        self._used[capacity] = int(rows[-1]) + 1
         self._len = max(self._len, top)
         self.n_series += sids.size
 
@@ -368,29 +375,28 @@ class RawRings:
         return ring
 
     def create(self, sids: np.ndarray, capacity: int) -> None:
-        """Give each of ``sids`` an empty ring of ``capacity`` slots.
+        """Give each of the ascending ``sids`` an empty ring of
+        ``capacity`` slots.
 
-        Storage grows by chunks of ``max(64, have, need)`` rows — at
+        Storage grows by chunks of ``max(64, have, need)`` ids — at
         least doubling, so a store holds O(log n) of them — each
-        announced once as ``(capacity, first row, rows, descriptor)``.
+        announced once as ``(capacity, first id, ids, descriptor)``.
         """
         ring = self._rings_of(capacity)
-        used = self._used.get(capacity, 0)
-        have = ring.n_series
-        if used + sids.size > have:
-            n = max(64, have, used + sids.size - have)
+        have, top = ring.n_series, int(sids[-1]) + 1
+        if top > have:
+            n = max(64, have, top - have)
             block, desc = self._alloc(ring.block_size(n))
             ring.add_chunk(block, n, fresh=True)
             self.blocks.append((capacity, have, n, desc))
             if self._announce is not None:
                 self._announce(self.blocks[-1])
-        rows = np.arange(used, used + sids.size)
-        ring.put("sid", rows, sids)
-        self._bind(sids, capacity, rows)
+        ring.put("sid", sids, sids)
+        self._bind(sids, capacity)
 
     def attach(self, capacity: int, first: int, n: int, block: np.ndarray) -> None:
         """Map a block another process created.  Idempotent: a block
-        starting below the rows already mapped is skipped, so an
+        starting below the ids already mapped is skipped, so an
         announcement may be delivered more than once; blocks must
         otherwise arrive in order."""
         ring = self._rings_of(capacity)
@@ -401,16 +407,19 @@ class RawRings:
         ring.add_chunk(block, n, fresh=False)
 
     def refresh(self) -> None:
-        """Address the rows the owner has handed out since the last call
-        (an attached view; rows are handed out in order)."""
+        """Address the rings the owner has created since the last call
+        (an attached view)."""
         for capacity, ring in self.classes.items():
-            used = self._used.get(capacity, 0)
-            if used < ring.n_series:
-                rows = np.arange(used, ring.n_series)
-                sids = ring.take("sid", rows)
-                n = int(np.count_nonzero(sids >= 0))
-                if n:
-                    self._bind(sids[:n], capacity, rows[:n])
+            lo = self._scanned.get(capacity, 0)
+            if lo < ring.n_series:
+                ids = np.arange(lo, ring.n_series)
+                made = ring.take("sid", ids) >= 0
+                self._reserve(ring.n_series)
+                fresh = ids[made & (self._cap[lo:ring.n_series] == 0)]
+                if fresh.size:
+                    self._bind(fresh, capacity)
+                # an id without a ring yet may get one later: rescan from it
+                self._scanned[capacity] = lo + (made.size if made.all() else int(made.argmin()))
 
     def sids(self) -> np.ndarray:
         """Every series id with a ring, ascending."""
@@ -419,8 +428,8 @@ class RawRings:
     def _at(self, sid: int) -> Optional[Tuple[_RingChunk, int]]:
         loc = self._located.get(sid)
         if loc is None and 0 <= sid < self._len and self._cap.item(sid):
-            loc = self.classes[self._cap.item(sid)]._locate(self._row.item(sid))
-            self._located[sid] = loc  # rows never move
+            loc = self.classes[self._cap.item(sid)]._locate(sid)
+            self._located[sid] = loc  # rings never move
         return loc
 
     # ---------------------------------------------------------------- writing
@@ -464,21 +473,16 @@ class RawRings:
         samples may not start before its last retained one; that is
         checked for every series before anything is written."""
         if len(self.classes) == 1:
-            parts = [(next(iter(self.classes.values())), self._row[sids], lens, times, values)]
+            parts = [(next(iter(self.classes.values())), sids, lens, times, values)]
         else:
             caps = self._cap[sids]
             parts = []
             for capacity in np.unique(caps).tolist():
                 pick = caps == capacity
                 rows = np.repeat(pick, lens)
-                parts.append((self.classes[capacity], self._row[sids[pick]], lens[pick],
+                parts.append((self.classes[capacity], sids[pick], lens[pick],
                               times[rows], values[rows]))
         for k, (ring, rows, n, t, v) in enumerate(parts):
-            if len(ring._chunks) > 1 and (rows[1:] < rows[:-1]).any():
-                # rows follow creation order, not series id: chunk walks need them sorted
-                order = np.argsort(rows)
-                idx = segment_rows((np.cumsum(n) - n)[order], n[order])
-                rows, n, t, v = rows[order], n[order], t[idx], v[idx]
             if t.size == rows.size:  # one sample each
                 first = newest = t
             else:
@@ -586,8 +590,8 @@ class LabelIndex:
 
     ``keys`` are in canonical ``str`` order — the order of
     ``series_keys`` and of every selection — and ``places`` / ``sids``
-    say where each lives: the shard (0 on a single store) and the series
-    id there.  :meth:`column` gives one label name's values as codes with
+    say where each lives: its place (``sid % n_places``) and its series
+    id.  :meth:`column` gives one label name's values as codes with
     postings, built on first use, so a matcher is evaluated once per
     distinct value and a selection costs what it selects.  Stores build
     one per metric and rebuild it only when the generation moves.
@@ -596,15 +600,14 @@ class LabelIndex:
     __slots__ = ("generation", "keys", "places", "sids", "n_places", "_columns")
 
     def __init__(
-        self, generation: int, keys: Sequence[SeriesKey], places: np.ndarray,
-        sids: np.ndarray, n_places: int = 1,
+        self, generation: int, keys: Sequence[SeriesKey], sids: np.ndarray, n_places: int = 1,
     ) -> None:
         strs = [str(key) for key in keys]
         order = sorted(range(len(strs)), key=strs.__getitem__)  # stable; runs are cheap
         self.generation = generation
         self.keys: List[SeriesKey] = [keys[i] for i in order]
-        self.places: np.ndarray = places[order]
         self.sids: np.ndarray = sids[order]
+        self.places: np.ndarray = self.sids % n_places
         self.n_places = n_places
         self._columns: Dict[str, LabelColumn] = {}
 
@@ -625,10 +628,8 @@ class MetricVersions:
     """Per-metric write epochs and series generations as dense counters.
 
     ``index`` maps a metric to its slot in ``epochs`` (commits touching
-    the metric) and ``generations`` (series of the metric admitted).  A
-    store counts into one; the shards of a sharded store count into the
-    same one, so the facade reads either number — the sum over its
-    shards — with one lookup instead of one per shard.
+    the metric) and ``generations`` (series of the metric admitted); a
+    commit bumps the slots of its metrics with one array op.
     """
 
     __slots__ = ("index", "epochs", "generations")
@@ -680,13 +681,18 @@ class TimeSeriesStore:
       rescanning raw rings.
 
     ``rings`` relocates ring storage (shared memory for the
-    process-parallel shard tier); the bookkeeping here is unchanged.
+    process-parallel tier); the bookkeeping here is unchanged.
     """
 
     #: no worker pool: a query engine runs this store's passes in
-    #: process (a sharded store may carry one)
+    #: process (a parallel store carries one)
     pool = None
-    #: one rollup cascade per place (:meth:`create_tiersets`)
+    #: series id ``sid`` lives in place ``sid % n_places``: the unit one
+    #: query pass covers (:class:`~repro.shard.ShardedTimeSeriesStore`
+    #: has several)
+    n_places = 1
+    #: the store's one rollup cascade, as a one-entry list
+    #: (:meth:`create_tiersets`); ``None`` without tiers
     tiersets = None
 
     def __init__(self, default_capacity: int = 4096, *, rings: Optional[RawRings] = None) -> None:
@@ -696,9 +702,9 @@ class TimeSeriesStore:
         self.registry = SeriesRegistry()
         self.rings = rings if rings is not None else RawRings()
         self._capacity_overrides: Dict[str, int] = {}
-        #: write epochs and series generations per metric (shared by the
-        #: shards of a sharded store); series id -> its metric's slot
-        #: there, so a commit bumps its touched metrics as array ops
+        #: write epochs and series generations per metric; series id ->
+        #: its metric's slot there, so a commit bumps its touched metrics
+        #: as array ops
         self.versions = MetricVersions()
         self._metric_of = np.zeros(0, dtype=np.int64)
         #: per metric its series ids in creation order, and the label
@@ -708,11 +714,6 @@ class TimeSeriesStore:
         self._listeners: List[IngestListener] = []
         self.total_inserts = 0
 
-    @property
-    def places(self) -> List["TimeSeriesStore"]:
-        """The stores whose rings hold this store's series: itself."""
-        return [self]
-
     def create_tiersets(
         self,
         resolutions: Sequence[float],
@@ -720,7 +721,8 @@ class TimeSeriesStore:
         tier_capacity: int = 4096,
         ingest_buffer_cap: int = 1 << 18,
     ) -> List:
-        """Build one rollup cascade per place.
+        """Build the store's rollup cascade: one tier store over every
+        place, fed by one ingest listener.
 
         One rollup configuration per store — every engine over it reads
         the same tiers, and a worker's mirror has the layout baked in —
@@ -737,20 +739,15 @@ class TimeSeriesStore:
                 "store already has rollup tiers with a different layout; "
                 "one rollup configuration per store"
             )
-        self.tiersets = [
-            self._make_tierset(idx, resolutions, tier_capacity, ingest_buffer_cap)
-            for idx in range(len(self.places))
-        ]
+        self.tiersets = [self._make_tierset(resolutions, tier_capacity, ingest_buffer_cap)]
         return self.tiersets
 
-    def _make_tierset(
-        self, idx: int, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int
-    ):
-        """Place ``idx``'s cascade; subclasses relocate its tiers."""
+    def _make_tierset(self, resolutions: Sequence[float], tier_capacity: int, buffer_cap: int):
+        """The cascade; subclasses relocate its tiers."""
         from repro.query.rollup import RollupManager
 
         return RollupManager(
-            self.places[idx], resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
+            self, resolutions, capacity=tier_capacity, ingest_buffer_cap=buffer_cap
         )
 
     # ------------------------------------------------------------ management
@@ -887,33 +884,6 @@ class TimeSeriesStore:
         )
         self._commit(ids_s[starts], ends - starts, times_s, values_s)
 
-    def append_segments(
-        self,
-        seg_ids: np.ndarray,
-        times: np.ndarray,
-        values: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
-    ) -> None:
-        """Trusted commit of pre-sorted per-series segments of shared
-        columns — the shard router's entry: rows ``[starts[j], ends[j])``
-        of ``times``/``values`` belong to series ``seg_ids[j]`` and are
-        time-sorted (the
-        :func:`~repro.telemetry.batch.sort_series_columns` contract).
-        Segments must be ordered by series id (distinct) and ids must
-        come from this store's :attr:`registry`; empty segments write
-        nothing.  Segments lying back to back are committed in place
-        (the ingest listeners may keep those rows: leave them alone
-        afterwards), any others are gathered first.
-        """
-        lens = ends - starts
-        if not lens.all():
-            seg_ids, starts, ends, lens = (a[lens > 0] for a in (seg_ids, starts, ends, lens))
-        if seg_ids.size:
-            back_to_back = (starts[1:] == ends[:-1]).all()
-            rows = slice(starts[0], ends[-1]) if back_to_back else segment_rows(starts, lens)
-            self._commit(seg_ids, lens, times[rows], values[rows])
-
     # --------------------------------------------------------------- reading
     def has(self, key: SeriesKey) -> bool:
         sid = self.registry.get(key)
@@ -931,9 +901,7 @@ class TimeSeriesStore:
         if index is None or index.generation != generation:
             sids = self.series_ids(metric)
             keys = [self.registry.key_for(sid) for sid in sids.tolist()]
-            index = self._indexes[metric] = LabelIndex(
-                generation, keys, np.zeros(sids.size, dtype=np.int64), sids
-            )
+            index = self._indexes[metric] = LabelIndex(generation, keys, sids, self.n_places)
         return index
 
     def series_ids(self, metric: Optional[str] = None) -> np.ndarray:

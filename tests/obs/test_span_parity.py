@@ -63,7 +63,7 @@ def test_every_executor_produces_the_same_span_tree(executor):
     engine = executor.engine(store, enable_cache=False)
 
     # the reference: the same places, every pass run in process
-    serial_sharded = ShardedTimeSeriesStore(n_shards=len(engine.places), default_capacity=4096)
+    serial_sharded = ShardedTimeSeriesStore(n_shards=store.n_places, default_capacity=4096)
     fill_serial(serial_sharded, data)
     ser = QueryEngine(serial_sharded, enable_cache=False)
     want, serial_spans = traced_query(ser)

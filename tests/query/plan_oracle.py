@@ -4,7 +4,7 @@ This is ``QueryEngine.select`` / ``.plan`` as they ran before the stores
 kept a :class:`repro.telemetry.tsdb.LabelIndex` — every key of the metric
 sorted by ``str`` and tested with ``q.matches``, groups collected in a
 dict of label tuples, members re-sorted by ``str``, every key located by
-its CRC-32 shard and that shard's registry — kept as the reference the
+its series id and the place that id falls in — kept as the reference the
 index-built :class:`~repro.query.engine.QueryPlan` must equal.
 """
 
@@ -21,12 +21,10 @@ def oracle_select(store, q: MetricQuery) -> List[SeriesKey]:
 
 
 def oracle_locate(store, key: SeriesKey) -> Tuple[int, int]:
-    """``(place, series id there)``: a sharded store's CRC-32 routing and
-    shard registry, a single store's own registry at place 0."""
-    if hasattr(store, "shards"):
-        shard = store.shard_index(key)
-        return shard, store.shards[shard].registry.get(key)
-    return 0, store.registry.get(key)
+    """``(place, series id)``: the id the store's registry interned the
+    key as, in place ``id % n_places`` (place 0 of a single store)."""
+    sid = store.registry.get(key)
+    return sid % store.n_places, sid
 
 
 def oracle_plan(store, q: MetricQuery) -> QueryPlan:
@@ -37,7 +35,7 @@ def oracle_plan(store, q: MetricQuery) -> QueryPlan:
     labels = tuple(sorted(groups))
     keys: List[SeriesKey] = []
     bounds = [0]
-    shards = [ShardWork([], [], [], []) for _ in range(getattr(store, "n_shards", 1))]
+    shards = [ShardWork([], [], [], []) for _ in range(store.n_places)]
     for g, lab in enumerate(labels):
         members = sorted(groups[lab], key=lambda i: str(selected[i]))
         for rank, sel in enumerate(members):

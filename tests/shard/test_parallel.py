@@ -8,7 +8,7 @@ tiers folded inside the workers, and across every degradation path
 (worker crash between commits, during a scatter, or inside a fold).
 These tests pin all of that to the serial engine and the single-store
 oracle (the plain engine over the same data), plus the
-``append_segments`` edge cases and the ``ClusterConfig(parallel=)``
+``append_batch`` edge cases and the ``ClusterConfig(parallel=)``
 wiring.
 """
 
@@ -68,8 +68,8 @@ def oracle_engine(data, resolutions=None):
 
 
 def fill_through_pool(store, data):
-    """Commit through ``append_batch`` so the pool executes the appends
-    (single-series batches — also an ``append_segments`` edge case)."""
+    """Commit through ``append_batch``, one single-series batch per
+    series: the columnar path, forwarded to the pool."""
     for key, times, values in data:
         gid = store.registry.id_for(key)
         store.append_batch(np.full(times.size, gid, dtype=np.int64), times, values)
@@ -108,7 +108,7 @@ def assert_ran_where_expected(executor, engine, store):
         assert engine.parallel_scatters == 0
 
 
-@pytest.mark.parametrize("n_shards", [3, 4, 5])
+@pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 5, 8])
 def test_bit_identical_to_single_shard_oracle_on_every_executor(executor, n_shards):
     data = series_data(100 + n_shards)
     orc = oracle_engine(data)
@@ -279,7 +279,7 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
         fill_serial(serial_sharded, parts[1])
         # committed to the shared rings, forwarded columns waiting
         assert store.pool.dispatches == dispatches
-        assert sum(store.pool._cols_rows) == sum(t.size for _, t, _ in parts[1])
+        assert store.pool.queued_rows == sum(t.size for _, t, _ in parts[1])
         if where == "queued":
             store.pool.inject_crash(0)
             assert par.fold_rollups(HORIZON * 0.6) == ser.fold_rollups(HORIZON * 0.6)
@@ -336,10 +336,10 @@ def test_worker_killed_with_forwarded_columns_in_flight(respawn, where, die_in_n
         # that completed or is counted as lost with worker 0: what the
         # fatal fold dispatch carried for the shards that worker owns
         live = parts[0] + parts[1] + (parts[2] if respawn else [])
-        lost = [t.size for k, t, _ in parts[1] if store.pool.worker_of(store.shard_index(k)) == 0]
+        lost = [t.size for k, t, _ in parts[1] if store.pool.worker_of(place_of(store, k)) == 0]
         assert stats["cols_dropped_rows"] == float(sum(lost)) > 0
         assert stats["cols_forwarded_rows"] == float(sum(t.size for _, t, _ in live) - sum(lost))
-        assert sum(store.pool._cols_rows) == 0
+        assert store.pool.queued_rows == 0
         assert stats["cols_flushes"] == 0.0
     assert [e for e in os.listdir("/dev/shm") if e.startswith(prefix)] == []
 
@@ -382,23 +382,54 @@ def test_crash_then_more_ingest_and_parent_folds_stay_exact():
         assert_bit_identical(par.query(q, at=HORIZON), ser.query(q, at=HORIZON))
 
 
+def place_of(store, key) -> int:
+    return store.registry.get(key) % store.n_places
+
+
 def assert_tiers_byte_equal(par, ser, store):
     """Every tier row and watermark of every series, parallel vs serial."""
     compared = 0
-    for s, shard in enumerate(store.shards):
-        for ti, (ptier, stier) in enumerate(zip(par.tiersets[s].tiers, ser.tiersets[s].tiers)):
-            for key in shard.series_keys():
-                psid = shard.registry.id_for(key)
-                ssid = ser.places[s].registry.id_for(key)
-                assert ptier.watermark(psid) == stier.watermark(ssid), (s, ti, key)
-                got = ptier.window(psid, -np.inf, np.inf)
-                want = stier.window(ssid, -np.inf, np.inf)
-                assert (got is None) == (want is None), (s, ti, key)
-                if got is not None:
-                    compared += got["time"].size
-                    for name in ROW_COLUMNS:
-                        assert got[name].tobytes() == want[name].tobytes(), (s, ti, key, name)
+    [ptiers], [stiers] = par.tiersets, ser.tiersets
+    for ti, (ptier, stier) in enumerate(zip(ptiers.tiers, stiers.tiers)):
+        for key in store.series_keys():
+            psid = store.registry.id_for(key)
+            ssid = ser.store.registry.id_for(key)
+            assert ptier.watermark(psid) == stier.watermark(ssid), (ti, key)
+            got = ptier.window(psid, -np.inf, np.inf)
+            want = stier.window(ssid, -np.inf, np.inf)
+            assert (got is None) == (want is None), (ti, key)
+            if got is not None:
+                compared += got["time"].size
+                for name in ROW_COLUMNS:
+                    assert got[name].tobytes() == want[name].tobytes(), (ti, key, name)
     assert compared > 0
+
+
+class PlaceFolds:
+    """Per place of ``store`` a plain store holding only that place's
+    series, folded at the same times: what a worker's folder for the
+    place drops as late.  ``late[k][p]``: place ``p``'s count after the
+    ``k``-th fold."""
+
+    def __init__(self, store, resolutions):
+        self.store = store
+        self.late: list = []
+        self.refs = [
+            QueryEngine.with_rollups(
+                TimeSeriesStore(default_capacity=4096), resolutions=resolutions,
+                enable_cache=False,
+            )
+            for _ in range(store.n_places)
+        ]
+
+    def fill(self, data):
+        for key, times, values in data:
+            self.refs[place_of(self.store, key)].store.insert_batch(key, times, values)
+
+    def fold(self, now):
+        for ref in self.refs:
+            ref.fold_rollups(now)
+        self.late.append([ref.tiersets[0].late_samples_dropped for ref in self.refs])
 
 
 @pytest.mark.skipif(
@@ -417,9 +448,9 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
 
     ``grow`` puts a tier-block announcement *into the fatal batch*
     (parent-side inserts of new series just before the fold) and grows
-    the store again afterwards: the respawned worker is handed that
-    block twice — by the replay and by the requeued batch — and must
-    still address every later block where the parent does."""
+    the store again afterwards: the respawned worker is handed the whole
+    announcement log, that block included, and must still address every
+    later block where the parent does."""
     flag = die_in_next_fold
     data = series_data(61, n_series=14, max_points=90)
     cuts = [(t.size // 3, 2 * t.size // 3) for _, t, _ in data]
@@ -449,18 +480,28 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
     prefix = store.pool.prefix
     with store:
         par = QueryEngine(store, enable_cache=False)
+        places = PlaceFolds(store, (10.0, 50.0))
         fill_serial(serial_sharded, parts[0])
+        places.fill(parts[0])
         assert par.fold_rollups(HORIZON * 0.3) == ser.fold_rollups(HORIZON * 0.3)
+        places.fold(HORIZON * 0.3)
         fill_through_pool(store, parts[1])
         fill_serial(serial_sharded, parts[1])
+        places.fill(parts[1])
+
+        def tier_blocks():
+            return sum(ev[0] == "tblock" for ev in store.pool.log)
+
         if grow:  # serial-path commits: ring, column and tier-block events stay queued
-            blocks_before = [len(ts.events) for ts in store.tiersets]
+            blocks_before = tier_blocks()
             fill_serial(store, extra[0])
             fill_serial(serial_sharded, extra[0])
+            places.fill(extra[0])
         flag.touch()
         # the rows the worker wrote before it died were never reported:
         # the parent's re-fold finds their watermarks and writes the rest
         assert par.fold_rollups(HORIZON * 0.6) < ser.fold_rollups(HORIZON * 0.6)
+        places.fold(HORIZON * 0.6)
         assert not flag.exists()  # the worker did die inside the fold
         if respawn:
             assert store.pool.respawns_total == 1 and not store.pool.broken
@@ -469,13 +510,12 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
         assert_tiers_byte_equal(par, ser, store)
         fill_through_pool(store, parts[2] + (extra[1] if grow else []))
         fill_serial(serial_sharded, parts[2] + (extra[1] if grow else []))
+        places.fill(parts[2] + (extra[1] if grow else []))
         if grow:  # one block went out with the fatal batch, one after it
-            assert all(
-                len(ts.events) >= before + 2
-                for ts, before in zip(store.tiersets, blocks_before)
-            )
+            assert tier_blocks() >= blocks_before + 2
         folds_before = par.parallel_folds
         assert par.fold_rollups(HORIZON * 0.95) == ser.fold_rollups(HORIZON * 0.95)
+        places.fold(HORIZON * 0.95)
         assert par.parallel_folds == folds_before + (1 if respawn else 0)
         assert store.serial_appends == (
             0 if respawn else len(parts[2]) + (len(extra[1]) if grow else 0)
@@ -483,13 +523,15 @@ def test_worker_killed_mid_fold_leaves_tiers_byte_equal(respawn, grow, die_in_ne
         assert_tiers_byte_equal(par, ser, store)
         q = MetricQuery("m", agg="mean", range_s=HORIZON, step_s=50.0, group_by=("node",))
         assert_bit_identical(par.query(q, at=HORIZON), ser.query(q, at=HORIZON))
-        # the surviving worker's shards: per-fold late reports add up to
-        # the serial count under both names of the counter
-        late = [m.late_samples_dropped for m in ser.tiersets]
+        # per-fold late reports add up, under both names of the counter,
+        # to what a plain store folding each place alone drops — less
+        # what worker 0's places dropped in the fold it died in (never
+        # reported; the parent re-folds from the rings, which drop none)
+        late, died_in = places.late[-1], places.late[0:2]
         assert late[1] + late[3] > 0
-        for s in (1, 3):
-            assert store.tiersets[s].late_dropped == late[s]
-            assert par.tiersets[s].late_samples_dropped == late[s]
+        lost = sum(died_in[1][p] - died_in[0][p] for p in (0, 2))
+        [tiers] = store.tiersets
+        assert tiers.late_dropped == tiers.late_samples_dropped == sum(late) - lost
     assert [e for e in os.listdir("/dev/shm") if e.startswith(prefix)] == []
 
 
@@ -511,7 +553,7 @@ def test_forwarded_columns_flush_past_the_buffer_cap():
         assert stats["cols_flushes"] > 0
         assert stats["pool_dispatches"] == stats["cols_flushes"]  # nothing else was sent
         assert max(store.pool._cols_rows) <= 32
-        assert stats["cols_forwarded_rows"] + sum(store.pool._cols_rows) == float(
+        assert stats["cols_forwarded_rows"] + store.pool.queued_rows == float(
             sum(t.size for _, t, _ in data)
         )
         assert stats["cols_dropped_rows"] == 0.0
@@ -536,11 +578,11 @@ def test_broken_pool_drops_queued_columns_counted():
     )
     with parallel_store(data, 4, 2, resolutions=(10.0, 50.0), respawn=False) as store:
         total = sum(t.size for _, t, _ in data)
-        assert sum(store.pool._cols_rows) == total
+        assert store.pool.queued_rows == total
         store.pool.inject_crash(0)
         # only shard 0 rides the fatal dispatch; the other three still queue
         assert store.pool.dispatch([(0, "sync", None)]) == [WORKER_DIED]
-        assert store.pool.broken and sum(store.pool._cols_rows) == 0
+        assert store.pool.broken and store.pool.queued_rows == 0
         stats = store.shard_stats()
         assert stats["cols_dropped_rows"] == float(total)
         assert stats["cols_forwarded_rows"] == 0.0
@@ -550,7 +592,7 @@ def test_broken_pool_drops_queued_columns_counted():
 
 
 # ---------------------------------------------------------------------------
-# append_segments / append_batch edge cases
+# append_batch edge cases
 
 
 @pytest.mark.parametrize("start_pool", [False, True])
@@ -562,14 +604,6 @@ def test_append_batch_empty_is_noop(start_pool):
         store.append_batch(empty, np.empty(0), np.empty(0))
         assert store.total_inserts == 0
         assert store.pool.dispatches == 0
-
-
-def test_append_segments_empty_segment_arrays_are_noop():
-    with ParallelShardedStore(n_shards=2, default_capacity=64, workers=1) as store:
-        shard = store.shards[0]
-        empty_i = np.empty(0, dtype=np.int64)
-        shard.append_segments(empty_i, np.empty(0), np.empty(0), empty_i, empty_i)
-        assert shard.total_inserts == 0
 
 
 @pytest.mark.parametrize("start_pool", [False, True])
@@ -599,19 +633,6 @@ def test_append_batch_rejects_uninterned_ids(start_pool):
                 np.array([0, 7], dtype=np.int64), np.array([1.0, 2.0]), np.ones(2)
             )
         assert store.total_inserts == 0  # nothing partially committed
-
-
-def test_shard_append_segments_rejects_out_of_range_sid():
-    with ParallelShardedStore(n_shards=2, default_capacity=64, workers=1) as store:
-        shard = store.shards[0]
-        with pytest.raises(IndexError):
-            shard.append_segments(
-                np.array([99], dtype=np.int64),
-                np.array([1.0]),
-                np.array([2.0]),
-                np.array([0], dtype=np.int64),
-                np.array([1], dtype=np.int64),
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +685,7 @@ def test_cluster_parallel_matches_serial_sharded():
         ) as cluster:
             if parallel:
                 assert isinstance(cluster.store, ParallelShardedStore)
-                assert cluster.store.parallel_active
+                assert cluster.store.pool.active
             qe = cluster._query_engine(rollup_resolutions=(30.0, 120.0))
             engine.run(until=240.0)
             qe.fold_rollups(engine.now)

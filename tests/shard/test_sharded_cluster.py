@@ -20,13 +20,13 @@ def _cluster(shards, n_nodes=12, horizon=None, seed=5):
     return engine, cluster
 
 
-def test_cluster_builds_sharded_store_and_one_engine_over_its_shards():
+def test_cluster_builds_sharded_store_and_one_engine_over_its_places():
     _, cluster = _cluster(shards=4)
     assert isinstance(cluster.store, ShardedTimeSeriesStore)
-    assert cluster.store.n_shards == 4
+    assert cluster.store.n_places == 4
     qe = cluster._query_engine()
     assert type(qe) is QueryEngine
-    assert qe.places == cluster.store.shards
+    assert qe.store is cluster.store
     runtime = cluster.loop_runtime()
     assert runtime.query_engine is qe
     assert runtime.store is cluster.store
@@ -34,10 +34,10 @@ def test_cluster_builds_sharded_store_and_one_engine_over_its_shards():
 
 @pytest.mark.parametrize("shards", [1, 4])
 def test_one_rollup_layout_per_cluster_store(shards):
-    """Every engine over the store reads the store's one cascade per
-    place, whatever the store's shape: equal layouts share the tiers (one
-    ingest listener per place, so every sample folds once) and another
-    layout raises instead of adding a second cascade."""
+    """Every engine over the store reads the store's one cascade, whatever
+    the store's shape: equal layouts share the tiers (one ingest
+    listener, so every sample folds once) and another layout raises
+    instead of adding a second cascade."""
     _, cluster = _cluster(shards=shards)
     a = cluster._query_engine(rollup_resolutions=(60.0,))
     assert cluster._query_engine(rollup_resolutions=(60.0,)) is a  # memoized
@@ -46,8 +46,8 @@ def test_one_rollup_layout_per_cluster_store(shards):
     assert b is not a
     assert cluster.store.tiersets is tiersets
     assert b.tiersets is a.tiersets is tiersets
-    assert len(tiersets) == len(cluster.store.places)
-    assert all(len(place._listeners) == 1 for place in cluster.store.places)
+    assert len(tiersets) == 1
+    assert len(cluster.store._listeners) == 1
     with pytest.raises(RuntimeError, match="different layout"):
         cluster._query_engine(rollup_resolutions=(10.0, 60.0))
     assert cluster._query_engine().tiersets is tiersets
@@ -58,7 +58,7 @@ def test_single_shard_config_keeps_plain_store():
     assert not isinstance(cluster.store, ShardedTimeSeriesStore)
     qe = cluster._query_engine()
     assert type(qe) is QueryEngine
-    assert qe.places == [cluster.store]
+    assert cluster.store.n_places == 1
 
 
 def test_collector_routes_telemetry_across_shards():

@@ -1,10 +1,10 @@
-"""Sharded store: routing determinism, API parity, ingest equivalence."""
+"""Sharded store: id-based placement, API parity, ingest equivalence."""
 
 import numpy as np
 import pytest
 
 from repro.query import QueryEngine
-from repro.shard import ShardedTimeSeriesStore, shard_of_key
+from repro.shard import ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -17,25 +17,38 @@ def _keys(n, metrics=2):
     ]
 
 
-def test_routing_is_deterministic_and_total():
+def _placed(store, keys):
+    """Each key's place, as the store's label index records it."""
+    index = store.label_index()
+    where = dict(zip(index.keys, index.places.tolist()))
+    return [where[key] for key in keys]
+
+
+def test_placement_is_deterministic_per_intern_order_and_total():
+    """A series' place is its series id mod the place count: the same
+    intern order places every key alike, whatever the key says, and
+    another intern order moves keys with their ids."""
     keys = _keys(50)
     for n_shards in (1, 2, 3, 8):
-        first = [shard_of_key(k, n_shards) for k in keys]
-        again = [shard_of_key(k, n_shards) for k in keys]
-        assert first == again
-        assert all(0 <= s < n_shards for s in first)
+        first, again, reverse = (ShardedTimeSeriesStore(n_shards) for _ in range(3))
+        for store, order in ((first, keys), (again, keys), (reverse, keys[::-1])):
+            store.insert_many(order, np.ones(len(order)), np.zeros(len(order)))
+        want = [i % n_shards for i in range(len(keys))]  # the i-th key interned
+        assert _placed(first, keys) == _placed(again, keys) == want
+        assert _placed(reverse, keys[::-1]) == want
 
 
-def test_series_land_on_exactly_one_shard():
+def test_series_land_in_exactly_one_place():
     store = ShardedTimeSeriesStore(n_shards=4)
     for key in _keys(30):
         store.insert(key, 1.0, 2.0)
+    index = store.label_index()
+    assert index.places.tolist() == (index.sids % 4).tolist()
     for key in _keys(30):
-        owners = [s for s in store.shards if s.has(key)]
-        assert len(owners) == 1
-        assert owners[0] is store.shard_for(key)
+        assert store.has(key)
     assert store.cardinality() == 60
     assert sum(store.shard_cardinalities()) == 60
+    assert store.shard_cardinalities() == [15, 15, 15, 15]
 
 
 @pytest.mark.parametrize("n_shards", [None, 1, 4])
@@ -54,9 +67,8 @@ def test_every_series_with_data_is_interned(n_shards):
     listed = store.series_keys()
     assert sorted(listed, key=str) == sorted(keys, key=str)
     for key in listed:
-        owner = store if n_shards is None else store.shard_for(key)
-        assert owner.registry.get(key) is not None
-        assert owner.rings.count(owner.registry.get(key)) > 0
+        assert store.registry.get(key) is not None
+        assert store.rings.count(store.registry.get(key)) > 0
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8])
@@ -120,6 +132,7 @@ def test_global_listener_sees_all_rows_with_global_ids():
     seen = []
     store.add_ingest_listener(lambda ids, t, v: seen.append((ids.copy(), t.copy(), v.copy())))
     store.append_batch(sids, np.zeros(len(keys)), np.arange(len(keys), dtype=float))
+    assert len(seen) == 1  # one delivery per commit, whatever the place count
     total = sum(ids.size for ids, _, _ in seen)
     assert total == len(keys)
     for ids, times, values in seen:
@@ -143,20 +156,20 @@ def test_epochs_and_generations_are_monotone():
     assert store.series_generation("m") == g1  # no new series
 
 
-def test_epochs_and_generations_count_every_shard():
-    """One table for all shards: a metric's epoch counts its commits on
-    any shard, its generation its series on all of them."""
+def test_epochs_and_generations_count_every_place():
+    """One table for the store: a commit spanning every place bumps its
+    metric's epoch once, and the generation counts the series of all
+    places."""
     store = ShardedTimeSeriesStore(n_shards=4)
     keys = _keys(16, metrics=1)
     ids = store.registry.ids_for(keys)
     store.append_batch(ids, np.zeros(ids.size), np.ones(ids.size))
-    touched = len({shard_of_key(key, 4) for key in keys})
-    assert touched > 1
-    assert store.metric_epoch("metric0") == touched
+    assert min(store.shard_cardinalities()) > 0
+    assert store.metric_epoch("metric0") == 1
     assert store.series_generation("metric0") == len(keys)
     assert store.series_generation(None) == len(keys)
     store.insert(keys[0], 1.0, 2.0)
-    assert store.metric_epoch("metric0") == touched + 1
+    assert store.metric_epoch("metric0") == 2
     assert store.metric_epoch("metric1") == store.series_generation("metric1") == 0
 
 
@@ -202,15 +215,31 @@ def test_set_capacity_applies_to_new_series():
     "make", [TimeSeriesStore, lambda: ShardedTimeSeriesStore(n_shards=3)], ids=["plain", "sharded"]
 )
 def test_one_rollup_layout_per_store(make):
-    """A store has one cascade per place and one layout for its lifetime:
+    """A store has one cascade over every place and one layout for its lifetime:
     the same layout (in any order) returns the very same list, another
     raises and leaves the tiers alone."""
     store = make()
     assert store.tiersets is None
     tiersets = store.create_tiersets((60.0, 10.0))
     assert store.tiersets is tiersets
-    assert [m.store for m in tiersets] == store.places
+    assert [m.store for m in tiersets] == [store]
     assert store.create_tiersets([10, 60.0]) is tiersets
     with pytest.raises(RuntimeError, match="different layout"):
         store.create_tiersets((10.0,))
     assert store.tiersets is tiersets
+
+
+@pytest.mark.parametrize("n_shards", [2, 4, 8])
+@pytest.mark.parametrize("n_series,commits", [(12, 1), (256, 1), (4096, 1), (4096, 8)])
+def test_places_balance_to_within_one_series(n_shards, n_series, commits):
+    """Placement by id balances at every size and however admission is
+    batched: no place holds more than one series above another."""
+    store = ShardedTimeSeriesStore(n_shards=n_shards, default_capacity=4)
+    keys = [SeriesKey.of("m", node=f"n{i:05d}") for i in range(n_series)]
+    for part in np.array_split(np.arange(n_series), commits):
+        batch = [keys[i] for i in part.tolist()]
+        store.insert_many(batch, np.ones(len(batch)), np.zeros(len(batch)))
+    cards = store.shard_cardinalities()
+    assert sum(cards) == n_series
+    assert max(cards) - min(cards) <= 1
+    assert max(cards) <= sum(cards) / n_shards + 1

@@ -1,9 +1,9 @@
 """Standing queries over every store shape.
 
-Place-local standing state gathered with the engine's canonical merge
-must be partition-invariant: the same history in a plain store,
-partitioned across 1, 3, or 4 shards, or maintained worker-side under
-the process pool answers every registered shape like the batch engine
+Standing state read place by place and gathered with the engine's
+canonical merge must be partition-invariant: the same history in a
+plain store, split into 1, 3, or 4 places, or maintained worker-side
+per place under the process pool answers every registered shape like the batch engine
 over a plain store (to 1e-9: a grid sums a bin's samples commit by
 commit, a batch read in one pass).
 """
@@ -67,10 +67,10 @@ def assert_standing_matches(got, want):
 @pytest.mark.parametrize("n_shards", [1, 3, 4])
 def test_standing_matches_batch_on_every_executor(executor, n_shards):
     """Partial and rate shapes, registered before any data: exact after
-    every commit round wherever the grids are — parent-side per shard or
-    inside the workers.  Once a pool is gone its grids went with it: the
-    pass runs where no grid exists, the read is not covered, and the
-    caller's batch fallback is counted."""
+    every commit round wherever the grids are — parent-side, one for
+    every place, or inside each worker, over its places.  Once a pool is
+    gone its grids went with it: the pass runs where no grid exists, the
+    read is not covered, and the caller's batch fallback is counted."""
     store = executor.store(n_shards)
     engine = executor.engine(store, enable_cache=False)
     oracle = TimeSeriesStore(default_capacity=4096)
@@ -97,7 +97,7 @@ def test_standing_matches_batch_on_every_executor(executor, n_shards):
     stats = st.stats()
     assert stats["reads_served"] > 0
     assert stats["scan_fallbacks"] == (2 * len(QUERIES) if executor.falls_back else 0)
-    assert stats["grids"] == len({q.step_s for q in QUERIES}) * len(engine.places)
+    assert stats["grids"] == len({q.step_s for q in QUERIES})
     assert (getattr(engine, "serial_fallbacks", 0) > 0) == executor.falls_back
 
 
@@ -105,8 +105,8 @@ def test_standing_matches_batch_on_every_executor(executor, n_shards):
 def test_standing_engines_over_one_engine_share_its_state(executor):
     """A hub and a front door each wrap the one batch engine in their own
     standing engine.  Registering the same shape on both keeps one grid
-    per shard and step and one ingest listener per shard: every committed
-    sample is applied once, both answer exactly, and both executors
+    per step and one ingest listener: every committed sample is applied
+    once, both answer exactly, and both executors
     report the same ``grids`` / ``updates_applied`` / ``late_dropped``
     after the same commits and one read."""
     from repro.query.reference import evaluate_naive
@@ -119,12 +119,11 @@ def test_standing_engines_over_one_engine_share_its_state(executor):
     assert hub_side.provider is door_side.provider
     if executor.pooled:
         assert list(store.standing_regs) == [10.0]  # one entry to replay on a respawn
-    for shard in engine.places:
-        standing = [
-            listener for listener in shard._listeners
-            if "Standing" in type(getattr(listener, "__self__", None)).__name__
-        ]
-        assert len(standing) == (0 if executor.pooled else 1)
+    standing = [
+        listener for listener in store._listeners
+        if "Standing" in type(getattr(listener, "__self__", None)).__name__
+    ]
+    assert len(standing) == (0 if executor.pooled else 1)
     keys = [SeriesKey.of("m", node=f"n{i:02d}") for i in range(16)]
     ids = store.registry.ids_for(keys)
     # 1 600 samples inside the bin ring — a worker's grid gets them in one
@@ -133,22 +132,23 @@ def test_standing_engines_over_one_engine_share_its_state(executor):
         store.append_batch(ids, np.full(16, 950.0 + 0.4 * k), np.full(16, float(k)))
     # three samples older than the bin ring, on a series of their own
     store.insert_batch(SeriesKey.of("m", node="lagging"), np.array([1.0, 2.0, 3.0]), np.ones(3))
-    assert engine.plan(q).fanout == len(engine.places)  # the read below reaches every place
+    assert engine.plan(q).fanout == store.n_places  # the read below reaches every place
     want = evaluate_naive(store, q, at=995.0)
     assert want.series
     for st in (hub_side, door_side):
         assert_standing_matches(st.query(q, at=995.0), want)
         stats = st.stats()
-        assert stats["grids"] == len(engine.places)
+        assert stats["grids"] == 1
         assert stats["updates_applied"] == 1600.0
         assert stats["late_dropped"] == 3.0
         assert stats["scan_fallbacks"] == 0.0
 
 
 def test_parallel_standing_matches_serial_reference_through_crash():
-    """Worker-side grids fed by the shard event stream answer exactly —
-    including after a worker crash, where the respawned worker replays
-    its shard state (rings + standing registrations) from shared memory.
+    """Worker-side grids fed by each place's column stream answer exactly
+    — including after a worker crash, where the respawned worker replays
+    the announcement log (rings + standing registrations) from shared
+    memory.
     One read may observe the crash and fall back; the next is exact."""
     with ParallelShardedStore(n_shards=4, default_capacity=4096, workers=2) as pstore:
         pstore.create_tiersets((10.0, 60.0))
@@ -178,7 +178,7 @@ def test_parallel_standing_matches_serial_reference_through_crash():
                 assert_standing_matches(got, ref_engine.query(q, at=at))
         assert pstore.pool.respawns_total == 1
         assert not pstore.pool.broken
-        assert pstore.parallel_active
+        assert pstore.pool.active
         stats = st.stats()
         assert stats["standing_scatters"] > 0
         assert stats["scan_fallbacks"] <= len(QUERIES)

@@ -1,9 +1,9 @@
 """Property: the dense append kernel is byte-equal to the per-series write.
 
 Random commit streams — ring wraparound, segments of a ring's capacity
-or more, empty segments, non-contiguous segments of shared columns, ids
-spread over several storage chunks and first seen in the middle of a
-batch, rows handed out in an order that is not the id order, per-metric
+or more, empty segments, sorted and shuffled rows, ids spread over
+several storage chunks and first seen in the middle of a
+batch, rings created in an order that is not the id order, per-metric
 capacities mixed in one commit, scalar inserts between batches, and
 commits that overlap what a ring already holds — go through
 :class:`repro.telemetry.tsdb.TimeSeriesStore` and through the per-series
@@ -34,8 +34,8 @@ METRICS = "abc"
 CAPACITIES = {"a": 3, "b": 7}
 #: the series a scenario writes repeatedly: ids 0, 13, ... spread over the
 #: id space; every other id is a filler a ``bulk`` step may create, taken
-#: from the top — so rows are handed out in an order that is not id order
-#: and one capacity class grows past its first 64-row chunk
+#: from the top — so rings are created in an order that is not id order
+#: and one capacity class grows past its first 64-id chunk
 SPREAD = 13
 ACTIVE = [slot * SPREAD for slot in range(12)]
 FILLERS = [sid for sid in reversed(range(N_IDS)) if sid % SPREAD]
@@ -150,7 +150,10 @@ def run_scenario(sc, store: TimeSeriesStore, view: RawRings, sync) -> None:
                 times, values = times[keep], values[keep]
                 ends = np.cumsum(lens)
                 starts = ends - lens
-            if both(lambda: store.append_segments(seg_ids, times, values, starts, ends),
+            rows = np.concatenate([np.arange(lo, hi) for lo, hi in zip(starts, ends)] or
+                                  [np.empty(0, dtype=np.int64)]).astype(np.int64)
+            ids = np.repeat(seg_ids, ends - starts)
+            if both(lambda: store.append_batch(ids, times[rows], values[rows]),
                     lambda: oracle.append_segments(seg_ids, times, values, starts, ends),
                     overlaps):
                 clock.update(after)
@@ -236,7 +239,7 @@ def test_multi_chunk_unsorted_rows_and_whole_ring_writes_explicitly():
         ends = np.cumsum(counts)
         times = t0 + np.arange(ends[-1], dtype=np.float64)
         values = times * 2.0
-        store.append_segments(sids, times, values, ends - counts, ends)
+        store.append_batch(np.repeat(sids, counts), times, values)
         oracle.append_segments(sids, times, values, ends - counts, ends)
         assert_same(store, store.rings, oracle, heard)
 
@@ -249,10 +252,7 @@ def test_multi_chunk_unsorted_rows_and_whole_ring_writes_explicitly():
     # mixing wraps, whole-ring writes and a first-seen id
     commit([3, 4, 5, 99, 120, 150, 151, 152, 390], [1, 7, 3, 2, 4, 1, 8, 2, 5], 300.0)
     with pytest.raises(ValueError, match="bulk append overlaps existing data"):
-        store.append_segments(
-            np.array([3, 4], dtype=np.int64), np.array([400.0, 10.0]), np.zeros(2),
-            np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.int64),
-        )
+        store.append_batch(np.array([3, 4], dtype=np.int64), np.array([400.0, 10.0]), np.zeros(2))
     assert_same(store, store.rings, oracle, heard)  # the failed commit wrote nothing
     with pytest.raises(IndexError):
         store.append_batch(np.array([N_IDS]), np.array([1.0]), np.array([1.0]))
