@@ -214,11 +214,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Concatenated(dict):
+    """Row tables with the same columns, joined column by column on first
+    read: a gather reads few of the columns a pass returns."""
+
+    def __init__(self, parts: Sequence[Dict[str, np.ndarray]]) -> None:
+        super().__init__()
+        self._parts = parts
+
+    def __missing__(self, name: str) -> np.ndarray:
+        col = self[name] = np.concatenate([p[name] for p in self._parts])
+        return col
+
+
 def concat_rows(parts: Sequence[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
     """Column-wise concatenation of row tables with the same columns."""
     if len(parts) == 1:
         return parts[0]
-    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    return _Concatenated(parts)
 
 
 def build_series(

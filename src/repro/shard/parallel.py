@@ -256,7 +256,7 @@ class _WorkerStore(ShardState):
     def __init__(self, cache: _BlockCache, worker_idx: int, n_workers: int, n_places: int) -> None:
         # the raw rings are parent-written blocks, mapped read-only; the
         # tiers arrive as announced blocks
-        super().__init__(RawRings(alloc=None))
+        super().__init__(RawRings(alloc=None, lanes=n_places))
         self.worker_idx = worker_idx
         #: per place whether this worker owns it (series ``sid`` lives in
         #: place ``sid % n_places``, place ``p`` on worker ``p % n_workers``)
@@ -900,7 +900,9 @@ class ParallelShardedStore(ShardedTimeSeriesStore):
         #: commits made while the pool was not running
         self.serial_appends = 0
         self._closed = False
-        rings = RawRings(self.arena.alloc, lambda block: self.pool.announce(("rblock",) + block))
+        rings = RawRings(
+            self.arena.alloc, lambda block: self.pool.announce(("rblock",) + block), n_shards
+        )
         super().__init__(n_shards, default_capacity, rings=rings)
 
     # ------------------------------------------------------------ lifecycle

@@ -33,6 +33,8 @@ class ShardedTimeSeriesStore(TimeSeriesStore):
     ) -> None:
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
+        if rings is None:
+            rings = RawRings(lanes=n_shards)  # a lane per place: its rings lie together
         super().__init__(default_capacity, rings=rings)
         self.n_places = int(n_shards)
 

@@ -148,7 +148,10 @@ class _RingChunk:
         self.first = first
         #: index - first -> storage slot, lane by lane (``None``: one lane)
         j = np.arange(n)
-        self._slots = None if lanes == 1 else j % lanes * (n // lanes) + j // lanes
+        self._slots = None
+        if lanes > 1:
+            self._slots = j % lanes * (n // lanes) + j // lanes
+            self._slots.flags.writeable = False  # :meth:`slots_of` hands it out
         cells = n * n_cols * capacity
         #: ``(series, column, ring slot)``: a series' rings are adjacent,
         #: so one series' window is a single 2-D slice
@@ -168,6 +171,13 @@ class _RingChunk:
         touches only their pages."""
         j = idx - self.first if self.first else idx
         return j if self._slots is None else self._slots[j]
+
+    def slots_of(self, idx: np.ndarray) -> np.ndarray:
+        """:meth:`slot` of ascending distinct indices: every index of the
+        chunk — the streamed commit's case — is the slot map itself."""
+        if self._slots is not None and idx.size == self._slots.size:
+            return self._slots
+        return self.slot(idx)
 
 
 class DenseRings:
@@ -255,6 +265,14 @@ class DenseRings:
         for chunk, lo, hi in self._split(ids):
             getattr(chunk, name)[chunk.slot(ids[lo:hi])] = values[lo:hi] if per_id else values
 
+    def locate(self, ids: np.ndarray) -> List[Tuple[_RingChunk, np.ndarray, int, int]]:
+        """``(chunk, storage slots there, lo, hi)`` for every chunk the
+        ascending distinct ``ids`` touch, ``lo:hi`` their positions in
+        ``ids``."""
+        return [
+            (chunk, chunk.slots_of(ids[lo:hi]), lo, hi) for chunk, lo, hi in self._split(ids)
+        ]
+
     def gather(
         self, ids: np.ndarray, slots: np.ndarray, columns: Sequence[int]
     ) -> List[np.ndarray]:
@@ -266,25 +284,27 @@ class DenseRings:
                 dst[lo:hi] = chunk.cols[k][local, slots[lo:hi]]
         return out
 
-    def append_rows(self, ids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray]) -> List:
-        """Append ``counts[i] >= 1`` time-ordered rows to series ``ids[i]``.
+    def append_rows(
+        self, ids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray],
+        located: Optional[List] = None,
+    ) -> List:
+        """Append ``counts[i] >= 1`` time-ordered rows to series ``ids[i]``
+        (ascending, distinct).
 
         ``cols`` holds the rows of all series back to back, one array
         per column.  Ring semantics per series: rows continue at
         ``head`` and wrap; a series receiving ``capacity`` or more rows
         keeps only the last ``capacity``, laid out from slot 0.  Cells
         are written before ``head``/``count`` publish them.  Returns the
-        chunks written as ``(chunk, storage slots there, lo, hi)``, the
-        latter the positions in ``ids``, for a caller with per-series
-        vectors of its own to update.
+        chunks written, :meth:`locate` of ``ids`` (``located``, when the
+        caller has it already), for a caller with per-series vectors of
+        its own to update.
         """
         cap = self.capacity
         one_each = cols[0].size == ids.size and cap > 1  # the streamed-telemetry commit
         ends = None if one_each else np.cumsum(counts)
-        written = []
-        for chunk, lo, hi in self._split(ids):
-            local = chunk.slot(ids[lo:hi])
-            written.append((chunk, local, lo, hi))
+        written = self.locate(ids) if located is None else located
+        for chunk, local, lo, hi in written:
             head = chunk.head[local]
             keep = None
             if one_each:
@@ -320,7 +340,10 @@ class RawRings:
     rings — and the ``sid`` it belongs to (-1: none), so a process that
     maps the announced blocks (:meth:`attach`) rebuilds the addressing
     from the storage alone (:meth:`refresh`) — the pool workers' view.
-    Exactly one process writes: the one that allocates.
+    Exactly one process writes: the one that allocates.  Series
+    ``sid`` is in lane ``sid % lanes`` (:class:`DenseRings`): a store of
+    several places gives each place a lane, so one place's rings lie
+    together and a pass over it reads them in address order.
     """
 
     VECTORS = (("written", np.int64, 0), ("last", np.float64, -np.inf), ("sid", np.int64, -1))
@@ -329,9 +352,11 @@ class RawRings:
         self,
         alloc: Optional[Allocator] = heap_alloc,
         announce: Optional[Callable[[Tuple], None]] = None,
+        lanes: int = 1,
     ) -> None:
         self._alloc = alloc
         self._announce = announce
+        self.lanes = int(lanes)
         #: rings by capacity
         self.classes: Dict[int, DenseRings] = {}
         #: per capacity, the ids below which an attached view has
@@ -371,21 +396,22 @@ class RawRings:
     def _rings_of(self, capacity: int) -> DenseRings:
         ring = self.classes.get(capacity)
         if ring is None:
-            ring = self.classes[capacity] = DenseRings(capacity, 2, self.VECTORS)
+            ring = self.classes[capacity] = DenseRings(capacity, 2, self.VECTORS, self.lanes)
         return ring
 
     def create(self, sids: np.ndarray, capacity: int) -> None:
         """Give each of the ascending ``sids`` an empty ring of
         ``capacity`` slots.
 
-        Storage grows by chunks of ``max(64, have, need)`` ids — at
-        least doubling, so a store holds O(log n) of them — each
-        announced once as ``(capacity, first id, ids, descriptor)``.
+        Storage grows by chunks of ``max(64, have, need)`` ids, rounded
+        up to whole lanes — at least doubling, so a store holds O(log n)
+        of them — each announced once as ``(capacity, first id, ids,
+        descriptor)``.
         """
         ring = self._rings_of(capacity)
         have, top = ring.n_series, int(sids[-1]) + 1
         if top > have:
-            n = max(64, have, top - have)
+            n = -(-max(64, have, top - have) // self.lanes) * self.lanes
             block, desc = self._alloc(ring.block_size(n))
             ring.add_chunk(block, n, fresh=True)
             self.blocks.append((capacity, have, n, desc))
@@ -488,11 +514,13 @@ class RawRings:
             else:
                 ends = np.cumsum(n)
                 first, newest = t[ends - n], t[ends - 1]
-            if (first < ring.take("last", rows)).any():
-                raise ValueError("bulk append overlaps existing data")
-            parts[k] = (ring, rows, n, t, v, newest)
-        for ring, rows, n, t, v, newest in parts:
-            for chunk, local, lo, hi in ring.append_rows(rows, n, (t, v)):
+            located = ring.locate(rows)
+            for chunk, local, lo, hi in located:
+                if (first[lo:hi] < chunk.last[local]).any():
+                    raise ValueError("bulk append overlaps existing data")
+            parts[k] = (ring, rows, n, t, v, newest, located)
+        for ring, rows, n, t, v, newest, located in parts:
+            for chunk, local, lo, hi in ring.append_rows(rows, n, (t, v), located):
                 chunk.written[local] += n[lo:hi]
                 chunk.last[local] = newest[lo:hi]
 
