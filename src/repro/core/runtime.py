@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import sys
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -138,8 +139,9 @@ class QueryHub:
         self._tick_reads: Dict[MetricQuery, Optional[MetricQuery]] = {}
         #: query -> its widened shape (``False`` when not fusable)
         self._shapes = _Memo()
-        #: widened shape -> (its plan, group label -> group position there)
-        self._widened = _Memo()
+        #: narrow query -> (series generation, widened shape's group
+        #: count, positions of the query's groups there, their labels)
+        self._narrowed = _Memo()
         #: rows staged at ``_staged_at`` and not committed yet, and their metrics
         self._staged_at: Optional[float] = None
         self._staged_keys: List[SeriesKey] = []
@@ -214,27 +216,38 @@ class QueryHub:
         return True
 
     def _narrow(self, q: MetricQuery, shape: MetricQuery, wide: QueryResult) -> QueryResult:
-        """Select ``q``'s series from the widened result by group label.
+        """Select ``q``'s series from the widened result.
 
         Equivalent to :func:`repro.query.fuse.narrow_result`, with the
-        matchers evaluated once per series generation — ``q``'s groups
-        are the labels of its memoised engine plan — and the widened
-        shape's groups indexed once per plan generation: a widened
+        matchers evaluated once per series generation: per narrow query
+        a memo keeps the positions of its groups — the labels of its
+        engine plan — among the widened shape's plan groups.  A widened
         result with a series for every group of its plan holds group
-        ``g`` at position ``g``, so every loop narrowing the same tick's
-        result pays O(its own series), not O(fleet series).  A result
-        missing some group is indexed by label on the spot.
+        ``g`` at position ``g``, so a read is one take of the positions,
+        O(its own series) however wide the fleet.  A result missing some
+        group is indexed by label on the spot.
         """
         series = wide.series
-        plan = self.engine.plan(shape)
-        entry = self._widened.get(shape)
-        if entry is None or entry[0] is not plan:
-            entry = self._widened.put(shape, (plan, {lab: g for g, lab in enumerate(plan.labels)}))
-        index = entry[1]
-        if len(series) != len(index):  # a group without rows: positions shift
+        generation = self.store.series_generation(q.metric)
+        entry = self._narrowed.lookup(q, lambda _: self._positions(q, shape, generation))
+        if entry[0] != generation:
+            entry = self._narrowed.put(q, self._positions(q, shape, generation))
+        _, n_groups, positions, labels = entry
+        if len(series) == n_groups:
+            kept = tuple(map(series.__getitem__, positions))
+        else:  # a group without rows: positions shift
             index = {s.labels: i for i, s in enumerate(series)}
-        kept = tuple(series[index[lab]] for lab in self.engine.plan(q).labels if lab in index)
+            kept = tuple(series[index[lab]] for lab in labels if lab in index)
         return QueryResult(q, wide.t0, wide.t1, kept, source=f"fused+{wide.source}")
+
+    def _positions(self, q: MetricQuery, shape: MetricQuery, generation: int) -> tuple:
+        """The :meth:`_narrow` memo entry of ``q``: both plans list their
+        group labels sorted, so each of ``q``'s is found by bisection."""
+        wide = self.engine.plan(shape).labels
+        labels = self.engine.plan(q).labels
+        at = [bisect_left(wide, lab) for lab in labels]
+        positions = [i for i, lab in zip(at, labels) if i < len(wide) and wide[i] == lab]
+        return generation, len(wide), positions, labels
 
     def scalar(self, q: Union[str, MetricQuery], *, at: float) -> Optional[float]:
         return self.query(q, at=at).scalar()

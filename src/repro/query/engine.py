@@ -41,6 +41,7 @@ property tests hold the engine to.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import threading
 from collections import Counter, OrderedDict
@@ -70,22 +71,25 @@ WORKER_DIED = object()
 
 #: A scatter pass over at most this many series runs in process although
 #: a pool is live.  Calibration (E18 ``small_pass_tax``, 4 shards × 2
-#: workers): a dispatch costs a fixed F ≈ 0.65–0.9 ms over the same pass
-#: run here (wake two workers, pickle ~40 small arrays, unpickle them),
-#: and reading a series costs c ≈ 8 µs from raw rings, ≈ 16 µs stitched
-#: from a tier, on either side.  W workers on cores of their own save at
-#: most c·k·(1 − 1/W), so the pool breaks even no earlier than k = F /
-#: (c·(1 − 1/W)): ≈ 80–220 series at W = 2, ≈ 55–150 at W = 4.  On the
-#: 2-vCPU development host (one core's worth of throughput) the measured
-#: crossover is 130–190 series with tiers and none up to 512 without.
-#: 64 is below all of those: no pass kept here would have been faster
-#: dispatched.  Tests and E18 pin it to 0 to send every pass to the pool.
+#: workers): a dispatch costs a fixed F ≈ 0.7–1.3 ms over the same pass
+#: run here (wake two workers, pickle the worklists, unpickle the rows),
+#: and a series read by the ring-window kernel costs c ≈ 3 µs from raw
+#: rings, ≈ 2 µs stitched from a tier, on either side.  W workers on
+#: cores of their own save at most c·k·(1 − 1/W), so the pool breaks
+#: even no earlier than k = F / (c·(1 − 1/W)): ≈ 450–850 series at
+#: W = 2, ≈ 300–580 at W = 4; on the 2-vCPU development host the pool
+#: loses up to 512 series (×1.6 at 512).  64 is below all of those, so
+#: no pass kept here would have been faster dispatched.  (256 would be
+#: too, but ``serve_dash`` then reads the pool's tier pages in the parent
+#: as well: peak RSS +4 MB for p50 −6 %.)  Tests and E18 pin it to 0 to
+#: send every pass to the pool.
 INLINE_SCATTER_SERIES = 64
 
 
 class ResultSeries:
     """One output series: group labels plus aligned, read-only time/value
-    arrays.  A slotted record: a wide result builds thousands per read."""
+    arrays.  A slotted record: a wide result builds thousands per read.
+    The series of one result may share one read-only ``times`` array."""
 
     __slots__ = ("labels", "times", "values")
 
@@ -133,33 +137,22 @@ class QueryResult:
         return float(values[-1]) if values.size else None
 
 
-class ShardWork:
+class ShardWork(NamedTuple):
     """One place's rows of a :class:`QueryPlan`.
 
-    Parallel columns, in the plan's ``(group, rank)`` order: the series
-    id, its group index, its rank within the group and its
-    position in :meth:`QueryEngine.select` order.  They are lists — what
-    a scatter pass loops over and a pool dispatch pickles; the
-    vectorised standing read takes :meth:`arrays`, built on first use
-    (registered shapes only).
+    Parallel int64 columns, in the plan's ``(group, rank)`` order: the
+    series id, its group index, its rank within the group and its
+    position in :meth:`QueryEngine.select` order — what a scatter pass
+    reads every window of with one kernel call, a standing read takes
+    as they are and a pool dispatch pickles as arrays.  They are the
+    rows of one ``(4, n)`` block: a plan memo holds thousands of these.
     """
 
-    __slots__ = ("sids", "gidx", "rank", "sel", "_arrays")
-
-    def __init__(self, sids: List[int], gidx: List[int], rank: List[int], sel: List[int]) -> None:
-        self.sids = sids
-        self.gidx = gidx
-        self.rank = rank
-        self.sel = sel
-        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(sids, gidx, rank)`` as int64 arrays."""
-        if self._arrays is None:
-            self._arrays = tuple(
-                np.asarray(col, dtype=np.int64) for col in (self.sids, self.gidx, self.rank)
-            )
-        return self._arrays
+    cols: np.ndarray
+    sids = property(lambda self: self.cols[0])
+    gidx = property(lambda self: self.cols[1])
+    rank = property(lambda self: self.cols[2])
+    sel = property(lambda self: self.cols[3])
 
 
 class QueryPlan(NamedTuple):
@@ -242,14 +235,44 @@ def build_series(
     grid_t0: float,
     step: Optional[float],
 ) -> List[ResultSeries]:
-    """Slice reduced ``(group, bin)`` rows — group-major, bins ascending —
+    """Split reduced ``(group, bin)`` rows — group-major, bins ascending —
     into one read-only result series per group (bin ``b`` stamped
-    ``grid_t0 + b * step``; every bin of an instant query at ``grid_t0``)."""
-    times = np.full(bins.size, grid_t0) if step is None else grid_t0 + bins * step
+    ``grid_t0 + b * step``; every bin of an instant query at ``grid_t0``).
+
+    A dense result — every group holding the same bins, as a fleet-wide
+    read of live series does — is built from the rows of one ``(group,
+    bin)`` values block over one shared ``times`` (:func:`dense_series`);
+    any other is sliced group by group (:func:`sliced_series`).
+    """
+    if gidx.size == 0:
+        return []
     vals = np.ascontiguousarray(vals, dtype=np.float64)
-    # freeze the parents once — the per-group slices are views and
-    # inherit read-only
-    _freeze(times)
+    dense = dense_series(labels, gidx, bins, vals, grid_t0, step)
+    return dense if dense is not None else sliced_series(labels, gidx, bins, vals, grid_t0, step)
+
+
+def dense_series(labels, gidx, bins, vals, grid_t0, step) -> Optional[List[ResultSeries]]:
+    """:func:`build_series` of rows in which every group holds the same
+    bins — row views of one frozen values block, one frozen ``times``
+    shared by every series — or ``None`` when the groups differ."""
+    n = gidx.size
+    width = int(np.argmax(gidx != gidx[0])) or n  # rows of the first group
+    if n % width:
+        return None
+    g2, b2 = gidx.reshape(-1, width), bins.reshape(-1, width)
+    if not ((g2 == g2[:, :1]).all() and (b2 == b2[0]).all()):
+        return None
+    times = _freeze(np.full(width, grid_t0) if step is None else grid_t0 + b2[0] * step)
+    rows = _freeze(vals.reshape(-1, width))
+    return list(map(
+        ResultSeries, map(labels.__getitem__, g2[:, 0].tolist()), itertools.repeat(times), rows,
+    ))
+
+
+def sliced_series(labels, gidx, bins, vals, grid_t0, step) -> List[ResultSeries]:
+    """:func:`build_series` group by group: slices of one frozen
+    ``times`` and one frozen ``vals`` (views inherit read-only)."""
+    times = _freeze(np.full(gidx.size, grid_t0) if step is None else grid_t0 + bins * step)
     _freeze(vals)
     starts, ends = segment_bounds(gidx)
     return [
@@ -551,20 +574,14 @@ class QueryEngine:
         if since is not None:
             t0 = max(t0, since)
         params = {"t0": t0, "t1": t1, "since": since}
-        chunks: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        # chunks come back labeled with the selection position, not a group index
-        for res in self._scatter("samples", plan, params, label="sel"):
-            if res is not None:
-                chunks.extend(zip(res["sel"], res["times"], res["values"]))
-        if not chunks:
+        # samples come back labeled with the selection position, not a group index
+        parts = [r for r in self._scatter("samples", plan, params, label="sel") if r is not None]
+        if not parts:
             return np.empty(0), np.empty(0)
-        if len(chunks) == 1:
-            return chunks[0][1], chunks[0][2]
-        chunks.sort(key=lambda c: c[0])
-        times = np.concatenate([c[1] for c in chunks])
-        values = np.concatenate([c[2] for c in chunks])
-        order = np.argsort(times, kind="stable")
-        return times[order], values[order]
+        cols = concat_rows(parts)
+        # by time, ties in selection order, then in window order
+        order = np.lexsort((cols["sel"], cols["times"]))
+        return cols["times"][order], cols["values"][order]
 
     def select(self, q: MetricQuery) -> List[SeriesKey]:
         """Series keys matching the query's metric + label matchers, in
@@ -625,13 +642,13 @@ class QueryEngine:
         # the rows of each place back to back, (group, rank) order kept
         places = index.places[pos]
         by_place = np.argsort(places, kind="stable")
-        rows = [col[by_place].tolist() for col in (index.sids[pos], gidx, rank, order)]
+        rows = np.stack([index.sids[pos], gidx, rank, order])[:, by_place]
         shards = []
         lo = 0
         for n_here in np.bincount(places, minlength=index.n_places).tolist():
-            shards.append(ShardWork(*(col[lo:lo + n_here] for col in rows)))
+            shards.append(ShardWork(rows[:, lo:lo + n_here]))
             lo += n_here
-        fanout = sum(1 for work in shards if work.sids)
+        fanout = sum(1 for work in shards if work.sids.size)
         return QueryPlan(
             index.generation, labels, keys, starts.tolist() + [n] if n else [0], shards, fanout
         )
@@ -756,14 +773,9 @@ class QueryEngine:
         """Oldest retained sample at or before ``t1`` over the planned
         series (``t1`` when there is none): the floor of a window with
         no ``range_s``."""
-        earliest = t1
         rings = self.store.rings
-        for work in plan.shards:
-            for sid in work.sids:
-                first = rings.earliest_time(sid)
-                if first is not None and first <= t1:
-                    earliest = min(earliest, first)
-        return earliest
+        firsts = (rings.earliest_time(sid) for w in plan.shards for sid in w.sids.tolist())
+        return min([t1, *(first for first in firsts if first is not None)])
 
     @staticmethod
     def _grid(t0: float, t1: float, step: float) -> Tuple[float, int]:
@@ -786,19 +798,17 @@ class QueryEngine:
         tracing), with per-place ``scatter.shard`` children — however
         and wherever the pass ran.
         """
-        alone = None
-        if singleton:
-            alone = [hi - lo == 1 for lo, hi in zip(plan.bounds, plan.bounds[1:])]
+        alone = np.diff(plan.bounds) == 1 if singleton else None
         tasks = [
             (s, {
                 "kind": kind,
                 "sids": w.sids,
                 "gidxs": getattr(w, label),
                 "ranks": w.rank,
-                "singleton": [alone[g] for g in w.gidx] if singleton else None,
+                "singleton": alone[w.gidx] if singleton else None,
                 "params": params,
             })
-            for s, w in enumerate(plan.shards) if w.sids
+            for s, w in enumerate(plan.shards) if w.sids.size
         ]
         if TRACER.enabled:
             with TRACER.span("federated.scatter", kind=kind, fanout=len(tasks)):

@@ -61,8 +61,7 @@ from repro.telemetry.tsdb import (
     DenseRings,
     TimeSeriesStore,
     heap_alloc,
-    ring_gather,
-    ring_window_ranges,
+    ring_window,
 )
 
 #: Column names of one rollup row, in storage order.
@@ -97,9 +96,12 @@ class DenseTier(DenseRings):
 
     The :class:`~repro.telemetry.tsdb.DenseRings` of the seven
     :data:`ROW_COLUMNS` plus a per-series fold watermark ``wm`` (end of
-    the last folded bin; NaN = unset).  The scalar reads
-    (:meth:`watermark`, :meth:`window`) are the query engines' surface;
-    the inherited vector operations serve :class:`CascadeFolder`.
+    the last folded bin; NaN = unset).  The query passes read every
+    selected series at once (:meth:`watermarks`, the inherited
+    :meth:`~repro.telemetry.tsdb.DenseRings.windows`); the scalar reads
+    (:meth:`watermark`, :meth:`window`) serve the aged-out instant
+    fallback and the tests' oracles; the other vector operations serve
+    :class:`CascadeFolder`.
     """
 
     def __init__(self, resolution_s: float, capacity: int = 4096, lanes: int = 1) -> None:
@@ -121,6 +123,16 @@ class DenseTier(DenseRings):
         w = loc[0].wm.item(loc[1])
         return None if w != w else w
 
+    def watermarks(self, sids: np.ndarray) -> np.ndarray:
+        """:meth:`watermark` of each of ``sids`` (any order; NaN = unset)."""
+        if len(self._chunks) == 1 and sids.max(initial=-1) < self.n_series:
+            return self.take("wm", sids)
+        out = np.full(sids.size, np.nan)
+        pos = np.flatnonzero(sids < self.n_series)
+        pos = pos[np.argsort(sids[pos], kind="stable")]
+        out[pos] = self.take("wm", sids[pos])
+        return out
+
     def window(self, sid: int, t0: float, t1: float) -> Optional[Dict[str, np.ndarray]]:
         """Rows whose bin start lies in the half-open range ``[t0, t1)``,
         copying only the selected rows; ``None`` when ``sid`` has none."""
@@ -131,11 +143,8 @@ class DenseTier(DenseRings):
         count = chunk.count.item(i)
         if count == 0:
             return None
-        rings = chunk.rows[i]
-        ranges = ring_window_ranges(
-            rings[0], chunk.head.item(i), count, t0, t1, right_inclusive=False
-        )
-        return dict(zip(ROW_COLUMNS, ring_gather(rings, ranges)))
+        rows = ring_window(chunk.rows[i], chunk.head.item(i), count, t0, t1, right_inclusive=False)
+        return dict(zip(ROW_COLUMNS, rows))
 
     def oldest_time(self, sids: np.ndarray) -> np.ndarray:
         """Bin start of the oldest retained row of each (non-empty) series."""

@@ -556,9 +556,9 @@ class StandingProvider:
         silently drop that place's series from the merge."""
         tasks = []
         for s, work in enumerate(plan.shards):
-            if work.sids:
-                sids, gidx, rank = work.arrays()
-                tasks.append((s, {"step": step, "sids": sids, "gidxs": gidx, "ranks": rank,
+            if work.sids.size:
+                tasks.append((s, {"step": step, "sids": work.sids, "gidxs": work.gidx,
+                                  "ranks": work.rank,
                                   "b0": b0, "b1": b1, "want_rate": want_rate}))
         chunks = []
         pool = self.engine.store.pool

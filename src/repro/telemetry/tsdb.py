@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import mmap
 from bisect import bisect_right
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,79 +64,55 @@ def heap_alloc(count: int) -> Tuple[np.ndarray, None]:
 # --------------------------------------------------------------------------
 # Shared ring machinery.  A "ring" here is a set of parallel fixed-capacity
 # arrays written at a common head; the wraparound invariants live in these
-# helpers and in DenseRings.append_rows, nowhere else.
+# helpers and in DenseRings.append_rows / windows, nowhere else.
 
 
-def ring_extend(
-    arrays: Iterable[np.ndarray],
-    head: int,
-    count: int,
-    new_cols: Iterable[np.ndarray],
-) -> Tuple[int, int]:
-    """Bulk-append parallel columns into parallel ring arrays.
-
-    Returns the new ``(head, count)``.  Handles the three write shapes:
-    whole-ring replacement (``n >= capacity``), contiguous, and split
-    across the wrap point.  Callers validate ordering/overlap.
-    """
-    arrays = list(arrays)
-    new_cols = list(new_cols)
-    capacity = arrays[0].shape[0]
-    n = int(new_cols[0].size)
-    if n == 0:
-        return head, count
-    if n >= capacity:
-        for dst, src in zip(arrays, new_cols):
-            dst[:] = src[-capacity:]
-        return 0, capacity
-    end = head + n
-    if end <= capacity:
-        for dst, src in zip(arrays, new_cols):
-            dst[head:end] = src
-    else:
-        split = capacity - head
-        for dst, src in zip(arrays, new_cols):
-            dst[head:] = src[:split]
-            dst[: end % capacity] = src[split:]
-    return end % capacity, min(count + n, capacity)
-
-
-def ring_window_ranges(
-    times: np.ndarray,
-    head: int,
-    count: int,
-    t0: float,
-    t1: float,
-    *,
-    right_inclusive: bool,
-) -> list[Tuple[int, int]]:
-    """Absolute ``[lo, hi)`` index ranges of the window ``t0..t1``.
+def ring_window(
+    rings: np.ndarray, head: int, count: int, t0: float, t1: float, *, right_inclusive: bool
+) -> np.ndarray:
+    """Copy of the rows of one series' ``(column, slot)`` rings whose
+    column 0 lies in ``t0..t1``, in time order.
 
     A wrapped ring is two independently sorted segments (``[head:]``
     then ``[:head]``, every timestamp of the first <= the second), so
-    each can be binary-searched on its own — the window costs
-    O(log capacity + answer), never a full-ring copy.
+    each is binary-searched on its own — the window costs O(log capacity
+    + answer), never a full-ring copy.
     """
     side = "right" if right_inclusive else "left"
-    capacity = times.shape[0]
-    if count < capacity:
-        seg = times[:count]
-        return [(seg.searchsorted(t0, side="left"), seg.searchsorted(t1, side=side))]
-    seg1, seg2 = times[head:], times[:head]
-    return [
-        (head + seg1.searchsorted(t0, side="left"), head + seg1.searchsorted(t1, side=side)),
-        (seg2.searchsorted(t0, side="left"), seg2.searchsorted(t1, side=side)),
-    ]
-
-
-def ring_gather(arr: np.ndarray, ranges: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """Copy the selected index ranges of a ring (its last axis), in order."""
-    parts = [arr[..., lo:hi] for lo, hi in ranges if hi > lo]
+    times = rings[0]
+    parts = []
+    for a, b in [(0, count)] if count < times.size else [(head, times.size), (0, head)]:
+        seg = times[a:b]
+        lo, hi = a + seg.searchsorted(t0, side="left"), a + seg.searchsorted(t1, side=side)
+        if hi > lo:
+            parts.append(rings[:, lo:hi])
     if not parts:
-        return np.empty(arr.shape[:-1] + (0,), dtype=arr.dtype)
-    if len(parts) == 1:
-        return parts[0].copy()
-    return np.concatenate(parts, axis=-1)
+        return np.empty((rings.shape[0], 0))
+    return parts[0].copy() if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``[starts[i], starts[i] + lens[i])``,
+    back to back."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens)
+
+
+def runs_in_order(n: int, parts: List[Tuple], n_cols: int) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Windows read in parts — ``(positions, columns, lens)`` of disjoint
+    positions — as ``(columns, lens)`` of positions ``0..n-1`` (a
+    position in no part has no rows)."""
+    starts, lens = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    offset = 0
+    for pos, _, part_lens in parts:
+        ends = np.cumsum(part_lens)
+        starts[pos], lens[pos] = offset + ends - part_lens, part_lens
+        offset += int(ends[-1])
+    at = runs(starts, lens)
+    return [
+        np.concatenate([part[1][c] for part in parts])[at] if parts else np.empty(0)
+        for c in range(n_cols)
+    ], lens
 
 
 class _RingChunk:
@@ -153,9 +129,11 @@ class _RingChunk:
             self._slots = j % lanes * (n // lanes) + j // lanes
             self._slots.flags.writeable = False  # :meth:`slots_of` hands it out
         cells = n * n_cols * capacity
+        #: the cells, flat: what :meth:`DenseRings.windows` indexes
+        self.flat = block[:cells]
         #: ``(series, column, ring slot)``: a series' rings are adjacent,
         #: so one series' window is a single 2-D slice
-        self.rows = block[:cells].reshape(n, n_cols, capacity)
+        self.rows = self.flat.reshape(n, n_cols, capacity)
         #: the same cells as one ``(series, ring slot)`` view per column
         self.cols = [self.rows[:, k, :] for k in range(n_cols)]
         for k, (name, dtype, fill) in enumerate(vectors):
@@ -178,6 +156,16 @@ class _RingChunk:
         if self._slots is not None and idx.size == self._slots.size:
             return self._slots
         return self.slot(idx)
+
+
+#: :meth:`DenseRings.windows` reads at most this many series ring by
+#: ring.  The kernel's fixed steps (~40 NumPy calls, ~9 more per bisect
+#: halving) cost ≈ 100 µs a call, a ring read by itself ≈ 5 µs.  On the
+#: 2-vCPU development host (4 places, 512 series, 10/60/600 s tiers,
+#: rings of 72 and 400 samples) drill-downs over n series per place broke
+#: even at n = 20–24, as a grouped ``mean`` by step (tier rows + raw
+#: tails) and as an instant ``max``; at 64 the kernel was ×1.7 faster.
+WINDOW_LOOP_SERIES = 24
 
 
 class DenseRings:
@@ -283,6 +271,91 @@ class DenseRings:
             for dst, k in zip(out, columns):
                 dst[lo:hi] = chunk.cols[k][local, slots[lo:hi]]
         return out
+
+    def windows(
+        self, ids: np.ndarray, lo, hi, *, right_inclusive: bool
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The rows of each series ``ids[i]`` whose column 0 lies in
+        ``[lo, hi]`` (``[lo, hi)`` unless ``right_inclusive``), time
+        ordered: ``(columns, lens)``, every column the rows of all series
+        back to back in ``ids`` order, ``lens[i]`` rows of ``ids[i]``.
+
+        The twin of :meth:`append_rows` for reads, in a fixed number of
+        array steps whatever the number of series: ``head``/``count``
+        with one take, one bisect over every selected ring at once — a
+        ring read from its oldest row is sorted, so each edge is the
+        count of rows below it, found in ⌈log₂ count⌉ halving steps —
+        and one gather per column.  ``lo``/``hi`` are scalars or one
+        value per series; ``ids`` come in any order and may include
+        indices without storage (no rows).
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size <= WINDOW_LOOP_SERIES:
+            return self._window_loop(ids, lo, hi, right_inclusive)
+        lo = np.asarray(lo, dtype=np.float64)
+        # t <= hi  <=>  t < the next float above hi
+        hi = np.nextafter(hi, np.inf) if right_inclusive else np.asarray(hi, dtype=np.float64)
+        if len(self._chunks) == 1 and ids.max(initial=-1) < self.n_series:
+            return self._chunk_windows(self._chunks[0], ids, lo, hi)
+        which = np.searchsorted(self._ends, ids, side="right")
+        return runs_in_order(ids.size, [
+            (pos, *self._chunk_windows(self._chunks[k], ids[pos], *(
+                edge[pos] if edge.ndim else edge for edge in (lo, hi))))
+            for k in np.unique(which[which < len(self._chunks)]).tolist()
+            for pos in [np.flatnonzero(which == k)]
+        ], self._n_cols)
+
+    def _chunk_windows(self, chunk: _RingChunk, ids, lo, hi) -> Tuple[List[np.ndarray], np.ndarray]:
+        """:meth:`windows` of ``ids`` of one chunk, ``hi`` exclusive."""
+        cap, k = self.capacity, ids.size
+        local = chunk.slot(ids)
+        count = chunk.count[local]
+        start = (chunk.head[local] - count) % cap  # slot of the oldest row
+        base = local * (self._n_cols * cap)
+        # both edges at once: ``below[i]`` rows of ring ``i % k`` are < ``target[i]``
+        target = np.empty(2 * k)
+        target[:k], target[k:] = lo, hi
+        count2, origin, base2 = (np.concatenate([x, x]) for x in (count, start - 1, base))
+        below = np.zeros(2 * k, dtype=np.int64)
+        step = 1 << max(int(count.max(initial=0)).bit_length() - 1, 0)
+        while step:
+            cand = below + step
+            ok = cand <= count2
+            ok &= chunk.flat.take((origin + cand) % cap + base2) < target
+            below = np.where(ok, cand, below)
+            step >>= 1
+        lens = np.maximum(below[k:] - below[:k], 0)
+        # a window is one run of slots, or two where it wraps
+        slot = (start + below[:k]) % cap
+        tail = np.minimum(lens, cap - slot)
+        if (tail == lens).all():
+            at = runs(base + slot, lens)
+        else:
+            at = runs(np.stack([base + slot, base], 1).ravel(),
+                      np.stack([tail, lens - tail], 1).ravel())
+        return [chunk.flat[c * cap:].take(at) for c in range(self._n_cols)], lens
+
+    def _window_loop(self, ids, lo, hi, right_inclusive) -> Tuple[List[np.ndarray], np.ndarray]:
+        """:meth:`windows` ring by ring: two ``searchsorted`` per ring
+        segment and one slice copy, cheaper than the kernel's fixed
+        array steps for a few series."""
+        n = ids.size
+        los = lo.tolist() if isinstance(lo, np.ndarray) else [lo] * n
+        his = hi.tolist() if isinstance(hi, np.ndarray) else [hi] * n
+        lens = [0] * n
+        parts = []
+        for i, idx in enumerate(ids.tolist()):
+            loc = self._locate(idx)
+            if loc is not None:
+                chunk, j = loc
+                rows = ring_window(chunk.rows[j], chunk.head.item(j), chunk.count.item(j),
+                                   los[i], his[i], right_inclusive=right_inclusive)
+                lens[i] = rows.shape[1]
+                parts.append(rows)
+        lens = np.array(lens, dtype=np.int64)
+        if not parts:
+            return [np.empty(0) for _ in range(self._n_cols)], lens
+        return list(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), lens
 
     def append_rows(
         self, ids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray],
@@ -476,21 +549,6 @@ class RawRings:
         chunk.last[i] = t
         return True
 
-    def extend(self, sid: int, times: np.ndarray, values: np.ndarray) -> bool:
-        """Append one series' time-sorted samples; False if it has no ring."""
-        loc = self._at(sid)
-        if loc is None:
-            return False
-        chunk, i = loc
-        if times[0] < chunk.last.item(i):
-            raise ValueError("bulk append overlaps existing data")
-        chunk.head[i], chunk.count[i] = ring_extend(
-            chunk.rows[i], chunk.head.item(i), chunk.count.item(i), (times, values)
-        )
-        chunk.written[i] = chunk.written.item(i) + times.size
-        chunk.last[i] = times[-1]
-        return True
-
     def append(self, sids: np.ndarray, lens: np.ndarray, times: np.ndarray,
                values: np.ndarray) -> None:
         """The batch write: ``lens[j] > 0`` time-sorted samples, back to
@@ -559,11 +617,34 @@ class RawRings:
         if loc is None:
             return np.empty(0), np.empty(0)
         chunk, i = loc
-        times, values = chunk.cols[0][i], chunk.cols[1][i]
-        ranges = ring_window_ranges(
-            times, chunk.head.item(i), chunk.count.item(i), t0, t1, right_inclusive=True
+        times, values = ring_window(
+            chunk.rows[i], chunk.head.item(i), chunk.count.item(i), t0, t1, right_inclusive=True
         )
-        return ring_gather(times, ranges), ring_gather(values, ranges)
+        return times, values
+
+    def windows(
+        self, sids: np.ndarray, lo, hi, *, right_inclusive: bool = True
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`window` of every series of ``sids`` at once:
+        ``(times, values, lens)``, the points of all series back to back
+        in ``sids`` order (:meth:`DenseRings.windows`, per capacity
+        class).  A series without a ring has none."""
+        sids = np.asarray(sids, dtype=np.int64)
+        if len(self.classes) == 1:  # a series of another class has no rows here
+            (times, values), lens = next(iter(self.classes.values())).windows(
+                sids, lo, hi, right_inclusive=right_inclusive
+            )
+            return times, values, lens
+        caps = np.zeros(sids.size, dtype=np.int64)  # 0: no ring
+        known = sids < self._cap.size
+        caps[known] = self._cap[sids[known]]
+        lo, hi = np.broadcast_to(lo, sids.shape), np.broadcast_to(hi, sids.shape)
+        (times, values), lens = runs_in_order(sids.size, [
+            (pos, *self.classes[cap].windows(
+                sids[pos], lo[pos], hi[pos], right_inclusive=right_inclusive))
+            for cap in np.unique(caps[caps > 0]).tolist() for pos in [np.flatnonzero(caps == cap)]
+        ], 2)
+        return times, values, lens
 
     def retained(self, sid: int) -> Tuple[np.ndarray, np.ndarray, bool]:
         """All retained points in time order, and whether older ones
@@ -862,9 +943,10 @@ class TimeSeriesStore:
         if times.size == 0:
             return
         sid = self.registry.id_for(key)
-        if not self.rings.extend(sid, times, values):
-            self._admit(np.array([sid], dtype=np.int64))
-            self.rings.extend(sid, times, values)
+        sids = np.array([sid], dtype=np.int64)
+        if not self.rings.capacities(sids).all():
+            self._admit(sids)
+        self.rings.append(sids, np.array([times.size]), times, values)
         self.total_inserts += int(times.size)
         self.versions.epochs[self._metric_of.item(sid)] += 1
         if self._listeners:

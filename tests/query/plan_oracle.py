@@ -10,6 +10,8 @@ index-built :class:`~repro.query.engine.QueryPlan` must equal.
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.query.engine import GroupLabels, QueryPlan, ShardWork
 from repro.query.model import MetricQuery
 from repro.telemetry.metric import SeriesKey
@@ -35,18 +37,16 @@ def oracle_plan(store, q: MetricQuery) -> QueryPlan:
     labels = tuple(sorted(groups))
     keys: List[SeriesKey] = []
     bounds = [0]
-    shards = [ShardWork([], [], [], []) for _ in range(store.n_places)]
+    columns = [([], [], [], []) for _ in range(store.n_places)]
     for g, lab in enumerate(labels):
         members = sorted(groups[lab], key=lambda i: str(selected[i]))
         for rank, sel in enumerate(members):
             key = selected[sel]
             keys.append(key)
             place, sid = oracle_locate(store, key)
-            work = shards[place]
-            work.sids.append(sid)
-            work.gidx.append(g)
-            work.rank.append(rank)
-            work.sel.append(sel)
+            for col, value in zip(columns[place], (sid, g, rank, sel)):
+                col.append(value)
         bounds.append(len(keys))
-    fanout = sum(1 for work in shards if work.sids)
+    shards = [ShardWork(np.array(cols, dtype=np.int64).reshape(4, -1)) for cols in columns]
+    fanout = sum(1 for work in shards if work.sids.size)
     return QueryPlan(store.series_generation(q.metric), labels, keys, bounds, shards, fanout)

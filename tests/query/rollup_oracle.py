@@ -8,14 +8,48 @@ arithmetic is unchanged, so the comparison is exact, not a tolerance.
 """
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.query.kernels import PartialBins
 from repro.query.rollup import ROW_COLUMNS
 from repro.telemetry.batch import sort_series_columns
-from repro.telemetry.tsdb import ring_extend, ring_gather, ring_window_ranges
+from repro.telemetry.tsdb import ring_window
+
+
+def ring_extend(
+    arrays: Iterable[np.ndarray],
+    head: int,
+    count: int,
+    new_cols: Iterable[np.ndarray],
+) -> Tuple[int, int]:
+    """Bulk-append parallel columns into parallel ring arrays.
+
+    Returns the new ``(head, count)``.  Handles the three write shapes:
+    whole-ring replacement (``n >= capacity``), contiguous, and split
+    across the wrap point.  Callers validate ordering/overlap.
+    """
+    arrays = list(arrays)
+    new_cols = list(new_cols)
+    capacity = arrays[0].shape[0]
+    n = int(new_cols[0].size)
+    if n == 0:
+        return head, count
+    if n >= capacity:
+        for dst, src in zip(arrays, new_cols):
+            dst[:] = src[-capacity:]
+        return 0, capacity
+    end = head + n
+    if end <= capacity:
+        for dst, src in zip(arrays, new_cols):
+            dst[head:end] = src
+    else:
+        split = capacity - head
+        for dst, src in zip(arrays, new_cols):
+            dst[head:] = src[:split]
+            dst[: end % capacity] = src[split:]
+    return end % capacity, min(count + n, capacity)
 
 
 class StatRing:
@@ -39,10 +73,9 @@ class StatRing:
         )
 
     def window(self, t0: float, t1: float) -> Dict[str, np.ndarray]:
-        ranges = ring_window_ranges(
-            self._cols["time"], self._head, self._count, t0, t1, right_inclusive=False
-        )
-        return {name: ring_gather(arr, ranges) for name, arr in self._cols.items()}
+        rings = np.stack([self._cols[name] for name in ROW_COLUMNS])
+        rows = ring_window(rings, self._head, self._count, t0, t1, right_inclusive=False)
+        return dict(zip(ROW_COLUMNS, rows))
 
 
 def _partial_to_rows(
