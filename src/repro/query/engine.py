@@ -262,11 +262,14 @@ def dense_series(labels, gidx, bins, vals, grid_t0, step) -> Optional[List[Resul
     g2, b2 = gidx.reshape(-1, width), bins.reshape(-1, width)
     if not ((g2 == g2[:, :1]).all() and (b2 == b2[0]).all()):
         return None
-    times = _freeze(np.full(width, grid_t0) if step is None else grid_t0 + b2[0] * step)
-    rows = _freeze(vals.reshape(-1, width))
-    return list(map(
-        ResultSeries, map(labels.__getitem__, g2[:, 0].tolist()), itertools.repeat(times), rows,
-    ))
+    times = np.full(width, grid_t0) if step is None else grid_t0 + b2[0] * step
+    return block_series(map(labels.__getitem__, g2[:, 0].tolist()), times, vals.reshape(-1, width))
+
+
+def block_series(labels, times: np.ndarray, rows: np.ndarray) -> List[ResultSeries]:
+    """One read-only result series per row of the values block ``rows``,
+    labels in row order, all over one ``times``."""
+    return list(map(ResultSeries, labels, itertools.repeat(_freeze(times)), _freeze(rows)))
 
 
 def sliced_series(labels, gidx, bins, vals, grid_t0, step) -> List[ResultSeries]:
@@ -298,8 +301,8 @@ def reduce_partial(
     bin)`` in canonical order — one place whose groups are single
     series, such as a one-series instant read, or several such places
     once a stable sort by group has merged their runs — skip the sort:
-    every reduction would be the identity.  Batch scatters and standing
-    reads both end here.
+    every reduction would be the identity.  Batch scatters end here, and
+    so does a standing read whose block is not one dense answer.
     """
     parts = [p for p in parts if p["gidx"].size]
     if not parts:

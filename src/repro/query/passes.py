@@ -312,32 +312,6 @@ SCATTER_FNS = {
 }
 
 
-def standing_rows(
-    grids: Dict, raw: RawRings, step: float, sids: np.ndarray, gidx: np.ndarray,
-    rank: np.ndarray, b0: int, b1: int, want_rate: bool,
-) -> Optional[Dict[str, np.ndarray]]:
-    """The standing read of one place: partial rows of the planned series
-    ``sids`` (with their ``gidx`` / ``rank`` attached, bins counted from
-    ``b0``) from the grid of ``step``, or ``None`` when the state here
-    cannot cover the window — no such grid on this side, or a series
-    whose ring holds data the grid never saw."""
-    grid = grids.get(step)
-    if grid is None:
-        return None
-    for sid in grid.incomplete(sids, b0).tolist():
-        # incomplete state only matters if the series actually holds
-        # data the batch scan would see
-        if raw.count(sid) > 0:
-            return None
-    rows = grid.rows(sids, b0, b1, want_rate=want_rate)
-    spos = rows.pop("spos")
-    rows["gidx"] = gidx[spos]
-    rows["rank"] = rank[spos]
-    rows["bin"] -= b0
-    rows["source"] = np.ones(spos.size, dtype=np.int64)  # grid rows are pooled samples
-    return rows
-
-
 def grid_stats(grids: Dict) -> Dict[str, float]:
     """Update counters summed over the standing grids of one place."""
     return {
@@ -356,13 +330,18 @@ def scatter_pass(state: ShardState, p: Dict):
 
 
 def standing_pass(state: ShardState, p: Dict) -> Tuple[Optional[Dict[str, np.ndarray]], Dict]:
-    """The place's standing rows (``None``: not covered by the grids on
-    this side) and the update counters of those grids."""
-    rows = standing_rows(
-        state.standing, state.raw, p["step"], p["sids"], p["gidxs"], p["ranks"],
-        p["b0"], p["b1"], p["want_rate"],
-    )
-    return rows, grid_stats(state.standing)
+    """The place's standing block — :meth:`StandingGrid.block` of its
+    planned ``sids``, or ``None`` when the state here cannot cover the
+    window: no grid of ``step`` on this side, or a series whose ring
+    holds data the grid never saw — and the update counters of the
+    grids here."""
+    grid = state.standing.get(p["step"])
+    sids, b0 = p["sids"], p["b0"]
+    if grid is None or any(state.raw.count(sid) > 0 for sid in grid.incomplete(sids, b0).tolist()):
+        cells = None  # incomplete state only matters for a series holding data
+    else:
+        cells = grid.block(sids, b0, p["b1"], p["columns"])
+    return cells, grid_stats(state.standing)
 
 
 def fold_pass(state: ShardState, p: Dict) -> Dict[str, int]:

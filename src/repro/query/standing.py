@@ -9,9 +9,9 @@ into a **standing query**: per-series partial-aggregate state — ``(sum,
 count, sumsq, min, max, last)`` per absolute time-grid bin, so ``mean``
 / ``std`` / ``rate`` derive exactly — maintained O(new samples) from
 :meth:`TimeSeriesStore.add_ingest_listener` callbacks on commit.  A read
-then gathers the maintained per-(series, bin) rows with the batch
-engine's own canonical merge (:func:`~repro.query.engine.reduce_partial`)
-instead of re-scanning raw rings.
+takes that state as it is kept — one ``(series × bin)`` block per state
+column, each place's rows landed at their plan positions — and reduces
+the block instead of re-scanning raw rings.
 
 Exactness contract (property-tested against the batch engine and the
 brute-force reference): range queries always evaluate over *complete*
@@ -41,11 +41,11 @@ Layout and lifecycle:
   (``store.pool``) — the grids each worker keeps over its places.  A
   read is the ``standing`` pass of :mod:`repro.query.passes` run on
   every touched place through the engine's ``_run_on_shards``,
-  wherever that runs it.
+  wherever that runs it, into one block in plan order without a sort.
 * :class:`StandingQueryEngine` — the serving layer: the read path's one
   promotion rule (an eligible shape read at its third distinct
-  evaluation time is registered), reads merged from provider rows over
-  the batch engine's memoised
+  evaluation time is registered), one reduction of the provider's block
+  over the batch engine's memoised
   :class:`~repro.query.engine.QueryPlan`, and **epoch-keyed snapshots**
   — a result is keyed by ``(at, metric epoch, series generation)``, so
   repeated reads inside one tick are served from the snapshot and any
@@ -67,8 +67,8 @@ from repro.query.engine import (
     QueryResult,
     ResultSeries,
     _Memo,
+    block_series,
     build_series,
-    concat_rows,
     reduce_partial,
 )
 from repro.query.kernels import PARTIAL_AGGS, segment_bounds
@@ -94,6 +94,12 @@ class StandingGrid:
     exact: within one commit a series' samples arrive time-sorted, and
     across commits each ``(series, bin)`` accumulator only ever appends.
     """
+
+    #: ``(series, bin-slot)`` state by the column name a read asks for:
+    #: ``(attribute, empty value)``; the last two only with ``track_rate``
+    CELLS = {"sum": ("sum", 0.0), "count": ("count", 0.0), "sumsq": ("sumsq", 0.0),
+             "min": ("vmin", np.inf), "max": ("vmax", -np.inf), "last_t": ("last_t", -np.inf),
+             "last_v": ("last_v", np.nan), "inc": ("inc", 0.0), "first_inc": ("first_inc", 0.0)}
 
     def __init__(
         self,
@@ -125,16 +131,10 @@ class StandingGrid:
         self.complete_from = np.empty(0, dtype=np.int64)
         self._prev_t = np.empty(0, dtype=np.float64)
         self._prev_v = np.empty(0, dtype=np.float64)
-        shape = (0, self.n_slots)
-        self.sum = np.empty(shape)
-        self.count = np.empty(shape)
-        self.sumsq = np.empty(shape)
-        self.vmin = np.empty(shape)
-        self.vmax = np.empty(shape)
-        self.last_t = np.empty(shape)
-        self.last_v = np.empty(shape)
-        self.inc = np.empty(shape)
-        self.first_inc = np.empty(shape)
+        for attr, _ in self.CELLS.values():
+            setattr(self, attr, np.empty((0, self.n_slots)))
+        #: ``(attribute, empty value)`` of every state array kept here
+        self._kept = list(self.CELLS.values())[: None if self.track_rate else -2]
 
     # ------------------------------------------------------------- sizing
     @staticmethod
@@ -161,27 +161,17 @@ class StandingGrid:
             arr[: self._cap] = old
             return arr
 
-        def grow2(old: np.ndarray, fill: float) -> np.ndarray:
-            arr = np.full((cap, self.n_slots), fill)
-            arr[: self._cap] = old
-            return arr
-
         self._known = grow1(self._known, False, bool)
         self._tracked = grow1(self._tracked, False, bool)
         self._floor_t = grow1(self._floor_t, -np.inf)
         self.complete_from = grow1(self.complete_from, _POS_BIG, np.int64)
-        self.sum = grow2(self.sum, 0.0)
-        self.count = grow2(self.count, 0.0)
-        self.sumsq = grow2(self.sumsq, 0.0)
-        self.vmin = grow2(self.vmin, np.inf)
-        self.vmax = grow2(self.vmax, -np.inf)
-        self.last_t = grow2(self.last_t, -np.inf)
-        self.last_v = grow2(self.last_v, np.nan)
         if self.track_rate:
             self._prev_t = grow1(self._prev_t, -np.inf)
             self._prev_v = grow1(self._prev_v, np.nan)
-            self.inc = grow2(self.inc, 0.0)
-            self.first_inc = grow2(self.first_inc, 0.0)
+        for attr, fill in self._kept:
+            arr = np.full((cap, self.n_slots), fill)
+            arr[: self._cap] = getattr(self, attr)
+            setattr(self, attr, arr)
         self._cap = cap
 
     def _advance(self, hi_new: int) -> None:
@@ -196,16 +186,8 @@ class StandingGrid:
             cols: Union[slice, np.ndarray] = slice(None)
         else:
             cols = (self.hi_bin + 1 + np.arange(jump)) % self.n_slots
-        self.sum[:, cols] = 0.0
-        self.count[:, cols] = 0.0
-        self.sumsq[:, cols] = 0.0
-        self.vmin[:, cols] = np.inf
-        self.vmax[:, cols] = -np.inf
-        self.last_t[:, cols] = -np.inf
-        self.last_v[:, cols] = np.nan
-        if self.track_rate:
-            self.inc[:, cols] = 0.0
-            self.first_inc[:, cols] = 0.0
+        for attr, fill in self._kept:
+            getattr(self, attr)[:, cols] = fill
         self.hi_bin = hi_new
 
     # ------------------------------------------------------------- ingest
@@ -353,62 +335,61 @@ class StandingGrid:
                 fi = np.where(pred_heads, inc_heads, 0.0)
                 self.first_inc.ravel()[flat[newbin]] = fi[newbin]
 
-    def backfill_series(
+    def backfill_many(
         self,
-        sid: int,
+        sids: np.ndarray,
         times: np.ndarray,
         values: np.ndarray,
-        *,
-        evicted: bool,
-        floor: Optional[float] = None,
+        lens: np.ndarray,
+        evicted: np.ndarray,
+        floors: Optional[np.ndarray] = None,
     ) -> None:
-        """Bootstrap one series from its retained ring window.
+        """Bootstrap the series ``sids`` from their retained ring windows
+        (:meth:`RawRings.retained`: ``lens[i]`` points of ``sids[i]``,
+        back to back) with one advance and one fold — the state each
+        series would leave if bootstrapped by itself.
 
-        ``evicted`` marks a ring that has wrapped: the bin holding its
+        ``evicted[i]`` marks a ring that has wrapped: the bin holding its
         oldest retained sample may have lost older samples, so the series
-        is complete only from the *next* bin on.  ``floor`` (crash-
+        is complete only from the *next* bin on.  ``floors`` (crash-
         respawn replay) additionally drops future listener deliveries at
-        or below that time — best-effort boundary semantics shared with
-        the parallel tier's recovery path.
+        or below each series' floor — best-effort boundary semantics
+        shared with the parallel tier's recovery path.
         """
-        sid = int(sid)
-        if sid >= self._cap:
-            self._grow(sid + 1)
-        self._known[sid] = True
-        self._tracked[sid] = True
-        if floor is not None:
-            self._floor_t[sid] = float(floor)
+        sids = np.asarray(sids, dtype=np.int64)
+        if sids.size == 0:
+            return
+        if int(sids.max()) >= self._cap:
+            self._grow(int(sids.max()) + 1)
+        self._known[sids] = True
+        self._tracked[sids] = True
+        if floors is not None:
+            self._floor_t[sids] = floors
             self._has_floor = True
+        ids = np.repeat(sids, lens)
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        if times.size == 0:
-            self.complete_from[sid] = _NEG_BIG
-            return
         bins = np.floor(times / self.step).astype(np.int64)
+        has = lens > 0
+        lo = np.full(sids.size, _NEG_BIG, dtype=np.int64)
+        lo[has] = np.where(evicted[has], bins[(np.cumsum(lens) - lens)[has]] + 1, _NEG_BIG)
+        self.complete_from[sids] = lo
+        if ids.size == 0:
+            return
         inc = has_pred = None
-        if self.track_rate:
-            # increases over the retained trajectory; the oldest retained
-            # sample has no known predecessor
-            deltas = np.diff(values)
-            inc = np.concatenate([[0.0], np.where(deltas >= 0.0, deltas, values[1:])])
-            has_pred = np.ones(times.size, dtype=bool)
-            has_pred[0] = False
-            self._prev_t[sid] = times[-1]
-            self._prev_v[sid] = values[-1]
-        self._advance(int(bins[-1]))
-        lo = int(bins[0]) + 1 if evicted else _NEG_BIG
-        self.complete_from[sid] = lo
-        lo_valid = self.hi_bin - self.n_slots + 1
-        keep = bins >= max(lo, lo_valid)
+        if self.track_rate:  # a series' oldest retained sample has no known predecessor
+            self._prev_t[ids] = -np.inf
+            inc, has_pred = self._commit_increases(ids, times, values)
+        self._advance(int(bins.max()))
+        keep = bins >= np.maximum(np.repeat(lo, lens), self.hi_bin - self.n_slots + 1)
         if not keep.all():
-            times, values, bins = times[keep], values[keep], bins[keep]
+            ids, times, values, bins = ids[keep], times[keep], values[keep], bins[keep]
             if self.track_rate:
                 inc, has_pred = inc[keep], has_pred[keep]
-            if times.size == 0:
+            if ids.size == 0:
                 return
-        ids = np.full(times.size, sid, dtype=np.int64)
         self._fold_segments(ids, times, values, bins, inc, has_pred)
-        self.updates_applied += int(times.size)
+        self.updates_applied += int(ids.size)
 
     # -------------------------------------------------------------- reads
     def incomplete(self, sids: np.ndarray, b0: int) -> np.ndarray:
@@ -429,49 +410,38 @@ class StandingGrid:
         bad[known] = ~self._tracked[ks] | (self.complete_from[ks] > b0)
         return sids[bad]
 
-    def rows(
-        self, sids: np.ndarray, b0: int, b1: int, *, want_rate: bool = False
+    def block(
+        self, sids: np.ndarray, b0: int, b1: int, columns: Sequence[str]
     ) -> Dict[str, np.ndarray]:
-        """Non-empty ``(series, bin)`` partial rows for absolute bins
-        ``[b0, b1]``; ``spos`` indexes into ``sids``."""
-        if want_rate and not self.track_rate:
-            raise ValueError("grid does not maintain rate state")
+        """The state of ``sids`` over absolute bins ``[b0, b1]``: one
+        ``(len(sids), b1 - b0 + 1)`` array per name of ``columns`` (keys
+        of :data:`CELLS`), each one flat ``take`` at ``sid * n_slots +
+        slot``.  Ids without state and bins the ring does not hold — past
+        ``hi_bin``, or recycled — read as empty cells (``count == 0``)."""
         sids = np.asarray(sids, dtype=np.int64)
-        b_hi = b0 - 1 if self.hi_bin is None else min(b1, self.hi_bin)
-        pos = np.nonzero(sids < self._cap)[0]
-        ssub = sids[pos]
-        cols = (b0 + np.arange(max(b_hi - b0 + 1, 0))) % self.n_slots
-        sub = self.count[np.ix_(ssub, cols)]
-        r, c = np.nonzero(sub > 0.0)
-        sel_s = ssub[r]
-        sel_c = cols[c]
-        out = {
-            "spos": pos[r],
-            "bin": (b0 + c).astype(np.int64),
-            "sum": self.sum[sel_s, sel_c],
-            "count": sub[r, c],
-            "min": self.vmin[sel_s, sel_c],
-            "max": self.vmax[sel_s, sel_c],
-            "last_t": self.last_t[sel_s, sel_c],
-            "last_v": self.last_v[sel_s, sel_c],
-        }
-        if want_rate:
-            out["inc"] = self.inc[sel_s, sel_c]
-            out["first_inc"] = self.first_inc[sel_s, sel_c]
+        lo, hi = b0, b0 - 1  # the bins of [b0, b1] the ring holds
+        if self.hi_bin is not None:
+            lo = max(b0, self.hi_bin - self.n_slots + 1)
+            hi = max(min(b1, self.hi_bin), lo - 1)
+        rows = np.flatnonzero(sids < self._cap)
+        whole = rows.size == sids.size and (lo, hi) == (b0, b1)
+        at = (sids[rows] * self.n_slots)[:, None] + np.arange(lo, hi + 1) % self.n_slots
+        out = {}
+        for name in columns:
+            attr, fill = self.CELLS[name]
+            cells = getattr(self, attr).take(at)
+            if not whole:
+                cells, held = np.full((sids.size, b1 - b0 + 1), fill), cells
+                cells[rows, lo - b0:hi - b0 + 1] = held
+            out[name] = cells
         return out
 
     def moments(self, sid: int, b0: int, b1: int) -> Dict[str, np.ndarray]:
-        """``(count, sum, sumsq)`` per bin of one series — the sufficient
-        statistics for incremental ``std``/variance derivation."""
-        rows = self.rows(np.array([sid], dtype=np.int64), b0, b1)
-        sel = rows["bin"]
-        col = sel % self.n_slots
-        return {
-            "bin": sel,
-            "count": rows["count"],
-            "sum": rows["sum"],
-            "sumsq": self.sumsq[np.full(sel.size, int(sid)), col],
-        }
+        """``(count, sum, sumsq)`` per non-empty bin of one series — the
+        sufficient statistics for incremental ``std``/variance derivation."""
+        cells = self.block([sid], b0, b1, ("count", "sum", "sumsq"))
+        keep = np.flatnonzero(cells["count"][0])
+        return {"bin": b0 + keep, **{name: col[0, keep] for name, col in cells.items()}}
 
 
 class StandingGrids:
@@ -511,9 +481,8 @@ class StandingGrids:
             self._backfill(grid, metric)
 
     def _backfill(self, grid: StandingGrid, metric: str) -> None:
-        for sid in self.store.series_ids(metric).tolist():
-            times, values, evicted = self.store.rings.retained(sid)
-            grid.backfill_series(sid, times, values, evicted=evicted)
+        sids = np.sort(self.store.series_ids(metric))
+        grid.backfill_many(sids, *self.store.rings.retained(sids))
 
 
 class StandingProvider:
@@ -524,10 +493,11 @@ class StandingProvider:
     listener, whose grids serve every place's pass.  Over a store with a
     pool each worker keeps grids over its places' series, built from the
     registrations the store announces.  A read is one ``standing`` pass
-    per touched place and the canonical gather over the rows they
-    return.  A pass that runs where no grid exists (in process with the
-    pool stopped or its worker dead) reports the window as not covered:
-    the read falls back to the batch engine.
+    per touched place, each returning the ``(series × bin)`` block of its
+    series, landed at their plan positions.  A pass that runs where no
+    grid exists (in process with the pool stopped or its worker dead)
+    reports the window as not covered: the read falls back to the batch
+    engine.
     """
 
     def __init__(self, engine: QueryEngine) -> None:
@@ -547,29 +517,39 @@ class StandingProvider:
         else:
             self.engine.store.register_standing(step, n_slots, want_rate)
 
-    def entries(
-        self, plan: QueryPlan, step: float, b0: int, b1: int, *, want_rate: bool = False
-    ) -> Optional[List[Dict[str, np.ndarray]]]:
-        """The standing rows of every touched place, bins counted from
-        ``b0``.  Any place that cannot cover the window fails the whole
-        read (``None`` -> batch fallback) — partial coverage would
-        silently drop that place's series from the merge."""
-        tasks = []
-        for s, work in enumerate(plan.shards):
-            if work.sids.size:
-                tasks.append((s, {"step": step, "sids": work.sids, "gidxs": work.gidx,
-                                  "ranks": work.rank,
-                                  "b0": b0, "b1": b1, "want_rate": want_rate}))
-        chunks = []
+    def block(
+        self, plan: QueryPlan, step: float, b0: int, b1: int, columns: Sequence[str]
+    ) -> Optional[Dict[str, np.ndarray]]:
+        """The state of every planned series over bins ``[b0, b1]``, one
+        ``(series × bin)`` array per name of ``columns``: each place's
+        block lands at its rows' plan positions (``bounds[gidx] + rank``),
+        so rows are in ``(group, rank)`` order without a sort.  A place
+        that cannot cover the window fails the read (``None`` -> batch
+        fallback): partial coverage would silently drop its series."""
+        tasks = [
+            (s, {"step": step, "sids": work.sids, "b0": b0, "b1": b1, "columns": columns})
+            for s, work in enumerate(plan.shards) if work.sids.size
+        ]
+        results = self.engine._run_on_shards("standing", tasks)
         pool = self.engine.store.pool
-        for (s, _), (rows, stats) in zip(tasks, self.engine._run_on_shards("standing", tasks)):
-            if pool is not None:
+        if pool is not None:
+            for (s, _), (_, stats) in zip(tasks, results):
                 self._reported[pool.worker_of(s)] = stats
-            if rows is None:
-                return None
-            chunks.append(rows)
+        if any(cells is None for cells, _ in results):
+            return None
         self.standing_scatters += 1
-        return chunks
+        if len(results) == 1:  # one place holds every row, in plan order
+            return results[0][0]
+        n = len(plan.keys)
+        out = {name: np.empty((n, b1 - b0 + 1)) for name in columns}
+        # a group of one series sits at its group index
+        starts = None if len(plan.labels) == n else np.asarray(plan.bounds)
+        for (s, _), (cells, _) in zip(tasks, results):
+            work = plan.shards[s]
+            at = work.gidx if starts is None else starts[work.gidx] + work.rank
+            for name, col in cells.items():
+                out[name][at] = col
+        return out
 
     def stats(self) -> Dict[str, float]:
         """``grids`` is the registered steps; the update counters are
@@ -588,13 +568,56 @@ class StandingProvider:
         return out
 
 
+#: the state column the value of a one-series group is read from
+_VALUE_CELL = {"mean": "sum", "sum": "sum", "count": "count", "min": "min", "max": "max",
+               "last": "last_v"}
+#: the columns of a partial row of the canonical merge
+_PARTIAL_CELLS = ("count", "sum", "min", "max", "last_t", "last_v")
+
+
+def _block_columns(agg: str, singles: bool) -> Tuple[str, ...]:
+    """What a read of ``agg`` takes: ``count`` (which cells hold samples)
+    and, where every group is one series, the value column alone."""
+    if agg == "rate":
+        return ("count", "inc", "first_inc")
+    return ("count", _VALUE_CELL[agg]) if singles else _PARTIAL_CELLS
+
+
+def _reduce_block(
+    cells: Dict[str, np.ndarray], agg: str, plan: QueryPlan, grid_t0: float, step: float
+) -> List[ResultSeries]:
+    """The one reduction of a standing read's block (rows in plan order).
+
+    Every group one series and every cell holding samples — a fleet-wide
+    read of live series: the values are the block, row for row.  Else
+    its non-empty cells, row-major, are the partial rows in ``(group,
+    rank, bin)`` order — canonical where groups are single series, so
+    the merge takes its no-sort path."""
+    count = cells["count"]
+    if agg != "rate" and len(plan.labels) == count.shape[0] and count.all():
+        vals = cells[_VALUE_CELL[agg]]
+        if agg == "mean":
+            vals = vals / count
+        return block_series(plan.labels, grid_t0 + np.arange(count.shape[1]) * step, vals)
+    pos, bins = np.nonzero(count)
+    rows = {name: col[pos, bins] for name, col in cells.items()}
+    sizes = np.diff(plan.bounds)
+    group = np.repeat(np.arange(sizes.size), sizes)  # of each plan position
+    rank = np.arange(group.size) - np.repeat(np.asarray(plan.bounds[:-1]), sizes)
+    rows.update(gidx=group[pos], rank=rank[pos], bin=bins, source=np.ones(pos.size, np.int64))
+    if agg == "rate":
+        return _assemble_rate(plan.labels, rows, grid_t0, step)
+    return reduce_partial([rows], agg, plan.labels, grid_t0, step)
+
+
 def _assemble_rate(
     labels: Sequence[GroupLabels],
-    chunks: List[Dict[str, np.ndarray]],
+    rows: Dict[str, np.ndarray],
     grid_t0: float,
     step: float,
 ) -> List[ResultSeries]:
-    """Windowed rate from maintained increases.
+    """Windowed rate from maintained increases, rows in ``(group, rank,
+    bin)`` order.
 
     Pass 1 applies the per-series window correction: the first non-empty
     bin of each series drops the increase carried in by its first sample
@@ -603,19 +626,12 @@ def _assemble_rate(
     a second sample.  Pass 2 pools per ``(group, bin)`` in member-rank
     order, matching the batch engine's per-series accumulation order.
     """
-    chunks = [c for c in chunks if c["gidx"].size]
-    if not chunks:
+    g, r, b, inc, cnt = (rows[name] for name in ("gidx", "rank", "bin", "inc", "count"))
+    if not g.size:
         return []
-    ent = concat_rows(chunks)
-    order = np.lexsort((ent["bin"], ent["rank"], ent["gidx"]))
-    g = ent["gidx"][order]
-    r = ent["rank"][order]
-    b = ent["bin"][order]
-    inc = ent["inc"][order].copy()
-    cnt = ent["count"][order]
     newser = np.zeros(g.size, dtype=bool)
     newser[segment_bounds(g, r)[0]] = True
-    inc[newser] -= ent["first_inc"][order][newser]
+    inc[newser] -= rows["first_inc"][newser]
     touched = np.where(newser, cnt > 1.0, cnt > 0.0)
     order2 = np.lexsort((r, b, g))
     g2 = g[order2]
@@ -751,20 +767,16 @@ class StandingQueryEngine:
 
     def _read(self, q: MetricQuery, at: float) -> Optional[QueryResult]:
         step = q.step_s
-        t1 = at
-        t0 = t1 - q.range_s
-        grid_t0, n_bins = QueryEngine._grid(t0, t1, step)
+        t0 = at - q.range_s
+        grid_t0, n_bins = QueryEngine._grid(t0, at, step)
         b0 = int(math.floor(t0 / step))
-        b1 = b0 + n_bins - 1
         plan = self.engine.plan(q)
-        ent = self.provider.entries(plan, step, b0, b1, want_rate=q.agg == "rate")
-        if ent is None:
+        columns = _block_columns(q.agg, len(plan.labels) == len(plan.keys))
+        cells = self.provider.block(plan, step, b0, b0 + n_bins - 1, columns)
+        if cells is None:
             return None
-        if q.agg == "rate":
-            series = _assemble_rate(plan.labels, ent, grid_t0, step)
-        else:
-            series = reduce_partial(ent, q.agg, plan.labels, grid_t0, step)
-        return QueryResult(q, t0, t1, tuple(series), "standing")
+        series = _reduce_block(cells, q.agg, plan, grid_t0, step)
+        return QueryResult(q, t0, at, tuple(series), "standing")
 
     def stats(self) -> Dict[str, float]:
         out = {

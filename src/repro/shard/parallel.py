@@ -313,12 +313,11 @@ class _WorkerStore(ShardState):
         self.standing[step] = grid
         self.raw.refresh()
         sids = self.raw.sids()
-        for sid in sids[self.mine[sids % self.mine.size]].tolist():
-            times, values, evicted = self.raw.retained(sid)
-            grid.backfill_series(
-                sid, times, values, evicted=evicted,
-                floor=float(times[-1]) if times.size else None,
-            )
+        sids = sids[self.mine[sids % self.mine.size]]
+        times, values, lens, evicted = self.raw.retained(sids)
+        floors = np.full(sids.size, -np.inf)
+        floors[lens > 0] = times[np.cumsum(lens)[lens > 0] - 1]
+        grid.backfill_many(sids, times, values, lens, evicted, floors)
 
     def run(self, kind: str, payload: Optional[Dict]):
         self.raw.refresh()

@@ -646,12 +646,18 @@ class RawRings:
         ], 2)
         return times, values, lens
 
-    def retained(self, sid: int) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """All retained points in time order, and whether older ones
-        have been overwritten."""
-        times, values = self.window(sid, -np.inf, np.inf)
-        loc = self._at(sid)
-        return times, values, loc is not None and loc[0].written.item(loc[1]) > times.size
+    def retained(self, sids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every retained point of each of the ascending ``sids``, as
+        :meth:`windows` returns them (``times, values, lens``), and per
+        series whether older points have been overwritten."""
+        sids = np.asarray(sids, dtype=np.int64)
+        times, values, lens = self.windows(sids, -np.inf, np.inf)
+        written = np.zeros(sids.size, dtype=np.int64)
+        caps = self._cap[sids]
+        for cap in np.unique(caps[caps > 0]).tolist():
+            pick = caps == cap
+            written[pick] = self.classes[cap].take("written", sids[pick])
+        return times, values, lens, written > lens
 
 
 def _checked_series(times, values) -> Tuple[np.ndarray, np.ndarray]:
