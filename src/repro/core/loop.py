@@ -12,6 +12,13 @@ against the fresh observation (Knowledge refinement).  Guards run
 between Plan and Execute and implement the trust controls of
 methodology question iv; vetoed actions are recorded, audited, and
 never executed.
+
+A decide or execute phase that waits out a latency is a call in the
+engine's phase :class:`~repro.sim.engine.Bundle` for its instant: every
+loop's phases due at one instant run from one engine event, in the order
+they were scheduled (and around any other event due between them), so a
+fleet whose analyze latency ends together costs one event, not one per
+loop.
 """
 
 from __future__ import annotations
@@ -27,6 +34,9 @@ from repro.core.knowledge import KnowledgeBase
 from repro.core.types import LoopIteration, Observation, Plan
 from repro.obs.trace import TRACER
 from repro.sim.engine import Engine, Event, PeriodicTask
+
+#: bundle key of the delayed decide/execute phases of every loop
+_PHASES = "mapek-phase"
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,13 @@ class PhaseLatency:
 
 
 class MAPEKLoop:
-    """One autonomy loop instance."""
+    """One autonomy loop instance.
+
+    Decide and execute phases delayed by :class:`PhaseLatency` join the
+    engine's bundle for their instant, shared with every other loop on
+    the engine (see the module docstring); :meth:`stop` cancels the ones
+    still pending and reports how many it abandoned.
+    """
 
     def __init__(
         self,
@@ -92,6 +108,7 @@ class MAPEKLoop:
         self.actions_executed = 0
         self.actions_vetoed = 0
         self._task: Optional[PeriodicTask] = None
+        self._label = f"loop-{name}"
         #: iteration index -> its decide/execute phase still waiting out
         #: a phase latency
         self._pending: Dict[int, Event] = {}
@@ -101,7 +118,7 @@ class MAPEKLoop:
         if self._task is not None and not self._task.stopped:
             raise RuntimeError(f"loop {self.name!r} already started")
         self._task = self.engine.every(
-            self.period_s, self._begin_cycle, start_at=start_at, label=f"loop-{self.name}"
+            self.period_s, self._begin_cycle, start_at=start_at, label=self._label
         )
 
     def stop(self) -> int:
@@ -116,9 +133,10 @@ class MAPEKLoop:
         return abandoned
 
     def _later(self, delay: float, phase: Callable, iteration: LoopIteration, arg) -> None:
-        self._pending[iteration.index] = self.engine.schedule(
-            delay, phase, iteration, arg, label=f"loop-{self.name}"
-        )
+        engine = self.engine
+        self._pending[iteration.index] = engine.bundle(
+            _PHASES, engine.now + delay, label=self._label
+        ).add(phase, iteration, arg, label=self._label)
 
     @property
     def running(self) -> bool:

@@ -24,9 +24,9 @@ trust controls.  This module is that control plane:
   widened.
 * :class:`LoopRuntime` — instantiates specs into
   :class:`~repro.core.loop.MAPEKLoop` instances, multiplexes them on the
-  simulation engine with priority ordering (higher-priority loops run
-  first on shared ticks) and deterministic phase jitter, arbitrates
-  conflicting plans through the shared
+  simulation engine in tick cohorts with priority ordering
+  (higher-priority loops run first on shared ticks) and deterministic
+  phase jitter, arbitrates conflicting plans through the shared
   :class:`~repro.core.arbiter.PlanArbiter`, and publishes per-loop
   self-telemetry (``loop_iteration_ms``, ``loop_actions_total``,
   ``loop_vetoes_total``, ``loop_staleness_s``) back into the
@@ -86,6 +86,9 @@ _LOOP_SERIES = (
 #: engine events order by ``(time, priority, seq)``: nothing at an
 #: instant runs after an event of this priority scheduled before it
 _LAST = sys.maxsize
+
+#: the cohort key of every hosted loop's ticks
+_COHORT = "loop-tick"
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +488,15 @@ class LoopHandle:
             self.spec.name, self.spec.period_s, self.runtime.config.phase_jitter_frac
         )
         # Higher-priority loops run earlier on shared ticks: engine events
-        # order by (time, priority, seq) and lower numbers win.
+        # order by (time, priority, seq) and lower numbers win.  Loops
+        # that tick together join one cohort (see LoopRuntime).
         self._task = engine.every(
             self.spec.period_s,
             self.loop.run_cycle,
             start_at=max(first, engine.now),
             priority=-self.spec.priority,
             label=f"loop-{self.spec.name}",
+            cohort=_COHORT,
         )
         self.started_at = engine.now
         self.first_tick_at = max(first, engine.now)
@@ -509,15 +514,15 @@ class LoopHandle:
             self._task = None
 
     def wedge(self) -> None:
-        """Chaos hook: cancel the next firing while still reporting running.
+        """Chaos hook: stop firing while still reporting running.
 
         A wedged loop is indistinguishable from a hung one — registered,
         ``running`` true, never iterating again — which is exactly what
         heartbeat-based stuck detection must catch.  Used by the E17
         fault-injection scenarios; a restart clears it.
         """
-        if self._task is not None and self._task._event is not None:
-            self._task._event.cancel()
+        if self._task is not None:
+            self._task.hang()
 
     @property
     def running(self) -> bool:
@@ -525,7 +530,22 @@ class LoopHandle:
 
 
 class LoopRuntime:
-    """Hosts a fleet of loops over one engine, store, and arbiter."""
+    """Hosts a fleet of loops over one engine, store, and arbiter.
+
+    Every started loop ticks as a member of a *cohort*: the loops whose
+    ``(period, next tick instant, engine priority)`` are equal run from
+    one engine event per tick — a :class:`~repro.sim.engine.Bundle` of
+    the engine, joined by each loop's own periodic task — in the order
+    their own tick events would have had, around any other event due at
+    that instant.  Cohorts follow from the schedule alone: a loop with
+    ``phase_jitter_frac > 0`` or a period of its own ticks alone, and
+    :meth:`LoopHandle.stop`, :meth:`quarantine`, :meth:`remove`,
+    :meth:`retune` and :meth:`restart` take a loop out of its cohort
+    (:meth:`LoopHandle.wedge` stops its firings but leaves it
+    ``running``).  The decide/execute phases that loops delay to one
+    instant share an engine event the same way (see
+    :class:`~repro.core.loop.MAPEKLoop`).
+    """
 
     def __init__(
         self,

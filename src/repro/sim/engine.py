@@ -10,13 +10,20 @@ deterministic callbacks and seeded RNG streams (see :mod:`repro.sim.rng`).
 Time is a ``float`` in seconds.  The engine never advances past events:
 callbacks run exactly at their scheduled time, and scheduling into the past
 raises :class:`SimTimeError`.
+
+Many callbacks due at one ``(time, priority)`` can share one queue entry
+through a :class:`Bundle` (:meth:`Engine.bundle`).  Each bundled call
+still takes its own ``seq`` when it is added, and the bundle runs its
+calls exactly where their own events would have run — it hands over to
+any other event that orders between two of them — so bundling changes
+the number of queue entries, never the order of the callbacks.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 
 class SimTimeError(ValueError):
@@ -38,6 +45,10 @@ class StopSimulation(Exception):
 # simulations (every scheduled sample, hop, and commit passes through).
 
 
+#: the keyword arguments of every bundled call (never mutated)
+_NO_KWARGS: dict = {}
+
+
 class Event:
     """A scheduled callback.
 
@@ -46,7 +57,9 @@ class Event:
     in order to :meth:`cancel` it.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "kwargs", "cancelled", "label")
+    __slots__ = (
+        "time", "priority", "seq", "fn", "args", "kwargs", "cancelled", "label", "bundle",
+    )
 
     def __init__(
         self,
@@ -66,10 +79,17 @@ class Event:
         self.kwargs = kwargs
         self.cancelled = False
         self.label = label
+        #: the :class:`Bundle` holding the event until it runs (a bundled
+        #: event has no queue entry of its own)
+        self.bundle: Optional["Bundle"] = None
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it is popped."""
         self.cancelled = True
+        bundle = self.bundle
+        if bundle is not None:
+            self.bundle = None
+            bundle._dropped()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -85,6 +105,11 @@ class PeriodicTask:
     :meth:`stop` stops it externally.  An optional per-tick ``jitter_fn``
     (e.g. drawing from an RNG stream) perturbs each firing time, which the
     telemetry samplers use to model realistic sampling jitter.
+
+    With a ``cohort`` key, every firing joins the engine's open
+    :class:`Bundle` for ``((cohort, period), time, priority)``: tasks with
+    one key and one period that fire together share one queue entry per
+    tick, in the order their own events would have had.
     """
 
     def __init__(
@@ -97,6 +122,7 @@ class PeriodicTask:
         priority: int = 0,
         jitter_fn: Optional[Callable[[], float]] = None,
         label: str = "",
+        cohort: Any = None,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
@@ -106,6 +132,7 @@ class PeriodicTask:
         self.priority = priority
         self.jitter_fn = jitter_fn
         self.label = label or getattr(fn, "__name__", "periodic")
+        self._bundle_key = None if cohort is None else (cohort, period)
         self._stopped = False
         self._event: Optional[Event] = None
         first = engine.now if start_at is None else start_at
@@ -121,12 +148,27 @@ class PeriodicTask:
             self._event.cancel()
             self._event = None
 
+    def hang(self) -> None:
+        """Cancel the pending firing but stay started: the task never fires
+        again, yet ``stopped`` stays false — a hung task, for fault
+        injection.  A no-op while the task is firing."""
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
     def _schedule_next(self, at: float) -> None:
         if self._stopped:
             return
         jitter = self.jitter_fn() if self.jitter_fn is not None else 0.0
         t = max(self.engine.now, at + jitter)
-        self._event = self.engine.schedule_at(t, self._tick, priority=self.priority, label=self.label)
+        if self._bundle_key is None:
+            self._event = self.engine.schedule_at(
+                t, self._tick, priority=self.priority, label=self.label
+            )
+        else:
+            self._event = self.engine.bundle(
+                self._bundle_key, t, priority=self.priority, label=self.label
+            ).add(self._tick, label=self.label)
 
     def _tick(self) -> None:
         self._event = None
@@ -137,6 +179,126 @@ class PeriodicTask:
             self._stopped = True
             return
         self._schedule_next(self.engine.now + self.period)
+
+
+class Bundle:
+    """Events due at one ``(time, priority)`` that share one queue entry.
+
+    :meth:`add` gives each call an :class:`Event` with a ``seq`` of its
+    own, taken when it is added, but no queue entry: the bundle's one
+    entry carries the first call's ``seq``.  When it fires, the bundle
+    runs its calls in ``seq`` order and hands over wherever another
+    pending event orders before the next call (one scheduled between two
+    additions, or one a call scheduled for now at a more urgent
+    priority), resuming from an entry at that call's ``seq`` — so every
+    call runs exactly where its own event would have.
+    Cancelling a call's event drops it; a bundle whose every call is
+    dropped leaves the queue.  The bundle takes no additions once it has
+    started firing.
+
+    By default each call runs on its own.  With ``run``, the bundle
+    instead hands ``run`` each uninterrupted run of due events at once
+    (the root collector's one commit per instant).
+    """
+
+    __slots__ = ("engine", "key", "time", "priority", "label", "run",
+                 "_events", "_next", "_live", "_entry", "_open")
+
+    def __init__(
+        self,
+        engine: "Engine",
+        key: Any,
+        time: float,
+        *,
+        priority: int = 0,
+        label: str = "",
+        run: Optional[Callable[[List[Event]], Any]] = None,
+    ) -> None:
+        if not time >= engine.now:  # NaN too
+            raise SimTimeError(f"cannot schedule at t={time} (now is t={engine.now})")
+        self.engine = engine
+        self.key = key
+        self.time = float(time)
+        self.priority = priority
+        self.label = label
+        self.run = run
+        self._events: List[Event] = []
+        self._next = 0  # first event not run or dropped yet
+        self._live = 0  # events added and neither run nor cancelled
+        self._entry: Optional[Event] = None  # the queue entry
+        self._open = True
+
+    def add(self, fn: Callable[..., Any], *args: Any, label: str = "") -> Event:
+        """Add ``fn(*args)``; cancel the returned event to drop it."""
+        if not self._open:
+            raise RuntimeError("bundle has started firing")
+        engine = self.engine
+        engine._seq += 1
+        event = Event(self.time, self.priority, engine._seq, fn, args, _NO_KWARGS, label or self.label)
+        event.bundle = self
+        self._events.append(event)
+        self._live += 1
+        if self._entry is None:
+            self._entry = engine._push(event.seq, self.time, self.priority, self._fire, self.label)
+        return event
+
+    def _dropped(self) -> None:
+        self._live -= 1
+        if self._live == 0:
+            if self._entry is not None:
+                self._entry.cancel()
+                self._entry = None
+            self._close()
+
+    def _drain(self) -> None:
+        """Drop every call still due (its entry was cancelled)."""
+        self._entry = None
+        for event in self._events[self._next:]:
+            if event is not None and event.bundle is self:
+                event.cancelled = True
+                event.bundle = None
+        self._events, self._next, self._live = [], 0, 0
+        self._close()
+
+    def _close(self) -> None:
+        if self._open:
+            self._open = False
+            self.engine._bundles.pop(self.key, None)
+
+    def _fire(self) -> None:
+        self._entry = None
+        self._close()
+        engine, events, run = self.engine, self._events, self.run
+        time, priority = self.time, self.priority
+        batch: List[Event] = []
+        i, n = self._next, len(events)
+        try:
+            while i < n:
+                event = events[i]
+                if event.cancelled:
+                    events[i] = None
+                    i += 1
+                    continue
+                if engine._precedes(time, priority, event.seq):
+                    break
+                events[i] = None  # a call that ran is nobody's to keep
+                i += 1
+                event.bundle = None
+                self._live -= 1
+                if run is None:
+                    event.fn(*event.args)
+                else:
+                    batch.append(event)
+        finally:
+            while i < n and events[i].cancelled:
+                i += 1
+            self._next = i
+            if i < n:
+                self._entry = engine._push(events[i].seq, time, priority, self._fire, self.label)
+            else:
+                self._events = []
+        if batch:
+            run(batch)
 
 
 class Engine:
@@ -159,6 +321,8 @@ class Engine:
         self.events_executed = 0
         self._running = False
         self._trace_hooks: list[Callable[[Event], None]] = []
+        #: open bundles by ``(key, time, priority)``
+        self._bundles: Dict[tuple, Bundle] = {}
 
     # ------------------------------------------------------------------ time
     @property
@@ -198,6 +362,42 @@ class Engine:
         heapq.heappush(self._queue, (event.time, priority, event.seq, event))
         return event
 
+    def _push(self, seq: int, time: float, priority: int, fn: Callable[[], Any], label: str) -> Event:
+        """Queue ``fn`` under a ``seq`` taken earlier (a bundle's entry)."""
+        event = Event(time, priority, seq, fn, (), _NO_KWARGS, label=label)
+        heapq.heappush(self._queue, (time, priority, seq, event))
+        return event
+
+    def bundle(
+        self,
+        key: Any,
+        time: float,
+        *,
+        priority: int = 0,
+        label: str = "",
+        run: Optional[Callable[[List[Event]], Any]] = None,
+    ) -> Bundle:
+        """The open :class:`Bundle` for ``(key, time, priority)``.
+
+        Opens one — its queue entry named ``label``, its events handed to
+        ``run`` if given — when none is open.  Callers that share a key
+        share bundles, so a key names one kind of call.
+        """
+        full = (key, time, priority)
+        bundle = self._bundles.get(full)
+        if bundle is None:
+            bundle = self._bundles[full] = Bundle(
+                self, full, time, priority=priority, label=label, run=run
+            )
+        return bundle
+
+    def _precedes(self, time: float, priority: int, seq: int) -> bool:
+        """Whether a pending event orders before ``(time, priority, seq)``."""
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heapq.heappop(queue)
+        return bool(queue) and queue[0] < (time, priority, seq)
+
     def every(
         self,
         period: float,
@@ -207,10 +407,12 @@ class Engine:
         priority: int = 0,
         jitter_fn: Optional[Callable[[], float]] = None,
         label: str = "",
+        cohort: Any = None,
     ) -> PeriodicTask:
         """Create a :class:`PeriodicTask` firing every ``period`` seconds."""
         return PeriodicTask(
-            self, period, fn, start_at=start_at, priority=priority, jitter_fn=jitter_fn, label=label
+            self, period, fn, start_at=start_at, priority=priority, jitter_fn=jitter_fn,
+            label=label, cohort=cohort,
         )
 
     # ---------------------------------------------------------------- running
@@ -277,11 +479,13 @@ class Engine:
         return self._now
 
     def pending_count(self) -> int:
-        """Number of non-cancelled events still queued (O(n); diagnostics)."""
+        """Number of non-cancelled queue entries (O(n); diagnostics) — a
+        bundle is one entry however many calls it holds."""
         return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     def drain(self, labels: Optional[Iterable[str]] = None) -> int:
-        """Cancel pending events (optionally only those with given labels)."""
+        """Cancel pending queue entries (optionally only those with given
+        labels; a bundle's entry carries the label it was opened with)."""
         wanted = set(labels) if labels is not None else None
         cancelled = 0
         for entry in self._queue:
@@ -291,4 +495,7 @@ class Engine:
             if wanted is None or ev.label in wanted:
                 ev.cancel()
                 cancelled += 1
+                bundle = getattr(ev.fn, "__self__", None)
+                if isinstance(bundle, Bundle):
+                    bundle._drain()
         return cancelled

@@ -11,7 +11,10 @@ The native currency is the columnar
 every child batch arriving within one forwarding window into a single
 concatenated batch per hop, and the root collector commits through
 :meth:`~repro.telemetry.tsdb.TimeSeriesStore.append_batch` — one bulk
-write per flush instead of one Python call per point.
+write per flush instead of one Python call per point.  Batches that the
+root must commit at one instant (synchronous sampling groups whose hops
+deliver together) are committed as one concatenated write, from one
+engine event.
 
 Topology::
 
@@ -21,11 +24,11 @@ Topology::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.telemetry.batch import SampleBatch
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -65,12 +68,17 @@ class Collector:
     """Root of the pipeline: writes arriving samples into the store.
 
     Samples are written ``ingest_latency`` seconds after submission,
-    modelling the final commit delay.  With ``commit_interval_s`` set,
-    the root additionally coalesces submissions: everything arriving
-    within one interval is committed as a single columnar bulk append
-    (the LDMS-style store-side batching that makes high-rate ingest
-    cheap).  ``latest_arrival_lag`` reports the *maximum* end-to-end lag
-    across the most recently committed batch.
+    modelling the final commit delay.  Without a commit interval, every
+    batch due at one commit instant (``now + ingest_latency``) joins that
+    instant's :class:`~repro.sim.engine.Bundle`, and the batches due one
+    after the other — no other engine event between them — are committed
+    as one concatenated bulk append; batches that arrive at different
+    times (jittered groups) still commit one by one.  With
+    ``commit_interval_s`` set, the root instead coalesces submissions:
+    everything arriving within one interval is committed as a single
+    columnar bulk append (the LDMS-style store-side batching that makes
+    high-rate ingest cheap).  ``latest_arrival_lag`` reports the
+    *maximum* end-to-end lag across the most recently committed batch.
     """
 
     def __init__(
@@ -121,6 +129,10 @@ class Collector:
         self._pending: List[SampleBatch] = []
         self._flush_scheduled = False
         self._flush_seq = 0  # invalidates orphaned scheduled flush events
+        #: batches waiting out ``ingest_latency`` (their bundled commit
+        #: events, in submission order) and their sample count
+        self._in_flight: Dict[Event, None] = {}
+        self._in_flight_samples = 0
 
     def submit(self, samples: SampleBatch) -> None:
         if self.commit_interval_s is not None:
@@ -152,17 +164,36 @@ class Collector:
             return
         self.batches_received += 1
         if self.ingest_latency > 0:
-            self.engine.schedule(self.ingest_latency, self._commit, samples, label=self.name)
+            engine = self.engine
+            event = engine.bundle(
+                self, engine.now + self.ingest_latency, label=self.name, run=self._commit_due
+            ).add(self._commit, samples)
+            self._in_flight[event] = None
+            self._in_flight_samples += len(samples)
         else:
             self._commit(samples)
 
     def flush(self) -> None:
-        """Commit everything pending immediately (end-of-run drain).
+        """Commit everything pending immediately (end-of-run drain),
+        batches still waiting out ``ingest_latency`` included.
 
         A manual drain is not an interval-length observation window, so
         it never feeds the adaptive rate estimate.
         """
+        if self._in_flight:
+            events = list(self._in_flight)
+            for event in events:
+                event.cancel()
+            self._commit_due(events)
         self._flush_pending(adapt=False)
+
+    def _commit_due(self, events: List[Event]) -> None:
+        """Commit the batches of ``events`` as one write."""
+        for event in events:
+            del self._in_flight[event]
+        batches = [event.args[0] for event in events]
+        self._in_flight_samples -= sum(len(b) for b in batches)
+        self._commit(SampleBatch.concat(batches))
 
     def _scheduled_flush(self, seq: int) -> None:
         """Interval-flush event; no-op when superseded.
@@ -226,7 +257,7 @@ class Collector:
             "dropped_batches": float(self.dropped_batches),
             "dropped_samples": float(self.dropped_samples),
             "dropped_bytes": float(self.dropped_bytes),
-            "pending_samples": float(self._pending_samples),
+            "pending_samples": float(self._pending_samples + self._in_flight_samples),
         }
 
 

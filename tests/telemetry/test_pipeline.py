@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.query.standing import StandingGrid, StandingGrids
 from repro.sim import Engine, RngRegistry
 from repro.telemetry.batch import SampleBatch
 from repro.telemetry.collector import (
@@ -399,3 +400,141 @@ class TestCollectionPipeline:
         pipe = CollectionPipeline(eng, TimeSeriesStore())
         with pytest.raises(ValueError):
             pipe.build(0)
+
+
+def _submit_per_batch(self, samples):
+    """Root submission as it was before same-instant commits: one
+    scheduled commit per batch (no commit interval set)."""
+    self.batches_received += 1
+    self.engine.schedule(self.ingest_latency, self._commit, samples, label=self.name)
+
+
+def _fleet_pipeline(eng, store, *, groups=8, per_group=16, jitter_std=0.0, seed=3, **pipe_kw):
+    """``groups`` sampling groups of random readings, one aggregator each."""
+    pipe = CollectionPipeline(eng, store, hop_latency=0.1, ingest_latency=0.1, **pipe_kw)
+    rngs = RngRegistry(seed=seed)
+    for g, agg in enumerate(pipe.build(groups)):
+        keys = [SeriesKey.of("m", node=f"g{g}n{i}") for i in range(per_group)]
+        draw = rngs.stream(f"values-{g}")
+        group = SamplingGroup(
+            eng, agg, period=10.0, jitter_std=jitter_std, rng=rngs.stream(f"jitter-{g}"),
+            name=f"grp-{g}",
+        )
+        group.add_bank(SensorBank(keys, lambda now, d=draw, n=per_group: d.uniform(0, 1, n),
+                                  registry=pipe.registry))
+        group.start(start_at=5.0)  # jitter is not clipped at t = 0
+    return pipe
+
+
+def _ring_state(store):
+    sids = np.sort(store.series_ids("m"))
+    times, values, lens = store.rings.windows(sids, -np.inf, np.inf)
+    vectors = {
+        (cap, name): ring.take(name, sids)
+        for cap, ring in store.rings.classes.items()
+        for name in ("head", "count", "written", "last")
+    }
+    return times, values, lens, vectors
+
+
+def _grid_state(grid):
+    cells = {attr: getattr(grid, attr) for attr, _ in StandingGrid.CELLS.values()}
+    return dict(cells, hi_bin=grid.hi_bin, complete_from=grid.complete_from,
+                updates=grid.updates_applied)
+
+
+def _assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        g, w = np.asarray(got[key]), np.asarray(want[key])
+        assert g.dtype == w.dtype and g.shape == w.shape, key
+        assert g.tobytes() == w.tobytes(), key
+
+
+class TestSameInstantCommits:
+    def _run(self, coalesce, **kw):
+        eng = Engine()
+        store = TimeSeriesStore()
+        grids = StandingGrids(store)
+        grids.register("m", 10.0, 16, want_rate=True)
+        with pytest.MonkeyPatch.context() as mp:
+            if not coalesce:
+                mp.setattr(Collector, "submit", _submit_per_batch)
+            pipe = _fleet_pipeline(eng, store, **kw)
+            eng.run(until=200.0)
+        return pipe, store, grids.grids[10.0]
+
+    def test_synchronous_groups_commit_once_per_instant(self):
+        pipe, store, grid = self._run(True)
+        per_pipe, per_store, per_grid = self._run(False)
+        rounds = 20  # t = 5, 15, ..., 195
+        assert per_pipe.root.commits == 8 * rounds
+        assert pipe.root.commits == rounds
+        assert pipe.root.samples_ingested == per_pipe.root.samples_ingested == 8 * 16 * rounds
+        times, values, lens, vectors = _ring_state(store)
+        want = _ring_state(per_store)
+        for got_col, want_col in zip((times, values, lens), want[:3]):
+            assert got_col.tobytes() == want_col.tobytes()
+        _assert_same_bits(vectors, want[3])
+        _assert_same_bits(_grid_state(grid), _grid_state(per_grid))
+
+    def test_jittered_groups_still_commit_batch_by_batch(self):
+        pipe, store, _ = self._run(True, jitter_std=0.01)
+        per_pipe, per_store, _ = self._run(False, jitter_std=0.01)
+        assert pipe.root.commits == per_pipe.root.commits == pipe.root.batches_received
+        assert _ring_state(store)[1].tobytes() == _ring_state(per_store)[1].tobytes()
+
+    def test_drop_counters_do_not_change(self):
+        got = self._run(True, hop_max_pending_samples=1, groups=4)[0]
+        want = self._run(False, hop_max_pending_samples=1, groups=4)[0]
+        assert got.total_dropped_samples() == want.total_dropped_samples() == 0
+        eng = Engine()
+        store = TimeSeriesStore()
+        coll = Collector(eng, store, ingest_latency=0.5)
+        agg = Aggregator(eng, coll, forward_latency=0.5, max_pending_samples=1)
+        for node in ("a", "b", "c"):
+            eng.schedule(0.0, agg.submit, _batch(store, "m", [0.0], [1.0], node=node))
+        eng.run(until=2.0)
+        assert (agg.dropped_batches, agg.dropped_samples) == (2, 2)
+        assert (coll.commits, coll.samples_ingested, coll.dropped_samples) == (1, 1, 0)
+
+    def test_an_event_due_between_batches_sees_only_the_batches_before_it(self):
+        eng = Engine()
+        store = TimeSeriesStore()
+        coll = Collector(eng, store, ingest_latency=0.5)
+        seen = []
+        for node in ("a", "b"):
+            eng.schedule(1.0, coll.submit, _batch(store, "m", [1.0], [1.0], node=node))
+        eng.schedule(1.0, eng.schedule, 0.5, lambda: seen.append(store.total_inserts))
+        for node in ("c", "d"):
+            eng.schedule(1.0, coll.submit, _batch(store, "m", [1.0], [1.0], node=node))
+        eng.run(until=2.0)
+        assert seen == [2]  # a and b committed, c and d not yet
+        assert coll.commits == 2
+        assert store.total_inserts == 4
+
+    def test_lag_measures_from_the_oldest_sample_of_the_instant(self):
+        eng = Engine()
+        store = TimeSeriesStore()
+        coll = Collector(eng, store, ingest_latency=1.0)
+        eng.schedule(2.0, coll.submit, _batch(store, "m", [2.0], [1.0], node="a"))
+        eng.schedule(2.0, coll.submit, _batch(store, "m", [0.5, 2.0], [1.0, 2.0], node="b"))
+        eng.run(until=5.0)
+        assert coll.commits == 1
+        assert coll.latest_arrival_lag == pytest.approx(2.5)  # 3.0 - 0.5
+
+    def test_flush_commits_batches_still_in_flight(self):
+        eng = Engine()
+        store = TimeSeriesStore()
+        coll = Collector(eng, store, ingest_latency=0.5)
+        coll.submit(_batch(store, "m", [0.0, 1.0], [1.0, 2.0], node="a"))
+        coll.submit(_batch(store, "m", [0.0], [3.0], node="b"))
+        assert coll.stats()["pending_samples"] == 3.0
+        coll.flush()
+        assert store.total_inserts == 3
+        assert coll.commits == 1
+        assert coll.stats()["pending_samples"] == 0.0
+        eng.run(until=2.0)  # the scheduled commit has nothing left
+        assert store.total_inserts == 3
+        assert coll.commits == 1
+        assert eng.events_executed == 0
