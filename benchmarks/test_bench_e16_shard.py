@@ -7,9 +7,10 @@ directions against a plain store on identical data:
 
 * ``group_by`` queries bit-identical to the same engine over one plain
   store, at no less than 0.95× its throughput.  Both run the one query
-  algebra (plan, one pass per place, canonical gather), so the ratio
-  prices the split into places alone: eight passes over the same rings
-  and a gather that sorts where one place's rows arrive canonical.
+  algebra (plan, one pass in process, canonical gather), so the ratio
+  prices what places cost a read in process — by design nothing: the
+  read is one pass over the same rings either way, and its rows reach
+  the gather in the same canonical order.
 * sharded ingest ≥0.9× ``append_batch`` on one store, with
   bit-identical resulting stores and places balanced to within one
   series.  Places split reads, never writes: a commit is the plain

@@ -10,9 +10,11 @@ n_places``, one place on a plain
 in ``tiersets`` and the worker pool, if any, in ``pool``::
 
     cache probe ─> plan ─> run on places ─> gather ─> QueryResult
-                    │          │               │
-      QueryPlan per shape,   one pass per    canonical lexsort +
-      sid columns per place  touched place   reduceat, partition-free
+                    │          │                 │
+      QueryPlan per shape,   one pass in       canonical lexsort +
+      one sid column block   process; one per  reduceat, partition-free
+                             touched place on
+                             a live pool
 
 1. **Cache probe** — canonical expression + quantized window, version-
    keyed on the metric's write epoch (:class:`~repro.query.cache.QueryCache`).
@@ -22,13 +24,14 @@ in ``tiersets`` and the worker pool, if any, in ``pool``::
    distinct label value, groups by code columns) and memoised per query
    shape against the store's series generation.  It picks the coarsest
    rollup tier that serves the ``(step, agg)`` pair exactly.
-3. **Run on places** — one pass of :mod:`repro.query.passes` per place
-   holding any selected series (:meth:`QueryEngine._run_on_shards`):
-   per-series partial rows, stitched from the tier below each series'
-   fold watermark and the raw tail past it, so a tier-served answer is
-   the raw scan's.  They run in process, or on the store's worker pool
-   while that is live — observed, not configured.
-4. **Gather** — the rows of every place, concatenated and reduced in one
+3. **Run on places** — passes of :mod:`repro.query.passes`
+   (:meth:`QueryEngine._run_on_shards`): per-series partial rows,
+   stitched from the tier below each series' fold watermark and the raw
+   tail past it, so a tier-served answer is the raw scan's.  In process
+   that is one pass over the plan's rows, whatever the place count; on
+   the store's worker pool, while that is live, one pass per place
+   holding any selected series — observed, not configured.
+4. **Gather** — the rows of every pass, concatenated and reduced in one
    canonical order ``(group, bin, last_t, source, rank)`` that does not
    depend on how series are partitioned (:func:`reduce_partial`), so
    every store shape and executor returns bit-identical answers.
@@ -46,7 +49,7 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -138,14 +141,14 @@ class QueryResult:
 
 
 class ShardWork(NamedTuple):
-    """One place's rows of a :class:`QueryPlan`.
+    """The rows of a :class:`QueryPlan`, or of one place of it.
 
     Parallel int64 columns, in the plan's ``(group, rank)`` order: the
     series id, its group index, its rank within the group and its
-    position in :meth:`QueryEngine.select` order — what a scatter pass
-    reads every window of with one kernel call, a standing read takes
-    as they are and a pool dispatch pickles as arrays.  They are the
-    rows of one ``(4, n)`` block: a plan memo holds thousands of these.
+    position in :meth:`QueryEngine.select` order — what a pass reads
+    every window of with one kernel call, a standing read takes as they
+    are and a pool dispatch pickles as arrays.  They are the rows of one
+    ``(4, n)`` block: a plan memo holds thousands of these.
     """
 
     cols: np.ndarray
@@ -161,16 +164,17 @@ class QueryPlan(NamedTuple):
     ``keys`` are the selected series flattened in canonical ``(group,
     rank)`` order — groups by sorted label tuple (``labels``), members
     by ``str`` — and group ``g`` owns ``keys[bounds[g]:bounds[g + 1]]``.
-    ``shards`` holds the same rows as sid-addressed columns, one
-    :class:`ShardWork` per place of the store (``fanout`` counts those
-    that hold any).
+    ``work`` holds the same rows, in the same order, as sid-addressed
+    columns; ``fanout`` counts the places of the store that hold any of
+    them.  The split by place is derived only where a pool runs a pass
+    (:meth:`QueryEngine._places`).
     """
 
     generation: int
     labels: Tuple[GroupLabels, ...]
     keys: List[SeriesKey]
     bounds: List[int]
-    shards: List[ShardWork]
+    work: ShardWork
     fanout: int
 
 
@@ -291,15 +295,15 @@ def reduce_partial(
     grid_t0: float,
     step: Optional[float],
 ) -> List[ResultSeries]:
-    """The gather: partial rows of every place merged into output bins.
+    """The gather: partial rows of every pass merged into output bins.
 
     The one canonical ``lexsort`` — ``(group, bin, last_t, source,
     rank)``, every key partition-independent — fixes both the summation
     order (bit-stable across store shapes) and the ``last`` winner
     (latest ``last_t``; ties prefer raw samples over tier rows, then the
     later-ranked series).  Rows that arrive with one row per ``(group,
-    bin)`` in canonical order — one place whose groups are single
-    series, such as a one-series instant read, or several such places
+    bin)`` in canonical order — one pass whose groups are single series,
+    such as a one-series instant read, or several such places' passes
     once a stable sort by group has merged their runs — skip the sort:
     every reduction would be the identity.  Batch scatters end here, and
     so does a standing read whose block is not one dense answer.
@@ -409,56 +413,70 @@ class QueryEngine:
         """Fold passes the worker pool ran."""
         return self.pool_passes["fold"]
 
-    def _run_on_shards(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
-        """Run one pass of ``kind`` on the places of ``tasks`` — ``(place,
-        payload)`` pairs — and return their results in task order.
+    def _run_on_shards(self, kind: str, task: Callable, work: Optional[ShardWork] = None):
+        """Run one pass of ``kind`` over the plan rows ``work`` (``None``:
+        a fold, which reads none), ``task`` building a payload from rows.
+        Returns the ``(place, rows)`` parts the pass ran as and their
+        results — one part, place ``None``, where it ran here whole.
 
-        The one place that decides who runs a pass, from what it
-        observes: the store's pool and the size of the pass.  One
-        dispatch to the owning workers while the pool is live; the same
-        :data:`~repro.query.passes.SHARD_PASSES` function here, on this
-        side's view of the place, where there is no pool, it is
-        stopped, a worker died with its reply (the pool breaks, or
-        respawns it) — or the pass is a scatter over no more than
-        :data:`INLINE_SCATTER_SERIES` series, which a round trip would
-        cost more than it reads.  Reads are idempotent, a re-run fold is
-        skipped tier by tier by its watermarks, and parent state is
-        authoritative throughout.  A pass the pool could not run, wholly
-        or in part, counts once in ``serial_fallbacks``; one kept here
-        for its size counts in ``inline_by_size`` instead and never
+        The one place that decides who runs a pass, before it builds a
+        task, from what it observes: the store's pool and the size of
+        the pass.  With no pool, a pool that is not active, or a scatter
+        over no more than :data:`INLINE_SCATTER_SERIES` series (which a
+        round trip would cost more than it reads), the
+        :data:`~repro.query.passes.SHARD_PASSES` function runs here once
+        over the plan's rows in ``(group, rank)`` order: one part for
+        the gather, in canonical order, and no split by place.  While
+        the pool is live it is one task per touched place (a fold: one
+        per worker) dispatched to the owning workers; the tasks of a
+        worker that died with its reply (the pool breaks, or respawns
+        it) re-run here, place by place.  Reads are idempotent, a re-run
+        fold is skipped tier by tier by its watermarks, and parent state
+        is authoritative throughout.  A pass the pool could not run,
+        wholly or in part, counts once in ``serial_fallbacks``; one kept
+        here for its size counts in ``inline_by_size`` instead and never
         looks at the pool, so a dead worker is noticed at the next
-        dispatched pass (fold, standing, large scatter), not at the next
-        small read.  Either way the pass traces as one ``<kind>.shard``
-        span per place.
+        dispatched pass, not at the next small read.  The pass traces as
+        one ``<kind>.shard`` span per part.
         """
-        if not tasks:
-            return []
+        if work is not None and not work.sids.size:
+            return [], []
         pool = self.store.pool
-        results: List = [WORKER_DIED] * len(tasks)
-        small = (
-            pool is not None
-            and kind == "scatter"
-            and sum(len(payload["sids"]) for _, payload in tasks) <= INLINE_SCATTER_SERIES
-        )
-        if small:
+        if pool is not None and kind == "scatter" and work.sids.size <= INLINE_SCATTER_SERIES:
             self.inline_by_size += 1
         elif pool is not None and pool.active:
+            if work is None:
+                parts = [(place, None) for place in range(min(self.store.n_places, pool.n_workers))]
+            else:
+                parts = self._places(work)
+            tasks = [(place, task(rows)) for place, rows in parts]
             results = pool.dispatch([(place, kind, payload) for place, payload in tasks])
-        here = [i for i, data in enumerate(results) if data is WORKER_DIED]
-        if not here:
-            self.pool_passes[kind] += 1
-            return results
-        if pool is not None and not small:
+            here = [i for i, data in enumerate(results) if data is WORKER_DIED]
+            if here:
+                self.serial_fallbacks += 1
+                for i, data in zip(here, self._run_here(kind, [tasks[i] for i in here])):
+                    results[i] = data
+            else:
+                self.pool_passes[kind] += 1
+            return parts, results
+        elif pool is not None:
             self.serial_fallbacks += 1
-        for i, data in zip(here, self._run_here(kind, [tasks[i] for i in here])):
-            results[i] = data
-        return results
+        return [(None, work)], self._run_here(kind, [(None, task(work))])
 
-    def _run_here(self, kind: str, tasks: List[Tuple[int, Dict]]) -> List:
+    def _places(self, work: ShardWork) -> List[Tuple[int, ShardWork]]:
+        """The rows of ``work`` by place — ``(place, rows)`` for each
+        place holding any, each one's rows in the order they had."""
+        places = work.sids % self.store.n_places
+        return [
+            (place, ShardWork(work.cols.compress(places == place, axis=1)))
+            for place in np.flatnonzero(np.bincount(places)).tolist()
+        ]
+
+    def _run_here(self, kind: str, tasks: List[Tuple[Optional[int], Dict]]) -> List:
         """Run the :data:`~repro.query.passes.SHARD_PASSES` function of
         ``kind`` over this side's view of the store — the same rings,
         tiers, folder and standing grids serve every place — tracing one
-        ``<kind>.shard`` span per place."""
+        ``<kind>.shard`` span per ``(place, payload)`` task."""
         run = SHARD_PASSES[kind]
         manager = self.tiersets[0] if self.tiersets else None
         state = ShardState(
@@ -470,7 +488,7 @@ class QueryEngine:
         results = []
         for place, payload in tasks:
             if TRACER.enabled:
-                with TRACER.span(f"{kind}.shard", shard=place):
+                with TRACER.span(f"{kind}.shard", **({} if place is None else {"shard": place})):
                     results.append(run(state, payload))
             else:
                 results.append(run(state, payload))
@@ -642,18 +660,10 @@ class QueryEngine:
         gidx = np.cumsum(new_group) - 1
         rank = np.arange(n) - starts[gidx]
         keys = [index.keys[i] for i in pos.tolist()]
-        # the rows of each place back to back, (group, rank) order kept
-        places = index.places[pos]
-        by_place = np.argsort(places, kind="stable")
-        rows = np.stack([index.sids[pos], gidx, rank, order])[:, by_place]
-        shards = []
-        lo = 0
-        for n_here in np.bincount(places, minlength=index.n_places).tolist():
-            shards.append(ShardWork(rows[:, lo:lo + n_here]))
-            lo += n_here
-        fanout = sum(1 for work in shards if work.sids.size)
+        work = ShardWork(np.stack([index.sids[pos], gidx, rank, order]))
+        fanout = int(np.count_nonzero(np.bincount(index.places[pos], minlength=index.n_places)))
         return QueryPlan(
-            index.generation, labels, keys, starts.tolist() + [n] if n else [0], shards, fanout
+            index.generation, labels, keys, starts.tolist() + [n] if n else [0], work, fanout
         )
 
     def standing_provider(self):
@@ -691,9 +701,7 @@ class QueryEngine:
         res0 = manager.tiers[0].resolution_s
         task = {"boundary": math.floor(now / res0) * res0}
         manager.ensure_sids()
-        pool = self.store.pool
-        places = range(min(self.store.n_places, pool.n_workers)) if pool is not None else [0]
-        results = self._run_on_shards("fold", [(place, task) for place in places])
+        _, results = self._run_on_shards("fold", lambda _: task)
         manager.note_fold(sum(data["late"] for data in results))
         return sum(data["written"] for data in results)
 
@@ -777,7 +785,7 @@ class QueryEngine:
         series (``t1`` when there is none): the floor of a window with
         no ``range_s``."""
         rings = self.store.rings
-        firsts = (rings.earliest_time(sid) for w in plan.shards for sid in w.sids.tolist())
+        firsts = (rings.earliest_time(sid) for sid in plan.work.sids.tolist())
         return min([t1, *(first for first in firsts if first is not None)])
 
     @staticmethod
@@ -791,32 +799,27 @@ class QueryEngine:
         self, kind: str, plan: QueryPlan, params: Dict, *,
         singleton: bool = False, label: str = "gidx",
     ) -> List:
-        """Run one scatter pass over every touched place; the results of
-        the places that hold any of the selection.  Each series goes out
+        """Run one scatter pass over the plan's rows; the result of each
+        part it ran as.  Each series goes out
         under its ``label`` column of the plan; ``singleton`` sends along
         which ones are alone in their group (the aged-out instant
         fallbacks serve only those).
 
         Always exactly one ``federated.scatter`` span per pass (when
-        tracing), with per-place ``scatter.shard`` children — however
-        and wherever the pass ran.
+        tracing), with ``scatter.shard`` children — one in process, one
+        per touched place on a live pool.
         """
         alone = np.diff(plan.bounds) == 1 if singleton else None
-        tasks = [
-            (s, {
-                "kind": kind,
-                "sids": w.sids,
-                "gidxs": getattr(w, label),
-                "ranks": w.rank,
-                "singleton": alone[w.gidx] if singleton else None,
-                "params": params,
-            })
-            for s, w in enumerate(plan.shards) if w.sids.size
-        ]
+
+        def task(w: ShardWork) -> Dict:
+            singles = alone[w.gidx] if singleton else None
+            return {"kind": kind, "sids": w.sids, "gidxs": getattr(w, label), "ranks": w.rank,
+                    "singleton": singles, "params": params}
+
         if TRACER.enabled:
-            with TRACER.span("federated.scatter", kind=kind, fanout=len(tasks)):
-                return self._run_on_shards("scatter", tasks)
-        return self._run_on_shards("scatter", tasks)
+            with TRACER.span("federated.scatter", kind=kind, fanout=plan.fanout):
+                return self._run_on_shards("scatter", task, plan.work)[1]
+        return self._run_on_shards("scatter", task, plan.work)[1]
 
     def _partial(
         self,

@@ -1,31 +1,31 @@
-"""Shard passes: what runs on one place of a store.
+"""Shard passes: what runs over the places of a store.
 
 A *place* is where series live — the one place of a plain
 :class:`~repro.telemetry.tsdb.TimeSeriesStore`, or one shard of a
-sharded store.  :class:`ShardState` is a place as a pass sees it: its
+sharded store.  :class:`ShardState` is the store as a pass sees it: its
 raw rings, rollup tiers, fold kernel and standing grids, every one
-addressed by the place's own series ids.  :data:`SHARD_PASSES` are the
-functions ``(state, payload) -> result`` that run there — the scatter
-passes of a query, the standing read and the rollup fold.  The engine
-(:meth:`~repro.query.engine.QueryEngine._run_on_shards`) runs them in
-process; a pool worker (:mod:`repro.shard.parallel`) runs the very same
-functions over its shared-memory mappings of the same columns, so
-payloads and results hold only arrays and plain values.
+addressed by series id.  :data:`SHARD_PASSES` are the functions
+``(state, payload) -> result`` that run there — the scatter passes of a
+query, the standing read and the rollup fold.  The engine
+(:meth:`~repro.query.engine.QueryEngine._run_on_shards`) runs one pass
+in process over every planned series, whatever the place count; a pool
+worker (:mod:`repro.shard.parallel`) runs the very same functions over
+its shared-memory mappings of the same columns, one pass per place it
+owns, so payloads and results hold only arrays and plain values.
 
 Scatter passes compute *per-series partial rows*: windowed reads
-stitched from the place's rollup tier plus its raw tail, reduced per
-``(series, bin)`` with ``reduceat`` (sum/count/min/max/last partials,
-counter increases for ``rate``, pooled samples for percentiles).  A
-pass reads every window of the place in one call of the ring-window
-kernel (:meth:`~repro.telemetry.tsdb.DenseRings.windows`: the windows
-back to back, one length per series), so its cost is a fixed number of
-array operations however many series it covers: the fold watermarks
-with one take, the tier rows below them, the raw tails past them, then
-the reductions.  Only an aged-out instant singleton is read by itself.
-A series never splits across places and its arithmetic happens here,
-so the engine's canonical gather sees the same rows whatever the
-store's partition — which is what makes every execution shape answer
-alike.
+stitched from the rollup tier plus the raw tail, reduced per ``(series,
+bin)`` with ``reduceat`` (sum/count/min/max/last partials, counter
+increases for ``rate``, pooled samples for percentiles).  A pass reads
+every window of its series in one call of the ring-window kernel
+(:meth:`~repro.telemetry.tsdb.DenseRings.windows`: the windows back to
+back, one length per series), so its cost is a fixed number of array
+operations however many series it covers: the fold watermarks with one
+take, the tier rows below them, the raw tails past them, then the
+reductions.  Only an aged-out instant singleton is read by itself.
+Every row comes from one series' data alone, so the engine's canonical
+gather sees the same rows whether one pass or one per place made them —
+which is what makes every execution shape answer alike.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from repro.telemetry.tsdb import RawRings
 
 
 class ShardState:
-    """One place as a pass sees it, on whichever side runs the pass.
+    """The store as a pass sees it, on whichever side runs the pass.
 
-    The engine builds it over the place's rings, its rollup cascade and
-    the standing grids kept beside it; a pool worker keeps one per shard
-    it owns over its mappings of the same shared-memory blocks and its
-    own grids.
+    The engine builds it over the store's rings, its rollup cascade and
+    the standing grids kept beside it, serving every place; a pool
+    worker keeps one over its mappings of the same shared-memory blocks
+    and its own grids, serving the places it owns.
     """
 
     __slots__ = ("raw", "tiers", "folder", "standing")
@@ -162,9 +162,9 @@ def _first_rows(lens: np.ndarray, total: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Scatter passes.  Each computes one place's contribution to one query
-# kind from the place's state and a worklist ``w`` (``sids`` are the
-# place's series ids, with their ``gidxs`` and ``ranks``; ``singleton``
+# Scatter passes.  Each computes its series' contribution to one query
+# kind from the state and a worklist ``w`` (``sids`` are the series ids
+# of the pass, with their ``gidxs`` and ``ranks``; ``singleton``
 # marks the series alone in their group; ``params`` the query's),
 # returning plain dict-of-array partials that the engine gathers.
 
@@ -196,8 +196,7 @@ def scatter_partial(state: ShardState, w: Dict):
     singleton = w["singleton"]
     if p["instant_tiers"] and singleton is not None and not lens.all():
         # a singleton group whose raw ring aged past the window is served
-        # from the place's tiers (per series and local to the place, so
-        # still partition-invariant)
+        # from the tiers (per series, so still partition-invariant)
         synth = []
         for i in np.flatnonzero((lens == 0) & singleton).tolist():
             row = _instant_partials(state, int(sids[i]), grid_t0, t1_hi)
@@ -262,8 +261,8 @@ def scatter_instant_rate(state: ShardState, w: Dict):
     singleton = w["singleton"]
     if p["tier_fallback"] and singleton is not None and not has.all():
         # aged-out singleton counter: the increase comes from rollup
-        # bin-end values (see _instant_rate) — local to the
-        # place, so still partition-invariant
+        # bin-end values (see _instant_rate) — per series, so still
+        # partition-invariant
         for i in np.flatnonzero(~has & singleton).tolist():
             hit = _instant_rate(state, int(sids[i]), t0, t1)
             if hit is not None:
@@ -325,13 +324,13 @@ def grid_stats(grids: Dict) -> Dict[str, float]:
 
 
 def scatter_pass(state: ShardState, p: Dict):
-    """One query kind's scatter over the planned series of the place."""
+    """One query kind's scatter over the planned series of the pass."""
     return SCATTER_FNS[p["kind"]](state, p)
 
 
 def standing_pass(state: ShardState, p: Dict) -> Tuple[Optional[Dict[str, np.ndarray]], Dict]:
-    """The place's standing block — :meth:`StandingGrid.block` of its
-    planned ``sids``, or ``None`` when the state here cannot cover the
+    """The standing block of the pass — :meth:`StandingGrid.block` of
+    its planned ``sids``, or ``None`` when the state here cannot cover the
     window: no grid of ``step`` on this side, or a series whose ring
     holds data the grid never saw — and the update counters of the
     grids here."""

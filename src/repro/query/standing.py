@@ -39,9 +39,10 @@ Layout and lifecycle:
   standing engine over it: one :class:`StandingGrids` over the engine's
   store, serving every place, or — beside a worker pool
   (``store.pool``) — the grids each worker keeps over its places.  A
-  read is the ``standing`` pass of :mod:`repro.query.passes` run on
-  every touched place through the engine's ``_run_on_shards``,
-  wherever that runs it, into one block in plan order without a sort.
+  read is the ``standing`` pass of :mod:`repro.query.passes` run
+  through the engine's ``_run_on_shards`` — once in process, once per
+  touched place on a live pool — into one block in plan order without
+  a sort.
 * :class:`StandingQueryEngine` — the serving layer: the read path's one
   promotion rule (an eligible shape read at its third distinct
   evaluation time is registered), one reduction of the provider's block
@@ -490,14 +491,13 @@ class StandingProvider:
 
     Over a store without a worker pool that is here: one
     :class:`StandingGrids` over the store, fed by its one ingest
-    listener, whose grids serve every place's pass.  Over a store with a
-    pool each worker keeps grids over its places' series, built from the
-    registrations the store announces.  A read is one ``standing`` pass
-    per touched place, each returning the ``(series × bin)`` block of its
-    series, landed at their plan positions.  A pass that runs where no
-    grid exists (in process with the pool stopped or its worker dead)
-    reports the window as not covered: the read falls back to the batch
-    engine.
+    listener, whose grids serve one pass over every planned series.
+    Over a store with a pool each worker keeps grids over its places'
+    series, built from the registrations the store announces, and a
+    read is one ``standing`` pass per touched place.  A pass that runs
+    where no grid exists (in process with the pool stopped or its worker
+    dead) reports the window as not covered: the read falls back to the
+    batch engine.
     """
 
     def __init__(self, engine: QueryEngine) -> None:
@@ -521,31 +521,29 @@ class StandingProvider:
         self, plan: QueryPlan, step: float, b0: int, b1: int, columns: Sequence[str]
     ) -> Optional[Dict[str, np.ndarray]]:
         """The state of every planned series over bins ``[b0, b1]``, one
-        ``(series × bin)`` array per name of ``columns``: each place's
-        block lands at its rows' plan positions (``bounds[gidx] + rank``),
-        so rows are in ``(group, rank)`` order without a sort.  A place
-        that cannot cover the window fails the read (``None`` -> batch
-        fallback): partial coverage would silently drop its series."""
-        tasks = [
-            (s, {"step": step, "sids": work.sids, "b0": b0, "b1": b1, "columns": columns})
-            for s, work in enumerate(plan.shards) if work.sids.size
-        ]
-        results = self.engine._run_on_shards("standing", tasks)
+        ``(series × bin)`` array per name of ``columns``, rows in plan
+        order.  In process one pass reads the plan's rows as they are;
+        on a pool each place's block lands at its rows' plan positions
+        (``bounds[gidx] + rank``), so neither sorts.  A part that cannot
+        cover the window fails the read (``None`` -> batch fallback):
+        partial coverage would silently drop its series."""
+        payload = {"step": step, "b0": b0, "b1": b1, "columns": columns}
+        parts, results = self.engine._run_on_shards(
+            "standing", lambda work: {**payload, "sids": work.sids}, plan.work)
         pool = self.engine.store.pool
-        if pool is not None:
-            for (s, _), (_, stats) in zip(tasks, results):
-                self._reported[pool.worker_of(s)] = stats
+        for (place, _), (_, stats) in zip(parts, results):
+            if pool is not None and place is not None:  # a place's grids live on its worker
+                self._reported[pool.worker_of(place)] = stats
         if any(cells is None for cells, _ in results):
             return None
         self.standing_scatters += 1
-        if len(results) == 1:  # one place holds every row, in plan order
+        if len(results) == 1:  # every row, or one place holding them all: plan order
             return results[0][0]
         n = len(plan.keys)
         out = {name: np.empty((n, b1 - b0 + 1)) for name in columns}
         # a group of one series sits at its group index
         starts = None if len(plan.labels) == n else np.asarray(plan.bounds)
-        for (s, _), (cells, _) in zip(tasks, results):
-            work = plan.shards[s]
+        for (_, work), (cells, _) in zip(parts, results):
             at = work.gidx if starts is None else starts[work.gidx] + work.rank
             for name, col in cells.items():
                 out[name][at] = col

@@ -1,9 +1,16 @@
 """Span-tree parity: a plain store's passes, and in-process,
 pool-dispatched, stopped-pool and crash-fallback scatter passes over a
-sharded one, must produce the same span tree shape (names + parentage,
-one leaf per place) for an identical query — the guarantee that a trace
-reads the same whatever the store shape and whether the fleet ran
-``--parallel`` or not.
+sharded one, must produce the same span tree shape (names + parentage)
+for an identical query — the guarantee that a trace reads the same
+whatever the store shape and whether the fleet ran ``--parallel`` or
+not.  Only the number of ``scatter.shard`` leaves under the one
+``federated.scatter`` follows who ran the pass:
+
+* in process (no pool, a stopped pool, a scatter kept inline by size):
+  one leaf per pass, which carries no place;
+* on a live pool: one leaf per touched place, tagged with it;
+* ``worker-killed``: the fallback re-runs the dead worker's places here,
+  place by place, so the leaves stay one per touched place.
 """
 
 import os
@@ -27,6 +34,7 @@ def clean_global_tracer():
 
 
 QUERY = MetricQuery("m", agg="mean", range_s=400.0, step_s=60.0, group_by=("node",))
+LEAF = ("engine.query", "engine.execute", "federated.scatter", "scatter.shard")
 
 
 def tree_shape(spans):
@@ -68,18 +76,21 @@ def test_every_executor_produces_the_same_span_tree(executor):
     ser = QueryEngine(serial_sharded, enable_cache=False)
     want, serial_spans = traced_query(ser)
     serial_shape = tree_shape(serial_spans)
+    assert ser.plan(QUERY).fanout == store.n_places  # the selection touches every place
 
     # the in-process trace has the full hierarchy: query -> execute ->
-    # scatter -> per-place leaves
+    # scatter -> one leaf, for the one pass
     assert ("engine.query",) in serial_shape
-    assert ("engine.query", "engine.execute", "federated.scatter",
-            "scatter.shard") in serial_shape
+    assert serial_shape.count(LEAF) == 1
 
     # on ``worker-killed`` this is the query that finds the worker dead:
     # its shards fall back inside the already-open federated.scatter span
     got, spans = traced_query(engine)
     assert (getattr(engine, "serial_fallbacks", 0) > 0) == executor.falls_back
-    assert tree_shape(spans) == serial_shape
+    shape = tree_shape(spans)
+    dispatched = executor.name in ("pool-1", "pool-2", "worker-killed")
+    assert shape.count(LEAF) == (engine.plan(QUERY).fanout if dispatched else 1)
+    assert [p for p in shape if p != LEAF] == [p for p in serial_shape if p != LEAF]
     assert_bit_identical(got, want)
 
     # a shard leaf crossed a process boundary exactly when a live worker
@@ -88,6 +99,7 @@ def test_every_executor_produces_the_same_span_tree(executor):
         if name != "scatter.shard":
             assert pid == os.getpid()
             continue
+        assert ("shard" in args) == dispatched
         in_worker = (executor.pooled and not executor.by_size) or (
             executor.name == "worker-killed" and store.pool.worker_of(args["shard"]) != 0
         )

@@ -5,7 +5,8 @@ kept a :class:`repro.telemetry.tsdb.LabelIndex` — every key of the metric
 sorted by ``str`` and tested with ``q.matches``, groups collected in a
 dict of label tuples, members re-sorted by ``str``, every key located by
 its series id and the place that id falls in — kept as the reference the
-index-built :class:`~repro.query.engine.QueryPlan` must equal.
+index-built :class:`~repro.query.engine.QueryPlan`, and the split by
+place a pool runs it as, must equal.
 """
 
 from typing import Dict, List, Tuple
@@ -29,7 +30,10 @@ def oracle_locate(store, key: SeriesKey) -> Tuple[int, int]:
     return sid % store.n_places, sid
 
 
-def oracle_plan(store, q: MetricQuery) -> QueryPlan:
+def oracle_rows(store, q: MetricQuery):
+    """``(labels, keys, bounds, rows)``: the plan's groups and its
+    selection in ``(group, rank)`` order, one ``(place, sid, group,
+    rank, sel)`` row per selected key."""
     selected = oracle_select(store, q)
     groups: Dict[GroupLabels, List[int]] = {}
     for sel, key in enumerate(selected):
@@ -37,16 +41,32 @@ def oracle_plan(store, q: MetricQuery) -> QueryPlan:
     labels = tuple(sorted(groups))
     keys: List[SeriesKey] = []
     bounds = [0]
-    columns = [([], [], [], []) for _ in range(store.n_places)]
+    rows = []
     for g, lab in enumerate(labels):
         members = sorted(groups[lab], key=lambda i: str(selected[i]))
         for rank, sel in enumerate(members):
             key = selected[sel]
             keys.append(key)
-            place, sid = oracle_locate(store, key)
-            for col, value in zip(columns[place], (sid, g, rank, sel)):
-                col.append(value)
+            rows.append((*oracle_locate(store, key), g, rank, sel))
         bounds.append(len(keys))
-    shards = [ShardWork(np.array(cols, dtype=np.int64).reshape(4, -1)) for cols in columns]
-    fanout = sum(1 for work in shards if work.sids.size)
-    return QueryPlan(store.series_generation(q.metric), labels, keys, bounds, shards, fanout)
+    return labels, keys, bounds, rows
+
+
+def _work(rows) -> ShardWork:
+    return ShardWork(np.array([row[1:] for row in rows], dtype=np.int64).reshape(-1, 4).T)
+
+
+def oracle_plan(store, q: MetricQuery) -> QueryPlan:
+    labels, keys, bounds, rows = oracle_rows(store, q)
+    fanout = len({place for place, *_ in rows})
+    return QueryPlan(store.series_generation(q.metric), labels, keys, bounds, _work(rows), fanout)
+
+
+def oracle_places(store, q: MetricQuery) -> List[Tuple[int, ShardWork]]:
+    """The plan's rows by place, as a pool runs them: ``(place, rows)``
+    for each place holding any, each one's rows in plan order."""
+    _, _, _, rows = oracle_rows(store, q)
+    return [
+        (place, _work([row for row in rows if row[0] == place]))
+        for place in range(store.n_places) if any(row[0] == place for row in rows)
+    ]

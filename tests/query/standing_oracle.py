@@ -120,12 +120,12 @@ def read(st: StandingQueryEngine, q, at: float) -> Optional[List[ResultSeries]]:
     grid_t0, n_bins = QueryEngine._grid(t0, at, step)
     b0 = int(math.floor(t0 / step))
     plan = st.engine.plan(q)
-    tasks = [
-        (s, {"step": step, "sids": w.sids, "gidxs": w.gidx, "ranks": w.rank,
-             "b0": b0, "b1": b0 + n_bins - 1, "want_rate": q.agg == "rate"})
-        for s, w in enumerate(plan.shards) if w.sids.size
-    ]
-    chunks = st.engine._run_on_shards(KIND, tasks)
+
+    def task(w):
+        return {"step": step, "sids": w.sids, "gidxs": w.gidx, "ranks": w.rank,
+                "b0": b0, "b1": b0 + n_bins - 1, "want_rate": q.agg == "rate"}
+
+    _, chunks = st.engine._run_on_shards(KIND, task, plan.work)
     if any(rows is None for rows in chunks):
         return None
     if q.agg == "rate":

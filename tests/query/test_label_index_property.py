@@ -7,8 +7,9 @@ four matcher ops (equality, literal alternations, regexes that are not
 literal, matchers and ``group_by`` on labels no series has) are resolved
 by :meth:`QueryEngine.select` / :meth:`QueryEngine.plan` from the store's
 :class:`~repro.telemetry.tsdb.LabelIndex` and by the brute-force oracle
-in ``plan_oracle.py``: keys, labels, bounds, fan-out and every per-shard
-``sids/gidx/rank/sel`` column must be equal, on a single store and on 1,
+in ``plan_oracle.py``: keys, labels, bounds, fan-out, the plan's
+``sids/gidx/rank/sel`` columns and those of each place a pool runs the
+plan as (``QueryEngine._places``) must be equal, on a single store and on 1,
 2 and 8 shards, before and after more series appear (the generation
 bump), and the index's ``(shard, sid)`` columns must be the CRC-32
 routing's.
@@ -23,7 +24,7 @@ from repro.shard import ShardedTimeSeriesStore
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
-from tests.query.plan_oracle import oracle_locate, oracle_plan, oracle_select
+from tests.query.plan_oracle import oracle_locate, oracle_places, oracle_plan, oracle_select
 
 NAMES = ("node", "rack", "zone")
 VALUES = ("", "a", "b", "a1", "b1", "ab", "n-1", "n:2")
@@ -73,18 +74,26 @@ def write(store, label_sets, t):
     store.insert(SeriesKey.of("other", node="a"), t, 0.0)  # never selected
 
 
+def assert_work_equal(a, b):
+    for col in ("sids", "gidx", "rank", "sel"):
+        got_col, want_col = getattr(a, col), getattr(b, col)
+        assert got_col.dtype == want_col.dtype == np.int64
+        assert np.array_equal(got_col, want_col), col
+
+
 def assert_plans_equal(got, want):
     assert got.generation == want.generation
     assert got.labels == want.labels
     assert got.keys == want.keys
     assert got.bounds == want.bounds
     assert got.fanout == want.fanout
-    assert len(got.shards) == len(want.shards)
-    for a, b in zip(got.shards, want.shards):
-        for col in ("sids", "gidx", "rank", "sel"):
-            got_col, want_col = getattr(a, col), getattr(b, col)
-            assert got_col.dtype == want_col.dtype == np.int64
-            assert np.array_equal(got_col, want_col), col
+    assert_work_equal(got.work, want.work)
+
+
+def assert_places_equal(got, want):
+    assert [place for place, _ in got] == [place for place, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert_work_equal(a, b)
 
 
 def check(store, engine, queries):
@@ -94,7 +103,9 @@ def check(store, engine, queries):
     assert list(zip(index.places.tolist(), index.sids.tolist())) == located
     for q in queries:
         assert engine.select(q) == oracle_select(store, q)
-        assert_plans_equal(engine.plan(q), oracle_plan(store, q))
+        plan = engine.plan(q)
+        assert_plans_equal(plan, oracle_plan(store, q))
+        assert_places_equal(engine._places(plan.work), oracle_places(store, q))
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,4 +164,4 @@ def test_plan_memo_is_an_lru_that_keeps_the_shapes_in_use(monkeypatch):
         qe.plan(MetricQuery("m", matchers=(LabelMatcher("node", "=", f"n{i}"),)))
         assert qe.plan(dashboard) is kept
     assert len(qe._plans) == 4
-    assert np.array_equal(kept.shards[0].sids, np.arange(6))
+    assert np.array_equal(kept.work.sids, np.arange(6))
