@@ -1,6 +1,7 @@
 """Shared benchmark helpers.
 
-Every benchmark regenerates one experiment from DESIGN.md §5, asserts
+Every benchmark regenerates one experiment of the README's experiment
+list (the table in ``repro.experiments.runner``; ``repro list``), asserts
 the *shape* the paper predicts (who wins, by roughly what factor), and
 prints the result table (visible with ``pytest -s`` or in the captured
 output block of a failure).

@@ -1,8 +1,9 @@
 """Experiment harness: scenarios, metrics, and report rendering.
 
 Every benchmark in ``benchmarks/`` calls a ``run_*`` scenario function
-from this package; the same functions power ``repro.experiments.runner``
-which regenerates the tables recorded in EXPERIMENTS.md.
+from this package; the same functions are the rows of the experiment
+table in ``repro.experiments.runner`` (``repro experiments``), which
+regenerates the tables the README records.
 """
 
 from repro.experiments.metrics import JobOutcomeSummary, detection_metrics

@@ -26,9 +26,9 @@ discipline E19b established:
   disabled and enabled sweeps is asserted on sampled ticks (spans must
   never perturb values).
 
-Gates (full run only; ``--smoke`` checks wiring + exactness):
-``disabled_overhead ≤ 1.02`` and ``enabled_overhead ≤ 1.05`` on both
-halves.
+Gates (``benchmarks/test_bench_e20_obs.py``; ``repro experiments E20``
+checks exactness only): ``disabled_overhead ≤ 1.02`` and
+``enabled_overhead ≤ 1.05`` on both halves.
 """
 
 from __future__ import annotations
@@ -238,21 +238,4 @@ def run_obs_standing_overhead(
         "standing_served": float(served),
         "spans_recorded": float(spans_recorded),
         "match": 1.0 if mismatches == 0 else 0.0,
-    }
-
-
-def run_obs_benchmark(
-    *,
-    seed: int = 0,
-    n_series: int = 4096,
-    n_loops: int = 64,
-    ticks: int = 30,
-) -> Dict[str, Dict[str, float]]:
-    """Both E20 halves with shared sizing (the CLI/CI entry)."""
-    return {
-        "ingest": run_obs_ingest_overhead(seed=seed, n_series=n_series, ticks=ticks),
-        "standing": run_obs_standing_overhead(
-            seed=seed, n_loops=n_loops,
-            nodes_per_loop=max(1, n_series // n_loops), ticks=ticks,
-        ),
     }

@@ -471,39 +471,3 @@ def run_parallel_supervision_benchmark(
         "trace_match": 1.0 if serial["trace"] == parallel["trace"] else 0.0,
         "serial_fallbacks": float(captured["engine"].serial_fallbacks),
     }
-
-
-def run_parallel_benchmark(
-    *,
-    seed: int = 0,
-    n_series: int = 4096,
-    n_shards: int = 8,
-    workers: int = 4,
-    ticks: int = 64,
-    repeats: int = 3,
-    fleet_loops: int = 64,
-    supervise_loops: int = 32,
-) -> Dict[str, Dict[str, float]]:
-    """All five E18 measurements with shared sizing (the CLI/CI entry)."""
-    return {
-        "scatter": run_parallel_scatter_benchmark(
-            seed=seed, n_series=n_series, n_shards=n_shards, workers=workers,
-            ticks=ticks, repeats=repeats,
-        ),
-        "ingest": run_parallel_ingest_benchmark(
-            seed=seed, n_series=n_series, n_shards=n_shards,
-            workers=min(workers, 2), ticks=ticks, repeats=repeats,
-        ),
-        "fleet": run_parallel_fleet_benchmark(
-            seed=seed, n_loops=fleet_loops, n_shards=min(n_shards, 4),
-            workers=min(workers, 2),
-        ),
-        "supervise": run_parallel_supervision_benchmark(
-            seed=seed, n_loops=supervise_loops, n_shards=min(n_shards, 4),
-            workers=min(workers, 2),
-        ),
-        # its own series count: the largest selection has to fit
-        "small_pass_tax": run_small_pass_tax_benchmark(
-            seed=seed, n_shards=min(n_shards, 4), workers=min(workers, 2), ticks=ticks,
-        ),
-    }

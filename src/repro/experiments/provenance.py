@@ -2,8 +2,8 @@
 
 CI uploads ``BENCH_*.json`` rows from every run; comparing them across
 runs is only meaningful if each row says *which* code produced it and
-*when*.  :func:`provenance` returns those fields; the ``bench-*`` CLI
-commands merge them into every JSON artifact they write.
+*when*.  :func:`provenance` returns those fields; ``repro experiments
+--json`` merges them into every artifact it writes.
 """
 
 from __future__ import annotations

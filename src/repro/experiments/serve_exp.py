@@ -25,7 +25,7 @@ regime it exists for — sustained mixed traffic — using only the public
   the greedy tenant's excess bounces off its token bucket.
 
 Wall-clock numbers here are host-dependent by design; the exactness and
-accounting checks are what CI asserts in smoke mode.
+accounting flags are what ``repro experiments E21`` checks at any size.
 """
 
 from __future__ import annotations
@@ -313,28 +313,3 @@ def run_quota_isolation_benchmark(
             "isolation_ok": 1.0 if cont_p99 <= max(2.0 * solo_p99, 5.0) else 0.0,
         }
     return row
-
-
-def run_serve_benchmark(
-    *,
-    seed: int = 0,
-    n_nodes: int = 64,
-    duration_s: float = 3.0,
-    n_drivers: int = 4,
-    tenant: str = "interactive",
-    qps_quota: float = 4000.0,
-    deadline_ms: float = 250.0,
-) -> Dict[str, Dict[str, float]]:
-    """Both E21 halves with shared sizing (the CLI/CI entry)."""
-    return {
-        "load": run_serve_load_benchmark(
-            seed=seed, n_nodes=n_nodes, duration_s=duration_s,
-            n_drivers=n_drivers, tenant=tenant, qps_quota=qps_quota,
-            deadline_ms=deadline_ms,
-        ),
-        "isolation": run_quota_isolation_benchmark(
-            seed=seed, n_nodes=n_nodes,
-            duration_s=max(0.5, duration_s * (2.0 / 3.0)),
-            greedy_drivers=n_drivers, deadline_ms=deadline_ms,
-        ),
-    }

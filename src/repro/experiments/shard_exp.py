@@ -281,22 +281,3 @@ def run_sharded_ingest_benchmark(
         "shard_balance": min(cards) / max(cards),
         "match": float(match),
     }
-
-
-def run_shard_benchmark(
-    *,
-    seed: int = 0,
-    n_series: int = 4096,
-    n_shards: int = 8,
-    ticks: int = 64,
-    repeats: int = 3,
-) -> Dict[str, Dict[str, float]]:
-    """Both E16 halves with shared sizing (the CLI/CI entry)."""
-    return {
-        "query": run_federated_query_benchmark(
-            seed=seed, n_series=n_series, n_shards=n_shards, ticks=ticks, repeats=repeats
-        ),
-        "ingest": run_sharded_ingest_benchmark(
-            seed=seed, n_series=n_series, n_shards=n_shards, ticks=ticks, repeats=repeats
-        ),
-    }

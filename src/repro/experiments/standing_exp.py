@@ -244,21 +244,3 @@ def run_standing_ingest_overhead(
         "standing_samples_per_s": samples / standing_wall,
         "standing_overhead": standing_wall / plain_wall,
     }
-
-
-def run_standing_benchmark(
-    *,
-    seed: int = 0,
-    n_loops: int = 256,
-    nodes_per_loop: int = 16,
-    ticks: int = 60,
-) -> Dict[str, Dict[str, float]]:
-    """Both E19 halves with shared sizing (the CLI/CI entry)."""
-    return {
-        "hub": run_standing_hub_benchmark(
-            seed=seed, n_loops=n_loops, nodes_per_loop=nodes_per_loop, ticks=ticks
-        ),
-        "ingest": run_standing_ingest_overhead(
-            seed=seed, n_series=n_loops * nodes_per_loop
-        ),
-    }

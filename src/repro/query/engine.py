@@ -73,19 +73,21 @@ _PLANS_MAX = 4096
 WORKER_DIED = object()
 
 #: A scatter pass over at most this many series runs in process although
-#: a pool is live.  Calibration (E18 ``small_pass_tax``, 4 shards × 2
-#: workers): a dispatch costs a fixed F ≈ 0.7–1.3 ms over the same pass
-#: run here (wake two workers, pickle the worklists, unpickle the rows),
-#: and a series read by the ring-window kernel costs c ≈ 3 µs from raw
-#: rings, ≈ 2 µs stitched from a tier, on either side.  W workers on
-#: cores of their own save at most c·k·(1 − 1/W), so the pool breaks
-#: even no earlier than k = F / (c·(1 − 1/W)): ≈ 450–850 series at
-#: W = 2, ≈ 300–580 at W = 4; on the 2-vCPU development host the pool
-#: loses up to 512 series (×1.6 at 512).  64 is below all of those, so
-#: no pass kept here would have been faster dispatched.  (256 would be
-#: too, but ``serve_dash`` then reads the pool's tier pages in the parent
-#: as well: peak RSS +4 MB for p50 −6 %.)  Tests and E18 pin it to 0 to
-#: send every pass to the pool.
+#: a pool is live.  Calibration (E18 ``small_pass_tax``: 1,024 series,
+#: 4 shards × 2 workers, no tiers, 2-vCPU host, one in-process pass per
+#: query): a pass over 8 / 64 / 512 series costs 0.30 / 0.62 / 2.44 ms
+#: here and 1.82 / 2.80 / 5.33 ms through the pool: c ≈ 4.3 µs per
+#: series here, and a dispatch adds a fixed F ≈ 1.5 ms (wake two
+#: workers, pickle the worklists, unpickle the rows).  W workers on cores
+#: of their own save at most c·k·(1 − 1/W), so the pool breaks even no
+#: earlier than k = F / (c·(1 − 1/W)): ≈ 700 series at W = 2, ≈ 470 at
+#: W = 4; on the 2-vCPU host it loses at every size (×2.2 at 512).  So
+#: no pass kept here would have been faster dispatched, and passes of
+#: 65–512 series are dispatched at ≥ 2× their cost here: 64 is a floor,
+#: not the break-even.  It stays, because moving it changes what
+#: ``serve_dash`` reads where (at 256 the parent maps the pool's tier
+#: pages too: peak RSS +4 MB for p50 −6 %).  Tests and E18 pin it to 0
+#: to send every pass to the pool.
 INLINE_SCATTER_SERIES = 64
 
 

@@ -1,7 +1,33 @@
 """Tests for the CLI."""
 
+import dataclasses
+import json
+import re
+from pathlib import Path
 
-from repro.cli import EXPERIMENT_INDEX, main
+import pytest
+
+from repro.cli import build_parser, main
+from repro.experiments.runner import EXACTNESS_FLAGS, EXPERIMENTS
+
+CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+
+
+def run_rows(tmp_path, capsys, *argv):
+    """``repro experiments <argv> --json``: (exit code, output, artifact)."""
+    out_path = tmp_path / "BENCH.json"
+    code = main(["experiments", *argv, "--json", str(out_path)])
+    return code, capsys.readouterr(), json.loads(out_path.read_text())
+
+
+def with_row(monkeypatch, exp_id, name, result):
+    """Swap the row function of one table row for one returning ``result``."""
+    exp = EXPERIMENTS[exp_id]
+    rows = tuple(
+        dataclasses.replace(row, run=lambda **_: dict(result)) if row.name == name else row
+        for row in exp.rows
+    )
+    monkeypatch.setitem(EXPERIMENTS, exp_id, dataclasses.replace(exp, rows=rows))
 
 
 def test_list_command(capsys):
@@ -22,9 +48,13 @@ def test_no_command_prints_help(capsys):
     assert "experiments" in capsys.readouterr().out
 
 
-def test_index_covers_all_experiments():
-    ids = [e[0] for e in EXPERIMENT_INDEX]
-    assert ids == [f"E{i}" for i in range(1, 22)]
+def test_table_covers_all_experiments():
+    assert list(EXPERIMENTS) == [f"E{i}" for i in range(1, 22)]
+    # E14 is a frozen README row: listed, nothing to run
+    assert [e for e, exp in EXPERIMENTS.items() if not exp.rows] == ["E14"]
+    for exp in EXPERIMENTS.values():
+        names = [row.name for row in exp.rows]
+        assert len(names) == len(set(names))
 
 
 def test_loops_command(capsys):
@@ -35,17 +65,15 @@ def test_loops_command(capsys):
     assert "loop_iteration_ms" in out
 
 
-def test_bench_loops_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_loops.json"
-    assert main(["bench-loops", "--loops", "8", "--ticks", "2", "--json", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "monitor speedup" in out
-    assert "hosting overhead" in out
-    import json
-
-    data = json.loads(out_path.read_text())
+def test_experiments_e15_rows(tmp_path, capsys):
+    code, cap, data = run_rows(tmp_path, capsys, "E15", "--quick")
+    assert code == 0
+    assert "E15 — fused fleet monitoring" in cap.out
+    assert "E15b — runtime hosting overhead" in cap.out
     assert data["fleet"]["match"] == 1.0
     assert data["overhead"]["iterations_match"] == 1.0
+    # artifacts are stamped for cross-run comparability
+    assert data["git_sha"] and data["generated_at"]
 
 
 def test_query_command(capsys):
@@ -106,60 +134,31 @@ def test_supervise_command(capsys):
     assert "final p95" in out
 
 
-def test_bench_supervise_smoke_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_supervise.json"
-    assert main([
-        "bench-supervise", "--loops", "32", "--ticks", "8",
-        "--smoke", "--json", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "healing:" in out
-    assert "shared serving" in out
-    import json
-
-    rows = json.loads(out_path.read_text())
+def test_experiments_e17_rows(tmp_path, capsys):
+    code, cap, rows = run_rows(tmp_path, capsys, "E17", "--quick")
+    assert code == 0
+    assert "E17b — shared hub serving" in cap.out
     assert rows["heal"]["restores_within_2x"] == 1.0
     assert rows["shared"]["match"] == 1.0
-    # bench artifacts are stamped for cross-run comparability
     assert rows["git_sha"] and rows["generated_at"]
 
 
-def test_bench_loops_artifact_carries_provenance(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_loops.json"
-    assert main(["bench-loops", "--loops", "4", "--ticks", "2", "--json", str(out_path)]) == 0
-    capsys.readouterr()
-    import json
-
-    data = json.loads(out_path.read_text())
-    assert data["git_sha"] and data["generated_at"]
-
-
-def test_bench_shard_smoke_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_shard.json"
-    assert main([
-        "bench-shard", "--series", "64", "--shards", "4", "--ticks", "8",
-        "--smoke", "--json", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "query speedup" in out
-    import json
-
-    rows = json.loads(out_path.read_text())
+def test_experiments_e16_rows(tmp_path, capsys):
+    code, cap, rows = run_rows(tmp_path, capsys, "E16", "--quick")
+    assert code == 0
+    assert "query_speedup" in cap.out
     assert rows["query"]["bit_identical"] == 1.0
     assert rows["query"]["standing_match"] == 1.0
     assert rows["ingest"]["match"] == 1.0
-    assert rows["query"]["n_shards"] == 4.0
+    assert rows["query"]["n_shards"] == 8.0
+    assert rows["git_sha"] and rows["generated_at"]
 
 
-def test_bench_obs_smoke_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_obs.json"
-    assert main(["bench-obs", "--smoke", "--json", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "ingest: disabled" in out
-    assert "spans recorded" in out
-    import json
-
-    rows = json.loads(out_path.read_text())
+def test_experiments_e20_rows(tmp_path, capsys):
+    code, cap, rows = run_rows(tmp_path, capsys, "E20", "--quick")
+    assert code == 0
+    assert "disabled_overhead" in cap.out
+    assert "spans_recorded" in cap.out
     assert rows["standing"]["match"] == 1.0  # spans never perturb results
     assert rows["standing"]["spans_recorded"] > 0
     assert rows["ingest"]["commits"] > 0
@@ -178,40 +177,28 @@ def test_query_command_parallel_with_stats(capsys):
     assert "standing.registered_shapes = 1" in out
 
 
-def test_bench_shard_parallel_smoke_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_parallel_storage.json"
-    assert main([
-        "bench-shard", "--series", "64", "--shards", "4", "--ticks", "8",
-        "--parallel", "2", "--smoke", "--json", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "scatter speedup" in out
-    assert "shm ingest overhead" in out
-    import json
-
-    rows = json.loads(out_path.read_text())
-    assert rows["scatter"]["bit_identical"] == 1.0
-    assert rows["ingest"]["match"] == 1.0
-    assert rows["git_sha"] and rows["generated_at"]
-
-
-def test_bench_parallel_smoke_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_parallel.json"
-    assert main([
-        "bench-parallel", "--series", "64", "--shards", "4", "--workers", "2",
-        "--ticks", "8", "--smoke", "--json", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "scatter speedup" in out
-    assert "fleet + supervision reruns exact" in out
-    import json
-
-    rows = json.loads(out_path.read_text())
+def test_experiments_e18_rows(tmp_path, capsys):
+    code, cap, rows = run_rows(tmp_path, capsys, "E18", "--quick")
+    assert code == 0
+    assert "scatter_speedup" in cap.out
+    assert "shm_overhead" in cap.out
     assert rows["scatter"]["bit_identical"] == 1.0
     assert rows["ingest"]["match"] == 1.0
     assert rows["fleet"]["match"] == 1.0
     assert rows["supervise"]["trace_match"] == 1.0
+    assert rows["supervise"]["restarts_match"] == 1.0
     assert rows["supervise"]["restores_within_2x"] == 1.0
+    assert rows["small_pass_tax"]["bit_identical"] == 1.0
+    assert rows["git_sha"] and rows["generated_at"]
+
+
+def test_experiments_e19_rows(tmp_path, capsys):
+    code, cap, rows = run_rows(tmp_path, capsys, "E19", "--quick")
+    assert code == 0
+    assert "E19 — standing vs fused hub serving" in cap.out
+    assert rows["hub"]["match"] == 1.0
+    assert rows["hub"]["auto_registered_shapes"] >= 1.0
+    assert rows["ingest"]["commits"] > 0
     assert rows["git_sha"] and rows["generated_at"]
 
 
@@ -283,17 +270,53 @@ def test_serve_command(capsys):
     assert "besteffort" in out  # the three-tenant demo mix
 
 
-def test_bench_serve_smoke_command(tmp_path, capsys):
-    out_path = tmp_path / "BENCH_serve.json"
-    assert main([
-        "bench-serve", "--nodes", "8", "--duration", "0.4", "--drivers", "2",
-        "--smoke", "--json", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "E21" in out
-    import json
-
-    rows = json.loads(out_path.read_text())
+def test_experiments_e21_rows(tmp_path, capsys):
+    code, cap, rows = run_rows(tmp_path, capsys, "E21", "--quick")
+    assert code == 0
+    assert "E21" in cap.out
     assert rows["load"]["match"] == 1.0
     assert rows["load"]["accounting_ok"] == 1.0
     assert rows["isolation"]["accounting_ok"] == 1.0
+    assert rows["git_sha"] and rows["generated_at"]
+
+
+def test_inexact_row_fails_the_run_and_names_it(tmp_path, capsys, monkeypatch):
+    with_row(monkeypatch, "E16", "ingest", {"match": 0.0})
+    with_row(monkeypatch, "E16", "query", {"bit_identical": 1.0, "standing_match": 1.0})
+    code, cap, rows = run_rows(tmp_path, capsys, "E16", "--quick")
+    assert code == 1
+    assert "E16 row 'ingest': match = 0.0" in cap.err
+    assert rows["ingest"]["match"] == 0.0  # the artifact is still written
+
+
+@pytest.mark.parametrize("exp_id, name, flag", [
+    ("E15", "overhead", "iterations_match"),
+    ("E18", "supervise", "restarts_match"),
+])
+def test_iterations_and_restarts_match_fail_the_run(capsys, monkeypatch, exp_id, name, flag):
+    assert flag in EXACTNESS_FLAGS
+    for row in EXPERIMENTS[exp_id].rows:
+        with_row(monkeypatch, exp_id, row.name, {flag: 0.0 if row.name == name else 1.0})
+    assert main(["experiments", exp_id, "--quick"]) == 1
+    err = capsys.readouterr().err
+    assert f"{exp_id} row {name!r}: {flag} = 0.0" in err
+    assert err.count("ERROR") == 1
+
+
+def test_unknown_experiment_id(capsys):
+    assert main(["experiments", "E15", "E99"]) == 2
+    assert "E99" in capsys.readouterr().err
+
+
+def test_ci_rows_name_table_ids():
+    """Every ``row:`` of the CI benchmark matrix parses as a command and
+    names experiments of the table (read as text: no YAML dependency)."""
+    rows = re.findall(r"^\s*row:\s*(.+?)\s*$", CI_WORKFLOW.read_text(), re.MULTILINE)
+    assert rows
+    parser = build_parser()
+    for row in rows:
+        args = parser.parse_args(row.split())
+        assert args.command == "experiments", row
+        assert args.ids and set(args.ids) <= set(EXPERIMENTS), row
+        assert all(EXPERIMENTS[exp_id].rows for exp_id in args.ids), row
+        assert args.json_path and args.json_path.startswith("benchmarks/BENCH_"), row
