@@ -15,10 +15,16 @@ Package map
 ``repro.cluster``   nodes, jobs, applications with progress markers,
                     SLURM-like scheduler with extension hook, maintenance
 ``repro.storage``   Lustre-like striped filesystem, OST health, QoS
-``repro.core``      the MAPE-K loop framework and Fig. 2 patterns
+``repro.query``     metric query engine, rollup tiers, standing queries
+``repro.shard``     multi-place store and its worker pool
+``repro.obs``       tracing, flight recorder, metrics taxonomy
+``repro.core``      the MAPE-K loop framework and the loop runtime that
+                    hosts every loop: the five use cases, the
+                    supervisors and the four Fig. 2 patterns
 ``repro.loops``     the five Section III use cases, assembled
+``repro.serve``     multi-tenant query front door (``repro.api``)
 ``repro.workloads`` job mixes, misestimation, resubmission, trace export
-``repro.experiments`` scenario functions + table rendering for E1–E12
+``repro.experiments`` the experiment table E1–E21 and its scenarios
 ==================  =====================================================
 
 Quick start::

@@ -61,7 +61,7 @@ class ForecastResult:
 class Forecaster(abc.ABC):
     """Streaming TTC forecaster over ``(time, step)`` markers."""
 
-    #: human-readable name used by the registry / reports
+    #: human-readable name used by configs (``make_forecaster``) and reports
     name: str = "forecaster"
 
     @abc.abstractmethod
@@ -483,7 +483,7 @@ _FORECASTERS = {
 
 
 def make_forecaster(name: str, **kwargs) -> Forecaster:
-    """Construct a forecaster by registry name (interchangeability hook)."""
+    """Construct a forecaster by name (interchangeability hook)."""
     try:
         cls = _FORECASTERS[name]
     except KeyError:

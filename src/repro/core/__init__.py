@@ -10,8 +10,6 @@ This package provides the formalized loop machinery the paper proposes:
   about the success of the Plan"),
 * the :class:`~repro.core.loop.MAPEKLoop` engine with per-phase latency
   modelling,
-* the four decentralization patterns of Fig. 2
-  (:mod:`~repro.core.patterns`),
 * decision confidence measures and safety guards (Section IV / trust),
 * human-in-the-loop and human-on-the-loop adapters,
 * an audit trail with explanations,
@@ -19,7 +17,11 @@ This package provides the formalized loop machinery the paper proposes:
   :class:`~repro.core.runtime.LoopSpec` descriptions instantiated and
   multiplexed by a :class:`~repro.core.runtime.LoopRuntime` with fused
   query-backed monitoring, cross-loop plan arbitration
-  (:mod:`~repro.core.arbiter`), and per-loop self-telemetry.
+  (:mod:`~repro.core.arbiter`), and per-loop self-telemetry,
+* the four decentralization patterns of Fig. 2 as loop specs on that
+  runtime (:mod:`~repro.core.patterns`): gossip and master traffic are
+  reads of the runtime's store, a network hop is a phase latency, and
+  the hierarchical rebalancer is a meta-loop.
 """
 
 from repro.core.types import (
@@ -34,7 +36,6 @@ from repro.core.types import (
 from repro.core.component import Analyzer, Assessor, Executor, Monitor, Planner
 from repro.core.knowledge import KnowledgeBase, PlanOutcome
 from repro.core.loop import MAPEKLoop, PhaseLatency
-from repro.core.bus import MessageBus
 from repro.core.guards import (
     ActionBudgetGuard,
     ActionKindGuard,
@@ -51,7 +52,6 @@ from repro.core.humanloop import (
     HumanResponseModel,
 )
 from repro.core.persistence import load_knowledge, save_knowledge
-from repro.core.registry import ComponentRegistry
 from repro.core.arbiter import ArbiterGuard, PlanArbiter
 from repro.core.runtime import (
     LoopHandle,
@@ -62,14 +62,7 @@ from repro.core.runtime import (
     QueryMonitor,
     RuntimeConfig,
 )
-from repro.core.patterns import (
-    CoordinatedController,
-    DriftingElement,
-    HierarchicalController,
-    MasterWorkerController,
-    PatternController,
-    classical_loop_for,
-)
+from repro.core.patterns import DriftingElement
 
 __all__ = [
     "Action",
@@ -81,15 +74,12 @@ __all__ = [
     "Assessor",
     "AuditEvent",
     "AuditTrail",
-    "ComponentRegistry",
     "ConfidenceGuard",
     "ContingencyPolicy",
-    "CoordinatedController",
     "DriftingElement",
     "ExecutionResult",
     "Executor",
     "Guard",
-    "HierarchicalController",
     "HumanInTheLoopExecutor",
     "HumanOnTheLoopNotifier",
     "HumanResponseModel",
@@ -99,12 +89,9 @@ __all__ = [
     "LoopRuntime",
     "LoopSpec",
     "MAPEKLoop",
-    "MasterWorkerController",
-    "MessageBus",
     "Monitor",
     "MonitorQuery",
     "Observation",
-    "PatternController",
     "PhaseLatency",
     "Plan",
     "PlanArbiter",
@@ -115,7 +102,6 @@ __all__ = [
     "RateLimitGuard",
     "RuntimeConfig",
     "Symptom",
-    "classical_loop_for",
     "combined_confidence",
     "interval_confidence",
     "load_knowledge",

@@ -1,4 +1,4 @@
-"""The four MAPE-K design patterns of Fig. 2, made measurable.
+"""The four MAPE-K design patterns of Fig. 2, as loops on the runtime.
 
 All four patterns regulate the same concrete task so their trade-offs
 can be compared quantitatively (experiment E2): ``N`` drifting scalar
@@ -6,13 +6,23 @@ elements (think per-node power under a cluster-wide cap) must be held
 at a global target, per-element fair share, despite a persistent upward
 disturbance.
 
+Every pattern is a set of :class:`~repro.core.runtime.LoopSpec`\\ s for
+one :class:`~repro.core.runtime.LoopRuntime`, so E2 measures the loops
+everything else runs on.  Each element publishes its state into the
+runtime's store as ``x{element}`` whenever it is disturbed, and every
+loop reads it back through the runtime's hub.  What the loops of a
+pattern exchange are reads of the store and executed actions, and a hop
+of the network is a phase latency.  A coordinated loop's gossip is the
+``gossip{element}`` series it writes after acting, so a stopped loop
+stops gossiping.
+
 =================  =============================================  ==========
 Pattern            Structure                                      Fig. 2
 =================  =============================================  ==========
-classical          one full MAPE-K loop per (single) element      (a)
-master-worker      per-element Monitor/Execute, central A+P        (b)
-coordinated        full local loops + peer gossip                  (c)
-hierarchical       group controllers + slow top-level rebalancer   (d)
+classical          one loop per element, reading only itself      (a)
+master-worker      one loop reading every element, acting on all  (b)
+coordinated        one loop per element, also reading its peers   (c)
+hierarchical       one loop per group + a meta-loop rebalancer    (d)
 =================  =============================================  ==========
 
 What the paper claims, and what the benchmark measures:
@@ -23,7 +33,8 @@ What the paper claims, and what the benchmark measures:
 * coordinated has "potential of good scalability and robustness, but
   decentralized Plan policies may suffer from instability" — constant
   local latency, but the overlapping compensation term (``comp_gain``)
-  over stale gossip causes oscillation when pushed;
+  over its peers' gossip (one loop period old) causes oscillation when
+  pushed;
 * hierarchical "aim[s] to improve scalability without compromising
   stability" — bounded group size keeps latency constant, and only the
   slow top level moves global targets.
@@ -31,18 +42,17 @@ What the paper claims, and what the benchmark measures:
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bus import MessageBus
-from repro.core.component import Analyzer, Executor, Monitor, Planner
-from repro.core.coordination import NeighborView, ring_neighbors
+from repro.core.component import Analyzer, Executor, Planner
 from repro.core.knowledge import KnowledgeBase
-from repro.core.loop import MAPEKLoop, PhaseLatency
+from repro.core.loop import PhaseLatency
+from repro.core.runtime import LoopRuntime, LoopSpec, MonitorQuery, QueryHub
 from repro.core.types import Action, AnalysisReport, ExecutionResult, Observation, Plan
 from repro.sim.engine import Engine, PeriodicTask
+from repro.telemetry.metric import SeriesKey
 
 
 class DriftingElement:
@@ -70,6 +80,16 @@ class DriftingElement:
         self.disturb_period_s = disturb_period_s
         self.actuations = 0
         self._task: Optional[PeriodicTask] = None
+        #: where each disturbance publishes ``x`` (see :meth:`publish_to`)
+        self._hub: Optional[QueryHub] = None
+        self._keys = ()
+
+    def publish_to(self, hub: QueryHub) -> None:
+        """From the next disturbance on, stage ``x{element}`` in ``hub``:
+        the elements disturbed at one instant are committed as one write,
+        which any read through the hub sees."""
+        self._hub = hub
+        self._keys = (SeriesKey.of("x", element=self.element_id),)
 
     def start_disturbance(self) -> None:
         if self._task is not None and not self._task.stopped:
@@ -84,6 +104,8 @@ class DriftingElement:
 
     def _disturb(self) -> None:
         self.x += float(self.rng.normal(self.drift_mu, self.drift_std))
+        if self._hub is not None:
+            self._hub.stage(self._keys, (self.x,), at=self.engine.now)
 
     def read(self) -> float:
         return self.x
@@ -93,406 +115,313 @@ class DriftingElement:
         self.actuations += 1
 
 
-class PatternController(abc.ABC):
-    """Common interface over the four pattern implementations."""
+def groups(n: int, group_size: int) -> List[List[int]]:
+    """Element indices ``0..n-1`` cut into consecutive groups."""
+    if group_size <= 0:
+        raise ValueError("group_size must be positive")
+    return [list(range(start, min(start + group_size, n))) for start in range(0, n, group_size)]
 
-    pattern_name: str = "pattern"
 
-    def __init__(self, engine: Engine, elements: Sequence[DriftingElement], target_total: float) -> None:
-        if not elements:
-            raise ValueError("need at least one element")
-        self.engine = engine
-        self.elements = list(elements)
-        self.target_total = float(target_total)
-        self.cycles = 0
+def publish(runtime: LoopRuntime, elements: Sequence[DriftingElement]) -> None:
+    """Have every element publish into ``runtime``'s store."""
+    for element in elements:
+        element.publish_to(runtime.hub)
 
-    @abc.abstractmethod
-    def start(self) -> None: ...
 
-    @abc.abstractmethod
-    def stop(self) -> None: ...
+def ring_neighbors(n: int, i: int, k: int = 1) -> List[int]:
+    """Indices of the ``k`` nearest neighbours on each side of ``i`` in a ring.
 
-    @abc.abstractmethod
-    def nominal_decision_latency(self) -> float:
-        """Observation-to-actuation delay under this pattern's structure."""
-
-    @abc.abstractmethod
-    def messages_sent(self) -> int: ...
-
-    def aggregate(self) -> float:
-        return sum(e.read() for e in self.elements)
-
-    def fair_share(self) -> float:
-        return self.target_total / len(self.elements)
-
-    def control_error(self) -> float:
-        """Absolute aggregate error right now."""
-        return abs(self.aggregate() - self.target_total)
+    With ``k=1`` on ``n=5``: neighbours of 0 are [1, 4].
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if not 0 <= i < n:
+        raise ValueError(f"i={i} out of range for n={n}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    # small rings wrap onto themselves
+    return sorted({(i + d) % n for d in range(-k, k + 1)} - {i})
 
 
 # --------------------------------------------------------------------------
-# (a) classical: a genuine MAPEKLoop over a single element
-# --------------------------------------------------------------------------
+# the one component set: a value per target, and actions that apply it
 
 
-class _ElementMonitor(Monitor):
-    def __init__(self, element: DriftingElement) -> None:
-        self.element = element
-        self.name = f"monitor-{element.element_id}"
+class _Analyze(Analyzer):
+    """``decide(observation values) -> {target: value}``."""
 
-    def observe(self, now: float) -> Observation:
-        return Observation(now, self.name, values={"x": self.element.read()})
+    name = "pattern-analyzer"
 
-
-class _SetpointAnalyzer(Analyzer):
-    name = "setpoint-analyzer"
-
-    def __init__(self, setpoint: float) -> None:
-        self.setpoint = setpoint
+    def __init__(self, decide: Callable[[Mapping[str, float]], Dict[str, float]]) -> None:
+        self.decide = decide
 
     def analyze(self, observation: Observation, knowledge: KnowledgeBase) -> AnalysisReport:
-        error = self.setpoint - observation.values["x"]
         return AnalysisReport(
-            observation.time, self.name, metrics={"error": error}, confidence=1.0
+            observation.time, self.name, metrics=self.decide(observation.values), confidence=1.0
         )
 
 
-class _ProportionalPlanner(Planner):
-    name = "proportional-planner"
+class _Plan(Planner):
+    """One ``kind`` action per analyzed target, carrying its value."""
 
-    def __init__(self, element_id: str, gain: float = 0.5, deadband: float = 0.5) -> None:
-        self.element_id = element_id
-        self.gain = gain
-        self.deadband = deadband
+    name = "pattern-planner"
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
 
     def plan(self, report: AnalysisReport, knowledge: KnowledgeBase) -> Plan:
-        error = report.metrics["error"]
-        if abs(error) <= self.deadband:
-            return Plan(report.time, self.name)
-        action = Action(
-            "adjust", self.element_id, params={"delta": self.gain * error},
-            rationale=f"error={error:.2f}",
+        actions = tuple(
+            Action(self.kind, target, params={"value": value})
+            for target, value in report.metrics.items()
         )
-        return Plan(report.time, self.name, actions=(action,), rationale=action.rationale)
+        return Plan(report.time, self.name, actions=actions)
 
 
-class _ElementExecutor(Executor):
-    def __init__(self, element: DriftingElement) -> None:
-        self.element = element
-        self.name = f"executor-{element.element_id}"
+class _Execute(Executor):
+    """Applies each action's value to its target."""
+
+    name = "pattern-executor"
+
+    def __init__(self, apply: Callable[[str, float], None]) -> None:
+        self.apply = apply
 
     def execute(self, plan: Plan, knowledge: KnowledgeBase) -> List[ExecutionResult]:
         results = []
         for action in plan.actions:
-            self.element.actuate(action.param("delta"))
+            self.apply(action.target, action.param("value"))
             results.append(ExecutionResult(action, plan.time, honored=True))
         return results
 
 
-def classical_loop_for(
-    engine: Engine,
-    element: DriftingElement,
-    setpoint: float,
+def _read_states(name: str):
+    """Observation builder: the last value of each element read, from
+    its ``x`` and ``gossip`` queries."""
+
+    def build(now: float, inputs) -> Optional[Observation]:
+        values = {
+            series.label("element"): float(series.values[-1])
+            for slot in ("x", "gossip")
+            for series in (inputs[slot].series if slot in inputs else ())
+            if series.values.size
+        }
+        return Observation(now, name, values=values) if values else None
+
+    return build
+
+
+def _corrections(share: Callable[[], float], gain: float, *, comp_gain: float = 0.0,
+                 own: Optional[str] = None, deadband: float = 0.0):
+    """``gain·(share − x)`` per element read (only ``own``, when given),
+    plus ``comp_gain·(share − mean of every value read)``; an element
+    within ``deadband`` of its share gets no correction."""
+
+    def decide(values: Mapping[str, float]) -> Dict[str, float]:
+        f = share()
+        comp = comp_gain * (f - sum(values.values()) / len(values)) if comp_gain else 0.0
+        targets = values if own is None else (own,)
+        return {
+            e: gain * (f - values[e]) + comp
+            for e in targets
+            if e in values and abs(f - values[e]) > deadband
+        }
+
+    return decide
+
+
+def _one_of(elements: Sequence[DriftingElement]) -> str:
+    """The label selector matching exactly ``elements``."""
+    return '{element=~"%s"}' % "|".join(e.element_id for e in elements)
+
+
+def _element_spec(
+    name: str,
+    elements: Sequence[DriftingElement],
+    decide,
     *,
-    period_s: float = 10.0,
-    gain: float = 0.5,
-    deadband: float = 0.5,
+    period_s: float,
     phase_latency: PhaseLatency = PhaseLatency(),
-) -> MAPEKLoop:
-    """Fig. 2a: one self-contained MAPE-K loop managing one element."""
-    return MAPEKLoop(
-        engine,
-        f"classical-{element.element_id}",
-        monitor=_ElementMonitor(element),
-        analyzer=_SetpointAnalyzer(setpoint),
-        planner=_ProportionalPlanner(element.element_id, gain, deadband),
-        executor=_ElementExecutor(element),
+    peers: Sequence[DriftingElement] = (),
+    apply: Optional[Callable[[DriftingElement, float], None]] = None,
+) -> LoopSpec:
+    """A loop reading the published ``x`` of ``elements`` (and the
+    ``gossip`` of ``peers``, when given) and actuating the elements it
+    decides corrections for, through ``apply`` when given."""
+    by_id = {e.element_id: e for e in elements}
+    queries = [MonitorQuery("x", f"last(x{_one_of(elements)}) group by (element)")]
+    if peers:
+        queries.append(
+            MonitorQuery("gossip", f"last(gossip{_one_of(peers)}) group by (element)")
+        )
+    act = apply or DriftingElement.actuate
+    return LoopSpec(
+        name=name,
+        queries=tuple(queries),
+        build_observation=_read_states(name),
+        analyzer_factory=lambda: _Analyze(decide),
+        planner_factory=lambda: _Plan("adjust"),
+        executor_factory=lambda: _Execute(lambda e, delta: act(by_id[e], delta)),
         period_s=period_s,
         phase_latency=phase_latency,
     )
 
 
+def _check(elements: Sequence[DriftingElement]) -> int:
+    if not elements:
+        raise ValueError("need at least one element")
+    return len(elements)
+
+
 # --------------------------------------------------------------------------
-# (b) master-worker
-# --------------------------------------------------------------------------
+# the four patterns
 
 
-class MasterWorkerController(PatternController):
-    """Decentralized Monitor/Execute, centralized Analyze+Plan.
+def classical_specs(
+    elements: Sequence[DriftingElement],
+    target_total: float,
+    *,
+    period_s: float = 10.0,
+    gain: float = 0.5,
+    deadband: float = 0.5,
+) -> List[LoopSpec]:
+    """Fig. 2a: one self-contained loop per element, regulating it to its
+    fair share from its own published state; an element within
+    ``deadband`` of its share is left alone."""
+    fair = target_total / _check(elements)
+    return [
+        _element_spec(
+            f"classical-{e.element_id}", [e],
+            _corrections(lambda: fair, gain, deadband=deadband), period_s=period_s,
+        )
+        for e in elements
+    ]
 
-    Per cycle: every worker ships its observation to the master (N
-    messages), the master plans globally after a per-element analysis
-    cost (the scalability bottleneck), then ships one action per element
-    back (N messages).  Actions therefore land ``2·hop + c·N`` after the
-    observations were taken.
+
+def master_worker_spec(
+    elements: Sequence[DriftingElement],
+    target_total: float,
+    *,
+    period_s: float = 10.0,
+    gain: float = 0.5,
+    hop_s: float = 0.01,
+    cost_per_element_s: float = 0.002,
+) -> LoopSpec:
+    """Fig. 2b: one central loop reads every element and acts on each.
+
+    Its phase latency is the pattern: a hop to collect, an analysis cost
+    per element (the scalability bottleneck) and a hop to act, so actions
+    land ``2·hop + c·N`` after the observation.
     """
-
-    pattern_name = "master-worker"
-
-    def __init__(
-        self,
-        engine: Engine,
-        elements: Sequence[DriftingElement],
-        target_total: float,
-        *,
-        period_s: float = 10.0,
-        gain: float = 0.5,
-        bus: Optional[MessageBus] = None,
-        central_cost_per_element_s: float = 0.002,
-    ) -> None:
-        super().__init__(engine, elements, target_total)
-        self.period_s = period_s
-        self.gain = gain
-        self.bus = bus if bus is not None else MessageBus(engine, latency_s=0.01)
-        self.central_cost_per_element_s = central_cost_per_element_s
-        self.central_alive = True
-        self._task: Optional[PeriodicTask] = None
-        self._pending: Dict[int, float] = {}
-
-    def start(self) -> None:
-        self._task = self.engine.every(self.period_s, self._cycle, label="mw-cycle")
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-
-    def kill_central(self) -> None:
-        """Master failure: all control stops (the robustness weak point)."""
-        self.central_alive = False
-
-    def _cycle(self) -> None:
-        if not self.central_alive:
-            return
-        self.cycles += 1
-        self._pending = {}
-        expected = len(self.elements)
-        for idx, element in enumerate(self.elements):
-            self.bus.send(
-                (idx, element.read()),
-                lambda payload, expected=expected: self._receive(payload, expected),
-            )
-
-    def _receive(self, payload, expected: int) -> None:
-        idx, value = payload
-        self._pending[idx] = value
-        if len(self._pending) == expected:
-            snapshot = dict(self._pending)
-            cost = self.central_cost_per_element_s * expected
-            self.engine.schedule(cost, self._plan_and_dispatch, snapshot, label="mw-plan")
-
-    def _plan_and_dispatch(self, snapshot: Dict[int, float]) -> None:
-        if not self.central_alive:
-            return
-        fair = self.fair_share()
-        for idx, observed in snapshot.items():
-            delta = self.gain * (fair - observed)
-            element = self.elements[idx]
-            self.bus.send(delta, lambda d, e=element: e.actuate(d))
-
-    def nominal_decision_latency(self) -> float:
-        return 2 * self.bus.latency_s + self.central_cost_per_element_s * len(self.elements)
-
-    def messages_sent(self) -> int:
-        return self.bus.messages_sent
+    n = _check(elements)
+    return _element_spec(
+        "master", elements, _corrections(lambda: target_total / n, gain),
+        period_s=period_s,
+        phase_latency=PhaseLatency(
+            monitor_s=hop_s, analyze_s=cost_per_element_s * n, execute_s=hop_s
+        ),
+    )
 
 
-# --------------------------------------------------------------------------
-# (c) fully decentralized, coordinated
-# --------------------------------------------------------------------------
+def coordinated_specs(
+    runtime: LoopRuntime,
+    elements: Sequence[DriftingElement],
+    target_total: float,
+    *,
+    period_s: float = 10.0,
+    gain: float = 0.5,
+    comp_gain: float = 0.3,
+    neighbors_k: int = 1,
+    local_cost_s: float = 0.002,
+) -> List[LoopSpec]:
+    """Fig. 2c: one loop per element, reading its own published state and
+    its ring neighbours' gossip.
 
-
-class CoordinatedController(PatternController):
-    """Full local loops with ring gossip (Fig. 2c).
-
-    Each element regulates itself to the fair share (``gain``) and
-    additionally compensates the *global* error it infers from its
-    stale neighborhood view (``comp_gain``).  Because all elements
-    compensate the same perceived error concurrently, large
-    ``comp_gain`` over-corrects in aggregate — the pattern's documented
-    instability mode.
+    Each loop gossips by writing its element's state, once it has acted,
+    as ``gossip{element}`` on ``runtime``'s hub, so its peers read it one
+    period later and a stopped loop's peers keep its last gossip.  Each
+    regulates its element to the fair share (``gain``) and also
+    compensates the *global* error it infers from its neighbourhood's
+    mean (``comp_gain``).  Because all elements compensate the same
+    perceived error concurrently, large ``comp_gain`` over-corrects in
+    aggregate — the pattern's documented instability mode.
     """
+    n = _check(elements)
+    fair = target_total / n
 
-    pattern_name = "coordinated"
-
-    def __init__(
-        self,
-        engine: Engine,
-        elements: Sequence[DriftingElement],
-        target_total: float,
-        *,
-        period_s: float = 10.0,
-        gain: float = 0.5,
-        comp_gain: float = 0.3,
-        neighbors_k: int = 1,
-        bus: Optional[MessageBus] = None,
-        local_cost_s: float = 0.002,
-    ) -> None:
-        super().__init__(engine, elements, target_total)
-        self.period_s = period_s
-        self.gain = gain
-        self.comp_gain = comp_gain
-        self.neighbors_k = neighbors_k
-        self.bus = bus if bus is not None else MessageBus(engine, latency_s=0.01)
-        self.local_cost_s = local_cost_s
-        n = len(elements)
-        self.alive = [True] * n
-        self.views = [NeighborView() for _ in range(n)]
-        self._neighbors = [ring_neighbors(n, i, neighbors_k) for i in range(n)]
-        self._tasks: List[PeriodicTask] = []
-
-    def start(self) -> None:
-        for i in range(len(self.elements)):
-            self._tasks.append(
-                self.engine.every(self.period_s, lambda i=i: self._local_cycle(i), label=f"coord-{i}")
-            )
-
-    def stop(self) -> None:
-        for t in self._tasks:
-            t.stop()
-
-    def kill_local(self, i: int) -> None:
-        """Local controller failure: only element ``i`` loses control."""
-        self.alive[i] = False
-
-    def _local_cycle(self, i: int) -> None:
-        if not self.alive[i]:
-            return
-        self.cycles += 1
-        now = self.engine.now
-        x = self.elements[i].read()
-        # gossip own state to ring neighbours
-        for j in self._neighbors[i]:
-            self.bus.send(
-                (i, x, now), lambda payload, j=j: self.views[j].update(payload[0], payload[1], payload[2])
-            )
-        # plan from the (stale) local view
-        fair = self.fair_share()
-        nbhd = [x] + self.views[i].known_values()
-        est_mean = sum(nbhd) / len(nbhd)
-        delta = self.gain * (fair - x) + self.comp_gain * (fair - est_mean)
-        self.engine.schedule(
-            self.local_cost_s, self.elements[i].actuate, delta, label=f"coord-act-{i}"
+    def act_and_gossip(element: DriftingElement, delta: float) -> None:
+        element.actuate(delta)
+        runtime.hub.stage(
+            (SeriesKey.of("gossip", element=element.element_id),), (element.x,),
+            at=runtime.engine.now,
         )
 
-    def nominal_decision_latency(self) -> float:
-        return self.local_cost_s  # control path is purely local
-
-    def messages_sent(self) -> int:
-        return self.bus.messages_sent
-
-    def alive_fraction(self) -> float:
-        return sum(self.alive) / len(self.alive)
-
-
-# --------------------------------------------------------------------------
-# (d) hierarchical
-# --------------------------------------------------------------------------
+    return [
+        _element_spec(
+            f"coordinated-{e.element_id}", [e],
+            _corrections(lambda: fair, gain, comp_gain=comp_gain, own=e.element_id),
+            period_s=period_s, phase_latency=PhaseLatency(analyze_s=local_cost_s),
+            peers=[elements[j] for j in ring_neighbors(n, i, neighbors_k)],
+            apply=act_and_gossip,
+        )
+        for i, e in enumerate(elements)
+    ]
 
 
-class HierarchicalController(PatternController):
-    """Group controllers under a slow top-level rebalancer (Fig. 2d).
+def hierarchical_specs(
+    runtime: LoopRuntime,
+    elements: Sequence[DriftingElement],
+    target_total: float,
+    *,
+    group_size: int = 8,
+    period_s: float = 10.0,
+    top_period_s: float = 50.0,
+    gain: float = 0.5,
+    hop_s: float = 0.01,
+    cost_per_element_s: float = 0.002,
+) -> List[LoopSpec]:
+    """Fig. 2d: a master-worker loop per group, under a slow rebalancer.
 
-    Each group head runs master-worker over its ``group_size`` elements
-    toward its group target; the top level re-divides the global target
-    over *alive* groups every ``top_period_s`` (separation of concerns
-    and time scales).  Group-local latency is bounded by the group size,
-    independent of N.
+    Each group loop regulates its :func:`groups` members toward an equal
+    cut of its group target; the
+    rebalancer, a meta-loop on ``runtime``, re-divides the global target
+    over the groups whose loops are running every ``top_period_s``
+    (separation of concerns and time scales).  Group latency is bounded
+    by the group size, independent of N.
     """
+    # here, not at the top: importing the patterns stays free of the supervisor
+    from repro.core.supervisor import MetaLoopSpec
 
-    pattern_name = "hierarchical"
+    n = _check(elements)
+    cut = groups(n, group_size)
+    names = [f"hierarchical-g{j}" for j in range(len(cut))]
+    sizes = {name: len(members) for name, members in zip(names, cut)}
+    targets = {name: target_total * size / n for name, size in sizes.items()}
+    latency = PhaseLatency(
+        monitor_s=hop_s, analyze_s=cost_per_element_s * group_size, execute_s=hop_s
+    )
+    specs = [
+        _element_spec(
+            name, [elements[i] for i in cut[j]],
+            _corrections(lambda name=name: targets[name] / sizes[name], gain),
+            period_s=period_s, phase_latency=latency,
+        )
+        for j, name in enumerate(names)
+    ]
 
-    def __init__(
-        self,
-        engine: Engine,
-        elements: Sequence[DriftingElement],
-        target_total: float,
-        *,
-        group_size: int = 8,
-        period_s: float = 10.0,
-        top_period_s: float = 50.0,
-        gain: float = 0.5,
-        bus: Optional[MessageBus] = None,
-        local_cost_per_element_s: float = 0.002,
-    ) -> None:
-        super().__init__(engine, elements, target_total)
-        if group_size <= 0:
-            raise ValueError("group_size must be positive")
-        self.group_size = group_size
-        self.period_s = period_s
-        self.top_period_s = top_period_s
-        self.gain = gain
-        self.bus = bus if bus is not None else MessageBus(engine, latency_s=0.01)
-        self.local_cost_per_element_s = local_cost_per_element_s
-        self.groups: List[List[int]] = [
-            list(range(start, min(start + group_size, len(elements))))
-            for start in range(0, len(elements), group_size)
-        ]
-        self.group_alive = [True] * len(self.groups)
-        self.group_targets = [
-            self.target_total * len(g) / len(elements) for g in self.groups
-        ]
-        self._tasks: List[PeriodicTask] = []
+    def running(now: float, inputs) -> Observation:
+        values = {name: float(runtime.handles[name].running) for name in names}
+        return Observation(now, "hierarchical-top", values=values)
 
-    def start(self) -> None:
-        for gi in range(len(self.groups)):
-            self._tasks.append(
-                self.engine.every(self.period_s, lambda gi=gi: self._group_cycle(gi), label=f"hier-g{gi}")
-            )
-        self._tasks.append(self.engine.every(self.top_period_s, self._top_cycle, label="hier-top"))
+    def shares(values: Mapping[str, float]) -> Dict[str, float]:
+        alive = [name for name, up in values.items() if up]
+        total = sum(sizes[name] for name in alive)
+        return {name: target_total * sizes[name] / total for name in alive}
 
-    def stop(self) -> None:
-        for t in self._tasks:
-            t.stop()
-
-    def kill_group_head(self, gi: int) -> None:
-        """Group-head failure: only that group loses local control."""
-        self.group_alive[gi] = False
-
-    def _group_cycle(self, gi: int) -> None:
-        if not self.group_alive[gi]:
-            return
-        self.cycles += 1
-        members = self.groups[gi]
-        # collect member states (one message per member); plan once the
-        # last observation arrives, after the per-element analysis cost
-        snapshot: Dict[int, float] = {}
-        expected = len(members)
-        cost = self.local_cost_per_element_s * expected
-
-        def receive(payload) -> None:
-            snapshot[payload[0]] = payload[1]
-            if len(snapshot) == expected:
-                self.engine.schedule(
-                    cost, self._group_plan, gi, dict(snapshot), label=f"hier-plan-{gi}"
-                )
-
-        for i in members:
-            self.bus.send((i, self.elements[i].read()), receive)
-
-    def _group_plan(self, gi: int, snapshot: Dict[int, float]) -> None:
-        if not self.group_alive[gi] or not snapshot:
-            return
-        members = self.groups[gi]
-        per_member_target = self.group_targets[gi] / len(members)
-        for i, observed in snapshot.items():
-            delta = self.gain * (per_member_target - observed)
-            element = self.elements[i]
-            self.bus.send(delta, lambda d, e=element: e.actuate(d))
-
-    def _top_cycle(self) -> None:
-        # group sums reported upward (one message per alive group)
-        alive_groups = [gi for gi in range(len(self.groups)) if self.group_alive[gi]]
-        if not alive_groups:
-            return
-        alive_elements = sum(len(self.groups[gi]) for gi in alive_groups)
-        for gi in alive_groups:
-            group_sum = sum(self.elements[i].read() for i in self.groups[gi])
-            self.bus.send((gi, group_sum), lambda p: None)  # reporting traffic
-            # fair share of the global target over alive capacity
-            self.group_targets[gi] = self.target_total * len(self.groups[gi]) / alive_elements
-
-    def nominal_decision_latency(self) -> float:
-        return 2 * self.bus.latency_s + self.local_cost_per_element_s * self.group_size
-
-    def messages_sent(self) -> int:
-        return self.bus.messages_sent
+    specs.append(MetaLoopSpec(
+        name="hierarchical-top",
+        build_observation=running,
+        analyzer_factory=lambda: _Analyze(shares),
+        planner_factory=lambda: _Plan("set_target"),
+        executor_factory=lambda: _Execute(targets.__setitem__),
+        period_s=top_period_s,
+    ))
+    return specs

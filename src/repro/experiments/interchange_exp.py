@@ -1,9 +1,10 @@
 """Interchangeability experiment (E12, methodology questions i–ii).
 
-Assembles the Scheduler-case loop from registry lookups, swapping the
-forecaster implementation per run without touching any other component,
-and verifies every combination still rescues the reference job.  This
-is the operational proof of "interchangeable components over defined
+Runs the Scheduler-case loop once per forecaster, naming the forecaster
+in the case config without touching any other component, checks that
+the loop the runtime hosts analyzes with that forecaster, and verifies
+every combination still rescues the reference job.  This is the
+operational proof of "interchangeable components over defined
 interfaces".
 """
 
@@ -16,8 +17,6 @@ from repro.cluster.application import ApplicationProfile
 from repro.cluster.job import Job, JobState
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
-from repro.core.registry import default_registry
-from repro.loops import register_components
 from repro.loops.scheduler_loop import SchedulerCaseConfig, SchedulerCaseManager
 from repro.sim import Engine
 from repro.telemetry.markers import ProgressMarkerChannel
@@ -30,8 +29,6 @@ def run_interchange_matrix(
     horizon_s: float = 8000.0,
 ) -> List[Dict[str, float]]:
     """One row per forecaster: the same loop skeleton, one component swapped."""
-    registry = default_registry()
-    register_components(registry)
     rows = []
     for name in forecaster_names():
         engine = Engine()
@@ -39,13 +36,16 @@ def run_interchange_matrix(
         scheduler = Scheduler(
             engine, [Node("n0", NodeSpec())], marker_channel=channel
         )
-        # prove the registry path constructs the component
-        forecaster = registry.create("forecaster", name)
-        SchedulerCaseManager(
+        case = SchedulerCaseManager(
             engine,
             scheduler,
             channel,
             config=SchedulerCaseConfig(forecaster_name=name, loop_period_s=60.0),
+        )
+        # the forecaster of the loop the job actually got
+        hosted = []
+        scheduler.on_job_start.append(
+            lambda job: hosted.append(case.loops[job.job_id].analyzer.forecaster.name)
         )
         profile = ApplicationProfile(
             "ref-app", runtime_s, 1.0, marker_period_s=30.0, rate_noise_std=0.03
@@ -56,7 +56,7 @@ def run_interchange_matrix(
         rows.append(
             {
                 "forecaster": name,
-                "constructed_via_registry": forecaster.name == name,
+                "forecaster_in_loop": hosted == [name],
                 "rescued": job.state is JobState.COMPLETED,
                 "extensions": float(job.extension_count),
                 "extension_s": job.total_extension_s,

@@ -1,14 +1,18 @@
 """Pattern-comparison scenario (experiment E2, Fig. 2).
 
-Runs one of the four patterns on the shared regulation task and reports
-the four quantities the paper's qualitative claims are about:
+Runs one of the four patterns on the shared regulation task, hosted on
+one :class:`~repro.core.runtime.LoopRuntime`, and reports the quantities
+the paper's qualitative claims are about:
 
 * ``rmse`` — control quality (aggregate vs. target) after settling,
 * ``osc_std`` — oscillation (std of the settled aggregate),
-* ``latency_s`` — nominal observation-to-actuation delay,
-* ``msgs_per_elem_cycle`` — coordination traffic,
+* ``latency_s`` — observation-to-actuation delay: the sum of the
+  pattern's :class:`~repro.core.loop.PhaseLatency`,
+* ``messages_total`` / ``msgs_per_elem_s`` — coordination traffic: the
+  values the pattern's monitors read plus the actions it executed,
 * ``uncontrolled_frac`` — robustness: fraction of elements left
-  unregulated after an injected controller failure.
+  unregulated after an injected controller failure (the master's loop,
+  element 0's loop or group 0's loop is stopped).
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.patterns import (
-    CoordinatedController,
     DriftingElement,
-    HierarchicalController,
-    MasterWorkerController,
-    classical_loop_for,
+    classical_specs,
+    coordinated_specs,
+    hierarchical_specs,
+    master_worker_spec,
+    publish,
 )
+from repro.core.runtime import LoopRuntime
 from repro.sim import Engine, RngRegistry
 
 PATTERNS = ("classical", "master-worker", "coordinated", "hierarchical")
@@ -32,6 +38,12 @@ PATTERNS = ("classical", "master-worker", "coordinated", "hierarchical")
 
 @dataclass
 class PatternScenarioConfig:
+    """One E2 run.  ``bus_latency_s`` is the hop of the master-worker and
+    hierarchical loops: their monitor and execute phase latency.
+    ``per_element_cost_s`` is their analyze latency per element read (per
+    group member for hierarchical), and the coordinated loops' whole
+    analyze latency."""
+
     seed: int = 0
     pattern: str = "master-worker"
     n_elements: int = 32
@@ -56,6 +68,7 @@ class PatternScenarioConfig:
 
 def run_pattern_scenario(cfg: PatternScenarioConfig) -> Dict[str, float]:
     engine = Engine()
+    runtime = LoopRuntime(engine)
     rngs = RngRegistry(seed=cfg.seed)
     elements = []
     for i in range(cfg.n_elements):
@@ -69,13 +82,22 @@ def run_pattern_scenario(cfg: PatternScenarioConfig) -> Dict[str, float]:
         )
         e.start_disturbance()
         elements.append(e)
+    publish(runtime, elements)
     target_total = 100.0 * cfg.n_elements
 
-    controller, kill, latency = _build(engine, elements, target_total, cfg)
-    controller_start = getattr(controller, "start")
-    controller_start()
-    if cfg.inject_failure_at is not None and kill is not None:
-        engine.schedule_at(cfg.inject_failure_at, kill)
+    specs = _build(runtime, elements, target_total, cfg)
+    reads = [0]
+
+    def count_reads(iteration) -> None:
+        if iteration.observation is not None:
+            reads[0] += len(iteration.observation.values)
+
+    for spec in specs:
+        spec.on_iteration = count_reads
+    runtime.add_many(specs, start=True)
+    if cfg.inject_failure_at is not None:
+        # specs[0]: the master, element 0's or group 0's loop
+        engine.schedule_at(cfg.inject_failure_at, runtime.handle(specs[0].name).stop)
 
     samples: List[float] = []
     engine.every(
@@ -101,14 +123,15 @@ def run_pattern_scenario(cfg: PatternScenarioConfig) -> Dict[str, float]:
         for e in elements
         if abs(e.read() - snapshot.get(e.element_id, e.read())) > drift_threshold
     )
-    messages = controller.messages_sent() if hasattr(controller, "messages_sent") else 0
+    latency = specs[0].phase_latency
+    messages = reads[0] + runtime.actions_total
     return {
         "pattern": cfg.pattern,
         "n": cfg.n_elements,
         "rmse": rmse,
         "bias": bias,
         "osc_std": osc,
-        "latency_s": latency,
+        "latency_s": latency.decision_delay + latency.execute_s,
         "msgs_per_elem_s": messages / (cfg.n_elements * cfg.horizon_s),
         "messages_total": float(messages),
         "uncontrolled_frac": uncontrolled / cfg.n_elements,
@@ -116,60 +139,22 @@ def run_pattern_scenario(cfg: PatternScenarioConfig) -> Dict[str, float]:
     }
 
 
-def _build(engine, elements, target_total, cfg: PatternScenarioConfig):
-    """Returns (controller, kill_fn, nominal_latency)."""
+def _build(runtime, elements, target_total, cfg: PatternScenarioConfig):
+    """The pattern's specs; the first is the one a failure stops."""
     if cfg.pattern == "classical":
-        loops = [
-            classical_loop_for(
-                engine, e, setpoint=100.0, period_s=cfg.period_s, gain=cfg.gain
-            )
-            for e in elements
-        ]
-
-        class _Classical:
-            cycles = 0
-
-            def start(self):
-                for lp in loops:
-                    lp.start()
-
-            def messages_sent(self):
-                return 0
-
-        kill = (lambda: loops[0].stop()) if cfg.inject_failure_at is not None else None
-        return _Classical(), kill, 0.0
+        return classical_specs(elements, target_total, period_s=cfg.period_s, gain=cfg.gain)
     if cfg.pattern == "master-worker":
-        ctrl = MasterWorkerController(
-            engine,
-            elements,
-            target_total,
-            period_s=cfg.period_s,
-            gain=cfg.gain,
-            central_cost_per_element_s=cfg.per_element_cost_s,
-        )
-        ctrl.bus.latency_s = cfg.bus_latency_s
-        return ctrl, ctrl.kill_central, ctrl.nominal_decision_latency()
+        return [master_worker_spec(
+            elements, target_total, period_s=cfg.period_s, gain=cfg.gain,
+            hop_s=cfg.bus_latency_s, cost_per_element_s=cfg.per_element_cost_s,
+        )]
     if cfg.pattern == "coordinated":
-        ctrl = CoordinatedController(
-            engine,
-            elements,
-            target_total,
-            period_s=cfg.period_s,
-            gain=cfg.gain,
-            comp_gain=cfg.comp_gain,
-            local_cost_s=cfg.per_element_cost_s,
+        return coordinated_specs(
+            runtime, elements, target_total, period_s=cfg.period_s, gain=cfg.gain,
+            comp_gain=cfg.comp_gain, local_cost_s=cfg.per_element_cost_s,
         )
-        ctrl.bus.latency_s = cfg.bus_latency_s
-        return ctrl, (lambda: ctrl.kill_local(0)), ctrl.nominal_decision_latency()
-    ctrl = HierarchicalController(
-        engine,
-        elements,
-        target_total,
-        group_size=cfg.group_size,
-        period_s=cfg.period_s,
-        top_period_s=cfg.period_s * 5,
-        gain=cfg.gain,
-        local_cost_per_element_s=cfg.per_element_cost_s,
+    return hierarchical_specs(
+        runtime, elements, target_total, group_size=cfg.group_size, period_s=cfg.period_s,
+        top_period_s=cfg.period_s * 5, gain=cfg.gain, hop_s=cfg.bus_latency_s,
+        cost_per_element_s=cfg.per_element_cost_s,
     )
-    ctrl.bus.latency_s = cfg.bus_latency_s
-    return ctrl, (lambda: ctrl.kill_group_head(0)), ctrl.nominal_decision_latency()

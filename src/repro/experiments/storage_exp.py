@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.loops.io_qos_loop import IoQosConfig, IoQosManagerLoop
+from repro.loops.io_qos_loop import IoQosCaseManager, IoQosConfig
 from repro.loops.ost_loop import OstCaseConfig, OstCaseManager
 from repro.sim import Engine
 from repro.storage.client import PeriodicWriter
@@ -101,9 +101,9 @@ def run_ioqos_scenario(
     workflow.start(start_at=5.0)
     for w in backgrounds:
         w.start()
-    case: Optional[IoQosManagerLoop] = None
+    case: Optional[IoQosCaseManager] = None
     if with_loop:
-        case = IoQosManagerLoop(
+        case = IoQosCaseManager(
             engine,
             fs,
             [workflow, *backgrounds],

@@ -49,7 +49,6 @@ from repro.loops.maintenance_loop import (
 from repro.loops.io_qos_loop import (
     IoQosCaseManager,
     IoQosConfig,
-    IoQosManagerLoop,
     io_qos_spec,
 )
 from repro.loops.ost_loop import OstCaseConfig, OstCaseManager, ost_case_spec
@@ -64,7 +63,6 @@ __all__ = [
     "FilesystemTelemetryBridge",
     "IoQosCaseManager",
     "IoQosConfig",
-    "IoQosManagerLoop",
     "JobProgressMonitor",
     "MaintenanceCaseConfig",
     "MaintenanceCaseManager",
@@ -85,25 +83,3 @@ __all__ = [
     "ost_case_spec",
     "scheduler_job_spec",
 ]
-
-
-def register_components(registry) -> None:
-    """Register use-case components for swap-by-name (question ii / E12)."""
-    from repro.core.supervisor import (
-        FleetHealthAnalyzer,
-        FleetHealthPlanner,
-        SupervisorConfig,
-    )
-
-    registry.register("monitor", "job-progress", JobProgressMonitor)
-    registry.register("analyzer", "progress", ProgressAnalyzer)
-    registry.register("planner", "extension", ExtensionPlanner)
-    registry.register("executor", "scheduler", SchedulerExecutor)
-    # the meta-loop components speak the same typed contracts, so fleet
-    # supervision is interchangeable like any use-case loop (E12)
-    registry.register(
-        "analyzer", "fleet-health", lambda: FleetHealthAnalyzer(SupervisorConfig())
-    )
-    registry.register(
-        "planner", "fleet-health", lambda: FleetHealthPlanner(SupervisorConfig())
-    )

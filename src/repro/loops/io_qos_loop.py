@@ -325,7 +325,3 @@ class IoQosCaseManager:
     @property
     def adjustments(self) -> int:
         return self.loop.actions_executed
-
-
-#: Back-compat alias (pre-runtime name).
-IoQosManagerLoop = IoQosCaseManager

@@ -1,10 +1,9 @@
-"""Tests for confidence measures, human adapters, audit, bus, registry."""
+"""Tests for confidence measures, human adapters and audit."""
 
 import pytest
 
 from repro.analytics.forecast import ForecastResult
 from repro.core.audit import AuditTrail
-from repro.core.bus import MessageBus
 from repro.core.component import Executor
 from repro.core.confidence import (
     combined_confidence,
@@ -17,7 +16,6 @@ from repro.core.humanloop import (
     HumanResponseModel,
 )
 from repro.core.knowledge import KnowledgeBase
-from repro.core.registry import ComponentRegistry, default_registry
 from repro.core.types import Action, ExecutionResult, Plan
 from repro.sim import Engine, RngRegistry
 
@@ -193,62 +191,3 @@ class TestAuditTrail:
     def test_validation(self):
         with pytest.raises(ValueError):
             AuditTrail(capacity=0)
-
-
-class TestMessageBus:
-    def test_delivery_with_latency(self):
-        eng = Engine()
-        bus = MessageBus(eng, latency_s=1.0)
-        got = []
-        bus.send("hello", got.append)
-        assert got == []
-        eng.run(until=1.0)
-        assert got == ["hello"]
-        assert bus.messages_sent == bus.messages_delivered == 1
-
-    def test_lossy_bus(self):
-        eng = Engine()
-        rng = RngRegistry(seed=5).stream("bus")
-        bus = MessageBus(eng, latency_s=0.0, loss_prob=1.0, rng=rng)
-        got = []
-        bus.send("x", got.append)
-        eng.run(until=1.0)
-        assert got == []
-        assert bus.messages_lost == 1
-
-    def test_validation(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            MessageBus(eng, latency_s=-1.0)
-        with pytest.raises(ValueError):
-            MessageBus(eng, loss_prob=0.5)  # rng missing
-
-
-class TestRegistry:
-    def test_register_and_create(self):
-        reg = ComponentRegistry()
-        reg.register("planner", "noop", lambda **kw: "planner-instance")
-        assert reg.create("planner", "noop") == "planner-instance"
-        assert ("planner", "noop") in reg
-
-    def test_duplicate_rejected(self):
-        reg = ComponentRegistry()
-        reg.register("planner", "x", lambda: None)
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("planner", "x", lambda: None)
-
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ValueError, match="unknown role"):
-            ComponentRegistry().register("wizard", "x", lambda: None)
-
-    def test_unknown_name_raises_with_hint(self):
-        reg = ComponentRegistry()
-        with pytest.raises(KeyError, match="available"):
-            reg.create("planner", "ghost")
-
-    def test_default_registry_has_forecasters(self):
-        reg = default_registry()
-        names = reg.names("forecaster")
-        assert "ols" in names and "theilsen" in names
-        fc = reg.create("forecaster", "ols")
-        assert fc.name == "ols"

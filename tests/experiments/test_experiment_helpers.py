@@ -61,4 +61,4 @@ class TestInterchangeMatrix:
 
         assert {r["forecaster"] for r in rows} == set(forecaster_names())
         assert all(r["rescued"] for r in rows)
-        assert all(r["constructed_via_registry"] for r in rows)
+        assert all(r["forecaster_in_loop"] for r in rows)

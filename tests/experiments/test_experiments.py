@@ -5,16 +5,23 @@ claim the corresponding paper experiment makes, on a reduced problem
 size so the suite stays fast.
 """
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import repro.core.loop
 from repro.experiments.harness import aggregate_rows, replicate
 from repro.experiments.maintenance_exp import run_maintenance_scenario
 from repro.experiments.metrics import detection_metrics, latency_summary
 from repro.experiments.misconfig_exp import run_misconfig_scenario
 from repro.experiments.model_exp import run_forecaster_comparison, run_model_ablation
-from repro.experiments.patterns_exp import PatternScenarioConfig, run_pattern_scenario
+from repro.experiments.patterns_exp import (
+    PATTERNS,
+    PatternScenarioConfig,
+    run_pattern_scenario,
+)
 from repro.experiments.pipeline_exp import run_pipeline_scenario
 from repro.experiments.report import render_table
 from repro.experiments.scheduler_case import (
@@ -160,6 +167,20 @@ class TestPatternScenarioShape:
                                   horizon_s=900.0, comp_gain=3.0)
         )
         assert wild["osc_std"] > 10 * calm["osc_std"]
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_same_seed_same_row_under_a_failure(self, pattern, monkeypatch):
+        """Every decision reads only the simulation: the runtime writes the
+        host-time ``loop_iteration_ms`` into the store the loops read, and
+        a second run on a host clock 1000x slower still gives the same row."""
+        cfg = PatternScenarioConfig(seed=4, pattern=pattern, n_elements=16, horizon_s=300.0,
+                                    settle_s=100.0, inject_failure_at=150.0)
+        first = run_pattern_scenario(cfg)
+        clock = itertools.count(0.0, 7.5)
+        monkeypatch.setattr(
+            repro.core.loop, "time", SimpleNamespace(perf_counter=lambda: next(clock))
+        )
+        assert run_pattern_scenario(cfg) == first
 
     def test_pattern_validation(self):
         with pytest.raises(ValueError):

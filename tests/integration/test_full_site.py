@@ -16,8 +16,8 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
 from repro.core.audit import AuditTrail
 from repro.loops import (
+    IoQosCaseManager,
     IoQosConfig,
-    IoQosManagerLoop,
     MaintenanceCaseManager,
     MisconfigCaseConfig,
     MisconfigCaseManager,
@@ -77,7 +77,7 @@ def site():
         config=OstCaseConfig(loop_period_s=60.0), audit=audit,
     )
     ost_case.start()
-    qos_case = IoQosManagerLoop(
+    qos_case = IoQosCaseManager(
         engine, fs, [deadline_writer, bg_writer],
         config=IoQosConfig(latency_target_s=3.0, loop_period_s=60.0), audit=audit,
     )

@@ -10,7 +10,7 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
 from repro.core.audit import AuditTrail
 from repro.core.humanloop import HumanOnTheLoopNotifier
-from repro.loops.io_qos_loop import IoQosConfig, IoQosManagerLoop
+from repro.loops.io_qos_loop import IoQosCaseManager, IoQosConfig
 from repro.loops.maintenance_loop import MaintenanceCaseManager
 from repro.loops.misconfig_loop import MisconfigCaseConfig, MisconfigCaseManager
 from repro.loops.ost_loop import OstCaseConfig, OstCaseManager
@@ -116,7 +116,7 @@ class TestIoQosLoop:
         bg2.start()
         case = None
         if with_loop:
-            case = IoQosManagerLoop(
+            case = IoQosCaseManager(
                 eng,
                 fs,
                 writers,
