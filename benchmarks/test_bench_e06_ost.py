@@ -29,7 +29,9 @@ def test_ost_case(benchmark):
 
 def test_ost_case_multiple_writers(benchmark):
     """Several writers striped over the bad OST all get moved."""
-    from repro.loops.ost_loop import OstCaseConfig, OstCaseManager
+    from repro.core.runtime import LoopRuntime
+    from repro.loops.bridges import FilesystemTelemetryBridge
+    from repro.loops.ost_loop import OstCaseConfig, ost_case_spec
     from repro.sim import Engine
     from repro.storage import OST, OstState, ParallelFileSystem, PeriodicWriter
 
@@ -42,8 +44,10 @@ def test_ost_case_multiple_writers(benchmark):
         ]
         for w in writers:
             w.start()
-        case = OstCaseManager(engine, fs, writers, config=OstCaseConfig(loop_period_s=60.0))
-        case.start()
+        runtime = LoopRuntime(engine)
+        FilesystemTelemetryBridge(fs, runtime.store)
+        spec = ost_case_spec(engine, fs, writers, config=OstCaseConfig(loop_period_s=60.0))
+        runtime.add(spec).start()
         engine.run(until=500.0)
         victim = writers[0].file.stripe_osts[0]
         fs.set_ost_state(victim, OstState.DEGRADED, 0.05)

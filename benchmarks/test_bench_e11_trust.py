@@ -64,7 +64,8 @@ def _run_with_gate(cfg, min_confidence):
     from repro.cluster.node import Node, NodeSpec
     from repro.cluster.scheduler import ExtensionPolicy, Scheduler, SchedulerConfig
     from repro.experiments.metrics import JobOutcomeSummary
-    from repro.loops.scheduler_loop import SchedulerCaseConfig, SchedulerCaseManager
+    from repro.core.runtime import LoopRuntime
+    from repro.loops.scheduler_loop import SchedulerCaseConfig, host_scheduler_case
     from repro.sim import Engine, RngRegistry
     from repro.telemetry.markers import ProgressMarkerChannel
     from repro.workloads.generator import (
@@ -97,8 +98,8 @@ def _run_with_gate(cfg, min_confidence):
         ),
     )
     ResubmitPolicy(engine, scheduler, checkpoint_store=checkpoints)
-    SchedulerCaseManager(
-        engine,
+    host_scheduler_case(
+        LoopRuntime(engine),
         scheduler,
         channel,
         config=SchedulerCaseConfig(min_confidence=min_confidence, loop_period_s=cfg.loop_period_s),

@@ -11,9 +11,9 @@ Run:  python examples/misconfig_advisor.py
 """
 
 from repro.cluster import ApplicationProfile, Job, LaunchConfig, Node, NodeSpec, Scheduler
-from repro.core import AuditTrail
+from repro.core import AuditTrail, LoopRuntime
 from repro.core.humanloop import HumanOnTheLoopNotifier
-from repro.loops import MisconfigCaseConfig, MisconfigCaseManager
+from repro.loops import MisconfigCaseConfig, misconfig_case_spec
 from repro.sim import Engine
 from repro.telemetry import ProgressMarkerChannel, SeriesKey, TimeSeriesStore
 
@@ -27,13 +27,13 @@ def main() -> None:
     nodes = [Node(f"n{i}", NodeSpec(cores=32)) for i in range(3)]
     scheduler = Scheduler(engine, nodes, marker_channel=channel)
 
-    case = MisconfigCaseManager(
-        engine,
-        scheduler,
-        store,
-        config=MisconfigCaseConfig(loop_period_s=120.0, min_runtime_s=300.0),
-        notifier=notifier,
-        audit=audit,
+    case = LoopRuntime(engine, store, audit=audit).add(
+        misconfig_case_spec(
+            engine,
+            scheduler,
+            config=MisconfigCaseConfig(loop_period_s=120.0, min_runtime_s=300.0),
+            notifier=notifier,
+        )
     )
     case.start()
 
@@ -62,8 +62,9 @@ def main() -> None:
     engine.every(60.0, sample)
     engine.run(until=3000.0)
 
-    print(f"online fixes applied : {case.fixes_applied}")
-    print(f"user notifications   : {case.notifications_sent}")
+    executor = case.loop.executor
+    print(f"online fixes applied : {executor.fixes_applied}")
+    print(f"user notifications   : {executor.notifications_sent}")
     print("\nper-job effective throughput after the loop ran:")
     for job in jobs:
         app = scheduler.app(job.job_id)
@@ -72,7 +73,7 @@ def main() -> None:
     print("\naudit/notifications:")
     for event in audit.events:
         print("  " + event.render())
-    assert case.fixes_applied >= 2  # both broken jobs were repaired
+    assert executor.fixes_applied >= 2  # both broken jobs were repaired
 
 
 if __name__ == "__main__":

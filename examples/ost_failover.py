@@ -10,8 +10,8 @@ there and reopen on healthy OSTs — the paper's use case 3.
 Run:  python examples/ost_failover.py
 """
 
-from repro.core import AuditTrail
-from repro.loops import OstCaseConfig, OstCaseManager
+from repro.core import AuditTrail, LoopRuntime
+from repro.loops import FilesystemTelemetryBridge, OstCaseConfig, ost_case_spec
 from repro.sim import Engine
 from repro.storage import OST, OstState, ParallelFileSystem, PeriodicWriter
 
@@ -27,10 +27,10 @@ def main() -> None:
     )
     writer.start()
 
-    case = OstCaseManager(
-        engine, fs, [writer], config=OstCaseConfig(loop_period_s=60.0), audit=audit
-    )
-    case.start()
+    runtime = LoopRuntime(engine, audit=audit)
+    FilesystemTelemetryBridge(fs, runtime.store)
+    spec = ost_case_spec(engine, fs, [writer], config=OstCaseConfig(loop_period_s=60.0))
+    runtime.add(spec).start()
 
     timeline = []
 

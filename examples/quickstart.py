@@ -10,8 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.cluster import ApplicationProfile, Job, NodeSpec, Node, Scheduler
-from repro.core import AuditTrail
-from repro.loops import SchedulerCaseConfig, SchedulerCaseManager
+from repro.core import AuditTrail, LoopRuntime
+from repro.loops import SchedulerCaseConfig, host_scheduler_case
 from repro.sim import Engine
 from repro.telemetry import ProgressMarkerChannel
 
@@ -26,12 +26,11 @@ def main() -> None:
     scheduler = Scheduler(engine, nodes, marker_channel=channel)
 
     # attach the Scheduler-case autonomy loop (one loop per running job)
-    SchedulerCaseManager(
-        engine,
+    host_scheduler_case(
+        LoopRuntime(engine, audit=audit),
         scheduler,
         channel,
         config=SchedulerCaseConfig(forecaster_name="ols", loop_period_s=60.0),
-        audit=audit,
     )
 
     # the user thinks their job needs 1 hour; it actually needs ~100 minutes

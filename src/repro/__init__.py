@@ -30,14 +30,15 @@ Package map
 Quick start::
 
     from repro.cluster import ApplicationProfile, Job, Node, NodeSpec, Scheduler
-    from repro.loops import SchedulerCaseManager
+    from repro.core import LoopRuntime
+    from repro.loops import host_scheduler_case
     from repro.sim import Engine
     from repro.telemetry import ProgressMarkerChannel
 
     engine = Engine()
     channel = ProgressMarkerChannel()
     scheduler = Scheduler(engine, [Node("n0", NodeSpec())], marker_channel=channel)
-    SchedulerCaseManager(engine, scheduler, channel)
+    host_scheduler_case(LoopRuntime(engine), scheduler, channel)
     scheduler.submit(Job("j1", "alice",
                          ApplicationProfile("app", 6000, 1.0),
                          walltime_request_s=3600))

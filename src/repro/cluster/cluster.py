@@ -216,8 +216,10 @@ class Cluster:
 
         Hosts every loop attached to this cluster over the cluster's
         telemetry store: one fused query hub, one plan arbiter, one
-        self-telemetry surface.  Case managers join it via their
-        ``runtime=`` parameter.  ``audit``/``runtime_config`` only apply
+        self-telemetry surface.  A case study joins it by adding its
+        spec (``runtime.add(ost_case_spec(...))``) or, for the Scheduler
+        case, through ``host_scheduler_case(runtime, ...)``.
+        ``audit``/``runtime_config`` only apply
         on first construction; passing them again for an existing
         runtime is a configuration conflict and raises.
         """

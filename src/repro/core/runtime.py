@@ -597,35 +597,6 @@ class LoopRuntime:
                 label="obs-publish",
             )
 
-    @classmethod
-    def for_case(
-        cls,
-        engine: Engine,
-        *,
-        runtime: Optional["LoopRuntime"] = None,
-        store: Optional[TimeSeriesStore] = None,
-        query_engine: Optional[QueryEngine] = None,
-        audit: Optional[AuditTrail] = None,
-    ) -> "LoopRuntime":
-        """Join a shared runtime or build a private one — case-manager glue.
-
-        Every ``*CaseManager`` resolves its hosting runtime the same way:
-        a passed-in shared runtime wins (and then audit must come from
-        it, not alongside it), otherwise a private runtime is built over
-        the case's store/engine.
-        """
-        if runtime is not None:
-            if audit is not None and runtime.audit is not audit:
-                raise ValueError("pass audit via the shared runtime, not alongside it")
-            if store is not None and runtime.store is not store:
-                raise ValueError("case store differs from the shared runtime's store")
-            if query_engine is not None and runtime.query_engine is not query_engine:
-                raise ValueError("pass the query engine via the shared runtime, not alongside it")
-            return runtime
-        if store is None and query_engine is not None:
-            store = query_engine.store
-        return cls(engine, store, query_engine=query_engine, audit=audit)
-
     # ---------------------------------------------------------------- fleet
     def _build_loop(self, spec: LoopSpec) -> MAPEKLoop:
         """Instantiate the spec's components into a fresh MAPEK loop."""

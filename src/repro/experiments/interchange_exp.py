@@ -17,7 +17,8 @@ from repro.cluster.application import ApplicationProfile
 from repro.cluster.job import Job, JobState
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
-from repro.loops.scheduler_loop import SchedulerCaseConfig, SchedulerCaseManager
+from repro.core.runtime import LoopRuntime
+from repro.loops.scheduler_loop import SchedulerCaseConfig, host_scheduler_case
 from repro.sim import Engine
 from repro.telemetry.markers import ProgressMarkerChannel
 
@@ -36,8 +37,9 @@ def run_interchange_matrix(
         scheduler = Scheduler(
             engine, [Node("n0", NodeSpec())], marker_channel=channel
         )
-        case = SchedulerCaseManager(
-            engine,
+        runtime = LoopRuntime(engine)
+        host_scheduler_case(
+            runtime,
             scheduler,
             channel,
             config=SchedulerCaseConfig(forecaster_name=name, loop_period_s=60.0),
@@ -45,7 +47,9 @@ def run_interchange_matrix(
         # the forecaster of the loop the job actually got
         hosted = []
         scheduler.on_job_start.append(
-            lambda job: hosted.append(case.loops[job.job_id].analyzer.forecaster.name)
+            lambda job: hosted.append(
+                runtime.handles[f"sched-case-{job.job_id}"].loop.analyzer.forecaster.name
+            )
         )
         profile = ApplicationProfile(
             "ref-app", runtime_s, 1.0, marker_period_s=30.0, rate_noise_std=0.03

@@ -18,7 +18,9 @@ from repro.cluster.job import Job, JobState
 from repro.cluster.maintenance import MaintenanceEvent, MaintenanceManager
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
-from repro.loops.maintenance_loop import MaintenanceCaseManager
+from repro.core.runtime import LoopRuntime
+from repro.loops.bridges import MaintenanceTelemetryBridge
+from repro.loops.maintenance_loop import maintenance_case_spec
 from repro.sim import Engine, RngRegistry
 from repro.workloads.generator import ResubmitPolicy
 
@@ -48,8 +50,9 @@ def run_maintenance_scenario(
         engine, scheduler, checkpoint_store=checkpoints, max_resubmits_per_job=3
     )
     if with_loop:
-        case = MaintenanceCaseManager(engine, scheduler, maintenance, period_s=120.0)
-        case.start()
+        runtime = LoopRuntime(engine)
+        MaintenanceTelemetryBridge(scheduler, maintenance, runtime.store)
+        runtime.add(maintenance_case_spec(scheduler)).start()  # 120 s period
 
     rng = rngs.stream("jobs")
     jobs: List[Job] = []

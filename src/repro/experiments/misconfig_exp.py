@@ -17,7 +17,7 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
 from repro.core.runtime import LoopRuntime
 from repro.experiments.metrics import detection_metrics
-from repro.loops.misconfig_loop import MisconfigCaseConfig, MisconfigCaseManager
+from repro.loops.misconfig_loop import MisconfigCaseConfig, misconfig_case_spec
 from repro.sim import Engine, RngRegistry
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -49,17 +49,17 @@ def run_misconfig_scenario(
     # the case joins an explicit control plane: fused per-job utilization
     # queries, arbitration, and self-telemetry all flow through it
     control_plane = LoopRuntime(engine, store)
-    case = MisconfigCaseManager(
-        engine,
-        scheduler,
-        store,
-        config=MisconfigCaseConfig(
-            loop_period_s=120.0,
-            min_runtime_s=300.0,
-            observation_window_s=600.0,
-            online_fixes_enabled=with_fixes,
-        ),
-        runtime=control_plane,
+    case = control_plane.add(
+        misconfig_case_spec(
+            engine,
+            scheduler,
+            config=MisconfigCaseConfig(
+                loop_period_s=120.0,
+                min_runtime_s=300.0,
+                observation_window_s=600.0,
+                online_fixes_enabled=with_fixes,
+            ),
+        )
     )
     case.start()
 
@@ -121,8 +121,8 @@ def run_misconfig_scenario(
         "precision": det["precision"],
         "recall": det["recall"],
         "f1": det["f1"],
-        "fixes_applied": float(case.fixes_applied),
-        "notifications": float(case.notifications_sent),
+        "fixes_applied": float(case.loop.executor.fixes_applied),
+        "notifications": float(case.loop.executor.notifications_sent),
         "completed": float(len(completed)),
         "mean_runtime_misconfigured_s": mean_runtime_mis,
         "monitor_fused_served": hub_stats["fused_served"],

@@ -29,11 +29,13 @@ from repro.cluster.scheduler import (
     SchedulerConfig,
 )
 from repro.core.humanloop import HumanInTheLoopExecutor, HumanResponseModel
+from repro.core.knowledge import KnowledgeBase
+from repro.core.runtime import LoopRuntime
 from repro.experiments.metrics import JobOutcomeSummary
 from repro.loops.scheduler_loop import (
     SchedulerCaseConfig,
-    SchedulerCaseManager,
     SchedulerExecutor,
+    host_scheduler_case,
 )
 from repro.sim import Engine, RngRegistry
 from repro.telemetry.markers import ProgressMarkerChannel
@@ -108,7 +110,7 @@ def run_scheduler_scenario(cfg: SchedulerScenarioConfig) -> Dict[str, float]:
         max_resubmits_per_job=cfg.max_resubmits,
     )
 
-    manager: Optional[SchedulerCaseManager] = None
+    shared: Optional[KnowledgeBase] = None
     human: Dict[str, HumanInTheLoopExecutor] = {}
     if cfg.mode == "padding":
         _install_padding(generator, cfg.pad_factor)
@@ -134,8 +136,8 @@ def run_scheduler_scenario(cfg: SchedulerScenarioConfig) -> Dict[str, float]:
                 human[f"exec-{len(human)}"] = executor
                 return executor
 
-        manager = SchedulerCaseManager(
-            engine,
+        shared = host_scheduler_case(
+            LoopRuntime(engine),
             scheduler,
             channel,
             config=case_cfg,
@@ -155,8 +157,8 @@ def run_scheduler_scenario(cfg: SchedulerScenarioConfig) -> Dict[str, float]:
     if human:
         row["human_dropped"] = sum(h.plans_dropped_unavailable for h in human.values())
         row["human_approved"] = sum(h.plans_executed for h in human.values())
-    if manager is not None:
-        assessed = manager.mean_assessment()
+    if shared is not None:
+        assessed = shared.effectiveness()
         row["mean_assessment"] = assessed if assessed is not None else float("nan")
     return row
 

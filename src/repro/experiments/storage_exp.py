@@ -6,8 +6,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.loops.io_qos_loop import IoQosCaseManager, IoQosConfig
-from repro.loops.ost_loop import OstCaseConfig, OstCaseManager
+from repro.core.runtime import LoopHandle, LoopRuntime
+from repro.loops.bridges import FilesystemTelemetryBridge
+from repro.loops.io_qos_loop import IoQosConfig, io_qos_spec
+from repro.loops.ost_loop import OstCaseConfig, ost_case_spec
 from repro.sim import Engine
 from repro.storage.client import PeriodicWriter
 from repro.storage.filesystem import ParallelFileSystem
@@ -34,10 +36,12 @@ def run_ost_scenario(
         engine, fs, "app", size_mb=write_size_mb, period_s=write_period_s, stripe_count=2
     )
     writer.start()
-    case: Optional[OstCaseManager] = None
+    case: Optional[LoopHandle] = None
     if with_loop:
-        case = OstCaseManager(
-            engine, fs, [writer], config=OstCaseConfig(loop_period_s=60.0)
+        runtime = LoopRuntime(engine)
+        FilesystemTelemetryBridge(fs, runtime.store)
+        case = runtime.add(
+            ost_case_spec(engine, fs, [writer], config=OstCaseConfig(loop_period_s=60.0))
         )
         case.start()
 
@@ -69,7 +73,7 @@ def run_ost_scenario(
         "final_bw_mbps": float(np.mean(tail)) if tail else float("nan"),
         "recovery_s": recovery_s,
         "restripes": float(writer.file.restripe_count),
-        "failovers": float(case.failovers) if case else 0.0,
+        "failovers": float(case.loop.actions_executed) if case else 0.0,
     }
 
 
@@ -101,13 +105,14 @@ def run_ioqos_scenario(
     workflow.start(start_at=5.0)
     for w in backgrounds:
         w.start()
-    case: Optional[IoQosCaseManager] = None
+    case: Optional[LoopHandle] = None
     if with_loop:
-        case = IoQosCaseManager(
-            engine,
-            fs,
-            [workflow, *backgrounds],
-            config=IoQosConfig(latency_target_s=latency_target_s, loop_period_s=60.0),
+        case = LoopRuntime(engine).add(
+            io_qos_spec(
+                fs,
+                [workflow, *backgrounds],
+                config=IoQosConfig(latency_target_s=latency_target_s, loop_period_s=60.0),
+            )
         )
         case.start()
     engine.run(until=horizon_s)
@@ -124,5 +129,5 @@ def run_ioqos_scenario(
         "violation_rate": float(np.mean(lat > latency_target_s)) if lat.size else float("nan"),
         "cv": float(lat.std() / lat.mean()) if lat.size and lat.mean() > 0 else float("nan"),
         "bg_throughput_mbps": bg_total_mb / horizon_s,
-        "qos_adjustments": float(case.adjustments) if case else 0.0,
+        "qos_adjustments": float(case.loop.actions_executed) if case else 0.0,
     }

@@ -1,16 +1,21 @@
 """The five Section III use cases as concrete MAPE-K autonomy loops.
 
 Each module assembles Monitor/Analyzer/Planner/Executor implementations
-for one managed system and exports two entry points with a uniform
-shape:
+for one managed system and exports a ``*_case_spec`` / ``*_spec``
+builder returning the declarative
+:class:`~repro.core.runtime.LoopSpec` for the case.  A caller hosts it
+on a :class:`~repro.core.runtime.LoopRuntime` — its own, or one shared
+with the site's other loops (one fused query hub, one plan arbiter) —
+after attaching the case's telemetry bridge, if it has one::
 
-* a ``*_case_spec`` / ``*_spec`` builder returning the declarative
-  :class:`~repro.core.runtime.LoopSpec` for the case, and
-* a ``*CaseManager`` compat wrapper (engine-first, keyword-only
-  ``config``) that hosts the spec on a
-  :class:`~repro.core.runtime.LoopRuntime` — private unless a shared
-  runtime is passed via ``runtime=``, in which case the case joins that
-  runtime's fused query hub and plan arbiter.
+    runtime = LoopRuntime(engine, store, audit=audit)
+    FilesystemTelemetryBridge(fs, runtime.store)
+    handle = runtime.add(ost_case_spec(engine, fs, writers))
+    handle.start()
+
+The Scheduler case adds one loop per running job, so it is hosted by
+:func:`~repro.loops.scheduler_loop.host_scheduler_case`, which hooks job
+start and end on the scheduler and returns the case's shared knowledge.
 
 The three monitors that used to read simulator objects directly
 (:mod:`ost_loop`, :mod:`scheduler_loop`, :mod:`maintenance_loop`) now
@@ -36,47 +41,34 @@ from repro.loops.scheduler_loop import (
     JobProgressMonitor,
     ProgressAnalyzer,
     SchedulerCaseConfig,
-    SchedulerCaseManager,
     SchedulerExecutor,
+    host_scheduler_case,
     scheduler_job_spec,
 )
 from repro.loops.maintenance_loop import (
     MaintenanceCaseConfig,
-    MaintenanceCaseManager,
     MaintenancePlanner,
     maintenance_case_spec,
 )
-from repro.loops.io_qos_loop import (
-    IoQosCaseManager,
-    IoQosConfig,
-    io_qos_spec,
-)
-from repro.loops.ost_loop import OstCaseConfig, OstCaseManager, ost_case_spec
-from repro.loops.misconfig_loop import (
-    MisconfigCaseConfig,
-    MisconfigCaseManager,
-    misconfig_case_spec,
-)
+from repro.loops.io_qos_loop import IoQosConfig, io_qos_spec
+from repro.loops.ost_loop import OstCaseConfig, ost_case_spec
+from repro.loops.misconfig_loop import MisconfigCaseConfig, misconfig_case_spec
 
 __all__ = [
     "ExtensionPlanner",
     "FilesystemTelemetryBridge",
-    "IoQosCaseManager",
     "IoQosConfig",
     "JobProgressMonitor",
     "MaintenanceCaseConfig",
-    "MaintenanceCaseManager",
     "MaintenancePlanner",
     "MaintenanceTelemetryBridge",
     "MisconfigCaseConfig",
-    "MisconfigCaseManager",
     "OstCaseConfig",
-    "OstCaseManager",
     "ProgressAnalyzer",
     "SchedulerCaseConfig",
-    "SchedulerCaseManager",
     "SchedulerExecutor",
     "SchedulerTelemetryBridge",
+    "host_scheduler_case",
     "io_qos_spec",
     "maintenance_case_spec",
     "misconfig_case_spec",

@@ -19,11 +19,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Executor, Monitor, Planner
 from repro.core.knowledge import KnowledgeBase
-from repro.core.loop import MAPEKLoop
-from repro.core.runtime import LoopRuntime, LoopSpec
+from repro.core.runtime import LoopSpec
 from repro.core.types import (
     Action,
     AnalysisReport,
@@ -33,7 +31,6 @@ from repro.core.types import (
     Symptom,
 )
 from repro.query.engine import QueryEngine
-from repro.sim.engine import Engine
 from repro.storage.client import PeriodicWriter
 from repro.storage.filesystem import ParallelFileSystem
 from repro.telemetry.metric import SeriesKey
@@ -256,8 +253,6 @@ def io_qos_spec(
     writers: Sequence[PeriodicWriter],
     *,
     config: Optional[IoQosConfig] = None,
-    name: str = "io-qos-case",
-    priority: int = 0,
 ) -> LoopSpec:
     """Declarative spec for the I/O-QoS case.
 
@@ -269,8 +264,7 @@ def io_qos_spec(
     config = config if config is not None else IoQosConfig()
     background = [w.client_id for w in writers if w.client_id != config.deadline_tenant]
     return LoopSpec(
-        name=name,
-        priority=priority,
+        name="io-qos-case",
         monitor_factory=lambda runtime: IoLoadMonitor(
             fs, writers, config, query_engine=runtime.hub
         ),
@@ -280,48 +274,3 @@ def io_qos_spec(
         knowledge_factory=KnowledgeBase,
         period_s=config.loop_period_s,
     )
-
-
-class IoQosCaseManager:
-    """Assembled I/O-QoS autonomy loop over a filesystem and its tenants.
-
-    Thin compat wrapper hosting :func:`io_qos_spec` on a
-    :class:`~repro.core.runtime.LoopRuntime`; the monitor publishes and
-    queries through the runtime's shared store/hub.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        fs: ParallelFileSystem,
-        writers: Sequence[PeriodicWriter],
-        *,
-        config: Optional[IoQosConfig] = None,
-        audit: Optional[AuditTrail] = None,
-        query_engine: Optional[QueryEngine] = None,
-        runtime: Optional[LoopRuntime] = None,
-        priority: int = 0,
-    ) -> None:
-        self.config = config if config is not None else IoQosConfig()
-        self.runtime = LoopRuntime.for_case(
-            engine, runtime=runtime, query_engine=query_engine, audit=audit
-        )
-        self.handle = self.runtime.add(
-            io_qos_spec(fs, writers, config=self.config, priority=priority)
-        )
-        self.monitor = self.handle.loop.monitor
-        self.query_engine = self.runtime.query_engine
-
-    def start(self) -> None:
-        self.handle.start()
-
-    def stop(self) -> None:
-        self.handle.stop()
-
-    @property
-    def loop(self) -> MAPEKLoop:
-        return self.handle.loop
-
-    @property
-    def adjustments(self) -> int:
-        return self.loop.actions_executed

@@ -25,11 +25,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.maintenance import MaintenanceEvent, MaintenanceManager
 from repro.cluster.scheduler import Scheduler
-from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Executor, Monitor, Planner
 from repro.core.knowledge import KnowledgeBase
-from repro.core.loop import MAPEKLoop
-from repro.core.runtime import LoopRuntime, LoopSpec, MonitorQuery
+from repro.core.runtime import LoopSpec, MonitorQuery
 from repro.core.types import (
     Action,
     AnalysisReport,
@@ -38,8 +36,6 @@ from repro.core.types import (
     Plan,
     Symptom,
 )
-from repro.loops.bridges import MaintenanceTelemetryBridge
-from repro.sim.engine import Engine
 
 
 @dataclass
@@ -220,8 +216,6 @@ def maintenance_case_spec(
     scheduler: Scheduler,
     *,
     config: Optional[MaintenanceCaseConfig] = None,
-    name: str = "maintenance-case",
-    priority: int = 0,
 ) -> LoopSpec:
     """Declarative spec for the Maintenance case.
 
@@ -268,8 +262,7 @@ def maintenance_case_spec(
         )
 
     return LoopSpec(
-        name=name,
-        priority=priority,
+        name="maintenance-case",
         queries=(
             MonitorQuery("windows", "last(maint_window_start) group by (window,node)"),
             MonitorQuery("placement", "last(job_node_running) group by (job,node)"),
@@ -280,55 +273,3 @@ def maintenance_case_spec(
         executor_factory=lambda: CheckpointExecutor(scheduler),
         period_s=config.period_s,
     )
-
-
-class MaintenanceCaseManager:
-    """One site-wide loop watching all maintenance announcements.
-
-    Thin compat wrapper over :func:`maintenance_case_spec` +
-    :class:`~repro.loops.bridges.MaintenanceTelemetryBridge` hosted on a
-    :class:`~repro.core.runtime.LoopRuntime`.  ``period_s`` and
-    ``lead_factor`` kwargs are kept as shorthand for the corresponding
-    :class:`MaintenanceCaseConfig` fields.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        scheduler: Scheduler,
-        maintenance: MaintenanceManager,
-        *,
-        config: Optional[MaintenanceCaseConfig] = None,
-        period_s: Optional[float] = None,
-        lead_factor: Optional[float] = None,
-        audit: Optional[AuditTrail] = None,
-        runtime: Optional[LoopRuntime] = None,
-        priority: int = 0,
-    ) -> None:
-        if config is None:
-            config = MaintenanceCaseConfig(
-                period_s=period_s if period_s is not None else 120.0,
-                lead_factor=lead_factor if lead_factor is not None else 3.0,
-            )
-        elif period_s is not None or lead_factor is not None:
-            raise ValueError("pass either config or period_s/lead_factor, not both")
-        self.config = config
-        self.runtime = LoopRuntime.for_case(engine, runtime=runtime, audit=audit)
-        self.bridge = MaintenanceTelemetryBridge(scheduler, maintenance, self.runtime.store)
-        self.handle = self.runtime.add(
-            maintenance_case_spec(scheduler, config=config, priority=priority)
-        )
-
-    def start(self) -> None:
-        self.handle.start()
-
-    def stop(self) -> None:
-        self.handle.stop()
-
-    @property
-    def loop(self) -> MAPEKLoop:
-        return self.handle.loop
-
-    @property
-    def checkpoints_triggered(self) -> int:
-        return self.loop.actions_executed

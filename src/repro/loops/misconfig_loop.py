@@ -25,12 +25,10 @@ from repro.analytics.misconfig import (
     MisconfigKind,
 )
 from repro.cluster.scheduler import Scheduler
-from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Executor, Monitor, Planner
 from repro.core.humanloop import HumanOnTheLoopNotifier
 from repro.core.knowledge import KnowledgeBase
-from repro.core.loop import MAPEKLoop
-from repro.core.runtime import LoopRuntime, LoopSpec
+from repro.core.runtime import LoopSpec
 from repro.core.types import (
     Action,
     AnalysisReport,
@@ -283,8 +281,6 @@ def misconfig_case_spec(
     *,
     config: Optional[MisconfigCaseConfig] = None,
     notifier: Optional[HumanOnTheLoopNotifier] = None,
-    name: str = "misconfig-case",
-    priority: int = 0,
 ) -> LoopSpec:
     """Declarative spec for the Misconfiguration case.
 
@@ -297,8 +293,7 @@ def misconfig_case_spec(
     """
     config = config if config is not None else MisconfigCaseConfig()
     return LoopSpec(
-        name=name,
-        priority=priority,
+        name="misconfig-case",
         monitor_factory=lambda runtime: JobConfigMonitor(
             scheduler, runtime.store, config, query_engine=runtime.hub
         ),
@@ -307,59 +302,3 @@ def misconfig_case_spec(
         executor_factory=lambda: FixOrNotifyExecutor(engine, scheduler, notifier),
         period_s=config.loop_period_s,
     )
-
-
-class MisconfigCaseManager:
-    """Assembled misconfiguration loop over a scheduler + telemetry store.
-
-    Thin compat wrapper hosting :func:`misconfig_case_spec` on a
-    :class:`~repro.core.runtime.LoopRuntime` built over the telemetry
-    store the utilization queries read from.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        scheduler: Scheduler,
-        store: TimeSeriesStore,
-        *,
-        config: Optional[MisconfigCaseConfig] = None,
-        audit: Optional[AuditTrail] = None,
-        notifier: Optional[HumanOnTheLoopNotifier] = None,
-        query_engine: Optional[QueryEngine] = None,
-        runtime: Optional[LoopRuntime] = None,
-        priority: int = 0,
-    ) -> None:
-        self.config = config if config is not None else MisconfigCaseConfig()
-        self.runtime = LoopRuntime.for_case(
-            engine, runtime=runtime, store=store, query_engine=query_engine, audit=audit
-        )
-        self.handle = self.runtime.add(
-            misconfig_case_spec(
-                engine,
-                scheduler,
-                config=self.config,
-                notifier=notifier,
-                priority=priority,
-            )
-        )
-        self.executor = self.handle.loop.executor
-        self.query_engine = self.runtime.query_engine
-
-    def start(self) -> None:
-        self.handle.start()
-
-    def stop(self) -> None:
-        self.handle.stop()
-
-    @property
-    def loop(self) -> MAPEKLoop:
-        return self.handle.loop
-
-    @property
-    def fixes_applied(self) -> int:
-        return self.executor.fixes_applied
-
-    @property
-    def notifications_sent(self) -> int:
-        return self.executor.notifications_sent

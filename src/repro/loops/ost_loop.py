@@ -28,11 +28,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Executor, Monitor, Planner
 from repro.core.knowledge import KnowledgeBase
-from repro.core.loop import MAPEKLoop
-from repro.core.runtime import LoopRuntime, LoopSpec, MonitorQuery
+from repro.core.runtime import LoopSpec, MonitorQuery
 from repro.core.types import (
     Action,
     AnalysisReport,
@@ -41,7 +39,6 @@ from repro.core.types import (
     Plan,
     Symptom,
 )
-from repro.loops.bridges import FilesystemTelemetryBridge
 from repro.sim.engine import Engine
 from repro.storage.client import PeriodicWriter
 from repro.storage.filesystem import ParallelFileSystem
@@ -182,8 +179,6 @@ def ost_case_spec(
     writers: Sequence[PeriodicWriter],
     *,
     config: Optional[OstCaseConfig] = None,
-    name: str = "ost-case",
-    priority: int = 0,
 ) -> LoopSpec:
     """Declarative spec for the OST case (monitor = one grouped query)."""
     config = config if config is not None else OstCaseConfig()
@@ -200,8 +195,7 @@ def ost_case_spec(
         return Observation(now, "ost-bandwidth-monitor", values=values)
 
     return LoopSpec(
-        name=name,
-        priority=priority,
+        name="ost-case",
         queries=(MonitorQuery("bw", "last(ost_write_bw_mbps) group by (ost)"),),
         build_observation=build,
         analyzer_factory=lambda: SlowOstAnalyzer(config),
@@ -209,45 +203,3 @@ def ost_case_spec(
         executor_factory=lambda: WriterExecutor(engine, writers),
         period_s=config.loop_period_s,
     )
-
-
-class OstCaseManager:
-    """Assembled OST autonomy loop over one filesystem and its writers.
-
-    Thin compat wrapper: builds :func:`ost_case_spec`, wires the
-    filesystem telemetry bridge, and hosts the loop on a
-    :class:`~repro.core.runtime.LoopRuntime` (private unless one is
-    passed in).
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        fs: ParallelFileSystem,
-        writers: Sequence[PeriodicWriter],
-        *,
-        config: Optional[OstCaseConfig] = None,
-        audit: Optional[AuditTrail] = None,
-        runtime: Optional[LoopRuntime] = None,
-        priority: int = 0,
-    ) -> None:
-        self.config = config if config is not None else OstCaseConfig()
-        self.runtime = LoopRuntime.for_case(engine, runtime=runtime, audit=audit)
-        self.bridge = FilesystemTelemetryBridge(fs, self.runtime.store)
-        self.handle = self.runtime.add(
-            ost_case_spec(engine, fs, writers, config=self.config, priority=priority)
-        )
-
-    def start(self) -> None:
-        self.handle.start()
-
-    def stop(self) -> None:
-        self.handle.stop()
-
-    @property
-    def loop(self) -> MAPEKLoop:
-        return self.handle.loop
-
-    @property
-    def failovers(self) -> int:
-        return self.loop.actions_executed

@@ -20,19 +20,18 @@ One classical MAPE-K loop per running application:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analytics.forecast import Forecaster, make_forecaster
 from repro.cluster.job import Job, JobState
 from repro.cluster.scheduler import Scheduler
-from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Executor, Monitor, Planner
 from repro.core.confidence import combined_confidence
-from repro.core.guards import ActionBudgetGuard, ConfidenceGuard
+from repro.core.guards import ActionBudgetGuard, ConfidenceGuard, Guard
 from repro.core.humanloop import HumanOnTheLoopNotifier
-from repro.core.knowledge import KnowledgeBase
-from repro.core.loop import MAPEKLoop, PhaseLatency
-from repro.core.runtime import LoopHandle, LoopRuntime, LoopSpec, MonitorQuery
+from repro.core.knowledge import KnowledgeBase, PlanOutcome
+from repro.core.loop import PhaseLatency
+from repro.core.runtime import LoopRuntime, LoopSpec, MonitorQuery
 from repro.core.types import (
     Action,
     AnalysisReport,
@@ -43,7 +42,6 @@ from repro.core.types import (
 )
 from repro.analytics.similarity import JobRecord
 from repro.loops.bridges import SchedulerTelemetryBridge
-from repro.sim.engine import Engine
 from repro.telemetry.markers import ProgressMarker, ProgressMarkerChannel
 
 
@@ -244,13 +242,10 @@ def scheduler_job_spec(
     job_id: str,
     *,
     config: Optional[SchedulerCaseConfig] = None,
+    executor: Executor,
     knowledge: Optional[KnowledgeBase] = None,
-    executor: Optional[Executor] = None,
-    scheduler: Optional[Scheduler] = None,
-    extra_guard_factories: Sequence = (),
     on_iteration=None,
     start_at: Optional[float] = None,
-    priority: int = 0,
 ) -> LoopSpec:
     """Declarative per-job spec for the Scheduler case.
 
@@ -261,12 +256,22 @@ def scheduler_job_spec(
     series — the paper's side channel consumed through the query layer.
     Each job's loop is phase-aligned to its own start time, so its reads
     are normally alone at their tick and the hub executes them directly.
+
+    The extension budget (and the confidence gate, when
+    ``min_confidence`` > 0) is one guard instance per spec, like
+    ``knowledge``: a restarted loop keeps what the job has already spent.
     """
     cfg = config if config is not None else SchedulerCaseConfig()
-    if executor is None:
-        if scheduler is None:
-            raise ValueError("pass either an executor or a scheduler to build one from")
-        executor = SchedulerExecutor(scheduler)
+    guards: List[Guard] = [
+        ActionBudgetGuard(
+            kinds={"request_extension"},
+            max_actions_per_target=cfg.budget_max_extensions,
+            max_amount_per_target=cfg.budget_max_total_s,
+            amount_param="extra_s",
+        )
+    ]
+    if cfg.min_confidence > 0:
+        guards.append(ConfidenceGuard(cfg.min_confidence))
 
     def _gauge(inputs, slot: str) -> Optional[float]:
         result = inputs[slot]
@@ -312,7 +317,6 @@ def scheduler_job_spec(
     selector = f'{{job="{job_id}"}}'
     return LoopSpec(
         name=f"sched-case-{job_id}",
-        priority=priority,
         queries=(
             MonitorQuery("running", f"last(job_running{selector}) group by (job)"),
             MonitorQuery("deadline", f"last(job_deadline_s{selector}) group by (job)"),
@@ -330,7 +334,7 @@ def scheduler_job_spec(
         ),
         executor_factory=lambda: executor,
         knowledge_factory=(lambda: knowledge) if knowledge is not None else None,
-        guard_factories=tuple(extra_guard_factories),
+        guard_factories=tuple((lambda guard=guard: guard) for guard in guards),
         period_s=cfg.loop_period_s,
         phase_latency=cfg.phase_latency,
         start_at=start_at,
@@ -338,94 +342,55 @@ def scheduler_job_spec(
     )
 
 
-class SchedulerCaseManager:
-    """Spawns one loop per running job on the runtime; assesses at job end.
+def host_scheduler_case(
+    runtime: LoopRuntime,
+    scheduler: Scheduler,
+    channel: ProgressMarkerChannel,
+    *,
+    config: Optional[SchedulerCaseConfig] = None,
+    executor_factory=None,
+    notifier: Optional[HumanOnTheLoopNotifier] = None,
+) -> KnowledgeBase:
+    """Host the Scheduler case on ``runtime``: one loop per running job.
 
-    Thin compat wrapper: each job start registers a
-    :func:`scheduler_job_spec` with the hosted
-    :class:`~repro.core.runtime.LoopRuntime`; job end removes it and
-    scores its plans.  The marker channel is mirrored into the runtime's
-    store so the monitors consume markers through the query layer.
+    The marker channel is mirrored into the runtime's store (it raises
+    if it already mirrors elsewhere) so the monitors consume markers
+    through the query layer.  Each job start adds a
+    :func:`scheduler_job_spec` named ``sched-case-<job_id>``, first
+    ticking one period later; each job end removes it, scores its plans
+    and records the run.  Returns the case's shared knowledge: the run
+    history every job's priors come from, and every scored plan outcome
+    (``effectiveness()`` is the mean assessment).
     """
+    cfg = config if config is not None else SchedulerCaseConfig()
+    engine = runtime.engine
+    shared = KnowledgeBase()
+    channel.attach_mirror(runtime.store)
+    SchedulerTelemetryBridge(scheduler, runtime.store)
 
-    def __init__(
-        self,
-        engine: Engine,
-        scheduler: Scheduler,
-        channel: ProgressMarkerChannel,
-        *,
-        config: Optional[SchedulerCaseConfig] = None,
-        audit: Optional[AuditTrail] = None,
-        shared_knowledge: Optional[KnowledgeBase] = None,
-        executor_factory=None,
-        notifier: Optional[HumanOnTheLoopNotifier] = None,
-        runtime: Optional[LoopRuntime] = None,
-        priority: int = 0,
-    ) -> None:
-        self.engine = engine
-        self.scheduler = scheduler
-        self.channel = channel
-        self.config = config if config is not None else SchedulerCaseConfig()
-        self.audit = audit
-        self.shared = shared_knowledge if shared_knowledge is not None else KnowledgeBase()
-        self.executor_factory = executor_factory
-        self.notifier = notifier
-        self.priority = priority
-        self.runtime = LoopRuntime.for_case(
-            engine, runtime=runtime, store=channel.mirror_store, audit=audit
-        )
-        if channel.mirror_store is None:
-            channel.attach_mirror(self.runtime.store)
-        elif channel.mirror_store is not self.runtime.store:
-            # monitors read markers from the runtime's store; a foreign
-            # mirror would leave them silently blind
-            raise ValueError(
-                "marker channel mirrors into a different store than the "
-                "shared runtime queries"
-            )
-        self.bridge = SchedulerTelemetryBridge(scheduler, self.runtime.store)
-        self.loops: Dict[str, MAPEKLoop] = {}
-        self._handles: Dict[str, LoopHandle] = {}
-        self.assessments: List[float] = []
-        scheduler.on_job_start.append(self._job_started)
-        scheduler.on_job_end.append(self._job_ended)
-
-    # ------------------------------------------------------------ lifecycle
-    def _job_started(self, job: Job) -> None:
-        cfg = self.config
+    def job_started(job: Job) -> None:
         knowledge = KnowledgeBase()
         knowledge.remember("job_id", job.job_id)
         knowledge.remember("supports_checkpoint", job.profile.supports_checkpoint)
-        knowledge.run_history = self.shared.run_history  # shared priors
-        prior = self.shared.run_history.predict_runtime(
-            self._features(job), app_name=job.profile.name
-        )
+        knowledge.run_history = shared.run_history  # shared priors
+        prior = shared.run_history.predict_runtime(_features(job), app_name=job.profile.name)
         if prior is not None:
             knowledge.remember("runtime_prior", prior[0])
-        guard_factories = [
-            lambda: ActionBudgetGuard(
-                kinds={"request_extension"},
-                max_actions_per_target=cfg.budget_max_extensions,
-                max_amount_per_target=cfg.budget_max_total_s,
-                amount_param="extra_s",
-            )
-        ]
-        if cfg.min_confidence > 0:
-            guard_factories.append(lambda: ConfidenceGuard(cfg.min_confidence))
         executor = (
-            self.executor_factory(self.scheduler)
-            if self.executor_factory is not None
-            else SchedulerExecutor(self.scheduler)
+            executor_factory(scheduler)
+            if executor_factory is not None
+            else SchedulerExecutor(scheduler)
         )
+        name = f"sched-case-{job.job_id}"
         on_iteration = None
-        if self.notifier is not None:
+        if notifier is not None:
             # human-ON-the-loop (Section IV): the loop acts autonomously
             # and the operator receives explanations asynchronously
-            def on_iteration(iteration, _job_id=job.job_id):
+            def on_iteration(iteration):
                 if iteration.acted and iteration.plan is not None:
-                    self.notifier.notify(
-                        self.engine.now,
-                        f"sched-case-{_job_id}",
+                    notifier.notify(
+                        engine.now,
+                        name,
                         iteration.plan.rationale or "action executed",
                         confidence=iteration.plan.confidence,
                         honored=any(r.honored for r in iteration.results),
@@ -436,76 +401,60 @@ class SchedulerCaseManager:
             config=cfg,
             knowledge=knowledge,
             executor=executor,
-            extra_guard_factories=guard_factories,
             on_iteration=on_iteration,
-            start_at=self.engine.now + cfg.loop_period_s,
-            priority=self.priority,
+            start_at=engine.now + cfg.loop_period_s,
         )
-        handle = self.runtime.add(spec, start=True)
-        self._handles[job.job_id] = handle
-        self.loops[job.job_id] = handle.loop
+        runtime.add(spec, start=True)
 
-    def _job_ended(self, job: Job) -> None:
-        handle = self._handles.pop(job.job_id, None)
-        loop = self.loops.pop(job.job_id, None)
-        if handle is None or loop is None:
+    def job_ended(job: Job) -> None:
+        handle = runtime.remove(f"sched-case-{job.job_id}")
+        if handle is None:
             return
-        self.runtime.remove(handle.spec.name)
-        self._assess(job, loop.knowledge)
-        self.shared.run_history.add(
+        shared.plan_outcomes.extend(_assess(job, handle.loop.knowledge, engine.now))
+        shared.run_history.add(
             JobRecord(
                 job.job_id,
                 job.profile.name,
-                self._features(job),
+                _features(job),
                 runtime_s=job.runtime or 0.0,
                 succeeded=job.state is JobState.COMPLETED,
             )
         )
 
-    # ------------------------------------------------------------ knowledge
-    @staticmethod
-    def _features(job: Job) -> Dict[str, float]:
-        return {
-            "n_nodes": float(job.n_nodes),
-            "walltime_request_s": float(job.walltime_request_s),
-            "total_steps": float(job.profile.total_steps),
-        }
+    scheduler.on_job_start.append(job_started)
+    scheduler.on_job_end.append(job_ended)
+    return shared
 
-    def _assess(self, job: Job, knowledge: KnowledgeBase) -> None:
-        """Score every extension plan against what actually happened.
 
-        A granted extension scores by how much of it was *needed*: the
-        ideal grant covers the true overrun with modest headroom.  A
-        rescued job (would have timed out, completed after extension)
-        scores near 1; an extension on a job that timed out anyway, or
-        mostly-unused padding, scores low.
-        """
-        now = self.engine.now
-        for outcome in knowledge.unassessed_outcomes():
-            granted = sum(
-                r.response.get("granted_s", 0.0) for r in outcome.results if r.honored
-            )
-            if granted <= 0:
-                # denied plans: neutral-low (the loop learned the hook's limits)
-                knowledge.assess_outcome(outcome, 0.3, now)
-                self.assessments.append(0.3)
-                continue
-            if job.state is JobState.COMPLETED:
-                used = max(0.0, (job.end_time - job.start_time) - job.walltime_request_s)
-                efficiency = min(1.0, used / granted) if granted > 0 else 0.0
-                score = 0.5 + 0.5 * efficiency  # completion dominates
-            elif job.state is JobState.TIMEOUT:
-                score = 0.1  # extension spent, job still lost
-            else:
-                score = 0.3
-            knowledge.assess_outcome(outcome, score, now)
-            self.assessments.append(score)
+def _features(job: Job) -> Dict[str, float]:
+    return {
+        "n_nodes": float(job.n_nodes),
+        "walltime_request_s": float(job.walltime_request_s),
+        "total_steps": float(job.profile.total_steps),
+    }
 
-    # ----------------------------------------------------------------- stats
-    def active_loops(self) -> int:
-        return len(self.loops)
 
-    def mean_assessment(self) -> Optional[float]:
-        if not self.assessments:
-            return None
-        return sum(self.assessments) / len(self.assessments)
+def _assess(job: Job, knowledge: KnowledgeBase, now: float) -> List[PlanOutcome]:
+    """Score every extension plan against what actually happened.
+
+    A granted extension scores by how much of it was *needed*: the
+    ideal grant covers the true overrun with modest headroom.  A
+    rescued job (would have timed out, completed after extension)
+    scores near 1; an extension on a job that timed out anyway, or
+    mostly-unused padding, scores low.  Returns the outcomes scored.
+    """
+    outcomes = knowledge.unassessed_outcomes()
+    for outcome in outcomes:
+        granted = sum(r.response.get("granted_s", 0.0) for r in outcome.results if r.honored)
+        if granted <= 0:
+            # denied plans: neutral-low (the loop learned the hook's limits)
+            score = 0.3
+        elif job.state is JobState.COMPLETED:
+            used = max(0.0, (job.end_time - job.start_time) - job.walltime_request_s)
+            score = 0.5 + 0.5 * min(1.0, used / granted)  # completion dominates
+        elif job.state is JobState.TIMEOUT:
+            score = 0.1  # extension spent, job still lost
+        else:
+            score = 0.3
+        knowledge.assess_outcome(outcome, score, now)
+    return outcomes

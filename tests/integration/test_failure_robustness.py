@@ -13,7 +13,8 @@ from repro.cluster.failures import FailureInjector
 from repro.cluster.job import Job, JobState
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
-from repro.loops import SchedulerCaseConfig, SchedulerCaseManager
+from repro.core.runtime import LoopRuntime
+from repro.loops import SchedulerCaseConfig, host_scheduler_case
 from repro.sim import Engine, RngRegistry
 from repro.telemetry.markers import ProgressMarkerChannel
 from repro.workloads.generator import ResubmitPolicy, WorkloadGenerator, WorkloadSpec
@@ -25,8 +26,9 @@ def test_scheduler_loops_survive_node_failures():
     channel = ProgressMarkerChannel()
     nodes = [Node(f"n{i}", NodeSpec()) for i in range(8)]
     scheduler = Scheduler(engine, nodes, marker_channel=channel, rng=rngs.stream("sched"))
-    manager = SchedulerCaseManager(
-        engine, scheduler, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
+    runtime = LoopRuntime(engine)
+    host_scheduler_case(
+        runtime, scheduler, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
     )
     injector = FailureInjector(
         engine, scheduler, rngs.stream("fail"), mtbf_node_s=20_000.0, repair_time_s=2_000.0
@@ -45,7 +47,7 @@ def test_scheduler_loops_survive_node_failures():
     terminal = stats.completed + stats.timeout + stats.failed + stats.killed_maintenance
     assert terminal == stats.submitted
     # the loop manager cleaned up after every ended job
-    assert manager.active_loops() == len(scheduler.running_jobs())
+    assert len(runtime.handles) == len(scheduler.running_jobs())
     # despite failures, the loop still rescued underestimated jobs
     assert stats.extensions_granted > 0
     assert stats.completed > 0
@@ -58,8 +60,9 @@ def test_loop_handles_job_killed_mid_cycle():
     scheduler = Scheduler(engine, [Node("n0", NodeSpec())], marker_channel=channel)
     from repro.core.loop import PhaseLatency
 
-    manager = SchedulerCaseManager(
-        engine,
+    runtime = LoopRuntime(engine)
+    host_scheduler_case(
+        runtime,
         scheduler,
         channel,
         config=SchedulerCaseConfig(
@@ -75,7 +78,7 @@ def test_loop_handles_job_killed_mid_cycle():
     engine.schedule(2000.0 + 10.0, scheduler.fail_node, "n0")
     engine.run(until=10_000.0)
     assert job.state is JobState.FAILED
-    assert manager.active_loops() == 0  # loop stopped cleanly
+    assert len(runtime.handles) == 0  # loop stopped cleanly
 
 
 def test_failed_then_resubmitted_job_gets_new_loop():
@@ -83,8 +86,8 @@ def test_failed_then_resubmitted_job_gets_new_loop():
     channel = ProgressMarkerChannel()
     scheduler = Scheduler(engine, [Node("n0", NodeSpec()), Node("n1", NodeSpec())],
                           marker_channel=channel)
-    SchedulerCaseManager(
-        engine, scheduler, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
+    host_scheduler_case(
+        LoopRuntime(engine), scheduler, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
     )
     ResubmitPolicy(
         engine, scheduler,

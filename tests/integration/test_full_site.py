@@ -4,6 +4,9 @@ The paper's end state is a site where multiple MODA autonomy loops run
 concurrently over shared substrates.  This test deploys the Scheduler,
 Maintenance, Misconfiguration, OST, and I/O-QoS loops on one engine and
 verifies each one acted correctly without interfering with the others.
+All five share one ``LoopRuntime`` (one store, hub and arbiter); a guard
+test rebuilds the site with a private runtime per case and requires the
+same behaviour.
 """
 
 import pytest
@@ -15,16 +18,19 @@ from repro.cluster.maintenance import MaintenanceEvent, MaintenanceManager
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
 from repro.core.audit import AuditTrail
+from repro.core.runtime import LoopRuntime
 from repro.loops import (
-    IoQosCaseManager,
+    FilesystemTelemetryBridge,
     IoQosConfig,
-    MaintenanceCaseManager,
+    MaintenanceTelemetryBridge,
     MisconfigCaseConfig,
-    MisconfigCaseManager,
     OstCaseConfig,
-    OstCaseManager,
     SchedulerCaseConfig,
-    SchedulerCaseManager,
+    host_scheduler_case,
+    io_qos_spec,
+    maintenance_case_spec,
+    misconfig_case_spec,
+    ost_case_spec,
 )
 from repro.sim import Engine
 from repro.storage import AppIoClient, OST, OstState, ParallelFileSystem, PeriodicWriter
@@ -33,8 +39,8 @@ from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
 
-@pytest.fixture(scope="module")
-def site():
+def build_site(shared: bool):
+    """Run the site with all five cases on one runtime, or one runtime each."""
     engine = Engine()
     audit = AuditTrail()
     store = TimeSeriesStore()
@@ -60,26 +66,47 @@ def site():
     bg_writer.start()
 
     # --- the five loops ---------------------------------------------------
-    sched_case = SchedulerCaseManager(
-        engine, scheduler, channel,
-        config=SchedulerCaseConfig(loop_period_s=60.0), audit=audit,
+    site_runtime = LoopRuntime(engine, store, audit=audit) if shared else None
+
+    def runtime(case_store=None):
+        if shared:
+            return site_runtime
+        return LoopRuntime(engine, case_store, audit=audit)
+
+    sched_runtime = runtime()
+    knowledge = host_scheduler_case(
+        sched_runtime, scheduler, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
     )
-    maint_case = MaintenanceCaseManager(engine, scheduler, maintenance, period_s=120.0, audit=audit)
+    job_loops = {}
+    scheduler.on_job_start.append(
+        lambda job: job_loops.update(
+            {job.job_id: sched_runtime.handles[f"sched-case-{job.job_id}"].loop}
+        )
+    )
+    maint_runtime = runtime()
+    MaintenanceTelemetryBridge(scheduler, maintenance, maint_runtime.store)
+    maint_case = maint_runtime.add(maintenance_case_spec(scheduler))  # 120 s period
     maint_case.start()
-    misconfig_case = MisconfigCaseManager(
-        engine, scheduler, store,
-        config=MisconfigCaseConfig(loop_period_s=120.0, min_runtime_s=300.0),
-        audit=audit,
+    misconfig_case = runtime(store).add(
+        misconfig_case_spec(
+            engine, scheduler,
+            config=MisconfigCaseConfig(loop_period_s=120.0, min_runtime_s=300.0),
+        )
     )
     misconfig_case.start()
-    ost_case = OstCaseManager(
-        engine, fs, [deadline_writer, bg_writer],
-        config=OstCaseConfig(loop_period_s=60.0), audit=audit,
+    ost_runtime = runtime()
+    FilesystemTelemetryBridge(fs, ost_runtime.store)
+    ost_case = ost_runtime.add(
+        ost_case_spec(
+            engine, fs, [deadline_writer, bg_writer], config=OstCaseConfig(loop_period_s=60.0)
+        )
     )
     ost_case.start()
-    qos_case = IoQosCaseManager(
-        engine, fs, [deadline_writer, bg_writer],
-        config=IoQosConfig(latency_target_s=3.0, loop_period_s=60.0), audit=audit,
+    qos_case = runtime().add(
+        io_qos_spec(
+            fs, [deadline_writer, bg_writer],
+            config=IoQosConfig(latency_target_s=3.0, loop_period_s=60.0),
+        )
     )
     qos_case.start()
 
@@ -150,9 +177,42 @@ def site():
         deadline_writer=deadline_writer, victims=victims,
         jobs=dict(under=underestimated, misconf=misconfigured,
                   longrun=long_runner, iojob=io_job),
-        cases=dict(sched=sched_case, maint=maint_case, misconfig=misconfig_case,
-                   ost=ost_case, qos=qos_case),
+        cases=dict(maint=maint_case, misconfig=misconfig_case, ost=ost_case, qos=qos_case),
+        knowledge=knowledge, job_loops=job_loops,
         fs=fs,
+    )
+
+
+@pytest.fixture(scope="module")
+def site():
+    return build_site(shared=True)
+
+
+def trace(loop):
+    """Every executed action of a loop: (time, kind, target, params, honored)."""
+    return [
+        (it.t_execute, r.action.kind, r.action.target, dict(r.action.params), r.honored)
+        for it in loop.iterations
+        for r in it.results
+    ]
+
+
+def behaviour(site):
+    """What the site did: job outcomes, case knowledge, every loop's actions."""
+    jobs = {
+        job_id: (job.state, job.extension_count, job.total_extension_s, job.end_time)
+        for job_id, job in site["scheduler"].jobs.items()
+    }
+    knowledge = site["knowledge"]
+    loops = {**site["job_loops"], **{name: h.loop for name, h in site["cases"].items()}}
+    return dict(
+        jobs=jobs,
+        run_records=knowledge.run_history.records(),
+        assessments=[o.score for o in knowledge.plan_outcomes],
+        loops={
+            name: (loop.iterations_run, loop.actions_executed, trace(loop))
+            for name, loop in loops.items()
+        },
     )
 
 
@@ -163,7 +223,7 @@ class TestFullSite:
         assert job.extension_count >= 1
 
     def test_misconfig_loop_fixed_thread_count(self, site):
-        assert site["cases"]["misconfig"].fixes_applied >= 1
+        assert site["cases"]["misconfig"].loop.executor.fixes_applied >= 1
         app = site["scheduler"].app("misconf")
         if app is not None:  # still running at horizon
             assert app.launch.threads == 32
@@ -178,10 +238,10 @@ class TestFullSite:
     def test_ost_loop_moved_deadline_writer(self, site):
         victim = site["victims"]["ost"]
         assert victim not in site["deadline_writer"].file.stripe_osts
-        assert site["cases"]["ost"].failovers >= 1
+        assert site["cases"]["ost"].loop.actions_executed >= 1
 
     def test_qos_loop_throttled_background(self, site):
-        assert site["cases"]["qos"].adjustments >= 1
+        assert site["cases"]["qos"].loop.actions_executed >= 1
         allocation = site["fs"].qos.allocation("bg0")
         assert allocation is not None
 
@@ -207,3 +267,7 @@ class TestFullSite:
         assert cases["misconfig"].loop.iterations_run > 50
         assert cases["ost"].loop.iterations_run > 100
         assert cases["qos"].loop.iterations_run > 100
+
+    def test_one_runtime_behaves_as_five(self, site):
+        """Hosting the five cases on one runtime changes none of their actions."""
+        assert behaviour(site) == behaviour(build_site(shared=False))

@@ -7,7 +7,8 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
 from repro.core.audit import AuditTrail
 from repro.core.humanloop import HumanOnTheLoopNotifier
-from repro.loops.scheduler_loop import SchedulerCaseConfig, SchedulerCaseManager
+from repro.core.runtime import LoopRuntime
+from repro.loops.scheduler_loop import SchedulerCaseConfig, host_scheduler_case
 from repro.sim import Engine
 from repro.telemetry.markers import ProgressMarkerChannel
 
@@ -16,8 +17,8 @@ def run_case(notifier=None, runtime=2000.0, walltime=1500.0):
     engine = Engine()
     channel = ProgressMarkerChannel()
     scheduler = Scheduler(engine, [Node("n0", NodeSpec())], marker_channel=channel)
-    SchedulerCaseManager(
-        engine,
+    host_scheduler_case(
+        LoopRuntime(engine),
         scheduler,
         channel,
         config=SchedulerCaseConfig(loop_period_s=60.0),

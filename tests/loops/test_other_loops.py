@@ -10,10 +10,12 @@ from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler
 from repro.core.audit import AuditTrail
 from repro.core.humanloop import HumanOnTheLoopNotifier
-from repro.loops.io_qos_loop import IoQosCaseManager, IoQosConfig
-from repro.loops.maintenance_loop import MaintenanceCaseManager
-from repro.loops.misconfig_loop import MisconfigCaseConfig, MisconfigCaseManager
-from repro.loops.ost_loop import OstCaseConfig, OstCaseManager
+from repro.core.runtime import LoopRuntime
+from repro.loops.bridges import FilesystemTelemetryBridge, MaintenanceTelemetryBridge
+from repro.loops.io_qos_loop import IoQosConfig, io_qos_spec
+from repro.loops.maintenance_loop import MaintenanceCaseConfig, maintenance_case_spec
+from repro.loops.misconfig_loop import MisconfigCaseConfig, misconfig_case_spec
+from repro.loops.ost_loop import OstCaseConfig, ost_case_spec
 from repro.sim import Engine
 from repro.storage.client import PeriodicWriter
 from repro.storage.filesystem import ParallelFileSystem
@@ -30,7 +32,10 @@ class TestMaintenanceLoop:
         nodes = [Node(f"n{i}", NodeSpec()) for i in range(2)]
         sched = Scheduler(eng, nodes, checkpoint_store=store)
         maint = MaintenanceManager(eng, sched)
-        case = MaintenanceCaseManager(eng, sched, maint, period_s=60.0)
+        runtime = LoopRuntime(eng)
+        MaintenanceTelemetryBridge(sched, maint, runtime.store)
+        config = MaintenanceCaseConfig(period_s=60.0)
+        case = runtime.add(maintenance_case_spec(sched, config=config))
         case.start()
         return eng, sched, maint, store, case
 
@@ -52,7 +57,7 @@ class TestMaintenanceLoop:
         assert record is not None
         # checkpoint taken close to (but before) the window
         assert 2000.0 < record.step < 3000.0
-        assert case.checkpoints_triggered >= 1
+        assert case.loop.actions_executed >= 1
 
     def test_without_loop_no_checkpoint(self):
         eng = Engine()
@@ -116,11 +121,12 @@ class TestIoQosLoop:
         bg2.start()
         case = None
         if with_loop:
-            case = IoQosCaseManager(
-                eng,
-                fs,
-                writers,
-                config=IoQosConfig(latency_target_s=2.0, loop_period_s=60.0),
+            case = LoopRuntime(eng).add(
+                io_qos_spec(
+                    fs,
+                    writers,
+                    config=IoQosConfig(latency_target_s=2.0, loop_period_s=60.0),
+                )
             )
             case.start()
         return eng, fs, workflow, [bg1, bg2], case
@@ -140,7 +146,7 @@ class TestIoQosLoop:
         # shaped background: mean well under target, violations rare
         assert float(np.mean(latencies)) < 1.5
         assert float(np.mean(latencies > 2.0)) < 0.2
-        assert case.adjustments > 0
+        assert case.loop.actions_executed > 0
         # background tenants were actually throttled
         rate, _burst = fs.qos.allocation("bg1")
         assert rate < 2000.0
@@ -172,8 +178,12 @@ class TestOstLoop:
         writer.start()
         case = None
         if with_loop:
-            case = OstCaseManager(
-                eng, fs, [writer], config=OstCaseConfig(loop_period_s=60.0, slow_fraction=0.5)
+            runtime = LoopRuntime(eng)
+            FilesystemTelemetryBridge(fs, runtime.store)
+            case = runtime.add(
+                ost_case_spec(
+                    eng, fs, [writer], config=OstCaseConfig(loop_period_s=60.0, slow_fraction=0.5)
+                )
             )
             case.start()
         return eng, fs, writer, case
@@ -185,7 +195,7 @@ class TestOstLoop:
         fs.set_ost_state(victim, OstState.DEGRADED, 0.05)
         eng.run(until=3000.0)
         assert victim not in writer.file.stripe_osts  # moved away
-        assert case.failovers >= 1
+        assert case.loop.actions_executed >= 1
         recent = writer.recent_bandwidth_mbps()
         assert recent > 1000.0  # back to two healthy stripes
 
@@ -201,7 +211,7 @@ class TestOstLoop:
     def test_healthy_system_no_failovers(self):
         eng, fs, writer, case = self._setup(with_loop=True)
         eng.run(until=3000.0)
-        assert case.failovers == 0
+        assert case.loop.actions_executed == 0
         assert writer.file.restripe_count == 0
 
     def test_config_validation(self):
@@ -218,14 +228,15 @@ class TestMisconfigLoop:
         sched = Scheduler(eng, nodes, marker_channel=channel)
         audit = AuditTrail()
         notifier = HumanOnTheLoopNotifier(audit)
-        case = MisconfigCaseManager(
-            eng,
-            sched,
-            store,
-            config=MisconfigCaseConfig(
-                loop_period_s=120.0, min_runtime_s=200.0, observation_window_s=300.0
-            ),
-            notifier=notifier,
+        case = LoopRuntime(eng, store).add(
+            misconfig_case_spec(
+                eng,
+                sched,
+                config=MisconfigCaseConfig(
+                    loop_period_s=120.0, min_runtime_s=200.0, observation_window_s=300.0
+                ),
+                notifier=notifier,
+            )
         )
         case.start()
         profile = ApplicationProfile(
@@ -248,7 +259,7 @@ class TestMisconfigLoop:
     def test_thread_mismatch_fixed_online(self):
         eng, sched, case, notifier, job = self._setup(LaunchConfig(threads=4))
         eng.run(until=2000.0)
-        assert case.fixes_applied >= 1
+        assert case.loop.executor.fixes_applied >= 1
         app = sched.app("j1")
         assert app.launch.threads == 32  # corrected to the core count
         assert app.current_rate() == pytest.approx(1.0, rel=0.01)
@@ -256,17 +267,18 @@ class TestMisconfigLoop:
     def test_well_configured_job_untouched(self):
         eng, sched, case, notifier, job = self._setup(LaunchConfig())
         eng.run(until=2000.0)
-        assert case.fixes_applied == 0
-        assert case.notifications_sent == 0
+        assert case.loop.executor.fixes_applied == 0
+        assert case.loop.executor.notifications_sent == 0
 
     def test_judge_immediately_deployment_survives_zero_age(self):
         """min_runtime_s=0 can observe a job the tick it starts (age 0)."""
         eng = Engine()
         store = TimeSeriesStore()
         sched = Scheduler(eng, [Node("n0", NodeSpec(cores=8))])
-        case = MisconfigCaseManager(
-            eng, sched, store,
-            config=MisconfigCaseConfig(loop_period_s=60.0, min_runtime_s=0.0),
+        case = LoopRuntime(eng, store).add(
+            misconfig_case_spec(
+                eng, sched, config=MisconfigCaseConfig(loop_period_s=60.0, min_runtime_s=0.0)
+            )
         )
         case.start()
         profile = ApplicationProfile("app", 20000.0, 1.0)
@@ -279,7 +291,7 @@ class TestMisconfigLoop:
         )
         eng, sched, case, notifier, job = self._setup(launch)
         eng.run(until=2000.0)
-        assert case.fixes_applied >= 1
+        assert case.loop.executor.fixes_applied >= 1
         app = sched.app("j1")
         assert "site-blas" in app.launch.library_paths
         assert app.current_rate() == pytest.approx(1.0, rel=0.01)  # penalty gone
@@ -288,7 +300,7 @@ class TestMisconfigLoop:
         eng, sched, case, notifier, job = self._setup(LaunchConfig(threads=4))
         eng.run(until=6000.0)
         # the same (job, kind) is not re-actioned every cycle
-        assert case.fixes_applied == 1
+        assert case.loop.executor.fixes_applied == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

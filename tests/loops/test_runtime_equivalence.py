@@ -6,8 +6,9 @@ Each of the five cases is run twice on identically seeded scenarios:
   from the case's components, with the original direct-read monitors
   (``OstBandwidthMonitor``, ``MaintenanceMonitor``,
   ``JobProgressMonitor``) or a private uncached query engine.
-* **runtime** — the shipped ``*CaseManager`` wrappers: declarative
-  specs, telemetry bridges, fused query hub, arbiter, self-telemetry.
+* **runtime** — each case hosted as it ships: its declarative spec
+  (and telemetry bridge) added to a ``LoopRuntime``, or
+  ``host_scheduler_case`` — fused query hub, arbiter, self-telemetry.
 
 The rewire contract is *exact behavioral parity*: identical iteration
 counts and identical executed-action sequences (time, kind, target,
@@ -25,44 +26,47 @@ from repro.cluster.scheduler import Scheduler
 from repro.core.guards import ActionBudgetGuard
 from repro.core.knowledge import KnowledgeBase
 from repro.core.loop import MAPEKLoop
+from repro.core.runtime import LoopRuntime
+from repro.loops.bridges import FilesystemTelemetryBridge, MaintenanceTelemetryBridge
 from repro.loops.io_qos_loop import (
     AimdQosPlanner,
     IoLoadMonitor,
-    IoQosCaseManager,
     IoQosConfig,
     QosAnalyzer,
     QosExecutor,
+    io_qos_spec,
 )
 from repro.loops.maintenance_loop import (
     CheckpointExecutor,
     MaintenanceAnalyzer,
-    MaintenanceCaseManager,
+    MaintenanceCaseConfig,
     MaintenanceMonitor,
     MaintenancePlanner,
+    maintenance_case_spec,
 )
 from repro.loops.misconfig_loop import (
     FixOrNotifyExecutor,
     InformOrFixPlanner,
     JobConfigMonitor,
     MisconfigCaseConfig,
-    MisconfigCaseManager,
     MisconfigLoopAnalyzer,
+    misconfig_case_spec,
 )
 from repro.loops.ost_loop import (
     AvoidOstPlanner,
     OstBandwidthMonitor,
     OstCaseConfig,
-    OstCaseManager,
     SlowOstAnalyzer,
     WriterExecutor,
+    ost_case_spec,
 )
 from repro.loops.scheduler_loop import (
     ExtensionPlanner,
     JobProgressMonitor,
     ProgressAnalyzer,
     SchedulerCaseConfig,
-    SchedulerCaseManager,
     SchedulerExecutor,
+    host_scheduler_case,
 )
 from repro.query.engine import QueryEngine
 from repro.sim import Engine
@@ -114,7 +118,9 @@ def _ost_world(wired: str):
         )
         loop.start()
     else:
-        case = OstCaseManager(engine, fs, [writer], config=config)
+        runtime = LoopRuntime(engine)
+        FilesystemTelemetryBridge(fs, runtime.store)
+        case = runtime.add(ost_case_spec(engine, fs, [writer], config=config))
         case.start()
         loop = case.loop
     engine.schedule_at(500.0, lambda: fs.set_ost_state(writer.file.stripe_osts[0], OstState.DEGRADED, 0.05))
@@ -152,7 +158,10 @@ def _maintenance_world(wired: str):
         )
         loop.start()
     else:
-        case = MaintenanceCaseManager(engine, sched, maint, period_s=60.0)
+        runtime = LoopRuntime(engine)
+        MaintenanceTelemetryBridge(sched, maint, runtime.store)
+        config = MaintenanceCaseConfig(period_s=60.0)
+        case = runtime.add(maintenance_case_spec(sched, config=config))
         case.start()
         loop = case.loop
     profile = ApplicationProfile(
@@ -206,7 +215,7 @@ def _ioqos_world(wired: str):
         )
         loop.start()
     else:
-        case = IoQosCaseManager(engine, fs, writers, config=config)
+        case = LoopRuntime(engine).add(io_qos_spec(fs, writers, config=config))
         case.start()
         loop = case.loop
     engine.run(until=3000.0)
@@ -244,7 +253,7 @@ def _misconfig_world(wired: str):
         )
         loop.start()
     else:
-        case = MisconfigCaseManager(engine, sched, store, config=config)
+        case = LoopRuntime(engine, store).add(misconfig_case_spec(engine, sched, config=config))
         case.start()
         loop = case.loop
     profile = ApplicationProfile("app", 20000.0, 1.0, marker_period_s=60.0)
@@ -320,8 +329,12 @@ def _scheduler_world(wired: str):
         sched.on_job_start.append(job_started)
         sched.on_job_end.append(job_ended)
     else:
-        manager = SchedulerCaseManager(engine, sched, channel, config=config)
-        loops = manager.loops  # live dict; entries removed at job end
+        runtime = LoopRuntime(engine)
+        host_scheduler_case(runtime, sched, channel, config=config)
+        # the loop each job got, as its start hook registered it
+        sched.on_job_start.append(
+            lambda job: loops.update({job.job_id: runtime.handles[f"sched-case-{job.job_id}"].loop})
+        )
 
     profile = ApplicationProfile("app", 2000.0, 1.0, marker_period_s=30.0)
     job = Job("j1", "alice", profile, walltime_request_s=1500.0)

@@ -7,7 +7,8 @@ from repro.cluster.job import Job, JobState
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.scheduler import Scheduler, SchedulerConfig
 from repro.core.audit import AuditTrail
-from repro.loops.scheduler_loop import SchedulerCaseConfig, SchedulerCaseManager
+from repro.core.runtime import LoopRuntime
+from repro.loops.scheduler_loop import SchedulerCaseConfig, host_scheduler_case
 from repro.sim import Engine
 from repro.telemetry.markers import ProgressMarkerChannel
 
@@ -26,8 +27,9 @@ def setup_case(
     sched = Scheduler(
         eng, nodes, config=scheduler_config or SchedulerConfig(), marker_channel=channel
     )
-    manager = SchedulerCaseManager(
-        eng, sched, channel, config=config or SchedulerCaseConfig(loop_period_s=60.0)
+    runtime = LoopRuntime(eng)
+    shared = host_scheduler_case(
+        runtime, sched, channel, config=config or SchedulerCaseConfig(loop_period_s=60.0)
     )
     prof_kw = dict(
         name="app",
@@ -40,13 +42,13 @@ def setup_case(
         prof_kw.update(profile_kw)
     profile = ApplicationProfile(**prof_kw)
     job = Job("j1", "alice", profile, walltime_request_s=walltime_s)
-    return eng, sched, manager, job
+    return eng, sched, runtime, shared, job
 
 
 class TestSchedulerCaseEndToEnd:
     def test_rescues_underestimated_job(self):
         """The headline behaviour: a job that would TIMEOUT completes."""
-        eng, sched, manager, job = setup_case(runtime_s=2000.0, walltime_s=1500.0)
+        eng, sched, runtime, shared, job = setup_case(runtime_s=2000.0, walltime_s=1500.0)
         sched.submit(job)
         eng.run(until=5000.0)
         assert job.state is JobState.COMPLETED
@@ -65,17 +67,17 @@ class TestSchedulerCaseEndToEnd:
         assert job.state is JobState.TIMEOUT
 
     def test_well_estimated_job_not_extended(self):
-        eng, sched, manager, job = setup_case(runtime_s=1000.0, walltime_s=1500.0)
+        eng, sched, runtime, shared, job = setup_case(runtime_s=1000.0, walltime_s=1500.0)
         sched.submit(job)
         eng.run(until=5000.0)
         assert job.state is JobState.COMPLETED
         assert job.extension_count == 0
 
     def test_loop_stops_when_job_ends(self):
-        eng, sched, manager, job = setup_case(runtime_s=500.0, walltime_s=800.0)
+        eng, sched, runtime, shared, job = setup_case(runtime_s=500.0, walltime_s=800.0)
         sched.submit(job)
         eng.run(until=5000.0)
-        assert manager.active_loops() == 0
+        assert len(runtime.handles) == 0
 
     def test_budget_guard_limits_extensions(self):
         cfg = SchedulerCaseConfig(
@@ -83,7 +85,7 @@ class TestSchedulerCaseEndToEnd:
             checkpoint_fallback=False,
         )
         # monstrously underestimated: would need many extensions
-        eng, sched, manager, job = setup_case(
+        eng, sched, runtime, shared, job = setup_case(
             runtime_s=6000.0, walltime_s=1000.0, config=cfg
         )
         sched.submit(job)
@@ -91,12 +93,35 @@ class TestSchedulerCaseEndToEnd:
         assert job.extension_count <= 1
         assert job.state is JobState.TIMEOUT  # budget was not enough
 
+    def test_restart_keeps_extension_budget(self):
+        """A restarted per-job loop does not get a fresh extension budget."""
+        cfg = SchedulerCaseConfig(
+            loop_period_s=60.0, budget_max_extensions=1, checkpoint_fallback=False
+        )
+        # slows to half rate after the first extension: needs a second one
+        eng, sched, runtime, shared, job = setup_case(
+            runtime_s=2000.0, walltime_s=1500.0, config=cfg,
+            profile_kw=dict(phases=(PhaseChange(0.5, 0.5),)),
+        )
+        granted = []
+
+        def restart_after_first(job, response):
+            granted.append(eng.now)
+            if len(granted) == 1:
+                eng.schedule(1.0, runtime.restart, "sched-case-j1")
+
+        sched.on_extension.append(restart_after_first)
+        sched.submit(job)
+        eng.run(until=10000.0)
+        assert runtime.handles == {} and len(granted) == 1
+        assert job.extension_count == 1
+
     def test_checkpoint_fallback_after_denial(self):
         from repro.cluster.scheduler import ExtensionPolicy
 
         # site policy: no extensions at all
         policy = ExtensionPolicy(max_extensions_per_job=0)
-        eng, sched, manager, job = setup_case(
+        eng, sched, runtime, shared, job = setup_case(
             runtime_s=2000.0,
             walltime_s=1500.0,
             scheduler_config=SchedulerConfig(extension_policy=policy),
@@ -110,7 +135,7 @@ class TestSchedulerCaseEndToEnd:
     def test_phase_change_handled_by_forecaster(self):
         """A job that slows down mid-run still gets rescued."""
         cfg = SchedulerCaseConfig(loop_period_s=60.0, forecaster_name="ewma")
-        eng, sched, manager, job = setup_case(
+        eng, sched, runtime, shared, job = setup_case(
             runtime_s=1000.0,  # nominal 1000s, but second half at half rate → 1500s
             walltime_s=1200.0,
             config=cfg,
@@ -122,28 +147,30 @@ class TestSchedulerCaseEndToEnd:
         assert job.extension_count >= 1
 
     def test_run_history_accumulates(self):
-        eng, sched, manager, job = setup_case(runtime_s=500.0, walltime_s=800.0)
+        eng, sched, runtime, shared, job = setup_case(runtime_s=500.0, walltime_s=800.0)
         sched.submit(job)
         eng.run(until=2000.0)
-        assert len(manager.shared.run_history) == 1
-        rec = manager.shared.run_history.records()[0]
+        assert len(shared.run_history) == 1
+        rec = shared.run_history.records()[0]
         assert rec.succeeded
         assert rec.runtime_s == pytest.approx(500.0, rel=0.02)
 
     def test_assessment_scores_recorded(self):
-        eng, sched, manager, job = setup_case(runtime_s=2000.0, walltime_s=1500.0)
+        eng, sched, runtime, shared, job = setup_case(runtime_s=2000.0, walltime_s=1500.0)
         sched.submit(job)
         eng.run(until=5000.0)
-        assert manager.assessments  # extension assessed at job end
-        assert manager.mean_assessment() > 0.5  # rescue scored well
+        # extension assessed at job end
+        assert [o.score for o in shared.plan_outcomes if o.score is not None]
+        assert shared.effectiveness() > 0.5  # rescue scored well
 
     def test_audit_trail_populated(self):
         audit = AuditTrail()
         eng = Engine()
         channel = ProgressMarkerChannel()
         sched = Scheduler(eng, [Node("n0", NodeSpec())], marker_channel=channel)
-        SchedulerCaseManager(
-            eng, sched, channel, config=SchedulerCaseConfig(loop_period_s=60.0), audit=audit
+        host_scheduler_case(
+            LoopRuntime(eng, audit=audit), sched, channel,
+            config=SchedulerCaseConfig(loop_period_s=60.0),
         )
         profile = ApplicationProfile("app", 2000.0, 1.0, marker_period_s=30.0)
         job = Job("j1", "alice", profile, walltime_request_s=1500.0)
@@ -157,8 +184,9 @@ class TestSchedulerCaseEndToEnd:
         channel = ProgressMarkerChannel()
         nodes = [Node(f"n{i}", NodeSpec()) for i in range(3)]
         sched = Scheduler(eng, nodes, marker_channel=channel)
-        manager = SchedulerCaseManager(
-            eng, sched, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
+        loop_runtime = LoopRuntime(eng)
+        host_scheduler_case(
+            loop_runtime, sched, channel, config=SchedulerCaseConfig(loop_period_s=60.0)
         )
         jobs = []
         for i, runtime in enumerate([2000.0, 1800.0, 400.0]):
@@ -167,7 +195,7 @@ class TestSchedulerCaseEndToEnd:
             jobs.append(job)
             sched.submit(job)
         eng.run(until=100.0)
-        assert manager.active_loops() == 3
+        assert len(loop_runtime.handles) == 3
         eng.run(until=8000.0)
         assert jobs[0].state is JobState.COMPLETED  # rescued
         assert jobs[1].state is JobState.COMPLETED  # rescued
