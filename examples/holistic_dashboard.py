@@ -14,7 +14,8 @@ Run:  python examples/holistic_dashboard.py
 
 import numpy as np
 
-from repro.analytics import OLSForecaster, ZScoreDetector
+from repro.analytics.anomaly import ZScoreDetector
+from repro.analytics.forecast import OLSForecaster
 from repro.cluster import Cluster, ClusterConfig
 from repro.query import QueryEngine
 from repro.sim import Engine, RngRegistry

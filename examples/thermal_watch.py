@@ -13,10 +13,11 @@ with one injected cooling fault, and shows:
 Run:  python examples/thermal_watch.py
 """
 
+import math
+
 import numpy as np
 
-from repro.analytics import SeasonalAnomalyDetector, ZScoreDetector
-from repro.analytics.seasonal import DAY_S
+from repro.analytics.anomaly import Anomaly, ZScoreDetector
 from repro.sim import Engine, RngRegistry
 from repro.telemetry import (
     DerivedMetricSpec,
@@ -25,6 +26,72 @@ from repro.telemetry import (
     TimeSeriesStore,
 )
 from repro.telemetry.synthetic import SpikeSpec, SyntheticSeriesSpec, render_series
+
+DAY_S = 86_400.0
+N_BINS = 24  # hour-of-day phases
+MIN_SEASONS = 2
+MIN_STD = 1e-9
+
+
+class PhaseStats:
+    """Welford running mean and sample std of one phase bin."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+
+    def update(self, x: float) -> None:
+        x = float(x)
+        self.n += 1
+        delta = x - self.mean
+        self.mean += delta / self.n
+        self._m2 += delta * (x - self.mean)
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self._m2 / (self.n - 1))
+
+
+def phase_bin(t: float) -> int:
+    """Hour-of-day bin of time ``t``."""
+    return min(N_BINS - 1, int((t % DAY_S) / DAY_S * N_BINS))
+
+
+class SeasonalAnomalyDetector:
+    """Z-score against the sample's hour-of-day baseline.
+
+    Each hour-of-day bin learns its own running mean/std.  Detection in
+    a bin waits until it holds ``min_per_bin`` samples from at least
+    ``MIN_SEASONS`` distinct days: one pass through the day only trains,
+    because within-bin statistics from one pass reflect the signal's
+    local trend, not its cross-day variability.  Like the plain
+    ``ZScoreDetector``, flagged samples stay out of the baseline.
+    """
+
+    name = "seasonal-zscore"
+
+    def __init__(self, threshold: float, min_per_bin: int = 3) -> None:
+        self.threshold = threshold
+        self.min_per_bin = min_per_bin
+        self._bins = [PhaseStats() for _ in range(N_BINS)]
+        self._days = [set() for _ in range(N_BINS)]
+
+    def update(self, t: float, value: float):
+        idx = phase_bin(t)
+        stats = self._bins[idx]
+        if stats.n < self.min_per_bin or len(self._days[idx]) < MIN_SEASONS:
+            stats.update(value)
+            self._days[idx].add(int(t // DAY_S))
+            return None
+        std = max(stats.std, MIN_STD)
+        z = (value - stats.mean) / std
+        if abs(z) >= self.threshold:
+            return Anomaly(t, value, abs(z), self.name,
+                           f"z={z:.2f} vs phase baseline {stats.mean:.3g}±{std:.3g} (bin {idx})")
+        stats.update(value)
+        self._days[idx].add(int(t // DAY_S))
+        return None
 
 N_NODES = 12
 STEP_S = 600.0

@@ -10,8 +10,8 @@ Package map
 ==================  =====================================================
 ``repro.sim``       deterministic discrete-event engine, seeded RNG
 ``repro.telemetry`` sensors → samplers → collectors → ring-buffer TSDB
-``repro.analytics`` streaming stats, TTC forecasting, anomaly detection,
-                    job similarity, misconfiguration rules, online models
+``repro.analytics`` TTC forecasting, z-score anomaly detection, job
+                    similarity, misconfiguration rules, online models
 ``repro.cluster``   nodes, jobs, applications with progress markers,
                     SLURM-like scheduler with extension hook, maintenance
 ``repro.storage``   Lustre-like striped filesystem, OST health, QoS

@@ -5,72 +5,11 @@ guidance: *"focus should be on careful selection of efficient models and
 modeling parameters that fit HPC data"* rather than large models.  Every
 estimator here is streaming or cheap to refit, exposes its uncertainty,
 and is deterministic given its inputs.
+
+Import from the submodules: ``forecast`` (time-to-completion, the
+Scheduler case and E3/E9/E12), ``anomaly`` (the rolling z-score of E1),
+``misconfig`` (the rules of the Misconfiguration case), ``similarity``
+(run history), ``models`` (the E9 model-size ablation) and
+``streaming`` (the estimators they share).  The package re-exports
+nothing, so a loop loads only the modules it uses.
 """
-
-from repro.analytics.streaming import Ewma, P2Quantile, RollingWindow, RunningStats
-from repro.analytics.forecast import (
-    ForecastResult,
-    Forecaster,
-    ForecasterEnsemble,
-    EwmaRateForecaster,
-    HoltForecaster,
-    OLSForecaster,
-    RateForecaster,
-    TheilSenForecaster,
-    make_forecaster,
-)
-from repro.analytics.anomaly import (
-    Anomaly,
-    AnomalyDetector,
-    CusumDetector,
-    EwmaControlChart,
-    MadDetector,
-    ZScoreDetector,
-)
-from repro.analytics.changepoint import PageHinkley
-from repro.analytics.seasonal import SeasonalAnomalyDetector, SeasonalBaseline
-from repro.analytics.similarity import JobRecord, RunHistory
-from repro.analytics.fingerprint import BehaviorFingerprint, fingerprint_distance
-from repro.analytics.misconfig import (
-    MisconfigAnalyzer,
-    MisconfigFinding,
-    MisconfigKind,
-    default_rules,
-)
-from repro.analytics.models import BatchPolynomialModel, OnlineModel, RecursiveLeastSquares
-
-__all__ = [
-    "Anomaly",
-    "AnomalyDetector",
-    "BatchPolynomialModel",
-    "BehaviorFingerprint",
-    "CusumDetector",
-    "Ewma",
-    "EwmaControlChart",
-    "EwmaRateForecaster",
-    "ForecastResult",
-    "Forecaster",
-    "ForecasterEnsemble",
-    "HoltForecaster",
-    "JobRecord",
-    "MadDetector",
-    "MisconfigAnalyzer",
-    "MisconfigFinding",
-    "MisconfigKind",
-    "OLSForecaster",
-    "OnlineModel",
-    "P2Quantile",
-    "PageHinkley",
-    "RateForecaster",
-    "RecursiveLeastSquares",
-    "RollingWindow",
-    "RunHistory",
-    "RunningStats",
-    "SeasonalAnomalyDetector",
-    "SeasonalBaseline",
-    "TheilSenForecaster",
-    "ZScoreDetector",
-    "default_rules",
-    "fingerprint_distance",
-    "make_forecaster",
-]

@@ -1,23 +1,22 @@
 """Online anomaly detection.
 
-Each detector consumes one sample at a time and reports an
-:class:`Anomaly` when the sample (or the recent stream) is inconsistent
-with expected behaviour.  Detectors are deliberately simple and
-explainable — the paper's Section IV stresses interpretability over
-model size for operational trust.
+:class:`ZScoreDetector` consumes one sample at a time (or a whole series
+through :meth:`~ZScoreDetector.scan`) and reports an :class:`Anomaly`
+when a sample is inconsistent with its recent window.  It is
+deliberately simple and explainable — the paper's Section IV stresses
+interpretability over model size for operational trust.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analytics.streaming import Ewma, RollingWindow, RunningStats
+from repro.analytics.streaming import RollingWindow
 
-#: Consistent scale factor so MAD estimates Gaussian sigma.
-MAD_TO_SIGMA = 1.4826
+#: Floor on the window std, so a constant window cannot divide by zero.
+MIN_STD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,17 +30,7 @@ class Anomaly:
     detail: str = ""
 
 
-class AnomalyDetector(abc.ABC):
-    """Streaming detector interface."""
-
-    name: str = "detector"
-
-    @abc.abstractmethod
-    def update(self, t: float, value: float) -> Optional[Anomaly]:
-        """Ingest one sample; return an anomaly or ``None``."""
-
-
-class ZScoreDetector(AnomalyDetector):
+class ZScoreDetector:
     """Rolling-window z-score thresholding.
 
     Flags samples more than ``threshold`` sample-standard-deviations from
@@ -52,19 +41,18 @@ class ZScoreDetector(AnomalyDetector):
 
     name = "zscore"
 
-    def __init__(self, window: int = 60, threshold: float = 4.0, min_std: float = 1e-9) -> None:
+    def __init__(self, window: int = 60, threshold: float = 4.0) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.window = RollingWindow(window)
         self.threshold = threshold
-        self.min_std = min_std
 
     def update(self, t: float, value: float) -> Optional[Anomaly]:
         if not self.window.full:
             self.window.update(value)
             return None
         mean = self.window.mean
-        std = max(self.window.std, self.min_std)
+        std = max(self.window.std, MIN_STD)
         z = (value - mean) / std
         if abs(z) >= self.threshold:
             return Anomaly(t, value, abs(z), self.name, f"z={z:.2f} vs window mean {mean:.3g}")
@@ -100,7 +88,7 @@ class ZScoreDetector(AnomalyDetector):
         acc_sum = float(sum(v - offset for v in buf))
         acc_sumsq = float(sum((v - offset) ** 2 for v in buf))
         threshold = self.threshold
-        min_std = self.min_std
+        min_std = MIN_STD
         out: list[Anomaly] = []
         for t, value in zip(times, values):
             value = float(value)
@@ -127,107 +115,3 @@ class ZScoreDetector(AnomalyDetector):
             acc_sum += shifted
             acc_sumsq += shifted * shifted
         return out
-
-
-class MadDetector(AnomalyDetector):
-    """Median/MAD robust outlier detection over a rolling window.
-
-    Resistant to outliers already in the window (unlike z-score), at the
-    cost of a per-update median.
-    """
-
-    name = "mad"
-
-    def __init__(self, window: int = 60, threshold: float = 5.0, min_mad: float = 1e-9) -> None:
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        self.window = RollingWindow(window)
-        self.threshold = threshold
-        self.min_mad = min_mad
-
-    def update(self, t: float, value: float) -> Optional[Anomaly]:
-        if not self.window.full:
-            self.window.update(value)
-            return None
-        med = self.window.median
-        sigma = max(self.window.mad() * MAD_TO_SIGMA, self.min_mad)
-        score = abs(value - med) / sigma
-        self.window.update(value)  # robust stats tolerate contaminated windows
-        if score >= self.threshold:
-            return Anomaly(t, value, score, self.name, f"|x-med|/MADsigma={score:.2f}")
-        return None
-
-
-class EwmaControlChart(AnomalyDetector):
-    """EWMA control chart: flags when the smoothed value escapes ±L·σ.
-
-    σ is estimated online from a warmup sample; the chart then tracks the
-    EWMA of the stream and alarms on control-limit violations — the
-    classic SPC tool for drift detection.
-    """
-
-    name = "ewma-chart"
-
-    def __init__(self, alpha: float = 0.2, L: float = 3.0, warmup: int = 30) -> None:
-        if warmup < 2:
-            raise ValueError("warmup must be >= 2")
-        self.ewma = Ewma(alpha)
-        self.L = L
-        self.warmup = warmup
-        self._baseline = RunningStats()
-
-    def update(self, t: float, value: float) -> Optional[Anomaly]:
-        if self._baseline.n < self.warmup:
-            self._baseline.update(value)
-            self.ewma.update(value)
-            return None
-        center = self._baseline.mean
-        # EWMA asymptotic std: sigma * sqrt(alpha / (2 - alpha))
-        sigma = self._baseline.std * math.sqrt(self.ewma.alpha / (2.0 - self.ewma.alpha))
-        smoothed = self.ewma.update(value)
-        if sigma <= 0:
-            return None
-        score = abs(smoothed - center) / sigma
-        if score >= self.L:
-            return Anomaly(
-                t, value, score, self.name, f"ewma={smoothed:.3g} outside {center:.3g}±{self.L}σ"
-            )
-        return None
-
-
-class CusumDetector(AnomalyDetector):
-    """Two-sided CUSUM for small persistent shifts.
-
-    Accumulates deviations beyond ``k`` standard deviations from the
-    warmup mean; alarms when either cumulative sum exceeds ``h``.  After
-    an alarm the sums reset (standard restart behaviour).
-    """
-
-    name = "cusum"
-
-    def __init__(self, k: float = 0.5, h: float = 5.0, warmup: int = 30) -> None:
-        if warmup < 2:
-            raise ValueError("warmup must be >= 2")
-        self.k = k
-        self.h = h
-        self.warmup = warmup
-        self._baseline = RunningStats()
-        self._pos = 0.0
-        self._neg = 0.0
-
-    def update(self, t: float, value: float) -> Optional[Anomaly]:
-        if self._baseline.n < self.warmup:
-            self._baseline.update(value)
-            return None
-        mu, sigma = self._baseline.mean, self._baseline.std
-        if sigma <= 0:
-            sigma = 1e-9
-        z = (value - mu) / sigma
-        self._pos = max(0.0, self._pos + z - self.k)
-        self._neg = max(0.0, self._neg - z - self.k)
-        if self._pos > self.h or self._neg > self.h:
-            score = max(self._pos, self._neg)
-            direction = "up" if self._pos > self._neg else "down"
-            self._pos = self._neg = 0.0
-            return Anomaly(t, value, score, self.name, f"cusum {direction} shift, S={score:.2f}")
-        return None

@@ -6,7 +6,9 @@ The Scheduler use case (Fig. 3) needs "a few simple measurable quantities
 reach its target step, together with a prediction interval — the
 confidence measure Section IV requires before autonomous action.
 
-Four implementations with different robustness/cost trade-offs:
+Five implementations with different robustness/cost trade-offs, plus
+:class:`ForecasterEnsemble`, which answers from whichever of them has
+tracked the stream best:
 
 =================  ==========================================  =========
 Forecaster         Method                                      Cost/update
@@ -19,7 +21,8 @@ HoltForecaster     double exponential smoothing (level+trend)  O(1)
 =================  ==========================================  =========
 
 ``w`` is the retained window length (bounded).  All forecasters answer
-``None`` until they have enough information, never a wild guess.
+``None`` until they have enough information, never a wild guess.  Their
+tuning is fixed by the module constants below.
 """
 
 from __future__ import annotations
@@ -32,6 +35,24 @@ from typing import Optional
 import numpy as np
 
 from repro.analytics.streaming import Ewma
+
+#: Rate forecaster: relative band around the mean rate.
+RATE_BAND = 0.15
+#: EWMA rate forecaster: smoothing of the incremental rates.
+EWMA_ALPHA = 0.3
+#: EWMA and Holt forecasters: half-width of the band in sigmas.
+BAND_SIGMAS = 2.0
+#: OLS forecaster: retained markers and the normal quantile of its interval.
+OLS_WINDOW = 64
+OLS_Z = 1.96
+#: Theil–Sen forecaster: retained markers (bounds the O(w²) slope set).
+THEILSEN_WINDOW = 48
+#: Holt forecaster: level and trend smoothing.
+HOLT_ALPHA = 0.5
+HOLT_BETA = 0.2
+#: Ensemble: its members and the smoothing of their one-step errors.
+ENSEMBLE_MEMBERS = ("rate", "ewma", "ols", "theilsen", "holt")
+ENSEMBLE_ERROR_ALPHA = 0.3
 
 
 @dataclass(frozen=True)
@@ -79,9 +100,6 @@ class Forecaster(abc.ABC):
         """
         return None
 
-    def reset(self) -> None:  # pragma: no cover - overridden where stateful
-        raise NotImplementedError
-
 
 def _finite_eta(now: float, last_step: float, target_step: float, rate: float) -> Optional[float]:
     """Completion time at constant ``rate``; None when rate is unusable."""
@@ -100,17 +118,9 @@ class RateForecaster(Forecaster):
 
     name = "rate"
 
-    def __init__(self, band: float = 0.15) -> None:
-        if band < 0:
-            raise ValueError("band must be >= 0")
-        self.band = band
+    def __init__(self) -> None:
         self._first: Optional[tuple[float, float]] = None
         self._last: Optional[tuple[float, float]] = None
-        self.n = 0
-
-    def reset(self) -> None:
-        self._first = None
-        self._last = None
         self.n = 0
 
     def update(self, t: float, step: float) -> None:
@@ -136,7 +146,7 @@ class RateForecaster(Forecaster):
         if eta is None:
             return None
         # widen the band when few markers support the estimate
-        widen = self.band * (1.0 + 2.0 / max(1, self.n - 1))
+        widen = RATE_BAND * (1.0 + 2.0 / max(1, self.n - 1))
         lo = _finite_eta(now, s1, target_step, rate * (1.0 + widen))
         hi = _finite_eta(now, s1, target_step, rate * max(1e-12, 1.0 - widen))
         return ForecastResult(eta, lo, hi, rate, self.n)
@@ -147,16 +157,9 @@ class EwmaRateForecaster(Forecaster):
 
     name = "ewma"
 
-    def __init__(self, alpha: float = 0.3, band_sigmas: float = 2.0) -> None:
-        self._ewma = Ewma(alpha)
-        self.alpha = alpha
-        self.band_sigmas = band_sigmas
+    def __init__(self) -> None:
+        self._ewma = Ewma(EWMA_ALPHA)
         self._last: Optional[tuple[float, float]] = None
-        self.n = 0
-
-    def reset(self) -> None:
-        self._ewma = Ewma(self.alpha)
-        self._last = None
         self.n = 0
 
     def update(self, t: float, step: float) -> None:
@@ -181,8 +184,8 @@ class EwmaRateForecaster(Forecaster):
         if eta is None:
             return None
         sigma = self._ewma.std
-        rate_hi = rate + self.band_sigmas * sigma
-        rate_lo = max(1e-12, rate - self.band_sigmas * sigma)
+        rate_hi = rate + BAND_SIGMAS * sigma
+        rate_lo = max(1e-12, rate - BAND_SIGMAS * sigma)
         lo = _finite_eta(now, self._last[1], target_step, rate_hi) or eta
         hi = _finite_eta(now, self._last[1], target_step, rate_lo) or eta
         return ForecastResult(eta, lo, hi, rate, self.n)
@@ -198,22 +201,14 @@ class OLSForecaster(Forecaster):
 
     name = "ols"
 
-    def __init__(self, window: int = 64, z: float = 1.96) -> None:
-        if window < 3:
-            raise ValueError("window must be >= 3")
-        self.window = window
-        self.z = z
+    def __init__(self) -> None:
         self._t: list[float] = []
         self._s: list[float] = []
-
-    def reset(self) -> None:
-        self._t.clear()
-        self._s.clear()
 
     def update(self, t: float, step: float) -> None:
         self._t.append(float(t))
         self._s.append(float(step))
-        if len(self._t) > self.window:
+        if len(self._t) > OLS_WINDOW:
             self._t.pop(0)
             self._s.pop(0)
 
@@ -256,8 +251,8 @@ class OLSForecaster(Forecaster):
         se_time = se_step / b
         return ForecastResult(
             eta=max(now, eta),
-            eta_lo=max(now, eta - self.z * se_time),
-            eta_hi=eta + self.z * se_time,
+            eta_lo=max(now, eta - OLS_Z * se_time),
+            eta_hi=eta + OLS_Z * se_time,
             rate=b,
             n_markers=n,
         )
@@ -266,28 +261,20 @@ class OLSForecaster(Forecaster):
 class TheilSenForecaster(Forecaster):
     """Theil–Sen median-slope regression — robust to marker outliers.
 
-    Pairwise slopes are capped at ``max_pairs`` (random-free: most recent
-    pairs preferred) to bound cost on long histories.
+    Every pair of retained markers gives a slope, so the bounded window
+    (``THEILSEN_WINDOW``) is what bounds the cost on long histories.
     """
 
     name = "theilsen"
 
-    def __init__(self, window: int = 48, band: float = 0.15) -> None:
-        if window < 3:
-            raise ValueError("window must be >= 3")
-        self.window = window
-        self.band = band
+    def __init__(self) -> None:
         self._t: list[float] = []
         self._s: list[float] = []
-
-    def reset(self) -> None:
-        self._t.clear()
-        self._s.clear()
 
     def update(self, t: float, step: float) -> None:
         self._t.append(float(t))
         self._s.append(float(step))
-        if len(self._t) > self.window:
+        if len(self._t) > THEILSEN_WINDOW:
             self._t.pop(0)
             self._s.pop(0)
 
@@ -345,23 +332,10 @@ class HoltForecaster(Forecaster):
 
     name = "holt"
 
-    def __init__(self, alpha: float = 0.5, beta: float = 0.2, band_sigmas: float = 2.0) -> None:
-        for nm, v in (("alpha", alpha), ("beta", beta)):
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{nm} must be in (0, 1]")
-        self.alpha = alpha
-        self.beta = beta
-        self.band_sigmas = band_sigmas
+    def __init__(self) -> None:
         self._level: Optional[float] = None
         self._trend = 0.0
         self._last_t: Optional[float] = None
-        self._err = Ewma(0.2)
-        self.n = 0
-
-    def reset(self) -> None:
-        self._level = None
-        self._trend = 0.0
-        self._last_t = None
         self._err = Ewma(0.2)
         self.n = 0
 
@@ -376,8 +350,8 @@ class HoltForecaster(Forecaster):
             return
         predicted = self._level + self._trend * dt
         self._err.update(abs(step - predicted))
-        new_level = self.alpha * step + (1 - self.alpha) * predicted
-        new_trend = self.beta * (new_level - self._level) / dt + (1 - self.beta) * self._trend
+        new_level = HOLT_ALPHA * step + (1 - HOLT_ALPHA) * predicted
+        new_trend = HOLT_BETA * (new_level - self._level) / dt + (1 - HOLT_BETA) * self._trend
         self._level, self._trend, self._last_t = new_level, new_trend, t
 
     def rate_estimate(self) -> Optional[float]:
@@ -394,7 +368,7 @@ class HoltForecaster(Forecaster):
         if eta is None:
             return None
         err = self._err.value if self._err.n else 0.0
-        half = self.band_sigmas * err / self._trend if self._trend > 0 else 0.0
+        half = BAND_SIGMAS * err / self._trend if self._trend > 0 else 0.0
         return ForecastResult(eta, max(now, eta - half), eta + half, self._trend, self.n)
 
 
@@ -412,26 +386,10 @@ class ForecasterEnsemble(Forecaster):
 
     name = "ensemble"
 
-    def __init__(
-        self,
-        member_names: Optional[tuple] = None,
-        *,
-        error_alpha: float = 0.3,
-    ) -> None:
-        names = tuple(member_names) if member_names else ("rate", "ewma", "ols", "theilsen", "holt")
-        if "ensemble" in names:
-            raise ValueError("ensemble cannot contain itself")
-        self._members = {n: make_forecaster(n) for n in names}
-        self._errors = {n: Ewma(error_alpha) for n in names}
+    def __init__(self) -> None:
+        self._members = {n: make_forecaster(n) for n in ENSEMBLE_MEMBERS}
+        self._errors = {n: Ewma(ENSEMBLE_ERROR_ALPHA) for n in ENSEMBLE_MEMBERS}
         self._last: Optional[tuple[float, float]] = None
-        self.n = 0
-
-    def reset(self) -> None:
-        for fc in self._members.values():
-            fc.reset()
-        for name in self._errors:
-            self._errors[name] = Ewma(self._errors[name].alpha)
-        self._last = None
         self.n = 0
 
     def update(self, t: float, step: float) -> None:
@@ -482,13 +440,13 @@ _FORECASTERS = {
 }
 
 
-def make_forecaster(name: str, **kwargs) -> Forecaster:
+def make_forecaster(name: str) -> Forecaster:
     """Construct a forecaster by name (interchangeability hook)."""
     try:
         cls = _FORECASTERS[name]
     except KeyError:
         raise ValueError(f"unknown forecaster {name!r}; choose from {sorted(_FORECASTERS)}") from None
-    return cls(**kwargs)
+    return cls()
 
 
 def forecaster_names() -> list[str]:

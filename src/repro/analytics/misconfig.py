@@ -13,7 +13,16 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
+
+#: Mean CPU utilization below which a job is flagged as underutilizing.
+CPU_UTIL_THRESHOLD = 0.25
+#: Mean GPU utilization below which allocated GPUs count as idle.
+GPU_UTIL_THRESHOLD = 0.10
+#: Utilization rules judge no job observed for less than this.
+MIN_OBSERVATION_S = 300.0
+#: P95 memory / allocation at or above which OOM risk is flagged.
+MEM_RATIO_THRESHOLD = 0.95
 
 
 class MisconfigKind(enum.Enum):
@@ -75,14 +84,11 @@ class ThreadCoreMismatchRule(MisconfigRule):
 
     name = "thread-core-mismatch"
 
-    def __init__(self, tolerance: int = 0) -> None:
-        self.tolerance = tolerance
-
     def check(self, view: JobConfigView) -> Optional[MisconfigFinding]:
         if view.threads_requested <= 0 or view.cores_allocated <= 0:
             return None
         diff = view.threads_requested - view.cores_allocated
-        if abs(diff) <= self.tolerance:
+        if diff == 0:
             return None
         if diff > 0:
             explanation = (
@@ -112,24 +118,18 @@ class CpuUnderutilizationRule(MisconfigRule):
 
     name = "cpu-underutilization"
 
-    def __init__(self, threshold: float = 0.25, min_observation_s: float = 300.0) -> None:
-        if not 0.0 < threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
-        self.threshold = threshold
-        self.min_observation_s = min_observation_s
-
     def check(self, view: JobConfigView) -> Optional[MisconfigFinding]:
         util = view.cpu_util_mean
-        if util != util or view.observation_s < self.min_observation_s:  # NaN check
+        if util != util or view.observation_s < MIN_OBSERVATION_S:  # NaN check
             return None
-        if util >= self.threshold:
+        if util >= CPU_UTIL_THRESHOLD:
             return None
         return MisconfigFinding(
             view.job_id,
             MisconfigKind.CPU_UNDERUTILIZATION,
-            severity=min(1.0, (self.threshold - util) / self.threshold),
+            severity=min(1.0, (CPU_UTIL_THRESHOLD - util) / CPU_UTIL_THRESHOLD),
             explanation=f"mean CPU utilization {util:.0%} over {view.observation_s:.0f}s "
-            f"(threshold {self.threshold:.0%})",
+            f"(threshold {CPU_UTIL_THRESHOLD:.0%})",
             suggestion="request fewer cores or check input decomposition",
         )
 
@@ -139,17 +139,13 @@ class GpuUnderutilizationRule(MisconfigRule):
 
     name = "gpu-underutilization"
 
-    def __init__(self, threshold: float = 0.10, min_observation_s: float = 300.0) -> None:
-        self.threshold = threshold
-        self.min_observation_s = min_observation_s
-
     def check(self, view: JobConfigView) -> Optional[MisconfigFinding]:
         if view.gpus_allocated <= 0:
             return None
         util = view.gpu_util_mean
-        if util != util or view.observation_s < self.min_observation_s:
+        if util != util or view.observation_s < MIN_OBSERVATION_S:
             return None
-        if util >= self.threshold:
+        if util >= GPU_UTIL_THRESHOLD:
             return None
         return MisconfigFinding(
             view.job_id,
@@ -191,19 +187,16 @@ class MemoryOversubscriptionRule(MisconfigRule):
 
     name = "memory-oversubscription"
 
-    def __init__(self, ratio_threshold: float = 0.95) -> None:
-        self.ratio_threshold = ratio_threshold
-
     def check(self, view: JobConfigView) -> Optional[MisconfigFinding]:
         if view.mem_allocated_gb <= 0 or view.mem_used_gb_p95 != view.mem_used_gb_p95:
             return None
         ratio = view.mem_used_gb_p95 / view.mem_allocated_gb
-        if ratio < self.ratio_threshold:
+        if ratio < MEM_RATIO_THRESHOLD:
             return None
         return MisconfigFinding(
             view.job_id,
             MisconfigKind.MEMORY_OVERSUBSCRIPTION,
-            severity=min(1.0, ratio - self.ratio_threshold + 0.5),
+            severity=min(1.0, ratio - MEM_RATIO_THRESHOLD + 0.5),
             explanation=f"p95 memory {view.mem_used_gb_p95:.1f} GiB is {ratio:.0%} of the "
             f"{view.mem_allocated_gb:.1f} GiB allocation",
             suggestion="request more memory per node or reduce problem size per rank",
@@ -222,10 +215,10 @@ def default_rules() -> List[MisconfigRule]:
 
 
 class MisconfigAnalyzer:
-    """Runs a rule set over job views and ranks findings by severity."""
+    """Runs the default rule set over job views and ranks findings by severity."""
 
-    def __init__(self, rules: Optional[Sequence[MisconfigRule]] = None) -> None:
-        self.rules = list(rules) if rules is not None else default_rules()
+    def __init__(self) -> None:
+        self.rules = default_rules()
 
     def analyze(self, view: JobConfigView) -> List[MisconfigFinding]:
         findings = [f for rule in self.rules if (f := rule.check(view)) is not None]

@@ -18,32 +18,19 @@ Two model families make that claim testable (experiment E9):
 
 from __future__ import annotations
 
-import abc
 from typing import Optional, Sequence
 
 import numpy as np
 
-
-class OnlineModel(abc.ABC):
-    """Regression model with streaming ``update`` and ``predict``."""
-
-    name: str = "model"
-
-    @abc.abstractmethod
-    def update(self, x: Sequence[float], y: float) -> None:
-        """Ingest one observation."""
-
-    @abc.abstractmethod
-    def predict(self, x: Sequence[float]) -> Optional[float]:
-        """Point prediction; ``None`` before the model is usable."""
-
-    @property
-    @abc.abstractmethod
-    def param_count(self) -> int:
-        """Number of fitted parameters (model-size axis of E9)."""
+#: RLS: initial inverse covariance ``P = RLS_DELTA * I`` (a weak prior).
+RLS_DELTA = 100.0
+#: Batch baseline: polynomial degree, ridge penalty and retained history.
+POLY_DEGREE = 8
+POLY_RIDGE = 1e-6
+POLY_MAX_HISTORY = 100_000
 
 
-class RecursiveLeastSquares(OnlineModel):
+class RecursiveLeastSquares:
     """RLS with exponential forgetting.
 
     Maintains weights ``w`` and inverse covariance ``P`` for the model
@@ -51,9 +38,7 @@ class RecursiveLeastSquares(OnlineModel):
     smaller values discount old data (lifelong adaptation).
     """
 
-    name = "rls"
-
-    def __init__(self, n_features: int, forgetting: float = 0.99, delta: float = 100.0) -> None:
+    def __init__(self, n_features: int, forgetting: float = 0.99) -> None:
         if n_features < 1:
             raise ValueError("n_features must be >= 1")
         if not 0.0 < forgetting <= 1.0:
@@ -62,7 +47,7 @@ class RecursiveLeastSquares(OnlineModel):
         self.forgetting = forgetting
         d = n_features + 1  # bias term
         self._w = np.zeros(d)
-        self._P = np.eye(d) * delta
+        self._P = np.eye(d) * RLS_DELTA
         self.n = 0
 
     def _phi(self, x: Sequence[float]) -> np.ndarray:
@@ -97,23 +82,16 @@ class RecursiveLeastSquares(OnlineModel):
         return self._w.copy()
 
 
-class BatchPolynomialModel(OnlineModel):
+class BatchPolynomialModel:
     """Deliberately heavyweight baseline: full refit per update.
 
-    Fits a degree-``degree`` polynomial (univariate input) with ridge
+    Fits a degree-``POLY_DEGREE`` polynomial (univariate input) with ridge
     regularization over the entire retained history on *every* update.
     Its per-update cost grows with history length — the inefficiency the
     paper warns about for real-time decision loops.
     """
 
-    name = "batch-poly"
-
-    def __init__(self, degree: int = 8, ridge: float = 1e-6, max_history: int = 100_000) -> None:
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.degree = degree
-        self.ridge = ridge
-        self.max_history = max_history
+    def __init__(self) -> None:
         self._x: list[float] = []
         self._y: list[float] = []
         self._coeffs: Optional[np.ndarray] = None
@@ -127,7 +105,7 @@ class BatchPolynomialModel(OnlineModel):
             raise ValueError("BatchPolynomialModel is univariate")
         self._x.append(float(x[0]))
         self._y.append(float(y))
-        if len(self._x) > self.max_history:
+        if len(self._x) > POLY_MAX_HISTORY:
             self._x.pop(0)
             self._y.pop(0)
         self.n += 1
@@ -135,7 +113,7 @@ class BatchPolynomialModel(OnlineModel):
 
     def _refit(self) -> None:
         n = len(self._x)
-        if n < self.degree + 1:
+        if n < POLY_DEGREE + 1:
             self._coeffs = None
             return
         xs = np.asarray(self._x)
@@ -143,20 +121,20 @@ class BatchPolynomialModel(OnlineModel):
         # scale to [-1, 1] for conditioning
         self._x_scale = max(1e-12, float(np.max(np.abs(xs))))
         xn = xs / self._x_scale
-        V = np.vander(xn, self.degree + 1, increasing=True)
-        A = V.T @ V + self.ridge * np.eye(self.degree + 1)
+        V = np.vander(xn, POLY_DEGREE + 1, increasing=True)
+        A = V.T @ V + POLY_RIDGE * np.eye(POLY_DEGREE + 1)
         b = V.T @ ys
         self._coeffs = np.linalg.solve(A, b)
-        self.total_fit_flops += n * (self.degree + 1) ** 2
+        self.total_fit_flops += n * (POLY_DEGREE + 1) ** 2
 
     def predict(self, x: Sequence[float]) -> Optional[float]:
         if self._coeffs is None:
             return None
         xv = float(np.asarray(x, dtype=np.float64).reshape(()))
         xn = xv / self._x_scale
-        powers = np.power(xn, np.arange(self.degree + 1))
+        powers = np.power(xn, np.arange(POLY_DEGREE + 1))
         return float(self._coeffs @ powers)
 
     @property
     def param_count(self) -> int:
-        return self.degree + 1
+        return POLY_DEGREE + 1

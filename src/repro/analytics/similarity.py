@@ -12,7 +12,7 @@ with different input decks").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -49,9 +49,8 @@ class RunHistory:
     missing values treated as the feature mean (zero after normalization).
     """
 
-    def __init__(self, feature_keys: Optional[Sequence[str]] = None) -> None:
+    def __init__(self) -> None:
         self._records: List[JobRecord] = []
-        self._explicit_keys = list(feature_keys) if feature_keys else None
 
     def add(self, record: JobRecord) -> None:
         self._records.append(record)
@@ -65,8 +64,6 @@ class RunHistory:
         return [r for r in self._records if r.app_name == app_name]
 
     def feature_keys(self) -> List[str]:
-        if self._explicit_keys is not None:
-            return list(self._explicit_keys)
         keys: set[str] = set()
         for r in self._records:
             keys.update(r.features)

@@ -1,8 +1,9 @@
 """Streaming statistics primitives.
 
-All estimators are O(1) per update and never store the raw stream
-(except :class:`RollingWindow`, which stores exactly its window).  They
-are the building blocks for the anomaly detectors and control loops.
+:class:`Ewma` is O(1) per update and never stores the raw stream;
+:class:`RollingWindow` stores exactly its window.  They are the building
+blocks of the forecasters, the z-score detector and the filesystem's
+bandwidth tracking.
 """
 
 from __future__ import annotations
@@ -14,76 +15,12 @@ from typing import Deque, Optional
 import numpy as np
 
 
-class RunningStats:
-    """Welford's online mean/variance with min/max tracking."""
-
-    __slots__ = ("n", "_mean", "_m2", "_min", "_max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def update(self, x: float) -> None:
-        x = float(x)
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (ddof=1); NaN for n < 2."""
-        return self._m2 / (self.n - 1) if self.n >= 2 else math.nan
-
-    @property
-    def std(self) -> float:
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan  # NaN-propagating
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self.n else math.nan
-
-    @property
-    def maximum(self) -> float:
-        return self._max if self.n else math.nan
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Parallel-merge two accumulators (Chan et al.)."""
-        out = RunningStats()
-        if self.n == 0:
-            out.n, out._mean, out._m2 = other.n, other._mean, other._m2
-            out._min, out._max = other._min, other._max
-            return out
-        if other.n == 0:
-            out.n, out._mean, out._m2 = self.n, self._mean, self._m2
-            out._min, out._max = self._min, self._max
-            return out
-        n = self.n + other.n
-        delta = other._mean - self._mean
-        out.n = n
-        out._mean = self._mean + delta * other.n / n
-        out._m2 = self._m2 + other._m2 + delta * delta * self.n * other.n / n
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
-
-
 class Ewma:
     """Exponentially weighted moving average with optional variance.
 
     ``alpha`` is the smoothing factor in (0, 1]; larger reacts faster.
     The EW variance uses the standard recursive estimator, which the
-    EWMA control chart consumes.
+    forecasters' prediction bands consume.
     """
 
     __slots__ = ("alpha", "_value", "_variance", "n")
@@ -119,7 +56,7 @@ class Ewma:
 
 
 class RollingWindow:
-    """Fixed-size window with O(1) amortized summary statistics."""
+    """The latest ``size`` samples, with their mean and sample std."""
 
     def __init__(self, size: int) -> None:
         if size <= 0:
@@ -130,15 +67,9 @@ class RollingWindow:
     def update(self, x: float) -> None:
         self._buf.append(float(x))
 
-    def __len__(self) -> int:
-        return len(self._buf)
-
     @property
     def full(self) -> bool:
         return len(self._buf) == self.size
-
-    def values(self) -> np.ndarray:
-        return np.asarray(self._buf, dtype=np.float64)
 
     @property
     def mean(self) -> float:
@@ -148,97 +79,3 @@ class RollingWindow:
     def std(self) -> float:
         """Sample std (ddof=1); NaN for fewer than two points."""
         return float(np.std(self._buf, ddof=1)) if len(self._buf) >= 2 else math.nan
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self._buf)) if self._buf else math.nan
-
-    def mad(self) -> float:
-        """Median absolute deviation (unscaled)."""
-        if not self._buf:
-            return math.nan
-        arr = self.values()
-        return float(np.median(np.abs(arr - np.median(arr))))
-
-
-class P2Quantile:
-    """P² streaming quantile estimator (Jain & Chlamtac, 1985).
-
-    Maintains five markers; O(1) memory and update.  Accurate to a few
-    percent on smooth distributions — exactly the trade the paper's
-    Section IV asks for (efficient models over exact-but-heavy ones).
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._initial: list[float] = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments: list[float] = []
-        self.n = 0
-
-    def update(self, x: float) -> None:
-        x = float(x)
-        self.n += 1
-        if len(self._initial) < 5:
-            self._initial.append(x)
-            if len(self._initial) == 5:
-                self._initial.sort()
-                self._heights = list(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        h = self._heights
-        pos = self._positions
-        # locate cell and clamp extremes
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # adjust interior markers with parabolic prediction
-        for i in range(1, 4):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                sign = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, sign)
-                pos[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + sign / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + sign) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - sign) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(sign)
-        return h[i] + sign * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (exact until five samples arrive)."""
-        if self.n == 0:
-            return math.nan
-        if len(self._initial) < 5:
-            return float(np.quantile(self._initial, self.q))
-        return self._heights[2]

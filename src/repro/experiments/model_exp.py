@@ -85,7 +85,7 @@ def run_model_ablation(
     models = {
         "rls-forgetting (small, continual)": RecursiveLeastSquares(1, forgetting=0.98),
         "rls-no-forgetting (small, frozen)": RecursiveLeastSquares(1, forgetting=1.0),
-        "batch-poly-8 (large, refit-always)": BatchPolynomialModel(degree=8),
+        "batch-poly-8 (large, refit-always)": BatchPolynomialModel(),
     }
     if not 0 < drift_at < n_samples:
         raise ValueError("drift_at must fall inside the stream")

@@ -231,7 +231,7 @@ def run_pipeline_scenario(
     for node_idx in range(min(16, n_nodes)):
         key = SeriesKey.of("metric0", node=f"n{node_idx:03d}")
         times, values = store.query(key, horizon_s - 1800.0, horizon_s)
-        fc = OLSForecaster(window=64)
+        fc = OLSForecaster()
         for t, v in zip(times, values):
             fc.update(t, v)
     forecast_ms = (time.perf_counter() - t0) * 1e3

@@ -147,8 +147,8 @@ class MisconfigLoopAnalyzer(Analyzer):
 
     name = "misconfig-analyzer"
 
-    def __init__(self, rules: Optional[RuleEngine] = None) -> None:
-        self.rules = rules if rules is not None else RuleEngine()
+    def __init__(self) -> None:
+        self.rules = RuleEngine()
         self.findings_by_job: Dict[str, List[MisconfigFinding]] = {}
 
     def analyze(self, observation: Observation, knowledge: KnowledgeBase) -> AnalysisReport:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analytics.forecast import Forecaster, make_forecaster
+from repro.analytics.forecast import make_forecaster
 from repro.cluster.job import Job, JobState
 from repro.cluster.scheduler import Scheduler
 from repro.core.component import Analyzer, Executor, Monitor, Planner
@@ -84,8 +84,8 @@ class JobProgressMonitor(Monitor):
 class ProgressAnalyzer(Analyzer):
     """Forecasts time-to-completion and diagnoses predicted overruns."""
 
-    def __init__(self, forecaster: Optional[Forecaster] = None, *, forecaster_name: str = "ols") -> None:
-        self.forecaster = forecaster if forecaster is not None else make_forecaster(forecaster_name)
+    def __init__(self, *, forecaster_name: str = "ols") -> None:
+        self.forecaster = make_forecaster(forecaster_name)
         self.name = f"progress-analyzer-{self.forecaster.name}"
 
     def analyze(self, observation: Observation, knowledge: KnowledgeBase) -> AnalysisReport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analytics.forecast import (
+    OLS_WINDOW,
     EwmaRateForecaster,
     ForecasterEnsemble,
     HoltForecaster,
@@ -70,9 +71,9 @@ class TestAllForecasters:
 
 class TestRateForecaster:
     def test_band_widens_with_few_markers(self):
-        fc3 = RateForecaster(band=0.2)
+        fc3 = RateForecaster()
         feed_linear(fc3, n=3)
-        fc30 = RateForecaster(band=0.2)
+        fc30 = RateForecaster()
         feed_linear(fc30, n=30)
         r3 = fc3.forecast(20.0, 1000.0)
         r30 = fc30.forecast(290.0, 1500.0)
@@ -81,20 +82,11 @@ class TestRateForecaster:
         rel30 = r30.interval_width / max(1e-9, r30.remaining(290.0))
         assert rel30 < rel3
 
-    def test_negative_band_rejected(self):
-        with pytest.raises(ValueError):
-            RateForecaster(band=-0.1)
-
-    def test_reset(self):
-        fc = RateForecaster()
-        feed_linear(fc)
-        fc.reset()
-        assert fc.forecast(0.0, 10.0) is None
 
 
 class TestEwmaRateForecaster:
     def test_adapts_to_rate_change(self):
-        fc = EwmaRateForecaster(alpha=0.5)
+        fc = EwmaRateForecaster()
         # phase 1: rate 1.0 for 20 markers
         step = 0.0
         for i in range(20):
@@ -123,22 +115,18 @@ class TestEwmaRateForecaster:
 
 class TestOLSForecaster:
     def test_window_bounds_history(self):
-        fc = OLSForecaster(window=8)
-        feed_linear(fc, n=100)
-        assert len(fc._t) == 8
+        fc = OLSForecaster()
+        feed_linear(fc, n=OLS_WINDOW + 36)
+        assert len(fc._t) == OLS_WINDOW
 
     def test_interval_narrows_with_more_data(self):
         rng = np.random.default_rng(11)
-        small, large = OLSForecaster(window=64), OLSForecaster(window=64)
+        small, large = OLSForecaster(), OLSForecaster()
         feed_linear(small, rate=1.0, n=5, dt=10.0, noise=1.0, rng=rng)
         feed_linear(large, rate=1.0, n=60, dt=10.0, noise=1.0, rng=rng)
         rs = small.forecast(40.0, 5000.0)
         rl = large.forecast(590.0, 5000.0)
         assert rl.interval_width < rs.interval_width
-
-    def test_min_window_validation(self):
-        with pytest.raises(ValueError):
-            OLSForecaster(window=2)
 
 
 class TestTheilSenForecaster:
@@ -161,7 +149,7 @@ class TestTheilSenForecaster:
 
 class TestHoltForecaster:
     def test_tracks_trend_changes(self):
-        fc = HoltForecaster(alpha=0.6, beta=0.3)
+        fc = HoltForecaster()
         step = 0.0
         for i in range(15):
             fc.update(i * 10.0, step)
@@ -172,23 +160,13 @@ class TestHoltForecaster:
         result = fc.forecast(590.0, step + 3000.0)
         assert result.rate == pytest.approx(3.0, rel=0.10)
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            HoltForecaster(alpha=0.0)
-        with pytest.raises(ValueError):
-            HoltForecaster(beta=2.0)
-
 
 class TestForecasterEnsemble:
     def test_best_name_none_before_scoring(self):
         assert ForecasterEnsemble().best_name is None
 
-    def test_cannot_contain_itself(self):
-        with pytest.raises(ValueError):
-            ForecasterEnsemble(member_names=("ols", "ensemble"))
-
     def test_prefers_robust_member_on_outlier_stream(self):
-        fc = ForecasterEnsemble(member_names=("ols", "theilsen"))
+        fc = ForecasterEnsemble()
         for i in range(60):
             t = i * 10.0
             step = 2.0 * t
@@ -201,7 +179,7 @@ class TestForecasterEnsemble:
 
     def test_selection_adapts_to_rate_change(self):
         """After a sharp rate change the drift-adaptive member wins."""
-        fc = ForecasterEnsemble(member_names=("rate", "ewma"))
+        fc = ForecasterEnsemble()
         step = 0.0
         for i in range(20):
             fc.update(i * 10.0, step)
@@ -212,13 +190,6 @@ class TestForecasterEnsemble:
         assert fc.best_name == "ewma"
         result = fc.forecast(590.0, step + 3000.0)
         assert result.rate == pytest.approx(3.0, rel=0.1)
-
-    def test_reset(self):
-        fc = ForecasterEnsemble()
-        feed_linear(fc)
-        fc.reset()
-        assert fc.best_name is None
-        assert fc.forecast(0.0, 100.0) is None
 
 
 class TestRegistry:

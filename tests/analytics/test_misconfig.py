@@ -1,7 +1,5 @@
 """Tests for misconfiguration detection rules."""
 
-import pytest
-
 from repro.analytics.misconfig import (
     CpuUnderutilizationRule,
     GpuUnderutilizationRule,
@@ -53,32 +51,23 @@ class TestThreadCoreMismatch:
     def test_unset_threads_skipped(self):
         assert ThreadCoreMismatchRule().check(view(threads_requested=0)) is None
 
-    def test_tolerance(self):
-        rule = ThreadCoreMismatchRule(tolerance=2)
-        assert rule.check(view(threads_requested=30)) is None
-        assert rule.check(view(threads_requested=29)) is not None
-
 
 class TestCpuUnderutilization:
     def test_busy_job_passes(self):
         assert CpuUnderutilizationRule().check(view(cpu_util_mean=0.9)) is None
 
     def test_idle_job_detected(self):
-        f = CpuUnderutilizationRule(threshold=0.25).check(view(cpu_util_mean=0.05))
+        f = CpuUnderutilizationRule().check(view(cpu_util_mean=0.05))
         assert f is not None
         assert f.kind is MisconfigKind.CPU_UNDERUTILIZATION
         assert f.severity > 0.5
 
     def test_short_observation_suppressed(self):
-        rule = CpuUnderutilizationRule(min_observation_s=300.0)
+        rule = CpuUnderutilizationRule()
         assert rule.check(view(cpu_util_mean=0.05, observation_s=60.0)) is None
 
     def test_nan_util_suppressed(self):
         assert CpuUnderutilizationRule().check(view(cpu_util_mean=float("nan"))) is None
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            CpuUnderutilizationRule(threshold=1.5)
 
 
 class TestGpuUnderutilization:
@@ -91,7 +80,7 @@ class TestGpuUnderutilization:
         assert f.severity == 1.0
 
     def test_moderately_used_gpu_detected_lower_severity(self):
-        f = GpuUnderutilizationRule(threshold=0.10).check(
+        f = GpuUnderutilizationRule().check(
             view(gpus_allocated=4, gpu_util_mean=0.05)
         )
         assert f is not None
@@ -154,8 +143,3 @@ class TestMisconfigAnalyzer:
             # each rule is tied to exactly one kind through its check
             kinds.add(rule.name)
         assert len(default_rules()) == 5
-
-    def test_custom_rule_subset(self):
-        analyzer = MisconfigAnalyzer(rules=[ThreadCoreMismatchRule()])
-        findings = analyzer.analyze(view(threads_requested=1, cpu_util_mean=0.01))
-        assert [f.kind for f in findings] == [MisconfigKind.THREAD_CORE_MISMATCH]

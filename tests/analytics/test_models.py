@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analytics import models
 from repro.analytics.models import BatchPolynomialModel, RecursiveLeastSquares
 
 
@@ -70,24 +71,25 @@ class TestRecursiveLeastSquares:
 
 class TestBatchPolynomialModel:
     def test_fits_polynomial(self):
-        model = BatchPolynomialModel(degree=2, ridge=1e-9)
+        model = BatchPolynomialModel()
         for x in np.linspace(0, 10, 50):
             model.update([x], 1.0 + 2.0 * x + 0.5 * x * x)
         assert model.predict([4.0]) == pytest.approx(1.0 + 8.0 + 8.0, rel=1e-4)
 
     def test_none_before_enough_points(self):
-        model = BatchPolynomialModel(degree=3)
+        model = BatchPolynomialModel()
         model.update([1.0], 1.0)
         assert model.predict([1.0]) is None
 
-    def test_history_bound(self):
-        model = BatchPolynomialModel(degree=1, max_history=10)
+    def test_history_bound(self, monkeypatch):
+        monkeypatch.setattr(models, "POLY_MAX_HISTORY", 10)
+        model = BatchPolynomialModel()
         for x in range(50):
             model.update([float(x)], float(x))
         assert len(model._x) == 10
 
     def test_fit_cost_grows_with_history(self):
-        model = BatchPolynomialModel(degree=4)
+        model = BatchPolynomialModel()
         for x in np.linspace(0, 1, 30):
             model.update([x], x)
         cost_30 = model.total_fit_flops
@@ -102,9 +104,5 @@ class TestBatchPolynomialModel:
         with pytest.raises(ValueError):
             model.update([1.0, 2.0], 1.0)
 
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            BatchPolynomialModel(degree=0)
-
     def test_param_count(self):
-        assert BatchPolynomialModel(degree=8).param_count == 9
+        assert BatchPolynomialModel().param_count == 9

@@ -80,11 +80,6 @@ class TestRunHistory:
         with pytest.raises(ValueError):
             JobRecord("x", "app", {}, runtime_s=-1.0)
 
-    def test_explicit_feature_keys(self):
-        h = RunHistory(feature_keys=["x"])
-        h.add(rec("a", x=1.0, ignored=99.0))
-        assert h.feature_keys() == ["x"]
-
     def test_identical_features_zero_distance(self):
         h = RunHistory()
         h.add(rec("a", x=3.0, y=4.0))

@@ -1,73 +1,11 @@
-"""Tests for streaming statistics, including property tests vs NumPy."""
+"""Tests for streaming statistics."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analytics.streaming import Ewma, P2Quantile, RollingWindow, RunningStats
-
-floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-class TestRunningStats:
-    def test_empty_is_nan(self):
-        s = RunningStats()
-        assert math.isnan(s.mean)
-        assert math.isnan(s.variance)
-        assert math.isnan(s.minimum)
-
-    def test_single_value(self):
-        s = RunningStats()
-        s.update(5.0)
-        assert s.mean == 5.0
-        assert math.isnan(s.variance)  # ddof=1 undefined for n=1
-        assert s.minimum == 5.0 and s.maximum == 5.0
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(10, 3, size=500)
-        s = RunningStats()
-        for x in data:
-            s.update(x)
-        assert s.mean == pytest.approx(np.mean(data))
-        assert s.variance == pytest.approx(np.var(data, ddof=1))
-        assert s.std == pytest.approx(np.std(data, ddof=1))
-
-    @given(st.lists(floats, min_size=2, max_size=100))
-    def test_property_matches_numpy(self, data):
-        s = RunningStats()
-        for x in data:
-            s.update(x)
-        np.testing.assert_allclose(s.mean, np.mean(data), rtol=1e-8, atol=1e-6)
-        np.testing.assert_allclose(s.variance, np.var(data, ddof=1), rtol=1e-6, atol=1e-6)
-
-    @given(st.lists(floats, min_size=1, max_size=50), st.lists(floats, min_size=1, max_size=50))
-    def test_merge_equals_sequential(self, a, b):
-        sa, sb, sall = RunningStats(), RunningStats(), RunningStats()
-        for x in a:
-            sa.update(x)
-            sall.update(x)
-        for x in b:
-            sb.update(x)
-            sall.update(x)
-        merged = sa.merge(sb)
-        np.testing.assert_allclose(merged.mean, sall.mean, rtol=1e-8, atol=1e-6)
-        np.testing.assert_allclose(merged.variance, sall.variance, rtol=1e-6, atol=1e-6)
-        assert merged.n == sall.n
-        assert merged.minimum == sall.minimum
-        assert merged.maximum == sall.maximum
-
-    def test_merge_with_empty(self):
-        a = RunningStats()
-        a.update(1.0)
-        a.update(3.0)
-        merged = a.merge(RunningStats())
-        assert merged.mean == 2.0
-        merged2 = RunningStats().merge(a)
-        assert merged2.mean == 2.0
+from repro.analytics.streaming import Ewma, RollingWindow
 
 
 class TestEwma:
@@ -113,7 +51,7 @@ class TestRollingWindow:
         w = RollingWindow(3)
         for x in [1, 2, 3, 4, 5]:
             w.update(x)
-        np.testing.assert_array_equal(w.values(), [3, 4, 5])
+        assert list(w._buf) == [3, 4, 5]
         assert w.full
 
     def test_stats(self):
@@ -121,67 +59,13 @@ class TestRollingWindow:
         for x in [1.0, 2.0, 3.0, 4.0]:
             w.update(x)
         assert w.mean == pytest.approx(2.5)
-        assert w.median == pytest.approx(2.5)
         assert w.std == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
         assert not w.full
-
-    def test_mad(self):
-        w = RollingWindow(5)
-        for x in [1.0, 1.0, 1.0, 1.0, 100.0]:
-            w.update(x)
-        assert w.mad() == 0.0  # median of |x - 1| = 0
 
     def test_empty_stats_nan(self):
         w = RollingWindow(3)
         assert math.isnan(w.mean)
-        assert math.isnan(w.median)
-        assert math.isnan(w.mad())
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             RollingWindow(0)
-
-
-class TestP2Quantile:
-    def test_exact_below_five_samples(self):
-        p = P2Quantile(0.5)
-        for x in [3.0, 1.0, 2.0]:
-            p.update(x)
-        assert p.value == pytest.approx(2.0)
-
-    def test_empty_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-    def test_invalid_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95])
-    def test_accuracy_on_gaussian(self, q):
-        rng = np.random.default_rng(7)
-        data = rng.normal(50, 10, size=20_000)
-        p = P2Quantile(q)
-        for x in data:
-            p.update(x)
-        exact = np.quantile(data, q)
-        # P2 should land within a small relative error on smooth data
-        assert abs(p.value - exact) / abs(exact) < 0.05
-
-    @pytest.mark.parametrize("q", [0.5, 0.95])
-    def test_accuracy_on_uniform(self, q):
-        rng = np.random.default_rng(8)
-        data = rng.uniform(0, 100, size=20_000)
-        p = P2Quantile(q)
-        for x in data:
-            p.update(x)
-        assert abs(p.value - 100 * q) < 3.0
-
-    @given(st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False), min_size=5, max_size=300))
-    @settings(max_examples=50)
-    def test_estimate_within_observed_range(self, data):
-        p = P2Quantile(0.9)
-        for x in data:
-            p.update(x)
-        assert min(data) <= p.value <= max(data)

@@ -15,7 +15,16 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["quickstart.py", "misconfig_advisor.py", "ost_failover.py"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "quickstart.py",
+        "misconfig_advisor.py",
+        "ost_failover.py",
+        "thermal_watch.py",
+        "holistic_dashboard.py",
+    ],
+)
 def test_example_runs(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,41 +1,31 @@
-"""Tests for seasonal baselines and seasonal anomaly detection."""
+"""Tests for the seasonal detector of ``examples/thermal_watch.py``.
+
+The detector lives in the example (its only user), so the example is
+loaded by path.
+"""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.analytics.seasonal import DAY_S, SeasonalAnomalyDetector, SeasonalBaseline
+from repro.analytics.anomaly import ZScoreDetector
 from repro.telemetry.synthetic import SpikeSpec, SyntheticSeriesSpec, render_series
 
+_PATH = Path(__file__).resolve().parents[1] / "examples" / "thermal_watch.py"
+_SPEC = importlib.util.spec_from_file_location("thermal_watch", _PATH)
+thermal_watch = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(thermal_watch)
 
-class TestSeasonalBaseline:
-    def test_bin_index_wraps_daily(self):
-        b = SeasonalBaseline(period_s=DAY_S, n_bins=24)
-        assert b.bin_index(0.0) == 0
-        assert b.bin_index(3600.0) == 1
-        assert b.bin_index(DAY_S) == 0  # next day, same phase
-        assert b.bin_index(DAY_S + 3600.0 * 23) == 23
+DAY_S = thermal_watch.DAY_S
+SeasonalAnomalyDetector = thermal_watch.SeasonalAnomalyDetector
 
-    def test_expected_tracks_phase_mean(self):
-        b = SeasonalBaseline(period_s=DAY_S, n_bins=24)
-        for day in range(5):
-            b.update(day * DAY_S + 100.0, 10.0)  # midnight bin
-            b.update(day * DAY_S + 12 * 3600.0, 50.0)  # noon bin
-        assert b.expected(100.0) == pytest.approx(10.0)
-        assert b.expected(12 * 3600.0) == pytest.approx(50.0)
-        assert b.expected(6 * 3600.0) is None  # unseen phase
 
-    def test_coverage(self):
-        b = SeasonalBaseline(n_bins=4, period_s=4.0)
-        assert b.coverage() == 0.0
-        for t in [0.0, 4.0, 1.0, 5.0]:  # two samples in bins 0 and 1
-            b.update(t, 1.0)
-        assert b.coverage() == pytest.approx(0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeasonalBaseline(period_s=0.0)
-        with pytest.raises(ValueError):
-            SeasonalBaseline(n_bins=0)
+def test_phase_bin_wraps_daily():
+    assert thermal_watch.phase_bin(0.0) == 0
+    assert thermal_watch.phase_bin(3600.0) == 1
+    assert thermal_watch.phase_bin(DAY_S) == 0  # next day, same phase
+    assert thermal_watch.phase_bin(DAY_S + 3600.0 * 23) == 23
 
 
 class TestSeasonalAnomalyDetector:
@@ -79,8 +69,6 @@ class TestSeasonalAnomalyDetector:
         """Motivating contrast: a trending window inflates the plain
         detector's own std, so the small off-phase excursion that the
         seasonal detector catches is invisible to it."""
-        from repro.analytics.anomaly import ZScoreDetector
-
         spike_at = 3 * DAY_S + 3 * 3600.0
         times, values = self._diurnal_signal(days=4, spike_at=spike_at, rng_seed=5)
         det = ZScoreDetector(window=36, threshold=4.0)  # 6 h window
@@ -89,9 +77,3 @@ class TestSeasonalAnomalyDetector:
             if det.update(t, v) is not None and spike_at <= t <= spike_at + 1800.0
         ]
         assert detections == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeasonalAnomalyDetector(threshold=0.0)
-        with pytest.raises(ValueError):
-            SeasonalAnomalyDetector(min_per_bin=1)
