@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analytics.anomaly import ZScoreDetector
+from repro.analytics.anomaly import MIN_STD, ZScoreDetector
 
 
 def feed(detector, values, t0=0.0, dt=1.0):
@@ -57,6 +57,63 @@ class TestZScoreDetector:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             ZScoreDetector(threshold=0.0)
+        with pytest.raises(ValueError):
+            ZScoreDetector(threshold=-1.0)
+
+    def test_negative_excursion_detected(self):
+        rng = np.random.default_rng(4)
+        det = ZScoreDetector(window=50, threshold=4.0)
+        values = list(rng.normal(10.0, 1.0, 60)) + [-40.0]
+        hits = feed(det, values)
+        assert [i for i, _ in hits] == [60]
+        anomaly = hits[0][1]
+        assert anomaly.score > 4.0  # |z|, not signed
+        assert anomaly.detail.startswith("z=-")
+
+    def test_anomaly_records_time_and_value(self):
+        det = ZScoreDetector(window=20, threshold=4.0)
+        hits = feed(det, [1.0, 2.0] * 10 + [90.0], t0=100.0, dt=5.0)
+        (idx, anomaly), = hits
+        assert idx == 20
+        assert anomaly.time == 100.0 + 20 * 5.0
+        assert anomaly.value == 90.0
+
+    def test_constant_window_uses_std_floor(self):
+        """A flat window has zero std; the MIN_STD floor makes any change
+        an anomaly with a finite score and an unchanged sample none."""
+        det = ZScoreDetector(window=10, threshold=4.0)
+        feed(det, [5.0] * 10)
+        assert det.update(10.0, 5.0) is None
+        anomaly = det.update(11.0, 5.0 + 1e-6)
+        assert anomaly is not None
+        assert anomaly.score == pytest.approx(1e-6 / MIN_STD, rel=1e-3)
+
+    def test_threshold_is_inclusive(self):
+        det = ZScoreDetector(window=3, threshold=1.0)
+        feed(det, [1.0, 2.0, 3.0])  # mean 2, sample std 1
+        assert det.update(3.0, 3.0) is not None  # z == threshold
+        assert det.update(4.0, 2.9) is None
+
+    def test_scan_empty_series(self):
+        det = ZScoreDetector(window=5, threshold=4.0)
+        assert det.scan([], []) == []
+        assert len(det.window._buf) == 0
+
+    @pytest.mark.parametrize("window", [2, 5, 20])
+    @pytest.mark.parametrize("threshold", [2.0, 3.0, 4.0])
+    def test_scan_matches_updates_across_settings(self, window, threshold):
+        rng = np.random.default_rng(window * 10 + int(threshold))
+        values = list(rng.normal(50.0, 2.0, 200))
+        values[80] = 90.0
+        values[150:160] = [20.0] * 10
+        times = [float(i) for i in range(len(values))]
+        seq = ZScoreDetector(window=window, threshold=threshold)
+        seq_hits = [a for t, v in zip(times, values) if (a := seq.update(t, v))]
+        bat = ZScoreDetector(window=window, threshold=threshold)
+        bat_hits = bat.scan(times, values)
+        assert [a.time for a in bat_hits] == [a.time for a in seq_hits]
+        assert [a.score for a in bat_hits] == pytest.approx([a.score for a in seq_hits], rel=1e-9)
+        assert list(bat.window._buf) == list(seq.window._buf)
 
     def test_scan_matches_sequential_updates(self):
         rng = np.random.default_rng(7)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.analytics.forecast import (
+    ENSEMBLE_MEMBERS,
     OLS_WINDOW,
+    THEILSEN_WINDOW,
     EwmaRateForecaster,
     ForecasterEnsemble,
     HoltForecaster,
@@ -67,6 +69,51 @@ class TestAllForecasters:
         result = fc.forecast(now, target_step=10.0)  # already passed
         assert result is not None
         assert result.remaining(now) >= 0.0
+
+    def test_forecast_leaves_state_unchanged(self, name):
+        rng = np.random.default_rng(5)
+        fc = make_forecaster(name)
+        now = feed_linear(fc, rate=1.5, n=30, dt=10.0, noise=1.0, rng=rng)
+        first = fc.forecast(now, target_step=1500.0)
+        assert fc.forecast(now, target_step=1500.0) == first
+
+    def test_interval_ordered_and_not_before_now(self, name):
+        rng = np.random.default_rng(9)
+        fc = make_forecaster(name)
+        now = feed_linear(fc, rate=1.0, n=40, dt=10.0, noise=3.0, rng=rng)
+        result = fc.forecast(now, target_step=1200.0)
+        assert result is not None
+        assert now <= result.eta_lo <= result.eta <= result.eta_hi
+        assert result.interval_width >= 0.0
+
+    def test_n_markers_counts_fed_markers(self, name):
+        fc = make_forecaster(name)
+        now = feed_linear(fc, rate=2.0, n=20, dt=10.0)
+        assert fc.forecast(now, target_step=1000.0).n_markers == 20
+
+    def test_later_target_means_later_eta(self, name):
+        fc = make_forecaster(name)
+        now = feed_linear(fc, rate=2.0, n=20, dt=10.0)
+        near = fc.forecast(now, target_step=1000.0)
+        far = fc.forecast(now, target_step=2000.0)
+        assert far.eta > near.eta
+
+    def test_instances_do_not_share_state(self, name):
+        fed, fresh = make_forecaster(name), make_forecaster(name)
+        now = feed_linear(fed, rate=2.0, n=20, dt=10.0)
+        assert fed.forecast(now, 1000.0) is not None
+        assert fresh.forecast(now, 1000.0) is None
+
+
+@pytest.mark.parametrize("name", ENSEMBLE_MEMBERS)
+class TestEnsembleMembers:
+    def test_rate_estimate_none_before_data(self, name):
+        assert make_forecaster(name).rate_estimate() is None
+
+    def test_rate_estimate_tracks_linear_rate(self, name):
+        fc = make_forecaster(name)
+        feed_linear(fc, rate=2.0, n=20, dt=10.0)
+        assert fc.rate_estimate() == pytest.approx(2.0, rel=0.01)
 
 
 class TestRateForecaster:
@@ -147,6 +194,13 @@ class TestTheilSenForecaster:
         assert rts.rate == pytest.approx(2.0, rel=0.02)
 
 
+    def test_window_bounds_history(self):
+        fc = TheilSenForecaster()
+        feed_linear(fc, n=THEILSEN_WINDOW + 20)
+        assert len(fc._t) == THEILSEN_WINDOW
+        assert len(fc._s) == THEILSEN_WINDOW
+
+
 class TestHoltForecaster:
     def test_tracks_trend_changes(self):
         fc = HoltForecaster()
@@ -190,6 +244,18 @@ class TestForecasterEnsemble:
         assert fc.best_name == "ewma"
         result = fc.forecast(590.0, step + 3000.0)
         assert result.rate == pytest.approx(3.0, rel=0.1)
+
+    def test_members_are_registered_and_exclude_the_ensemble(self):
+        assert set(ENSEMBLE_MEMBERS) <= set(forecaster_names())
+        assert "ensemble" not in ENSEMBLE_MEMBERS
+
+    def test_forecast_answers_from_best_member(self):
+        rng = np.random.default_rng(4)
+        fc = ForecasterEnsemble()
+        now = feed_linear(fc, rate=1.0, n=40, dt=10.0, noise=2.0, rng=rng)
+        best = fc.best_name
+        assert best in ENSEMBLE_MEMBERS
+        assert fc.forecast(now, 2000.0) == fc._members[best].forecast(now, 2000.0)
 
 
 class TestRegistry:

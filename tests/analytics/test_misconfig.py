@@ -1,6 +1,12 @@
 """Tests for misconfiguration detection rules."""
 
+import pytest
+
 from repro.analytics.misconfig import (
+    CPU_UTIL_THRESHOLD,
+    GPU_UTIL_THRESHOLD,
+    MEM_RATIO_THRESHOLD,
+    MIN_OBSERVATION_S,
     CpuUnderutilizationRule,
     GpuUnderutilizationRule,
     JobConfigView,
@@ -51,6 +57,12 @@ class TestThreadCoreMismatch:
     def test_unset_threads_skipped(self):
         assert ThreadCoreMismatchRule().check(view(threads_requested=0)) is None
 
+    @pytest.mark.parametrize("threads", [31, 33])
+    def test_off_by_one_detected(self, threads):
+        f = ThreadCoreMismatchRule().check(view(threads_requested=threads))
+        assert f is not None
+        assert f.severity == pytest.approx(1 / 32)
+
 
 class TestCpuUnderutilization:
     def test_busy_job_passes(self):
@@ -69,6 +81,22 @@ class TestCpuUnderutilization:
     def test_nan_util_suppressed(self):
         assert CpuUnderutilizationRule().check(view(cpu_util_mean=float("nan"))) is None
 
+    def test_threshold_boundary(self):
+        rule = CpuUnderutilizationRule()
+        assert rule.check(view(cpu_util_mean=CPU_UTIL_THRESHOLD)) is None
+        assert rule.check(view(cpu_util_mean=CPU_UTIL_THRESHOLD - 0.01)) is not None
+
+    def test_observation_boundary(self):
+        rule = CpuUnderutilizationRule()
+        assert rule.check(view(cpu_util_mean=0.05, observation_s=MIN_OBSERVATION_S)) is not None
+        assert rule.check(view(cpu_util_mean=0.05, observation_s=MIN_OBSERVATION_S - 1)) is None
+
+    def test_severity_scales_with_idleness(self):
+        rule = CpuUnderutilizationRule()
+        assert rule.check(view(cpu_util_mean=0.0)).severity == 1.0
+        mild = rule.check(view(cpu_util_mean=CPU_UTIL_THRESHOLD / 2)).severity
+        assert mild == pytest.approx(0.5)
+
 
 class TestGpuUnderutilization:
     def test_no_gpus_skipped(self):
@@ -85,6 +113,16 @@ class TestGpuUnderutilization:
         )
         assert f is not None
         assert f.severity < 1.0
+
+    def test_threshold_boundary(self):
+        rule = GpuUnderutilizationRule()
+        assert rule.check(view(gpus_allocated=4, gpu_util_mean=GPU_UTIL_THRESHOLD)) is None
+        assert rule.check(view(gpus_allocated=4, gpu_util_mean=GPU_UTIL_THRESHOLD - 0.01)) is not None
+
+    def test_short_observation_suppressed(self):
+        rule = GpuUnderutilizationRule()
+        short = view(gpus_allocated=4, gpu_util_mean=0.0, observation_s=MIN_OBSERVATION_S - 1)
+        assert rule.check(short) is None
 
     def test_busy_gpu_passes(self):
         assert (
@@ -114,6 +152,16 @@ class TestMemoryOversubscription:
         f = MemoryOversubscriptionRule().check(view(mem_used_gb_p95=126.0))
         assert f is not None
         assert f.kind is MisconfigKind.MEMORY_OVERSUBSCRIPTION
+
+    def test_ratio_boundary(self):
+        rule = MemoryOversubscriptionRule()
+        at = view(mem_allocated_gb=100.0, mem_used_gb_p95=100.0 * MEM_RATIO_THRESHOLD)
+        below = view(mem_allocated_gb=100.0, mem_used_gb_p95=100.0 * MEM_RATIO_THRESHOLD - 0.5)
+        assert rule.check(at) is not None
+        assert rule.check(below) is None
+
+    def test_nan_usage_skipped(self):
+        assert MemoryOversubscriptionRule().check(view(mem_used_gb_p95=float("nan"))) is None
 
     def test_zero_allocation_skipped(self):
         assert (
