@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from repro.analytics.anomaly import Anomaly, ZScoreDetector
+from repro.analytics.anomaly import MIN_STD, Anomaly, ZScoreDetector
 from repro.sim import Engine, RngRegistry
 from repro.telemetry import (
     DerivedMetricSpec,
@@ -30,7 +30,7 @@ from repro.telemetry.synthetic import SpikeSpec, SyntheticSeriesSpec, render_ser
 DAY_S = 86_400.0
 N_BINS = 24  # hour-of-day phases
 MIN_SEASONS = 2
-MIN_STD = 1e-9
+MIN_PER_BIN = 3
 
 
 class PhaseStats:
@@ -62,7 +62,7 @@ class SeasonalAnomalyDetector:
     """Z-score against the sample's hour-of-day baseline.
 
     Each hour-of-day bin learns its own running mean/std.  Detection in
-    a bin waits until it holds ``min_per_bin`` samples from at least
+    a bin waits until it holds ``MIN_PER_BIN`` samples from at least
     ``MIN_SEASONS`` distinct days: one pass through the day only trains,
     because within-bin statistics from one pass reflect the signal's
     local trend, not its cross-day variability.  Like the plain
@@ -71,16 +71,17 @@ class SeasonalAnomalyDetector:
 
     name = "seasonal-zscore"
 
-    def __init__(self, threshold: float, min_per_bin: int = 3) -> None:
+    def __init__(self, threshold: float) -> None:
+        if threshold <= 0:
+            raise ValueError("threshold must be positive")
         self.threshold = threshold
-        self.min_per_bin = min_per_bin
         self._bins = [PhaseStats() for _ in range(N_BINS)]
         self._days = [set() for _ in range(N_BINS)]
 
     def update(self, t: float, value: float):
         idx = phase_bin(t)
         stats = self._bins[idx]
-        if stats.n < self.min_per_bin or len(self._days[idx]) < MIN_SEASONS:
+        if stats.n < MIN_PER_BIN or len(self._days[idx]) < MIN_SEASONS:
             stats.update(value)
             self._days[idx].add(int(t // DAY_S))
             return None
@@ -145,7 +146,7 @@ def main() -> None:
         key = SeriesKey.of("node_temp_celsius", node=f"n{node:02d}")
         times, values = store.query(key, 0, DAYS * DAY_S)
         plain = ZScoreDetector(window=36, threshold=4.0)
-        seasonal = SeasonalAnomalyDetector(threshold=5.5, min_per_bin=3)
+        seasonal = SeasonalAnomalyDetector(threshold=5.5)
         plain_hits, seasonal_hits = [], []
         for t, v in zip(times, values):
             if plain.update(t, v) is not None:

@@ -8,6 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.analytics.anomaly import ZScoreDetector
 from repro.telemetry.synthetic import SpikeSpec, SyntheticSeriesSpec, render_series
@@ -29,6 +30,10 @@ def test_phase_bin_wraps_daily():
 
 
 class TestSeasonalAnomalyDetector:
+    def test_rejects_non_positive_threshold(self):
+        with pytest.raises(ValueError):
+            SeasonalAnomalyDetector(threshold=0.0)
+
     def _diurnal_signal(self, days=6, step_s=600.0, spike_at=None, rng_seed=0):
         rng = np.random.default_rng(rng_seed)
         times = np.arange(0.0, days * DAY_S, step_s)
@@ -41,7 +46,7 @@ class TestSeasonalAnomalyDetector:
         return times, render_series(times, spec, rng)
 
     def test_trains_through_first_days_silently(self):
-        det = SeasonalAnomalyDetector(threshold=4.0, min_per_bin=3)
+        det = SeasonalAnomalyDetector(threshold=4.0)
         times, values = self._diurnal_signal(days=3)
         hits = [det.update(t, v) for t, v in zip(times, values)]
         assert sum(1 for h in hits if h) == 0
@@ -51,7 +56,7 @@ class TestSeasonalAnomalyDetector:
         # z-score over the whole stream would need a huge window to see it;
         # the seasonal detector catches it against the phase baseline
         spike_at = 4 * DAY_S + 3 * 3600.0  # 3 am on day 5
-        det = SeasonalAnomalyDetector(threshold=4.0, min_per_bin=3)
+        det = SeasonalAnomalyDetector(threshold=4.0)
         times, values = self._diurnal_signal(days=6, spike_at=spike_at)
         hits = [
             (t, det.update(t, v)) for t, v in zip(times, values)
@@ -60,7 +65,7 @@ class TestSeasonalAnomalyDetector:
         assert any(spike_at <= t <= spike_at + 1800.0 for t in detections)
 
     def test_no_false_alarms_on_clean_diurnal(self):
-        det = SeasonalAnomalyDetector(threshold=5.0, min_per_bin=3)
+        det = SeasonalAnomalyDetector(threshold=5.0)
         times, values = self._diurnal_signal(days=8, rng_seed=3)
         false_alarms = sum(1 for t, v in zip(times, values) if det.update(t, v))
         assert false_alarms <= 2  # ≥5σ noise events are vanishingly rare
