@@ -444,6 +444,8 @@ class PlanArbiter:
         ttl_s: float,
         resource_keys: Callable[[Action], Sequence[ResourceKey]],
     ) -> Tuple[Plan, List[Action]]:
+        if not plan.actions:
+            return plan, []
         if len(self._claims) > 4096:
             self._sweep(now)
         vetoed: List[Action] = []

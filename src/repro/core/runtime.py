@@ -16,12 +16,13 @@ trust controls.  This module is that control plane:
   :class:`QueryCache`.  Whether a read is shared is decided inline: once
   two different narrow selections of one widened shape (see
   :mod:`repro.query.fuse`) are read at the same tick, the rest of the
-  tick is served from one cached widened execution, so a fleet of N
+  tick is served from one widened execution, so a fleet of N
   per-partition loops costs two executions per tick instead of N
   ad-hoc store scans; with standing queries on, the standing engine's
   promotion rule turns such a shape into incrementally maintained state.
-  There is no fusion flag and no tuning loop — a lone reader is never
-  widened.
+  A tick memo and prepared monitor reads make a warm read O(its own
+  rows).  There is no fusion flag and no tuning loop — a lone reader is
+  never widened.
 * :class:`LoopRuntime` — instantiates specs into
   :class:`~repro.core.loop.MAPEKLoop` instances, multiplexes them on the
   simulation engine in tick cohorts with priority ordering
@@ -44,6 +45,7 @@ from __future__ import annotations
 import sys
 import zlib
 from bisect import bisect_left
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -82,6 +84,8 @@ __all__ = [
 _LOOP_SERIES = (
     "loop_iteration_ms", "loop_actions_total", "loop_vetoes_total", "loop_staleness_s",
 )
+#: the metrics of the first 3 and of all 4, as a hosted loop stages them
+_LOOP_METRICS = {n: frozenset(_LOOP_SERIES[:n]) for n in (3, 4)}
 
 #: engine events order by ``(time, priority, seq)``: nothing at an
 #: instant runs after an event of this priority scheduled before it
@@ -95,9 +99,26 @@ _COHORT = "loop-tick"
 # Shared Monitor-phase serving layer
 
 
-def _fusion_shape(q: MetricQuery):
-    """The widened shape ``q`` is narrowed from; ``False`` if not fusable."""
-    return widen(q) if fusable(q) else False
+class _Shape:
+    """A widened shape and its tick memo at evaluation time ``at``: the
+    first narrow reader (``None`` once another read it) and, once
+    widened, the result with its write ``version`` (``None``: not for
+    reuse), series generation and the source later readers report."""
+
+    __slots__ = ("query", "at", "first", "version", "generation", "wide", "source")
+
+    def __init__(self, query: MetricQuery) -> None:
+        self.query, self.at, self.wide = query, None, None
+
+
+class _Read:
+    """A query prepared for the hub: its widened :class:`_Shape` (``None``
+    when not fusable) and its :meth:`QueryHub._place` narrowing take."""
+
+    __slots__ = ("query", "shape", "generation", "n_groups", "take", "labels")
+
+    def __init__(self, query: MetricQuery, shape: Optional[_Shape]) -> None:
+        self.query, self.shape, self.generation = query, shape, None
 
 
 class QueryHub:
@@ -109,15 +130,21 @@ class QueryHub:
 
     * once a *different* narrow query of the same shape was read at this
       ``at``, the read is shared: it is answered by narrowing the widened
-      result, which the engine executes once and caches for the tick's
-      later readers (version-keyed on the write epoch).  A first or lone
-      reader executes directly — an unshared widened execution would
-      cost a full-metric pass for a narrow answer — and so does every
-      read of an uncached engine, where widening would never be shared;
+      result, which is read once per tick (see the tick memo below).  A
+      first or lone reader executes directly — an unshared widened
+      execution would cost a full-metric pass for a narrow answer — and
+      so does every read of an uncached engine, where widening would
+      never be shared;
     * with a :class:`~repro.query.standing.StandingQueryEngine`, shared
       reads also go to it, and its one promotion rule decides when the
       shape is hot enough to maintain incrementally; from then on every
       read of the shape is served from standing state.
+
+    The tick memo (:class:`_Shape`) keeps a shape's first widened answer
+    at ``at`` with its write version: a later reader at ``at`` while that
+    holds (a new series is a write too) takes its rows from it, counted
+    as the snapshot or cache hit it replaces.  A :class:`QueryMonitor`
+    hands in prepared reads (:class:`_Read`): a warm read hashes nothing.
 
     The hub exposes the same read surface monitors already use
     (``query`` / ``scalar`` / ``samples`` / ``parse`` / ``store``), so
@@ -136,15 +163,9 @@ class QueryHub:
         self.fused_served = 0
         self.direct_served = 0
         self.standing_served = 0
-        #: the evaluation time being read, and per widened shape the
-        #: first narrow query read at it (``None`` once another was)
-        self._tick_at: Optional[float] = None
-        self._tick_reads: Dict[MetricQuery, Optional[MetricQuery]] = {}
-        #: query -> its widened shape (``False`` when not fusable)
+        #: query -> its :class:`_Read`; widened shape -> its :class:`_Shape`
+        self._reads = _Memo()
         self._shapes = _Memo()
-        #: narrow query -> (series generation, widened shape's group
-        #: count, positions of the query's groups there, their labels)
-        self._narrowed = _Memo()
         #: rows staged at ``_staged_at`` and not committed yet, and their metrics
         self._staged_at: Optional[float] = None
         self._staged_keys: List[SeriesKey] = []
@@ -155,15 +176,16 @@ class QueryHub:
         return self.engine.parse(expr)
 
     # -------------------------------------------------------------- writes
-    def stage(self, keys: Sequence[SeriesKey], values: Sequence[float], *, at: float) -> None:
+    def stage(self, keys: Sequence[SeriesKey], values, *, at: float, metrics=None) -> None:
         """Queue the rows ``(keys[i], at, values[i])`` for the next
-        :meth:`flush`.  Rows of an earlier instant are flushed first."""
+        :meth:`flush`.  Rows of an earlier instant are flushed first.
+        ``metrics``, the keys' metric set, is for a caller that builds it once."""
         if at != self._staged_at:
             self.flush()
             self._staged_at = at
         self._staged_keys.extend(keys)
         self._staged_values.extend(values)
-        self._staged_metrics.update(key.metric for key in keys)
+        self._staged_metrics.update(metrics or [key.metric for key in keys])
 
     def flush(self) -> None:
         """Commit the staged rows with one ``store.insert_many``."""
@@ -175,82 +197,98 @@ class QueryHub:
             self.store.insert_many(keys, np.full(len(keys), self._staged_at), values)
 
     # --------------------------------------------------------------- reads
-    def query(self, q: Union[str, MetricQuery], *, at: float) -> QueryResult:
+    def _read(self, q: MetricQuery) -> _Read:
+        """The prepared read of ``q``; the reads of one shape share its state."""
+        return self._reads.lookup(
+            q, lambda q: _Read(q, self._shapes.lookup(widen(q), _Shape) if fusable(q) else None)
+        )
+
+    def query(self, q: Union[str, MetricQuery, _Read], *, at: float) -> QueryResult:
         """Evaluate ``q`` at ``at``, sharing the read when the tick does."""
-        if isinstance(q, str):
-            q = self.engine.parse(q)
-        if q.metric in self._staged_metrics:
+        if not isinstance(q, _Read):
+            q = self._read(self.engine.parse(q) if isinstance(q, str) else q)
+        if q.query.metric in self._staged_metrics:
             self.flush()
         if TRACER.enabled:
-            with TRACER.span("hub.query", metric=q.metric):
+            with TRACER.span("hub.query", metric=q.query.metric):
                 return self._query(q, at)
         return self._query(q, at)
 
-    def _query(self, q: MetricQuery, at: float) -> QueryResult:
-        shape = self._shapes.lookup(q, _fusion_shape)
-        if shape:
-            shared = self._shared(shape, q, at)
+    def _query(self, read: _Read, at: float) -> QueryResult:
+        q, shape = read.query, read.shape
+        if shape is not None:
+            # shared once another narrow query of the shape was read at
+            # ``at``: loops spread by phase jitter read alone
+            if shape.at != at:  # the tick's first reader of the shape
+                shape.at, shape.first, shape.version, shape.wide = at, q, None, None
+            elif shape.first is not None and shape.first != q:
+                shape.first = None
+            shared = shape.first is None
+            wq = shape.query
+            if shape.version is not None and shape.version == self.engine._cache_version(wq):
+                if shape.source == "fused+standing":
+                    self.standing.snapshot_hits += 1
+                    self.standing_served += 1
+                else:
+                    self.engine.cache.hits += 1
+                    self.fused_served += 1
+                return self._narrow(read, shape.wide, shape.source, shape.generation)
             standing = self.standing
-            if standing is not None and (shared or shape in standing.shapes):
-                wide = standing.query(shape, at=at)
+            if standing is not None and (shared or wq in standing.shapes):
+                version = self.engine._cache_version(wq)
+                wide = standing.query(wq, at=at)
                 if wide is not None:
                     self.standing_served += 1
-                    return self._narrow(q, shape, wide)
+                    return self._keep(read, version, wide, "fused+standing", "fused+standing")
             if shared and self.engine.cache is not None:
                 self.fused_served += 1
-                return self._narrow(q, shape, self.engine.query(shape, at=at))
+                version = self.engine._cache_version(wq)
+                wide = self.engine.query(wq, at=at)
+                if standing is not None and wq in standing.shapes:
+                    version = None  # a standing fallback: the next reader tries standing again
+                return self._keep(read, version, wide, "fused+cache", f"fused+{wide.source}")
         self.direct_served += 1
         return self.engine.query(q, at=at)
 
-    def _shared(self, shape: MetricQuery, q: MetricQuery, at: float) -> bool:
-        """Whether a narrow query of ``shape`` other than ``q`` was
-        already read at ``at``.  Only reads at the same instant can share
-        a widened result (the cache keys it per ``at``), so loops spread
-        by phase jitter read alone — their load is not fusible."""
-        if at != self._tick_at:
-            self._tick_at = at
-            self._tick_reads.clear()
-        first = self._tick_reads.setdefault(shape, q)
-        if first is None:
-            return True
-        if first == q:
-            return False
-        self._tick_reads[shape] = None
-        return True
+    def _keep(self, read: _Read, version, wide: QueryResult, kept: str, source: str):
+        """Keep ``wide`` in the tick memo for the shape's later readers
+        (as source ``kept``) and narrow it for ``read`` (as ``source``)."""
+        shape, generation = read.shape, self.store.series_generation(read.query.metric)
+        shape.version, shape.generation, shape.wide, shape.source = version, generation, wide, kept
+        return self._narrow(read, wide, source, generation)
 
-    def _narrow(self, q: MetricQuery, shape: MetricQuery, wide: QueryResult) -> QueryResult:
-        """Select ``q``'s series from the widened result.
+    def _narrow(self, read: _Read, wide: QueryResult, source: str, generation: int):
+        """Select ``read``'s series from the widened result.
 
         Equivalent to :func:`repro.query.fuse.narrow_result`, with the
-        matchers evaluated once per series generation: per narrow query
-        a memo keeps the positions of its groups — the labels of its
-        engine plan — among the widened shape's plan groups.  A widened
-        result with a series for every group of its plan holds group
-        ``g`` at position ``g``, so a read is one take of the positions,
-        O(its own series) however wide the fleet.  A result missing some
-        group is indexed by label on the spot.
+        matchers evaluated once per series generation (:meth:`_place`).  A
+        widened result with a series for every group of its plan holds
+        group ``g`` at position ``g``, so a read is one take of its
+        positions, O(its own series) however wide the fleet.  A result
+        missing some group is indexed by label on the spot.
         """
+        if read.generation != generation:
+            self._place(read, generation)
         series = wide.series
-        generation = self.store.series_generation(q.metric)
-        entry = self._narrowed.lookup(q, lambda _: self._positions(q, shape, generation))
-        if entry[0] != generation:
-            entry = self._narrowed.put(q, self._positions(q, shape, generation))
-        _, n_groups, positions, labels = entry
-        if len(series) == n_groups:
-            kept = tuple(map(series.__getitem__, positions))
+        if len(series) == read.n_groups:
+            kept = read.take(series)
         else:  # a group without rows: positions shift
             index = {s.labels: i for i, s in enumerate(series)}
-            kept = tuple(series[index[lab]] for lab in labels if lab in index)
-        return QueryResult(q, wide.t0, wide.t1, kept, source=f"fused+{wide.source}")
+            kept = tuple(series[index[lab]] for lab in read.labels if lab in index)
+        return QueryResult(read.query, wide.t0, wide.t1, kept, source)
 
-    def _positions(self, q: MetricQuery, shape: MetricQuery, generation: int) -> tuple:
-        """The :meth:`_narrow` memo entry of ``q``: both plans list their
-        group labels sorted, so each of ``q``'s is found by bisection."""
-        wide = self.engine.plan(shape).labels
-        labels = self.engine.plan(q).labels
+    def _place(self, read: _Read, generation: int) -> None:
+        """Resolve the positions of ``read``'s groups — the labels of its
+        plan — among its widened shape's at ``generation``: both plans
+        list their group labels sorted, so each is found by bisection."""
+        wide = self.engine.plan(read.shape.query).labels
+        labels = self.engine.plan(read.query).labels
         at = [bisect_left(wide, lab) for lab in labels]
-        positions = [i for i, lab in zip(at, labels) if i < len(wide) and wide[i] == lab]
-        return generation, len(wide), positions, labels
+        kept = [i for i, lab in zip(at, labels) if i < len(wide) and wide[i] == lab]
+        # one C call: a tuple of two or more positions, else a tuple slice
+        one = slice(kept[0], kept[0] + 1) if kept else slice(0)
+        read.take = itemgetter(*kept) if len(kept) > 1 else itemgetter(one)
+        read.n_groups, read.labels, read.generation = len(wide), labels, generation
 
     def scalar(self, q: Union[str, MetricQuery], *, at: float) -> Optional[float]:
         return self.query(q, at=at).scalar()
@@ -314,8 +352,8 @@ class QueryMonitor(Monitor):
     """Monitor phase defined entirely by declarative queries.
 
     Evaluates each :class:`MonitorQuery` through the shared hub and
-    hands the results to the spec's builder.  Holds the per-slot sample
-    cursors, which is the only state a declarative monitor has.
+    hands the results to the spec's builder.  Besides its reads, prepared
+    when it is built, it holds only the per-slot sample cursors.
     """
 
     def __init__(
@@ -326,14 +364,12 @@ class QueryMonitor(Monitor):
         hub: QueryHub,
     ) -> None:
         self.name = name
-        self.queries = [
-            MonitorQuery(
-                mq.slot,
-                hub.parse(mq.query) if isinstance(mq.query, str) else mq.query,
-                mq.mode,
-            )
-            for mq in queries
-        ]
+        #: per query ``(slot, mode, what the hub reads)``: a samples query
+        #: as it is, any other prepared once
+        self.queries = []
+        for mq in queries:
+            q = hub.parse(mq.query) if isinstance(mq.query, str) else mq.query
+            self.queries.append((mq.slot, mq.mode, q if mq.mode == "samples" else hub._read(q)))
         self.build = build
         self.hub = hub
         self._cursors: Dict[str, float] = {}
@@ -342,16 +378,14 @@ class QueryMonitor(Monitor):
     def observe(self, now: float) -> Optional[Observation]:
         inputs: Dict[str, object] = {"_memory": self._memory}
         advanced: Dict[str, float] = {}
-        for mq in self.queries:
-            if mq.mode == "samples":
-                times, values = self.hub.samples(
-                    mq.query, at=now, since=self._cursors.get(mq.slot)
-                )
+        for slot, mode, read in self.queries:
+            if mode == "samples":
+                times, values = self.hub.samples(read, at=now, since=self._cursors.get(slot))
                 if times.size:
-                    advanced[mq.slot] = float(times[-1])
-                inputs[mq.slot] = (times, values)
+                    advanced[slot] = float(times[-1])
+                inputs[slot] = (times, values)
             else:
-                inputs[mq.slot] = self.hub.query(mq.query, at=now)
+                inputs[slot] = self.hub.query(read, at=now)
         observation = self.build(now, inputs)
         if observation is not None:
             # commit cursors only for delivered observations — a builder
@@ -825,14 +859,15 @@ class LoopRuntime:
             values, keys = [iteration.wall_ms], keys[:1] + keys[3:]
         if iteration.staleness is not None:
             values.append(float(iteration.staleness))
-        self._stage(keys[:len(values)], values)
+        # a removed loop's one or two rows are not a prefix: no kept set
+        self._stage(keys[:len(values)], values, _LOOP_METRICS.get(len(values)))
 
-    def _stage(self, keys: Sequence[SeriesKey], values: Sequence[float]) -> None:
+    def _stage(self, keys: Sequence[SeriesKey], values: Sequence[float], metrics=None) -> None:
         """Queue self-telemetry rows at now: they are committed as one
         write per instant, after every other event of the instant (or
         before the next read through the hub, if that comes first)."""
         now = self.engine.now
-        self.hub.stage(keys, values, at=now)
+        self.hub.stage(keys, values, at=now, metrics=metrics)
         if self._flush_event is None:
             self._flush_event = self.engine.schedule_at(
                 now, self._flush, priority=_LAST, label="loop-telemetry-flush"

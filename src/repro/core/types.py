@@ -104,7 +104,9 @@ class Plan:
         return not self.actions
 
     def without(self, dropped: "List[Action]") -> "Plan":
-        """A copy with ``dropped`` actions removed (guard support)."""
+        """A copy with ``dropped`` actions removed (guard support), or ``self``."""
+        if not dropped:
+            return self
         remaining = tuple(a for a in self.actions if a not in dropped)
         return Plan(self.time, self.source, remaining, self.confidence, self.rationale)
 

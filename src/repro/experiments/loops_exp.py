@@ -19,7 +19,7 @@ from __future__ import annotations
 import gc
 import re
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -310,7 +310,10 @@ def run_runtime_overhead(
 
     Both sides run the identical watch components over identical data;
     the hand-wired side is the pre-runtime idiom — bare ``MAPEKLoop``
-    per case, each monitor querying a private uncached engine.
+    per case, each monitor querying a private uncached engine.  The two
+    sides run alternately three times each, every run on a fresh engine
+    and store, and the ratio is of their median walls, so one scheduling
+    stall inside one run does not decide it.
     """
     n_nodes = n_loops * nodes_per_loop
     node_ids = [f"n{i:04d}" for i in range(n_nodes)]
@@ -321,51 +324,56 @@ def run_runtime_overhead(
         _fill_store(store, node_ids, "node_cpu_util", horizon_s, sample_period_s, seed, 0.1)
         return store
 
-    until = window_s + ticks * period_s - 1.0
-
-    # --- hand-wired: one loop per case, private uncached engines --------
-    engine = Engine()
-    store = fresh_store()
-    specs = watch_fleet_specs(
-        "node_cpu_util", node_ids, n_loops, period_s=period_s, window_s=window_s
-    )
-    loops: List[MAPEKLoop] = []
-    for spec in specs:
-        hub = QueryHub(QueryEngine(store, enable_cache=False))
-        loop = MAPEKLoop(
-            engine,
-            spec.name,
-            monitor=QueryMonitor(spec.name, spec.queries, spec.build_observation, hub),
-            analyzer=spec.analyzer_factory(),
-            planner=spec.planner_factory(),
-            executor=spec.executor_factory(),
-            period_s=spec.period_s,
+    def fresh_specs() -> List[LoopSpec]:
+        return watch_fleet_specs(
+            "node_cpu_util", node_ids, n_loops, period_s=period_s, window_s=window_s
         )
-        loop.start(start_at=window_s)
-        loops.append(loop)
-    # a full collection due in a process holding many objects (a test
-    # session) costs tens of ms — more than a side's whole run — so it
-    # must not fall due inside one side and not the other
-    gc.collect()
-    wall_t0 = time.perf_counter()
-    engine.run(until=until)
-    legacy_wall_s = time.perf_counter() - wall_t0
-    legacy_iterations = sum(lp.iterations_run for lp in loops)
 
-    # --- runtime-hosted ---------------------------------------------------
-    engine = Engine()
-    store = fresh_store()
-    runtime = LoopRuntime(engine, store)
-    specs = watch_fleet_specs(
-        "node_cpu_util", node_ids, n_loops, period_s=period_s, window_s=window_s
-    )
-    for spec in specs:
-        spec.start_at = window_s
-    runtime.add_many(specs, start=True)
-    gc.collect()
-    wall_t0 = time.perf_counter()
-    engine.run(until=until)
-    hosted_wall_s = time.perf_counter() - wall_t0
+    def timed(engine: Engine) -> float:
+        # a full collection due in a process holding many objects (a test
+        # session) costs tens of ms — more than a side's whole run — so it
+        # must not fall due inside one side and not the other
+        gc.collect()
+        wall_t0 = time.perf_counter()
+        engine.run(until=window_s + ticks * period_s - 1.0)
+        return time.perf_counter() - wall_t0
+
+    def legacy() -> Tuple[float, int]:
+        """Hand-wired: one loop per case, private uncached engines."""
+        engine = Engine()
+        store = fresh_store()
+        loops: List[MAPEKLoop] = []
+        for spec in fresh_specs():
+            hub = QueryHub(QueryEngine(store, enable_cache=False))
+            loop = MAPEKLoop(
+                engine,
+                spec.name,
+                monitor=QueryMonitor(spec.name, spec.queries, spec.build_observation, hub),
+                analyzer=spec.analyzer_factory(),
+                planner=spec.planner_factory(),
+                executor=spec.executor_factory(),
+                period_s=spec.period_s,
+            )
+            loop.start(start_at=window_s)
+            loops.append(loop)
+        return timed(engine), sum(lp.iterations_run for lp in loops)
+
+    def hosted() -> Tuple[float, int]:
+        engine = Engine()
+        runtime = LoopRuntime(engine, fresh_store())
+        specs = fresh_specs()
+        for spec in specs:
+            spec.start_at = window_s
+        runtime.add_many(specs, start=True)
+        return timed(engine), runtime.iterations_total
+
+    legacy_runs, hosted_runs = [], []
+    for _ in range(3):
+        legacy_runs.append(legacy())
+        hosted_runs.append(hosted())
+    legacy_wall_s = float(np.median([wall for wall, _ in legacy_runs]))
+    hosted_wall_s = float(np.median([wall for wall, _ in hosted_runs]))
+    match = all(a[1] == b[1] for a, b in zip(legacy_runs, hosted_runs))
 
     return {
         "seed": seed,
@@ -374,5 +382,5 @@ def run_runtime_overhead(
         "legacy_wall_s": legacy_wall_s,
         "hosted_wall_s": hosted_wall_s,
         "overhead_ratio": hosted_wall_s / max(legacy_wall_s, 1e-12),
-        "iterations_match": 1.0 if runtime.iterations_total == legacy_iterations else 0.0,
+        "iterations_match": 1.0 if match else 0.0,
     }

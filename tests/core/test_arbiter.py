@@ -88,6 +88,27 @@ class TestPlanArbiter:
         _, vetoed = arb.resolve("b", 0, plan_of(Action("signal_checkpoint", "j2")), 0.0, ttl_s=600.0)
         assert not vetoed
 
+    def test_empty_plan_comes_back_as_it_is(self):
+        arb = PlanArbiter()
+        arb.resolve("a", 5, plan_of(Action("signal_checkpoint", "j1")), 0.0, ttl_s=600.0)
+        stats, claims = arb.stats(), arb.active_claims(1.0)
+        empty = plan_of()
+        kept, vetoed = arb.resolve("b", 0, empty, 1.0, ttl_s=600.0)
+        assert kept is empty and vetoed == []
+        assert arb.stats() == stats and arb.active_claims(1.0) == claims
+
+    def test_a_granted_plan_is_not_copied_and_a_veto_copies(self):
+        arb = PlanArbiter()
+        granted = plan_of(Action("signal_checkpoint", "j1"), Action("signal_checkpoint", "j2"))
+        kept, vetoed = arb.resolve("a", 5, granted, 0.0, ttl_s=600.0)
+        assert kept is granted and vetoed == []
+        lost, won = Action("signal_checkpoint", "j1"), Action("signal_checkpoint", "j3")
+        contested = plan_of(lost, won)
+        kept, vetoed = arb.resolve("b", 0, contested, 0.0, ttl_s=600.0)
+        assert vetoed == [lost]
+        assert kept is not contested and kept.actions == (won,)
+        assert contested.actions == (lost, won)
+
     def test_release_drops_loop_claims(self):
         arb = PlanArbiter()
         arb.resolve("a", 5, plan_of(Action("signal_checkpoint", "j1")), 0.0, ttl_s=600.0)
@@ -237,6 +258,45 @@ class TestRuntimeArbitration:
         assert runtime.arbiter.active_claims(engine.now)
         runtime.remove("a")
         assert not runtime.arbiter.active_claims(engine.now)
+
+    def test_every_plan_is_resolved_and_traced_even_when_empty(self):
+        """The arbiter guard resolves empty plans too, so the
+        ``arbiter.resolve`` span and a per-resolve count see every one."""
+        from repro.obs.trace import TRACER
+
+        class EmptyPlanner(Planner):
+            name = "empty-planner"
+
+            def plan(self, report, knowledge):
+                return Plan(report.time, self.name)
+
+        engine = Engine()
+        runtime = LoopRuntime(engine, TimeSeriesStore())
+        resolved = []
+        inner = runtime.arbiter.resolve
+        runtime.arbiter.resolve = lambda *a, **kw: resolved.append(a[2]) or inner(*a, **kw)
+        runtime.add(
+            LoopSpec(
+                name="idle",
+                monitor_factory=lambda rt: StubMonitor(),
+                analyzer_factory=StubAnalyzer,
+                planner_factory=EmptyPlanner,
+                executor_factory=RecordingExecutor,
+                period_s=60.0,
+            ),
+            start=True,
+        )
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            engine.run(until=250.0)
+            spans = [s[0] for s in TRACER.spans()].count("arbiter.resolve")
+        finally:
+            TRACER.disable()
+            TRACER.reset()
+        loop = runtime.handle("idle").loop
+        assert loop.iterations_run == 5
+        assert len(resolved) == spans == 5 and all(p.empty for p in resolved)
 
     def test_veto_counter_published_to_store(self):
         engine = Engine()

@@ -3,10 +3,11 @@
 Ten thousand distinct shapes go through the loops' hub and through the
 tenants' front door over one engine, while one shape of each kind is
 read again every round.  Standing sightings, engine plans / expressions /
-parses, the hub's shape memo and its narrowing positions and the
-engine cache must
-all stay within their bounds — and the re-read shapes must survive the
-churn, which a memo cleared wholesale past its bound would not let them.
+parses, the hub's prepared reads and the tick memo of its shapes and the
+engine cache must all stay within their bounds — and the re-read shapes must survive
+the churn, which a memo cleared wholesale past its bound would not let
+them.  The tick memo is void whenever the evaluation time moves, so ten
+thousand shapes read at one instant must keep it bounded too.
 """
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
             futures.append(fd.submit(QueryRequest(hot_cached, tenant="t", at=300.0)))
             assert all(f.result(timeout=10.0).ok for f in futures)
 
-    for memo in (engine._plans, engine._exprs, engine._parsed, hub._shapes, hub._narrowed,
+    for memo in (engine._plans, engine._exprs, engine._parsed, hub._reads, hub._shapes,
                  hub.standing._seen, fd.standing._seen):
         assert len(memo) <= _PLANS_MAX
     assert len(engine.cache) <= engine.cache.max_entries
@@ -78,10 +79,28 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
     hot_shape = MetricQuery("m", agg="mean", range_s=60.0, step_s=10.0, group_by=("node",))
     assert hot_shape in hub.standing.shapes
     # a narrowed read looks up its positions, not the engine plans
-    assert all(q in hub._narrowed and hub._shapes[q] == hot_shape for q in hot_pair)
+    assert all(q in hub._reads and hub._reads[q].shape.query == hot_shape for q in hot_pair)
     assert engine.parse(hot_standing) in fd.standing.shapes
     assert engine.cached(engine.parse(hot_cached), at=300.0) is not None
     assert fd.hot_hits >= ROUNDS - 1
+
+
+def test_ten_thousand_shapes_at_one_instant_leave_the_tick_memo_bounded():
+    store = _store()
+    engine = QueryEngine(store)
+    hub = QueryHub(engine)
+    at = 300.0
+    for shape in range(ROUNDS * SHAPES_PER_ROUND):
+        range_s = 20.0 + shape * 0.01
+        hub.query(_narrow("n2", range_s), at=at)  # a first reader enters the shape
+        assert len(hub._shapes) <= _PLANS_MAX
+    hub.query(_narrow("n3", range_s), at=at)  # widens: the tick keeps the answer
+    assert hub.fused_served == 1
+    # the newest shape's answer is still kept: a third reader executes nothing
+    executed = engine.queries_total
+    got = hub.query(_narrow("n1", range_s), at=at)
+    assert engine.queries_total == executed and got.source == "fused+cache"
+    assert [s.label("node") for s in got.series] == ["n1"]
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +131,12 @@ def test_narrowing_positions_are_rebuilt_when_a_series_is_admitted():
     hub = QueryHub(QueryEngine(store))
     q, got = _read_pair(hub, ("n0", "n3"), 300.0)
     _assert_narrowed_like_fuse(hub, q, got, 300.0)
-    generation = hub._narrowed[q][0]
+    generation = hub._reads[q].generation
     # a series sorting before n3 moves n3's group position in the wide plan
     store.insert(SeriesKey.of("m", node="n20"), 305.0, 7.0)
     q, got = _read_pair(hub, ("n0", "n3"), 310.0)
-    assert hub._narrowed[q][0] != generation
-    assert hub._narrowed[q][2] == [4]
+    assert hub._reads[q].generation != generation
+    assert hub._reads[q].take(tuple(range(5))) == (4,)  # its position among the groups
     _assert_narrowed_like_fuse(hub, q, got, 310.0)
     q, got = _read_pair(hub, ("n1", "n20"), 310.0)
     assert [s.label("node") for s in got.series] == ["n20"]

@@ -37,6 +37,8 @@ class TestTypes:
         assert filtered.actions == (a2,)
         assert not p.empty and not filtered.empty
         assert p.without([a1, a2]).empty
+        # nothing dropped: the plan itself, not a copy
+        assert p.without([]) is p
 
     def test_iteration_latency(self):
         it = LoopIteration(index=0, t_monitor=10.0)
