@@ -90,7 +90,6 @@ class DriftingElement:
         which any read through the hub sees."""
         self._hub = hub
         self._keys = (SeriesKey.of("x", element=self.element_id),)
-        self._metrics = frozenset(("x",))
 
     def start_disturbance(self) -> None:
         if self._task is not None and not self._task.stopped:
@@ -106,7 +105,7 @@ class DriftingElement:
     def _disturb(self) -> None:
         self.x += float(self.rng.normal(self.drift_mu, self.drift_std))
         if self._hub is not None:
-            self._hub.stage(self._keys, (self.x,), at=self.engine.now, metrics=self._metrics)
+            self._hub.stage(self._keys, (self.x,), at=self.engine.now)
 
     def read(self) -> float:
         return self.x

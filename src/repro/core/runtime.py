@@ -20,9 +20,8 @@ trust controls.  This module is that control plane:
   per-partition loops costs two executions per tick instead of N
   ad-hoc store scans; with standing queries on, the standing engine's
   promotion rule turns such a shape into incrementally maintained state.
-  A tick memo and prepared monitor reads make a warm read O(its own
-  rows).  There is no fusion flag and no tuning loop — a lone reader is
-  never widened.
+  A warm read is O(its own rows).  There is no fusion flag and no
+  tuning loop — a lone reader is never widened.
 * :class:`LoopRuntime` — instantiates specs into
   :class:`~repro.core.loop.MAPEKLoop` instances, multiplexes them on the
   simulation engine in tick cohorts with priority ordering
@@ -62,7 +61,7 @@ from repro.obs.flight import FLIGHT
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.query.cache import QueryCache
-from repro.query.engine import QueryEngine, QueryResult, _Memo
+from repro.query.engine import _PLANS_MAX, QueryEngine, QueryResult, _Memo
 from repro.query.fuse import fusable, widen
 from repro.query.model import MetricQuery
 from repro.query.standing import StandingQueryEngine
@@ -84,8 +83,6 @@ __all__ = [
 _LOOP_SERIES = (
     "loop_iteration_ms", "loop_actions_total", "loop_vetoes_total", "loop_staleness_s",
 )
-#: the metrics of the first 3 and of all 4, as a hosted loop stages them
-_LOOP_METRICS = {n: frozenset(_LOOP_SERIES[:n]) for n in (3, 4)}
 
 #: engine events order by ``(time, priority, seq)``: nothing at an
 #: instant runs after an event of this priority scheduled before it
@@ -100,10 +97,9 @@ _COHORT = "loop-tick"
 
 
 class _Shape:
-    """A widened shape and its tick memo at evaluation time ``at``: the
-    first narrow reader (``None`` once another read it) and, once
-    widened, the result with its write ``version`` (``None``: not for
-    reuse), series generation and the source later readers report."""
+    """A widened shape and its tick memo at the hub's tick ``at`` (else ``None``):
+    the first narrow reader (``None`` once another read it) and, once widened, the
+    result with its write ``version`` (``None``: not for reuse), generation and source."""
 
     __slots__ = ("query", "at", "first", "version", "generation", "wide", "source")
 
@@ -112,8 +108,7 @@ class _Shape:
 
 
 class _Read:
-    """A query prepared for the hub: its widened :class:`_Shape` (``None``
-    when not fusable) and its :meth:`QueryHub._place` narrowing take."""
+    """A query prepared for the hub: its :class:`_Shape` (if fusable) and narrowing take."""
 
     __slots__ = ("query", "shape", "generation", "n_groups", "take", "labels")
 
@@ -140,11 +135,12 @@ class QueryHub:
       shape is hot enough to maintain incrementally; from then on every
       read of the shape is served from standing state.
 
-    The tick memo (:class:`_Shape`) keeps a shape's first widened answer
-    at ``at`` with its write version: a later reader at ``at`` while that
-    holds (a new series is a write too) takes its rows from it, counted
-    as the snapshot or cache hit it replaces.  A :class:`QueryMonitor`
-    hands in prepared reads (:class:`_Read`): a warm read hashes nothing.
+    The tick memo (:class:`_Shape`, ``_PLANS_MAX`` shapes of one ``at`` at
+    most) keeps a shape's first widened answer at ``at`` with its write
+    version: a later reader at ``at`` takes its rows from it, as the hit
+    it replaces, while no write (a new series too) moved the version and,
+    for a standing answer, standing still holds it as its snapshot.
+    :class:`QueryMonitor` hands in prepared reads (:class:`_Read`).
 
     The hub exposes the same read surface monitors already use
     (``query`` / ``scalar`` / ``samples`` / ``parse`` / ``store``), so
@@ -166,6 +162,9 @@ class QueryHub:
         #: query -> its :class:`_Read`; widened shape -> its :class:`_Shape`
         self._reads = _Memo()
         self._shapes = _Memo()
+        #: the evaluation time of the tick memo and the shapes read at it
+        self._tick_at: Optional[float] = None
+        self._tick: List[_Shape] = []
         #: rows staged at ``_staged_at`` and not committed yet, and their metrics
         self._staged_at: Optional[float] = None
         self._staged_keys: List[SeriesKey] = []
@@ -176,16 +175,15 @@ class QueryHub:
         return self.engine.parse(expr)
 
     # -------------------------------------------------------------- writes
-    def stage(self, keys: Sequence[SeriesKey], values, *, at: float, metrics=None) -> None:
+    def stage(self, keys: Sequence[SeriesKey], values: Sequence[float], *, at: float) -> None:
         """Queue the rows ``(keys[i], at, values[i])`` for the next
-        :meth:`flush`.  Rows of an earlier instant are flushed first.
-        ``metrics``, the keys' metric set, is for a caller that builds it once."""
+        :meth:`flush`.  Rows of an earlier instant are flushed first."""
         if at != self._staged_at:
             self.flush()
             self._staged_at = at
         self._staged_keys.extend(keys)
         self._staged_values.extend(values)
-        self._staged_metrics.update(metrics or [key.metric for key in keys])
+        self._staged_metrics.update(key.metric for key in keys)
 
     def flush(self) -> None:
         """Commit the staged rows with one ``store.insert_many``."""
@@ -220,19 +218,25 @@ class QueryHub:
             # shared once another narrow query of the shape was read at
             # ``at``: loops spread by phase jitter read alone
             if shape.at != at:  # the tick's first reader of the shape
-                shape.at, shape.first, shape.version, shape.wide = at, q, None, None
+                if at != self._tick_at or len(self._tick) >= _PLANS_MAX:
+                    for kept in self._tick:  # release the last tick's answers
+                        kept.at = kept.wide = None
+                    self._tick, self._tick_at = [], at
+                self._tick.append(shape)
+                shape.at, shape.first, shape.version = at, q, None
             elif shape.first is not None and shape.first != q:
                 shape.first = None
             shared = shape.first is None
             wq = shape.query
             if shape.version is not None and shape.version == self.engine._cache_version(wq):
-                if shape.source == "fused+standing":
-                    self.standing.snapshot_hits += 1
-                    self.standing_served += 1
-                else:
+                if shape.source == "fused+cache":
                     self.engine.cache.hits += 1
                     self.fused_served += 1
-                return self._narrow(read, shape.wide, shape.source, shape.generation)
+                    return self._narrow(read, shape.wide, shape.source, shape.generation)
+                if self.standing._snaps.get(wq, (None, None))[1] is shape.wide:  # not dropped
+                    self.standing.snapshot_hits += 1
+                    self.standing_served += 1
+                    return self._narrow(read, shape.wide, shape.source, shape.generation)
             standing = self.standing
             if standing is not None and (shared or wq in standing.shapes):
                 version = self.engine._cache_version(wq)
@@ -251,8 +255,7 @@ class QueryHub:
         return self.engine.query(q, at=at)
 
     def _keep(self, read: _Read, version, wide: QueryResult, kept: str, source: str):
-        """Keep ``wide`` in the tick memo for the shape's later readers
-        (as source ``kept``) and narrow it for ``read`` (as ``source``)."""
+        """Keep ``wide`` for the shape's later readers (source ``kept``); narrow it for ``read``."""
         shape, generation = read.shape, self.store.series_generation(read.query.metric)
         shape.version, shape.generation, shape.wide, shape.source = version, generation, wide, kept
         return self._narrow(read, wide, source, generation)
@@ -364,8 +367,7 @@ class QueryMonitor(Monitor):
         hub: QueryHub,
     ) -> None:
         self.name = name
-        #: per query ``(slot, mode, what the hub reads)``: a samples query
-        #: as it is, any other prepared once
+        #: ``(slot, mode, read)``: a samples query as it is, any other prepared
         self.queries = []
         for mq in queries:
             q = hub.parse(mq.query) if isinstance(mq.query, str) else mq.query
@@ -859,15 +861,14 @@ class LoopRuntime:
             values, keys = [iteration.wall_ms], keys[:1] + keys[3:]
         if iteration.staleness is not None:
             values.append(float(iteration.staleness))
-        # a removed loop's one or two rows are not a prefix: no kept set
-        self._stage(keys[:len(values)], values, _LOOP_METRICS.get(len(values)))
+        self._stage(keys[:len(values)], values)
 
-    def _stage(self, keys: Sequence[SeriesKey], values: Sequence[float], metrics=None) -> None:
+    def _stage(self, keys: Sequence[SeriesKey], values: Sequence[float]) -> None:
         """Queue self-telemetry rows at now: they are committed as one
         write per instant, after every other event of the instant (or
         before the next read through the hub, if that comes first)."""
         now = self.engine.now
-        self.hub.stage(keys, values, at=now, metrics=metrics)
+        self.hub.stage(keys, values, at=now)
         if self._flush_event is None:
             self._flush_event = self.engine.schedule_at(
                 now, self._flush, priority=_LAST, label="loop-telemetry-flush"

@@ -93,7 +93,7 @@ def test_ten_thousand_shapes_at_one_instant_leave_the_tick_memo_bounded():
     for shape in range(ROUNDS * SHAPES_PER_ROUND):
         range_s = 20.0 + shape * 0.01
         hub.query(_narrow("n2", range_s), at=at)  # a first reader enters the shape
-        assert len(hub._shapes) <= _PLANS_MAX
+        assert len(hub._shapes) <= _PLANS_MAX and len(hub._tick) <= _PLANS_MAX
     hub.query(_narrow("n3", range_s), at=at)  # widens: the tick keeps the answer
     assert hub.fused_served == 1
     # the newest shape's answer is still kept: a third reader executes nothing

@@ -172,3 +172,54 @@ def test_a_standing_fallback_is_not_kept_for_the_tick():
         assert_equals_reference(store, hub.query(q, at=600.0), 600.0)
     assert hub.standing.stats()["scan_fallbacks"] == 3.0
     assert (hub.direct_served, hub.fused_served, hub.standing_served) == (1, 2, 0)
+
+
+def _promoted_hub():
+    """A hub whose shape of :func:`_narrow` is maintained by standing."""
+    engine = QueryEngine(_store())
+    hub = QueryHub(engine, standing=StandingQueryEngine(engine))
+    for at in (AT - 30.0, AT - 20.0, AT - 10.0):
+        hub.query(_narrow("n0"), at=at)
+        hub.query(_narrow("n1"), at=at)
+    assert widen(_narrow("n0")) in hub.standing.shapes
+    return hub
+
+
+@pytest.mark.parametrize("drop", ["clear_snapshots", "register"])
+def test_a_standing_answer_is_kept_only_while_standing_keeps_its_snapshot(drop):
+    hub = _promoted_hub()
+    st = hub.standing
+    hub.query(_narrow("n0"), at=AT)
+    hub.query(_narrow("n1"), at=AT)  # the tick keeps standing's answer
+    reads, hits = st.reads_served, st.snapshot_hits
+    hub.query(_narrow("n2"), at=AT)
+    assert (st.reads_served, st.snapshot_hits) == (reads, hits + 1)
+    if drop == "clear_snapshots":
+        st.clear_snapshots()
+    else:  # a new registration drops every snapshot too
+        assert st.register("sum(m[120s] by 10s)")
+    got = hub.query(_narrow("n3"), at=AT)  # standing reads again, as it would unmemoised
+    assert (st.reads_served, st.snapshot_hits) == (reads + 1, hits + 1)
+    assert got.source == "fused+standing"
+    assert_equals_reference(hub.store, got, AT)
+    hub.query(_narrow("n0"), at=AT)  # and the new answer is kept
+    assert (st.reads_served, st.snapshot_hits) == (reads + 1, hits + 2)
+
+
+def test_a_new_tick_releases_the_last_ticks_answers():
+    hub = QueryHub(QueryEngine(_store()))
+    hub.query(_narrow("n0"), at=AT)
+    hub.query(_narrow("n1"), at=AT)
+    shape = hub._reads[_narrow("n1")].shape
+    assert shape.wide is not None
+    other = MetricQuery(
+        "m", agg="max", matchers=(LabelMatcher("node", "=", "n0"),),
+        range_s=60.0, step_s=10.0, group_by=("node",),
+    )
+    hub.query(other, at=AT + 10.0)  # a read of another shape at a new time
+    assert shape.wide is None and shape.at is None
+    assert hub._tick == [hub._reads[other].shape]
+    # back at AT the shape starts over: its first reader reads alone
+    direct = hub.direct_served
+    hub.query(_narrow("n1"), at=AT)
+    assert hub.direct_served == direct + 1
