@@ -62,6 +62,13 @@ class PhaseLatency:
 class MAPEKLoop:
     """One autonomy loop instance.
 
+    ``iterations`` keeps only the cycles that did something — planned at
+    least one action, had a veto, or executed — the last
+    ``keep_iterations`` of them.  An idle cycle is counted
+    (``iterations_run``, ``wall_ms_total``) and shown to ``on_iteration``,
+    then dropped, so a loop that runs without end holds a bounded
+    history whatever its idle share.
+
     Decide and execute phases delayed by :class:`PhaseLatency` join the
     engine's bundle for their instant, shared with every other loop on
     the engine (see the module docstring); :meth:`stop` cancels the ones
@@ -105,6 +112,9 @@ class MAPEKLoop:
 
         self.iterations: List[LoopIteration] = []
         self.iterations_run = 0
+        #: host wall time of every finished cycle, kept or not
+        self.wall_ms_total = 0.0
+        self._finished = 0
         self.actions_executed = 0
         self.actions_vetoed = 0
         self._task: Optional[PeriodicTask] = None
@@ -244,9 +254,13 @@ class MAPEKLoop:
         self._finish(iteration)
 
     def _finish(self, iteration: LoopIteration) -> None:
-        self.iterations.append(iteration)
-        if len(self.iterations) > self.keep_iterations:
-            del self.iterations[: len(self.iterations) - self.keep_iterations]
+        self._finished += 1
+        self.wall_ms_total += iteration.wall_ms
+        plan = iteration.plan
+        if iteration.vetoed or (plan is not None and plan.actions):
+            self.iterations.append(iteration)
+            if len(self.iterations) > self.keep_iterations:
+                del self.iterations[: len(self.iterations) - self.keep_iterations]
         if self.on_iteration is not None:
             self.on_iteration(iteration)
 
@@ -264,7 +278,24 @@ class MAPEKLoop:
             )
 
     # ---------------------------------------------------------------- stats
+    def recent_staleness(self) -> List[float]:
+        """Staleness of the executed cycles among the last
+        ``keep_iterations`` finished cycles of any kind.
+
+        Every executed cycle in that window is kept, and the cycles that
+        have not finished (waiting out a phase latency, or abandoned by
+        :meth:`stop`) are the newest indices, so the window is an index
+        range over ``iterations``.
+        """
+        since = self._finished - self.keep_iterations
+        return [
+            it.staleness for it in self.iterations
+            if it.index >= since and it.staleness is not None
+        ]
+
     def mean_cycle_latency(self) -> Optional[float]:
+        """Mean monitor-to-done latency over the kept cycles (those that
+        planned, were vetoed or executed), or ``None`` if there are none."""
         lats = [it.latency for it in self.iterations if it.latency is not None]
         if not lats:
             return None

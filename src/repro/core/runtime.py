@@ -429,7 +429,7 @@ class LoopSpec:
     phase_latency: PhaseLatency = field(default_factory=PhaseLatency)
     resource_keys: Callable[[Action], Sequence[ResourceKey]] = default_resource_keys
     claim_ttl_s: Optional[float] = None  # None → period_s
-    keep_iterations: int = 256
+    keep_iterations: int = 256  # acting/vetoed cycles kept on loop.iterations
     on_iteration: Optional[Callable[[LoopIteration], None]] = None
 
     def __post_init__(self) -> None:
@@ -919,9 +919,7 @@ class LoopRuntime:
         rows = []
         for name, handle in sorted(self.handles.items()):
             loop = handle.loop
-            staleness = [
-                it.staleness for it in loop.iterations if it.staleness is not None
-            ]
+            staleness = loop.recent_staleness()
             rows.append(
                 {
                     "loop": name,

@@ -220,9 +220,7 @@ def _run_fleet(
     wall_s = time.perf_counter() - wall_t0
     runtime.stop()
     flags = sum(h.loop.analyzer.flags_total for h in runtime.handles.values())
-    cycle_ms = sum(
-        it.wall_ms for h in runtime.handles.values() for it in h.loop.iterations
-    )
+    cycle_ms = sum(h.loop.wall_ms_total for h in runtime.handles.values())
     qe = runtime.query_engine
     out = {
         "wall_s": wall_s,

@@ -342,7 +342,7 @@ def _run_watch_fleet(
     qe = runtime.query_engine
     return {
         "wall_s": wall_s,
-        "cycle_ms": sum(it.wall_ms for h in handles for it in h.loop.iterations),
+        "cycle_ms": sum(h.loop.wall_ms_total for h in handles),
         "flags": float(sum(h.loop.analyzer.flags_total for h in handles)),
         "queries_executed": float(qe.served_raw + qe.served_rollup),
         "fused_served": float(runtime.hub.fused_served),

@@ -215,6 +215,7 @@ class TestGuardsIntegration:
         eng.run(until=25.0)
         assert executor.executed == []
         assert loop.actions_vetoed == 3
+        assert len(loop.iterations) == loop.iterations_run == 3
         assert all(it.vetoed for it in loop.iterations)
 
     def test_vetoed_actions_not_recorded_as_plans(self):
@@ -249,9 +250,21 @@ class TestAssessorAndAudit:
 
     def test_iterations_bounded(self):
         eng = Engine()
-        loop, _ = build_loop(eng, lambda now: 0.0, period=1.0)
+        loop, _ = build_loop(eng, lambda now: 15.0, period=1.0)
         loop.keep_iterations = 10
         loop.start()
         eng.run(until=100.0)
         assert len(loop.iterations) == 10
         assert loop.iterations_run == 101
+
+    def test_idle_cycles_are_counted_not_kept(self):
+        eng = Engine()
+        loop, _ = build_loop(eng, lambda now: 0.0, period=1.0)
+        seen = []
+        loop.on_iteration = seen.append
+        loop.start()
+        eng.run(until=100.0)
+        assert loop.iterations == []
+        assert loop.iterations_run == len(seen) == 101
+        assert loop.wall_ms_total == pytest.approx(sum(it.wall_ms for it in seen))
+        assert loop.mean_cycle_latency() is None

@@ -1,20 +1,26 @@
 """Every memo on the read path stays bounded under unbounded query shapes.
 
-Ten thousand distinct shapes go through the loops' hub and through the
-tenants' front door over one engine, while one shape of each kind is
-read again every round.  Standing sightings, engine plans / expressions /
-parses, the hub's prepared reads and the tick memo of its shapes and the
-engine cache must all stay within their bounds — and the re-read shapes must survive
-the churn, which a memo cleared wholesale past its bound would not let
-them.  The tick memo is void whenever the evaluation time moves, so ten
-thousand shapes read at one instant must keep it bounded too.
+Distinct shapes go through the loops' hub and through the tenants'
+front door over one engine, while one shape of each kind is read again
+every round.  Standing sightings, engine plans / expressions / parses,
+the hub's prepared reads and the tick memo of its shapes and the engine
+cache must all stay within their bounds — and the re-read shapes must
+survive the churn, which a memo cleared wholesale past its bound would
+not let them.  The tick memo is void whenever the evaluation time moves,
+so as many shapes read at one instant must keep it bounded too.
+
+The memo bound ``_PLANS_MAX`` (4,096) is patched down to
+``PLANS_MAX`` here, so 800 shapes pass every memo's bound many times
+over: the churn that ten thousand shapes put through the real bound.
 """
 
 import numpy as np
+import pytest
 
+import repro.core.runtime
+import repro.query.engine
 from repro.core.runtime import QueryHub
 from repro.query import QueryEngine
-from repro.query.engine import _PLANS_MAX
 from repro.query.fuse import narrow_result, widen
 from repro.query.model import LabelMatcher, MetricQuery
 from repro.query.standing import StandingQueryEngine
@@ -22,8 +28,20 @@ from repro.serve import QueryFrontDoor, QueryRequest, TenantSpec
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
-ROUNDS = 200
-SHAPES_PER_ROUND = 50  # 10,000 distinct shapes per client
+PLANS_MAX = 64  # the patched memo bound: a round adds fewer entries than this
+ROUNDS = 80
+SHAPES_PER_ROUND = 10  # 800 distinct shapes per client
+#: evaluation time between rounds: the front door's re-read standing shape
+#: misses the cache (10 s step) every fourth round, so it is sighted
+#: again before 64 one-shot sightings push it out of the LRU
+ROUND_S = 2.5
+
+
+@pytest.fixture
+def small_memos(monkeypatch):
+    """Every read-path memo and the tick memo bounded at ``PLANS_MAX``."""
+    monkeypatch.setattr(repro.query.engine, "_PLANS_MAX", PLANS_MAX)
+    monkeypatch.setattr(repro.core.runtime, "_PLANS_MAX", PLANS_MAX)
 
 
 def _store():
@@ -41,7 +59,7 @@ def _narrow(node, range_s):
     )
 
 
-def test_ten_thousand_shapes_leave_every_memo_bounded():
+def test_ten_thousand_shapes_leave_every_memo_bounded(small_memos):
     store = _store()
     engine = QueryEngine(store)
     hub = QueryHub(engine, standing=StandingQueryEngine(engine))
@@ -54,7 +72,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
     hot_cached = "max(m)"  # instant, never standing: answered from the cache
     with fd:
         for r in range(ROUNDS):
-            at = 300.0 + r * 0.25
+            at = 200.0 + r * ROUND_S
             futures = []
             for k in range(SHAPES_PER_ROUND):
                 shape = r * SHAPES_PER_ROUND + k
@@ -73,9 +91,9 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
 
     for memo in (engine._plans, engine._exprs, engine._parsed, hub._reads, hub._shapes,
                  hub.standing._seen, fd.standing._seen):
-        assert len(memo) <= _PLANS_MAX
+        assert len(memo) <= PLANS_MAX
     assert len(engine.cache) <= engine.cache.max_entries
-    # the re-read shapes survived ten thousand others
+    # the re-read shapes survived the churn of one-shot shapes
     hot_shape = MetricQuery("m", agg="mean", range_s=60.0, step_s=10.0, group_by=("node",))
     assert hot_shape in hub.standing.shapes
     # a narrowed read looks up its positions, not the engine plans
@@ -85,7 +103,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded():
     assert fd.hot_hits >= ROUNDS - 1
 
 
-def test_ten_thousand_shapes_at_one_instant_leave_the_tick_memo_bounded():
+def test_ten_thousand_shapes_at_one_instant_leave_the_tick_memo_bounded(small_memos):
     store = _store()
     engine = QueryEngine(store)
     hub = QueryHub(engine)
@@ -93,7 +111,7 @@ def test_ten_thousand_shapes_at_one_instant_leave_the_tick_memo_bounded():
     for shape in range(ROUNDS * SHAPES_PER_ROUND):
         range_s = 20.0 + shape * 0.01
         hub.query(_narrow("n2", range_s), at=at)  # a first reader enters the shape
-        assert len(hub._shapes) <= _PLANS_MAX and len(hub._tick) <= _PLANS_MAX
+        assert len(hub._shapes) <= PLANS_MAX and len(hub._tick) <= PLANS_MAX
     hub.query(_narrow("n3", range_s), at=at)  # widens: the tick keeps the answer
     assert hub.fused_served == 1
     # the newest shape's answer is still kept: a third reader executes nothing

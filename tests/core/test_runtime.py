@@ -1,5 +1,7 @@
 """LoopRuntime: declarative specs, fused serving, self-telemetry, jitter."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from repro.core.runtime import (
     RuntimeConfig,
     deterministic_phase,
 )
-from repro.core.types import Action, AnalysisReport, ExecutionResult, Observation, Plan
+from repro.core.types import (
+    Action,
+    AnalysisReport,
+    ExecutionResult,
+    LoopIteration,
+    Observation,
+    Plan,
+)
 from repro.sim import Engine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -85,6 +94,14 @@ def watch_spec(name, expr, *, period_s=60.0, planner=EmptyPlanner, **kw):
     )
 
 
+def recorded(spec):
+    """Record every cycle of ``spec``'s loop through its ``on_iteration``
+    hook; ``loop.iterations`` keeps only the cycles that did something."""
+    seen = []
+    spec.on_iteration = seen.append
+    return spec, seen
+
+
 class TestSpecValidation:
     def test_needs_monitor_definition(self):
         with pytest.raises(ValueError, match="monitor_factory"):
@@ -121,11 +138,12 @@ class TestQueryMonitorServing:
         store = TimeSeriesStore()
         fill(store)
         runtime = LoopRuntime(engine, store)
-        runtime.add(watch_spec("w", "last(util) group by (node)"), start=True)
+        spec, seen = recorded(watch_spec("w", "last(util) group by (node)"))
+        runtime.add(spec, start=True)
         engine.run(until=290.0)
         loop = runtime.handle("w").loop
         assert loop.iterations_run == 5
-        obs = loop.iterations[-1].observation
+        obs = seen[-1].observation
         assert obs is not None and len(obs.values) == 4
 
     def test_fused_selections_share_one_execution(self):
@@ -133,11 +151,12 @@ class TestQueryMonitorServing:
         store = TimeSeriesStore()
         fill(store, nodes=8)
         runtime = LoopRuntime(engine, store)
+        seen = {}
         for i in range(8):
-            runtime.add(
-                watch_spec(f"w{i}", f'last(util{{node="n{i}"}}) group by (node)'),
-                start=True,
+            spec, seen[i] = recorded(
+                watch_spec(f"w{i}", f'last(util{{node="n{i}"}}) group by (node)')
             )
+            runtime.add(spec, start=True)
         engine.run(until=0.0)  # one shared tick at t=0
         qe = runtime.query_engine
         # the first reader is alone when it reads; from the second on the
@@ -146,7 +165,7 @@ class TestQueryMonitorServing:
         assert runtime.hub.fused_served == 7
         assert qe.served_raw + qe.served_rollup == 2
         for i in range(8):
-            obs = runtime.handle(f"w{i}").loop.iterations[-1].observation
+            obs = seen[i][-1].observation
             assert obs.values == {f"v:n{i}": pytest.approx(0.5 + 0.1 * i)}
 
     def test_unfused_query_served_directly(self):
@@ -164,15 +183,14 @@ class TestQueryMonitorServing:
         store = TimeSeriesStore()
         fill(store, nodes=2)
         runtime = LoopRuntime(engine, store)
-        runtime.add(
-            watch_spec("w", 'last(util{node=~"n.*"}) group by (node)', period_s=50.0),
-            start=True,
+        spec, seen = recorded(
+            watch_spec("w", 'last(util{node=~"n.*"}) group by (node)', period_s=50.0)
         )
+        runtime.add(spec, start=True)
         engine.schedule_at(60.0, lambda: store.insert(SeriesKey.of("util", node="n9"), 60.0, 9.9))
         engine.run(until=140.0)
-        loop = runtime.handle("w").loop
-        assert len(loop.iterations[0].observation.values) == 2
-        assert len(loop.iterations[-1].observation.values) == 3
+        assert len(seen[0].observation.values) == 2
+        assert len(seen[-1].observation.values) == 3
 
 
 class TestSelfTelemetry:
@@ -321,25 +339,25 @@ class TestStaleness:
         store = TimeSeriesStore()
         fill(store)
         runtime = LoopRuntime(engine, store)
-        runtime.add(
+        spec, seen = recorded(
             watch_spec(
                 "w",
                 "last(util) group by (node)",
                 planner=ActOncePlanner,
                 phase_latency=PhaseLatency(monitor_s=1.0, analyze_s=3.0, plan_s=2.0, execute_s=4.0),
-            ),
-            start=True,
+            )
         )
+        runtime.add(spec, start=True)
         engine.run(until=100.0)
-        acted = [it for it in runtime.handle("w").loop.iterations if it.acted]
+        acted = [it for it in seen if it.acted]
         assert acted
         it = acted[0]
         assert it.t_observation == it.t_monitor
         assert it.t_execute == pytest.approx(it.t_monitor + 6.0 + 4.0)
         assert it.staleness == pytest.approx(10.0)
         # non-acting iterations have no execute timestamp, hence no staleness
-        idle = [it for it in runtime.handle("w").loop.iterations if not it.acted]
-        assert all(it.staleness is None for it in idle)
+        idle = [it for it in seen if not it.acted]
+        assert idle and all(it.staleness is None for it in idle)
 
     def test_staleness_published_when_acting(self):
         engine = Engine()
@@ -379,12 +397,12 @@ class TestScheduling:
         runtime = LoopRuntime(
             engine, store, config=RuntimeConfig(phase_jitter_frac=0.5)
         )
+        seen = {}
         for i in range(4):
-            runtime.add(watch_spec(f"w{i}", "last(util) group by (node)"), start=True)
+            spec, seen[f"w{i}"] = recorded(watch_spec(f"w{i}", "last(util) group by (node)"))
+            runtime.add(spec, start=True)
         engine.run(until=59.0)
-        first_ticks = {
-            name: h.loop.iterations[0].t_monitor for name, h in runtime.handles.items()
-        }
+        first_ticks = {name: its[0].t_monitor for name, its in seen.items()}
         assert len(set(first_ticks.values())) > 1  # not all aligned
 
     def test_dynamic_add_remove(self):
@@ -417,6 +435,34 @@ class TestScheduling:
         assert rows[0]["loop"] == "w"
         assert rows[0]["iterations"] >= 1.0
 
+    @pytest.mark.parametrize("stop_at", [None, 256.0])
+    def test_mean_staleness_over_last_window_of_cycles(self, stop_at):
+        """One early action, then more idle cycles than keep_iterations:
+        mean_staleness_s equals the mean over the last keep_iterations
+        finished cycles of any kind, idle ones included — also once a stop
+        has abandoned the cycle still waiting out its analyze latency."""
+        engine = Engine()
+        store = TimeSeriesStore()
+        fill(store)
+        runtime = LoopRuntime(engine, store)
+        spec, seen = recorded(watch_spec(
+            "w", "last(util) group by (node)", period_s=1.0,
+            planner=ActOncePlanner, phase_latency=PhaseLatency(analyze_s=0.25),
+        ))
+        runtime.add(spec, start=True)
+        means = []
+        for until in (100.0, 256.0, 257.0, 400.0):
+            if stop_at is not None and until > stop_at:
+                runtime.stop()  # abandons the cycle of t = stop_at
+            engine.run(until=until)
+            window = [it.staleness for it in seen[-spec.keep_iterations:]]
+            acted = [s for s in window if s is not None]
+            expected = float(np.mean(acted)) if acted else 0.0
+            assert runtime.loop_stats()[0]["mean_staleness_s"] == expected
+            means.append(expected)
+        assert means == ([0.25, 0.25, 0.0, 0.0] if stop_at is None else [0.25] * 4)
+        assert len(runtime.handle("w").loop.iterations) == 1
+
     def test_legacy_mapek_start_still_works(self):
         """Specs are additive: hand-wired MAPEKLoop.start() is untouched."""
         engine = Engine()
@@ -428,3 +474,56 @@ class TestScheduling:
         handle.loop.start()  # classic self-scheduling path
         engine.run(until=100.0)
         assert handle.loop.iterations_run >= 2
+
+
+def live_cycle_objects():
+    """Live ``(LoopIteration, Observation)`` counts after a full collection."""
+    gc.collect()
+    iterations = observations = 0
+    for obj in gc.get_objects():
+        iterations += type(obj) is LoopIteration
+        observations += type(obj) is Observation
+    return iterations, observations
+
+
+class TestBoundedHistory:
+    """Idle cycles are counted and shown to ``on_iteration``, then dropped:
+    a fleet's live cycle objects are the same after 1,000 ticks as after
+    200, at most ``keep_iterations`` (+ 1) per acting loop."""
+
+    IDLE_LOOPS, KEEP, PERIOD_S = 64, 16, 10.0
+
+    def run_fleet(self, ticks):
+        engine = Engine()
+        store = TimeSeriesStore()
+        fill(store, nodes=self.IDLE_LOOPS, points=4)
+        runtime = LoopRuntime(engine, store)
+        seen = []
+        specs = [
+            watch_spec(f"idle{i}", f'last(util{{node="n{i}"}}) group by (node)',
+                       period_s=self.PERIOD_S, on_iteration=seen.append)
+            for i in range(self.IDLE_LOOPS)
+        ]
+        specs.append(watch_spec(
+            "acting", 'last(util{node="n0"}) group by (node)', period_s=self.PERIOD_S,
+            planner=PokePlanner, keep_iterations=self.KEEP, on_iteration=seen.append,
+        ))
+        runtime.add_many(specs, start=True)
+        engine.run(until=(ticks - 1) * self.PERIOD_S)
+        runtime.stop()
+        assert len(seen) == ticks * (self.IDLE_LOOPS + 1)
+        seen.clear()
+        return runtime
+
+    def test_live_cycle_objects_do_not_grow_with_ticks(self):
+        before = live_cycle_objects()
+        counts = []
+        for ticks in (200, 1000):
+            runtime = self.run_fleet(ticks)
+            counts.append(tuple(a - b for a, b in zip(live_cycle_objects(), before)))
+            acting = runtime.handle("acting").loop
+            assert len(acting.iterations) == self.KEEP and acting.iterations_run == ticks
+            assert all(not h.loop.iterations for n, h in runtime.handles.items() if n != "acting")
+            del runtime, acting
+        assert counts[0] == counts[1]
+        assert all(n <= self.KEEP + 1 for n in counts[0])

@@ -106,8 +106,10 @@ def _run_fleet(standing, memo=True):
         "node_cpu_util", node_ids, N_LOOPS, period_s=PERIOD_S, window_s=WINDOW_S,
         cluster_query=True,
     )
+    cycles = []  # every cycle: loop.iterations keeps only those that did something
     for spec in specs:
         spec.start_at = WINDOW_S
+        spec.on_iteration = cycles.append
     runtime.add_many(specs, start=True)
     if not memo:  # every read looks the tick's widened answer up again
         keep = runtime.hub._keep
@@ -117,10 +119,7 @@ def _run_fleet(standing, memo=True):
     inner = qe._execute
     qe._execute = lambda q, at: executed.append((q, at)) or inner(q, at)
     engine.run(until=WINDOW_S + TICKS * PERIOD_S - 1.0)
-    observations = [
-        (it.t_monitor, it.observation.values)
-        for h in runtime.handles.values() for it in h.loop.iterations
-    ]
+    observations = [(it.t_monitor, it.observation.values) for it in cycles]
     stats = runtime.hub.stats()
     counters = {
         k: stats[k] for k in (

@@ -284,12 +284,27 @@ def test_misconfig_case_equivalent_under_runtime():
 # Scheduler case (per-job loops, marker side channel through telemetry)
 
 
+def _record(loop: MAPEKLoop, observed: list) -> None:
+    """Append every cycle of ``loop`` to ``observed`` before its own hook
+    runs: ``loop.iterations`` keeps only the cycles that did something."""
+    hook = loop.on_iteration
+
+    def on_iteration(iteration):
+        observed.append(iteration)
+        if hook is not None:
+            hook(iteration)
+
+    loop.on_iteration = on_iteration
+
+
 def _scheduler_world(wired: str):
+    """The j1 job's loop, the job, and every cycle its loop ran."""
     engine = Engine()
     channel = ProgressMarkerChannel()
     sched = Scheduler(engine, [Node("n0", NodeSpec()), Node("n1", NodeSpec())], marker_channel=channel)
     config = SchedulerCaseConfig(loop_period_s=60.0)
     loops = {}
+    observed = []
     if wired == "legacy":
 
         def job_started(job):
@@ -319,6 +334,7 @@ def _scheduler_world(wired: str):
                 period_s=config.loop_period_s,
             )
             loops[job.job_id] = loop
+            _record(loop, observed)
             loop.start(start_at=engine.now + config.loop_period_s)
 
         def job_ended(job):
@@ -331,10 +347,12 @@ def _scheduler_world(wired: str):
     else:
         runtime = LoopRuntime(engine)
         host_scheduler_case(runtime, sched, channel, config=config)
-        # the loop each job got, as its start hook registered it
-        sched.on_job_start.append(
-            lambda job: loops.update({job.job_id: runtime.handles[f"sched-case-{job.job_id}"].loop})
-        )
+
+        def job_started(job):  # the loop each job got, as its start hook registered it
+            loops[job.job_id] = runtime.handles[f"sched-case-{job.job_id}"].loop
+            _record(loops[job.job_id], observed)
+
+        sched.on_job_start.append(job_started)
 
     profile = ApplicationProfile("app", 2000.0, 1.0, marker_period_s=30.0)
     job = Job("j1", "alice", profile, walltime_request_s=1500.0)
@@ -348,12 +366,12 @@ def _scheduler_world(wired: str):
 
     engine.every(10.0, grab)
     engine.run(until=5000.0)
-    return snapshot["j1"], job
+    return snapshot["j1"], job, observed
 
 
 def test_scheduler_case_equivalent_under_runtime():
-    legacy_loop, legacy_job = _scheduler_world("legacy")
-    hosted_loop, hosted_job = _scheduler_world("runtime")
+    legacy_loop, legacy_job, _ = _scheduler_world("legacy")
+    hosted_loop, hosted_job, _ = _scheduler_world("runtime")
     assert legacy_loop.iterations_run == hosted_loop.iterations_run
     assert trace(legacy_loop) == trace(hosted_loop)
     assert any(kind == "request_extension" for _, kind, _, _, _ in trace(hosted_loop))
@@ -365,10 +383,10 @@ def test_scheduler_case_equivalent_under_runtime():
 
 def test_scheduler_monitor_observations_match_legacy():
     """Field-level check: query-backed observation == direct-read observation."""
-    legacy_loop, _ = _scheduler_world("legacy")
-    hosted_loop, _ = _scheduler_world("runtime")
-    legacy_obs = [it.observation for it in legacy_loop.iterations if it.observation]
-    hosted_obs = [it.observation for it in hosted_loop.iterations if it.observation]
+    _, _, legacy_cycles = _scheduler_world("legacy")
+    _, _, hosted_cycles = _scheduler_world("runtime")
+    legacy_obs = [it.observation for it in legacy_cycles if it.observation]
+    hosted_obs = [it.observation for it in hosted_cycles if it.observation]
     assert len(legacy_obs) == len(hosted_obs)
     for lo, ho in zip(legacy_obs, hosted_obs):
         assert lo.time == ho.time
