@@ -183,7 +183,7 @@ class Cluster:
         return read
 
     # --------------------------------------------------------------- queries
-    def _query_engine(self, *, rollup_resolutions=None, cache=None, enable_cache=True):
+    def _query_engine(self, *, rollup_resolutions=None, enable_cache=True):
         """A query engine over this cluster's store (internal seam; the
         public path is :class:`repro.api.Client`).
 
@@ -197,8 +197,6 @@ class Cluster:
 
         if rollup_resolutions is not None:
             self.store.create_tiersets(rollup_resolutions)
-        if cache is not None:  # caller-managed cache: no sharing
-            return QueryEngine(self.store, cache=cache)
         config_key = (
             tuple(rollup_resolutions) if rollup_resolutions is not None else None,
             enable_cache,

@@ -12,8 +12,8 @@ trust controls.  This module is that control plane:
   Analyze/Plan/Execute components, guards, and phase latencies.
 * :class:`QueryHub` — the shared Monitor-phase serving layer: every
   loop's reads go through one vectorized
-  :class:`~repro.query.engine.QueryEngine` and its epoch-keyed
-  :class:`QueryCache`.  Whether a read is shared is decided inline: once
+  :class:`~repro.query.engine.QueryEngine` and its version-keyed result
+  memo.  Whether a read is shared is decided inline: once
   two different narrow selections of one widened shape (see
   :mod:`repro.query.fuse`) are read at the same tick, the rest of the
   tick is served from one widened execution, so a fleet of N
@@ -60,7 +60,6 @@ from repro.core.types import Action, LoopIteration, Observation
 from repro.obs.flight import FLIGHT
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
-from repro.query.cache import QueryCache
 from repro.query.engine import _PLANS_MAX, QueryEngine, QueryResult, _Memo
 from repro.query.fuse import fusable, widen
 from repro.query.model import MetricQuery
@@ -99,9 +98,10 @@ _COHORT = "loop-tick"
 class _Shape:
     """A widened shape and its tick memo at the hub's tick ``at`` (else ``None``):
     the first narrow reader (``None`` once another read it) and, once widened, the
-    result with its write ``version`` (``None``: not for reuse), generation and source."""
+    result with its write ``version`` (``None``: not for reuse), generation and, for
+    an engine answer, the ``key`` of its record in the engine's result memo."""
 
-    __slots__ = ("query", "at", "first", "version", "generation", "wide", "source")
+    __slots__ = ("query", "at", "first", "version", "generation", "wide", "key")
 
     def __init__(self, query: MetricQuery) -> None:
         self.query, self.at, self.wide = query, None, None
@@ -138,8 +138,10 @@ class QueryHub:
     The tick memo (:class:`_Shape`, ``_PLANS_MAX`` shapes of one ``at`` at
     most) keeps a shape's first widened answer at ``at`` with its write
     version: a later reader at ``at`` takes its rows from it, as the hit
-    it replaces, while no write (a new series too) moved the version and,
-    for a standing answer, standing still holds it as its snapshot.
+    it replaces, while no write (a new series too) moved the version and
+    its owner still holds it — the engine's result memo, whose record the
+    shape looks up again by key (the memo counts the hit), or standing,
+    as its snapshot.
     :class:`QueryMonitor` hands in prepared reads (:class:`_Read`).
 
     The hub exposes the same read surface monitors already use
@@ -227,37 +229,41 @@ class QueryHub:
             elif shape.first is not None and shape.first != q:
                 shape.first = None
             shared = shape.first is None
-            wq = shape.query
-            if shape.version is not None and shape.version == self.engine._cache_version(wq):
-                if shape.source == "fused+cache":
-                    self.engine.cache.hits += 1
-                    self.fused_served += 1
-                    return self._narrow(read, shape.wide, shape.source, shape.generation)
-                if self.standing._snaps.get(wq, (None, None))[1] is shape.wide:  # not dropped
-                    self.standing.snapshot_hits += 1
+            wq, standing = shape.query, self.standing
+            if shape.version is not None:
+                version = self.engine._cache_version(wq)
+                if shape.key is not None:  # the engine memo's record, looked up again
+                    hit = self.engine.cache.probe(shape.key, version)
+                    if hit is not None:
+                        self.fused_served += 1
+                        return self._narrow(read, hit.result, "fused+cache", shape.generation)
+                elif shape.version == version and (
+                    standing._snaps.get(wq, (None, None))[1] is shape.wide  # not dropped
+                ):
+                    standing.snapshot_hits += 1
                     self.standing_served += 1
-                    return self._narrow(read, shape.wide, shape.source, shape.generation)
-            standing = self.standing
+                    return self._narrow(read, shape.wide, "fused+standing", shape.generation)
             if standing is not None and (shared or wq in standing.shapes):
                 version = self.engine._cache_version(wq)
                 wide = standing.query(wq, at=at)
                 if wide is not None:
                     self.standing_served += 1
-                    return self._keep(read, version, wide, "fused+standing", "fused+standing")
+                    return self._keep(read, version, wide, "fused+standing")
             if shared and self.engine.cache is not None:
                 self.fused_served += 1
-                version = self.engine._cache_version(wq)
+                key, version = self.engine._cache_key(wq, at)
                 wide = self.engine.query(wq, at=at)
                 if standing is not None and wq in standing.shapes:
                     version = None  # a standing fallback: the next reader tries standing again
-                return self._keep(read, version, wide, "fused+cache", f"fused+{wide.source}")
+                return self._keep(read, version, wide, f"fused+{wide.source}", key)
         self.direct_served += 1
         return self.engine.query(q, at=at)
 
-    def _keep(self, read: _Read, version, wide: QueryResult, kept: str, source: str):
-        """Keep ``wide`` for the shape's later readers (source ``kept``); narrow it for ``read``."""
+    def _keep(self, read: _Read, version, wide: QueryResult, source: str, key=None):
+        """Keep ``wide`` at ``version`` for the shape's later readers (``key``:
+        of its engine memo record, ``None`` for a standing answer); narrow it."""
         shape, generation = read.shape, self.store.series_generation(read.query.metric)
-        shape.version, shape.generation, shape.wide, shape.source = version, generation, wide, kept
+        shape.version, shape.generation, shape.wide, shape.key = version, generation, wide, key
         return self._narrow(read, wide, source, generation)
 
     def _narrow(self, read: _Read, wide: QueryResult, source: str, generation: int):
@@ -598,7 +604,6 @@ class LoopRuntime:
         if query_engine is None:
             query_engine = QueryEngine(
                 store if store is not None else TimeSeriesStore(),
-                cache=QueryCache() if self.config.enable_cache else None,
                 enable_cache=self.config.enable_cache,
             )
         self.query_engine = query_engine

@@ -23,7 +23,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine
 from repro.query.model import MetricQuery
 from repro.sim import RngRegistry
@@ -102,7 +101,7 @@ def run_query_scan_comparison(
         result = cold.query(query, at=at)
     engine_cold_ms = (time.perf_counter() - t0) / n_engine_queries * 1e3
 
-    cached = QueryEngine(store, cache=QueryCache())
+    cached = QueryEngine(store)
     cached.query(query, at=at)  # warm the cache
     t0 = time.perf_counter()
     for _ in range(n_engine_queries):
@@ -125,7 +124,7 @@ def run_query_scan_comparison(
         "speedup_cold": naive_ms / engine_cold_ms,
         "speedup_cached": naive_ms / engine_cached_ms,
         "rollup_served": float(result.source.startswith("rollup")),
-        "cache_hit_rate": cached.cache.hit_rate,
+        "cache_hit_rate": cached.stats()["cache_hit_rate"],
         "match": float(match),
     }
 
@@ -143,7 +142,7 @@ def run_cache_effectiveness(
     """A dashboard fleet re-polling the same panels inside one quantum."""
     store = _build_store(seed, n_series, horizon_s, sample_period_s=10.0)
     store.create_tiersets((60.0,), tier_capacity=8192)[0].fold(horizon_s)
-    qe = QueryEngine(store, cache=QueryCache())
+    qe = QueryEngine(store)
     exprs = [
         f"mean(m[{window_s:g}s] by {step_s:g}s)",
         f"max(m[{window_s:g}s] by {step_s:g}s)",

@@ -7,13 +7,12 @@ A declarative query model with a compact string syntax::
 executed by one vectorized planner/executor (:class:`QueryEngine`:
 plan → one pass of :mod:`repro.query.passes` per place → canonical
 gather) over the raw :class:`~repro.telemetry.tsdb.TimeSeriesStore`,
-continuously folded rollup tiers (:class:`RollupManager`), and an LRU
-result cache (:class:`QueryCache`).  See :mod:`repro.query.model` for
+continuously folded rollup tiers (:class:`RollupManager`), and one
+result memo keyed by expression, window and write version.  See :mod:`repro.query.model` for
 the exact semantics and :mod:`repro.query.reference` for the
 brute-force oracle.
 """
 
-from repro.query.cache import QueryCache
 from repro.query.engine import QueryEngine, QueryResult, ResultSeries
 from repro.query.kernels import (
     ALL_AGGS,
@@ -35,7 +34,6 @@ __all__ = [
     "PARTIAL_AGGS",
     "PartialBins",
     "QUERY_AGGS",
-    "QueryCache",
     "QueryEngine",
     "QueryParseError",
     "QueryResult",

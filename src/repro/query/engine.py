@@ -9,15 +9,15 @@ n_places``, one place on a plain
 :class:`~repro.telemetry.tsdb.TimeSeriesStore` — its one rollup cascade
 in ``tiersets`` and the worker pool, if any, in ``pool``::
 
-    cache probe ─> plan ─> run on places ─> gather ─> QueryResult
+    memo probe ─> plan ─> run on places ─> gather ─> QueryResult
                     │          │                 │
       QueryPlan per shape,   one pass in       canonical lexsort +
       one sid column block   process; one per  reduceat, partition-free
                              touched place on
                              a live pool
 
-1. **Cache probe** — canonical expression + quantized window, version-
-   keyed on the metric's write epoch (:class:`~repro.query.cache.QueryCache`).
+1. **Memo probe** — canonical expression + quantized window, at the
+   metric's write version (:class:`_Answers`, the read path's one result memo).
 2. **Plan** — label matchers → the grouped, sid-addressed
    :class:`QueryPlan`, built from the store's per-metric
    :class:`~repro.telemetry.tsdb.LabelIndex` (matchers evaluated per
@@ -49,12 +49,11 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.obs.trace import TRACER
-from repro.query.cache import QueryCache
 from repro.query.kernels import PARTIAL_AGGS, grouped_aggregate, segment_bounds
 from repro.query.model import MetricQuery
 from repro.query.parser import parse_query
@@ -68,6 +67,9 @@ GroupLabels = Tuple[Tuple[str, str], ...]
 #: Entries each engine memo keeps — plans, parsed expressions, canonical
 #: strings — least recently used going first.
 _PLANS_MAX = 4096
+
+#: Answers the result memo keeps, least recently used going first.
+_ANSWERS_MAX = 512
 
 #: Dispatch result of a task lost to a dead worker.
 WORKER_DIED = object()
@@ -206,6 +208,84 @@ class _Memo(OrderedDict):
                 self.move_to_end(key)
                 return value
         return self.put(key, make(key))
+
+
+class _Answer(NamedTuple):
+    """A record of the result memo: ``result``, read at the write ``version``."""
+
+    version: Hashable
+    result: QueryResult
+
+
+class _Answers:
+    """The read path's one result memo, the engine's: the loops' hub and
+    the front door's submit-time probe read it too.
+
+    Staleness comes from the version and nothing else.  A record stands
+    for the write version of the data its answer read
+    (:meth:`QueryEngine._cache_version`); a commit moves the version, so
+    a read after it misses.  Storing an answer at version ``v`` drops its
+    expression's records at older versions, which no read can reach any
+    more, and keeps nothing behind a newer version: an expression's
+    records share one version, and the LRU bound (:data:`_ANSWERS_MAX`)
+    caps only records a read can still hit.  Locked: the front door
+    probes at submit while its worker stores.
+    """
+
+    def __init__(self) -> None:
+        #: (canonical expression, first window quantum, last) -> record
+        self._records: "OrderedDict[tuple, _Answer]" = OrderedDict()
+        self._live: Dict[str, Tuple[Hashable, set]] = {}  # expression -> version, keys
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def probe(self, key: tuple, version, *, miss: int = 0) -> Optional[_Answer]:
+        """The record of ``key`` at ``version``, else ``None``: ``miss``
+        misses, none for a probe whose caller counts the miss later."""
+        with self._lock:
+            answer = self._records.get(key)
+            if answer is None or answer.version != version:
+                self.misses += miss
+                return None
+            self._records.move_to_end(key)
+            self.hits += 1
+            return answer
+
+    def put(self, key: tuple, version, result: QueryResult) -> None:
+        records = self._records
+        with self._lock:
+            live = self._live.get(key[0])
+            if live is not None and live[0] != version:
+                # behind a newer answer: not kept (a store that gains tiers
+                # turns an instant read's epochs into (epoch, folds) pairs)
+                if type(live[0]) is type(version) and live[0] > version:
+                    return
+                for old in live[1]:
+                    del records[old]
+                live = None
+            if live is None:
+                live = self._live[key[0]] = (version, set())
+            records[key] = _Answer(version, result)
+            records.move_to_end(key)
+            live[1].add(key)
+            while len(records) > _ANSWERS_MAX:
+                old = records.popitem(last=False)[0]
+                keys = self._live[old[0]][1]
+                keys.discard(old)
+                if not keys:
+                    del self._live[old[0]]
+                self.evictions += 1
+
+    def stats(self) -> Dict[str, float]:
+        lookups = self.hits + self.misses
+        return {
+            "entries": float(len(self._records)), "hits": float(self.hits),
+            "misses": float(self.misses), "evictions": float(self.evictions),
+            "hit_rate": self.hits / lookups if lookups else 0.0,
+        }
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -361,12 +441,12 @@ class QueryEngine:
         self,
         store: TimeSeriesStore,
         *,
-        cache: Optional[QueryCache] = None,
         enable_cache: bool = True,
         instant_quantum_s: float = 1.0,
     ) -> None:
         self.store = store
-        self.cache = cache if cache is not None else (QueryCache() if enable_cache else None)
+        #: the result memo (``None``: every read executes)
+        self.cache = _Answers() if enable_cache else None
         self.instant_quantum_s = float(instant_quantum_s)
         self.queries_total = 0
         self.samples_total = 0
@@ -510,42 +590,41 @@ class QueryEngine:
         return self._query(q, at)
 
     def cached(self, q: MetricQuery, *, at: float) -> Optional[QueryResult]:
-        """The cached answer of ``q`` at ``at``, or ``None`` — never
-        executes.  Thread-safe without holding off writers: the key
-        carries the write epoch read now, so a commit racing the probe
-        mints a key no finished execution was stored under.  A miss is
-        not counted; the execution that follows counts it."""
+        """The memo's answer of ``q`` at ``at``, or ``None`` — never
+        executes.  Thread-safe without holding off writers: the version
+        is read now, so a commit racing the probe asks for a version no
+        finished execution was stored at.  A miss is not counted; the
+        execution that follows counts it."""
         if self.cache is None:
             return None
-        hit = self.cache.probe(self._cache_key(q, at))
-        return None if hit is None else dataclasses.replace(hit, source="cache")
+        hit = self.cache.probe(*self._cache_key(q, at))
+        return None if hit is None else dataclasses.replace(hit.result, source="cache")
 
-    def _cache_key(self, q: MetricQuery, at: float) -> tuple:
-        # Version-key on the metric's write epoch: any commit touching
-        # this metric mints a new key, so a query issued after new
-        # samples landed inside the window can never serve the stale
-        # pre-commit tail.  Old-epoch entries age out of the LRU.
-        quantum = q.step_s if q.step_s is not None else self.instant_quantum_s
-        return QueryCache.make_key(
-            self._exprs.lookup(q, MetricQuery.to_expr), at - (q.range_s or 0.0), at,
-            quantum, version=self._cache_version(q),
-        )
+    def _cache_key(self, q: MetricQuery, at: float) -> Tuple[tuple, Hashable]:
+        """The memo key of ``q`` at ``at`` — canonical expression and
+        window quantized to the step (an instant read's to
+        ``instant_quantum_s``), so reads within one quantum share a
+        record — and the version its answer is read at."""
+        quantum = q.step_s or self.instant_quantum_s or 1.0
+        expr = self._exprs.lookup(q, MetricQuery.to_expr)
+        t0 = at - (q.range_s or 0.0)
+        return (expr, int(t0 // quantum), int(at // quantum)), self._cache_version(q)
 
     def _query(self, q: MetricQuery, at: float) -> QueryResult:
         self.queries_total += 1
-        cache_key = None
-        if self.cache is not None:
-            cache_key = self._cache_key(q, at)
-            hit = self.cache.get(cache_key)
+        cache = self.cache
+        if cache is not None:
+            key, version = self._cache_key(q, at)
+            hit = cache.probe(key, version, miss=1)
             if hit is not None:
-                return dataclasses.replace(hit, source="cache")
+                return dataclasses.replace(hit.result, source="cache")
         if TRACER.enabled:
             with TRACER.span("engine.execute"):
                 result = self._execute(q, at)
         else:
             result = self._execute(q, at)
-        if self.cache is not None:
-            self.cache.put(cache_key, result)
+        if cache is not None:
+            cache.put(key, version, result)
         return result
 
     def _cache_version(self, q: MetricQuery):

@@ -61,12 +61,12 @@ full has its answers grouped.  ``latency_ms`` and the p99 readout run to
 the hand-over.
 
 The front door keeps no cache and no promotion rule of its own: the
-inline probe at submit reads the engine's :class:`~repro.query.cache.QueryCache`
-(:meth:`~repro.query.engine.QueryEngine.cached`, keyed on the metric's
-write epoch, so a commit invalidates implicitly and an answer can never
-be staler than the engine's own cache contract), and a worker's read of
-a shape is a sighting for the standing engine's promotion rule — the
-same rule the loops' hub feeds.
+inline probe at submit reads the engine's result memo
+(:meth:`~repro.query.engine.QueryEngine.cached`: a record stored at the
+metric's write version, so a commit invalidates implicitly and an answer
+is never staler than the engine's own), and a worker's read of a shape
+is a sighting for the standing engine's promotion rule — the same rule
+the loops' hub feeds.
 
 The ``clock`` is injectable (seconds, monotonic) so admission, deadline,
 and shed behaviour are all deterministically unit-testable.

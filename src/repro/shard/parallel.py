@@ -1004,7 +1004,6 @@ class ParallelShardContext:
         capacity: int = 4096,
         rollup_resolutions: Optional[Sequence[float]] = None,
         tier_capacity: int = 4096,
-        cache=None,
         enable_cache: bool = True,
         pool_timeout_s: float = 60.0,
     ) -> None:
@@ -1013,7 +1012,7 @@ class ParallelShardContext:
         )
         if rollup_resolutions is not None:
             self.store.create_tiersets(rollup_resolutions, tier_capacity=tier_capacity)
-        self.engine = QueryEngine(self.store, cache=cache, enable_cache=enable_cache)
+        self.engine = QueryEngine(self.store, enable_cache=enable_cache)
         self.store.start_parallel()
 
     def close(self) -> None:

@@ -92,7 +92,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded(small_memos):
     for memo in (engine._plans, engine._exprs, engine._parsed, hub._reads, hub._shapes,
                  hub.standing._seen, fd.standing._seen):
         assert len(memo) <= PLANS_MAX
-    assert len(engine.cache) <= engine.cache.max_entries
+    assert len(engine.cache) <= repro.query.engine._ANSWERS_MAX
     # the re-read shapes survived the churn of one-shot shapes
     hot_shape = MetricQuery("m", agg="mean", range_s=60.0, step_s=10.0, group_by=("node",))
     assert hot_shape in hub.standing.shapes

@@ -14,6 +14,7 @@ from repro.core.runtime import (
     RuntimeConfig,
     deterministic_phase,
 )
+from repro.core.supervisor import attach_supervisors
 from repro.core.types import (
     Action,
     AnalysisReport,
@@ -527,3 +528,46 @@ class TestBoundedHistory:
             del runtime, acting
         assert counts[0] == counts[1]
         assert all(n <= self.KEEP + 1 for n in counts[0])
+
+
+class TestSupersededAnswers:
+    """A superseded answer is dropped.  The health supervisor of a
+    65-loop fleet re-reads its four expressions of the fleet's
+    self-telemetry, which commits at every tick: after 1,000 ticks the
+    engine's memo holds as many records of them as after 200 — one
+    each, at its last read's version — and the records of every
+    expression share one version."""
+
+    LOOPS, PERIOD_S = 64, 10.0
+
+    def memo_after(self, ticks):
+        engine = Engine()
+        store = TimeSeriesStore()
+        fill(store, nodes=self.LOOPS, points=4)
+        runtime = LoopRuntime(engine, store)
+        specs = [
+            watch_spec(f"idle{i}", f'last(util{{node="n{i}"}}) group by (node)',
+                       period_s=self.PERIOD_S)
+            for i in range(self.LOOPS)
+        ]
+        specs.append(watch_spec(  # executes every cycle: its staleness is published
+            "acting", 'last(util{node="n0"}) group by (node)', period_s=self.PERIOD_S,
+            planner=PokePlanner,
+        ))
+        runtime.add_many(specs, start=True)
+        attach_supervisors(runtime, kinds=("health",))
+        engine.run(until=(ticks - 1) * self.PERIOD_S)
+        runtime.stop()
+        assert all(store.metric_epoch(m) >= ticks for m in LOOP_METRICS)
+        return runtime.query_engine.cache
+
+    def test_a_lone_readers_records_do_not_grow_with_commits(self):
+        counts = []
+        for ticks in (200, 1000):
+            cache = self.memo_after(ticks)
+            versions = {}
+            for (expr, _, _), answer in cache._records.items():
+                versions.setdefault(expr, set()).add(answer.version)
+            assert all(len(v) == 1 for v in versions.values())
+            counts.append(sum(1 for expr, _, _ in cache._records if "(loop_" in expr))
+        assert counts[0] == counts[1] == 4

@@ -1,10 +1,10 @@
-"""The engine cache under a submit-side probe racing a worker.
+"""The engine's result memo under a submit-side probe racing a worker.
 
-The front door answers a request from the engine's cache at submit, on
-the caller's thread and without the engine lock, while its worker stores
-and evicts.  A tiny cache keeps evictions constant; the probe must never
-raise and never hand back a result stored under another expression,
-window or write epoch.
+The front door answers a request from the engine's memo at submit, on
+the caller's thread and without the engine lock, while its worker stores,
+drops superseded versions and evicts.  A tiny memo bound keeps evictions
+constant; the probe must never raise and never hand back a result stored
+under another expression, window or write version.
 """
 
 import sys
@@ -12,9 +12,9 @@ import threading
 
 import numpy as np
 
+import repro.query.engine
 from repro.query import QueryEngine
-from repro.query.cache import QueryCache
-from repro.query.engine import _PLANS_MAX, _Memo
+from repro.query.engine import _PLANS_MAX, _Answers, _Memo
 from repro.query.model import MetricQuery
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
@@ -53,15 +53,17 @@ def _race(probe, work, n_probes=3):
         raise errors[0]
 
 
-def test_probe_never_sees_another_keys_result():
-    cache = QueryCache(max_entries=4)
+def test_probe_never_sees_another_keys_result(monkeypatch):
+    monkeypatch.setattr(repro.query.engine, "_ANSWERS_MAX", 4)
+    cache = _Answers()
     rng = np.random.default_rng(0)
     # twelve keys over three expressions, two windows and two epochs:
-    # three times the cache, so probes hit entries being evicted
+    # three times the memo, so probes hit entries being evicted
     exprs = [f"mean(m{i}[60s])" for i in range(3)]
 
     def key_of(i, t, epoch):
-        return QueryCache.make_key(exprs[i], t - 60.0, t, 1.0, version=epoch)
+        """The memo key — expression, quantized window — and the version."""
+        return (exprs[i], int(t) - 60, int(t)), epoch
 
     seen = {"hits": 0, "probes": 0}
     probe_rng = np.random.default_rng(1)
@@ -69,7 +71,8 @@ def test_probe_never_sees_another_keys_result():
     def probe():
         key = key_of(int(probe_rng.integers(3)), float(probe_rng.integers(2)),
                      int(probe_rng.integers(2)))
-        hit = cache.probe(key)
+        answer = cache.probe(*key)
+        hit = None if answer is None else answer.result
         seen["probes"] += 1
         if hit is not None:
             assert hit == key  # every entry stores its own key
@@ -78,8 +81,8 @@ def test_probe_never_sees_another_keys_result():
     def work():
         for _ in range(ITERATIONS):
             key = key_of(int(rng.integers(3)), float(rng.integers(2)), int(rng.integers(2)))
-            if cache.get(key) is None:
-                cache.put(key, key)
+            if cache.probe(*key, miss=1) is None:
+                cache.put(*key, key)
 
     _race(probe, work)
     assert len(cache) <= 4
@@ -87,11 +90,12 @@ def test_probe_never_sees_another_keys_result():
     assert seen["probes"] > 0 and seen["hits"] > 0
 
 
-def test_engine_cached_probe_races_queries_and_commits():
+def test_engine_cached_probe_races_queries_and_commits(monkeypatch):
+    monkeypatch.setattr(repro.query.engine, "_ANSWERS_MAX", 4)
     store = TimeSeriesStore(default_capacity=1024)
     for i in range(4):
         store.insert(SeriesKey.of("m", node=f"n{i}"), 1.0, float(i))
-    engine = QueryEngine(store, cache=QueryCache(max_entries=4))
+    engine = QueryEngine(store)
     exprs = ["mean(m[60s])", "max(m[60s])", "sum(m[120s] by 30s)", "last(m)"]
     probe_rng = np.random.default_rng(2)
 
@@ -120,6 +124,66 @@ def test_engine_cached_probe_races_queries_and_commits():
 
     _race(probe, work)
     assert len(engine.cache) <= 4
+
+
+def test_a_late_put_never_drops_a_newer_answer(monkeypatch):
+    """A put at version ``v`` drops its expression's records at older
+    versions, and a put behind a newer version — a worker that read the
+    version before a commit and stores after it — is not kept and drops
+    nothing.  Range reads carry int epochs, instant reads over tiers
+    ``(epoch, folds)`` pairs.  The probe still never sees another key's
+    answer.  Eight records fit the bound: nothing here is evicted."""
+    monkeypatch.setattr(repro.query.engine, "_ANSWERS_MAX", 8)
+    cache = _Answers()
+    exprs = ["mean(m0[60s] by 10s)", "max(m1[60s] by 10s)", "last(m2)", "mean(m3[60s])"]
+    live = [0, 0, (0, 0), (0, 0)]  # the version of each expression's records
+    stored = [set() for _ in exprs]  # the windows recorded at that version
+    rng = np.random.default_rng(5)
+
+    def newer(v):
+        if isinstance(v, int):
+            return v + 1
+        return (v[0] + 1, 0) if rng.random() < 0.5 else (v[0], v[1] + 1)
+
+    def older(v):
+        return v - 1 if isinstance(v, int) else (v[0] - 1, v[1] + 7)
+
+    def key_of(i, t):
+        return (exprs[i], t, t + 6)
+
+    probe_rng = np.random.default_rng(6)
+
+    def probe():
+        i, t = int(probe_rng.integers(4)), int(probe_rng.integers(2))
+        version = live[i] if probe_rng.random() < 0.5 else older(live[i])
+        answer = cache.probe(key_of(i, t), version)
+        if answer is not None:
+            assert answer.result == (key_of(i, t), version)
+
+    def work():
+        for _ in range(ITERATIONS):
+            i, t = int(rng.integers(4)), int(rng.integers(2))
+            key, draw = key_of(i, t), rng.random()
+            if draw < 0.1 and stored[i]:  # a late put: refused, the newer records stay
+                late = older(live[i])
+                cache.put(key, late, (key, late))
+                assert cache.probe(key, late) is None
+            else:
+                version = newer(live[i]) if draw > 0.8 else live[i]
+                if cache.probe(key, version, miss=1) is None:
+                    cache.put(key, version, (key, version))
+                if version != live[i]:  # the older records went
+                    assert all(cache.probe(key_of(i, w), live[i]) is None for w in (0, 1))
+                    live[i], stored[i] = version, set()
+                stored[i].add(t)
+            for j in range(4):
+                for w in stored[j]:
+                    got = cache.probe(key_of(j, w), live[j])
+                    assert got is not None and got.result == (key_of(j, w), live[j])
+            assert len(cache) == sum(map(len, stored))
+
+    _race(probe, work)
+    assert cache.evictions == 0
 
 
 def test_memo_lookup_races_eviction():

@@ -9,7 +9,7 @@ fully inside the window.  Raw-served behavior must be unchanged.
 import numpy as np
 import pytest
 
-from repro.query import MetricQuery, QueryCache, QueryEngine
+from repro.query import MetricQuery, QueryEngine
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
 
@@ -100,7 +100,7 @@ def test_multi_series_groups_not_served_from_tiers():
 
 def test_tier_served_instant_results_cache_correctly():
     store, rollups = aged_store()
-    qe = QueryEngine(store, cache=QueryCache())
+    qe = QueryEngine(store)
     q = MetricQuery("m", agg="last", range_s=100.0)
     first = qe.query(q, at=200.0)
     assert first.source.startswith("rollup:")
@@ -116,7 +116,7 @@ def test_fold_without_commit_invalidates_cached_instant():
         store.insert(KEY, float(i), float(i))
         if i == 99:
             rollups.fold(100.0)  # [110, 160] still unfolded after this
-    qe = QueryEngine(store, cache=QueryCache())
+    qe = QueryEngine(store)
     q = MetricQuery("m", agg="mean", range_s=50.0)
     empty = qe.query(q, at=160.0)  # aged out of the ring, not yet folded
     assert not empty.series

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.query.cache import QueryCache
+import repro.query.engine
+from repro.query.engine import QueryEngine, _Answers
 from repro.query.rollup import ROW_COLUMNS, RollupManager, TierStore, select_tier_index
 from repro.sim import Engine
 from repro.telemetry.metric import SeriesKey
@@ -339,33 +340,31 @@ class TestIngestFedFolding:
         np.testing.assert_array_equal(rows["time"], [0.0, 60.0])  # 12.0 not folded
 
 
-class TestQueryCacheUnit:
-    def test_lru_eviction(self):
-        cache = QueryCache(max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1  # refresh a
-        cache.put(("c",), 3)  # evicts b
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
+class TestResultMemoUnit:
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(repro.query.engine, "_ANSWERS_MAX", 2)
+        cache = _Answers()
+        cache.put(("a",), 0, 1)
+        cache.put(("b",), 0, 2)
+        assert cache.probe(("a",), 0, miss=1).result == 1  # refresh a
+        cache.put(("c",), 0, 3)  # evicts b
+        assert cache.probe(("b",), 0, miss=1) is None
+        assert cache.probe(("a",), 0, miss=1).result == 1
         assert cache.evictions == 1
 
     def test_hit_miss_counters(self):
-        cache = QueryCache()
-        assert cache.get("k") is None
-        cache.put("k", 42)
-        assert cache.get("k") == 42
+        cache = _Answers()
+        assert cache.probe(("k",), 0, miss=1) is None
+        cache.put(("k",), 0, 42)
+        assert cache.probe(("k",), 0, miss=1).result == 42
+        assert cache.probe(("k",), 1) is None  # a probe's miss is not counted
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
-
-    def test_invalidate(self):
-        cache = QueryCache()
-        cache.put("k", 42)
-        cache.invalidate()
-        assert cache.get("k") is None
+        assert cache.stats()["hit_rate"] == 0.5
 
     def test_quantized_keys(self):
-        k1 = QueryCache.make_key("expr", 0.0, 60.0, 30.0)
-        k2 = QueryCache.make_key("expr", 10.0, 89.0, 30.0)
-        k3 = QueryCache.make_key("expr", 0.0, 95.0, 30.0)
+        engine = QueryEngine(TimeSeriesStore())
+        q = engine.parse("mean(m[60s] by 30s)")
+        k1 = engine._cache_key(q, 60.0)  # window [0, 60]: quanta 0 and 2
+        k2 = engine._cache_key(q, 89.0)  # [29, 89]: the same quanta
+        k3 = engine._cache_key(q, 95.0)  # [35, 95]: quanta 1 and 3
         assert k1 == k2 and k1 != k3
