@@ -340,13 +340,16 @@ def build_series(
 def dense_series(labels, gidx, bins, vals, grid_t0, step) -> Optional[List[ResultSeries]]:
     """:func:`build_series` of rows in which every group holds the same
     bins — row views of one frozen values block, one frozen ``times``
-    shared by every series — or ``None`` when the groups differ."""
+    shared by every series — or ``None`` when the groups differ.  The
+    rows are group-major with bins ascending, so a ``(group, bin)``
+    block row is one group when its first and last rows are, and no
+    group spans two block rows whose bins are equal."""
     n = gidx.size
-    width = int(np.argmax(gidx != gidx[0])) or n  # rows of the first group
+    width = int(gidx.searchsorted(gidx[0], side="right"))  # rows of the first group
     if n % width:
         return None
     g2, b2 = gidx.reshape(-1, width), bins.reshape(-1, width)
-    if not ((g2 == g2[:, :1]).all() and (b2 == b2[0]).all()):
+    if np.count_nonzero(g2[:, -1] != g2[:, 0]) or np.count_nonzero(b2 != b2[0]):
         return None
     times = np.full(width, grid_t0) if step is None else grid_t0 + b2[0] * step
     return block_series(map(labels.__getitem__, g2[:, 0].tolist()), times, vals.reshape(-1, width))
@@ -376,6 +379,8 @@ def reduce_partial(
     labels: Sequence[GroupLabels],
     grid_t0: float,
     step: Optional[float],
+    *,
+    canonical: bool = False,
 ) -> List[ResultSeries]:
     """The gather: partial rows of every pass merged into output bins.
 
@@ -384,11 +389,15 @@ def reduce_partial(
     order (bit-stable across store shapes) and the ``last`` winner
     (latest ``last_t``; ties prefer raw samples over tier rows, then the
     later-ranked series).  Rows that arrive with one row per ``(group,
-    bin)`` in canonical order — one pass whose groups are single series,
-    such as a one-series instant read, or several such places' passes
-    once a stable sort by group has merged their runs — skip the sort:
-    every reduction would be the identity.  Batch scatters end here, and
-    so does a standing read whose block is not one dense answer.
+    bin)`` in canonical order skip the sort: every reduction would be
+    the identity.  A lone part is taken so unchecked where the caller
+    says it is ``canonical`` (every group one series: one pass's rows
+    are in that order already); otherwise the order is checked, and
+    holds for one pass whose groups are single series, such as a
+    one-series instant read, or for several such places' passes once a
+    stable sort by group has merged their runs.  Batch scatters end
+    here, and so does a standing read whose block is not one dense
+    answer.
     """
     parts = [p for p in parts if p["gidx"].size]
     if not parts:
@@ -398,8 +407,11 @@ def reduce_partial(
     order = None if len(parts) == 1 else np.argsort(gidx, kind="stable")
     if order is not None:
         gidx, bins = gidx[order], bins[order]
-    same = gidx[1:] == gidx[:-1]
-    if (gidx[1:] >= gidx[:-1]).all() and not (same & (bins[1:] <= bins[:-1])).any():
+    in_order = canonical and order is None or (
+        (gidx[1:] >= gidx[:-1]).all()
+        and not ((gidx[1:] == gidx[:-1]) & (bins[1:] <= bins[:-1])).any()
+    )
+    if in_order:
         starts = ends = None
         out_g, out_b = gidx, bins
     else:
@@ -464,6 +476,8 @@ class QueryEngine:
         #: was built at
         self._plans: _Memo = _Memo()
         self._standing = None
+        #: (tiersets, standing provider, pass state, tier resolutions)
+        self._state = None
         self._fold_task = None
 
     @classmethod
@@ -560,13 +574,7 @@ class QueryEngine:
         tiers, folder and standing grids serve every place — tracing one
         ``<kind>.shard`` span per ``(place, payload)`` task."""
         run = SHARD_PASSES[kind]
-        manager = self.tiersets[0] if self.tiersets else None
-        state = ShardState(
-            self.store.rings,
-            manager.dense if manager is not None else None,
-            manager.folder if manager is not None else None,
-            self._standing.grids if self._standing is not None else None,
-        )
+        state = self._view()[0]
         results = []
         for place, payload in tasks:
             if TRACER.enabled:
@@ -575,6 +583,24 @@ class QueryEngine:
             else:
                 results.append(run(state, payload))
         return results
+
+    def _view(self) -> Tuple[ShardState, List[float]]:
+        """This side's :class:`ShardState` — the same rings, tiers, folder
+        and standing grids serve every place — and the tier resolutions,
+        rebuilt only when the store gains tiers or the engine its
+        standing grids."""
+        tiersets, standing = self.tiersets, self._standing
+        view = self._state
+        if view is None or view[0] is not tiersets or view[1] is not standing:
+            manager = tiersets[0] if tiersets else None
+            state = ShardState(
+                self.store.rings,
+                manager.dense if manager is not None else None,
+                manager.folder if manager is not None else None,
+                standing.grids if standing is not None else None,
+            )
+            view = self._state = (tiersets, standing, state, self.tier_resolutions())
+        return view[2], view[3]
 
     # -------------------------------------------------------------- public
     def parse(self, expr: str) -> MetricQuery:
@@ -918,7 +944,7 @@ class QueryEngine:
             "grid_t0": grid_t0,
             "t1_hi": t1_hi,
             "step": step,
-            "tier_idx": select_tier_index(self.tier_resolutions(), step, q.agg),
+            "tier_idx": select_tier_index(self._view()[1], step, q.agg),
             "instant_tiers": instant_tiers,
         }
         entries: List[Dict[str, np.ndarray]] = []
@@ -928,7 +954,11 @@ class QueryEngine:
                 entries.extend(res[0])
                 if res[1] is not None:
                     tier_res = max(tier_res or 0.0, res[1])
-        return reduce_partial(entries, q.agg, plan.labels, grid_t0, step), tier_res
+        # every group one series: the rows of one table are in canonical order
+        canonical = len(plan.labels) == plan.work.sids.size
+        return reduce_partial(
+            entries, q.agg, plan.labels, grid_t0, step, canonical=canonical
+        ), tier_res
 
     def _sampled(
         self,

@@ -17,12 +17,16 @@ Scatter passes compute *per-series partial rows*: windowed reads
 stitched from the rollup tier plus the raw tail, reduced per ``(series,
 bin)`` with ``reduceat`` (sum/count/min/max/last partials, counter
 increases for ``rate``, pooled samples for percentiles).  A pass reads
-every window of its series in one call of the ring-window kernel
-(:meth:`~repro.telemetry.tsdb.DenseRings.windows`: the windows back to
-back, one length per series), so its cost is a fixed number of array
-operations however many series it covers: the fold watermarks with one
-take, the tier rows below them, the raw tails past them, then the
-reductions.  Only an aged-out instant singleton is read by itself.
+the windows of its series with one
+:meth:`~repro.telemetry.tsdb.DenseRings.windows` call per store it
+reads (the windows back to back, one length per series): the fold
+watermarks with one take, the tier rows below them, the raw tails past
+them — no call where every watermark is past the window — then the
+reductions, which pass rows through where each ``(series, bin)`` holds
+one.  Over more than :data:`~repro.telemetry.tsdb.WINDOW_LOOP_SERIES`
+series a read is a fixed number of array operations however many series
+it covers; over fewer it goes ring by ring, a few microseconds a ring.
+Only an aged-out instant singleton is read by itself.
 Every row comes from one series' data alone, so the engine's canonical
 gather sees the same rows whether one pass or one per place made them —
 which is what makes every execution shape answer alike.
@@ -133,12 +137,28 @@ def _partial_rows(cols: Dict, lens: np.ndarray, gidxs, ranks, grid_t0, step, sou
     (``lens[i]`` time-sorted rows of series ``i``) with the row columns
     ``cols`` — a raw window's are its samples, ``count`` ``None``.  Each
     statistic reduces with one ``reduceat``; ``last`` is the segment
-    tail, the latest underlying sample of the ``(series, bin)``."""
+    tail, the latest underlying sample of the ``(series, bin)``.  Where
+    every segment is one row — tier rows read at their own resolution —
+    each reduction would be the identity, and the rows come back as
+    they are."""
     series_pos = np.repeat(np.arange(lens.size), lens)
     bins = _bin_of(cols["time"], grid_t0, step)
     starts, ends = segment_bounds(series_pos, bins)
-    sel = series_pos[starts]
     count = cols["count"]
+    if starts.size == bins.size:
+        return {
+            "gidx": gidxs[series_pos],
+            "rank": ranks[series_pos],
+            "bin": bins,
+            "source": np.full(bins.size, source, dtype=np.int64),
+            "sum": cols["sum"],
+            "count": np.ones(bins.size) if count is None else count,
+            "min": cols["min"],
+            "max": cols["max"],
+            "last_t": cols["last_t"],
+            "last_v": cols["last_v"],
+        }
+    sel = series_pos[starts]
     return {
         "gidx": gidxs[sel],
         "rank": ranks[sel],
@@ -188,6 +208,8 @@ def scatter_partial(state: ShardState, w: Dict):
             tier_res = tier.resolution_s
             rows = dict(zip(ROW_COLUMNS, cols))
             entries.append(_partial_rows(rows, lens, gidxs, ranks, grid_t0, step, 0))
+        if not (cut < t1_hi).any():  # every window folded: no raw tail
+            return (entries, tier_res) if entries else None
     t, v, lens = state.raw.windows(sids, cut, t1_hi, right_inclusive=step is None)
     if t.size:
         # source 1: samples beat tier rows on last_t ties

@@ -160,12 +160,16 @@ class _RingChunk:
 
 #: :meth:`DenseRings.windows` reads at most this many series ring by
 #: ring.  The kernel's fixed steps (~40 NumPy calls, ~9 more per bisect
-#: halving) cost ≈ 100 µs a call, a ring read by itself ≈ 5 µs.  On the
-#: 2-vCPU development host (4 places, 512 series, 10/60/600 s tiers,
-#: rings of 72 and 400 samples) drill-downs over n series per place broke
-#: even at n = 20–24, as a grouped ``mean`` by step (tier rows + raw
-#: tails) and as an instant ``max``; at 64 the kernel was ×1.7 faster.
-WINDOW_LOOP_SERIES = 24
+#: halving) cost ≈ 60–100 µs a call, a ring read by itself ≈ 2 µs (two
+#: ``searchsorted`` and a view; the head/count take and the one
+#: concatenation are paid once).  On the 2-vCPU development host, reading
+#: n series of one store, the loop against the kernel: raw windows of
+#: 300 s over rings of 72 samples (4,096 slots, 4 lanes) 20 / 58 µs at
+#: n = 8, 58 / 70 at 32, 79 / 72 at 48; over rings of 400 of 512 slots
+#: 59 / 71 at 32, 93 / 138 at 48, 199 / 140 at 64; over full rings of
+#: 4,096 86 / 94 at 32, 120 / 99 at 48; 10 s tier rows (72 a ring)
+#: 59 / 74 at 32, 97 / 91 at 48.  The loop won every case up to 32.
+WINDOW_LOOP_SERIES = 32
 
 
 class DenseRings:
@@ -279,22 +283,29 @@ class DenseRings:
         ``[lo, hi]`` (``[lo, hi)`` unless ``right_inclusive``), time
         ordered: ``(columns, lens)``, every column the rows of all series
         back to back in ``ids`` order, ``lens[i]`` rows of ``ids[i]``.
+        ``lo``/``hi`` are scalars or one value per series; ``ids`` come
+        in any order and may include indices without storage (no rows).
 
-        The twin of :meth:`append_rows` for reads, in a fixed number of
-        array steps whatever the number of series: ``head``/``count``
-        with one take, one bisect over every selected ring at once — a
-        ring read from its oldest row is sorted, so each edge is the
-        count of rows below it, found in ⌈log₂ count⌉ halving steps —
-        and one gather per column.  ``lo``/``hi`` are scalars or one
-        value per series; ``ids`` come in any order and may include
-        indices without storage (no rows).
+        An empty range (``lo >= hi``, or ``lo > hi`` when right-inclusive)
+        has no rows, and a call whose every range is empty reaches
+        neither read below, so it touches no ring.  Up to
+        :data:`WINDOW_LOOP_SERIES` series are read ring by ring
+        (:meth:`_window_loop`).  More are read as the twin of
+        :meth:`append_rows`, in a fixed number of array steps whatever
+        the number of series: ``head``/``count`` with one take, one
+        bisect over every selected ring at once — a ring read from its
+        oldest row is sorted, so each edge is the count of rows below it,
+        found in ⌈log₂ count⌉ halving steps — and one gather per column.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size <= WINDOW_LOOP_SERIES:
-            return self._window_loop(ids, lo, hi, right_inclusive)
         lo = np.asarray(lo, dtype=np.float64)
         # t <= hi  <=>  t < the next float above hi
         hi = np.nextafter(hi, np.inf) if right_inclusive else np.asarray(hi, dtype=np.float64)
+        wanted = lo < hi
+        if not (wanted.any() if wanted.ndim else wanted):
+            return [np.empty(0) for _ in range(self._n_cols)], np.zeros(ids.size, dtype=np.int64)
+        if ids.size <= WINDOW_LOOP_SERIES:
+            return self._window_loop(ids, lo, hi, wanted)
         if len(self._chunks) == 1 and ids.max(initial=-1) < self.n_series:
             return self._chunk_windows(self._chunks[0], ids, lo, hi)
         which = np.searchsorted(self._ends, ids, side="right")
@@ -335,27 +346,60 @@ class DenseRings:
                       np.stack([tail, lens - tail], 1).ravel())
         return [chunk.flat[c * cap:].take(at) for c in range(self._n_cols)], lens
 
-    def _window_loop(self, ids, lo, hi, right_inclusive) -> Tuple[List[np.ndarray], np.ndarray]:
-        """:meth:`windows` ring by ring: two ``searchsorted`` per ring
-        segment and one slice copy, cheaper than the kernel's fixed
-        array steps for a few series."""
+    def _window_loop(self, ids, lo, hi, wanted) -> Tuple[List[np.ndarray], np.ndarray]:
+        """:meth:`windows` ring by ring, ``hi`` exclusive: the rings'
+        ``head``/``count`` with one take, then per ring one
+        ``searchsorted`` of both edges on each sorted segment (two where
+        the ring wraps) and a view of its rows; one concatenation copies
+        them out.  A ring whose range is empty (``wanted`` false) is not
+        read."""
         n = ids.size
-        los = lo.tolist() if isinstance(lo, np.ndarray) else [lo] * n
-        his = hi.tolist() if isinstance(hi, np.ndarray) else [hi] * n
-        lens = [0] * n
+        if wanted.ndim:
+            edges = np.empty((n, 2))
+            edges[:, 0], edges[:, 1] = lo, hi
+            wanted = wanted.tolist()
+        else:  # one range for every ring
+            edges, wanted = [np.array((lo, hi))] * n, [True] * n
+        listed = ids.tolist()
+        if len(self._chunks) == 1 and max(listed, default=-1) < self.n_series:
+            chunk = self._chunks[0]
+            local = chunk.slot(ids)
+            chunks = [chunk] * n
+            slots, heads, counts = (
+                v.tolist() for v in (local, chunk.head[local], chunk.count[local])
+            )
+        else:
+            located = [loc or (None, 0) for loc in map(self._locate, listed)]
+            chunks, slots = [c for c, _ in located], [j for _, j in located]
+            heads = [0 if c is None else c.head.item(j) for c, j in located]
+            counts = [0 if c is None else c.count.item(j) for c, j in located]
+        cap = self.capacity
         parts = []
-        for i, idx in enumerate(ids.tolist()):
-            loc = self._locate(idx)
-            if loc is not None:
-                chunk, j = loc
-                rows = ring_window(chunk.rows[j], chunk.head.item(j), chunk.count.item(j),
-                                   los[i], his[i], right_inclusive=right_inclusive)
-                lens[i] = rows.shape[1]
-                parts.append(rows)
+        lens = [0] * n
+        for i in range(n):
+            count = counts[i]
+            if not (count and wanted[i]):
+                continue
+            chunk, j, head, edge = chunks[i], slots[i], heads[i], edges[i]
+            if count < cap or not head:  # one sorted run, slots 0..count
+                a, b = chunk.cols[0][j, :count].searchsorted(edge).tolist()
+                if b > a:
+                    parts.append(chunk.rows[j, :, a:b])
+                lens[i] = b - a
+                continue
+            # wrapped: the older run [head:] then the newer [:head]
+            times = chunk.cols[0][j]
+            a, b = times[head:].searchsorted(edge).tolist()
+            c, d = times[:head].searchsorted(edge).tolist()
+            if b > a:
+                parts.append(chunk.rows[j, :, head + a:head + b])
+            if d > c:
+                parts.append(chunk.rows[j, :, c:d])
+            lens[i] = b - a + d - c
         lens = np.array(lens, dtype=np.int64)
         if not parts:
             return [np.empty(0) for _ in range(self._n_cols)], lens
-        return list(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)), lens
+        return list(parts[0].copy() if len(parts) == 1 else np.concatenate(parts, axis=1)), lens
 
     def append_rows(
         self, ids: np.ndarray, counts: np.ndarray, cols: Sequence[np.ndarray],
