@@ -36,13 +36,7 @@ from repro.core.types import (
 from repro.core.component import Analyzer, Assessor, Executor, Monitor, Planner
 from repro.core.knowledge import KnowledgeBase, PlanOutcome
 from repro.core.loop import MAPEKLoop, PhaseLatency
-from repro.core.guards import (
-    ActionBudgetGuard,
-    ActionKindGuard,
-    ConfidenceGuard,
-    Guard,
-    RateLimitGuard,
-)
+from repro.core.guards import ActionBudgetGuard, ConfidenceGuard, Guard
 from repro.core.confidence import combined_confidence, interval_confidence, success_confidence
 from repro.core.audit import AuditEvent, AuditTrail
 from repro.core.humanloop import (
@@ -51,7 +45,6 @@ from repro.core.humanloop import (
     HumanOnTheLoopNotifier,
     HumanResponseModel,
 )
-from repro.core.persistence import load_knowledge, save_knowledge
 from repro.core.arbiter import ArbiterGuard, PlanArbiter
 from repro.core.runtime import (
     LoopHandle,
@@ -67,7 +60,6 @@ from repro.core.patterns import DriftingElement
 __all__ = [
     "Action",
     "ActionBudgetGuard",
-    "ActionKindGuard",
     "AnalysisReport",
     "Analyzer",
     "ArbiterGuard",
@@ -99,12 +91,9 @@ __all__ = [
     "Planner",
     "QueryHub",
     "QueryMonitor",
-    "RateLimitGuard",
     "RuntimeConfig",
     "Symptom",
     "combined_confidence",
     "interval_confidence",
-    "load_knowledge",
-    "save_knowledge",
     "success_confidence",
 ]

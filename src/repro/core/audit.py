@@ -56,9 +56,6 @@ class AuditTrail:
     def __len__(self) -> int:
         return len(self.events)
 
-    def by_loop(self, loop: str) -> List[AuditEvent]:
-        return [e for e in self.events if e.loop == loop]
-
     def by_phase(self, phase: str) -> List[AuditEvent]:
         return [e for e in self.events if e.phase == phase]
 

@@ -82,29 +82,6 @@ class ActionBudgetGuard(Guard):
         return self._counts.get(target, 0), self._amounts.get(target, 0.0)
 
 
-class RateLimitGuard(Guard):
-    """Minimum interval between executed actions per (kind, target)."""
-
-    name = "rate-limit"
-
-    def __init__(self, min_interval_s: float = 300.0) -> None:
-        if min_interval_s < 0:
-            raise ValueError("min_interval_s must be >= 0")
-        self.min_interval_s = min_interval_s
-        self._last: Dict[Tuple[str, str], float] = {}
-
-    def filter(self, plan, knowledge, now):
-        vetoed: List[Action] = []
-        for action in plan.actions:
-            key = (action.kind, action.target)
-            last = self._last.get(key)
-            if last is not None and now - last < self.min_interval_s:
-                vetoed.append(action)
-            else:
-                self._last[key] = now
-        return plan.without(vetoed), vetoed
-
-
 class ConfidenceGuard(Guard):
     """Blocks whole plans below a confidence threshold (Section IV).
 
@@ -123,18 +100,3 @@ class ConfidenceGuard(Guard):
         if plan.confidence >= self.min_confidence or plan.empty:
             return plan, []
         return plan.without(list(plan.actions)), list(plan.actions)
-
-
-class ActionKindGuard(Guard):
-    """Whitelist of permitted action kinds (site deployment policy)."""
-
-    name = "action-kind"
-
-    def __init__(self, allowed: Set[str]) -> None:
-        if not allowed:
-            raise ValueError("allowed kinds must be non-empty")
-        self.allowed = set(allowed)
-
-    def filter(self, plan, knowledge, now):
-        vetoed = [a for a in plan.actions if a.kind not in self.allowed]
-        return plan.without(vetoed), vetoed

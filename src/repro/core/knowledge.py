@@ -72,9 +72,6 @@ class KnowledgeBase:
     def forget(self, key: str) -> None:
         self._facts.pop(key, None)
 
-    def facts(self) -> Dict[str, Any]:
-        return dict(self._facts)
-
     # ---------------------------------------------------------------- models
     def register_model(self, entry: ModelEntry) -> None:
         self._models[entry.name] = entry
@@ -109,12 +106,3 @@ class KnowledgeBase:
         if not scored:
             return None
         return sum(scored) / len(scored)
-
-    def honored_rate(self, last_n: Optional[int] = None) -> Optional[float]:
-        """Fraction of recent non-empty plans whose actions were honored."""
-        outcomes = [o for o in self.plan_outcomes if o.results]
-        if last_n is not None:
-            outcomes = outcomes[-last_n:]
-        if not outcomes:
-            return None
-        return sum(1 for o in outcomes if o.honored) / len(outcomes)

@@ -292,11 +292,3 @@ class MAPEKLoop:
             it.staleness for it in self.iterations
             if it.index >= since and it.staleness is not None
         ]
-
-    def mean_cycle_latency(self) -> Optional[float]:
-        """Mean monitor-to-done latency over the kept cycles (those that
-        planned, were vetoed or executed), or ``None`` if there are none."""
-        lats = [it.latency for it in self.iterations if it.latency is not None]
-        if not lats:
-            return None
-        return sum(lats) / len(lats)

@@ -597,7 +597,6 @@ class LoopRuntime:
         query_engine: Optional[QueryEngine] = None,
         audit: Optional[AuditTrail] = None,
         config: Optional[RuntimeConfig] = None,
-        arbiter: Optional[PlanArbiter] = None,
     ) -> None:
         self.engine = engine
         self.config = config if config is not None else RuntimeConfig()
@@ -613,7 +612,7 @@ class LoopRuntime:
             standing = StandingQueryEngine(query_engine)
         self.hub = QueryHub(query_engine, standing=standing)
         self.audit = audit
-        self.arbiter = arbiter if arbiter is not None else PlanArbiter(audit=audit)
+        self.arbiter = PlanArbiter(audit=audit)
         self.handles: Dict[str, LoopHandle] = {}
         self.iterations_total = 0
         self.actions_total = 0

@@ -38,7 +38,6 @@ from repro.loops.bridges import (
 )
 from repro.loops.scheduler_loop import (
     ExtensionPlanner,
-    JobProgressMonitor,
     ProgressAnalyzer,
     SchedulerCaseConfig,
     SchedulerExecutor,
@@ -58,7 +57,6 @@ __all__ = [
     "ExtensionPlanner",
     "FilesystemTelemetryBridge",
     "IoQosConfig",
-    "JobProgressMonitor",
     "MaintenanceCaseConfig",
     "MaintenancePlanner",
     "MaintenanceTelemetryBridge",

@@ -14,8 +14,8 @@ observed as telemetry series (``maint_window_start`` /
 ``job_node_running``, published by the
 :class:`~repro.loops.bridges.MaintenanceTelemetryBridge`) through two
 declarative grouped queries, replacing the legacy direct
-scheduler/manager reads (:class:`MaintenanceMonitor`, kept for
-comparison).
+scheduler/manager reads (kept as a test oracle in
+``tests/loops/legacy_monitors.py``).
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cluster.maintenance import MaintenanceEvent, MaintenanceManager
 from repro.cluster.scheduler import Scheduler
-from repro.core.component import Analyzer, Executor, Monitor, Planner
+from repro.core.component import Analyzer, Executor, Planner
 from repro.core.knowledge import KnowledgeBase
 from repro.core.runtime import LoopSpec, MonitorQuery
 from repro.core.types import (
@@ -56,41 +55,14 @@ class MaintenanceCaseConfig:
 class WindowInfo:
     """A maintenance window as reconstructed from telemetry.
 
-    Duck-typed stand-in for :class:`MaintenanceEvent` in observation
+    Duck-typed stand-in for
+    :class:`~repro.cluster.maintenance.MaintenanceEvent` in observation
     contexts — the analyzer only consumes ``t_start``.
     """
 
     window_id: str
     t_start: float
     nodes: frozenset
-
-
-class MaintenanceMonitor(Monitor):
-    """Observes announced windows and the jobs currently exposed to them."""
-
-    name = "maintenance-monitor"
-
-    def __init__(self, scheduler: Scheduler, manager: MaintenanceManager) -> None:
-        self.scheduler = scheduler
-        self.manager = manager
-        self._announced: List[MaintenanceEvent] = []
-        manager.on_announce.append(self._announced.append)
-
-    def observe(self, now: float) -> Optional[Observation]:
-        upcoming = [e for e in self._announced if e.t_start > now]
-        if not upcoming:
-            return None
-        exposures = []
-        for event in upcoming:
-            for job in self.scheduler.running_jobs():
-                if any(n in event.nodes for n in job.assigned_nodes):
-                    exposures.append((job.job_id, event))
-        return Observation(
-            now,
-            self.name,
-            values={"upcoming_windows": float(len(upcoming))},
-            context={"exposures": exposures},
-        )
 
 
 class MaintenanceAnalyzer(Analyzer):

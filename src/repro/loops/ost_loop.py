@@ -15,20 +15,18 @@ The case runs under the :class:`~repro.core.runtime.LoopRuntime` from
 :func:`ost_case_spec`: the Monitor phase is a single declarative query
 (``last(ost_write_bw_mbps) group by (ost)``) over series published by
 the :class:`~repro.loops.bridges.FilesystemTelemetryBridge`, replacing
-the legacy direct ``fs.ost_bandwidth_mbps()`` reads
-(:class:`OstBandwidthMonitor`, kept for comparison and component
-interchange).
+the legacy direct ``fs.ost_bandwidth_mbps()`` reads (kept as a test
+oracle in ``tests/loops/legacy_monitors.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.component import Analyzer, Executor, Monitor, Planner
+from repro.core.component import Analyzer, Executor, Planner
 from repro.core.knowledge import KnowledgeBase
 from repro.core.runtime import LoopSpec, MonitorQuery
 from repro.core.types import (
@@ -55,25 +53,6 @@ class OstCaseConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.slow_fraction < 1.0:
             raise ValueError("slow_fraction must be in (0, 1)")
-
-
-class OstBandwidthMonitor(Monitor):
-    """Reads per-OST achieved-bandwidth EWMAs from the filesystem."""
-
-    name = "ost-bandwidth-monitor"
-
-    def __init__(self, fs: ParallelFileSystem) -> None:
-        self.fs = fs
-
-    def observe(self, now: float) -> Optional[Observation]:
-        values: Dict[str, float] = {}
-        for ost_id in self.fs.osts:
-            bw = self.fs.ost_bandwidth_mbps(ost_id)
-            if not math.isnan(bw):
-                values[f"bw:{ost_id}"] = bw
-        if not values:
-            return None
-        return Observation(now, self.name, values=values)
 
 
 class SlowOstAnalyzer(Analyzer):

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.analytics.forecast import make_forecaster
 from repro.cluster.job import Job, JobState
 from repro.cluster.scheduler import Scheduler
-from repro.core.component import Analyzer, Executor, Monitor, Planner
+from repro.core.component import Analyzer, Executor, Planner
 from repro.core.confidence import combined_confidence
 from repro.core.guards import ActionBudgetGuard, ConfidenceGuard, Guard
 from repro.core.humanloop import HumanOnTheLoopNotifier
@@ -43,42 +43,6 @@ from repro.core.types import (
 from repro.analytics.similarity import JobRecord
 from repro.loops.bridges import SchedulerTelemetryBridge
 from repro.telemetry.markers import ProgressMarker, ProgressMarkerChannel
-
-
-class JobProgressMonitor(Monitor):
-    """Reads new progress markers for one job from the marker channel."""
-
-    def __init__(self, channel: ProgressMarkerChannel, scheduler: Scheduler, job_id: str) -> None:
-        self.channel = channel
-        self.scheduler = scheduler
-        self.job_id = job_id
-        self.name = f"progress-monitor-{job_id}"
-        self._cursor = -1.0
-
-    def observe(self, now: float) -> Optional[Observation]:
-        job = self.scheduler.jobs.get(self.job_id)
-        if job is None or job.state is not JobState.RUNNING:
-            return None
-        new_markers = self.channel.read_since(self.job_id, self._cursor)
-        if new_markers:
-            self._cursor = new_markers[-1].time
-        last = self.channel.last(self.job_id)
-        values: Dict[str, float] = {
-            "deadline": job.deadline,
-            "time_limit_s": job.time_limit_s,
-            "start_time": job.start_time,
-        }
-        if last is not None:
-            values["last_step"] = last.step
-            values["last_marker_time"] = last.time
-            if last.total_steps:
-                values["total_steps"] = last.total_steps
-        return Observation(
-            now,
-            self.name,
-            values=values,
-            context={"new_markers": new_markers, "job_id": self.job_id},
-        )
 
 
 class ProgressAnalyzer(Analyzer):

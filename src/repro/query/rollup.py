@@ -608,10 +608,6 @@ class RollupManager:
             period, lambda: self.fold(engine.now), start_at=start_at, label="rollup-fold"
         )
 
-    def detach(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-
     def stats(self) -> Dict[str, float]:
         """Rows and watermark coverage per tier (for dashboards/benchmarks)."""
         out: Dict[str, float] = {"folds": float(self.folds)}

@@ -2,8 +2,8 @@
 
 Models the managed system of the paper's OST and I/O-QoS use cases:
 object storage targets (OSTs) with health states, striped files, a
-shared-bandwidth contention model, token-bucket QoS shaping per tenant,
-and interference/tail-latency accounting.
+shared-bandwidth contention model, and token-bucket QoS shaping per
+tenant.
 
 The actuator surface matches the paper: per-OST health is observable
 through achieved-bandwidth telemetry, files can be closed and re-opened
@@ -15,11 +15,9 @@ from repro.storage.ost import OST, OstState
 from repro.storage.qos import QoSManager, TokenBucket
 from repro.storage.filesystem import ParallelFileSystem, StripedFile, Transfer
 from repro.storage.client import AppIoClient, PeriodicWriter
-from repro.storage.interference import InterferenceReport, interference_report
 
 __all__ = [
     "AppIoClient",
-    "InterferenceReport",
     "OST",
     "OstState",
     "ParallelFileSystem",
@@ -28,5 +26,4 @@ __all__ = [
     "StripedFile",
     "TokenBucket",
     "Transfer",
-    "interference_report",
 ]

@@ -13,7 +13,7 @@ autonomy-loop reaction time: finite sampling rates, collection latency,
 and metric cardinality.
 """
 
-from repro.telemetry.metric import MetricCatalog, MetricKind, MetricSpec, SeriesKey
+from repro.telemetry.metric import SeriesKey
 from repro.telemetry.batch import SampleBatch, SeriesRegistry
 from repro.telemetry.tsdb import TimeSeriesStore
 from repro.telemetry.sensor import SensorBank
@@ -39,9 +39,6 @@ __all__ = [
     "Collector",
     "DerivedMetricSpec",
     "DerivedMetricsService",
-    "MetricCatalog",
-    "MetricKind",
-    "MetricSpec",
     "ProgressMarker",
     "ProgressMarkerChannel",
     "SampleBatch",

@@ -1,41 +1,14 @@
-"""Metric identity: specs, kinds, and series keys.
+"""Series identity.
 
-A *metric* is a named quantity with a unit and kind (gauge or counter);
-a *series* is one labelled instance of a metric (e.g. ``node_power_watts``
+A *series* is one labelled instance of a metric (e.g. ``node_power_watts``
 on ``node=n012``).  ``SeriesKey`` is the hashable identity used throughout
 the TSDB and the collection pipeline.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
-
-
-class MetricKind(enum.Enum):
-    """Semantic kind of a metric.
-
-    GAUGE    — instantaneous value (power, temperature, utilization).
-    COUNTER  — monotonically non-decreasing count (bytes written, steps).
-    """
-
-    GAUGE = "gauge"
-    COUNTER = "counter"
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Declaration of a metric: its name, unit, kind, and documentation."""
-
-    name: str
-    unit: str
-    kind: MetricKind = MetricKind.GAUGE
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("metric name must be non-empty")
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -68,66 +41,3 @@ class SeriesKey:
             return self.metric
         inner = ",".join(f"{k}={v}" for k, v in self.labels)
         return f"{self.metric}{{{inner}}}"
-
-
-class MetricCatalog:
-    """Registry of metric specs — the monitoring system's schema.
-
-    Registering a spec twice with identical content is idempotent;
-    conflicting re-registration raises, which catches unit mismatches
-    between producers early.
-    """
-
-    def __init__(self, specs: Iterable[MetricSpec] = ()) -> None:
-        self._specs: Dict[str, MetricSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: MetricSpec) -> MetricSpec:
-        existing = self._specs.get(spec.name)
-        if existing is not None:
-            if existing != spec:
-                raise ValueError(
-                    f"metric {spec.name!r} already registered with different spec: "
-                    f"{existing} vs {spec}"
-                )
-            return existing
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> MetricSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise KeyError(f"unknown metric {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def names(self) -> list[str]:
-        return sorted(self._specs)
-
-
-#: Metrics every simulated cluster exports, shared by substrates and loops.
-STANDARD_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("node_cpu_util", "fraction", MetricKind.GAUGE, "Per-node CPU utilization 0..1"),
-    MetricSpec("node_gpu_util", "fraction", MetricKind.GAUGE, "Per-node GPU utilization 0..1"),
-    MetricSpec("node_mem_used_gb", "GiB", MetricKind.GAUGE, "Per-node memory in use"),
-    MetricSpec("node_power_watts", "W", MetricKind.GAUGE, "Per-node instantaneous power"),
-    MetricSpec("node_temp_celsius", "C", MetricKind.GAUGE, "Per-node hottest-sensor temperature"),
-    MetricSpec("job_progress_steps", "steps", MetricKind.COUNTER, "Application progress marker"),
-    MetricSpec("job_io_write_mbps", "MB/s", MetricKind.GAUGE, "Per-job achieved write bandwidth"),
-    MetricSpec("job_io_read_mbps", "MB/s", MetricKind.GAUGE, "Per-job achieved read bandwidth"),
-    MetricSpec("ost_write_mbps", "MB/s", MetricKind.GAUGE, "Per-OST achieved write bandwidth"),
-    MetricSpec("ost_pending_ops", "ops", MetricKind.GAUGE, "Per-OST queued operations"),
-    MetricSpec("fs_load_fraction", "fraction", MetricKind.GAUGE, "Filesystem aggregate load 0..1"),
-    MetricSpec("sched_queue_length", "jobs", MetricKind.GAUGE, "Scheduler pending-queue length"),
-)
-
-
-def standard_catalog() -> MetricCatalog:
-    """A catalog pre-populated with :data:`STANDARD_METRICS`."""
-    return MetricCatalog(STANDARD_METRICS)

@@ -286,9 +286,10 @@ class DenseRings:
         ``lo``/``hi`` are scalars or one value per series; ``ids`` come
         in any order and may include indices without storage (no rows).
 
-        An empty range (``lo >= hi``, or ``lo > hi`` when right-inclusive)
-        has no rows, and a call whose every range is empty reaches
-        neither read below, so it touches no ring.  Up to
+        An empty range (not ``lo < hi``, or not ``lo <= hi`` when
+        right-inclusive, so a NaN edge too) has no rows on either read
+        below, and a call whose every range is empty reaches neither, so
+        it touches no ring.  Up to
         :data:`WINDOW_LOOP_SERIES` series are read ring by ring
         (:meth:`_window_loop`).  More are read as the twin of
         :meth:`append_rows`, in a fixed number of array steps whatever
@@ -306,6 +307,8 @@ class DenseRings:
             return [np.empty(0) for _ in range(self._n_cols)], np.zeros(ids.size, dtype=np.int64)
         if ids.size <= WINDOW_LOOP_SERIES:
             return self._window_loop(ids, lo, hi, wanted)
+        if wanted.ndim and not wanted.all():
+            lo = np.where(wanted, lo, hi)  # an empty range bisects to no rows, NaN too
         if len(self._chunks) == 1 and ids.max(initial=-1) < self.n_series:
             return self._chunk_windows(self._chunks[0], ids, lo, hi)
         which = np.searchsorted(self._ends, ids, side="right")

@@ -1,13 +1,17 @@
 """Cross-loop plan arbitration: conflicts, priority, TTL, audit."""
 
 
-from repro.core.arbiter import PlanArbiter, default_resource_keys
+import pytest
+
+from repro.core.arbiter import KIND_DOMAINS, ArbiterGuard, PlanArbiter, default_resource_keys
 from repro.core.audit import AuditTrail
 from repro.core.component import Analyzer, Executor, Monitor, Planner
 from repro.core.guards import ConfidenceGuard
+from repro.core.knowledge import KnowledgeBase
 from repro.core.runtime import LoopRuntime, LoopSpec
 from repro.core.types import Action, AnalysisReport, ExecutionResult, Observation, Plan
 from repro.sim import Engine
+from repro.obs.trace import TRACER
 from repro.telemetry.tsdb import TimeSeriesStore
 
 
@@ -26,6 +30,17 @@ class TestDefaultResourceKeys:
 
     def test_unknown_kind_falls_back_to_target(self):
         assert default_resource_keys(Action("weird", "x")) == (("target", "x"),)
+
+    @pytest.mark.parametrize("kind, domain", sorted(KIND_DOMAINS.items()))
+    def test_builtin_kind_claims_its_domain(self, kind, domain):
+        assert default_resource_keys(Action(kind, "x")) == ((domain, "x"),)
+
+    def test_supervision_actions_contend_on_the_loop(self):
+        arb = PlanArbiter()
+        arb.resolve("sup", 5, plan_of(Action("restart_loop", "qos")), 0.0, ttl_s=60.0)
+        quarantine = plan_of(Action("quarantine_loop", "qos"))
+        _, vetoed = arb.resolve("ops", 5, quarantine, 1.0, ttl_s=60.0)
+        assert [a.kind for a in vetoed] == ["quarantine_loop"]
 
 
 class TestPlanArbiter:
@@ -109,12 +124,197 @@ class TestPlanArbiter:
         assert kept is not contested and kept.actions == (won,)
         assert contested.actions == (lost, won)
 
+    def test_veto_and_preempt_audit_records_are_pinned(self):
+        """Operators read these records: text and payload, in key order."""
+        audit = AuditTrail()
+        arb = PlanArbiter(audit=audit)
+        arb.resolve("maint", 10, plan_of(Action("signal_checkpoint", "j1")), 0.0, ttl_s=60.0)
+        arb.resolve("sched", 10, plan_of(Action("request_extension", "j1")), 1.0, ttl_s=60.0)
+        arb.resolve("qos", 20, plan_of(Action("fix_threads", "j1")), 2.0, ttl_s=60.0)
+        veto, preempt = audit.by_phase("arbitrate")
+        assert (veto.time, veto.loop, veto.message) == (
+            1.0, "sched",
+            "veto request_extension(j1): job/j1 claimed by maint (prio 10 >= 10)",
+        )
+        assert list(veto.data.items()) == [
+            ("policy", "priority-veto"),
+            ("outcome", "veto"),
+            ("loser_priority", 10),
+            ("winner", "maint"),
+            ("winner_priority", 10),
+            ("resource", "job/j1"),
+        ]
+        assert (preempt.time, preempt.loop, preempt.message) == (
+            2.0, "qos", "preempted job/j1 from maint (prio 20 > 10)",
+        )
+        assert list(preempt.data.items()) == [
+            ("policy", "priority-veto"),
+            ("outcome", "preempt"),
+            ("preempted", "maint"),
+            ("resource", "job/j1"),
+        ]
+        stats = arb.stats()
+        assert (stats["conflicts_total"], stats["vetoes_total"], stats["preemptions_total"]) == (
+            2.0, 1.0, 1.0,
+        )
+
     def test_release_drops_loop_claims(self):
         arb = PlanArbiter()
         arb.resolve("a", 5, plan_of(Action("signal_checkpoint", "j1")), 0.0, ttl_s=600.0)
         assert arb.release("a") == 1
         _, vetoed = arb.resolve("b", 0, plan_of(Action("signal_checkpoint", "j1")), 1.0, ttl_s=600.0)
         assert not vetoed
+
+
+def act(kind="signal_checkpoint", target="j1", **params):
+    return plan_of(Action(kind, target, params=params))
+
+
+class TestPriorityVetoRule:
+    """The one rule: an equal or higher live claim vetoes, a strictly
+    higher priority preempts; nothing is merged or deferred."""
+
+    def test_duplicate_of_a_claimed_action_is_vetoed(self):
+        audit = AuditTrail()
+        arb = PlanArbiter(audit=audit)
+        arb.resolve("a", 5, act(rate=2.0), 0.0, ttl_s=60.0)
+        kept, vetoed = arb.resolve("b", 0, act(rate=2.0), 1.0, ttl_s=60.0)
+        assert kept.empty and len(vetoed) == 1
+        assert arb.vetoes_by_loop == {"b": 1}
+        (event,) = audit.by_phase("arbitrate")
+        assert (event.data["policy"], event.data["outcome"]) == ("priority-veto", "veto")
+
+    def test_higher_priority_duplicate_preempts_and_takes_the_claim(self):
+        arb = PlanArbiter()
+        arb.resolve("lo", 0, act(rate=2.0), 0.0, ttl_s=60.0)
+        kept, vetoed = arb.resolve("hi", 10, act(rate=2.0), 1.0, ttl_s=60.0)
+        assert len(kept.actions) == 1 and not vetoed
+        assert arb.preemptions_total == 1
+        claim = arb.active_claims(1.0)[("job", "j1")]
+        assert (claim.loop, claim.priority, claim.expires) == ("hi", 10, 61.0)
+
+    def test_preempted_loop_is_then_vetoed_by_the_new_holder(self):
+        arb = PlanArbiter()
+        arb.resolve("lo", 0, act(), 0.0, ttl_s=60.0)
+        arb.resolve("hi", 10, act(), 1.0, ttl_s=60.0)
+        kept, vetoed = arb.resolve("lo", 0, act(), 2.0, ttl_s=60.0)
+        assert kept.empty and len(vetoed) == 1
+        assert arb.stats() == {
+            "conflicts_total": 2.0, "vetoes_total": 1.0, "preemptions_total": 1.0,
+        }
+
+    def test_a_blocked_contender_is_vetoed_not_deferred(self):
+        arb = PlanArbiter()
+        arb.resolve("a", 5, act(), 0.0, ttl_s=60.0)
+        arb.resolve("b", 0, act(), 10.0, ttl_s=60.0)
+        # no reservation: once the claim lapses, whoever asks first wins
+        kept_c, vetoed_c = arb.resolve("c", 0, act(), 70.0, ttl_s=60.0)
+        assert len(kept_c.actions) == 1 and not vetoed_c
+        _, vetoed_b = arb.resolve("b", 0, act(), 80.0, ttl_s=60.0)
+        assert len(vetoed_b) == 1
+        assert arb.active_claims(80.0)[("job", "j1")].loop == "c"
+        assert set(arb.stats()) == {"conflicts_total", "vetoes_total", "preemptions_total"}
+
+    def test_a_claim_lapses_exactly_at_its_ttl(self):
+        arb = PlanArbiter()
+        arb.resolve("a", 5, act(), 0.0, ttl_s=60.0)
+        _, vetoed = arb.resolve("b", 0, act(), 59.999, ttl_s=60.0)
+        assert len(vetoed) == 1
+        assert arb.active_claims(60.0) == {}
+        _, vetoed = arb.resolve("b", 0, act(), 60.0, ttl_s=60.0)
+        assert not vetoed
+
+    def test_a_loop_renews_its_own_claim(self):
+        arb = PlanArbiter()
+        arb.resolve("a", 5, act(), 0.0, ttl_s=60.0)
+        arb.resolve("a", 5, act(), 50.0, ttl_s=60.0)
+        assert arb.active_claims(100.0)[("job", "j1")].expires == 110.0
+        _, vetoed = arb.resolve("b", 0, act(), 100.0, ttl_s=60.0)
+        assert len(vetoed) == 1
+
+    def test_vetoes_are_counted_per_losing_loop(self):
+        arb = PlanArbiter()
+        arb.resolve("a", 5, act(), 0.0, ttl_s=600.0)
+        for t in (1.0, 2.0):
+            arb.resolve("b", 0, act(), t, ttl_s=600.0)
+        arb.resolve("c", 5, act(), 3.0, ttl_s=600.0)
+        assert arb.vetoes_by_loop == {"b": 2, "c": 1}
+        assert arb.vetoes_total == 3 and arb.conflicts_total == 3
+
+    def test_releasing_a_loop_without_claims_keeps_the_others(self):
+        arb = PlanArbiter()
+        arb.resolve("a", 5, act(target="j1"), 0.0, ttl_s=600.0)
+        arb.resolve("a", 5, act(target="j2"), 0.0, ttl_s=600.0)
+        assert arb.release("ghost") == 0
+        assert sorted(arb.active_claims(1.0)) == [("job", "j1"), ("job", "j2")]
+        assert arb.release("a") == 2
+        assert arb.active_claims(1.0) == {}
+
+    def test_an_action_blocked_on_one_key_claims_none(self):
+        arb = PlanArbiter()
+        both = lambda a: (("job", a.target), ("writer", a.target))  # noqa: E731
+        arb.resolve("a", 5, plan_of(Action("avoid_osts", "j1")), 0.0, ttl_s=60.0)
+        kept, vetoed = arb.resolve(
+            "b", 0, plan_of(Action("fix_io", "j1")), 1.0, ttl_s=60.0, resource_keys=both,
+        )
+        assert kept.empty and len(vetoed) == 1
+        assert list(arb.active_claims(1.0)) == [("writer", "j1")]
+
+    def test_an_action_granted_on_every_key_claims_them_all(self):
+        arb = PlanArbiter()
+        both = lambda a: (("job", a.target), ("writer", a.target))  # noqa: E731
+        arb.resolve("b", 0, plan_of(Action("fix_io", "j1")), 0.0, ttl_s=60.0, resource_keys=both)
+        claims = arb.active_claims(1.0)
+        assert sorted(claims) == [("job", "j1"), ("writer", "j1")]
+        assert {c.kind for c in claims.values()} == {"fix_io"}
+
+    def test_lapsed_claims_are_swept_once_the_table_is_large(self):
+        arb = PlanArbiter()
+        for i in range(5000):
+            arb.resolve("a", 5, act(target=f"j{i}"), float(i), ttl_s=1.0)
+        # every resolve past 4,096 entries purges the lapsed claims first
+        assert len(arb._claims) <= 4097
+        assert len(arb.active_claims(4999.5)) == 1
+
+    def test_a_traced_resolve_decides_like_an_untraced_one(self):
+        outcomes = []
+        for traced in (False, True):
+            arb = PlanArbiter()
+            if traced:
+                TRACER.enable()
+            try:
+                arb.resolve("a", 5, act(), 0.0, ttl_s=60.0)
+                kept, vetoed = arb.resolve("b", 0, act(), 1.0, ttl_s=60.0)
+            finally:
+                TRACER.disable()
+                TRACER.reset()
+            outcomes.append((kept.actions, vetoed, arb.stats()))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestArbiterGuard:
+    def test_guard_resolves_as_its_loop_and_priority(self):
+        arb = PlanArbiter()
+        hi = ArbiterGuard(arb, "maint", 10, ttl_s=30.0)
+        lo = ArbiterGuard(arb, "sched", 0, ttl_s=30.0)
+        k = KnowledgeBase()
+        kept, vetoed = hi.filter(act(), k, 0.0)
+        assert len(kept.actions) == 1 and not vetoed
+        claim = arb.active_claims(0.0)[("job", "j1")]
+        assert (claim.loop, claim.priority, claim.expires) == ("maint", 10, 30.0)
+        kept, vetoed = lo.filter(act("request_extension"), k, 1.0)
+        assert kept.empty and len(vetoed) == 1
+        assert arb.vetoes_by_loop == {"sched": 1}
+
+    def test_guard_uses_its_resource_keys(self):
+        arb = PlanArbiter()
+        shared = ArbiterGuard(arb, "a", 0, ttl_s=30.0, resource_keys=lambda a: (("site", "all"),))
+        other = ArbiterGuard(arb, "b", 0, ttl_s=30.0, resource_keys=lambda a: (("site", "all"),))
+        k = KnowledgeBase()
+        shared.filter(act(target="j1"), k, 0.0)
+        _, vetoed = other.filter(act(target="j2"), k, 1.0)
+        assert len(vetoed) == 1
+        assert ArbiterGuard(arb, "c", 0, ttl_s=30.0).resource_keys is default_resource_keys
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +442,7 @@ class TestRuntimeArbitration:
         assert not executor.executed
         loop = runtime.handle("gated").loop
         assert loop.actions_vetoed >= 1
-        plan_events = [e for e in audit.by_loop("gated") if e.phase == "plan"]
+        plan_events = [e for e in audit.events if e.loop == "gated" and e.phase == "plan"]
         assert plan_events and plan_events[0].data["vetoed"] >= 1
         # the guard (not the arbiter) vetoed: no arbitrate events
         assert not audit.by_phase("arbitrate")

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.guards import (
-    ActionBudgetGuard,
-    ActionKindGuard,
-    ConfidenceGuard,
-    RateLimitGuard,
-)
+from repro.core.guards import ActionBudgetGuard, ConfidenceGuard
 from repro.core.knowledge import KnowledgeBase
 from repro.core.types import Action, Plan
 
@@ -64,27 +59,39 @@ class TestActionBudgetGuard:
         with pytest.raises(ValueError):
             ActionBudgetGuard(max_amount_per_target=-1.0)
 
+    def test_vetoed_action_spends_no_budget(self):
+        g = ActionBudgetGuard(max_actions_per_target=5, max_amount_per_target=500.0)
+        big = Action("extend", "j1", params={"extra_s": 600.0})
+        small = Action("extend", "j1", params={"extra_s": 500.0})
+        _, vetoed = g.filter(plan_with(big), K, 0.0)
+        assert vetoed == [big] and g.spent("j1") == (0, 0.0)
+        filtered, vetoed = g.filter(plan_with(small), K, 1.0)
+        assert filtered.actions == (small,) and vetoed == []
 
-class TestRateLimitGuard:
-    def test_first_action_allowed_then_limited(self):
-        g = RateLimitGuard(min_interval_s=100.0)
+    def test_budget_is_spent_in_plan_order(self):
+        g = ActionBudgetGuard(max_actions_per_target=2)
+        a1, a2, a3 = (Action("extend", "j1", params={"extra_s": float(i)}) for i in (1, 2, 3))
+        filtered, vetoed = g.filter(plan_with(a1, a2, a3), K, 0.0)
+        assert filtered.actions == (a1, a2) and vetoed == [a3]
+        assert g.spent("j1") == (2, 3.0)
+
+    def test_amount_param_names_the_budgeted_parameter(self):
+        g = ActionBudgetGuard(max_amount_per_target=10.0, amount_param="rate")
+        a1 = Action("set_qos_rate", "t1", params={"rate": 6.0, "extra_s": 1e9})
+        a2 = Action("set_qos_rate", "t1", params={"rate": 6.0})
+        filtered, vetoed = g.filter(plan_with(a1, a2), K, 0.0)
+        assert filtered.actions == (a1,) and vetoed == [a2]
+        assert g.spent("t1") == (1, 6.0)
+
+    def test_action_without_the_parameter_spends_a_count_only(self):
+        g = ActionBudgetGuard(max_actions_per_target=3, max_amount_per_target=0.0)
         a = Action("extend", "j1")
-        _, v1 = g.filter(plan_with(a), K, 0.0)
-        _, v2 = g.filter(plan_with(a), K, 50.0)
-        _, v3 = g.filter(plan_with(a), K, 150.0)
-        assert v1 == [] and v2 == [a] and v3 == []
+        filtered, vetoed = g.filter(plan_with(a), K, 0.0)
+        assert filtered.actions == (a,) and vetoed == []
+        assert g.spent("j1") == (1, 0.0)
 
-    def test_kind_target_scoped(self):
-        g = RateLimitGuard(min_interval_s=100.0)
-        a1 = Action("extend", "j1")
-        a2 = Action("extend", "j2")
-        g.filter(plan_with(a1), K, 0.0)
-        _, vetoed = g.filter(plan_with(a2), K, 1.0)
-        assert vetoed == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateLimitGuard(min_interval_s=-1.0)
+    def test_untouched_target_has_spent_nothing(self):
+        assert ActionBudgetGuard().spent("j9") == (0, 0.0)
 
 
 class TestConfidenceGuard:
@@ -109,16 +116,22 @@ class TestConfidenceGuard:
         with pytest.raises(ValueError):
             ConfidenceGuard(min_confidence=1.5)
 
+    def test_threshold_is_inclusive(self):
+        g = ConfidenceGuard(min_confidence=0.7)
+        a = Action("extend", "j1")
+        filtered, vetoed = g.filter(plan_with(a, confidence=0.7), K, 0.0)
+        assert filtered.actions == (a,) and vetoed == []
 
-class TestActionKindGuard:
-    def test_whitelist(self):
-        g = ActionKindGuard(allowed={"notify"})
-        ok = Action("notify", "u1")
-        bad = Action("reboot", "n1")
-        filtered, vetoed = g.filter(plan_with(ok, bad), K, 0.0)
-        assert filtered.actions == (ok,)
-        assert vetoed == [bad]
+    def test_low_confidence_vetoes_every_action_of_the_plan(self):
+        g = ConfidenceGuard(min_confidence=0.7)
+        a, b = Action("extend", "j1"), Action("checkpoint", "j2")
+        filtered, vetoed = g.filter(plan_with(a, b, confidence=0.2), K, 0.0)
+        assert filtered.empty and vetoed == [a, b]
 
-    def test_requires_nonempty(self):
+    @pytest.mark.parametrize("bound", [0.0, 1.0])
+    def test_bounds_of_the_unit_interval_are_accepted(self, bound):
+        assert ConfidenceGuard(min_confidence=bound).min_confidence == bound
+
+    def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            ActionKindGuard(allowed=set())
+            ConfidenceGuard(min_confidence=-0.1)

@@ -185,7 +185,8 @@ class TestPhaseLatency:
         loop, _ = build_loop(eng, lambda now: 15.0, phase_latency=latency, period=100.0)
         loop.start()
         eng.run(until=10.0)
-        assert loop.mean_cycle_latency() == pytest.approx(3.0)
+        latencies = [it.latency for it in loop.iterations if it.latency is not None]
+        assert sum(latencies) / len(latencies) == pytest.approx(3.0)
 
     def test_stale_observation_semantics(self):
         """Execution uses the observation taken at cycle start, not fresher data."""
@@ -267,4 +268,4 @@ class TestAssessorAndAudit:
         assert loop.iterations == []
         assert loop.iterations_run == len(seen) == 101
         assert loop.wall_ms_total == pytest.approx(sum(it.wall_ms for it in seen))
-        assert loop.mean_cycle_latency() is None
+        assert [it.latency for it in loop.iterations if it.latency is not None] == []

@@ -59,7 +59,7 @@ def _narrow(node, range_s):
     )
 
 
-def test_ten_thousand_shapes_leave_every_memo_bounded(small_memos):
+def test_800_shapes_past_a_64_entry_bound_leave_every_memo_bounded(small_memos):
     store = _store()
     engine = QueryEngine(store)
     hub = QueryHub(engine, standing=StandingQueryEngine(engine))
@@ -103,7 +103,7 @@ def test_ten_thousand_shapes_leave_every_memo_bounded(small_memos):
     assert fd.hot_hits >= ROUNDS - 1
 
 
-def test_ten_thousand_shapes_at_one_instant_leave_the_tick_memo_bounded(small_memos):
+def test_800_shapes_at_one_instant_leave_the_tick_memo_bounded(small_memos):
     store = _store()
     engine = QueryEngine(store)
     hub = QueryHub(engine)

@@ -97,14 +97,26 @@ class TestKnowledgeBase:
         assert k.effectiveness(last_n=2) == pytest.approx(1.0)
         assert KnowledgeBase().effectiveness() is None
 
-    def test_honored_rate(self):
+    def test_outcome_honored_when_any_result_was(self):
         k = KnowledgeBase()
         a = Action("k", "t")
-        k.record_plan(Plan(0.0, "p", actions=(a,)), [ExecutionResult(a, 0.0, honored=True)])
-        k.record_plan(Plan(0.0, "p", actions=(a,)), [ExecutionResult(a, 0.0, honored=False)])
-        assert k.honored_rate() == pytest.approx(0.5)
-        assert k.honored_rate(last_n=1) == pytest.approx(0.0)
-        assert KnowledgeBase().honored_rate() is None
+        mixed = k.record_plan(
+            Plan(0.0, "p", actions=(a, a)),
+            [ExecutionResult(a, 0.0, honored=False), ExecutionResult(a, 0.0, honored=True)],
+        )
+        refused = k.record_plan(
+            Plan(0.0, "p", actions=(a,)), [ExecutionResult(a, 0.0, honored=False)]
+        )
+        unexecuted = k.record_plan(Plan(0.0, "p", actions=(a,)), [])
+        assert (mixed.honored, refused.honored, unexecuted.honored) == (True, False, False)
+
+    def test_recorded_results_are_a_copy(self):
+        k = KnowledgeBase()
+        a = Action("k", "t")
+        results = [ExecutionResult(a, 0.0, honored=True)]
+        outcome = k.record_plan(Plan(0.0, "p", actions=(a,)), results)
+        results.clear()
+        assert len(outcome.results) == 1 and k.plan_outcomes == [outcome]
 
     def test_run_history_attached(self):
         k = KnowledgeBase()

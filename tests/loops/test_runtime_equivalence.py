@@ -5,7 +5,8 @@ Each of the five cases is run twice on identically seeded scenarios:
 * **legacy** — the pre-runtime wiring: a bare ``MAPEKLoop`` assembled
   from the case's components, with the original direct-read monitors
   (``OstBandwidthMonitor``, ``MaintenanceMonitor``,
-  ``JobProgressMonitor``) or a private uncached query engine.
+  ``JobProgressMonitor``, kept in ``legacy_monitors.py``) or a private
+  uncached query engine.
 * **runtime** — each case hosted as it ships: its declarative spec
   (and telemetry bridge) added to a ``LoopRuntime``, or
   ``host_scheduler_case`` — fused query hub, arbiter, self-telemetry.
@@ -40,7 +41,6 @@ from repro.loops.maintenance_loop import (
     CheckpointExecutor,
     MaintenanceAnalyzer,
     MaintenanceCaseConfig,
-    MaintenanceMonitor,
     MaintenancePlanner,
     maintenance_case_spec,
 )
@@ -54,7 +54,6 @@ from repro.loops.misconfig_loop import (
 )
 from repro.loops.ost_loop import (
     AvoidOstPlanner,
-    OstBandwidthMonitor,
     OstCaseConfig,
     SlowOstAnalyzer,
     WriterExecutor,
@@ -62,7 +61,6 @@ from repro.loops.ost_loop import (
 )
 from repro.loops.scheduler_loop import (
     ExtensionPlanner,
-    JobProgressMonitor,
     ProgressAnalyzer,
     SchedulerCaseConfig,
     SchedulerExecutor,
@@ -76,6 +74,8 @@ from repro.storage.ost import OST, OstState
 from repro.telemetry.markers import ProgressMarkerChannel
 from repro.telemetry.metric import SeriesKey
 from repro.telemetry.tsdb import TimeSeriesStore
+
+from tests.loops.legacy_monitors import JobProgressMonitor, MaintenanceMonitor, OstBandwidthMonitor
 
 
 def trace(loop: MAPEKLoop):

@@ -142,7 +142,6 @@ class TestAttach:
         assert roll.tiers[0].window(sid(roll, key), 0.0, 1e9)["time"].size == 10
         with pytest.raises(RuntimeError):
             roll.attach(engine)
-        roll.detach()
 
 
 class TestDenseTierRing:

@@ -1,11 +1,10 @@
-"""Tests for OSTs, the parallel filesystem, clients, and interference."""
+"""Tests for OSTs, the parallel filesystem, and clients."""
 
 import pytest
 
 from repro.sim import Engine
 from repro.storage.client import PeriodicWriter
 from repro.storage.filesystem import ParallelFileSystem
-from repro.storage.interference import deadline_miss_rate, interference_report
 from repro.storage.ost import OST, OstState
 from repro.storage.qos import QoSManager
 
@@ -231,34 +230,3 @@ class TestPeriodicWriter:
         w.start()
         with pytest.raises(RuntimeError):
             w.start()
-
-
-class TestInterferenceReport:
-    def _transfers(self):
-        eng, fs = make_fs(2, rate=1000.0)
-        fs.create_file("a", "u1", stripe_count=2)
-        fs.create_file("b", "u2", stripe_count=2)
-        for i in range(10):
-            eng.schedule(i * 10.0, fs.write, "u1", "a", 500.0)
-            eng.schedule(i * 10.0 + 1.0, fs.write, "u2", "b", 500.0)
-        eng.run(until=200.0)
-        return fs.transfers
-
-    def test_report_fields(self):
-        transfers = self._transfers()
-        rep = interference_report(transfers, "u1", isolation_duration_s=0.25)
-        assert rep.n_transfers == 10
-        assert rep.p95_s >= rep.p50_s
-        assert rep.p99_s >= rep.p95_s
-        assert rep.slowdown_vs_isolation >= 1.0
-
-    def test_empty_client(self):
-        rep = interference_report([], "ghost")
-        assert rep.n_transfers == 0
-        assert rep.slowdown_vs_isolation is None
-
-    def test_deadline_miss_rate(self):
-        transfers = self._transfers()
-        assert deadline_miss_rate(transfers, "u1", deadline_s=1e9) == 0.0
-        assert deadline_miss_rate(transfers, "u1", deadline_s=0.0) == 1.0
-        assert deadline_miss_rate([], "ghost", 1.0) is None

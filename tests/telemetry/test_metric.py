@@ -1,14 +1,10 @@
-"""Tests for metric specs, series keys, and the catalog."""
+"""Tests for series keys."""
+
+import dataclasses
 
 import pytest
 
-from repro.telemetry.metric import (
-    MetricCatalog,
-    MetricKind,
-    MetricSpec,
-    SeriesKey,
-    standard_catalog,
-)
+from repro.telemetry.metric import SeriesKey
 
 
 class TestSeriesKey:
@@ -39,41 +35,19 @@ class TestSeriesKey:
         k = SeriesKey.of("m", idx=3)
         assert k.label("idx") == "3"
 
+    def test_metric_name_is_part_of_the_identity(self):
+        assert SeriesKey.of("power", node="n1") != SeriesKey.of("energy", node="n1")
+        assert SeriesKey.of("power") != SeriesKey.of("power", node="n1")
 
-class TestMetricCatalog:
-    def test_register_and_get(self):
-        cat = MetricCatalog()
-        spec = MetricSpec("watts", "W")
-        cat.register(spec)
-        assert cat.get("watts") is spec
-        assert "watts" in cat
+    def test_with_labels_keeps_labels_sorted(self):
+        k = SeriesKey.of("m", node="n1").with_labels(job=7, app="lammps")
+        assert k.labels == (("app", "lammps"), ("job", "7"), ("node", "n1"))
+        assert k == SeriesKey.of("m", app="lammps", job="7", node="n1")
 
-    def test_idempotent_reregistration(self):
-        cat = MetricCatalog()
-        spec = MetricSpec("watts", "W")
-        cat.register(spec)
-        cat.register(MetricSpec("watts", "W"))  # identical → fine
-        assert len(cat) == 1
+    def test_str_lists_labels_in_key_order(self):
+        assert str(SeriesKey.of("power", rack="r2", node="n1")) == "power{node=n1,rack=r2}"
 
-    def test_conflicting_reregistration_raises(self):
-        cat = MetricCatalog()
-        cat.register(MetricSpec("watts", "W"))
-        with pytest.raises(ValueError, match="different spec"):
-            cat.register(MetricSpec("watts", "kW"))
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(KeyError, match="unknown metric"):
-            MetricCatalog().get("nope")
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            MetricSpec("", "W")
-
-    def test_standard_catalog_has_progress_metric(self):
-        cat = standard_catalog()
-        assert "job_progress_steps" in cat
-        assert cat.get("job_progress_steps").kind is MetricKind.COUNTER
-
-    def test_names_sorted(self):
-        cat = MetricCatalog([MetricSpec("zz", "u"), MetricSpec("aa", "u")])
-        assert cat.names() == ["aa", "zz"]
+    def test_keys_are_immutable(self):
+        k = SeriesKey.of("m", node="n1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.metric = "other"

@@ -9,8 +9,9 @@ Split by those lengths, they must equal the scalar ``RawRings.window``
 of every series — over wrapped rings, rings holding fewer rows than
 their capacity, empty rings, ids with no ring or no storage, mixed
 capacity classes, several storage chunks, several lanes, ids in any
-order (repeats included), both right-edge inclusivities and scalar or
-per-series ``lo`` / ``hi``.  Both implementations are held to it: the
+order (repeats included), both right-edge inclusivities, scalar or
+per-series ``lo`` / ``hi``, and NaN left edges (a NaN range has no
+rows).  Both implementations are held to it: the
 vectorised bisect and the ring-by-ring loop the kernel keeps for a few
 series (:data:`~repro.telemetry.tsdb.WINDOW_LOOP_SERIES`).
 """
@@ -18,6 +19,7 @@ series (:data:`~repro.telemetry.tsdb.WINDOW_LOOP_SERIES`).
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +50,7 @@ scenario = st.fixed_dictionaries({
     "lo": st.one_of(st.integers(-5, 40).map(float), st.just(None)),
     "width": st.one_of(st.integers(-3, 40).map(float), st.just(None)),
     "right_inclusive": st.booleans(),
+    "nan_lo": st.booleans(),
     "loop": st.sampled_from(IMPLEMENTATIONS),
     "seed": st.integers(0, 2**16),
 })
@@ -55,11 +58,15 @@ scenario = st.fixed_dictionaries({
 
 def _bounds(sc, n):
     """The scenario's ``lo`` and ``hi = lo + width``: each a scalar, or
-    (``None``) one per id."""
+    (``None``) one per id; with ``nan_lo`` the left edge (some of them,
+    per id) is NaN and the right edge stays."""
     rng = np.random.default_rng(sc["seed"])
     lo = sc["lo"] if sc["lo"] is not None else rng.integers(-5, 40, n).astype(float)
     width = sc["width"] if sc["width"] is not None else rng.integers(-3, 40, n).astype(float)
-    return lo, lo + width
+    hi = lo + width
+    if sc["nan_lo"]:
+        lo = np.where(rng.random(n) < 0.5, np.nan, lo) if np.ndim(lo) else np.nan
+    return lo, hi
 
 
 def _ids(sc):
@@ -151,3 +158,34 @@ def test_an_empty_selection_and_a_store_without_rings_read_nothing():
                 times, values, lens = rings.windows(ids, 0.0, 10.0)
             assert times.size == values.size == 0
             assert np.array_equal(lens, np.zeros(ids.size))
+
+
+def _nan_edges(case, n):
+    """``(lo, hi)`` over ``[0, 10]`` with a NaN edge: scalar, or on the
+    even-indexed series only (``mixed_*``)."""
+    even = np.arange(n) % 2 == 0
+    return {
+        "scalar_lo": (np.nan, 10.0),
+        "scalar_hi": (0.0, np.nan),
+        "mixed_lo": (np.where(even, np.nan, 0.0), 10.0),
+        "mixed_hi": (0.0, np.where(even, np.nan, 10.0)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["scalar_lo", "scalar_hi", "mixed_lo", "mixed_hi"])
+@pytest.mark.parametrize("right_inclusive", [False, True])
+@pytest.mark.parametrize("loop", IMPLEMENTATIONS, ids=["kernel", "ring_by_ring"])
+def test_a_nan_edge_has_no_rows_on_either_path(case, right_inclusive, loop):
+    n = 40
+    rings = RawRings()
+    ids = np.arange(n)
+    rings.create(ids, 5)
+    t = np.tile([1.0, 2.0, 3.0], n)
+    rings.append(ids, np.full(n, 3), t, t * 3.0)
+    lo, hi = _nan_edges(case, n)
+    with mock.patch.object(tsdb, "WINDOW_LOOP_SERIES", loop):
+        times, values, lens = rings.windows(ids, lo, hi, right_inclusive=right_inclusive)
+    want = np.where(ids % 2 == 0, 0, 3) if case.startswith("mixed") else np.zeros(n)
+    assert np.array_equal(lens, want)
+    assert np.array_equal(times, np.tile([1.0, 2.0, 3.0], int(want.sum()) // 3))
+    assert np.array_equal(values, times * 3.0)
